@@ -34,6 +34,7 @@ from .market import (
     MarketConfig,
     MarketOutcome,
     PaymentRecord,
+    PreparedMarket,
     ViabilityCheck,
     ReservationSchedule,
     VIABILITY_TOLERANCE,

@@ -31,6 +31,7 @@ __all__ = [
     "ingest_csv",
     "to_agent_series",
     "write_outcome_table",
+    "write_rows",
     "write_zonal_csv",
     "load_scenario",
     "OUTCOME_COLUMNS",
@@ -256,6 +257,15 @@ def _format_cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
+
+
+def write_rows(path, fieldnames, rows) -> None:
+    """Write dict rows as CSV under a ``fieldnames`` header; missing cells stay empty."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(fieldnames)
+        for row in rows:
+            writer.writerow([_format_cell(row.get(name)) for name in fieldnames])
 
 
 def write_outcome_table(outcomes, path) -> None:

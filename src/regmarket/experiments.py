@@ -1,8 +1,9 @@
 """Experiment harness: method comparison, reservation sweeps and training sweeps.
 
-Every clearing produced here is re-verified with
-:func:`regmarket.market.verify_buyer_viability` before it enters a report, so a
-report can only contain buyer-viable outcomes.
+Reservation sweeps prepare one :class:`regmarket.market.PreparedMarket` per
+dataset and window and clear it once per point. Buyer viability is checked
+inside the market, by :func:`regmarket.market.verify_buyer_viability` on
+every clearing, so a report can only contain buyer-viable outcomes.
 """
 
 from __future__ import annotations
@@ -10,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .data_io import ScenarioConfig, ingest_csv, to_agent_series
-from .errors import InvalidInputError, ViabilityError
-from .market import ReservationSchedule, clear_market, verify_buyer_viability
+from .errors import InvalidInputError
+from .market import PreparedMarket, ReservationSchedule, clear_market
+from .market import verify_buyer_viability  # noqa: F401  (name patched by bench/tracer.py)
 from .regression import mse, ols_fit
 from .timeseries import LagSpec, synthetic_market_series
 
@@ -56,18 +58,6 @@ def materialize_series(scenario: ScenarioConfig, lag_spec: LagSpec | None = None
     )
 
 
-def _clear_verified(config, series, schedule):
-    outcome = clear_market(config, series, schedule)
-    check = verify_buyer_viability(outcome)
-    if not check.holds:
-        raise ViabilityError(
-            f"clearing failed re-verification (gap {check.gap:.3e})",
-            market_side=check.market_mse + check.total_payments,
-            baseline_side=check.baseline_mse,
-        )
-    return outcome
-
-
 def _true_coefficient(scenario: ScenarioConfig, agent, lag: int):
     """Generative-model coefficient for a synthetic scenario's target, else None."""
     spec = scenario.synthetic
@@ -95,7 +85,7 @@ def run_method_comparison(scenario: ScenarioConfig) -> ExperimentReport:
     series = materialize_series(scenario)
     config = scenario.market_config([s.agent_id for s in series])
     schedule = scenario.schedule(config.support_agents)
-    outcome = _clear_verified(config, series, schedule)
+    outcome = clear_market(config, series, schedule)
 
     ols_all = ols_fit(outcome.design_all, outcome.target)
     self_columns = {
@@ -115,7 +105,6 @@ def run_method_comparison(scenario: ScenarioConfig) -> ExperimentReport:
             }
         )
     summary = {
-        "viability_rate": 1.0,
         "mean_buyer_net_gain": outcome.buyer_net_gain,
         "ols_self_intercept": float(outcome.baseline_beta[0]),
         "ols_all_intercept": float(ols_all[0]),
@@ -143,6 +132,7 @@ def run_u_sweep(scenario: ScenarioConfig, u_grid=None, uniform: bool = True) -> 
     series = materialize_series(scenario)
     config = scenario.market_config([s.agent_id for s in series])
     base = scenario.schedule(config.support_agents)
+    market = PreparedMarket(config, series)
 
     report = ExperimentReport(scenario_id=scenario.scenario_id)
     gains = []
@@ -155,7 +145,7 @@ def run_u_sweep(scenario: ScenarioConfig, u_grid=None, uniform: bool = True) -> 
             schedule = ReservationSchedule(
                 {key: float(u) * value for key, value in base.entries.items()}
             )
-        outcome = _clear_verified(config, series, schedule)
+        outcome = market.clear(schedule)
         report.sweep_rows.append(("u", float(u), outcome))
         gains.append(outcome.buyer_net_gain)
         for agent in config.support_agents:
@@ -163,7 +153,6 @@ def run_u_sweep(scenario: ScenarioConfig, u_grid=None, uniform: bool = True) -> 
             report.derived_rows.append({"u": float(u), "agent": agent, "payment": paid})
     report.summary = {
         "clearings": len(grid),
-        "viability_rate": 1.0,
         "mean_buyer_net_gain": sum(gains) / len(gains),
     }
     return report
@@ -188,7 +177,7 @@ def run_T_sweep(scenario: ScenarioConfig, t_grid=None) -> ExperimentReport:
         lag_spec = LagSpec(max_lag=scenario.lag_spec.max_lag, window_length=int(T))
         config = scenario.market_config([s.agent_id for s in series], lag_spec=lag_spec)
         schedule = scenario.schedule(config.support_agents)
-        outcome = _clear_verified(config, series, schedule)
+        outcome = clear_market(config, series, schedule)
         report.sweep_rows.append(("T", int(T), outcome))
         gains.append(outcome.buyer_net_gain)
         for agent in config.support_agents:
@@ -212,7 +201,6 @@ def run_T_sweep(scenario: ScenarioConfig, t_grid=None) -> ExperimentReport:
         )
     report.summary = {
         "clearings": len(grid),
-        "viability_rate": 1.0,
         "mean_buyer_net_gain": sum(gains) / len(gains),
     }
     return report
@@ -247,6 +235,7 @@ def run_two_agent_grid(
             raise InvalidInputError(f"{agent!r} is not a support agent")
     max_lag = config.lag_spec.max_lag
     base = ReservationSchedule.uniform(config.support_agents, max_lag, others_u)
+    market = PreparedMarket(config, series)
 
     report = ExperimentReport(scenario_id=scenario.scenario_id)
     payments = {}
@@ -255,7 +244,7 @@ def run_two_agent_grid(
             schedule = base.replacing(agent_a, max_lag, float(ua)).replacing(
                 agent_b, max_lag, float(ub)
             )
-            outcome = _clear_verified(config, series, schedule)
+            outcome = market.clear(schedule)
             value = f"{repr(float(ua))};{repr(float(ub))}"
             report.sweep_rows.append((f"u({agent_a},{agent_b})", value, outcome))
             paid_a = sum(r.amount for r in outcome.payments if r.agent_id == agent_a)
@@ -279,7 +268,6 @@ def run_two_agent_grid(
             b_drops += payments[(high, ub)][1] <= payments[(low, ub)][1] + 1e-12
     report.summary = {
         "clearings": len(u_grid_a) * len(u_grid_b),
-        "viability_rate": 1.0,
         "a_payment_nonincreasing_in_b_frac": a_drops / a_steps if a_steps else 1.0,
         "b_payment_nonincreasing_in_a_frac": b_drops / b_steps if b_steps else 1.0,
     }

@@ -34,6 +34,7 @@ __all__ = [
     "MarketOutcome",
     "ViabilityCheck",
     "VIABILITY_TOLERANCE",
+    "PreparedMarket",
     "penalties_from_reservations",
     "clear_market",
     "verify_buyer_viability",
@@ -93,7 +94,6 @@ class MarketConfig:
     support_agents: tuple
     lag_spec: LagSpec
     solver: SolverSettings = field(default_factory=SolverSettings)
-    loss_scale: float = 1.0
 
     def __post_init__(self):
         supports = tuple(self.support_agents)
@@ -103,8 +103,6 @@ class MarketConfig:
             )
         if len(set(supports)) != len(supports):
             raise InvalidInputError("duplicate support agent ids")
-        if self.loss_scale != 1.0:
-            raise InvalidInputError("loss_scale is fixed at 1")
         object.__setattr__(self, "support_agents", supports)
 
 
@@ -145,7 +143,6 @@ class MarketOutcome:
     market_loss: LossReport
     payments: tuple
     buyer_net_gain: float
-    viability: bool
     design_self: DesignMatrix
     design_all: DesignMatrix
     target: np.ndarray
@@ -196,89 +193,105 @@ def penalties_from_reservations(
     return penalties
 
 
-def clear_market(config: MarketConfig, all_series, reservations: ReservationSchedule) -> MarketOutcome:
-    """Run one clearing: baseline fit, weighted-lasso fit, payments, viability.
+class PreparedMarket:
+    """The reservation-independent half of a clearing, built once.
 
-    The baseline is the buyer's own-features least-squares fit; the market
-    fit uses every agent's features with reservation-derived penalties. Each
-    support feature with cleared coefficient ``b`` and reservation ``u`` is
-    paid ``|u * b|``, which sums exactly to the fitted penalty term.
-
-    Raises :class:`ViabilityError` if the cleared loss plus payments exceeds
-    the baseline loss beyond solver slack, which a correct solve cannot do.
+    The target, both lag designs and the buyer's baseline OLS fit depend only
+    on the data and the window, so a sweep over reservations prepares them
+    once and calls :meth:`clear` per point. Construction checks the roster:
+    every configured agent needs exactly one series.
     """
-    by_id = {}
-    for series in all_series:
-        if series.agent_id in by_id:
-            raise InvalidInputError(f"duplicate series for agent {series.agent_id!r}")
-        by_id[series.agent_id] = series
-    missing = [a for a in (config.central_agent, *config.support_agents) if a not in by_id]
-    if missing:
-        raise InvalidInputError(f"no series provided for agents {missing}")
 
-    spec = config.lag_spec
-    central = by_id[config.central_agent]
-    supports = [by_id[a] for a in config.support_agents]
-    target = central.window(spec.window_length)
+    def __init__(self, config: MarketConfig, all_series):
+        by_id = {}
+        for series in all_series:
+            if series.agent_id in by_id:
+                raise InvalidInputError(f"duplicate series for agent {series.agent_id!r}")
+            by_id[series.agent_id] = series
+        missing = [a for a in (config.central_agent, *config.support_agents) if a not in by_id]
+        if missing:
+            raise InvalidInputError(f"no series provided for agents {missing}")
 
-    design_self = build_lag_matrix([central], spec)
-    baseline_beta = ols_fit(design_self, target)
-    baseline_mse = mse(design_self, baseline_beta, target)
-    baseline_loss = LossReport(mse=baseline_mse, penalty_term=0.0, lasso_loss=baseline_mse)
+        spec = config.lag_spec
+        central = by_id[config.central_agent]
+        self.config = config
+        self.target = central.window(spec.window_length)
+        self.design_self = build_lag_matrix([central], spec)
+        self.baseline_beta = ols_fit(self.design_self, self.target)
+        baseline_mse = mse(self.design_self, self.baseline_beta, self.target)
+        self.baseline_loss = LossReport(mse=baseline_mse, penalty_term=0.0, lasso_loss=baseline_mse)
+        self.design_all = build_lag_matrix(
+            [central, *(by_id[a] for a in config.support_agents)], spec
+        )
+        # (agent, lag, column) per seller feature, in payment-record order.
+        self.seller_columns = tuple(
+            (agent, lag, self.design_all.column_of(agent, lag))
+            for agent in config.support_agents
+            for lag in range(1, spec.max_lag + 1)
+        )
 
-    design_all = build_lag_matrix([central, *supports], spec)
-    penalties = penalties_from_reservations(config, reservations, design_all)
-    market_beta = weighted_lasso_fit(design_all, target, penalties, config.solver)
+    def clear(self, reservations: ReservationSchedule) -> MarketOutcome:
+        """Clear at one reservation schedule: penalties, lasso fit, payments.
 
-    payments = []
-    for agent in config.support_agents:
-        for lag in range(1, spec.max_lag + 1):
-            column = design_all.column_of(agent, lag)
+        Each support feature with cleared coefficient ``b`` and reservation
+        ``u`` is paid ``|u * b|``, which sums exactly to the fitted penalty
+        term. Every outcome passes :func:`verify_buyer_viability` before it
+        is returned; otherwise :class:`ViabilityError` is raised with both
+        sides of the inequality, which a correct solve cannot trigger.
+        """
+        penalties = penalties_from_reservations(self.config, reservations, self.design_all)
+        market_beta = weighted_lasso_fit(self.design_all, self.target, penalties, self.config.solver)
+
+        payments = []
+        for agent, lag, column in self.seller_columns:
             coefficient = float(market_beta[column])
             reservation = reservations.get(agent, lag)
             payments.append(
-                PaymentRecord(
-                    agent_id=agent,
-                    lag=lag,
-                    coefficient=coefficient,
-                    reservation=reservation,
-                    amount=abs(reservation * coefficient),
-                )
+                PaymentRecord(agent, lag, coefficient, reservation, abs(reservation * coefficient))
             )
-    total_payments = sum(record.amount for record in payments)
+        total_payments = sum(record.amount for record in payments)
 
-    market_mse = mse(design_all, market_beta, target)
-    market_loss = LossReport(
-        mse=market_mse,
-        penalty_term=total_payments,
-        lasso_loss=market_mse + total_payments,
-    )
-    buyer_net_gain = baseline_mse - market_mse - total_payments
-    viability = market_loss.lasso_loss <= baseline_mse + VIABILITY_TOLERANCE
-    if not viability:
-        raise ViabilityError(
-            "clearing lost the buyer money "
-            f"(loss plus payments {market_loss.lasso_loss:.9g} vs baseline {baseline_mse:.9g}); "
-            "this indicates a solver defect",
-            market_side=market_loss.lasso_loss,
-            baseline_side=baseline_mse,
+        market_mse = mse(self.design_all, market_beta, self.target)
+        outcome = MarketOutcome(
+            config=self.config,
+            baseline_beta=self.baseline_beta,
+            market_beta=market_beta,
+            baseline_loss=self.baseline_loss,
+            market_loss=LossReport(
+                mse=market_mse,
+                penalty_term=total_payments,
+                lasso_loss=market_mse + total_payments,
+            ),
+            payments=tuple(payments),
+            buyer_net_gain=self.baseline_loss.mse - market_mse - total_payments,
+            design_self=self.design_self,
+            design_all=self.design_all,
+            target=self.target,
+            penalties=penalties,
+            reservations=reservations,
         )
+        check = verify_buyer_viability(outcome)
+        if not check.holds:
+            market_side = check.market_mse + check.total_payments
+            raise ViabilityError(
+                "clearing lost the buyer money "
+                f"(loss plus payments {market_side:.9g} vs baseline {check.baseline_mse:.9g}); "
+                "this indicates a solver defect",
+                market_side=market_side,
+                baseline_side=check.baseline_mse,
+            )
+        return outcome
 
-    return MarketOutcome(
-        config=config,
-        baseline_beta=baseline_beta,
-        market_beta=market_beta,
-        baseline_loss=baseline_loss,
-        market_loss=market_loss,
-        payments=tuple(payments),
-        buyer_net_gain=buyer_net_gain,
-        viability=viability,
-        design_self=design_self,
-        design_all=design_all,
-        target=target,
-        penalties=penalties,
-        reservations=reservations,
-    )
+
+def clear_market(config: MarketConfig, all_series, reservations: ReservationSchedule) -> MarketOutcome:
+    """Run one clearing: baseline fit, weighted-lasso fit, payments, viability.
+
+    Shorthand for ``PreparedMarket(config, all_series).clear(reservations)``;
+    sweeps over reservations on one dataset should prepare the market once
+    instead. Raises :class:`InvalidInputError` for a bad roster or schedule
+    and :class:`ViabilityError` if the outcome fails buyer viability.
+    """
+    return PreparedMarket(config, all_series).clear(reservations)
 
 
 def verify_buyer_viability(outcome: MarketOutcome, tolerance: float = VIABILITY_TOLERANCE) -> ViabilityCheck:

@@ -1,12 +1,21 @@
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import regmarket
 from regmarket import DesignMatrix
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
+
+# CLI tests run `python -m regmarket` in a child process; let it import the
+# same package as this process, whether installed or taken from src/.
+_package_root = str(Path(regmarket.__file__).resolve().parents[1])
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (_package_root, os.environ.get("PYTHONPATH")))
+)
 
 
 def make_design(rng, n_rows, n_features, agent="A", intercept=True):

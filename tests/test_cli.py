@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import numpy as np
+
 from regmarket.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_VIABILITY, main
 from regmarket.errors import ViabilityError
 
@@ -179,6 +181,18 @@ class TestExitCodes:
         monkeypatch.setattr(cli_module, "run_u_sweep", explode)
         code = main(["sweep-u", "--config", str(config)])
         assert code == EXIT_VIABILITY
+
+    def test_failed_viability_check_maps_to_exit_4(self, tmp_path, monkeypatch, capsys):
+        import regmarket.market as market_module
+
+        config = write_scenario(tmp_path)
+        monkeypatch.setattr(
+            market_module, "weighted_lasso_fit", lambda X, y, penalties, settings: np.zeros(X.n_cols)
+        )
+        code = main(["clear", "--config", str(config)])
+        assert code == EXIT_VIABILITY
+        assert "solver defect" in capsys.readouterr().err
+        assert not (tmp_path / "results" / "clearing.csv").exists()
 
     def test_simulate_requires_synthetic_source(self, tmp_path):
         csv_path = tmp_path / "wind.csv"

@@ -118,6 +118,11 @@ class TestUSweep:
         with pytest.raises(InvalidInputError):
             run_u_sweep(scenario("P1"))
 
+    def test_points_share_one_design(self):
+        report = run_u_sweep(scenario("P1", seed=0), u_grid=(0.0, 0.05, 0.5))
+        designs = {id(outcome.design_all) for _, _, outcome in report.sweep_rows}
+        assert len(designs) == 1
+
 
 class TestTSweep:
     def test_per_step_payment_roughly_halves_when_T_doubles(self):
@@ -139,8 +144,11 @@ class TestTSweep:
         config = MarketConfig("P1", ("P2", "P3", "P4", "P5"), LagSpec(3, 240))
         schedule = ReservationSchedule.uniform(config.support_agents, 3, 0.1)
         direct = clear_market(config, roster, schedule)
-        assert outcome.market_loss.mse == pytest.approx(direct.market_loss.mse, rel=1e-12)
-        assert outcome.total_payments == pytest.approx(direct.total_payments, rel=1e-9)
+        swept = run_u_sweep(sc, u_grid=(0.1,)).sweep_rows[0][2]
+        for other in (direct, swept):
+            assert np.array_equal(outcome.market_beta, other.market_beta)
+            assert outcome.market_loss.mse == other.market_loss.mse
+            assert outcome.total_payments == other.total_payments
 
     def test_derived_rows_cover_each_agent_and_buyer(self):
         report = run_T_sweep(scenario("P1", seed=0), t_grid=(120, 240))
@@ -159,10 +167,15 @@ class TestTwoAgentGrid:
         assert report.summary["clearings"] == 1
         outcome = report.sweep_rows[0][2]
         # others_u defaults to 0.1 as well, so this is the uniform clearing.
-        uniform = run_u_sweep(sc, u_grid=(0.1,))
-        assert outcome.total_payments == pytest.approx(
-            uniform.sweep_rows[0][2].total_payments, rel=1e-9
+        swept = run_u_sweep(sc, u_grid=(0.1,)).sweep_rows[0][2]
+        roster = synthetic_market_series(sc.synthetic, history=3, window=240)
+        config = MarketConfig("P1", ("P2", "P3", "P4", "P5"), LagSpec(3, 240))
+        direct = clear_market(
+            config, roster, ReservationSchedule.uniform(config.support_agents, 3, 0.1)
         )
+        for other in (swept, direct):
+            assert np.array_equal(outcome.market_beta, other.market_beta)
+            assert outcome.total_payments == other.total_payments
 
     def test_diagonal_matches_uniform_sweep(self):
         sc = scenario(

@@ -8,9 +8,11 @@ from regmarket import (
     InvalidInputError,
     LagSpec,
     MarketConfig,
+    PreparedMarket,
     ReservationSchedule,
     SolverSettings,
     SyntheticSpec,
+    ViabilityError,
     build_lag_matrix,
     clear_market,
     penalties_from_reservations,
@@ -56,10 +58,6 @@ class TestMarketConfig:
     def test_central_cannot_support(self):
         with pytest.raises(InvalidInputError):
             MarketConfig("P1", ("P1", "P2"), LAG)
-
-    def test_loss_scale_fixed(self):
-        with pytest.raises(InvalidInputError):
-            MarketConfig("P1", ("P2",), LAG, loss_scale=2.0)
 
 
 class TestPenaltiesFromReservations:
@@ -207,6 +205,32 @@ class TestClearMarket:
             u *= 2.0
         else:
             pytest.fail("feature never shrank to zero as its reservation doubled")
+
+
+class TestPreparedMarket:
+    def test_clear_equals_clear_market_exactly(self):
+        config, roster = default_market(seed=3)
+        market = PreparedMarket(config, roster)
+        for u in (0.0, 0.05, 0.3):
+            schedule = ReservationSchedule.uniform(SUPPORTS, 3, u)
+            prepared = market.clear(schedule)
+            direct = clear_market(config, roster, schedule)
+            assert np.array_equal(prepared.market_beta, direct.market_beta)
+            assert prepared.payments == direct.payments
+            assert prepared.buyer_net_gain == direct.buyer_net_gain
+
+    def test_failed_viability_raises_with_both_sides(self, monkeypatch):
+        # A solver that returns all zeros drops even the buyer's own
+        # features, so loss plus payments exceeds the baseline.
+        import regmarket.market as market_module
+
+        monkeypatch.setattr(
+            market_module, "weighted_lasso_fit", lambda X, y, penalties, settings: np.zeros(X.n_cols)
+        )
+        config, roster = default_market(seed=0)
+        with pytest.raises(ViabilityError) as caught:
+            clear_market(config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.1))
+        assert caught.value.market_side > caught.value.baseline_side
 
 
 class TestVerifyBuyerViability:
