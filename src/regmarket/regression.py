@@ -14,11 +14,21 @@ Conventions used throughout the package:
 
   which has the same minimizer as (1/2)||y - X b||^2 + sum_j penalties[j]
   |b_j| (the two differ by the constant factor 2/T).
+* The solver works on the Gram matrix G = X'X, which each design computes
+  once and caches (:attr:`DesignMatrix.gram`), so repeated solves on one
+  design pay for it once. Its cyclic coordinate descent updates the
+  residual correlation q = X'y - G b in O(P) per coordinate and every few
+  sweeps tries the exact solve on the current sign pattern.
+* ``SolverSettings.tolerance`` bounds the last sweep's largest coefficient
+  change, in coefficient units, and the first-order optimality residual
+  relative to the data's scale: at most tolerance * max(1, (2/T)||X'y||_inf).
+  The stopping rule therefore does not depend on the data's units.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +91,17 @@ class DesignMatrix:
     def n_cols(self) -> int:
         return self.values.shape[1]
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The Gram matrix X'X, computed on first use and read-only.
+
+        Cached on the design, so every solve on one design (all points of a
+        reservation sweep on one prepared market) shares one copy.
+        """
+        gram = self.values.T @ self.values
+        gram.flags.writeable = False
+        return gram
+
     def has_intercept(self) -> bool:
         return self.column_map[0] is None
 
@@ -119,9 +140,10 @@ class LossReport:
 class SolverSettings:
     """Stopping rule for the coordinate-descent solver.
 
-    ``tolerance`` bounds both the largest coefficient change in a full sweep
-    and the first-order optimality residual of the returned solution, so a
-    converged fit carries its own optimality certificate.
+    ``tolerance`` bounds the largest coefficient change in the last full
+    sweep and the first-order optimality residual of the returned solution,
+    the latter scaled by max(1, (2/T)||X'y||_inf), so a converged fit
+    carries its own optimality certificate whatever the data's units.
     """
 
     tolerance: float = 1e-8
@@ -205,8 +227,9 @@ def lasso_loss(X: DesignMatrix, penalties, beta, y) -> LossReport:
     return LossReport(mse=fit, penalty_term=penalty, lasso_loss=fit + penalty)
 
 
-def _kkt_from_residual(A, residual, penalties, beta, n_rows):
-    gradient = (2.0 / n_rows) * (A.T @ residual)
+def _kkt_from_correlation(correlation, penalties, beta, n_rows):
+    """Largest optimality violation, given the residual correlation X' r."""
+    gradient = (2.0 / n_rows) * correlation
     thresholds = (2.0 / n_rows) * penalties
     at_zero = beta == 0.0
     violation = np.abs(gradient - thresholds * np.sign(beta))
@@ -221,13 +244,54 @@ def kkt_violation(X: DesignMatrix, y, penalties, beta) -> float:
     correlation (2/T) X_j . r must sit inside [-t_j, t_j] when b_j = 0 and
     equal t_j * sign(b_j) otherwise (t_j = (2/T) penalties[j]); unpenalized
     columns need zero correlation. A tolerance-tol solve keeps this at or
-    below tol.
+    below tol * max(1, (2/T) ||X'y||_inf).
     """
     penalties = _as_penalties(penalties, X.n_cols)
     beta = _as_coefficients(beta, X.n_cols)
     y = _as_target(y, X.n_rows)
     residual = y - X.values @ beta
-    return _kkt_from_residual(X.values, residual, penalties, beta, X.n_rows)
+    return _kkt_from_correlation(X.values.T @ residual, penalties, beta, X.n_rows)
+
+
+# Sweeps between attempts at the exact solve on the current sign pattern.
+_EXACT_STEP_EVERY = 5
+# A Cholesky pivot below this fraction of its column's squared norm marks the
+# active columns as numerically collinear; the exact step is then skipped.
+_SINGULAR_PIVOT = 1e-10
+
+
+def _sign_pattern_step(gram, correlation, beta, penalties):
+    """Exact minimizer on the sign pattern of ``beta``, or None.
+
+    With A the nonzero coordinates and s their signs, the smooth objective
+    restricted to {b : b_A has signs s, b_j = 0 off A} is minimized where
+    G_AA b_A = c_A - penalties_A * s, i.e. at the step d solving
+    G_AA d = q_A - penalties_A * s, where ``correlation`` is q = c - G b.
+    The step is returned only if G_AA is well conditioned, every penalized
+    coordinate keeps its sign and the objective does not rise.
+    """
+    active = np.flatnonzero(beta)
+    if active.size == 0:
+        return None
+    g_aa = gram[np.ix_(active, active)]
+    try:
+        pivots = np.diag(np.linalg.cholesky(g_aa))
+    except np.linalg.LinAlgError:
+        return None
+    if np.any(pivots * pivots <= _SINGULAR_PIVOT * np.diag(g_aa)):
+        return None
+    pull = correlation[active] - penalties[active] * np.sign(beta[active])
+    step = np.linalg.solve(g_aa, pull)
+    candidate = beta.copy()
+    candidate[active] += step
+    penalized = active[penalties[active] > 0.0]
+    if np.any(np.sign(candidate[penalized]) != np.sign(beta[penalized])):
+        return None
+    # T times the objective change along the step; the penalty term is
+    # linear in it because no penalized sign changes.
+    if float(step @ g_aa @ step) - 2.0 * float(pull @ step) > 0.0:
+        return None
+    return candidate
 
 
 def weighted_lasso_fit(
@@ -235,12 +299,22 @@ def weighted_lasso_fit(
 ) -> np.ndarray:
     """Minimize (1/T)||y - Xb||^2 + (2/T) sum_j penalties[j] |b_j|.
 
-    Cyclic coordinate descent with exact single-coordinate updates: each
-    coordinate is re-solved in closed form by soft-thresholding its partial
-    residual correlation, which makes the objective non-increasing sweep
-    over sweep. The solve stops once a full sweep moves no coefficient by
-    more than ``settings.tolerance`` *and* the first-order optimality
-    residual (recomputed from scratch) is within the same tolerance.
+    Cyclic coordinate descent with covariance updates (Friedman, Hastie &
+    Tibshirani, JSS 2010): the solver keeps the residual correlation
+    q = X'(y - Xb) = c - G b, with the Gram matrix G = X'X (cached on ``X``
+    as :attr:`DesignMatrix.gram`) and c = X'y. Each coordinate is re-solved
+    in closed form by soft-thresholding q_j + G_jj b_j, and a change in b_j
+    updates q with column j of G in O(P), independent of T. Every five
+    sweeps the solver also tries the exact minimizer on the current sign
+    pattern and keeps it only if no penalized sign flips and the objective
+    does not rise, so the objective is non-increasing from sweep to sweep.
+
+    The solve stops once a full sweep moves no coefficient by more than
+    ``settings.tolerance`` *and* the first-order optimality residual,
+    recomputed from a fresh residual y - Xb, is at most
+    ``settings.tolerance * max(1, (2/T) ||X'y||_inf)``. Scaling the data by
+    s and the penalties by s^2 scales every gradient by s^2, so that bound
+    makes the stopping rule independent of the data's units.
 
     Raises :class:`ConvergenceError` with the last iterate attached when
     ``settings.max_iterations`` sweeps are exhausted first.
@@ -252,42 +326,51 @@ def weighted_lasso_fit(
     y = _as_target(y, n_rows)
     penalties = _as_penalties(penalties, n_cols)
 
-    column_sq = np.einsum("ij,ij->j", A, A)
+    gram = X.gram
+    diagonal = np.diag(gram).tolist()
+    moment = A.T @ y
+    kkt_bound = settings.tolerance * max(1.0, (2.0 / n_rows) * float(np.max(np.abs(moment))))
     beta = np.zeros(n_cols)
-    residual = y.copy()
+    correlation = moment.copy()
     delta = np.inf
     kkt = np.inf
 
-    for _ in range(settings.max_iterations):
+    for sweep in range(1, settings.max_iterations + 1):
         delta = 0.0
         for j in range(n_cols):
-            sq = column_sq[j]
+            sq = diagonal[j]
             if sq == 0.0:
                 # All-zero column: it cannot change the fit, leave b_j = 0.
                 continue
-            column = A[:, j]
-            rho = float(column @ residual) + sq * beta[j]
+            current = beta[j]
+            rho = correlation[j] + sq * current
             if penalties[j] > 0.0:
                 updated = soft_threshold(rho, penalties[j]) / sq
             else:
                 updated = rho / sq
-            if updated != beta[j]:
-                residual += column * (beta[j] - updated)
-                step = abs(updated - beta[j])
+            if updated != current:
+                correlation -= (updated - current) * gram[j]
+                step = abs(updated - current)
                 if step > delta:
                     delta = step
                 beta[j] = updated
         if delta < settings.tolerance:
-            # Drop accumulated residual-update error before certifying.
-            residual = y - A @ beta
-            kkt = _kkt_from_residual(A, residual, penalties, beta, n_rows)
-            if kkt <= settings.tolerance:
+            # Certify from a fresh residual, which also drops the rounding
+            # error the covariance updates accumulated in q.
+            correlation = A.T @ (y - A @ beta)
+            kkt = _kkt_from_correlation(correlation, penalties, beta, n_rows)
+            if kkt <= kkt_bound:
                 return beta
+        if sweep % _EXACT_STEP_EVERY == 0:
+            candidate = _sign_pattern_step(gram, correlation, beta, penalties)
+            if candidate is not None:
+                beta = candidate
+                correlation = moment - gram @ beta
 
     raise ConvergenceError(
         f"coordinate descent did not converge in {settings.max_iterations} sweeps "
         f"(last sweep delta {delta:.3e}, optimality residual {kkt:.3e}, "
-        f"tolerance {settings.tolerance:.3e})",
+        f"bound {kkt_bound:.3e} from tolerance {settings.tolerance:.3e})",
         last_beta=beta,
         sweep_delta=delta,
         kkt_residual=None if np.isinf(kkt) else kkt,

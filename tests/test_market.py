@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
 from regmarket import (
     ConvergenceError,
+    DesignMatrix,
     InvalidInputError,
     LagSpec,
     MarketConfig,
@@ -219,6 +221,25 @@ class TestPreparedMarket:
             assert prepared.payments == direct.payments
             assert prepared.buyer_net_gain == direct.buyer_net_gain
 
+    def test_points_share_one_gram(self, monkeypatch):
+        computed = []
+        gram = DesignMatrix.gram.func
+
+        def counted(design):
+            computed.append(design)
+            return gram(design)
+
+        cached = functools.cached_property(counted)
+        cached.__set_name__(DesignMatrix, "gram")
+        monkeypatch.setattr(DesignMatrix, "gram", cached)
+        config, roster = default_market(seed=3)
+        market = PreparedMarket(config, roster)
+        outcomes = [
+            market.clear(ReservationSchedule.uniform(SUPPORTS, 3, u)) for u in (0.0, 0.05, 0.3)
+        ]
+        assert computed == [market.design_all]
+        assert all(outcome.design_all.gram is market.design_all.gram for outcome in outcomes)
+
     def test_failed_viability_raises_with_both_sides(self, monkeypatch):
         # A solver that returns all zeros drops even the buyer's own
         # features, so loss plus payments exceeds the baseline.
@@ -231,6 +252,36 @@ class TestPreparedMarket:
         with pytest.raises(ViabilityError) as caught:
             clear_market(config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.1))
         assert caught.value.market_side > caught.value.baseline_side
+
+
+class TestScaleInvariance:
+    """Rescaling the data by s and the reservations by s^2 is the same market.
+
+    Every lag feature, the target and every seller's ask change units
+    together, so the cleared feature coefficients are unchanged, the
+    intercept scales by s, and every loss and payment scales by s^2.
+    """
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e5])
+    def test_units_do_not_change_the_clearing(self, scale):
+        config, roster = default_market(seed=0)
+        reference = clear_market(config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.1))
+        scaled_roster = [dataclasses.replace(series, values=series.values * scale) for series in roster]
+        scaled = clear_market(
+            config, scaled_roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.1 * scale**2)
+        )
+
+        assert np.max(np.abs(scaled.market_beta[1:] - reference.market_beta[1:])) <= 1e-9
+        assert scaled.market_beta[0] / scale == pytest.approx(reference.market_beta[0], rel=1e-9)
+        squared = scale**2
+        assert [record.amount / squared for record in scaled.payments] == pytest.approx(
+            [record.amount for record in reference.payments], rel=1e-9, abs=1e-12
+        )
+        assert reference.total_payments > 0.0
+        assert scaled.market_loss.mse / squared == pytest.approx(reference.market_loss.mse, rel=1e-9)
+        assert scaled.baseline_loss.mse / squared == pytest.approx(
+            reference.baseline_loss.mse, rel=1e-9
+        )
 
 
 class TestVerifyBuyerViability:

@@ -4,11 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regmarket import (
+    AgentSeries,
     ConvergenceError,
     DesignMatrix,
     InvalidInputError,
+    LagSpec,
     LossReport,
     SolverSettings,
+    build_lag_matrix,
     kkt_violation,
     lasso_loss,
     mse,
@@ -273,6 +276,86 @@ class TestWeightedLassoFit:
             design.values, y, penalties, oracle
         )
         assert abs(gap) <= 1e-8
+
+
+def persistent_lag_market(seed=0, n_agents=5, max_lag=6, window=300, phi=0.95):
+    """Lag design of AR(phi) series, target loading on the sellers' lag 1.
+
+    Neighbouring lags of a persistent series are strongly collinear, so the
+    sign pattern of the solution settles only after many sweeps and the
+    solver's exact sign-pattern steps are both rejected and accepted.
+    """
+    rng = np.random.default_rng(seed)
+    burn_in = 200
+    length = burn_in + max_lag + window
+    roster = []
+    for k in range(n_agents):
+        values = np.zeros(length)
+        for t in range(1, length):
+            values[t] = phi * values[t - 1] + rng.normal()
+        roster.append(AgentSeries(f"A{k}", values[burn_in:], start_time=max_lag))
+    design = build_lag_matrix(roster, LagSpec(max_lag=max_lag, window_length=window))
+    target = roster[0].window(window) + 0.5 * sum(
+        series.values[max_lag - 1 : max_lag - 1 + window] for series in roster[1:]
+    )
+    sellers = np.array([entry is not None and entry[0] != "A0" for entry in design.column_map])
+    return design, target, sellers
+
+
+class TestPersistentLagDesign:
+    def test_matches_oracles(self):
+        design, y, sellers = persistent_lag_market()
+        tolerance = SolverSettings().tolerance
+        free = np.zeros(design.n_cols)
+        beta = weighted_lasso_fit(design, y, free)
+        assert np.max(np.abs(beta - normal_equation_ols(design.values, y))) < 1e-8
+        assert kkt_residual(design.values, y, free, beta) <= 10 * tolerance
+        for u in (0.05, 1.0):
+            penalties = np.where(sellers, (design.n_rows / 2.0) * u, 0.0)
+            beta = weighted_lasso_fit(design, y, penalties)
+            oracle = prox_gradient_lasso(design.values, y, penalties)
+            ours = penalized_objective(design.values, y, penalties, beta)
+            theirs = penalized_objective(design.values, y, penalties, oracle)
+            assert ours <= theirs + 1e-10
+            assert kkt_residual(design.values, y, penalties, beta) <= 10 * tolerance
+            assert 0 < np.count_nonzero(beta[sellers]) < np.count_nonzero(sellers)
+
+    def test_collinear_unpenalized_column_falls_back_to_sweeps(self):
+        # A constant column is collinear with the intercept, so the exact
+        # step's system is singular even though its Cholesky factor exists.
+        design, y, sellers = persistent_lag_market()
+        values = np.column_stack([design.values, np.full(design.n_rows, 3.0)])
+        widened = DesignMatrix(values, design.column_map + (("const", 1),))
+        tolerance = SolverSettings().tolerance
+        bound = 10 * tolerance * max(1.0, (2.0 / design.n_rows) * np.max(np.abs(values.T @ y)))
+        for u in (0.0, 1.0):
+            penalties = np.where(sellers, (design.n_rows / 2.0) * u, 0.0)
+            wide_penalties = np.append(penalties, 0.0)
+            beta = weighted_lasso_fit(widened, y, wide_penalties)
+            assert kkt_residual(values, y, wide_penalties, beta) <= bound
+            narrow = weighted_lasso_fit(design, y, penalties)
+            assert penalized_objective(values, y, wide_penalties, beta) == pytest.approx(
+                penalized_objective(design.values, y, penalties, narrow), rel=1e-12
+            )
+
+    def test_objective_descends_across_exact_steps(self):
+        # Truncated solves expose the iterate after each sweep. Fifteen
+        # sweeps pass three attempts at the exact sign-pattern step (one
+        # every five sweeps); at this penalty the first is rejected because
+        # a seller's sign would flip, and the second is accepted.
+        design, y, sellers = persistent_lag_market()
+        penalties = np.where(sellers, (design.n_rows / 2.0) * 10.0, 0.0)
+        objectives = []
+        for sweeps in range(1, 16):
+            try:
+                beta = weighted_lasso_fit(
+                    design, y, penalties, SolverSettings(tolerance=1e-15, max_iterations=sweeps)
+                )
+            except ConvergenceError as err:
+                beta = err.last_beta
+            objectives.append(penalized_objective(design.values, y, penalties, beta))
+        assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
+        assert objectives[-1] < objectives[0]
 
 
 class TestLosses:
