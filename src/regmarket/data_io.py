@@ -1,10 +1,11 @@
 """CSV ingestion for zonal wind data, scenario configs, and result tables.
 
 Input CSVs carry one header row with a ``timestamp`` column plus one column
-per zone. Timestamps are either plain integer hour indices or ISO-8601 local
-hours (minutes and seconds must be zero); both are mapped to integer hour
-indices. Output tables are plain CSV with round-trippable float formatting
-so identical runs produce byte-identical files.
+per zone. Timestamps are either plain integer hour indices or ISO-8601 whole
+hours; both are mapped to integer hour indices. ISO stamps with a UTC offset
+count UTC hours, naive ones local-calendar hours. Output tables are plain
+CSV with round-trippable float formatting so identical runs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+from array import array
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +71,7 @@ class ZonalDataset:
         values = np.asarray(self.values, dtype=float)
         if timestamps.ndim != 1 or timestamps.shape[0] < 1:
             raise InvalidInputError("dataset needs at least one hour")
-        if np.any(np.diff(timestamps) <= 0):
+        if np.any(timestamps[1:] <= timestamps[:-1]):  # np.diff can wrap around
             raise InvalidInputError("timestamps must be strictly increasing")
         if values.shape != (timestamps.shape[0], len(zones)):
             raise InvalidInputError(
@@ -101,32 +103,47 @@ class IngestReport:
     warnings: tuple
 
 
-def _parse_hour(cell: str):
-    """Hour index from an integer or ISO-8601 cell, or None if unusable."""
+_ORDINAL_ONE = datetime(1, 1, 1)  # hour index 24, as date ordinals start at 1
+_HOUR = timedelta(hours=1)
+
+
+def _parse_hour(cell: str) -> int:
+    """Hour index from an integer or ISO-8601 cell; ValueError if unusable.
+
+    Stamps with a UTC offset are converted to UTC first, so the two hours
+    that share a wall-clock time when daylight saving ends stay distinct.
+    Naive stamps count local-calendar hours, independent of the host
+    timezone. Either way the stamp must fall on a whole hour.
+    """
     text = cell.strip()
-    if not text:
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        stamp = datetime.fromisoformat(text)
-    except ValueError:
-        return None
-    if stamp.minute or stamp.second or stamp.microsecond:
-        return None
-    # Local-calendar arithmetic keeps this independent of the host timezone.
-    return stamp.date().toordinal() * 24 + stamp.hour
+    if ":" not in text and "-" not in text[1:]:  # otherwise int() must fail
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    stamp = datetime.fromisoformat(text)
+    if stamp.tzinfo is None:
+        since = stamp - _ORDINAL_ONE
+    else:  # subtract the offset last: near year 1 the UTC stamp is out of range
+        since = stamp.replace(tzinfo=None) - _ORDINAL_ONE - stamp.utcoffset()
+    hours, rest = divmod(since, _HOUR)
+    if rest:
+        raise ValueError(f"{text!r} is not a whole hour")
+    return 24 + hours
 
 
 def ingest_csv(path, schema=None, normalization: str = "none", timestamp_column: str = "timestamp") -> IngestReport:
-    """Read a zonal CSV, dropping rows with missing or unusable cells.
+    """Read a zonal CSV in one streaming pass, dropping unusable rows.
 
     ``schema`` optionally maps CSV column names to zone ids; by default every
-    non-timestamp column is a zone named after its header. With
+    non-timestamp column is a zone named after its header. A row is dropped,
+    and counted in ``dropped_rows``, when its timestamp is unparseable or
+    outside the int64 hour range, or any zone cell is missing, empty, non-numeric or non-finite; lines whose
+    cells are all blank are skipped without counting. The file is never held
+    in memory as rows: hours and values go straight into flat typed buffers,
+    and the finiteness check runs once over the whole value block. With
     ``normalization="per-zone-max"`` each zone is divided by its maximum over
-    the retained rows.
+    the retained rows. A warning is reported when over 10% of rows drop.
     """
     if normalization not in ("none", "per-zone-max"):
         raise InvalidInputError(
@@ -139,63 +156,56 @@ def ingest_csv(path, schema=None, normalization: str = "none", timestamp_column:
             header = next(reader)
         except StopIteration:
             raise InvalidInputError(f"{path}: empty file, expected a header row") from None
-        rows = list(reader)
 
-    header = [name.strip() for name in header]
-    if timestamp_column not in header:
-        raise InvalidInputError(f"{path}: no {timestamp_column!r} column in header")
-    ts_index = header.index(timestamp_column)
+        header = [name.strip() for name in header]
+        if timestamp_column not in header:
+            raise InvalidInputError(f"{path}: no {timestamp_column!r} column in header")
+        ts_index = header.index(timestamp_column)
 
-    if schema is None:
-        schema = {name: name for name in header if name != timestamp_column}
-    missing_columns = [name for name in schema if name not in header]
-    if missing_columns:
+        if schema is None:
+            schema = {name: name for name in header if name != timestamp_column}
+        missing_columns = [name for name in schema if name not in header]
+        if missing_columns:
+            raise InvalidInputError(
+                f"{path}: schema column(s) {missing_columns} not found in header"
+            )
+        zone_indices = [(header.index(name), zone) for name, zone in schema.items()]
+        zone_indices.sort()  # header order keeps zone layout independent of dict order
+        zones = tuple(zone for _, zone in zone_indices)
+        if len(set(zones)) != len(zones):
+            raise InvalidInputError(f"{path}: duplicate zone names in schema")
+        if not zones:
+            raise InvalidInputError(f"{path}: no zone columns")
+        columns = [index for index, _ in zone_indices]
+
+        hours = array("q")
+        cells = array("d")
+        dropped = 0
+        for row in reader:
+            try:
+                hour = _parse_hour(row[ts_index])
+                parsed = [float(row[i].strip()) for i in columns]
+                hours.append(hour)  # OverflowError: hour outside int64
+            except (IndexError, ValueError, OverflowError):
+                if any(cell.strip() for cell in row):
+                    dropped += 1
+                continue  # else a blank line, not a data row
+            cells.extend(parsed)
+
+    hours = np.frombuffer(hours, dtype=np.int64)
+    values = np.frombuffer(cells, dtype=float).reshape(hours.shape[0], len(zones))
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        dropped += int(hours.shape[0] - np.count_nonzero(finite))
+        hours, values = hours[finite], values[finite]
+    if not hours.shape[0]:
+        raise InvalidInputError(f"{path}: no usable data rows ({dropped} dropped)")
+    steps = np.flatnonzero(hours[1:] <= hours[:-1])
+    if steps.size:
+        k = steps[0]
         raise InvalidInputError(
-            f"{path}: schema column(s) {missing_columns} not found in header"
+            f"{path}: non-monotonic timestamps (hour {hours[k + 1]} follows hour {hours[k]})"
         )
-    zone_indices = [(header.index(name), zone) for name, zone in schema.items()]
-    zone_indices.sort()  # header order keeps zone layout independent of dict order
-    zones = tuple(zone for _, zone in zone_indices)
-    if len(set(zones)) != len(zones):
-        raise InvalidInputError(f"{path}: duplicate zone names in schema")
-    if not zones:
-        raise InvalidInputError(f"{path}: no zone columns")
-
-    hours = []
-    data = []
-    dropped = 0
-    for row in rows:
-        if not any(cell.strip() for cell in row):
-            continue  # blank line, not a data row
-        hour = _parse_hour(row[ts_index]) if ts_index < len(row) else None
-        parsed = []
-        if hour is not None:
-            for index, _ in zone_indices:
-                cell = row[index].strip() if index < len(row) else ""
-                if not cell:
-                    parsed = None
-                    break
-                try:
-                    value = float(cell)
-                except ValueError:
-                    parsed = None
-                    break
-                if not np.isfinite(value):
-                    parsed = None
-                    break
-                parsed.append(value)
-        if hour is None or parsed is None:
-            dropped += 1
-            continue
-        hours.append(hour)
-        data.append(parsed)
-
-    if not hours:
-        raise InvalidInputError(f"{path}: no usable data rows")
-    hours = np.asarray(hours, dtype=np.int64)
-    if np.any(np.diff(hours) <= 0):
-        raise InvalidInputError(f"{path}: non-monotonic timestamps")
-    values = np.asarray(data, dtype=float)
 
     if normalization == "per-zone-max":
         peaks = values.max(axis=0)
@@ -207,7 +217,7 @@ def ingest_csv(path, schema=None, normalization: str = "none", timestamp_column:
         values = values / peaks
 
     warnings = []
-    total = len(hours) + dropped
+    total = hours.shape[0] + dropped
     if dropped > 0.1 * total:
         warnings.append(
             f"dropped {dropped} of {total} rows ({100.0 * dropped / total:.1f}%)"

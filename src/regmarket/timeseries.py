@@ -175,13 +175,16 @@ def generate_ar1(phi: float, noise_std: float, length: int, seed, agent_id: str 
     if length < 1:
         raise InvalidInputError("length must be at least 1")
     rng = np.random.default_rng(seed)
-    eps = rng.normal(0.0, noise_std, BURN_IN + length)
-    out = np.empty(BURN_IN + length)
+    # The recursion runs on Python floats, overwriting each noise draw with
+    # its state: the same IEEE operations as on numpy scalars, without the
+    # per-element boxing.
+    out = rng.normal(0.0, noise_std, BURN_IN + length).tolist()
+    phi = float(phi)
     state = 0.0
-    for t in range(BURN_IN + length):
-        state = phi * state + eps[t]
+    for t, eps in enumerate(out):
+        state = phi * state + eps
         out[t] = state
-    return AgentSeries(agent_id=agent_id, values=out[BURN_IN:], start_time=0)
+    return AgentSeries(agent_id=agent_id, values=np.array(out[BURN_IN:]), start_time=0)
 
 
 def generate_var_dependent(
@@ -224,15 +227,17 @@ def generate_var_dependent(
         cross_input[1:] += c * driver.values[:-1]
 
     rng = np.random.default_rng(seed)
-    eps = rng.normal(0.0, noise_std, BURN_IN + length)
-    out = np.empty(BURN_IN + length)
+    out = rng.normal(0.0, noise_std, BURN_IN + length).tolist()  # see generate_ar1
+    own_phi = float(own_phi)
     state = 0.0
-    for t in range(BURN_IN + length):
-        state = own_phi * state + eps[t]
-        if t >= BURN_IN:
-            state += cross_input[t - BURN_IN]
+    for t in range(BURN_IN):
+        state = own_phi * state + out[t]
         out[t] = state
-    return AgentSeries(agent_id=agent_id, values=out[BURN_IN:], start_time=starts.pop())
+    for t, driven in enumerate(cross_input.tolist(), start=BURN_IN):
+        state = own_phi * state + out[t]
+        state += driven
+        out[t] = state
+    return AgentSeries(agent_id=agent_id, values=np.array(out[BURN_IN:]), start_time=starts.pop())
 
 
 def synthetic_market_series(spec: SyntheticSpec, history: int, window: int) -> list:

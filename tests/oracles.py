@@ -2,10 +2,17 @@
 
 Nothing here shares code with the package's solvers: OLS is re-derived from
 the normal equations, the univariate lasso from its closed form, and the
-multivariate lasso from an accelerated proximal-gradient iteration.
+multivariate lasso from an accelerated proximal-gradient iteration. The
+zonal CSV reader restates ingest row by row, cell by cell, and converts
+offset-bearing stamps to hours through Unix-epoch arithmetic.
 """
 
+import csv
+from datetime import datetime, timedelta, timezone
+
 import numpy as np
+
+from regmarket.errors import InvalidInputError
 
 
 def normal_equation_ols(A, y):
@@ -79,3 +86,95 @@ def kkt_residual(A, y, penalties, beta):
             violation = abs(gradient[j] - thresholds[j] * np.sign(beta[j]))
         worst = max(worst, violation)
     return worst
+
+
+_UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_UNIX_EPOCH_HOUR = datetime(1970, 1, 1).toordinal() * 24
+_HOUR_US = 3_600_000_000
+
+
+def reference_hour(cell):
+    """Hour index of a timestamp cell, or None if the cell is unusable."""
+    text = cell.strip()
+    if not text:
+        return None
+    try:
+        hour = int(text)
+    except ValueError:
+        pass
+    else:
+        return hour if -(2**63) <= hour < 2**63 else None
+    try:
+        stamp = datetime.fromisoformat(text)
+    except ValueError:
+        return None
+    if stamp.tzinfo is None:
+        if stamp.minute or stamp.second or stamp.microsecond:
+            return None
+        return stamp.date().toordinal() * 24 + stamp.hour
+    micros = (stamp - _UNIX_EPOCH) // timedelta(microseconds=1)
+    if micros % _HOUR_US:
+        return None
+    return _UNIX_EPOCH_HOUR + micros // _HOUR_US
+
+
+def reference_ingest(path, schema=None, normalization="none", timestamp_column="timestamp"):
+    """Read a zonal CSV row by row: ``(zones, hours, values, dropped, warnings)``.
+
+    Lines whose cells are all blank are skipped; any other row is dropped
+    and counted when its stamp or one of its zone cells is missing, empty,
+    non-numeric or non-finite. Raises InvalidInputError where ingest must.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    if not rows:
+        raise InvalidInputError("empty file")
+    header = [name.strip() for name in rows[0]]
+    if timestamp_column not in header:
+        raise InvalidInputError("no timestamp column")
+    ts_index = header.index(timestamp_column)
+    if schema is None:
+        schema = {name: name for name in header if name != timestamp_column}
+    if any(name not in header for name in schema):
+        raise InvalidInputError("schema column not in header")
+    picked = sorted((header.index(name), zone) for name, zone in schema.items())
+    zones = tuple(zone for _, zone in picked)
+    if len(set(zones)) != len(zones) or not zones:
+        raise InvalidInputError("bad zone set")
+
+    hours, data, dropped = [], [], 0
+    for row in rows[1:]:
+        if all(cell.strip() == "" for cell in row):
+            continue
+        hour = reference_hour(row[ts_index]) if ts_index < len(row) else None
+        parsed = []
+        for index, _ in picked:
+            cell = row[index].strip() if index < len(row) else ""
+            try:
+                value = float(cell)
+            except ValueError:
+                break
+            if value != value or value in (float("inf"), float("-inf")):
+                break
+            parsed.append(value)
+        if hour is None or len(parsed) < len(picked):
+            dropped += 1
+            continue
+        hours.append(hour)
+        data.append(parsed)
+
+    if not hours:
+        raise InvalidInputError("no usable data rows")
+    if any(b <= a for a, b in zip(hours, hours[1:])):
+        raise InvalidInputError("non-monotonic timestamps")
+    values = np.array(data, dtype=float).reshape(len(hours), len(zones))
+    if normalization == "per-zone-max":
+        peaks = values.max(axis=0)
+        if np.any(peaks <= 0):
+            raise InvalidInputError("zone with no positive values")
+        values = values / peaks
+    total = len(hours) + dropped
+    warnings = []
+    if dropped > 0.1 * total:
+        warnings.append(f"dropped {dropped} of {total} rows ({100.0 * dropped / total:.1f}%)")
+    return zones, np.array(hours, dtype=np.int64), values, dropped, tuple(warnings)

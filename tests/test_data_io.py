@@ -1,7 +1,14 @@
+import csv
+import io
 import json
+import tracemalloc
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles import reference_ingest
 
 from regmarket import (
     InvalidInputError,
@@ -123,6 +130,180 @@ class TestIngestCsv:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ingest_csv(tmp_path / "nope.csv")
+
+    def test_non_monotonic_error_names_the_pair(self, tmp_path):
+        rows, _ = complete_rows(5)
+        rows[3], rows[2] = rows[2], rows[3]
+        with pytest.raises(InvalidInputError, match=r"hour 102 follows hour 103"):
+            ingest_csv(write_csv(tmp_path / "wind.csv", rows))
+
+    def test_no_usable_rows_error_counts_drops(self, tmp_path):
+        rows = [(100, "", 1.0, 2.0), (101, "x", 1.0, 2.0), (102, 1.0, "nan", 2.0)]
+        with pytest.raises(InvalidInputError, match=r"no usable data rows \(3 dropped\)"):
+            ingest_csv(write_csv(tmp_path / "wind.csv", rows))
+
+    def test_hour_outside_int64_drops_the_row(self, tmp_path):
+        rows = [(2**63, 1.0, 2.0, 3.0), (-(2**63) - 1, "nan", 2.0, 3.0), (5, 1.0, 2.0, 3.0)]
+        report = ingest_csv(write_csv(tmp_path / "wind.csv", rows))
+        assert report.dropped_rows == 2
+        assert report.dataset.timestamps.tolist() == [5]
+
+    def test_peak_memory_stays_near_the_dataset(self, tmp_path):
+        # Streaming keeps no per-row Python objects: the peak is the value
+        # block plus buffer slack. Materialising the rows first costs ~16x.
+        values = np.random.default_rng(0).uniform(0.0, 500.0, size=(20_000, 15))
+        lines = ["timestamp," + ",".join(f"Z{k:02d}" for k in range(15))]
+        lines += [f"{t}," + ",".join(map(repr, row.tolist())) for t, row in enumerate(values)]
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            report = ingest_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(report.dataset.values, values)
+        assert peak < 4 * report.dataset.values.nbytes
+
+
+class TestUtcOffsets:
+    def dataset(self, tmp_path, stamps):
+        rows = [(stamp, 1.0, 2.0, 3.0) for stamp in stamps]
+        return ingest_csv(write_csv(tmp_path / "wind.csv", rows)).dataset
+
+    def test_autumn_dst_sequence_is_contiguous(self, tmp_path):
+        stamps = [
+            "2021-10-31T01:00+02:00",
+            "2021-10-31T02:00+02:00",
+            "2021-10-31T02:00+01:00",  # same wall clock, one hour later
+            "2021-10-31T03:00+01:00",
+        ]
+        assert np.array_equal(np.diff(self.dataset(tmp_path, stamps).timestamps), [1, 1, 1])
+
+    def test_spring_dst_sequence_is_contiguous(self, tmp_path):
+        stamps = [
+            "2021-03-28T00:00+01:00",
+            "2021-03-28T01:00+01:00",
+            "2021-03-28T03:00+02:00",  # 02:00 local never happens
+            "2021-03-28T04:00+02:00",
+        ]
+        dataset = self.dataset(tmp_path, stamps)
+        assert np.array_equal(np.diff(dataset.timestamps), [1, 1, 1])
+        start = int(dataset.timestamps[1])
+        series = to_agent_series(dataset, start=start, window_length=3, max_lag=1)
+        assert all(s.values.shape == (4,) for s in series)
+
+    def test_utc_spellings_and_naive_stamp_agree(self, tmp_path):
+        for stamps in (
+            ("2021-06-01T05:00Z", "2021-06-01T05:00+00:00", "2021-06-01T05:00"),
+            ("2021-06-01T05:30+05:30", "2021-06-01T00:00Z"),
+        ):
+            hours = {int(self.dataset(tmp_path, [stamp]).timestamps[0]) for stamp in stamps}
+            assert len(hours) == 1
+
+    def test_offset_must_leave_a_whole_utc_hour(self, tmp_path):
+        rows = [("2021-06-01T05:00+05:30", 1.0, 2.0, 3.0), ("2021-06-01T06:00Z", 1.0, 2.0, 3.0)]
+        report = ingest_csv(write_csv(tmp_path / "wind.csv", rows))
+        assert report.dropped_rows == 1
+        assert report.dataset.n_hours == 1
+
+
+# Differential test: ingest_csv against the row-by-row reference reader.
+# "\x1c" is whitespace to str.strip() but not to float().
+_PADDING = st.sampled_from(["", "", "", "", " ", "\t", "\x1c", "\u00a0", "\u2003"])
+_NUMBER = st.one_of(st.floats(-100.0, 1e6, allow_nan=False).map(repr), st.integers(-5, 500).map(str))
+_VALUE = st.one_of(
+    _NUMBER,
+    _NUMBER,
+    _NUMBER,
+    st.sampled_from(["", "x1", "nan", "NaN", "inf", "-inf", "1e400", "1_000", ".5", "--1"]),
+)
+_ISO_KINDS = ("iso",) * 4 + ("utc", "offset", "offset", "int", "minute", "compact", "junk", "empty")
+_INT_KINDS = ("int",) * 8 + ("junk", "empty", "clock", "huge")
+
+
+def _stamp(kind, hour, offset_hours):
+    """Render hour index ``hour`` as a timestamp cell of the given kind."""
+    if kind == "int":
+        return str(hour)
+    if kind in ("junk", "empty", "clock", "huge"):
+        return {"junk": "junk", "empty": "", "clock": "5:00", "huge": str(2**63 + hour)}[kind]
+    when = datetime.fromordinal(hour // 24) + timedelta(hours=hour % 24)
+    if kind == "iso":
+        return when.isoformat()
+    if kind == "utc":
+        return when.strftime("%Y-%m-%dT%H:%MZ")
+    if kind == "offset":
+        zone = timezone(timedelta(hours=offset_hours))
+        return when.replace(tzinfo=timezone.utc).astimezone(zone).isoformat()
+    if kind == "minute":
+        return (when + timedelta(minutes=30)).isoformat()
+    return when.strftime("%Y%m%d")  # compact: an integer, not a date
+
+
+@st.composite
+def zonal_files(draw):
+    """CSV text, an optional schema and a normalization for one ingest."""
+    n_zones = draw(st.integers(1, 4))
+    names = [f"Z{k}" for k in range(n_zones)]
+    header = names[:]
+    header.insert(draw(st.integers(0, n_zones)), "timestamp")
+    if draw(st.booleans()):
+        kinds, hour = _ISO_KINDS, 17_706_984 + draw(st.integers(-48, 48))
+    else:
+        kinds, hour = _INT_KINDS, draw(st.integers(-30, 30))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(("row",) * 6 + ("blank", "spaces", "ragged")))
+        if shape == "blank":
+            lines.append([])
+            continue
+        if shape == "spaces":
+            lines.append([draw(_PADDING) for _ in range(draw(st.integers(1, 3)))])
+            continue
+        hour += draw(st.sampled_from((1, 1, 1, 2, 0, -1)))
+        cells = [draw(_VALUE) for _ in names]
+        stamp = _stamp(draw(st.sampled_from(kinds)), hour, draw(st.integers(-12, 14)))
+        cells.insert(header.index("timestamp"), stamp)
+        cells = [draw(_PADDING) + cell + draw(_PADDING) for cell in cells]
+        if shape == "ragged":
+            cells = (cells + ["7.0", ""])[: draw(st.integers(0, len(cells) + 2))]
+        lines.append(cells)
+    buffer = io.StringIO()
+    writer = csv.writer(
+        buffer,
+        lineterminator=draw(st.sampled_from(["\n", "\r\n"])),
+        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+    )
+    writer.writerow(header)
+    writer.writerows(lines)
+    schema = None
+    if draw(st.booleans()):
+        subset = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+        schema = {name: f"zone-{name}" for name in subset}  # drawn order, not header order
+    return buffer.getvalue(), schema, draw(st.sampled_from(["none", "per-zone-max"]))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=zonal_files())
+def test_ingest_matches_reference_reader(tmp_path, case):
+    text, schema, normalization = case
+    path = tmp_path / "zones.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = reference_ingest(path, schema=schema, normalization=normalization)
+    except InvalidInputError:
+        with pytest.raises(InvalidInputError):
+            ingest_csv(path, schema=schema, normalization=normalization)
+        return
+    zones, hours, values, dropped, warnings = expected
+    report = ingest_csv(path, schema=schema, normalization=normalization)
+    assert report.dataset.zones == zones
+    assert report.dataset.timestamps.tobytes() == hours.tobytes()
+    assert report.dataset.values.shape == values.shape
+    assert report.dataset.values.tobytes() == values.tobytes()
+    assert report.dropped_rows == dropped
+    assert report.warnings == warnings
 
 
 class TestToAgentSeries:

@@ -16,6 +16,7 @@ from regmarket import (
     ols_fit,
     synthetic_market_series,
 )
+from regmarket.timeseries import BURN_IN
 
 
 def series(agent_id, values, start_time=0):
@@ -221,3 +222,34 @@ class TestSyntheticMarketSeries:
         roster = synthetic_market_series(SyntheticSpec(seed=8), history=4, window=30)
         rewrapped = dataclasses.replace(roster[0], start_time=6)
         assert np.array_equal(rewrapped.values, roster[0].values)
+
+
+class TestGeneratorsMatchPlainLoop:
+    """Both generators equal, bit for bit, the numpy-scalar recursion they state."""
+
+    @staticmethod
+    def plain_recursion(phi, noise_std, length, seed, forcing=None):
+        eps = np.random.default_rng(seed).normal(0.0, noise_std, BURN_IN + length)
+        out = np.empty(BURN_IN + length)
+        state = 0.0
+        for t in range(BURN_IN + length):
+            state = phi * state + eps[t]
+            if forcing is not None and t >= BURN_IN:
+                state += forcing[t - BURN_IN]
+            out[t] = state
+        return out[BURN_IN:]
+
+    def test_ar1(self):
+        for phi, std, seed in ((0.95, 1.0, 0), (-0.4, 0.3, 7), (0.0, 2.0, 11)):
+            expected = self.plain_recursion(phi, std, 500, seed)
+            assert generate_ar1(phi, std, 500, seed).values.tobytes() == expected.tobytes()
+
+    def test_var_dependent(self):
+        drivers = [generate_ar1(phi, 1.0, 400, seed=k) for k, phi in enumerate((0.6, 0.9, 0.3))]
+        cross = np.array([0.5, -0.2, 0.1])
+        forcing = np.zeros(400)
+        for c, driver in zip(cross, drivers):
+            forcing[1:] += c * driver.values[:-1]
+        expected = self.plain_recursion(0.3, 0.5, 400, 5, forcing)
+        dependent = generate_var_dependent(drivers, cross, 0.3, 0.5, seed=5)
+        assert dependent.values.tobytes() == expected.tobytes()
