@@ -11,7 +11,10 @@ import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .data_io import (
+    ZonalDataset,
     ingest_csv,
     load_scenario,
     write_outcome_table,
@@ -29,7 +32,7 @@ from .experiments import (
 from .market import clear_market
 from .market import verify_buyer_viability  # noqa: F401  (name patched by bench/tracer.py)
 from .regression import SolverSettings
-from .timeseries import AgentSeries, LagSpec
+from .timeseries import LagSpec
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -92,8 +95,13 @@ def _cmd_simulate(scenario) -> int:
     if scenario.synthetic is None:
         raise InvalidInputError("simulate needs a synthetic data source")
     series = materialize_series(scenario)
+    dataset = ZonalDataset(
+        zones=[s.agent_id for s in series],
+        timestamps=range(series[0].values.shape[0]),
+        values=np.column_stack([s.values for s in series]),
+    )
     out = _out_dir(scenario) / "series.csv"
-    write_zonal_csv(series, out)
+    write_zonal_csv(dataset, out)
     print(f"wrote {len(series)} agent series of {series[0].values.shape[0]} hours to {out}")
     return EXIT_OK
 
@@ -125,7 +133,7 @@ def _cmd_sweep_u(scenario) -> int:
     report = run_u_sweep(scenario)
     out = _out_dir(scenario) / "u_sweep.csv"
     write_outcome_table(report.sweep_rows, out)
-    print(f"wrote {report.summary['clearings']} clearings to {out}")
+    print(f"wrote {len(report.sweep_rows)} clearings to {out}")
     return EXIT_OK
 
 
@@ -139,7 +147,7 @@ def _cmd_sweep_t(scenario) -> int:
         ("T", "agent", "payment", "payment_per_step", "buyer_net_gain"),
         report.derived_rows,
     )
-    print(f"wrote {report.summary['clearings']} clearings to {out} and per-step payments to {per_step}")
+    print(f"wrote {len(report.sweep_rows)} clearings to {out} and per-step payments to {per_step}")
     return EXIT_OK
 
 
@@ -148,7 +156,7 @@ def _cmd_grid2(scenario) -> int:
     out = _out_dir(scenario) / "u_grid2.csv"
     write_outcome_table(report.sweep_rows, out)
     print(
-        f"wrote {report.summary['clearings']} clearings to {out} "
+        f"wrote {len(report.sweep_rows)} clearings to {out} "
         f"(cross-monotonicity: a in b {report.summary['a_payment_nonincreasing_in_b_frac']:.2f}, "
         f"b in a {report.summary['b_payment_nonincreasing_in_a_frac']:.2f})"
     )
@@ -172,11 +180,7 @@ def _cmd_ingest(scenario, write_clean: bool) -> int:
         print(f"warning: {warning}")
     if write_clean:
         out = _out_dir(scenario) / "ingested.csv"
-        series = [
-            AgentSeries(agent_id=zone, values=dataset.values[:, k], start_time=0)
-            for k, zone in enumerate(dataset.zones)
-        ]
-        write_zonal_csv(series, out)
+        write_zonal_csv(dataset, out)
         print(f"wrote {out}")
     return EXIT_OK
 

@@ -88,13 +88,6 @@ class ZonalDataset:
     def n_hours(self) -> int:
         return self.timestamps.shape[0]
 
-    def zone_values(self, zone) -> np.ndarray:
-        try:
-            column = self.zones.index(zone)
-        except ValueError:
-            raise InvalidInputError(f"no zone {zone!r} in dataset") from None
-        return self.values[:, column]
-
 
 @dataclass(frozen=True)
 class IngestReport:
@@ -103,6 +96,7 @@ class IngestReport:
     warnings: tuple
 
 
+_TIMESTAMP = "timestamp"  # the hour-index column of every zonal CSV
 _ORDINAL_ONE = datetime(1, 1, 1)  # hour index 24, as date ordinals start at 1
 _HOUR = timedelta(hours=1)
 
@@ -132,7 +126,7 @@ def _parse_hour(cell: str) -> int:
     return 24 + hours
 
 
-def ingest_csv(path, schema=None, normalization: str = "none", timestamp_column: str = "timestamp") -> IngestReport:
+def ingest_csv(path, schema=None, normalization: str = "none") -> IngestReport:
     """Read a zonal CSV in one streaming pass, dropping unusable rows.
 
     ``schema`` optionally maps CSV column names to zone ids; by default every
@@ -158,12 +152,12 @@ def ingest_csv(path, schema=None, normalization: str = "none", timestamp_column:
             raise InvalidInputError(f"{path}: empty file, expected a header row") from None
 
         header = [name.strip() for name in header]
-        if timestamp_column not in header:
-            raise InvalidInputError(f"{path}: no {timestamp_column!r} column in header")
-        ts_index = header.index(timestamp_column)
+        if _TIMESTAMP not in header:
+            raise InvalidInputError(f"{path}: no {_TIMESTAMP!r} column in header")
+        ts_index = header.index(_TIMESTAMP)
 
         if schema is None:
-            schema = {name: name for name in header if name != timestamp_column}
+            schema = {name: name for name in header if name != _TIMESTAMP}
         missing_columns = [name for name in schema if name not in header]
         if missing_columns:
             raise InvalidInputError(
@@ -327,22 +321,19 @@ def write_outcome_table(outcomes, path) -> None:
             )
 
 
-def write_zonal_csv(series_list, path) -> None:
-    """Write agent series side by side as a timestamp+columns CSV."""
-    series_list = list(series_list)
-    if not series_list:
-        raise InvalidInputError("no series to write")
-    lengths = {s.values.shape[0] for s in series_list}
-    if len(lengths) != 1:
-        raise InvalidInputError(f"series differ in length: {sorted(lengths)}")
-    length = lengths.pop()
+def write_zonal_csv(dataset: ZonalDataset, path) -> None:
+    """Write a dataset as a timestamp+zones CSV that :func:`ingest_csv` reads back.
+
+    The timestamp column is the dataset's hour index, so gaps left by
+    dropped rows survive a round trip.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["timestamp", *(s.agent_id for s in series_list)])
-        for t in range(length):
-            writer.writerow([t, *(repr(float(s.values[t])) for s in series_list)])
+        writer.writerow([_TIMESTAMP, *dataset.zones])
+        for hour, row in zip(dataset.timestamps.tolist(), dataset.values.tolist()):
+            writer.writerow([hour, *map(repr, row)])
 
 
 @dataclass(frozen=True)
@@ -465,12 +456,25 @@ def _require_keys(mapping, allowed, required, context):
 
 
 def load_scenario(path) -> ScenarioConfig:
-    """Parse a scenario JSON file; rejects unknown keys to catch typos early."""
+    """Parse a scenario JSON file; rejects unknown keys to catch typos early.
+
+    Every rejection is an :class:`InvalidInputError`; a value of the wrong
+    type or form (``"max_lag": "x"``) is reported with the file it came from.
+    """
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise InvalidInputError(f"{path}: invalid JSON ({err})") from None
+    try:
+        return _parse_scenario(raw, path)
+    except InvalidInputError:
+        raise
+    except (TypeError, ValueError) as err:
+        raise InvalidInputError(f"{path}: invalid value ({err})") from None
+
+
+def _parse_scenario(raw, path: Path) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise InvalidInputError(f"{path}: top level must be an object")
     _require_keys(

@@ -1,9 +1,12 @@
 """Experiment harness: method comparison, reservation sweeps and training sweeps.
 
-Reservation sweeps prepare one :class:`regmarket.market.PreparedMarket` per
-dataset and window and clear it once per point. Buyer viability is checked
-inside the market, by :func:`regmarket.market.verify_buyer_viability` on
-every clearing, so a report can only contain buyer-viable outcomes.
+Every sweep reads its grid only from the scenario (``u_grid``, ``t_grid``,
+``grid2``), where :class:`regmarket.data_io.ScenarioConfig` has checked it;
+to vary a grid, ``dataclasses.replace`` the scenario. Reservation sweeps
+prepare one :class:`regmarket.market.PreparedMarket` per dataset and window
+and clear it once per point. Buyer viability is checked inside the market,
+by :func:`regmarket.market.verify_buyer_viability` on every clearing, so a
+report can only contain buyer-viable outcomes.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from .data_io import ScenarioConfig, ingest_csv, to_agent_series
 from .errors import InvalidInputError
 from .market import PreparedMarket, ReservationSchedule, clear_market
 from .market import verify_buyer_viability  # noqa: F401  (name patched by bench/tracer.py)
-from .regression import mse, ols_fit
+from .regression import ols_fit
 from .timeseries import LagSpec, synthetic_market_series
 
 __all__ = [
@@ -58,6 +61,12 @@ def materialize_series(scenario: ScenarioConfig, lag_spec: LagSpec | None = None
     )
 
 
+def _prepare(scenario: ScenarioConfig) -> PreparedMarket:
+    """Materialize the scenario's series and prepare its market once."""
+    series = materialize_series(scenario)
+    return PreparedMarket(scenario.market_config([s.agent_id for s in series]), series)
+
+
 def _true_coefficient(scenario: ScenarioConfig, agent, lag: int):
     """Generative-model coefficient for a synthetic scenario's target, else None."""
     spec = scenario.synthetic
@@ -82,10 +91,8 @@ def run_method_comparison(scenario: ScenarioConfig) -> ExperimentReport:
     All three methods see the same design matrices and target. For synthetic
     scenarios each coefficient row also carries the generative truth.
     """
-    series = materialize_series(scenario)
-    config = scenario.market_config([s.agent_id for s in series])
-    schedule = scenario.schedule(config.support_agents)
-    outcome = clear_market(config, series, schedule)
+    market = _prepare(scenario)
+    outcome = market.clear(scenario.schedule(market.config.support_agents))
 
     ols_all = ols_fit(outcome.design_all, outcome.target)
     self_columns = {
@@ -104,87 +111,54 @@ def run_method_comparison(scenario: ScenarioConfig) -> ExperimentReport:
                 "lasso": float(outcome.market_beta[j]),
             }
         )
-    summary = {
-        "mean_buyer_net_gain": outcome.buyer_net_gain,
-        "ols_self_intercept": float(outcome.baseline_beta[0]),
-        "ols_all_intercept": float(ols_all[0]),
-        "lasso_intercept": float(outcome.market_beta[0]),
-        "ols_all_mse": mse(outcome.design_all, ols_all, outcome.target),
-    }
     return ExperimentReport(
         scenario_id=scenario.scenario_id,
         sweep_rows=[("clearing", "", outcome)],
         coefficient_rows=rows,
-        summary=summary,
     )
 
 
-def run_u_sweep(scenario: ScenarioConfig, u_grid=None, uniform: bool = True) -> ExperimentReport:
-    """One clearing per reservation level.
+def run_u_sweep(scenario: ScenarioConfig) -> ExperimentReport:
+    """One clearing per entry of the scenario's ``u_grid``.
 
-    With ``uniform`` every support feature's reservation is set to the grid
-    value; otherwise the scenario's own schedule is scaled multiplicatively
-    by the grid value.
+    At each point every support feature's reservation is set to the grid value.
     """
-    grid = tuple(u_grid) if u_grid is not None else scenario.u_grid
-    if not grid:
+    if scenario.u_grid is None:
         raise InvalidInputError("u sweep needs a non-empty u_grid")
-    series = materialize_series(scenario)
-    config = scenario.market_config([s.agent_id for s in series])
-    base = scenario.schedule(config.support_agents)
-    market = PreparedMarket(config, series)
+    market = _prepare(scenario)
+    config = market.config
 
     report = ExperimentReport(scenario_id=scenario.scenario_id)
-    gains = []
-    for u in grid:
-        if uniform:
-            schedule = ReservationSchedule.uniform(
-                config.support_agents, config.lag_spec.max_lag, float(u)
-            )
-        else:
-            schedule = ReservationSchedule(
-                {key: float(u) * value for key, value in base.entries.items()}
-            )
-        outcome = market.clear(schedule)
-        report.sweep_rows.append(("u", float(u), outcome))
-        gains.append(outcome.buyer_net_gain)
-        for agent in config.support_agents:
-            paid = sum(r.amount for r in outcome.payments if r.agent_id == agent)
-            report.derived_rows.append({"u": float(u), "agent": agent, "payment": paid})
-    report.summary = {
-        "clearings": len(grid),
-        "mean_buyer_net_gain": sum(gains) / len(gains),
-    }
+    for u in scenario.u_grid:
+        schedule = ReservationSchedule.uniform(config.support_agents, config.lag_spec.max_lag, u)
+        report.sweep_rows.append(("u", u, market.clear(schedule)))
     return report
 
 
-def run_T_sweep(scenario: ScenarioConfig, t_grid=None) -> ExperimentReport:
-    """One clearing per training length, on a single shared dataset.
+def run_T_sweep(scenario: ScenarioConfig) -> ExperimentReport:
+    """One clearing per entry of the scenario's ``t_grid``, on one shared dataset.
 
     The dataset is materialized once at the longest requested window, so
     shorter windows are prefixes of it. Each clearing reports per-agent
     payments both as window totals and per time step.
     """
-    grid = tuple(t_grid) if t_grid is not None else scenario.t_grid
-    if not grid:
+    grid = scenario.t_grid
+    if grid is None:
         raise InvalidInputError("T sweep needs a non-empty t_grid")
-    longest = LagSpec(max_lag=scenario.lag_spec.max_lag, window_length=max(grid))
-    series = materialize_series(scenario, lag_spec=longest)
+    max_lag = scenario.lag_spec.max_lag
+    series = materialize_series(scenario, lag_spec=LagSpec(max_lag=max_lag, window_length=max(grid)))
 
     report = ExperimentReport(scenario_id=scenario.scenario_id)
-    gains = []
     for T in grid:
-        lag_spec = LagSpec(max_lag=scenario.lag_spec.max_lag, window_length=int(T))
+        lag_spec = LagSpec(max_lag=max_lag, window_length=T)
         config = scenario.market_config([s.agent_id for s in series], lag_spec=lag_spec)
-        schedule = scenario.schedule(config.support_agents)
-        outcome = clear_market(config, series, schedule)
-        report.sweep_rows.append(("T", int(T), outcome))
-        gains.append(outcome.buyer_net_gain)
+        outcome = clear_market(config, series, scenario.schedule(config.support_agents))
+        report.sweep_rows.append(("T", T, outcome))
         for agent in config.support_agents:
             paid = sum(r.amount for r in outcome.payments if r.agent_id == agent)
             report.derived_rows.append(
                 {
-                    "T": int(T),
+                    "T": T,
                     "agent": agent,
                     "payment": paid,
                     "payment_per_step": paid / T,
@@ -192,83 +166,64 @@ def run_T_sweep(scenario: ScenarioConfig, t_grid=None) -> ExperimentReport:
             )
         report.derived_rows.append(
             {
-                "T": int(T),
+                "T": T,
                 "agent": config.central_agent,
                 "payment": outcome.total_payments,
                 "payment_per_step": outcome.total_payments / T,
                 "buyer_net_gain": outcome.buyer_net_gain,
             }
         )
-    report.summary = {
-        "clearings": len(grid),
-        "mean_buyer_net_gain": sum(gains) / len(gains),
-    }
     return report
 
 
-def run_two_agent_grid(
-    scenario: ScenarioConfig,
-    agent_a=None,
-    agent_b=None,
-    u_grid_a=None,
-    u_grid_b=None,
-) -> ExperimentReport:
-    """Clear every combination of two focal sellers' reservations.
+def run_two_agent_grid(scenario: ScenarioConfig) -> ExperimentReport:
+    """Clear every combination of the scenario's ``grid2`` reservations.
 
-    The remaining sellers keep a fixed reservation (the scenario grid's
-    ``others_u``). Cross-seller monotonicity is reported as a statistic in
-    the summary, not asserted.
+    The two focal sellers take every pair from their grids; the remaining
+    sellers keep ``others_u``. Cross-seller monotonicity is reported as a
+    statistic in the summary, not asserted.
     """
-    grid2 = scenario.grid2
-    agent_a = agent_a if agent_a is not None else (grid2.agent_a if grid2 else None)
-    agent_b = agent_b if agent_b is not None else (grid2.agent_b if grid2 else None)
-    u_grid_a = tuple(u_grid_a) if u_grid_a is not None else (grid2.u_grid_a if grid2 else None)
-    u_grid_b = tuple(u_grid_b) if u_grid_b is not None else (grid2.u_grid_b if grid2 else None)
-    others_u = grid2.others_u if grid2 else 0.1
-    if not agent_a or not agent_b or not u_grid_a or not u_grid_b:
+    grid = scenario.grid2
+    if grid is None:
         raise InvalidInputError("two-agent grid needs both agents and both grids")
-
-    series = materialize_series(scenario)
-    config = scenario.market_config([s.agent_id for s in series])
+    agent_a, agent_b = grid.agent_a, grid.agent_b
+    market = _prepare(scenario)
+    config = market.config
     for agent in (agent_a, agent_b):
         if agent not in config.support_agents:
             raise InvalidInputError(f"{agent!r} is not a support agent")
     max_lag = config.lag_spec.max_lag
-    base = ReservationSchedule.uniform(config.support_agents, max_lag, others_u)
-    market = PreparedMarket(config, series)
+    base = ReservationSchedule.uniform(config.support_agents, max_lag, grid.others_u)
 
     report = ExperimentReport(scenario_id=scenario.scenario_id)
-    payments = {}
-    for ua in u_grid_a:
-        for ub in u_grid_b:
-            schedule = base.replacing(agent_a, max_lag, float(ua)).replacing(
-                agent_b, max_lag, float(ub)
-            )
+    for ua in grid.u_grid_a:
+        for ub in grid.u_grid_b:
+            schedule = base.replacing(agent_a, max_lag, ua).replacing(agent_b, max_lag, ub)
             outcome = market.clear(schedule)
-            value = f"{repr(float(ua))};{repr(float(ub))}"
-            report.sweep_rows.append((f"u({agent_a},{agent_b})", value, outcome))
-            paid_a = sum(r.amount for r in outcome.payments if r.agent_id == agent_a)
-            paid_b = sum(r.amount for r in outcome.payments if r.agent_id == agent_b)
-            payments[(ua, ub)] = (paid_a, paid_b)
+            report.sweep_rows.append((f"u({agent_a},{agent_b})", f"{ua!r};{ub!r}", outcome))
             report.derived_rows.append(
-                {"u_a": float(ua), "u_b": float(ub), "payment_a": paid_a, "payment_b": paid_b}
+                {
+                    "u_a": ua,
+                    "u_b": ub,
+                    "payment_a": sum(r.amount for r in outcome.payments if r.agent_id == agent_a),
+                    "payment_b": sum(r.amount for r in outcome.payments if r.agent_id == agent_b),
+                }
             )
 
-    # Fraction of adjacent grid steps where one seller's payment does not
-    # increase when the other seller raises its reservation.
-    a_steps, a_drops = 0, 0
-    b_steps, b_drops = 0, 0
-    for ua in u_grid_a:
-        for low, high in zip(u_grid_b, u_grid_b[1:]):
-            a_steps += 1
-            a_drops += payments[(ua, high)][0] <= payments[(ua, low)][0] + 1e-12
-    for ub in u_grid_b:
-        for low, high in zip(u_grid_a, u_grid_a[1:]):
-            b_steps += 1
-            b_drops += payments[(high, ub)][1] <= payments[(low, ub)][1] + 1e-12
+    # Adjacent grid steps where one seller's payment does not increase when
+    # the other seller raises its reservation. Rows run over u_b within u_a.
+    rows, n_b = report.derived_rows, len(grid.u_grid_b)
+    b_steps = [(rows[k], rows[k + 1]) for k in range(len(rows) - 1) if (k + 1) % n_b]
+    a_steps = list(zip(rows, rows[n_b:]))
     report.summary = {
-        "clearings": len(u_grid_a) * len(u_grid_b),
-        "a_payment_nonincreasing_in_b_frac": a_drops / a_steps if a_steps else 1.0,
-        "b_payment_nonincreasing_in_a_frac": b_drops / b_steps if b_steps else 1.0,
+        "a_payment_nonincreasing_in_b_frac": _nonincreasing_frac(b_steps, "payment_a"),
+        "b_payment_nonincreasing_in_a_frac": _nonincreasing_frac(a_steps, "payment_b"),
     }
     return report
+
+
+def _nonincreasing_frac(steps, key) -> float:
+    """Share of ``(low, high)`` row pairs whose ``key`` does not rise."""
+    if not steps:
+        return 1.0
+    return sum(high[key] <= low[key] + 1e-12 for low, high in steps) / len(steps)

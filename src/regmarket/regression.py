@@ -102,9 +102,6 @@ class DesignMatrix:
         gram.flags.writeable = False
         return gram
 
-    def has_intercept(self) -> bool:
-        return self.column_map[0] is None
-
     def column_of(self, agent_id, lag: int) -> int:
         """Index of the column holding ``agent_id``'s lag-``lag`` feature."""
         try:

@@ -52,11 +52,6 @@ class AgentSeries:
             )
         object.__setattr__(self, "values", values)
 
-    @property
-    def history(self) -> int:
-        """Number of pre-window samples available for lagging."""
-        return self.start_time
-
     def window(self, length: int) -> np.ndarray:
         """The first ``length`` in-window samples (the regression target)."""
         if self.start_time + length > self.values.shape[0]:
@@ -122,26 +117,22 @@ class SyntheticSpec:
         return tuple(f"P{k}" for k in range(1, self.n_independent + 2))
 
 
-def build_lag_matrix(
-    series_list, spec: LagSpec, include_intercept: bool = True
-) -> DesignMatrix:
-    """Stack lagged columns for every agent into one design matrix.
+def build_lag_matrix(series_list, spec: LagSpec) -> DesignMatrix:
+    """Stack an intercept and every agent's lagged columns into one design matrix.
 
-    Row ``t`` holds, for each agent in list order, the block
-    ``x[t - D], x[t - D + 1], ..., x[t - 1]`` (oldest lag first), so within a
-    block position ``d`` (1-based) carries lag ``D - d + 1``. ``column_map``
-    records the ``(agent_id, lag)`` of every column.
+    Column 0 is the intercept. After it, row ``t`` holds, for each agent in
+    list order, the block ``x[t - D], x[t - D + 1], ..., x[t - 1]`` (oldest
+    lag first), so within a block position ``d`` (1-based) carries lag
+    ``D - d + 1``. ``column_map`` records the ``(agent_id, lag)`` of every
+    feature column and ``None`` for the intercept.
     """
     series_list = list(series_list)
     if not series_list:
         raise InvalidInputError("need at least one agent series")
     T, D = spec.window_length, spec.max_lag
 
-    columns = []
-    column_map = []
-    if include_intercept:
-        columns.append(np.ones(T))
-        column_map.append(None)
+    columns = [np.ones(T)]
+    column_map = [None]
     for series in series_list:
         if series.start_time < D:
             raise InvalidInputError(

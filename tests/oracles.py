@@ -118,7 +118,7 @@ def reference_hour(cell):
     return _UNIX_EPOCH_HOUR + micros // _HOUR_US
 
 
-def reference_ingest(path, schema=None, normalization="none", timestamp_column="timestamp"):
+def reference_ingest(path, schema=None, normalization="none"):
     """Read a zonal CSV row by row: ``(zones, hours, values, dropped, warnings)``.
 
     Lines whose cells are all blank are skipped; any other row is dropped
@@ -130,11 +130,11 @@ def reference_ingest(path, schema=None, normalization="none", timestamp_column="
     if not rows:
         raise InvalidInputError("empty file")
     header = [name.strip() for name in rows[0]]
-    if timestamp_column not in header:
+    if "timestamp" not in header:
         raise InvalidInputError("no timestamp column")
-    ts_index = header.index(timestamp_column)
+    ts_index = header.index("timestamp")
     if schema is None:
-        schema = {name: name for name in header if name != timestamp_column}
+        schema = {name: name for name in header if name != "timestamp"}
     if any(name not in header for name in schema):
         raise InvalidInputError("schema column not in header")
     picked = sorted((header.index(name), zone) for name, zone in schema.items())

@@ -220,8 +220,8 @@ def _scenario_config(tmp_path, **overrides):
 
 def test_criterion_6_u_sweep_shape(tmp_path):
     grid = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
-    scenario = _scenario_config(tmp_path)
-    report = run_u_sweep(scenario, u_grid=grid)
+    scenario = _scenario_config(tmp_path, sweeps={"u_grid": list(grid)})
+    report = run_u_sweep(scenario)
     by_u = {value: outcome for _, value, outcome in report.sweep_rows}
     supports = ("P2", "P3", "P4", "P5")
 
@@ -244,8 +244,8 @@ def test_criterion_6_u_sweep_shape(tmp_path):
 
 
 def test_criterion_7_per_step_payment_decay(tmp_path):
-    scenario = _scenario_config(tmp_path)
-    report = run_T_sweep(scenario, t_grid=(240, 2000))
+    scenario = _scenario_config(tmp_path, sweeps={"t_grid": [240, 2000]})
+    report = run_T_sweep(scenario)
     per_step = {}
     for _, T, outcome in report.sweep_rows:
         per_step[T] = outcome.total_payments / T

@@ -1,8 +1,10 @@
 import json
 import subprocess
 import sys
+from datetime import datetime, timedelta
 
 import numpy as np
+import pytest
 
 from regmarket.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_VIABILITY, main
 from regmarket.errors import ViabilityError
@@ -105,6 +107,36 @@ class TestSubcommands:
         cleaned = tmp_path / "results" / "ingested.csv"
         assert cleaned.read_text(encoding="utf-8").startswith("timestamp,DK1,DK2")
 
+    def test_ingest_write_clean_keeps_hours(self, tmp_path, capsys):
+        from regmarket.data_io import ingest_csv
+
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(40, 2)) * (1e-3, 1e5)
+        rows = ["timestamp,DK1,DK2"]
+        for t, (a, b) in enumerate(values.tolist()):
+            stamp = (datetime(2021, 3, 1) + timedelta(hours=t)).isoformat()
+            rows.append(f"{stamp},{a!r},{'' if t in (17, 18, 30) else repr(b)}")
+        source = tmp_path / "wind.csv"
+        source.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        market = {"central_agent": "DK1", "max_lag": 2, "window": 10}
+        config = write_scenario(tmp_path, data={"type": "csv", "path": str(source)}, market=market)
+        assert main(["ingest", "--config", str(config), "--write-clean"]) == EXIT_OK
+        cleaned = tmp_path / "results" / "ingested.csv"
+
+        before = ingest_csv(source).dataset
+        after = ingest_csv(cleaned).dataset
+        assert after.zones == before.zones
+        assert after.timestamps.tobytes() == before.timestamps.tobytes()
+        assert after.values.tobytes() == before.values.tobytes()
+
+        # Hours 12..23 hold the window plus its lags; hours 17 and 18 dropped.
+        start = int(before.timestamps[0]) + 14
+        data = {"type": "csv", "path": str(cleaned), "window_start": start}
+        config = write_scenario(tmp_path, name="cleaned.json", data=data, market=market)
+        capsys.readouterr()
+        assert main(["clear", "--config", str(config)]) == EXIT_INPUT
+        assert "gap after hour" in capsys.readouterr().err
+
     def test_flag_overrides(self, tmp_path):
         config = write_scenario(tmp_path)
         out = tmp_path / "elsewhere"
@@ -147,6 +179,23 @@ class TestExitCodes:
         result = run_cli("clear", "--config", str(config))
         assert result.returncode == EXIT_INPUT
         assert "window" in result.stderr
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"reservations": {"entries": [["P2", 1]]}},
+            {"market": {"central_agent": "P1", "max_lag": "x", "window": 120}},
+            {"sweeps": {"u_grid": 5}},
+            {"seed": "abc"},
+        ],
+        ids=["short-entry", "non-integer-max-lag", "scalar-grid", "non-integer-seed"],
+    )
+    def test_malformed_value_exits_2(self, tmp_path, capsys, override):
+        config = write_scenario(tmp_path, **override)
+        assert main(["clear", "--config", str(config)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: invalid value (")
+        assert not (tmp_path / "results" / "clearing.csv").exists()
 
     def test_bad_central_agent(self, tmp_path):
         config = write_scenario(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -88,8 +90,8 @@ class TestMethodComparison:
 class TestUSweep:
     def test_shape_and_endpoints(self):
         grid = (0.0, 0.02, 0.1, 0.5, 2.0, 5.0)
-        report = run_u_sweep(scenario("P1", seed=0), u_grid=grid)
-        assert report.summary["clearings"] == len(grid)
+        report = run_u_sweep(scenario("P1", seed=0, u_grid=grid))
+        assert len(report.sweep_rows) == len(grid)
         by_point = {value: outcome for _, value, outcome in report.sweep_rows}
         assert all(r.amount == 0.0 for r in by_point[0.0].payments)
         assert all(r.amount == 0.0 for r in by_point[5.0].payments)
@@ -101,32 +103,23 @@ class TestUSweep:
             assert max(interior) > 0.0
 
     def test_rows_per_point_agent_lag(self):
-        report = run_u_sweep(scenario("P1", seed=0), u_grid=(0.0, 0.1))
+        report = run_u_sweep(scenario("P1", seed=0, u_grid=(0.0, 0.1)))
         for _, _, outcome in report.sweep_rows:
             assert len(outcome.payments) == 4 * 3
-
-    def test_scaled_sweep_matches_uniform_when_base_uniform(self):
-        base = scenario("P1", seed=0, uniform_u=0.5)
-        scaled = run_u_sweep(base, u_grid=(0.2,), uniform=False)
-        uniform = run_u_sweep(base, u_grid=(0.1,), uniform=True)
-        left = scaled.sweep_rows[0][2]
-        right = uniform.sweep_rows[0][2]
-        assert np.allclose(left.market_beta, right.market_beta)
-        assert left.total_payments == pytest.approx(right.total_payments)
 
     def test_missing_grid_rejected(self):
         with pytest.raises(InvalidInputError):
             run_u_sweep(scenario("P1"))
 
     def test_points_share_one_design(self):
-        report = run_u_sweep(scenario("P1", seed=0), u_grid=(0.0, 0.05, 0.5))
+        report = run_u_sweep(scenario("P1", seed=0, u_grid=(0.0, 0.05, 0.5)))
         designs = {id(outcome.design_all) for _, _, outcome in report.sweep_rows}
         assert len(designs) == 1
 
 
 class TestTSweep:
     def test_per_step_payment_roughly_halves_when_T_doubles(self):
-        report = run_T_sweep(scenario("P1", seed=0), t_grid=(240, 480))
+        report = run_T_sweep(scenario("P1", seed=0, t_grid=(240, 480)))
         per_step = {
             row["T"]: row["payment_per_step"]
             for row in report.derived_rows
@@ -136,22 +129,22 @@ class TestTSweep:
         assert 0.25 < ratio < 0.8
 
     def test_single_point_equals_direct_clearing(self):
-        sc = scenario("P1", seed=0, window=240)
-        report = run_T_sweep(sc, t_grid=(240,))
+        sc = scenario("P1", seed=0, window=240, t_grid=(240,), u_grid=(0.1,))
+        report = run_T_sweep(sc)
         _, value, outcome = report.sweep_rows[0]
         assert value == 240
         roster = synthetic_market_series(sc.synthetic, history=3, window=240)
         config = MarketConfig("P1", ("P2", "P3", "P4", "P5"), LagSpec(3, 240))
         schedule = ReservationSchedule.uniform(config.support_agents, 3, 0.1)
         direct = clear_market(config, roster, schedule)
-        swept = run_u_sweep(sc, u_grid=(0.1,)).sweep_rows[0][2]
+        swept = run_u_sweep(sc).sweep_rows[0][2]
         for other in (direct, swept):
             assert np.array_equal(outcome.market_beta, other.market_beta)
             assert outcome.market_loss.mse == other.market_loss.mse
             assert outcome.total_payments == other.total_payments
 
     def test_derived_rows_cover_each_agent_and_buyer(self):
-        report = run_T_sweep(scenario("P1", seed=0), t_grid=(120, 240))
+        report = run_T_sweep(scenario("P1", seed=0, t_grid=(120, 240)))
         agents = {(row["T"], row["agent"]) for row in report.derived_rows}
         for T in (120, 240):
             for agent in ("P1", "P2", "P3", "P4", "P5"):
@@ -160,14 +153,14 @@ class TestTSweep:
 
 class TestTwoAgentGrid:
     def test_one_by_one_grid_equals_single_clearing(self):
-        sc = scenario("P1", seed=0)
-        report = run_two_agent_grid(
-            sc, agent_a="P2", agent_b="P3", u_grid_a=(0.1,), u_grid_b=(0.1,)
+        sc = scenario(
+            "P1", seed=0, u_grid=(0.1,), grid2=TwoAgentGrid("P2", "P3", (0.1,), (0.1,))
         )
-        assert report.summary["clearings"] == 1
+        report = run_two_agent_grid(sc)
+        assert len(report.sweep_rows) == 1
         outcome = report.sweep_rows[0][2]
         # others_u defaults to 0.1 as well, so this is the uniform clearing.
-        swept = run_u_sweep(sc, u_grid=(0.1,)).sweep_rows[0][2]
+        swept = run_u_sweep(sc).sweep_rows[0][2]
         roster = synthetic_market_series(sc.synthetic, history=3, window=240)
         config = MarketConfig("P1", ("P2", "P3", "P4", "P5"), LagSpec(3, 240))
         direct = clear_market(
@@ -181,6 +174,7 @@ class TestTwoAgentGrid:
         sc = scenario(
             "P1",
             seed=0,
+            u_grid=(0.05,),
             grid2=TwoAgentGrid("P2", "P3", (0.05, 0.2), (0.05, 0.2), others_u=0.05),
         )
         report = run_two_agent_grid(sc)
@@ -188,32 +182,38 @@ class TestTwoAgentGrid:
             (row["u_a"], row["u_b"]): (row["payment_a"], row["payment_b"])
             for row in report.derived_rows
         }
-        uniform = run_u_sweep(sc, u_grid=(0.05,))
+        uniform = run_u_sweep(sc)
         outcome = uniform.sweep_rows[0][2]
         pay = lambda agent: sum(r.amount for r in outcome.payments if r.agent_id == agent)
         assert cell[(0.05, 0.05)][0] == pytest.approx(pay("P2"), rel=1e-9)
         assert cell[(0.05, 0.05)][1] == pytest.approx(pay("P3"), rel=1e-9)
 
     def test_monotonicity_statistic_reported(self):
-        sc = scenario("P1", seed=0)
+        grid = (0.05, 0.1, 0.2)
         report = run_two_agent_grid(
-            sc, agent_a="P2", agent_b="P3", u_grid_a=(0.05, 0.1, 0.2), u_grid_b=(0.05, 0.1, 0.2)
+            scenario("P1", seed=0, grid2=TwoAgentGrid("P2", "P3", grid, grid))
         )
-        assert report.summary["clearings"] == 9
+        assert len(report.sweep_rows) == 9
         assert 0.0 <= report.summary["a_payment_nonincreasing_in_b_frac"] <= 1.0
         assert 0.0 <= report.summary["b_payment_nonincreasing_in_a_frac"] <= 1.0
 
     def test_non_support_agent_rejected(self):
+        sc = scenario("P1", grid2=TwoAgentGrid("P1", "P2", (0.1,), (0.1,)))
         with pytest.raises(InvalidInputError):
-            run_two_agent_grid(
-                scenario("P1"), agent_a="P1", agent_b="P2", u_grid_a=(0.1,), u_grid_b=(0.1,)
-            )
+            run_two_agent_grid(sc)
+
+    @pytest.mark.parametrize("u_grid_a", [(0.2, 0.1, 0.05), (0.1, 0.1, 0.1)])
+    def test_unordered_grid_rejected(self, u_grid_a):
+        # A grid reaches the sweep only through the scenario, which checks it.
+        grid = TwoAgentGrid("P2", "P3", (0.05, 0.1, 0.2), (0.05, 0.1, 0.2))
+        with pytest.raises(InvalidInputError, match="u_grid_a must be strictly increasing"):
+            dataclasses.replace(grid, u_grid_a=u_grid_a)
 
 
 class TestDeterminism:
     def test_reports_are_deterministic(self):
-        a = run_u_sweep(scenario("P1", seed=7), u_grid=(0.0, 0.1, 0.3))
-        b = run_u_sweep(scenario("P1", seed=7), u_grid=(0.0, 0.1, 0.3))
+        a = run_u_sweep(scenario("P1", seed=7, u_grid=(0.0, 0.1, 0.3)))
+        b = run_u_sweep(scenario("P1", seed=7, u_grid=(0.0, 0.1, 0.3)))
         for (_, ua, oa), (_, ub, ob) in zip(a.sweep_rows, b.sweep_rows):
             assert ua == ub
             assert np.array_equal(oa.market_beta, ob.market_beta)

@@ -3,6 +3,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regmarket import (
     ConvergenceError,
@@ -282,6 +284,69 @@ class TestScaleInvariance:
         assert scaled.baseline_loss.mse / squared == pytest.approx(
             reference.baseline_loss.mse, rel=1e-9
         )
+
+
+FEATURES = tuple((agent, lag) for agent in SUPPORTS for lag in range(1, LAG.max_lag + 1))
+reservation_prices = st.lists(
+    st.floats(0.0, 1.0), min_size=len(FEATURES), max_size=len(FEATURES)
+).map(lambda prices: ReservationSchedule(dict(zip(FEATURES, prices))))
+
+
+def slack(outcome):
+    """Solver-tolerance allowance, relative to the buyer's baseline loss."""
+    return 1e-12 * outcome.baseline_loss.mse
+
+
+class TestMetamorphic:
+    """Relations between clearings of related markets, for any data and prices.
+
+    The buyer's net gain is its baseline MSE minus the optimal value of the
+    penalized fit (MSE plus payments). That optimum cannot fall when a
+    penalty rises, cannot rise when features are added (their coefficients
+    may stay zero), and does not depend on the order of the sellers.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        schedule=reservation_prices,
+        feature=st.sampled_from(FEATURES),
+        rise=st.floats(1e-6, 1.0),
+    )
+    def test_raising_a_reservation_never_raises_the_gain(self, seed, schedule, feature, rise):
+        config, roster = default_market(seed=seed)
+        market = PreparedMarket(config, roster)
+        raised = dict(schedule.entries)
+        raised[feature] += rise
+        before = market.clear(schedule)
+        after = market.clear(ReservationSchedule(raised))
+        assert after.buyer_net_gain <= before.buyer_net_gain + slack(before)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), schedule=reservation_prices, added=st.sampled_from(SUPPORTS))
+    def test_adding_a_seller_never_lowers_the_gain(self, seed, schedule, added):
+        config, roster = default_market(seed=seed)
+        fewer = dataclasses.replace(
+            config, support_agents=tuple(a for a in SUPPORTS if a != added)
+        )
+        kept = {key: u for key, u in schedule.entries.items() if key[0] != added}
+        before = clear_market(fewer, roster, ReservationSchedule(kept))
+        after = clear_market(config, roster, schedule)
+        assert after.buyer_net_gain >= before.buyer_net_gain - slack(before)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        schedule=reservation_prices,
+        order=st.permutations(SUPPORTS),
+    )
+    def test_seller_order_does_not_change_the_optimum(self, seed, schedule, order):
+        config, roster = default_market(seed=seed)
+        permuted = dataclasses.replace(config, support_agents=tuple(order))
+        first = clear_market(config, roster, schedule)
+        second = clear_market(permuted, roster, schedule)
+        objective = lambda outcome: outcome.market_loss.mse + outcome.total_payments
+        assert abs(objective(second) - objective(first)) <= slack(first)
 
 
 class TestVerifyBuyerViability:

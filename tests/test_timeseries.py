@@ -82,12 +82,6 @@ class TestBuildLagMatrix:
         with pytest.raises(InvalidInputError, match="missing 2"):
             build_lag_matrix([s], LagSpec(max_lag=2, window_length=5))
 
-    def test_without_intercept(self):
-        s = series("A", np.arange(6.0), start_time=2)
-        design = build_lag_matrix([s], LagSpec(max_lag=2, window_length=3), include_intercept=False)
-        assert design.column_map == (("A", 2), ("A", 1))
-        assert design.values.shape == (3, 2)
-
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
