@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -132,12 +134,20 @@ def ingest_csv(path, schema=None, normalization: str = "none") -> IngestReport:
     ``schema`` optionally maps CSV column names to zone ids; by default every
     non-timestamp column is a zone named after its header. A row is dropped,
     and counted in ``dropped_rows``, when its timestamp is unparseable or
-    outside the int64 hour range, or any zone cell is missing, empty, non-numeric or non-finite; lines whose
-    cells are all blank are skipped without counting. The file is never held
-    in memory as rows: hours and values go straight into flat typed buffers,
-    and the finiteness check runs once over the whole value block. With
-    ``normalization="per-zone-max"`` each zone is divided by its maximum over
-    the retained rows. A warning is reported when over 10% of rows drop.
+    outside the int64 hour range, or any zone cell is missing, empty,
+    non-numeric or non-finite; lines whose cells are all blank are skipped
+    without counting.
+
+    The body is read in blocks of 256 KiB of text (:func:`_read_body`).
+    Lines in the layout ``datetime.isoformat()`` writes, a whole-hour stamp
+    first and plain decimal cells after it, are parsed a block at a time by
+    numpy; every other line goes through ``csv.reader`` and the per-row
+    parser. Both give bitwise the same hours and values, merged in file
+    order. Hours and values go straight into flat typed buffers, so memory
+    stays near one block plus the dataset, and the finiteness check runs
+    once over the whole value block. With ``normalization="per-zone-max"``
+    each zone is divided by its maximum over the retained rows. A warning is
+    reported when over 10% of rows drop.
     """
     if normalization not in ("none", "per-zone-max"):
         raise InvalidInputError(
@@ -174,17 +184,7 @@ def ingest_csv(path, schema=None, normalization: str = "none") -> IngestReport:
 
         hours = array("q")
         cells = array("d")
-        dropped = 0
-        for row in reader:
-            try:
-                hour = _parse_hour(row[ts_index])
-                parsed = [float(row[i].strip()) for i in columns]
-                hours.append(hour)  # OverflowError: hour outside int64
-            except (IndexError, ValueError, OverflowError):
-                if any(cell.strip() for cell in row):
-                    dropped += 1
-                continue  # else a blank line, not a data row
-            cells.extend(parsed)
+        dropped = _read_body(handle, ts_index, len(header), columns, hours, cells)
 
     hours = np.frombuffer(hours, dtype=np.int64)
     values = np.frombuffer(cells, dtype=float).reshape(hours.shape[0], len(zones))
@@ -218,6 +218,151 @@ def ingest_csv(path, schema=None, normalization: str = "none") -> IngestReport:
         )
     dataset = ZonalDataset(zones=zones, timestamps=hours, values=values)
     return IngestReport(dataset=dataset, dropped_rows=dropped, warnings=tuple(warnings))
+
+
+_BLOCK_CHARS = 1 << 18  # body text parsed per block
+_STAMP = np.frombuffer(b"yyyy-mm-ddThh:00:00,", dtype=np.uint8)  # with its comma
+_STAMP_DIGITS = np.flatnonzero(_STAMP >= ord("a"))
+_STAMP_FIXED = np.flatnonzero(_STAMP < ord("a"))
+_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_DAYS_BEFORE_MONTH = np.concatenate(([0], np.cumsum(_DAYS_IN_MONTH[:-1])))
+
+
+def _read_body(handle, ts_index: int, n_fields: int, columns, hours, cells) -> int:
+    """Append the usable rows after the header to ``hours`` and ``cells``; return the drop count.
+
+    Text is taken in blocks of ``_BLOCK_CHARS`` cut after the last newline
+    and parsed by :func:`_read_block`. The rest of the file, from the
+    unparsed partial line on, streams through one ``csv.reader`` instead
+    when the stamp is not the first column, a block holds a quote (a quoted
+    cell may span lines, and so blocks) or holds no newline.
+    """
+    dropped = 0
+    rest = ""  # text read but not parsed: the start of a line
+    while ts_index == 0:  # the screen reads the stamp from the first column
+        text = rest + handle.read(_BLOCK_CHARS)
+        data = text.encode("utf-8")
+        cut = data.rfind(b"\n") + 1
+        if not cut or b'"' in data:  # also at the end of the file
+            rest = text
+            break
+        del text  # keep one copy of the block
+        rest = data[cut:].decode("utf-8")
+        dropped += _read_block(memoryview(data)[:cut], n_fields, columns, hours, cells)
+    lines = chain(io.StringIO(rest + handle.readline(), newline=""), handle)
+    return dropped + _read_rows(csv.reader(lines), ts_index, columns, hours, cells)
+
+
+def _read_rows(rows, ts_index: int, columns, hours, cells) -> int:
+    """Append each usable ``csv.reader`` row; return the count of dropped rows."""
+    dropped = 0
+    for row in rows:
+        try:
+            hour = _parse_hour(row[ts_index])
+            parsed = [float(row[i].strip()) for i in columns]
+            hours.append(hour)  # OverflowError: hour outside int64
+        except (IndexError, ValueError, OverflowError):
+            if any(cell.strip() for cell in row):
+                dropped += 1
+            continue  # else a blank line, not a data row
+        cells.extend(parsed)
+    return dropped
+
+
+def _read_block(data, n_fields: int, columns, hours, cells) -> int:
+    """Append the usable rows of the whole lines in bytes ``data``; return the drop count.
+
+    Each run of plain lines (:func:`_screen_lines`) is parsed by one
+    ``np.loadtxt``, which converts with ``PyOS_string_to_double`` as
+    ``float()`` does; the screen's byte set leaves out what only ``float()``
+    reads (``_``, whitespace, ``inf``, ``nan``). Other lines, and a run
+    ``loadtxt`` rejects, go through :func:`_read_rows`.
+    """
+    starts, plain, stamp_hours = _screen_lines(data, n_fields)
+    edges = np.flatnonzero(plain[1:] != plain[:-1]) + 1
+    runs = [0, *edges.tolist(), plain.shape[0]]
+    dropped = 0
+    for first, stop in zip(runs, runs[1:]):
+        piece = data[starts[first] : starts[stop]]
+        if plain[first]:
+            try:
+                values = np.loadtxt(
+                    io.BytesIO(piece), delimiter=",", usecols=columns, comments=None, ndmin=2
+                )
+            except ValueError:
+                pass  # a cell such as "1e" or "--1": let the row parser drop its line
+            else:
+                hours.frombytes(stamp_hours[first:stop].tobytes())
+                cells.frombytes(values.tobytes())
+                continue
+        text = io.TextIOWrapper(io.BytesIO(piece), encoding="utf-8", newline="")
+        dropped += _read_rows(csv.reader(text), 0, columns, hours, cells)
+    return dropped
+
+
+def _screen_lines(data, n_fields: int):
+    """Line bounds, plain-line mask and plain-line hour indices of ``data``.
+
+    ``data`` holds whole lines, each ending in a newline. Line ``k`` is
+    ``data[starts[k]:starts[k + 1]]``. It is plain when it reads
+    ``YYYY-MM-DDTHH:00:00`` on an existing date and an hour of 0-23, then
+    ``n_fields - 1`` nonempty cells of the bytes ``0-9 . + - e E``, and
+    ends in a newline with at most a CR before it. Its hour is the one
+    :func:`_parse_hour` gives; any other stamp is left to that function.
+    """
+    b = np.frombuffer(data, dtype=np.uint8)
+    starts = np.concatenate(([0], np.flatnonzero(b == 10) + 1))
+    heads = starts[:-1]
+    comma = b == 44
+    cell = (((b - 43) <= 14) & (b != 47) & ~comma) | ((b | 32) == 101)  # 0-9 . + - e E
+    # Besides cell bytes and commas a plain line holds only the stamp's T
+    # and two colons, its newline and maybe a CR before it.
+    stray = _per_line(~(cell | comma), starts)
+    commas = _per_line(comma, starts)
+    comma[:-1] &= ~cell[1:]  # now marks the commas that end an empty cell
+    empty = _per_line(comma, starts)
+    del comma, cell
+    crlf = b[starts[1:] - 2] == 13
+    rows = np.flatnonzero(
+        (stray == 4 + crlf)
+        & (commas == n_fields - 1)
+        & (empty == 0)
+        & (np.diff(starts) > _STAMP.size + 1)  # room for the stamp, a cell and the newline
+    )
+
+    stamp = b[heads[rows, None] + np.arange(_STAMP.size)]
+    digits = (stamp[:, _STAMP_DIGITS] - 48).astype(np.int64)  # uint8 wraps: > 9 unless a digit
+    year = digits[:, 0:4] @ (1000, 100, 10, 1)
+    month = digits[:, 4:6] @ (10, 1)
+    day = digits[:, 6:8] @ (10, 1)
+    hour = digits[:, 8:10] @ (10, 1)
+    month_index = np.clip(month, 0, 12)
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    valid = (
+        (stamp[:, _STAMP_FIXED] == _STAMP[_STAMP_FIXED]).all(axis=1)
+        & (digits <= 9).all(axis=1)
+        & (year >= 1)
+        & (month >= 1)
+        & (month <= 12)
+        & (day >= 1)
+        & (day <= _DAYS_IN_MONTH[month_index] + (leap & (month == 2)))
+        & (hour <= 23)
+    )
+    prior = year - 1  # proleptic Gregorian ordinal, as date.toordinal()
+    ordinal = (
+        prior * 365 + prior // 4 - prior // 100 + prior // 400
+        + _DAYS_BEFORE_MONTH[month_index] + (leap & (month > 2)) + day
+    )
+    plain = np.zeros(heads.shape[0], dtype=bool)
+    plain[rows[valid]] = True
+    stamp_hours = np.zeros(heads.shape[0], dtype=np.int64)
+    stamp_hours[rows] = ordinal * 24 + hour
+    return starts, plain, stamp_hours
+
+
+def _per_line(mask, starts):
+    """How many entries of ``mask`` are set in each line ``[starts[k], starts[k + 1])``."""
+    return np.diff(np.searchsorted(np.flatnonzero(mask), starts))
 
 
 def to_agent_series(dataset: ZonalDataset, start: int, window_length: int, max_lag: int) -> list:
@@ -355,8 +500,18 @@ class TwoAgentGrid:
             raise InvalidInputError("others_u must be nonnegative")
 
 
+def _integer(value, key: str) -> int:
+    """``value`` as an int; a bool or a non-integral number is a ValueError naming ``key``."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{key}: {err}") from None
+
+
 def _checked_grid(grid, name, integer: bool = False):
-    values = tuple(int(v) if integer else float(v) for v in grid)
+    values = tuple(_integer(v, name) if integer else float(v) for v in grid)
     if not values:
         raise InvalidInputError(f"{name} must not be empty")
     if any(b <= a for a, b in zip(values, values[1:])):
@@ -460,6 +615,9 @@ def load_scenario(path) -> ScenarioConfig:
 
     Every rejection is an :class:`InvalidInputError`; a value of the wrong
     type or form (``"max_lag": "x"``) is reported with the file it came from.
+    Integer settings (seed, lags, window, window start, iteration cap, T
+    grid) take integral numbers: ``2`` and ``2.0`` read as 2, while ``2.5``
+    or ``true`` is rejected with the key it was given for.
     """
     path = Path(path)
     try:
@@ -483,7 +641,7 @@ def _parse_scenario(raw, path: Path) -> ScenarioConfig:
         required=("data", "market"),
         context=str(path),
     )
-    seed = int(raw.get("seed", 0))
+    seed = _integer(raw.get("seed", 0), "seed")
 
     data = raw["data"]
     if not isinstance(data, dict) or "type" not in data:
@@ -499,11 +657,12 @@ def _parse_scenario(raw, path: Path) -> ScenarioConfig:
         synthetic = SyntheticSpec(seed=seed, **spec_kwargs)
     elif data["type"] == "csv":
         _require_keys(data, allowed=("type",) + _DATA_KEYS["csv"], required=("type", "path"), context="data")
+        start = data.get("window_start")
         csv_fields = {
             "csv_path": data["path"],
             "csv_schema": data.get("schema"),
             "csv_normalization": data.get("normalization", "none"),
-            "csv_window_start": data.get("window_start"),
+            "csv_window_start": None if start is None else _integer(start, "data.window_start"),
         }
     else:
         raise InvalidInputError(f"data.type must be 'synthetic' or 'csv', got {data['type']!r}")
@@ -515,10 +674,15 @@ def _parse_scenario(raw, path: Path) -> ScenarioConfig:
         required=("central_agent", "max_lag", "window"),
         context="market",
     )
-    lag_spec = LagSpec(max_lag=int(market["max_lag"]), window_length=int(market["window"]))
+    lag_spec = LagSpec(
+        max_lag=_integer(market["max_lag"], "market.max_lag"),
+        window_length=_integer(market["window"], "market.window"),
+    )
     solver = SolverSettings(
         tolerance=float(market.get("tolerance", SolverSettings.tolerance)),
-        max_iterations=int(market.get("max_iterations", SolverSettings.max_iterations)),
+        max_iterations=_integer(
+            market.get("max_iterations", SolverSettings.max_iterations), "market.max_iterations"
+        ),
     )
 
     uniform_u = None
@@ -532,7 +696,10 @@ def _parse_scenario(raw, path: Path) -> ScenarioConfig:
             uniform_u = float(block["uniform_u"])
         else:
             reservations = ReservationSchedule(
-                {(agent, int(lag)): float(u) for agent, lag, u in block["entries"]}
+                {
+                    (agent, _integer(lag, "reservations.entries lag")): float(u)
+                    for agent, lag, u in block["entries"]
+                }
             )
 
     u_grid = t_grid = grid2 = None

@@ -197,6 +197,53 @@ class TestExitCodes:
         assert err.startswith(f"error: {config}: invalid value (")
         assert not (tmp_path / "results" / "clearing.csv").exists()
 
+    @pytest.mark.parametrize(
+        ("where", "value", "key"),
+        [
+            (("seed",), 1.9, "seed"),
+            (("seed",), True, "seed"),
+            (("market", "max_lag"), 2.9, "market.max_lag"),
+            (("market", "window"), 10.5, "market.window"),
+            (("market", "max_iterations"), 9.5, "market.max_iterations"),
+            (("sweeps", "t_grid"), [10, 20.5], "t_grid"),
+            (("reservations",), {"entries": [["DK2", 1.5, 0.1]]}, "reservations.entries lag"),
+            (("data", "window_start"), "abc", "data.window_start"),
+            (("data", "window_start"), 17689446.5, "data.window_start"),
+        ],
+        ids=[
+            "fractional-seed",
+            "bool-seed",
+            "fractional-max-lag",
+            "fractional-window",
+            "fractional-max-iterations",
+            "fractional-t-grid",
+            "fractional-entry-lag",
+            "text-window-start",
+            "fractional-window-start",
+        ],
+    )
+    def test_non_integer_exits_2_naming_the_key(self, tmp_path, capsys, where, value, key):
+        rows = ["timestamp,DK1,DK2"]
+        for t in range(40):  # hours 17689440..17689479
+            stamp = (datetime(2019, 1, 1) + timedelta(hours=t)).isoformat()
+            rows.append(f"{stamp},{np.sin(t)!r},{np.cos(t)!r}")
+        csv_path = tmp_path / "wind.csv"
+        csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        payload = {
+            "data": {"type": "csv", "path": str(csv_path), "window_start": 17689446},
+            "market": {"central_agent": "DK1", "max_lag": 2, "window": 10},
+            "sweeps": {"t_grid": [10, 20]},
+        }
+        node = payload
+        for name in where[:-1]:
+            node = node[name]
+        node[where[-1]] = value
+        config = write_scenario(tmp_path, **payload)
+        assert main(["clear", "--config", str(config)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: invalid value ({key}")
+        assert not (tmp_path / "results" / "clearing.csv").exists()
+
     def test_bad_central_agent(self, tmp_path):
         config = write_scenario(
             tmp_path, market={"central_agent": "P99", "max_lag": 2, "window": 120}

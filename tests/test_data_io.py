@@ -24,6 +24,7 @@ from regmarket import (
     to_agent_series,
     write_outcome_table,
 )
+from regmarket import data_io
 from regmarket.data_io import ScenarioConfig, TwoAgentGrid
 
 ZONES = ("DK1", "DK2", "SE1")
@@ -306,6 +307,171 @@ def test_ingest_matches_reference_reader(tmp_path, case):
     assert report.warnings == warnings
 
 
+# Edge cases of the block parser, each checked against the row-by-row reader.
+def assert_matches_reference(path, schema=None):
+    """ingest_csv gives the reference reader's dataset bit for bit, or both reject the file."""
+    try:
+        zones, hours, values, dropped, warnings = reference_ingest(path, schema=schema)
+    except InvalidInputError:
+        with pytest.raises(InvalidInputError):
+            ingest_csv(path, schema=schema)
+        return None
+    report = ingest_csv(path, schema=schema)
+    assert report.dataset.zones == zones
+    assert report.dataset.timestamps.tobytes() == hours.tobytes()
+    assert report.dataset.values.tobytes() == values.tobytes()
+    assert report.dropped_rows == dropped
+    assert report.warnings == warnings
+    return report
+
+
+def iso_lines(n, start=datetime(2019, 1, 1), seed=0):
+    """``n`` hourly lines as ``datetime.isoformat()`` and ``f"{v:.4f}"`` write them."""
+    values = np.random.default_rng(seed).normal(0.0, 3.0, size=(n, len(ZONES)))
+    return [
+        ",".join([(start + timedelta(hours=t)).isoformat(), *(f"{v:.4f}" for v in row)])
+        for t, row in enumerate(values.tolist())
+    ]
+
+
+def write_lines(path, lines, newline="\n", header="timestamp," + ",".join(ZONES)):
+    path.write_bytes(newline.join([header, *lines, ""]).encode("utf-8"))
+    return path
+
+
+class TestBlockParser:
+    @pytest.mark.parametrize(
+        "stamp",
+        [
+            "0000-01-01T05:00:00",
+            "2019-01-01T24:00:00",
+            "2019-02-29T00:00:00",
+            "2019-04-31T00:00:00",
+            "2019-01-01T05:00:00.5",
+            "2019-01-01T06:00:00+01:00",  # 05:00 UTC, the hour of the line it replaces
+            "2019-1-01T05:00:00",
+        ],
+    )
+    def test_stamps_the_screen_must_not_take(self, tmp_path, stamp):
+        lines = iso_lines(10)
+        lines[5] = stamp + lines[5][19:]
+        report = assert_matches_reference(write_lines(tmp_path / "z.csv", lines))
+        assert report is not None
+
+    def test_calendar_edges(self, tmp_path):
+        # Every month 0-13, day 0-32 and hour 0/23/24 of years around the
+        # leap-year rules; the invalid stamps drop, the rest stay in order.
+        stamps = [
+            (year, month, day, hour)
+            for year in (0, 1, 4, 100, 400, 1900, 2000, 2019, 2020, 2100, 9999)
+            for month in range(14)
+            for day in range(33)
+            for hour in (0, 23, 24)
+        ]
+        lines = [f"{y:04d}-{m:02d}-{d:02d}T{h:02d}:00:00,1.5,-2.0,3e2" for y, m, d, h in stamps]
+        report = assert_matches_reference(write_lines(tmp_path / "z.csv", lines))
+        leap_days = 2 * 4  # 4, 400, 2000 and 2020 have a Feb 29
+        assert report.dataset.n_hours == 10 * 365 * 2 + leap_days
+
+    @pytest.mark.parametrize(
+        "cell",
+        ["1_000", "1.e5", "+.5", "-0", "1e", "--1", "1e400", "١", "#3", " 1.5 ", "\x1c2.5\x1c", "0x1p3"],
+    )
+    def test_values(self, tmp_path, cell):
+        lines = iso_lines(10)
+        head, _, tail = lines[4].partition(",")
+        lines[4] = ",".join([head, cell, tail.split(",", 1)[1]])
+        assert_matches_reference(write_lines(tmp_path / "z.csv", lines))
+
+    def test_negative_zero_keeps_its_sign(self, tmp_path):
+        lines = iso_lines(3)
+        lines[1] = lines[1][:20] + "-0,-0.0,+0"
+        report = assert_matches_reference(write_lines(tmp_path / "z.csv", lines))
+        assert np.signbit(report.dataset.values[1]).tolist() == [True, True, False]
+
+    def test_crlf_line_ends(self, tmp_path):
+        lines = iso_lines(20)
+        lines[7] = lines[7].replace(",", ",,", 1)  # one empty cell
+        report = assert_matches_reference(write_lines(tmp_path / "z.csv", lines, newline="\r\n"))
+        assert report.dropped_rows == 1
+
+    def test_lone_cr_ends_a_line(self, tmp_path):
+        lines = iso_lines(6)
+        lines[2] = lines[2] + "\r" + lines[3]
+        del lines[3]
+        assert assert_matches_reference(write_lines(tmp_path / "z.csv", lines)).dataset.n_hours == 6
+
+    def test_extra_trailing_columns(self, tmp_path):
+        lines = iso_lines(10)
+        lines[3] += ",9.5"
+        lines[6] += ",,x"
+        report = assert_matches_reference(write_lines(tmp_path / "z.csv", lines))
+        assert report.dropped_rows == 0
+
+    def test_quoted_cell_with_a_newline(self, tmp_path):
+        lines = iso_lines(10)
+        lines[4] = lines[4][:20] + '"1.5\n",2.5,3.5'
+        report = assert_matches_reference(write_lines(tmp_path / "z.csv", lines))
+        assert report.dataset.values[4].tolist() == [1.5, 2.5, 3.5]
+
+    def test_quoted_cell_holding_a_plain_line(self, tmp_path):
+        lines = iso_lines(10)
+        lines[4] = lines[4][:20] + f'"1.5\n{lines[5]}\n",2.5,3.5'  # one cell, so the row drops
+        report = assert_matches_reference(write_lines(tmp_path / "z.csv", lines))
+        assert report.dropped_rows == 1
+
+    def test_stamp_outside_the_first_column(self, tmp_path):
+        # The first column holds ISO stamps, but the hours come from the last.
+        lines = [f"{line},{100 + t}" for t, line in enumerate(iso_lines(10))]
+        header = ",".join(["when", *ZONES, "timestamp"])
+        path = write_lines(tmp_path / "z.csv", lines, header=header)
+        report = assert_matches_reference(path, schema={zone: zone for zone in ZONES})
+        assert report.dataset.timestamps.tolist() == list(range(100, 110))
+
+    def test_cr_only_line_ends(self, tmp_path):
+        report = assert_matches_reference(write_lines(tmp_path / "z.csv", iso_lines(10), newline="\r"))
+        assert report.dataset.n_hours == 10
+
+    def test_schema_with_the_stamp_as_a_zone(self, tmp_path):
+        path = write_lines(tmp_path / "z.csv", iso_lines(5))
+        assert_matches_reference(path, schema={"timestamp": "t", "DK1": "a"})
+
+    def test_file_of_several_blocks(self, tmp_path):
+        # Lines that end a block, straddle the cut or start the next one
+        # carry an empty cell, an underscore, junk, a blank line or a bad
+        # stamp; the last line has no newline.
+        lines = iso_lines(4 * data_io._BLOCK_CHARS // 40, seed=1)
+        header = "timestamp," + ",".join(ZONES)
+        offsets = np.cumsum([len(header) + 1] + [len(line) + 1 for line in lines])
+        edits = ("{},,{},{}", "{},1_000,{},{}", "junk,{},{},{}", "", "2019-02-30T00:00:00,{},{},{}")
+        for block in (1, 2, 3):
+            straddler = int(np.searchsorted(offsets, len(header) + 1 + block * data_io._BLOCK_CHARS)) - 1
+            for k, line in enumerate(range(straddler - 2, straddler + 3)):
+                cells = lines[line].split(",")
+                lines[line] = edits[(k + block) % len(edits)].format(cells[0], *cells[2:])
+        path = tmp_path / "z.csv"
+        path.write_text("\n".join([header, *lines]), encoding="utf-8")
+        assert path.stat().st_size > 3 * data_io._BLOCK_CHARS
+        report = assert_matches_reference(path)
+        assert report.dropped_rows == 3 * 3
+
+    def test_quoted_cell_across_a_block_cut(self, tmp_path):
+        # The first block takes the screen. The second block's text ends
+        # inside a quoted cell, just after the newline the cell holds.
+        lines = iso_lines(3 * data_io._BLOCK_CHARS // 40, seed=2)
+        header = "timestamp," + ",".join(ZONES)
+        offsets = np.cumsum([len(header) + 1] + [len(line) + 1 for line in lines])
+        end = len(header) + 1 + 2 * data_io._BLOCK_CHARS  # of the text read by then
+        line = int(np.searchsorted(offsets, end - 400))
+        padding = " " * 300
+        lines[line] = lines[line][:20] + f'"{padding}\n1.25{padding}",2.5,3.5'
+        path = write_lines(tmp_path / "z.csv", lines)
+        newline_in_cell = offsets[line] + 21 + len(padding)
+        assert newline_in_cell < end < newline_in_cell + len(padding)
+        report = assert_matches_reference(path)
+        assert report.dataset.values[line].tolist() == [1.25, 2.5, 3.5]
+
+
 class TestToAgentSeries:
     def test_window_sizes(self, tmp_path):
         rows, _ = complete_rows(300)
@@ -450,6 +616,13 @@ class TestScenarioConfig:
     def test_grid_must_increase(self, tmp_path):
         with pytest.raises(InvalidInputError, match="strictly increasing"):
             load_scenario(write_scenario(tmp_path, overrides={"sweeps.u_grid": [0.2, 0.1]}))
+
+    def test_integral_floats_read_as_integers(self, tmp_path):
+        expected = load_scenario(write_scenario(tmp_path))
+        overrides = {"market.max_lag": 3.0, "market.window": 240.0, "sweeps.t_grid": [120.0, 240]}
+        scenario = load_scenario(write_scenario(tmp_path, overrides=overrides, seed=3.0))
+        assert scenario == expected
+        assert type(scenario.seed) is type(scenario.lag_spec.max_lag) is int
 
     def test_explicit_reservations(self, tmp_path):
         path = write_scenario(
