@@ -15,10 +15,8 @@ from .regression import (
     LossReport,
     SolverSettings,
     kkt_violation,
-    lasso_loss,
     mse,
     ols_fit,
-    soft_threshold,
     weighted_lasso_fit,
 )
 from .timeseries import (

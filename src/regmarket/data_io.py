@@ -147,44 +147,52 @@ def ingest_csv(path, schema=None, normalization: str = "none") -> IngestReport:
     stays near one block plus the dataset, and the finiteness check runs
     once over the whole value block. With ``normalization="per-zone-max"``
     each zone is divided by its maximum over the retained rows. A warning is
-    reported when over 10% of rows drop.
+    reported when over 10% of rows drop. A file that is not UTF-8 text, or
+    holds a cell over ``csv.field_size_limit()`` characters, is rejected
+    with :class:`InvalidInputError` naming it.
     """
     if normalization not in ("none", "per-zone-max"):
         raise InvalidInputError(
             f"normalization must be 'none' or 'per-zone-max', got {normalization!r}"
         )
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidInputError(f"{path}: empty file, expected a header row") from None
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise InvalidInputError(f"{path}: empty file, expected a header row") from None
 
-        header = [name.strip() for name in header]
-        if _TIMESTAMP not in header:
-            raise InvalidInputError(f"{path}: no {_TIMESTAMP!r} column in header")
-        ts_index = header.index(_TIMESTAMP)
+            header = [name.strip() for name in header]
+            if _TIMESTAMP not in header:
+                raise InvalidInputError(f"{path}: no {_TIMESTAMP!r} column in header")
+            ts_index = header.index(_TIMESTAMP)
 
-        if schema is None:
-            schema = {name: name for name in header if name != _TIMESTAMP}
-        missing_columns = [name for name in schema if name not in header]
-        if missing_columns:
-            raise InvalidInputError(
-                f"{path}: schema column(s) {missing_columns} not found in header"
-            )
-        zone_indices = [(header.index(name), zone) for name, zone in schema.items()]
-        zone_indices.sort()  # header order keeps zone layout independent of dict order
-        zones = tuple(zone for _, zone in zone_indices)
-        if len(set(zones)) != len(zones):
-            raise InvalidInputError(f"{path}: duplicate zone names in schema")
-        if not zones:
-            raise InvalidInputError(f"{path}: no zone columns")
-        columns = [index for index, _ in zone_indices]
+            if schema is None:
+                schema = {name: name for name in header if name != _TIMESTAMP}
+            missing_columns = [name for name in schema if name not in header]
+            if missing_columns:
+                raise InvalidInputError(
+                    f"{path}: schema column(s) {missing_columns} not found in header"
+                )
+            zone_indices = [(header.index(name), zone) for name, zone in schema.items()]
+            zone_indices.sort()  # header order keeps zone layout independent of dict order
+            zones = tuple(zone for _, zone in zone_indices)
+            if len(set(zones)) != len(zones):
+                raise InvalidInputError(f"{path}: duplicate zone names in schema")
+            if not zones:
+                raise InvalidInputError(f"{path}: no zone columns")
+            columns = [index for index, _ in zone_indices]
 
-        hours = array("q")
-        cells = array("d")
-        dropped = _read_body(handle, ts_index, len(header), columns, hours, cells)
+            hours = array("q")
+            cells = array("d")
+            dropped = _read_body(handle, ts_index, len(header), columns, hours, cells)
+    except UnicodeDecodeError as err:
+        bad = err.object[err.start : err.start + 1].hex()
+        raise InvalidInputError(f"{path}: not UTF-8 text (byte 0x{bad})") from None
+    except csv.Error as err:
+        raise InvalidInputError(f"{path}: unreadable CSV ({err})") from None
 
     hours = np.frombuffer(hours, dtype=np.int64)
     values = np.frombuffer(cells, dtype=float).reshape(hours.shape[0], len(zones))
@@ -510,8 +518,18 @@ def _integer(value, key: str) -> int:
         raise ValueError(f"{key}: {err}") from None
 
 
+def _real(value, key: str) -> float:
+    """``value`` as a float; a bool is a ValueError naming ``key``."""
+    if isinstance(value, bool):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{key}: {err}") from None
+
+
 def _checked_grid(grid, name, integer: bool = False):
-    values = tuple(_integer(v, name) if integer else float(v) for v in grid)
+    values = tuple(_integer(v, name) if integer else _real(v, name) for v in grid)
     if not values:
         raise InvalidInputError(f"{name} must not be empty")
     if any(b <= a for a, b in zip(values, values[1:])):
@@ -578,7 +596,7 @@ class ScenarioConfig:
             support_agents, self.lag_spec.max_lag, self.uniform_u
         )
 
-    def market_config(self, available_agents, lag_spec: LagSpec | None = None) -> MarketConfig:
+    def market_config(self, available_agents) -> MarketConfig:
         """Resolve the market shape against the agents the data source provides."""
         available = list(available_agents)
         if self.central_agent not in available:
@@ -596,7 +614,7 @@ class ScenarioConfig:
         return MarketConfig(
             central_agent=self.central_agent,
             support_agents=supports,
-            lag_spec=lag_spec or self.lag_spec,
+            lag_spec=self.lag_spec,
             solver=self.solver,
         )
 
@@ -617,7 +635,9 @@ def load_scenario(path) -> ScenarioConfig:
     type or form (``"max_lag": "x"``) is reported with the file it came from.
     Integer settings (seed, lags, window, window start, iteration cap, T
     grid) take integral numbers: ``2`` and ``2.0`` read as 2, while ``2.5``
-    or ``true`` is rejected with the key it was given for.
+    or ``true`` is rejected with the key it was given for. Real settings
+    (reservations, grids, ``others_u``, tolerance) reject ``true`` and
+    ``false`` the same way.
     """
     path = Path(path)
     try:
@@ -679,7 +699,7 @@ def _parse_scenario(raw, path: Path) -> ScenarioConfig:
         window_length=_integer(market["window"], "market.window"),
     )
     solver = SolverSettings(
-        tolerance=float(market.get("tolerance", SolverSettings.tolerance)),
+        tolerance=_real(market.get("tolerance", SolverSettings.tolerance), "market.tolerance"),
         max_iterations=_integer(
             market.get("max_iterations", SolverSettings.max_iterations), "market.max_iterations"
         ),
@@ -693,11 +713,11 @@ def _parse_scenario(raw, path: Path) -> ScenarioConfig:
         if ("uniform_u" in block) == ("entries" in block):
             raise InvalidInputError("reservations: give exactly one of uniform_u or entries")
         if "uniform_u" in block:
-            uniform_u = float(block["uniform_u"])
+            uniform_u = _real(block["uniform_u"], "reservations.uniform_u")
         else:
             reservations = ReservationSchedule(
                 {
-                    (agent, _integer(lag, "reservations.entries lag")): float(u)
+                    (agent, _integer(lag, "reservations.entries lag")): _real(u, "reservations.entries u")
                     for agent, lag, u in block["entries"]
                 }
             )
@@ -721,7 +741,7 @@ def _parse_scenario(raw, path: Path) -> ScenarioConfig:
                 agent_b=block["agent_b"],
                 u_grid_a=tuple(block["u_grid_a"]),
                 u_grid_b=tuple(block["u_grid_b"]),
-                others_u=float(block.get("others_u", 0.1)),
+                others_u=_real(block.get("others_u", 0.1), "sweeps.grid2.others_u"),
             )
 
     return ScenarioConfig(

@@ -2,21 +2,24 @@
 
 Every sweep reads its grid only from the scenario (``u_grid``, ``t_grid``,
 ``grid2``), where :class:`regmarket.data_io.ScenarioConfig` has checked it;
-to vary a grid, ``dataclasses.replace`` the scenario. Reservation sweeps
-prepare one :class:`regmarket.market.PreparedMarket` per dataset and window
-and clear it once per point. Buyer viability is checked inside the market,
+to vary a grid, ``dataclasses.replace`` the scenario. Every runner prepares
+one :class:`regmarket.market.PreparedMarket` per scenario through
+:func:`_prepare`: reservation sweeps clear it once per point, and the
+training sweep prepares it at the longest window and clears each shorter
+one on a row prefix of it. Buyer viability is checked inside the market,
 by :func:`regmarket.market.verify_buyer_viability` on every clearing, so a
 report can only contain buyer-viable outcomes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 from .data_io import ScenarioConfig, ingest_csv, to_agent_series
 from .errors import InvalidInputError
-from .market import PreparedMarket, ReservationSchedule, clear_market
-from .market import verify_buyer_viability  # noqa: F401  (name patched by bench/tracer.py)
+from .market import PreparedMarket, ReservationSchedule
+from .market import clear_market, verify_buyer_viability  # noqa: F401  (names patched by bench/tracer.py)
 from .regression import ols_fit
 from .timeseries import LagSpec, synthetic_market_series
 
@@ -41,9 +44,9 @@ class ExperimentReport:
     summary: dict = field(default_factory=dict)
 
 
-def materialize_series(scenario: ScenarioConfig, lag_spec: LagSpec | None = None) -> list:
+def materialize_series(scenario: ScenarioConfig) -> list:
     """Produce the agent series the scenario describes, seeded and windowed."""
-    lag_spec = lag_spec or scenario.lag_spec
+    lag_spec = scenario.lag_spec
     if scenario.synthetic is not None:
         return synthetic_market_series(
             scenario.synthetic, history=lag_spec.max_lag, window=lag_spec.window_length
@@ -136,23 +139,26 @@ def run_u_sweep(scenario: ScenarioConfig) -> ExperimentReport:
 
 
 def run_T_sweep(scenario: ScenarioConfig) -> ExperimentReport:
-    """One clearing per entry of the scenario's ``t_grid``, on one shared dataset.
+    """One clearing per entry of the scenario's ``t_grid``, on one prepared market.
 
-    The dataset is materialized once at the longest requested window, so
-    shorter windows are prefixes of it. Each clearing reports per-agent
-    payments both as window totals and per time step.
+    The market is prepared once, at the longest requested window. Every
+    window starts at the same hour, so each shorter one clears on
+    :meth:`regmarket.market.PreparedMarket.window`, whose target and designs
+    are row prefixes of the longest window's; each point equals a direct
+    clearing at its own window. Each clearing reports per-agent payments
+    both as window totals and per time step.
     """
     grid = scenario.t_grid
     if grid is None:
         raise InvalidInputError("T sweep needs a non-empty t_grid")
-    max_lag = scenario.lag_spec.max_lag
-    series = materialize_series(scenario, lag_spec=LagSpec(max_lag=max_lag, window_length=max(grid)))
+    longest = LagSpec(max_lag=scenario.lag_spec.max_lag, window_length=max(grid))
+    market = _prepare(dataclasses.replace(scenario, lag_spec=longest))
+    config = market.config
+    schedule = scenario.schedule(config.support_agents)
 
     report = ExperimentReport(scenario_id=scenario.scenario_id)
     for T in grid:
-        lag_spec = LagSpec(max_lag=max_lag, window_length=T)
-        config = scenario.market_config([s.agent_id for s in series], lag_spec=lag_spec)
-        outcome = clear_market(config, series, scenario.schedule(config.support_agents))
+        outcome = market.window(T).clear(schedule)
         report.sweep_rows.append(("T", T, outcome))
         for agent in config.support_agents:
             paid = sum(r.amount for r in outcome.payments if r.agent_id == agent)

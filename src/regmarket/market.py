@@ -12,6 +12,7 @@ loss, so a correct solve is always viable for the buyer.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,9 +129,6 @@ class ViabilityCheck:
     gap: float
     tolerance: float
 
-    def __bool__(self) -> bool:
-        return self.holds
-
 
 @dataclass(frozen=True)
 class MarketOutcome:
@@ -198,8 +196,10 @@ class PreparedMarket:
 
     The target, both lag designs and the buyer's baseline OLS fit depend only
     on the data and the window, so a sweep over reservations prepares them
-    once and calls :meth:`clear` per point. Construction checks the roster:
-    every configured agent needs exactly one series.
+    once and calls :meth:`clear` per point, and a sweep over training
+    lengths prepares the longest window once and clears each shorter one on
+    :meth:`window`. Construction checks the roster: every configured agent
+    needs exactly one series.
     """
 
     def __init__(self, config: MarketConfig, all_series):
@@ -214,21 +214,51 @@ class PreparedMarket:
 
         spec = config.lag_spec
         central = by_id[config.central_agent]
-        self.config = config
-        self.target = central.window(spec.window_length)
-        self.design_self = build_lag_matrix([central], spec)
-        self.baseline_beta = ols_fit(self.design_self, self.target)
-        baseline_mse = mse(self.design_self, self.baseline_beta, self.target)
-        self.baseline_loss = LossReport(mse=baseline_mse, penalty_term=0.0, lasso_loss=baseline_mse)
-        self.design_all = build_lag_matrix(
-            [central, *(by_id[a] for a in config.support_agents)], spec
+        self._fit(
+            config,
+            central.window(spec.window_length),
+            build_lag_matrix([central], spec),
+            build_lag_matrix([central, *(by_id[a] for a in config.support_agents)], spec),
         )
+
+    def _fit(self, config, target, design_self, design_all) -> None:
+        """Attach the window's data and fit the buyer's own-features baseline."""
+        self.config = config
+        self.target = target
+        self.design_self = design_self
+        self.baseline_beta = ols_fit(design_self, target)
+        baseline_mse = mse(design_self, self.baseline_beta, target)
+        self.baseline_loss = LossReport(mse=baseline_mse, penalty_term=0.0, lasso_loss=baseline_mse)
+        self.design_all = design_all
         # (agent, lag, column) per seller feature, in payment-record order.
         self.seller_columns = tuple(
-            (agent, lag, self.design_all.column_of(agent, lag))
+            (agent, lag, design_all.column_of(agent, lag))
             for agent in config.support_agents
-            for lag in range(1, spec.max_lag + 1)
+            for lag in range(1, config.lag_spec.max_lag + 1)
         )
+
+    def window(self, length: int) -> "PreparedMarket":
+        """This market on the first ``length`` hours of its window.
+
+        The target and both designs are row-prefix views, not copies; the
+        baseline fit and the Gram matrices are the shorter window's own, so
+        it clears bitwise as a market prepared at ``length``.
+        """
+        spec = self.config.lag_spec
+        if length == spec.window_length:
+            return self
+        if not 1 <= length <= spec.window_length:
+            raise InvalidInputError(
+                f"window of {length} hours outside 1..{spec.window_length}"
+            )
+        market = PreparedMarket.__new__(PreparedMarket)
+        market._fit(
+            dataclasses.replace(self.config, lag_spec=LagSpec(spec.max_lag, length)),
+            self.target[:length],
+            DesignMatrix(self.design_self.values[:length], self.design_self.column_map),
+            DesignMatrix(self.design_all.values[:length], self.design_all.column_map),
+        )
+        return market
 
     def clear(self, reservations: ReservationSchedule) -> MarketOutcome:
         """Clear at one reservation schedule: penalties, lasso fit, payments.

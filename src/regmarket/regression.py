@@ -41,8 +41,6 @@ __all__ = [
     "ols_fit",
     "weighted_lasso_fit",
     "mse",
-    "lasso_loss",
-    "soft_threshold",
     "kkt_violation",
 ]
 
@@ -188,14 +186,6 @@ def _as_penalties(penalties, n_cols: int) -> np.ndarray:
     return penalties
 
 
-def soft_threshold(value: float, threshold: float) -> float:
-    """Shrink ``value`` toward zero by ``threshold``; exactly-at-threshold gives 0."""
-    magnitude = abs(value) - threshold
-    if magnitude <= 0.0:
-        return 0.0
-    return magnitude if value > 0 else -magnitude
-
-
 def ols_fit(X: DesignMatrix, y) -> np.ndarray:
     """Least-squares coefficients for ``y`` on ``X``.
 
@@ -213,15 +203,6 @@ def mse(X: DesignMatrix, beta, y) -> float:
     y = _as_target(y, X.n_rows)
     residual = y - X.values @ beta
     return float(residual @ residual) / X.n_rows
-
-
-def lasso_loss(X: DesignMatrix, penalties, beta, y) -> LossReport:
-    """Evaluate the penalized objective at ``beta`` and return its pieces."""
-    penalties = _as_penalties(penalties, X.n_cols)
-    beta = _as_coefficients(beta, X.n_cols)
-    fit = mse(X, beta, y)
-    penalty = (2.0 / X.n_rows) * float(penalties @ np.abs(beta))
-    return LossReport(mse=fit, penalty_term=penalty, lasso_loss=fit + penalty)
 
 
 def _kkt_from_correlation(correlation, penalties, beta, n_rows):
@@ -342,7 +323,9 @@ def weighted_lasso_fit(
             current = beta[j]
             rho = correlation[j] + sq * current
             if penalties[j] > 0.0:
-                updated = soft_threshold(rho, penalties[j]) / sq
+                # Soft-threshold: shrink rho toward 0 by the penalty, to 0 at most.
+                magnitude = abs(rho) - penalties[j]
+                updated = 0.0 if magnitude <= 0.0 else (magnitude if rho > 0 else -magnitude) / sq
             else:
                 updated = rho / sq
             if updated != current:

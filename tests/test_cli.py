@@ -223,6 +223,26 @@ class TestExitCodes:
         ],
     )
     def test_non_integer_exits_2_naming_the_key(self, tmp_path, capsys, where, value, key):
+        self.assert_clear_exits_2_naming(tmp_path, capsys, where, value, key)
+
+    @pytest.mark.parametrize(
+        ("where", "value", "key"),
+        [
+            (("sweeps", "u_grid"), [False, True], "u_grid"),
+            (("sweeps", "grid2"), {"agent_a": "DK2", "agent_b": "DK3", "u_grid_a": [True], "u_grid_b": [0.1]}, "u_grid_a"),
+            (("sweeps", "grid2"), {"agent_a": "DK2", "agent_b": "DK3", "u_grid_a": [0.1], "u_grid_b": [0.1], "others_u": False}, "sweeps.grid2.others_u"),
+            (("reservations",), {"uniform_u": True}, "reservations.uniform_u"),
+            (("reservations",), {"entries": [["DK2", 1, True]]}, "reservations.entries u"),
+            (("market", "tolerance"), True, "market.tolerance"),
+        ],
+        ids=["bool-u-grid", "bool-grid2-grid", "bool-others-u", "bool-uniform-u", "bool-entry-u", "bool-tolerance"],
+    )
+    def test_boolean_real_exits_2_naming_the_key(self, tmp_path, capsys, where, value, key):
+        self.assert_clear_exits_2_naming(tmp_path, capsys, where, value, key)
+
+    @staticmethod
+    def assert_clear_exits_2_naming(tmp_path, capsys, where, value, key):
+        """``clear`` on a CSV scenario with ``value`` set at path ``where`` exits 2 naming ``key``."""
         rows = ["timestamp,DK1,DK2"]
         for t in range(40):  # hours 17689440..17689479
             stamp = (datetime(2019, 1, 1) + timedelta(hours=t)).isoformat()
@@ -289,6 +309,19 @@ class TestExitCodes:
         assert code == EXIT_VIABILITY
         assert "solver defect" in capsys.readouterr().err
         assert not (tmp_path / "results" / "clearing.csv").exists()
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"101,1.\xff,2.0\n", b'101,1.0,"' + b"1" * 140_000 + b'"\n'],
+        ids=["byte-0xff", "oversized-quoted-cell"],
+    )
+    def test_unreadable_csv_exits_2(self, tmp_path, capsys, body):
+        csv_path = tmp_path / "wind.csv"
+        csv_path.write_bytes(b"timestamp,DK1,DK2\n100,1.0,2.0\n" + body)
+        market = {"central_agent": "DK1", "max_lag": 2, "window": 10}
+        config = write_scenario(tmp_path, data={"type": "csv", "path": str(csv_path)}, market=market)
+        assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {csv_path}: ")
 
     def test_simulate_requires_synthetic_source(self, tmp_path):
         csv_path = tmp_path / "wind.csv"

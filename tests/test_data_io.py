@@ -132,6 +132,22 @@ class TestIngestCsv:
         with pytest.raises(FileNotFoundError):
             ingest_csv(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize(
+        ("body", "message"),
+        [
+            (b"100,1.0,2.0,3.0\n101,1.\xff,2.0,3.0\n", "not UTF-8 text (byte 0xff)"),
+            (b'100,1.0,2.0,"' + b"1" * 140_000 + b'"\n', "field larger than field limit"),
+        ],
+        ids=["byte-0xff", "oversized-quoted-cell"],
+    )
+    def test_unreadable_file_rejected_naming_it(self, tmp_path, body, message):
+        path = tmp_path / "wind.csv"
+        path.write_bytes(b"timestamp,DK1,DK2,SE1\n" + body)
+        with pytest.raises(InvalidInputError) as caught:
+            ingest_csv(path)
+        assert str(caught.value).startswith(f"{path}: ")
+        assert message in str(caught.value)
+
     def test_non_monotonic_error_names_the_pair(self, tmp_path):
         rows, _ = complete_rows(5)
         rows[3], rows[2] = rows[2], rows[3]

@@ -129,19 +129,34 @@ class TestTSweep:
         assert 0.25 < ratio < 0.8
 
     def test_single_point_equals_direct_clearing(self):
-        sc = scenario("P1", seed=0, window=240, t_grid=(240,), u_grid=(0.1,))
+        grid = (60, 120, 240)
+        sc = scenario("P1", seed=0, window=240, t_grid=grid, u_grid=(0.1,))
         report = run_T_sweep(sc)
-        _, value, outcome = report.sweep_rows[0]
-        assert value == 240
+        assert [value for _, value, _ in report.sweep_rows] == list(grid)
         roster = synthetic_market_series(sc.synthetic, history=3, window=240)
-        config = MarketConfig("P1", ("P2", "P3", "P4", "P5"), LagSpec(3, 240))
-        schedule = ReservationSchedule.uniform(config.support_agents, 3, 0.1)
-        direct = clear_market(config, roster, schedule)
+        schedule = ReservationSchedule.uniform(("P2", "P3", "P4", "P5"), 3, 0.1)
+        for _, T, outcome in report.sweep_rows:
+            config = MarketConfig("P1", ("P2", "P3", "P4", "P5"), LagSpec(3, T))
+            direct = clear_market(config, roster, schedule)
+            assert outcome.config == config
+            assert np.array_equal(outcome.baseline_beta, direct.baseline_beta)
+            assert np.array_equal(outcome.market_beta, direct.market_beta)
+            assert outcome.baseline_loss == direct.baseline_loss
+            assert outcome.market_loss == direct.market_loss
+            assert outcome.payments == direct.payments
+            assert outcome.buyer_net_gain == direct.buyer_net_gain
         swept = run_u_sweep(sc).sweep_rows[0][2]
-        for other in (direct, swept):
-            assert np.array_equal(outcome.market_beta, other.market_beta)
-            assert outcome.market_loss.mse == other.market_loss.mse
-            assert outcome.total_payments == other.total_payments
+        assert np.array_equal(report.sweep_rows[-1][2].market_beta, swept.market_beta)
+        assert report.sweep_rows[-1][2].total_payments == swept.total_payments
+
+    def test_points_share_one_design(self):
+        report = run_T_sweep(scenario("P1", seed=0, t_grid=(60, 120, 240)))
+        *shorter, (_, _, longest) = report.sweep_rows
+        for _, T, outcome in shorter:
+            assert outcome.design_all.n_rows == outcome.target.shape[0] == T
+            assert np.shares_memory(outcome.design_all.values, longest.design_all.values)
+            assert np.shares_memory(outcome.design_self.values, longest.design_self.values)
+            assert np.shares_memory(outcome.target, longest.target)
 
     def test_derived_rows_cover_each_agent_and_buyer(self):
         report = run_T_sweep(scenario("P1", seed=0, t_grid=(120, 240)))

@@ -242,6 +242,14 @@ class TestPreparedMarket:
         assert computed == [market.design_all]
         assert all(outcome.design_all.gram is market.design_all.gram for outcome in outcomes)
 
+    @pytest.mark.parametrize("length", [0, -1, 241])
+    def test_window_outside_the_prepared_one_rejected(self, length):
+        config, roster = default_market(seed=0)
+        market = PreparedMarket(config, roster)
+        assert market.window(240) is market
+        with pytest.raises(InvalidInputError, match=r"outside 1\.\.240"):
+            market.window(length)
+
     def test_failed_viability_raises_with_both_sides(self, monkeypatch):
         # A solver that returns all zeros drops even the buyer's own
         # features, so loss plus payments exceeds the baseline.
@@ -354,7 +362,7 @@ class TestVerifyBuyerViability:
         config, roster = default_market(seed=1)
         outcome = clear_market(config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.1))
         check = verify_buyer_viability(outcome)
-        assert check.holds and bool(check)
+        assert check.holds
         assert check.gap <= check.tolerance
         assert check.market_mse > 0 and check.baseline_mse > 0
 

@@ -13,10 +13,8 @@ from regmarket import (
     SolverSettings,
     build_lag_matrix,
     kkt_violation,
-    lasso_loss,
     mse,
     ols_fit,
-    soft_threshold,
     weighted_lasso_fit,
 )
 
@@ -98,18 +96,31 @@ class TestOlsFit:
 
 
 class TestSoftThreshold:
+    """The solver's coordinate update on one centred feature.
+
+    With rows (1, 1) and (1, -1) and target (v/2, -v/2) the intercept is 0,
+    x'y = v and G_11 = 2, so the cleared coefficient is S(v, t) / 2 with S
+    the soft-threshold.
+    """
+
+    @staticmethod
+    def shrink(value, threshold):
+        design = DesignMatrix(np.array([[1.0, 1.0], [1.0, -1.0]]), (None, ("A", 1)))
+        y = np.array([value / 2, -value / 2])
+        return 2.0 * weighted_lasso_fit(design, y, np.array([0.0, threshold]))[1]
+
     def test_basic_cases(self):
-        assert soft_threshold(5.0, 2.0) == 3.0
-        assert soft_threshold(-5.0, 2.0) == -3.0
-        assert soft_threshold(1.5, 2.0) == 0.0
+        assert self.shrink(5.0, 2.0) == 3.0
+        assert self.shrink(-5.0, 2.0) == -3.0
+        assert self.shrink(1.5, 2.0) == 0.0
 
     def test_exactly_at_threshold_returns_zero(self):
-        assert soft_threshold(2.0, 2.0) == 0.0
-        assert soft_threshold(-2.0, 2.0) == 0.0
+        assert self.shrink(2.0, 2.0) == 0.0
+        assert self.shrink(-2.0, 2.0) == 0.0
 
     @given(st.floats(-1e6, 1e6), st.floats(0, 1e6))
     def test_shrinks_toward_zero(self, value, threshold):
-        out = soft_threshold(value, threshold)
+        out = self.shrink(value, threshold)
         assert abs(out) <= abs(value)
         assert out * value >= 0.0
 
@@ -379,33 +390,6 @@ class TestLosses:
         ) / 9.0
         assert abs(mse(design, beta, y) - direct) < 1e-12
 
-    def test_lasso_loss_zero_penalties(self, rng):
-        design = make_design(rng, 10, 3)
-        beta = rng.normal(size=4)
-        y = rng.normal(size=10)
-        report = lasso_loss(design, np.zeros(4), beta, y)
-        assert report.penalty_term == 0.0
-        assert report.lasso_loss == report.mse
-
-    def test_lasso_loss_zero_beta(self, rng):
-        design = make_design(rng, 10, 3)
-        y = rng.normal(size=10)
-        report = lasso_loss(design, np.array([0.0, 1.0, 2.0, 3.0]), np.zeros(4), y)
-        assert report.penalty_term == 0.0
-        assert abs(report.mse - float(y @ y) / 10.0) < 1e-12
-
-    def test_lasso_loss_hand_computed_penalty(self, rng):
-        design = make_design(rng, 10, 3)
-        y = rng.normal(size=10)
-        report = lasso_loss(
-            design,
-            np.array([0.0, 2.0, 4.0, 0.0]),
-            np.array([1.0, -0.5, 0.25, 3.0]),
-            y,
-        )
-        assert report.penalty_term == 0.4  # (2/10) * (2*0.5 + 4*0.25)
-        assert report.lasso_loss == report.mse + report.penalty_term
-
     def test_negative_components_rejected(self):
         with pytest.raises(InvalidInputError):
             LossReport(mse=-1.0, penalty_term=0.0, lasso_loss=-1.0)
@@ -415,7 +399,7 @@ class TestLosses:
         with pytest.raises(InvalidInputError):
             mse(design, np.zeros(2), rng.normal(size=10))
         with pytest.raises(InvalidInputError):
-            lasso_loss(design, np.zeros(3), np.zeros(3), rng.normal(size=9))
+            kkt_violation(design, rng.normal(size=9), np.zeros(3), np.zeros(3))
 
 
 class TestSolverSettings:
