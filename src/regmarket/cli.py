@@ -31,58 +31,11 @@ from .experiments import (
 )
 from .market import clear_market
 from .market import verify_buyer_viability  # noqa: F401  (name patched by bench/tracer.py)
-from .regression import SolverSettings
-from .timeseries import LagSpec
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_VIABILITY = 4
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="regmarket",
-        description="Clear and study a weighted-lasso regression market over lagged time-series features.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="scenario JSON file")
-    common.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    common.add_argument("--out", default=None, help="override the scenario output directory")
-    common.add_argument("--max-lag", type=int, default=None, help="override the maximum lag D")
-    common.add_argument("--window", type=int, default=None, help="override the training window T")
-    common.add_argument("--tolerance", type=float, default=None, help="override the solver tolerance")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("simulate", parents=[common], help="generate the synthetic series and write them as CSV")
-    sub.add_parser("clear", parents=[common], help="run a single market clearing")
-    sub.add_parser("compare-methods", parents=[common], help="fit OLS-self, OLS-all and the weighted lasso side by side")
-    sub.add_parser("sweep-u", parents=[common], help="one clearing per reservation level in the scenario's u_grid")
-    sub.add_parser("sweep-t", parents=[common], help="one clearing per training length in the scenario's t_grid")
-    sub.add_parser("grid-2", parents=[common], help="clear every reservation combination for two focal sellers")
-    ingest = sub.add_parser("ingest", parents=[common], help="validate a zonal CSV and report ingestion statistics")
-    ingest.add_argument("--write-clean", action="store_true", help="also write the ingested data back out as CSV")
-    return parser
-
-
-def _apply_overrides(scenario, args):
-    if args.seed is not None:
-        scenario = scenario.with_seed(args.seed)
-    updates = {}
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if args.max_lag is not None or args.window is not None:
-        updates["lag_spec"] = LagSpec(
-            max_lag=args.max_lag if args.max_lag is not None else scenario.lag_spec.max_lag,
-            window_length=args.window if args.window is not None else scenario.lag_spec.window_length,
-        )
-    if args.tolerance is not None:
-        updates["solver"] = SolverSettings(
-            tolerance=args.tolerance, max_iterations=scenario.solver.max_iterations
-        )
-    if updates:
-        scenario = dataclasses.replace(scenario, **updates)
-    return scenario
 
 
 def _out_dir(scenario) -> Path:
@@ -91,7 +44,7 @@ def _out_dir(scenario) -> Path:
     return out
 
 
-def _cmd_simulate(scenario) -> int:
+def _cmd_simulate(scenario, args) -> int:
     if scenario.synthetic is None:
         raise InvalidInputError("simulate needs a synthetic data source")
     series = materialize_series(scenario)
@@ -106,7 +59,7 @@ def _cmd_simulate(scenario) -> int:
     return EXIT_OK
 
 
-def _cmd_clear(scenario) -> int:
+def _cmd_clear(scenario, args) -> int:
     series = materialize_series(scenario)
     config = scenario.market_config([s.agent_id for s in series])
     schedule = scenario.schedule(config.support_agents)
@@ -121,7 +74,7 @@ def _cmd_clear(scenario) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(scenario) -> int:
+def _cmd_compare(scenario, args) -> int:
     report = run_method_comparison(scenario)
     out = _out_dir(scenario) / "method_comparison.csv"
     write_rows(out, ("agent", "lag", "true", "ols_self", "ols_all", "lasso"), report.coefficient_rows)
@@ -129,7 +82,7 @@ def _cmd_compare(scenario) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep_u(scenario) -> int:
+def _cmd_sweep_u(scenario, args) -> int:
     report = run_u_sweep(scenario)
     out = _out_dir(scenario) / "u_sweep.csv"
     write_outcome_table(report.sweep_rows, out)
@@ -137,11 +90,11 @@ def _cmd_sweep_u(scenario) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep_t(scenario) -> int:
+def _cmd_sweep_t(scenario, args) -> int:
     report = run_T_sweep(scenario)
     out = _out_dir(scenario) / "t_sweep.csv"
     write_outcome_table(report.sweep_rows, out)
-    per_step = _out_dir(scenario) / "t_sweep_per_step.csv"
+    per_step = out.with_name("t_sweep_per_step.csv")
     write_rows(
         per_step,
         ("T", "agent", "payment", "payment_per_step", "buyer_net_gain"),
@@ -151,7 +104,7 @@ def _cmd_sweep_t(scenario) -> int:
     return EXIT_OK
 
 
-def _cmd_grid2(scenario) -> int:
+def _cmd_grid2(scenario, args) -> int:
     report = run_two_agent_grid(scenario)
     out = _out_dir(scenario) / "u_grid2.csv"
     write_outcome_table(report.sweep_rows, out)
@@ -163,7 +116,7 @@ def _cmd_grid2(scenario) -> int:
     return EXIT_OK
 
 
-def _cmd_ingest(scenario, write_clean: bool) -> int:
+def _cmd_ingest(scenario, args) -> int:
     if scenario.csv_path is None:
         raise InvalidInputError("ingest needs a csv data source")
     report = ingest_csv(
@@ -178,32 +131,59 @@ def _cmd_ingest(scenario, write_clean: bool) -> int:
     )
     for warning in report.warnings:
         print(f"warning: {warning}")
-    if write_clean:
+    if args.write_clean:
         out = _out_dir(scenario) / "ingested.csv"
         write_zonal_csv(dataset, out)
         print(f"wrote {out}")
     return EXIT_OK
 
 
+# Command name -> (handler, help), for the parser and for dispatch. Handlers
+# look the runners up here when called, so patching ``cli.run_*`` works.
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "generate the synthetic series and write them as CSV"),
+    "clear": (_cmd_clear, "run a single market clearing"),
+    "compare-methods": (_cmd_compare, "fit OLS-self, OLS-all and the weighted lasso side by side"),
+    "sweep-u": (_cmd_sweep_u, "one clearing per reservation level in the scenario's u_grid"),
+    "sweep-t": (_cmd_sweep_t, "one clearing per training length in the scenario's t_grid"),
+    "grid-2": (_cmd_grid2, "clear every reservation combination for two focal sellers"),
+    "ingest": (_cmd_ingest, "validate a zonal CSV and report ingestion statistics"),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="regmarket",
+        description="Clear and study a weighted-lasso regression market over lagged time-series features.",
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="scenario JSON file")
+    common.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    common.add_argument("--out", default=None, help="override the scenario output directory")
+    sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {
+        name: sub.add_parser(name, parents=[common], help=text)
+        for name, (_, text) in _COMMANDS.items()
+    }
+    parsers["ingest"].add_argument(
+        "--write-clean", action="store_true", help="also write the ingested data back out as CSV"
+    )
+    return parser
+
+
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    handler, _ = _COMMANDS[args.command]
     try:
-        scenario = _apply_overrides(load_scenario(args.config), args)
-        if args.command == "simulate":
-            return _cmd_simulate(scenario)
-        if args.command == "clear":
-            return _cmd_clear(scenario)
-        if args.command == "compare-methods":
-            return _cmd_compare(scenario)
-        if args.command == "sweep-u":
-            return _cmd_sweep_u(scenario)
-        if args.command == "sweep-t":
-            return _cmd_sweep_t(scenario)
-        if args.command == "grid-2":
-            return _cmd_grid2(scenario)
-        if args.command == "ingest":
-            return _cmd_ingest(scenario, args.write_clean)
-        raise InvalidInputError(f"unknown command {args.command!r}")
+        scenario = load_scenario(args.config)
+        if args.seed is not None:
+            scenario = scenario.with_seed(args.seed)
+        if args.out is not None:
+            scenario = dataclasses.replace(scenario, out_dir=args.out)
+        return handler(scenario, args)
     except (InvalidInputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -634,10 +634,12 @@ def load_scenario(path) -> ScenarioConfig:
     Every rejection is an :class:`InvalidInputError`; a value of the wrong
     type or form (``"max_lag": "x"``) is reported with the file it came from.
     Integer settings (seed, lags, window, window start, iteration cap, T
-    grid) take integral numbers: ``2`` and ``2.0`` read as 2, while ``2.5``
-    or ``true`` is rejected with the key it was given for. Real settings
-    (reservations, grids, ``others_u``, tolerance) reject ``true`` and
-    ``false`` the same way.
+    grid, ``n_independent``) take integral numbers: ``2`` and ``2.0`` read
+    as 2, while ``2.5`` or ``true`` is rejected with the key it was given
+    for. Real settings (reservations, grids, ``others_u``, tolerance, the
+    synthetic generator's coefficients and noise levels) reject ``true`` and
+    ``false`` the same way. ``data.path`` must be a string and
+    ``data.schema`` an object of strings.
     """
     path = Path(path)
     try:
@@ -670,17 +672,31 @@ def _parse_scenario(raw, path: Path) -> ScenarioConfig:
     csv_fields = {}
     if data["type"] == "synthetic":
         _require_keys(data, allowed=("type",) + _DATA_KEYS["synthetic"], required=("type",), context="data")
-        spec_kwargs = {k: data[k] for k in _DATA_KEYS["synthetic"] if k in data}
-        for key in ("ar_coefficients", "noise_std", "cross_coefficients"):
-            if key in spec_kwargs:
-                spec_kwargs[key] = tuple(spec_kwargs[key])
+        spec_kwargs = {}
+        for key in _DATA_KEYS["synthetic"]:
+            if key not in data:
+                continue
+            name = f"data.{key}"
+            if key == "n_independent":
+                spec_kwargs[key] = _integer(data[key], name)
+            elif key in ("ar_coefficients", "noise_std", "cross_coefficients"):
+                spec_kwargs[key] = tuple(_real(v, name) for v in data[key])
+            else:
+                spec_kwargs[key] = _real(data[key], name)
         synthetic = SyntheticSpec(seed=seed, **spec_kwargs)
     elif data["type"] == "csv":
         _require_keys(data, allowed=("type",) + _DATA_KEYS["csv"], required=("type", "path"), context="data")
         start = data.get("window_start")
+        schema = data.get("schema")
+        if not isinstance(data["path"], str):
+            raise ValueError(f"data.path must be a string, got {data['path']!r}")
+        if schema is not None and not (  # JSON object keys are always strings
+            isinstance(schema, dict) and all(isinstance(v, str) for v in schema.values())
+        ):
+            raise ValueError(f"data.schema must map column names to zone names, got {schema!r}")
         csv_fields = {
             "csv_path": data["path"],
-            "csv_schema": data.get("schema"),
+            "csv_schema": schema,
             "csv_normalization": data.get("normalization", "none"),
             "csv_window_start": None if start is None else _integer(start, "data.window_start"),
         }

@@ -145,8 +145,8 @@ class SolverSettings:
     max_iterations: int = 10_000
 
     def __post_init__(self):
-        if not (self.tolerance > 0):
-            raise InvalidInputError("tolerance must be positive")
+        if not 0 < self.tolerance < np.inf:
+            raise InvalidInputError(f"tolerance must be positive and finite, got {self.tolerance!r}")
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be at least 1")
 

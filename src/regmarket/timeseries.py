@@ -97,6 +97,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n_independent < 1:
             raise InvalidInputError("need at least one independent agent")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
         for name in ("ar_coefficients", "noise_std", "cross_coefficients"):
             entries = tuple(getattr(self, name))
             if len(entries) != self.n_independent:

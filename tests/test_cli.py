@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+from regmarket import cli
 from regmarket.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_VIABILITY, main
 from regmarket.errors import ViabilityError
 
@@ -140,15 +142,41 @@ class TestSubcommands:
     def test_flag_overrides(self, tmp_path):
         config = write_scenario(tmp_path)
         out = tmp_path / "elsewhere"
-        result = run_cli(
-            "clear", "--config", str(config), "--out", str(out),
-            "--window", "90", "--seed", "9", "--max-lag", "1", "--tolerance", "1e-9",
-        )
+        result = run_cli("clear", "--config", str(config), "--out", str(out), "--seed", "9")
         assert result.returncode == EXIT_OK, result.stderr
         table = out / "clearing.csv"
         assert table.exists()
         data = table.read_text(encoding="utf-8").splitlines()[2:]
-        assert len(data) == 4 + 1  # max lag overridden to 1: one row per seller
+        assert len(data) == 4 * 2 + 1  # the scenario's max lag 2: two rows per seller
+        # The scenario alone sets the market: the window flag is gone.
+        result = run_cli("clear", "--config", str(config), "--window", "90")
+        assert result.returncode == EXIT_INPUT
+        assert "unrecognized arguments: --window 90" in result.stderr
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_help_exits_0(self, name, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main([name, "--help"])
+        assert stop.value.code == EXIT_OK
+        usage = capsys.readouterr().out
+        assert all(flag in usage for flag in ("--config", "--seed", "--out"))
+        assert "--window" not in usage
+
+    def test_parser_is_built_once(self, tmp_path, monkeypatch):
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(args)
+            original(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        config = write_scenario(tmp_path)
+        for _ in range(2):
+            assert main(["simulate", "--config", str(config)]) == EXIT_OK
+        assert built == []
 
 
 class TestDeterminism:
@@ -209,6 +237,17 @@ class TestExitCodes:
             (("reservations",), {"entries": [["DK2", 1.5, 0.1]]}, "reservations.entries lag"),
             (("data", "window_start"), "abc", "data.window_start"),
             (("data", "window_start"), 17689446.5, "data.window_start"),
+            (
+                ("data",),
+                {
+                    "type": "synthetic",
+                    "n_independent": True,  # one seller, as the lists below have one entry
+                    "ar_coefficients": [0.5],
+                    "noise_std": [1.0],
+                    "cross_coefficients": [0.3],
+                },
+                "data.n_independent",
+            ),
         ],
         ids=[
             "fractional-seed",
@@ -220,6 +259,7 @@ class TestExitCodes:
             "fractional-entry-lag",
             "text-window-start",
             "fractional-window-start",
+            "bool-n-independent",
         ],
     )
     def test_non_integer_exits_2_naming_the_key(self, tmp_path, capsys, where, value, key):
@@ -234,11 +274,51 @@ class TestExitCodes:
             (("reservations",), {"uniform_u": True}, "reservations.uniform_u"),
             (("reservations",), {"entries": [["DK2", 1, True]]}, "reservations.entries u"),
             (("market", "tolerance"), True, "market.tolerance"),
+            (("data",), {"type": "synthetic", "dependent_phi": False}, "data.dependent_phi"),
+            (("data",), {"type": "synthetic", "noise_std": [True, 1.0, 1.0, 1.0]}, "data.noise_std"),
         ],
-        ids=["bool-u-grid", "bool-grid2-grid", "bool-others-u", "bool-uniform-u", "bool-entry-u", "bool-tolerance"],
+        ids=[
+            "bool-u-grid",
+            "bool-grid2-grid",
+            "bool-others-u",
+            "bool-uniform-u",
+            "bool-entry-u",
+            "bool-tolerance",
+            "bool-dependent-phi",
+            "bool-noise-std-entry",
+        ],
     )
     def test_boolean_real_exits_2_naming_the_key(self, tmp_path, capsys, where, value, key):
         self.assert_clear_exits_2_naming(tmp_path, capsys, where, value, key)
+
+    @pytest.mark.parametrize(
+        ("where", "value", "key"),
+        [
+            (("data", "path"), 5, "data.path"),
+            (("data", "schema"), 5, "data.schema"),
+            (("data", "schema"), {"DK1": ["a"]}, "data.schema"),
+        ],
+        ids=["number-path", "number-schema", "list-zone-name"],
+    )
+    def test_bad_csv_source_exits_2_naming_the_key(self, tmp_path, capsys, where, value, key):
+        self.assert_clear_exits_2_naming(tmp_path, capsys, where, value, key)
+
+    @pytest.mark.parametrize(
+        ("flags", "seed"), [(["--seed", "-1"], 5), ([], -3)], ids=["seed-flag", "scenario-seed"]
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, flags, seed):
+        config = write_scenario(tmp_path, seed=seed)
+        assert main(["clear", "--config", str(config), *flags]) == EXIT_INPUT
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "results" / "clearing.csv").exists()
+
+    def test_infinite_tolerance_exits_2(self, tmp_path, capsys):
+        market = {"central_agent": "P1", "max_lag": 2, "window": 120, "tolerance": float("inf")}
+        config = write_scenario(tmp_path, market=market)
+        assert "Infinity" in config.read_text(encoding="utf-8")
+        assert main(["clear", "--config", str(config)]) == EXIT_INPUT
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "results" / "clearing.csv").exists()
 
     @staticmethod
     def assert_clear_exits_2_naming(tmp_path, capsys, where, value, key):

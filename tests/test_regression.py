@@ -406,5 +406,7 @@ class TestSolverSettings:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             SolverSettings(tolerance=0.0)
+        with pytest.raises(InvalidInputError, match="finite"):
+            SolverSettings(tolerance=float("inf"))
         with pytest.raises(InvalidInputError):
             SolverSettings(max_iterations=0)
