@@ -12,7 +12,6 @@ baseline loss.
 from .errors import ConvergenceError, InvalidInputError, ViabilityError
 from .regression import (
     DesignMatrix,
-    LossReport,
     SolverSettings,
     kkt_violation,
     mse,

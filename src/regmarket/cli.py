@@ -38,12 +38,6 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_VIABILITY = 4
 
 
-def _out_dir(scenario) -> Path:
-    out = Path(scenario.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _cmd_simulate(scenario, args) -> int:
     if scenario.synthetic is None:
         raise InvalidInputError("simulate needs a synthetic data source")
@@ -53,7 +47,7 @@ def _cmd_simulate(scenario, args) -> int:
         timestamps=range(series[0].values.shape[0]),
         values=np.column_stack([s.values for s in series]),
     )
-    out = _out_dir(scenario) / "series.csv"
+    out = Path(scenario.out_dir) / "series.csv"
     write_zonal_csv(dataset, out)
     print(f"wrote {len(series)} agent series of {series[0].values.shape[0]} hours to {out}")
     return EXIT_OK
@@ -64,10 +58,10 @@ def _cmd_clear(scenario, args) -> int:
     config = scenario.market_config([s.agent_id for s in series])
     schedule = scenario.schedule(config.support_agents)
     outcome = clear_market(config, series, schedule)
-    out = _out_dir(scenario) / "clearing.csv"
+    out = Path(scenario.out_dir) / "clearing.csv"
     write_outcome_table([("clearing", "", outcome)], out)
     print(
-        f"baseline mse {outcome.baseline_loss.mse:.6g}, market mse {outcome.market_loss.mse:.6g}, "
+        f"baseline mse {outcome.baseline_mse:.6g}, market mse {outcome.market_mse:.6g}, "
         f"payments {outcome.total_payments:.6g}, buyer net gain {outcome.buyer_net_gain:.6g}"
     )
     print(f"wrote {out}")
@@ -76,7 +70,7 @@ def _cmd_clear(scenario, args) -> int:
 
 def _cmd_compare(scenario, args) -> int:
     report = run_method_comparison(scenario)
-    out = _out_dir(scenario) / "method_comparison.csv"
+    out = Path(scenario.out_dir) / "method_comparison.csv"
     write_rows(out, ("agent", "lag", "true", "ols_self", "ols_all", "lasso"), report.coefficient_rows)
     print(f"wrote coefficient comparison for {len(report.coefficient_rows)} features to {out}")
     return EXIT_OK
@@ -84,7 +78,7 @@ def _cmd_compare(scenario, args) -> int:
 
 def _cmd_sweep_u(scenario, args) -> int:
     report = run_u_sweep(scenario)
-    out = _out_dir(scenario) / "u_sweep.csv"
+    out = Path(scenario.out_dir) / "u_sweep.csv"
     write_outcome_table(report.sweep_rows, out)
     print(f"wrote {len(report.sweep_rows)} clearings to {out}")
     return EXIT_OK
@@ -92,7 +86,7 @@ def _cmd_sweep_u(scenario, args) -> int:
 
 def _cmd_sweep_t(scenario, args) -> int:
     report = run_T_sweep(scenario)
-    out = _out_dir(scenario) / "t_sweep.csv"
+    out = Path(scenario.out_dir) / "t_sweep.csv"
     write_outcome_table(report.sweep_rows, out)
     per_step = out.with_name("t_sweep_per_step.csv")
     write_rows(
@@ -106,7 +100,7 @@ def _cmd_sweep_t(scenario, args) -> int:
 
 def _cmd_grid2(scenario, args) -> int:
     report = run_two_agent_grid(scenario)
-    out = _out_dir(scenario) / "u_grid2.csv"
+    out = Path(scenario.out_dir) / "u_grid2.csv"
     write_outcome_table(report.sweep_rows, out)
     print(
         f"wrote {len(report.sweep_rows)} clearings to {out} "
@@ -132,7 +126,7 @@ def _cmd_ingest(scenario, args) -> int:
     for warning in report.warnings:
         print(f"warning: {warning}")
     if args.write_clean:
-        out = _out_dir(scenario) / "ingested.csv"
+        out = Path(scenario.out_dir) / "ingested.csv"
         write_zonal_csv(dataset, out)
         print(f"wrote {out}")
     return EXIT_OK

@@ -416,13 +416,24 @@ def _format_cell(value) -> str:
     return repr(float(value))
 
 
+def _write_csv(path, header, rows, columns_comment: bool = False) -> None:
+    """Write ``header`` and the cell lists ``rows`` as CSV, creating the parent directory.
+
+    With ``columns_comment``, a leading ``# columns:`` line repeats the header.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        if columns_comment:
+            handle.write("# columns: " + ",".join(header) + "\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_rows(path, fieldnames, rows) -> None:
     """Write dict rows as CSV under a ``fieldnames`` header; missing cells stay empty."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_format_cell(row.get(name)) for name in fieldnames])
+    _write_csv(path, fieldnames, ([_format_cell(row.get(name)) for name in fieldnames] for row in rows))
 
 
 def write_outcome_table(outcomes, path) -> None:
@@ -430,48 +441,21 @@ def write_outcome_table(outcomes, path) -> None:
 
     ``outcomes`` is a sequence of ``(sweep_param, sweep_value, MarketOutcome)``.
     Feature rows carry the agent, lag, cleared coefficient, reservation and
-    payment; the buyer row carries the total payment, both losses and the
+    payment; the buyer row carries the total payment, both MSEs and the
     buyer's net gain. The column order is fixed and documented in a leading
     comment line.
     """
-    outcomes = list(outcomes)
-    if not outcomes:
+    rows = []
+    for sweep_param, sweep_value, outcome in outcomes:
+        point = (_format_cell(sweep_param), _format_cell(sweep_value))
+        for record in outcome.payments:
+            cells = map(_format_cell, (record.coefficient, record.reservation, record.amount))
+            rows.append([*point, record.agent_id, record.lag, *cells, "", "", ""])
+        totals = (outcome.total_payments, outcome.baseline_mse, outcome.market_mse, outcome.buyer_net_gain)
+        rows.append([*point, outcome.config.central_agent, "", "", "", *map(_format_cell, totals)])
+    if not rows:
         raise InvalidInputError("no outcomes to write")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("# columns: " + ",".join(OUTCOME_COLUMNS) + "\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(OUTCOME_COLUMNS)
-        for sweep_param, sweep_value, outcome in outcomes:
-            point = (_format_cell(sweep_param), _format_cell(sweep_value))
-            for record in outcome.payments:
-                writer.writerow(
-                    [
-                        *point,
-                        record.agent_id,
-                        record.lag,
-                        _format_cell(record.coefficient),
-                        _format_cell(record.reservation),
-                        _format_cell(record.amount),
-                        "",
-                        "",
-                        "",
-                    ]
-                )
-            writer.writerow(
-                [
-                    *point,
-                    outcome.config.central_agent,
-                    "",
-                    "",
-                    "",
-                    _format_cell(outcome.total_payments),
-                    _format_cell(outcome.baseline_loss.mse),
-                    _format_cell(outcome.market_loss.mse),
-                    _format_cell(outcome.buyer_net_gain),
-                ]
-            )
+    _write_csv(path, OUTCOME_COLUMNS, rows, columns_comment=True)
 
 
 def write_zonal_csv(dataset: ZonalDataset, path) -> None:
@@ -480,13 +464,8 @@ def write_zonal_csv(dataset: ZonalDataset, path) -> None:
     The timestamp column is the dataset's hour index, so gaps left by
     dropped rows survive a round trip.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([_TIMESTAMP, *dataset.zones])
-        for hour, row in zip(dataset.timestamps.tolist(), dataset.values.tolist()):
-            writer.writerow([hour, *map(repr, row)])
+    rows = zip(dataset.timestamps.tolist(), dataset.values.tolist())
+    _write_csv(path, [_TIMESTAMP, *dataset.zones], ([hour, *map(repr, row)] for hour, row in rows))
 
 
 @dataclass(frozen=True)
@@ -519,13 +498,16 @@ def _integer(value, key: str) -> int:
 
 
 def _real(value, key: str) -> float:
-    """``value`` as a float; a bool is a ValueError naming ``key``."""
+    """``value`` as a finite float; a bool, NaN or infinity is a ValueError naming ``key``."""
     if isinstance(value, bool):
         raise ValueError(f"{key} must be a number, got {value!r}")
     try:
-        return float(value)
+        real = float(value)
     except (TypeError, ValueError) as err:
         raise ValueError(f"{key}: {err}") from None
+    if not np.isfinite(real):
+        raise ValueError(f"{key} must be finite, got {real!r}")
+    return real
 
 
 def _checked_grid(grid, name, integer: bool = False):
@@ -559,7 +541,6 @@ class ScenarioConfig:
     t_grid: tuple | None = None
     grid2: TwoAgentGrid | None = None
     out_dir: str = "results"
-    seed: int = 0
 
     def __post_init__(self):
         if (self.synthetic is None) == (self.csv_path is None):
@@ -583,10 +564,10 @@ class ScenarioConfig:
             object.__setattr__(self, "t_grid", grid)
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
-        synthetic = (
-            dataclasses.replace(self.synthetic, seed=seed) if self.synthetic else None
-        )
-        return dataclasses.replace(self, seed=seed, synthetic=synthetic)
+        """Copy whose synthetic generator uses ``seed``; a CSV scenario is unchanged."""
+        if self.synthetic is None:
+            return self
+        return dataclasses.replace(self, synthetic=dataclasses.replace(self.synthetic, seed=seed))
 
     def schedule(self, support_agents) -> ReservationSchedule:
         """The scenario's reservation schedule over the given support agents."""
@@ -637,9 +618,9 @@ def load_scenario(path) -> ScenarioConfig:
     grid, ``n_independent``) take integral numbers: ``2`` and ``2.0`` read
     as 2, while ``2.5`` or ``true`` is rejected with the key it was given
     for. Real settings (reservations, grids, ``others_u``, tolerance, the
-    synthetic generator's coefficients and noise levels) reject ``true`` and
-    ``false`` the same way. ``data.path`` must be a string and
-    ``data.schema`` an object of strings.
+    synthetic generator's coefficients and noise levels) reject ``true``,
+    ``false``, ``NaN`` and ``Infinity`` the same way. ``data.path`` must be
+    a string and ``data.schema`` an object of strings.
     """
     path = Path(path)
     try:
@@ -773,7 +754,6 @@ def _parse_scenario(raw, path: Path) -> ScenarioConfig:
         t_grid=t_grid,
         grid2=grid2,
         out_dir=str(raw.get("out_dir", "results")),
-        seed=seed,
         **csv_fields,
     )
 

@@ -37,7 +37,6 @@ __all__ = [
 class ExperimentReport:
     """Results of one experiment: raw clearings plus tabulated views."""
 
-    scenario_id: str
     sweep_rows: list = field(default_factory=list)  # (param, value, MarketOutcome)
     coefficient_rows: list | None = None
     derived_rows: list = field(default_factory=list)
@@ -114,11 +113,7 @@ def run_method_comparison(scenario: ScenarioConfig) -> ExperimentReport:
                 "lasso": float(outcome.market_beta[j]),
             }
         )
-    return ExperimentReport(
-        scenario_id=scenario.scenario_id,
-        sweep_rows=[("clearing", "", outcome)],
-        coefficient_rows=rows,
-    )
+    return ExperimentReport(sweep_rows=[("clearing", "", outcome)], coefficient_rows=rows)
 
 
 def run_u_sweep(scenario: ScenarioConfig) -> ExperimentReport:
@@ -131,7 +126,7 @@ def run_u_sweep(scenario: ScenarioConfig) -> ExperimentReport:
     market = _prepare(scenario)
     config = market.config
 
-    report = ExperimentReport(scenario_id=scenario.scenario_id)
+    report = ExperimentReport()
     for u in scenario.u_grid:
         schedule = ReservationSchedule.uniform(config.support_agents, config.lag_spec.max_lag, u)
         report.sweep_rows.append(("u", u, market.clear(schedule)))
@@ -156,7 +151,7 @@ def run_T_sweep(scenario: ScenarioConfig) -> ExperimentReport:
     config = market.config
     schedule = scenario.schedule(config.support_agents)
 
-    report = ExperimentReport(scenario_id=scenario.scenario_id)
+    report = ExperimentReport()
     for T in grid:
         outcome = market.window(T).clear(schedule)
         report.sweep_rows.append(("T", T, outcome))
@@ -201,7 +196,7 @@ def run_two_agent_grid(scenario: ScenarioConfig) -> ExperimentReport:
     max_lag = config.lag_spec.max_lag
     base = ReservationSchedule.uniform(config.support_agents, max_lag, grid.others_u)
 
-    report = ExperimentReport(scenario_id=scenario.scenario_id)
+    report = ExperimentReport()
     for ua in grid.u_grid_a:
         for ub in grid.u_grid_b:
             schedule = base.replacing(agent_a, max_lag, ua).replacing(agent_b, max_lag, ub)

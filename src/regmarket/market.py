@@ -20,7 +20,6 @@ import numpy as np
 from .errors import InvalidInputError, ViabilityError
 from .regression import (
     DesignMatrix,
-    LossReport,
     SolverSettings,
     mse,
     ols_fit,
@@ -132,24 +131,25 @@ class ViabilityCheck:
 
 @dataclass(frozen=True)
 class MarketOutcome:
-    """Everything a clearing produced, plus the raw inputs needed to audit it."""
+    """Everything a clearing produced, plus the raw inputs needed to audit it.
+
+    ``total_payments`` is the sum of the payment records' amounts, which is
+    also the fitted lasso penalty term; ``buyer_net_gain`` is
+    ``baseline_mse - market_mse - total_payments``.
+    """
 
     config: MarketConfig
     baseline_beta: np.ndarray
     market_beta: np.ndarray
-    baseline_loss: LossReport
-    market_loss: LossReport
+    baseline_mse: float
+    market_mse: float
     payments: tuple
+    total_payments: float
     buyer_net_gain: float
     design_self: DesignMatrix
     design_all: DesignMatrix
     target: np.ndarray
     penalties: np.ndarray
-    reservations: ReservationSchedule
-
-    @property
-    def total_payments(self) -> float:
-        return sum(record.amount for record in self.payments)
 
 
 def penalties_from_reservations(
@@ -227,8 +227,7 @@ class PreparedMarket:
         self.target = target
         self.design_self = design_self
         self.baseline_beta = ols_fit(design_self, target)
-        baseline_mse = mse(design_self, self.baseline_beta, target)
-        self.baseline_loss = LossReport(mse=baseline_mse, penalty_term=0.0, lasso_loss=baseline_mse)
+        self.baseline_mse = mse(design_self, self.baseline_beta, target)
         self.design_all = design_all
         # (agent, lag, column) per seller feature, in payment-record order.
         self.seller_columns = tuple(
@@ -279,26 +278,22 @@ class PreparedMarket:
             payments.append(
                 PaymentRecord(agent, lag, coefficient, reservation, abs(reservation * coefficient))
             )
-        total_payments = sum(record.amount for record in payments)
+        total_payments = sum((record.amount for record in payments), 0.0)
 
         market_mse = mse(self.design_all, market_beta, self.target)
         outcome = MarketOutcome(
             config=self.config,
             baseline_beta=self.baseline_beta,
             market_beta=market_beta,
-            baseline_loss=self.baseline_loss,
-            market_loss=LossReport(
-                mse=market_mse,
-                penalty_term=total_payments,
-                lasso_loss=market_mse + total_payments,
-            ),
+            baseline_mse=self.baseline_mse,
+            market_mse=market_mse,
             payments=tuple(payments),
-            buyer_net_gain=self.baseline_loss.mse - market_mse - total_payments,
+            total_payments=total_payments,
+            buyer_net_gain=self.baseline_mse - market_mse - total_payments,
             design_self=self.design_self,
             design_all=self.design_all,
             target=self.target,
             penalties=penalties,
-            reservations=reservations,
         )
         check = verify_buyer_viability(outcome)
         if not check.holds:
@@ -328,9 +323,10 @@ def verify_buyer_viability(outcome: MarketOutcome, tolerance: float = VIABILITY_
     """Re-check buyer viability from the outcome's raw matrices.
 
     Both squared-error sides are recomputed from the stored designs, targets
-    and coefficient vectors rather than trusting the cached loss reports;
-    payments are taken from the payment records. Returns the inequality
-    verdict with both sides and their gap, never raising.
+    and coefficient vectors rather than trusting the stored MSEs; payments
+    are summed from the payment records, not read from ``total_payments``.
+    Returns the inequality verdict with both sides and their gap, never
+    raising.
     """
     market_mse = mse(outcome.design_all, outcome.market_beta, outcome.target)
     baseline_mse = mse(outcome.design_self, outcome.baseline_beta, outcome.target)

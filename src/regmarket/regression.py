@@ -36,7 +36,6 @@ from .errors import ConvergenceError, InvalidInputError
 
 __all__ = [
     "DesignMatrix",
-    "LossReport",
     "SolverSettings",
     "ols_fit",
     "weighted_lasso_fit",
@@ -114,21 +113,6 @@ class DesignMatrix:
         for j, entry in enumerate(self.column_map):
             if entry is not None:
                 yield j, entry[0], entry[1]
-
-
-@dataclass(frozen=True)
-class LossReport:
-    """Per-time-step squared-error loss, penalty term, and their sum."""
-
-    mse: float
-    penalty_term: float
-    lasso_loss: float
-
-    def __post_init__(self):
-        if self.mse < 0 or self.penalty_term < 0:
-            raise InvalidInputError("loss components must be nonnegative")
-        if self.lasso_loss != self.mse + self.penalty_term:
-            raise InvalidInputError("lasso_loss must equal mse + penalty_term")
 
 
 @dataclass(frozen=True)

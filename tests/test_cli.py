@@ -294,6 +294,32 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         ("where", "value", "key"),
         [
+            (("sweeps", "u_grid"), [0.0, float("inf")], "u_grid"),
+            (("sweeps", "grid2"), {"agent_a": "DK2", "agent_b": "DK3", "u_grid_a": [0.1], "u_grid_b": [float("nan")]}, "u_grid_b"),
+            (("sweeps", "grid2"), {"agent_a": "DK2", "agent_b": "DK3", "u_grid_a": [0.1], "u_grid_b": [0.1], "others_u": float("nan")}, "sweeps.grid2.others_u"),
+            (("reservations",), {"uniform_u": float("inf")}, "reservations.uniform_u"),
+            (("reservations",), {"entries": [["DK2", 1, float("nan")]]}, "reservations.entries u"),
+            (("data",), {"type": "synthetic", "dependent_phi": float("-inf")}, "data.dependent_phi"),
+            (("data",), {"type": "synthetic", "noise_std": [1.0, 1.0, 1.0, float("inf")]}, "data.noise_std"),
+            (("data",), {"type": "synthetic", "cross_coefficients": [0.4, 0.3, 0.2, float("nan")]}, "data.cross_coefficients"),
+        ],
+        ids=[
+            "inf-u-grid",
+            "nan-grid2-grid",
+            "nan-others-u",
+            "inf-uniform-u",
+            "nan-entry-u",
+            "inf-dependent-phi",
+            "inf-noise-std-entry",
+            "nan-cross-coefficient",
+        ],
+    )
+    def test_non_finite_real_exits_2_naming_the_key(self, tmp_path, capsys, where, value, key):
+        self.assert_clear_exits_2_naming(tmp_path, capsys, where, value, key)
+
+    @pytest.mark.parametrize(
+        ("where", "value", "key"),
+        [
             (("data", "path"), 5, "data.path"),
             (("data", "schema"), 5, "data.schema"),
             (("data", "schema"), {"DK1": ["a"]}, "data.schema"),
@@ -317,7 +343,7 @@ class TestExitCodes:
         config = write_scenario(tmp_path, market=market)
         assert "Infinity" in config.read_text(encoding="utf-8")
         assert main(["clear", "--config", str(config)]) == EXIT_INPUT
-        assert "tolerance must be positive and finite" in capsys.readouterr().err
+        assert "invalid value (market.tolerance must be finite, got inf)" in capsys.readouterr().err
         assert not (tmp_path / "results" / "clearing.csv").exists()
 
     @staticmethod

@@ -14,6 +14,8 @@ from regmarket import (
     InvalidInputError,
     LagSpec,
     MarketConfig,
+    MarketOutcome,
+    PaymentRecord,
     ReservationSchedule,
     SyntheticSpec,
     build_lag_matrix,
@@ -25,7 +27,7 @@ from regmarket import (
     write_outcome_table,
 )
 from regmarket import data_io
-from regmarket.data_io import ScenarioConfig, TwoAgentGrid
+from regmarket.data_io import ScenarioConfig, TwoAgentGrid, ZonalDataset, write_rows, write_zonal_csv
 
 ZONES = ("DK1", "DK2", "SE1")
 
@@ -576,13 +578,69 @@ class TestWriteOutcomeTable:
         buyer = path.read_text(encoding="utf-8").splitlines()[-1].split(",")
         assert buyer[2] == "P1"
         assert float(buyer[6]) == outcome.total_payments
-        assert float(buyer[7]) == outcome.baseline_loss.mse
-        assert float(buyer[8]) == outcome.market_loss.mse
+        assert float(buyer[7]) == outcome.baseline_mse
+        assert float(buyer[8]) == outcome.market_mse
         assert float(buyer[9]) == outcome.buyer_net_gain
 
     def test_empty_list_rejected(self, tmp_path):
         with pytest.raises(InvalidInputError):
             write_outcome_table([], tmp_path / "out.csv")
+
+    def test_bytes_of_a_hand_built_outcome(self, tmp_path):
+        config = MarketConfig("P1", ("P2",), LagSpec(max_lag=2, window_length=10))
+        outcome = MarketOutcome(
+            config=config,
+            baseline_beta=None,
+            market_beta=None,
+            baseline_mse=1.5,
+            market_mse=0.1 + 0.2,
+            payments=(
+                PaymentRecord("P2", 1, -0.25, 0.1, 0.025),
+                PaymentRecord("P2", 2, 0.0, 1e-05, 0.0),
+            ),
+            total_payments=0.025,
+            buyer_net_gain=1.175,
+            design_self=None,
+            design_all=None,
+            target=None,
+            penalties=None,
+        )
+        path = tmp_path / "out.csv"
+        write_outcome_table([("T", 240, outcome), ("clearing", "", outcome)], path)
+        columns = "sweep_param,sweep_value,agent,lag,coefficient,reservation,payment,baseline_mse,market_mse,buyer_net_gain"
+        assert path.read_bytes().decode("utf-8") == (
+            f"# columns: {columns}\n"
+            f"{columns}\n"
+            "T,240,P2,1,-0.25,0.1,0.025,,,\n"
+            "T,240,P2,2,0.0,1e-05,0.0,,,\n"
+            "T,240,P1,,,,0.025,1.5,0.30000000000000004,1.175\n"
+            "clearing,,P2,1,-0.25,0.1,0.025,,,\n"
+            "clearing,,P2,2,0.0,1e-05,0.0,,,\n"
+            "clearing,,P1,,,,0.025,1.5,0.30000000000000004,1.175\n"
+        )
+
+
+class TestCsvWriters:
+    def test_zonal_csv_bytes_keep_the_hour_gap(self, tmp_path):
+        dataset = ZonalDataset(
+            zones=("DK1", "DK2"),
+            timestamps=[100, 101, 103],
+            values=[[0.5, -1.0], [1e-05, 2.0], [0.1 + 0.2, 3.0]],
+        )
+        path = tmp_path / "zones.csv"
+        write_zonal_csv(dataset, path)
+        assert path.read_bytes().decode("utf-8") == (
+            "timestamp,DK1,DK2\n"
+            "100,0.5,-1.0\n"
+            "101,1e-05,2.0\n"
+            "103,0.30000000000000004,3.0\n"
+        )
+
+    def test_write_rows_creates_the_directory(self, tmp_path):
+        path = tmp_path / "missing" / "nested" / "rows.csv"
+        rows = [{"T": 240, "agent": "P2", "payment": 0.5}, {"T": 240, "agent": "P1"}]
+        write_rows(path, ("T", "agent", "payment"), rows)
+        assert path.read_bytes().decode("utf-8") == "T,agent,payment\n240,P2,0.5\n240,P1,\n"
 
 
 SCENARIO = {
@@ -638,7 +696,7 @@ class TestScenarioConfig:
         overrides = {"market.max_lag": 3.0, "market.window": 240.0, "sweeps.t_grid": [120.0, 240]}
         scenario = load_scenario(write_scenario(tmp_path, overrides=overrides, seed=3.0))
         assert scenario == expected
-        assert type(scenario.seed) is type(scenario.lag_spec.max_lag) is int
+        assert type(scenario.synthetic.seed) is type(scenario.lag_spec.max_lag) is int
 
     def test_explicit_reservations(self, tmp_path):
         path = write_scenario(
@@ -671,7 +729,6 @@ class TestScenarioConfig:
 
     def test_with_seed_reseeds_synthetic(self, tmp_path):
         scenario = load_scenario(write_scenario(tmp_path)).with_seed(99)
-        assert scenario.seed == 99
         assert scenario.synthetic.seed == 99
 
     def test_market_config_resolution(self, tmp_path):

@@ -141,8 +141,8 @@ class TestTSweep:
             assert outcome.config == config
             assert np.array_equal(outcome.baseline_beta, direct.baseline_beta)
             assert np.array_equal(outcome.market_beta, direct.market_beta)
-            assert outcome.baseline_loss == direct.baseline_loss
-            assert outcome.market_loss == direct.market_loss
+            assert outcome.baseline_mse == direct.baseline_mse
+            assert outcome.market_mse == direct.market_mse
             assert outcome.payments == direct.payments
             assert outcome.buyer_net_gain == direct.buyer_net_gain
         swept = run_u_sweep(sc).sweep_rows[0][2]

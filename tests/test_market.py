@@ -126,7 +126,7 @@ class TestClearMarket:
         )
         assert all(record.coefficient == 0.0 for record in outcome.payments)
         assert all(record.amount == 0.0 for record in outcome.payments)
-        assert outcome.market_loss.mse <= outcome.baseline_loss.mse + 1e-6
+        assert outcome.market_mse <= outcome.baseline_mse + 1e-6
         assert outcome.buyer_net_gain >= -1e-6
 
     def test_free_data_is_plain_ols_over_all_features(self):
@@ -135,7 +135,7 @@ class TestClearMarket:
             config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.0)
         )
         assert outcome.total_payments == 0.0
-        assert outcome.market_loss.mse <= outcome.baseline_loss.mse + 1e-6
+        assert outcome.market_mse <= outcome.baseline_mse + 1e-6
 
     def test_default_study_pays_lag_one_features(self):
         config, roster = default_market(seed=0)
@@ -154,8 +154,15 @@ class TestClearMarket:
     def test_payment_sum_equals_penalty_term_exactly(self):
         config, roster = default_market(seed=4)
         outcome = clear_market(config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.07))
-        assert outcome.market_loss.penalty_term == sum(r.amount for r in outcome.payments)
-        assert outcome.market_loss.lasso_loss == outcome.market_loss.mse + outcome.market_loss.penalty_term
+        assert outcome.total_payments == sum(r.amount for r in outcome.payments)
+        assert outcome.buyer_net_gain == outcome.baseline_mse - outcome.market_mse - outcome.total_payments
+
+    def test_market_without_sellers_pays_a_float_zero(self):
+        _, roster = default_market(seed=0)
+        config = MarketConfig("P1", (), LAG)
+        outcome = clear_market(config, roster, ReservationSchedule({}))
+        assert outcome.payments == ()
+        assert type(outcome.total_payments) is float and outcome.total_payments == 0.0
 
     def test_payment_zero_iff_coefficient_zero(self):
         config, roster = default_market(seed=5)
@@ -288,10 +295,8 @@ class TestScaleInvariance:
             [record.amount for record in reference.payments], rel=1e-9, abs=1e-12
         )
         assert reference.total_payments > 0.0
-        assert scaled.market_loss.mse / squared == pytest.approx(reference.market_loss.mse, rel=1e-9)
-        assert scaled.baseline_loss.mse / squared == pytest.approx(
-            reference.baseline_loss.mse, rel=1e-9
-        )
+        assert scaled.market_mse / squared == pytest.approx(reference.market_mse, rel=1e-9)
+        assert scaled.baseline_mse / squared == pytest.approx(reference.baseline_mse, rel=1e-9)
 
 
 FEATURES = tuple((agent, lag) for agent in SUPPORTS for lag in range(1, LAG.max_lag + 1))
@@ -302,7 +307,7 @@ reservation_prices = st.lists(
 
 def slack(outcome):
     """Solver-tolerance allowance, relative to the buyer's baseline loss."""
-    return 1e-12 * outcome.baseline_loss.mse
+    return 1e-12 * outcome.baseline_mse
 
 
 class TestMetamorphic:
@@ -353,7 +358,7 @@ class TestMetamorphic:
         permuted = dataclasses.replace(config, support_agents=tuple(order))
         first = clear_market(config, roster, schedule)
         second = clear_market(permuted, roster, schedule)
-        objective = lambda outcome: outcome.market_loss.mse + outcome.total_payments
+        objective = lambda outcome: outcome.market_mse + outcome.total_payments
         assert abs(objective(second) - objective(first)) <= slack(first)
 
 

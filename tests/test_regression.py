@@ -9,7 +9,6 @@ from regmarket import (
     DesignMatrix,
     InvalidInputError,
     LagSpec,
-    LossReport,
     SolverSettings,
     build_lag_matrix,
     kkt_violation,
@@ -389,10 +388,6 @@ class TestLosses:
             (y[t] - float(design.values[t] @ beta)) ** 2 for t in range(9)
         ) / 9.0
         assert abs(mse(design, beta, y) - direct) < 1e-12
-
-    def test_negative_components_rejected(self):
-        with pytest.raises(InvalidInputError):
-            LossReport(mse=-1.0, penalty_term=0.0, lasso_loss=-1.0)
 
     def test_dimension_mismatch_rejected(self, rng):
         design = make_design(rng, 10, 2)
