@@ -483,30 +483,35 @@ class TwoAgentGrid:
             raise InvalidInputError("two-agent grid needs two distinct agents")
         for name in ("u_grid_a", "u_grid_b"):
             object.__setattr__(self, name, _checked_grid(getattr(self, name), name))
+        object.__setattr__(self, "others_u", _real(self.others_u, "others_u"))
         if self.others_u < 0:
             raise InvalidInputError("others_u must be nonnegative")
 
 
+class _MalformedValue(InvalidInputError):
+    """A setting of the wrong type or form; :func:`load_scenario` adds the file."""
+
+
 def _integer(value, key: str) -> int:
-    """``value`` as an int; a bool or a non-integral number is a ValueError naming ``key``."""
+    """``value`` as an int; a bool or a non-integral number is rejected naming ``key``."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+        raise _MalformedValue(f"{key} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError) as err:
-        raise ValueError(f"{key}: {err}") from None
+        raise _MalformedValue(f"{key}: {err}") from None
 
 
 def _real(value, key: str) -> float:
-    """``value`` as a finite float; a bool, NaN or infinity is a ValueError naming ``key``."""
+    """``value`` as a finite float; a bool, NaN or infinity is rejected naming ``key``."""
     if isinstance(value, bool):
-        raise ValueError(f"{key} must be a number, got {value!r}")
+        raise _MalformedValue(f"{key} must be a number, got {value!r}")
     try:
         real = float(value)
     except (TypeError, ValueError) as err:
-        raise ValueError(f"{key}: {err}") from None
+        raise _MalformedValue(f"{key}: {err}") from None
     if not np.isfinite(real):
-        raise ValueError(f"{key} must be finite, got {real!r}")
+        raise _MalformedValue(f"{key} must be finite, got {real!r}")
     return real
 
 
@@ -551,8 +556,10 @@ class ScenarioConfig:
             raise InvalidInputError("give either uniform_u or explicit reservations")
         if self.uniform_u is None and self.reservations is None:
             object.__setattr__(self, "uniform_u", 0.1)
-        if self.uniform_u is not None and self.uniform_u < 0:
-            raise InvalidInputError("uniform_u must be nonnegative")
+        if self.uniform_u is not None:
+            object.__setattr__(self, "uniform_u", _real(self.uniform_u, "uniform_u"))
+            if self.uniform_u < 0:
+                raise InvalidInputError("uniform_u must be nonnegative")
         if self.support_agents is not None:
             object.__setattr__(self, "support_agents", tuple(self.support_agents))
         if self.u_grid is not None:
@@ -629,6 +636,8 @@ def load_scenario(path) -> ScenarioConfig:
         raise InvalidInputError(f"{path}: invalid JSON ({err})") from None
     try:
         return _parse_scenario(raw, path)
+    except _MalformedValue as err:
+        raise InvalidInputError(f"{path}: invalid value ({err})") from None
     except InvalidInputError:
         raise
     except (TypeError, ValueError) as err:

@@ -40,8 +40,9 @@ __all__ = [
     "verify_buyer_viability",
 ]
 
-# Slack allowed in the buyer-viability inequality; the inequality is exact at
-# an exact optimum, so this only absorbs finite solver tolerance.
+# Slack allowed in the buyer-viability inequality, as a fraction of the
+# buyer's baseline MSE; the inequality is exact at an exact optimum, so this
+# only absorbs finite solver tolerance.
 VIABILITY_TOLERANCE = 1e-6
 
 
@@ -119,7 +120,10 @@ class PaymentRecord:
 
 @dataclass(frozen=True)
 class ViabilityCheck:
-    """Recomputed buyer-viability inequality with both sides attached."""
+    """Recomputed buyer-viability inequality with both sides attached.
+
+    ``tolerance`` is the absolute slack the gap was held to.
+    """
 
     holds: bool
     market_mse: float
@@ -325,19 +329,24 @@ def verify_buyer_viability(outcome: MarketOutcome, tolerance: float = VIABILITY_
     Both squared-error sides are recomputed from the stored designs, targets
     and coefficient vectors rather than trusting the stored MSEs; payments
     are summed from the payment records, not read from ``total_payments``.
-    Returns the inequality verdict with both sides and their gap, never
-    raising.
+    The gap may reach ``tolerance`` times the baseline MSE, so the verdict
+    does not depend on the data's units; for a buyer whose own features fit
+    exactly, the baseline is floored at the rounding level of the target's
+    mean square. Returns the inequality verdict with both sides and their
+    gap, never raising.
     """
     market_mse = mse(outcome.design_all, outcome.market_beta, outcome.target)
     baseline_mse = mse(outcome.design_self, outcome.baseline_beta, outcome.target)
     total_payments = sum(record.amount for record in outcome.payments)
     market_side = market_mse + total_payments
     gap = market_side - baseline_mse
+    target = outcome.target
+    slack = tolerance * max(baseline_mse, float(np.finfo(float).eps * (target @ target)) / target.size)
     return ViabilityCheck(
-        holds=gap <= tolerance,
+        holds=gap <= slack,
         market_mse=market_mse,
         total_payments=total_payments,
         baseline_mse=baseline_mse,
         gap=gap,
-        tolerance=tolerance,
+        tolerance=slack,
     )

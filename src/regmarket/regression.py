@@ -17,8 +17,11 @@ Conventions used throughout the package:
 * The solver works on the Gram matrix G = X'X, which each design computes
   once and caches (:attr:`DesignMatrix.gram`), so repeated solves on one
   design pay for it once. Its cyclic coordinate descent updates the
-  residual correlation q = X'y - G b in O(P) per coordinate and every few
-  sweeps tries the exact solve on the current sign pattern.
+  residual correlation q = X'y - G b in O(P) per coordinate. After every
+  sweep that does not certify, an exact active-set step moves to the
+  minimizer on the current sign pattern: cut at the first penalized sign
+  crossing and retried on the smaller pattern, or, on collinear active
+  columns, moved through the null space of their Gram block.
 * ``SolverSettings.tolerance`` bounds the last sweep's largest coefficient
   change, in coefficient units, and the first-order optimality residual
   relative to the data's scale: at most tolerance * max(1, (2/T)||X'y||_inf).
@@ -215,44 +218,120 @@ def kkt_violation(X: DesignMatrix, y, penalties, beta) -> float:
     return _kkt_from_correlation(X.values.T @ residual, penalties, beta, X.n_rows)
 
 
-# Sweeps between attempts at the exact solve on the current sign pattern.
-_EXACT_STEP_EVERY = 5
-# A Cholesky pivot below this fraction of its column's squared norm marks the
-# active columns as numerically collinear; the exact step is then skipped.
+# A Cholesky pivot below this fraction of its column's squared norm, or an
+# eigenvalue below this fraction of the largest, marks the active columns as
+# numerically collinear: G_AA is then treated as singular. An entry of a
+# null-space direction below this fraction of its largest is rounding.
 _SINGULAR_PIVOT = 1e-10
 
 
-def _sign_pattern_step(gram, correlation, beta, penalties):
-    """Exact minimizer on the sign pattern of ``beta``, or None.
+def _inverse(block):
+    """Inverse of ``block``, or None when it is numerically singular."""
+    try:
+        pivots = np.linalg.cholesky(block).diagonal()
+    except np.linalg.LinAlgError:
+        return None
+    if np.any(pivots * pivots <= _SINGULAR_PIVOT * block.diagonal()):
+        return None
+    return np.linalg.inv(block)
 
-    With A the nonzero coordinates and s their signs, the smooth objective
-    restricted to {b : b_A has signs s, b_j = 0 off A} is minimized where
-    G_AA b_A = c_A - penalties_A * s, i.e. at the step d solving
-    G_AA d = q_A - penalties_A * s, where ``correlation`` is q = c - G b.
-    The step is returned only if G_AA is well conditioned, every penalized
-    coordinate keeps its sign and the objective does not rise.
+
+def _singular_direction(curvature, pull, push, kept):
+    """Step on a singular ``kept`` block of ``curvature``, and whether it is a null-space move.
+
+    ``push`` is the penalty's slope penalties_A * s. Since q_A = X_A'r is
+    orthogonal to the null space of G_AA = X_A'X_A, the part of the pull in
+    that space is the part of -push there, free of the rounding in q. Along
+    it the fit does not change; if the penalty falls along it, that is the
+    direction. Otherwise the step is the minimum-norm solution of
+    G_AA d = pull.
+    """
+    values, vectors = np.linalg.eigh(curvature[np.ix_(kept, kept)])
+    null = values <= _SINGULAR_PIVOT * values[-1]
+    direction = np.zeros(kept.size)
+    basis = vectors[:, null]
+    along_null = -basis @ (basis.T @ push[kept])
+    along_null[np.abs(along_null) <= _SINGULAR_PIVOT * np.max(np.abs(along_null), initial=0.0)] = 0.0
+    if push[kept] @ along_null < 0.0:
+        direction[kept] = along_null
+        return direction, True
+    basis = vectors[:, ~null]
+    direction[kept] = basis @ ((basis.T @ pull[kept]) / values[~null])
+    return direction, False
+
+
+def _sign_pattern_step(gram, correlation, beta, penalties):
+    """Exact active-set step from ``beta`` on its sign pattern, or None.
+
+    With A the nonzero coordinates and s their signs, the objective
+    restricted to {b : b_A has signs s, b_j = 0 off A} is a quadratic,
+    minimized at the step d solving G_AA d = pull with the pull
+    q_A - penalties_A * s (``correlation`` is q = c - G b). G_AA is
+    factored once, as its inverse H. If the full step flips a penalized
+    sign, it is cut at the first crossing, t in (0, 1], and that coordinate
+    is set to exactly 0; the restricted quadratic falls along the cut
+    segment and the penalty stays linear on it, so the objective does not
+    rise. Dropping coordinate k downdates the inverse,
+    H' = H_{-k,-k} - H_{-k,k} H_{k,-k} / H_kk, the pull on the kept set
+    becomes (1 - t) * pull, and the step is retried until a full one keeps
+    every penalized sign (the lasso modification of LARS; Osborne, Presnell
+    & Turlach's active-set method). When G_AA is singular and the pull has a
+    part in its null space, the fit does not change along that part and the
+    penalty falls linearly, so the step moves along it until the first
+    penalized coordinate reaches 0, then refactors on the smaller pattern.
+    The result is returned only if the objective, evaluated over the whole
+    move, did not rise through rounding.
     """
     active = np.flatnonzero(beta)
     if active.size == 0:
         return None
-    g_aa = gram[np.ix_(active, active)]
-    try:
-        pivots = np.diag(np.linalg.cholesky(g_aa))
-    except np.linalg.LinAlgError:
+    curvature = gram[np.ix_(active, active)]
+    signs = np.sign(beta[active])
+    push = penalties[active] * signs
+    pull = correlation[active] - push
+    penalized = penalties[active] > 0.0
+    moved = beta[active]
+    kept = np.ones(active.size, dtype=bool)
+    inverse = _inverse(curvature)
+    while True:
+        linear = False
+        if inverse is not None:
+            direction = inverse @ pull
+        else:
+            direction, linear = _singular_direction(curvature, pull, push, kept)
+        # Step fraction at which each penalized coordinate moving toward 0
+        # reaches it; a fraction too large to represent is never reached.
+        toward = penalized & (signs * direction < 0.0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            fractions = np.where(toward, -moved / direction, np.inf)
+        k = int(np.argmin(fractions))
+        cut = fractions[k]
+        if cut > 1.0 and not linear:
+            moved += direction
+            break
+        moved += cut * direction
+        moved[k] = 0.0
+        kept[k] = False
+        if not linear:
+            pull *= 1.0 - cut
+        if inverse is not None:
+            column = inverse[k].copy()
+            inverse -= np.outer(column, column / column[k])
+            inverse[k] = 0.0
+            inverse[:, k] = 0.0
+        else:
+            block = _inverse(curvature[np.ix_(kept, kept)])
+            if block is not None:
+                inverse = np.zeros_like(curvature)
+                inverse[np.ix_(kept, kept)] = block
+    # T/2 times the objective change over the whole move.
+    change = moved - beta[active]
+    rise = 0.5 * float(change @ curvature @ change) - float(correlation[active] @ change)
+    rise += float(penalties[active] @ (np.abs(moved) - np.abs(beta[active])))
+    if rise > 0.0:
         return None
-    if np.any(pivots * pivots <= _SINGULAR_PIVOT * np.diag(g_aa)):
-        return None
-    pull = correlation[active] - penalties[active] * np.sign(beta[active])
-    step = np.linalg.solve(g_aa, pull)
     candidate = beta.copy()
-    candidate[active] += step
-    penalized = active[penalties[active] > 0.0]
-    if np.any(np.sign(candidate[penalized]) != np.sign(beta[penalized])):
-        return None
-    # T times the objective change along the step; the penalty term is
-    # linear in it because no penalized sign changes.
-    if float(step @ g_aa @ step) - 2.0 * float(pull @ step) > 0.0:
-        return None
+    candidate[active] = moved
     return candidate
 
 
@@ -266,10 +345,13 @@ def weighted_lasso_fit(
     q = X'(y - Xb) = c - G b, with the Gram matrix G = X'X (cached on ``X``
     as :attr:`DesignMatrix.gram`) and c = X'y. Each coordinate is re-solved
     in closed form by soft-thresholding q_j + G_jj b_j, and a change in b_j
-    updates q with column j of G in O(P), independent of T. Every five
-    sweeps the solver also tries the exact minimizer on the current sign
-    pattern and keeps it only if no penalized sign flips and the objective
-    does not rise, so the objective is non-increasing from sweep to sweep.
+    updates q with column j of G in O(P), independent of T. After every
+    sweep that does not certify, the solver takes the exact active-set step
+    of :func:`_sign_pattern_step`: towards the minimizer on the current
+    sign pattern, cut where a penalized coefficient first reaches 0 and
+    continued on the smaller pattern, or along the null space of singular
+    active columns. Neither a sweep nor a step raises the objective, so it
+    is non-increasing throughout.
 
     The solve stops once a full sweep moves no coefficient by more than
     ``settings.tolerance`` *and* the first-order optimality residual,
@@ -325,11 +407,10 @@ def weighted_lasso_fit(
             kkt = _kkt_from_correlation(correlation, penalties, beta, n_rows)
             if kkt <= kkt_bound:
                 return beta
-        if sweep % _EXACT_STEP_EVERY == 0:
-            candidate = _sign_pattern_step(gram, correlation, beta, penalties)
-            if candidate is not None:
-                beta = candidate
-                correlation = moment - gram @ beta
+        candidate = _sign_pattern_step(gram, correlation, beta, penalties)
+        if candidate is not None:
+            beta = candidate
+            correlation = moment - gram @ beta
 
     raise ConvergenceError(
         f"coordinate descent did not converge in {settings.max_iterations} sweeps "

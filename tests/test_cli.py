@@ -392,6 +392,29 @@ class TestExitCodes:
         assert result.returncode == EXIT_NO_CONVERGENCE
         assert "converge" in result.stderr
 
+    def test_duplicate_zone_with_tiny_reservation_clears(self, tmp_path, capsys):
+        # Zone P3 repeats zone P4 and only P3's lag 3 has an ask: the market
+        # has a clear optimum (P3's lag 3 at 0), so it clears instead of
+        # exiting 3.
+        from regmarket import SyntheticSpec, synthetic_market_series
+
+        roster = synthetic_market_series(SyntheticSpec(seed=2), history=3, window=240)
+        columns = {series.agent_id: series.values for series in roster}
+        columns["P3"] = columns["P4"]
+        rows = ["timestamp," + ",".join(columns)]
+        rows += [f"{t}," + ",".join(repr(float(v[t])) for v in columns.values()) for t in range(243)]
+        source = tmp_path / "zones.csv"
+        source.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        config = write_scenario(
+            tmp_path,
+            data={"type": "csv", "path": str(source)},
+            market={"central_agent": "P1", "max_lag": 3, "window": 240},
+            reservations={"entries": [["P3", 3, 6.6e-6]]},
+        )
+        assert main(["clear", "--config", str(config)]) == EXIT_OK, capsys.readouterr().err
+        table = (tmp_path / "results" / "clearing.csv").read_text(encoding="utf-8")
+        assert "P3,3,0.0," in table
+
     def test_viability_violation_maps_to_exit_4(self, tmp_path, monkeypatch):
         import regmarket.cli as cli_module
 

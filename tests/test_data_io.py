@@ -738,6 +738,37 @@ class TestScenarioConfig:
         with pytest.raises(InvalidInputError):
             scenario.market_config(["P2", "P3"])
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("uniform_u", float("nan")),
+            ("uniform_u", True),
+            ("u_grid", (0.0, float("nan"))),
+            ("u_grid", (False, True)),
+            ("t_grid", (5, True)),
+        ],
+        ids=["nan-uniform-u", "bool-uniform-u", "nan-u-grid", "bool-u-grid", "bool-t-grid"],
+    )
+    def test_constructor_rejects_nan_and_bool_naming_the_field(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"^{field} must be"):
+            ScenarioConfig(
+                scenario_id="x",
+                central_agent="P1",
+                lag_spec=LagSpec(1, 10),
+                synthetic=SyntheticSpec(),
+                **{field: value},
+            )
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("others_u", float("nan")), ("others_u", False), ("u_grid_a", (float("inf"),)), ("u_grid_b", (True,))],
+        ids=["nan-others-u", "bool-others-u", "inf-grid-a", "bool-grid-b"],
+    )
+    def test_two_agent_grid_rejects_nan_and_bool_naming_the_field(self, field, value):
+        grid = {"agent_a": "A", "agent_b": "B", "u_grid_a": (0.1,), "u_grid_b": (0.1,), field: value}
+        with pytest.raises(InvalidInputError, match=f"^{field} must be"):
+            TwoAgentGrid(**grid)
+
     def test_two_agent_grid_validation(self):
         with pytest.raises(InvalidInputError):
             TwoAgentGrid("A", "A", (0.1,), (0.1,))

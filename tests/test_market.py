@@ -3,10 +3,12 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regmarket import (
+    VIABILITY_TOLERANCE,
+    AgentSeries,
     ConvergenceError,
     DesignMatrix,
     InvalidInputError,
@@ -33,6 +35,21 @@ def default_market(seed=0, **spec_kwargs):
     roster = synthetic_market_series(spec, history=LAG.max_lag, window=LAG.window_length)
     config = MarketConfig("P1", SUPPORTS, LAG)
     return config, roster
+
+
+def duplicate_seller_market():
+    """Default market, seed 2, with P3's series replaced by P4's.
+
+    P3's lag-3 feature carries a tiny reservation and its copy, P4's, is
+    free, so the optimum moves all the lag-3 weight onto P4.
+    """
+    config, roster = default_market(seed=2)
+    source = next(series for series in roster if series.agent_id == "P4")
+    roster = [
+        dataclasses.replace(series, values=source.values) if series.agent_id == "P3" else series
+        for series in roster
+    ]
+    return config, roster, ReservationSchedule({("P3", 3): 6.6e-6})
 
 
 class TestReservationSchedule:
@@ -218,6 +235,17 @@ class TestClearMarket:
             pytest.fail("feature never shrank to zero as its reservation doubled")
 
 
+class TestDuplicateSeller:
+    def test_penalized_copy_clears_to_exact_zero(self):
+        config, roster, schedule = duplicate_seller_market()
+        outcome = clear_market(config, roster, schedule)
+        assert outcome.market_beta[outcome.design_all.column_of("P3", 3)] == 0.0
+        assert outcome.total_payments == 0.0
+        # The free copy carries the weight: same fit as with P3's lag 3 priced out.
+        priced_out = clear_market(config, roster, ReservationSchedule({("P3", 3): 1e6}))
+        assert outcome.market_mse == pytest.approx(priced_out.market_mse, rel=1e-12)
+
+
 class TestPreparedMarket:
     def test_clear_equals_clear_market_exactly(self):
         config, roster = default_market(seed=3)
@@ -298,6 +326,29 @@ class TestScaleInvariance:
         assert scaled.market_mse / squared == pytest.approx(reference.market_mse, rel=1e-9)
         assert scaled.baseline_mse / squared == pytest.approx(reference.baseline_mse, rel=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e-3, 1e5])
+    def test_viability_slack_follows_the_baseline(self, scale):
+        # Full shrinkage leaves a true gap of about 0, so a forged payment
+        # is the gap. The slack is VIABILITY_TOLERANCE times the baseline
+        # MSE in any units: 1e-5 x baseline is caught, 1e-7 x baseline is
+        # inside it.
+        config, roster = default_market(seed=0)
+        scaled_roster = [dataclasses.replace(series, values=series.values * scale) for series in roster]
+        outcome = clear_market(
+            config, scaled_roster, ReservationSchedule.uniform(SUPPORTS, 3, 1e6 * scale**2)
+        )
+        baseline = outcome.baseline_mse
+
+        def check_with_extra_payment(extra):
+            tampered = list(outcome.payments)
+            tampered[0] = dataclasses.replace(tampered[0], amount=tampered[0].amount + extra)
+            return verify_buyer_viability(dataclasses.replace(outcome, payments=tuple(tampered)))
+
+        assert check_with_extra_payment(0.0).tolerance == VIABILITY_TOLERANCE * baseline
+        assert check_with_extra_payment(0.0).holds
+        assert not check_with_extra_payment(1e-5 * baseline).holds
+        assert check_with_extra_payment(1e-7 * baseline).holds
+
 
 FEATURES = tuple((agent, lag) for agent in SUPPORTS for lag in range(1, LAG.max_lag + 1))
 reservation_prices = st.lists(
@@ -351,6 +402,26 @@ class TestMetamorphic:
     @given(
         seed=st.integers(0, 2**16),
         schedule=reservation_prices,
+        copied=st.sampled_from(SUPPORTS),
+        ask=st.floats(0.0, 1.0),
+    )
+    # A copy of a free seller at a tiny ask: the optimum drops the copy.
+    @example(seed=2, schedule=ReservationSchedule({}), copied="P4", ask=6.6e-6)
+    def test_adding_a_duplicate_seller_never_lowers_the_gain(self, seed, schedule, copied, ask):
+        config, roster = default_market(seed=seed)
+        source = next(series for series in roster if series.agent_id == copied)
+        roster.append(dataclasses.replace(source, agent_id="P6"))
+        wider = dataclasses.replace(config, support_agents=SUPPORTS + ("P6",))
+        asks = dict(schedule.entries)
+        asks.update({("P6", lag): ask for lag in range(1, LAG.max_lag + 1)})
+        before = clear_market(config, roster, schedule)
+        after = clear_market(wider, roster, ReservationSchedule(asks))
+        assert after.buyer_net_gain >= before.buyer_net_gain - slack(before)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        schedule=reservation_prices,
         order=st.permutations(SUPPORTS),
     )
     def test_seller_order_does_not_change_the_optimum(self, seed, schedule, order):
@@ -382,6 +453,29 @@ class TestVerifyBuyerViability:
         check = verify_buyer_viability(forged)
         assert not check.holds
         assert 0.9 < check.gap < 1.0001
+
+    def test_exact_fit_buyer_verifies(self):
+        # P1 follows y_t = 1.6 y_{t-1} - y_{t-2} exactly, so its own lags fit
+        # it to rounding and the baseline MSE is about 0. A gap at the
+        # target's rounding level still verifies; a real one is caught.
+        rng = np.random.default_rng(5)
+        length = LAG.max_lag + LAG.window_length
+        y = np.zeros(length)
+        y[:2] = (1.0, 0.3)
+        for t in range(2, length):
+            y[t] = 1.6 * y[t - 1] - y[t - 2]
+        roster = [AgentSeries("P1", y, LAG.max_lag)]
+        roster += [AgentSeries(agent, rng.normal(size=length), LAG.max_lag) for agent in SUPPORTS]
+        config = MarketConfig("P1", SUPPORTS, LAG)
+        for u in (0.0, 0.1):
+            outcome = clear_market(config, roster, ReservationSchedule.uniform(SUPPORTS, 3, u))
+            assert outcome.baseline_mse < 1e-20
+            assert verify_buyer_viability(outcome).holds
+            for extra, holds in ((1e-30, True), (1e-12, False)):
+                tampered = list(outcome.payments)
+                tampered[0] = dataclasses.replace(tampered[0], amount=tampered[0].amount + extra)
+                forged = dataclasses.replace(outcome, payments=tuple(tampered))
+                assert verify_buyer_viability(forged).holds is holds
 
     def test_randomized_scenarios_always_verify(self):
         rng = np.random.default_rng(987)

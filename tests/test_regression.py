@@ -332,7 +332,8 @@ class TestPersistentLagDesign:
 
     def test_collinear_unpenalized_column_falls_back_to_sweeps(self):
         # A constant column is collinear with the intercept, so the exact
-        # step's system is singular even though its Cholesky factor exists.
+        # step's system is singular even though its Cholesky factor exists;
+        # no penalty lies in its null space, so the step is the minimum-norm one.
         design, y, sellers = persistent_lag_market()
         values = np.column_stack([design.values, np.full(design.n_rows, 3.0)])
         widened = DesignMatrix(values, design.column_map + (("const", 1),))
@@ -349,10 +350,9 @@ class TestPersistentLagDesign:
             )
 
     def test_objective_descends_across_exact_steps(self):
-        # Truncated solves expose the iterate after each sweep. Fifteen
-        # sweeps pass three attempts at the exact sign-pattern step (one
-        # every five sweeps); at this penalty the first is rejected because
-        # a seller's sign would flip, and the second is accepted.
+        # Truncated solves expose the iterate after each sweep and the exact
+        # active-set step that follows it. At this penalty the full step
+        # would flip sellers' signs, so it is cut where each reaches zero.
         design, y, sellers = persistent_lag_market()
         penalties = np.where(sellers, (design.n_rows / 2.0) * 10.0, 0.0)
         objectives = []
@@ -366,6 +366,71 @@ class TestPersistentLagDesign:
             objectives.append(penalized_objective(design.values, y, penalties, beta))
         assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
         assert objectives[-1] < objectives[0]
+
+
+def step_safety_design(kind):
+    """Persistent lag design, bare or widened by a collinear column.
+
+    ``duplicate`` appends a copy of a seller's lag-1 column at a tenth of
+    its penalty, so the active Gram block is singular and the optimum moves
+    the weight onto the cheaper copy; ``constant`` appends an unpenalized
+    constant column, collinear with the intercept.
+    """
+    design, y, sellers = persistent_lag_market()
+    penalties = np.where(sellers, (design.n_rows / 2.0) * 0.05, 0.0)
+    values = design.values
+    if kind == "duplicate":
+        column = design.column_of("A1", 1)
+        values = np.column_stack([values, values[:, column]])
+        penalties = np.append(penalties, 0.1 * penalties[column])
+    elif kind == "constant":
+        values = np.column_stack([values, np.full(design.n_rows, 3.0)])
+        penalties = np.append(penalties, 0.0)
+    column_map = design.column_map + ((("extra", 1),) if kind != "persistent" else ())
+    return DesignMatrix(values, column_map), y, penalties
+
+
+class TestStepSafety:
+    """Every sweep and exact step keeps the objective from rising.
+
+    Checked from the outside: truncated solves expose the iterate after k
+    sweeps (and the step that follows each), and the objective is
+    recomputed from raw arrays by the oracle.
+    """
+
+    @pytest.mark.parametrize("kind", ["persistent", "duplicate", "constant"])
+    def test_truncated_solves_never_raise_the_objective(self, kind):
+        design, y, penalties = step_safety_design(kind)
+        objectives = []
+        for sweeps in range(1, 13):
+            try:
+                beta = weighted_lasso_fit(
+                    design, y, penalties, SolverSettings(tolerance=1e-15, max_iterations=sweeps)
+                )
+            except ConvergenceError as err:
+                beta = err.last_beta
+            objectives.append(penalized_objective(design.values, y, penalties, beta))
+        assert all(b <= a + 1e-12 * abs(a) for a, b in zip(objectives, objectives[1:]))
+        assert objectives[-1] < objectives[0]
+        beta = weighted_lasso_fit(design, y, penalties)
+        tolerance = SolverSettings().tolerance
+        scale = max(1.0, (2.0 / design.n_rows) * np.max(np.abs(design.values.T @ y)))
+        assert kkt_residual(design.values, y, penalties, beta) <= 10 * tolerance * scale
+
+    def test_too_few_sweeps_still_raise(self):
+        design, y, penalties = step_safety_design("persistent")
+        needed = None
+        for sweeps in range(1, 50):
+            try:
+                weighted_lasso_fit(design, y, penalties, SolverSettings(max_iterations=sweeps))
+            except ConvergenceError:
+                continue
+            needed = sweeps
+            break
+        assert needed is not None and needed > 1
+        with pytest.raises(ConvergenceError) as caught:
+            weighted_lasso_fit(design, y, penalties, SolverSettings(max_iterations=needed - 1))
+        assert caught.value.last_beta.shape == (design.n_cols,)
 
 
 class TestLosses:
