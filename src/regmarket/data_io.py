@@ -14,7 +14,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
 from array import array
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from itertools import chain
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, integer, real, sequence
 from .market import MarketConfig, ReservationSchedule
 from .regression import SolverSettings
 from .timeseries import AgentSeries, LagSpec, SyntheticSpec
@@ -128,6 +130,11 @@ def _parse_hour(cell: str) -> int:
     return 24 + hours
 
 
+def _check_normalization(value, field: str) -> None:
+    if value not in ("none", "per-zone-max"):
+        raise InvalidInputError(f"{field} must be 'none' or 'per-zone-max', got {value!r}", field=field)
+
+
 def ingest_csv(path, schema=None, normalization: str = "none") -> IngestReport:
     """Read a zonal CSV in one streaming pass, dropping unusable rows.
 
@@ -151,10 +158,7 @@ def ingest_csv(path, schema=None, normalization: str = "none") -> IngestReport:
     holds a cell over ``csv.field_size_limit()`` characters, is rejected
     with :class:`InvalidInputError` naming it.
     """
-    if normalization not in ("none", "per-zone-max"):
-        raise InvalidInputError(
-            f"normalization must be 'none' or 'per-zone-max', got {normalization!r}"
-        )
+    _check_normalization(normalization, "normalization")
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -483,46 +487,20 @@ class TwoAgentGrid:
             raise InvalidInputError("two-agent grid needs two distinct agents")
         for name in ("u_grid_a", "u_grid_b"):
             object.__setattr__(self, name, _checked_grid(getattr(self, name), name))
-        object.__setattr__(self, "others_u", _real(self.others_u, "others_u"))
+        object.__setattr__(self, "others_u", real(self.others_u, "others_u"))
         if self.others_u < 0:
-            raise InvalidInputError("others_u must be nonnegative")
+            raise InvalidInputError("others_u must be nonnegative", field="others_u")
 
 
-class _MalformedValue(InvalidInputError):
-    """A setting of the wrong type or form; :func:`load_scenario` adds the file."""
-
-
-def _integer(value, key: str) -> int:
-    """``value`` as an int; a bool or a non-integral number is rejected naming ``key``."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise _MalformedValue(f"{key} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as err:
-        raise _MalformedValue(f"{key}: {err}") from None
-
-
-def _real(value, key: str) -> float:
-    """``value`` as a finite float; a bool, NaN or infinity is rejected naming ``key``."""
-    if isinstance(value, bool):
-        raise _MalformedValue(f"{key} must be a number, got {value!r}")
-    try:
-        real = float(value)
-    except (TypeError, ValueError) as err:
-        raise _MalformedValue(f"{key}: {err}") from None
-    if not np.isfinite(real):
-        raise _MalformedValue(f"{key} must be finite, got {real!r}")
-    return real
-
-
-def _checked_grid(grid, name, integer: bool = False):
-    values = tuple(_integer(v, name) if integer else _real(v, name) for v in grid)
+def _checked_grid(grid, field: str, whole: bool = False) -> tuple:
+    check = integer if whole else real
+    values = tuple(check(v, field) for v in sequence(grid, field))
     if not values:
-        raise InvalidInputError(f"{name} must not be empty")
+        raise InvalidInputError(f"{field} must not be empty", field=field)
     if any(b <= a for a, b in zip(values, values[1:])):
-        raise InvalidInputError(f"{name} must be strictly increasing")
+        raise InvalidInputError(f"{field} must be strictly increasing", field=field)
     if any(v < 0 for v in values):
-        raise InvalidInputError(f"{name} entries must be nonnegative")
+        raise InvalidInputError(f"{field} entries must be nonnegative", field=field)
     return values
 
 
@@ -552,22 +530,38 @@ class ScenarioConfig:
             raise InvalidInputError(
                 "scenario needs exactly one data source (synthetic or csv)"
             )
+        names = {"scenario_id": self.scenario_id, "out_dir": self.out_dir}
+        if self.csv_path is not None:
+            names["csv_path"] = self.csv_path
+        for name, value in names.items():
+            if not isinstance(value, (str, os.PathLike)):
+                raise InvalidInputError(f"{name} must be a string, got {value!r}", field=name)
+        schema = self.csv_schema
+        if schema is not None and not (
+            isinstance(schema, dict) and all(isinstance(v, str) for v in schema.values())
+        ):
+            raise InvalidInputError(
+                f"csv_schema must map column names to zone names, got {schema!r}", field="csv_schema"
+            )
+        _check_normalization(self.csv_normalization, "csv_normalization")
+        if self.csv_window_start is not None:
+            object.__setattr__(self, "csv_window_start", integer(self.csv_window_start, "csv_window_start"))
+        if self.support_agents is not None:
+            object.__setattr__(self, "support_agents", sequence(self.support_agents, "support_agents"))
         if self.uniform_u is not None and self.reservations is not None:
             raise InvalidInputError("give either uniform_u or explicit reservations")
         if self.uniform_u is None and self.reservations is None:
             object.__setattr__(self, "uniform_u", 0.1)
         if self.uniform_u is not None:
-            object.__setattr__(self, "uniform_u", _real(self.uniform_u, "uniform_u"))
+            object.__setattr__(self, "uniform_u", real(self.uniform_u, "uniform_u"))
             if self.uniform_u < 0:
-                raise InvalidInputError("uniform_u must be nonnegative")
-        if self.support_agents is not None:
-            object.__setattr__(self, "support_agents", tuple(self.support_agents))
+                raise InvalidInputError("uniform_u must be nonnegative", field="uniform_u")
         if self.u_grid is not None:
             object.__setattr__(self, "u_grid", _checked_grid(self.u_grid, "u_grid"))
         if self.t_grid is not None:
-            grid = _checked_grid(self.t_grid, "t_grid", integer=True)
+            grid = _checked_grid(self.t_grid, "t_grid", whole=True)
             if any(v < 1 for v in grid):
-                raise InvalidInputError("t_grid entries must be positive")
+                raise InvalidInputError("t_grid entries must be positive", field="t_grid")
             object.__setattr__(self, "t_grid", grid)
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
@@ -607,174 +601,118 @@ class ScenarioConfig:
         )
 
 
-def _require_keys(mapping, allowed, required, context):
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise InvalidInputError(f"{context}: unknown key(s) {unknown}")
-    absent = sorted(set(required) - set(mapping))
-    if absent:
-        raise InvalidInputError(f"{context}: missing required key(s) {absent}")
+def _same(*keys):
+    return dict(zip(keys, keys))
+
+
+# The keys of each scenario block, each mapped to the constructor field it
+# sets. Messages name a key by its dotted path as written in the file
+# (``market.window``); the sweep grids keep the bare names they have always
+# had in messages.
+_TOP_KEYS = _same("scenario_id", "seed", "out_dir")
+_DATA_KEYS = {
+    "synthetic": _same(*(f.name for f in dataclasses.fields(SyntheticSpec) if f.name != "seed")),
+    "csv": {key: f"csv_{key}" for key in ("path", "schema", "normalization", "window_start")},
+}
+_MARKET_KEYS = {
+    **_same("central_agent", "support_agents", "max_lag", "tolerance", "max_iterations"),
+    "window": "window_length",
+}
+_RESERVATION_KEYS = _same("uniform_u", "entries")
+_SWEEP_KEYS = _same("u_grid", "t_grid")
+_GRID2_KEYS = _same("agent_a", "agent_b", "u_grid_a", "u_grid_b", "others_u")
+_BARE_KEYS = ("u_grid", "t_grid", "u_grid_a", "u_grid_b")
 
 
 def load_scenario(path) -> ScenarioConfig:
-    """Parse a scenario JSON file; rejects unknown keys to catch typos early.
+    """Parse a scenario JSON file into a :class:`ScenarioConfig`.
 
-    Every rejection is an :class:`InvalidInputError`; a value of the wrong
-    type or form (``"max_lag": "x"``) is reported with the file it came from.
-    Integer settings (seed, lags, window, window start, iteration cap, T
-    grid, ``n_independent``) take integral numbers: ``2`` and ``2.0`` read
-    as 2, while ``2.5`` or ``true`` is rejected with the key it was given
-    for. Real settings (reservations, grids, ``others_u``, tolerance, the
-    synthetic generator's coefficients and noise levels) reject ``true``,
-    ``false``, ``NaN`` and ``Infinity`` the same way. ``data.path`` must be
-    a string and ``data.schema`` an object of strings.
+    The tables above map each block's keys to constructor fields. Only the
+    keys present are passed on, so every default lives in its constructor,
+    and the constructors check every value. An unknown or missing key, a
+    block that is not an object, or a value a constructor rejects raises
+    :class:`InvalidInputError` naming the file, and for a value the key.
     """
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise InvalidInputError(f"{path}: invalid JSON ({err})") from None
+    kind, fields, labels = _read_blocks(raw, path)
     try:
-        return _parse_scenario(raw, path)
-    except _MalformedValue as err:
-        raise InvalidInputError(f"{path}: invalid value ({err})") from None
-    except InvalidInputError:
-        raise
-    except (TypeError, ValueError) as err:
-        raise InvalidInputError(f"{path}: invalid value ({err})") from None
+        if kind == "synthetic":
+            fields["synthetic"] = SyntheticSpec(**_take(fields, SyntheticSpec))
+        elif "seed" in fields:  # a CSV scenario passes its seed to no constructor
+            integer(fields.pop("seed"), "seed")
+        fields["lag_spec"] = LagSpec(**_take(fields, LagSpec))
+        fields["solver"] = SolverSettings(**_take(fields, SolverSettings))
+        if "entries" in fields:
+            fields["reservations"] = ReservationSchedule(_entries(fields.pop("entries")))
+        if "agent_a" in fields:  # a grid2 block, which requires its agents
+            fields["grid2"] = TwoAgentGrid(**_take(fields, TwoAgentGrid))
+        fields.setdefault("scenario_id", path.stem)
+        return ScenarioConfig(**fields)
+    except InvalidInputError as err:
+        if err.field not in labels:
+            raise
+        detail = str(err)[len(err.field) :]
+        raise InvalidInputError(f"{path}: invalid value ({labels[err.field]}{detail})") from None
 
 
-def _parse_scenario(raw, path: Path) -> ScenarioConfig:
+def _read_blocks(raw, path: Path):
+    """The data type, the fields the keys of ``raw`` set, and the name of each field's key."""
+    fields, labels = {}, {}
+
+    def read(block, name, keys, required=(), blocks=()):
+        if not isinstance(block, dict):
+            raise InvalidInputError(f"{path}: invalid value ({name} must be an object, got {block!r})")
+        context = f"{path}: {name}" if name else str(path)
+        unknown = sorted(set(block) - {*keys, *blocks})
+        if unknown:
+            raise InvalidInputError(f"{context}: unknown key(s) {unknown}")
+        absent = sorted(set(required) - set(block))
+        if absent:
+            raise InvalidInputError(f"{context}: missing required key(s) {absent}")
+        for key, field_name in keys.items():
+            if key in block:
+                fields[field_name] = block[key]
+                labels[field_name] = key if not name or key in _BARE_KEYS else f"{name}.{key}"
+
     if not isinstance(raw, dict):
         raise InvalidInputError(f"{path}: top level must be an object")
-    _require_keys(
-        raw,
-        allowed=("scenario_id", "seed", "out_dir", "data", "market", "reservations", "sweeps"),
-        required=("data", "market"),
-        context=str(path),
-    )
-    seed = _integer(raw.get("seed", 0), "seed")
-
+    read(raw, "", _TOP_KEYS, ("data", "market"), ("data", "market", "reservations", "sweeps"))
     data = raw["data"]
-    if not isinstance(data, dict) or "type" not in data:
-        raise InvalidInputError("data: missing required key 'type'")
-    synthetic = None
-    csv_fields = {}
-    if data["type"] == "synthetic":
-        _require_keys(data, allowed=("type",) + _DATA_KEYS["synthetic"], required=("type",), context="data")
-        spec_kwargs = {}
-        for key in _DATA_KEYS["synthetic"]:
-            if key not in data:
-                continue
-            name = f"data.{key}"
-            if key == "n_independent":
-                spec_kwargs[key] = _integer(data[key], name)
-            elif key in ("ar_coefficients", "noise_std", "cross_coefficients"):
-                spec_kwargs[key] = tuple(_real(v, name) for v in data[key])
-            else:
-                spec_kwargs[key] = _real(data[key], name)
-        synthetic = SyntheticSpec(seed=seed, **spec_kwargs)
-    elif data["type"] == "csv":
-        _require_keys(data, allowed=("type",) + _DATA_KEYS["csv"], required=("type", "path"), context="data")
-        start = data.get("window_start")
-        schema = data.get("schema")
-        if not isinstance(data["path"], str):
-            raise ValueError(f"data.path must be a string, got {data['path']!r}")
-        if schema is not None and not (  # JSON object keys are always strings
-            isinstance(schema, dict) and all(isinstance(v, str) for v in schema.values())
-        ):
-            raise ValueError(f"data.schema must map column names to zone names, got {schema!r}")
-        csv_fields = {
-            "csv_path": data["path"],
-            "csv_schema": schema,
-            "csv_normalization": data.get("normalization", "none"),
-            "csv_window_start": None if start is None else _integer(start, "data.window_start"),
-        }
-    else:
-        raise InvalidInputError(f"data.type must be 'synthetic' or 'csv', got {data['type']!r}")
-
-    market = raw["market"]
-    _require_keys(
-        market,
-        allowed=("central_agent", "support_agents", "max_lag", "window", "tolerance", "max_iterations"),
-        required=("central_agent", "max_lag", "window"),
-        context="market",
-    )
-    lag_spec = LagSpec(
-        max_lag=_integer(market["max_lag"], "market.max_lag"),
-        window_length=_integer(market["window"], "market.window"),
-    )
-    solver = SolverSettings(
-        tolerance=_real(market.get("tolerance", SolverSettings.tolerance), "market.tolerance"),
-        max_iterations=_integer(
-            market.get("max_iterations", SolverSettings.max_iterations), "market.max_iterations"
-        ),
-    )
-
-    uniform_u = None
-    reservations = None
+    kind = data.get("type") if isinstance(data, dict) else None
+    if isinstance(data, dict) and kind not in ("synthetic", "csv"):
+        message = f"data.type must be 'synthetic' or 'csv', got {kind!r}"
+        raise InvalidInputError(f"{path}: invalid value ({message})")
+    read(data, "data", _DATA_KEYS.get(kind, {}), ("type", "path") if kind == "csv" else ("type",), ("type",))
+    read(raw["market"], "market", _MARKET_KEYS, ("central_agent", "max_lag", "window"))
     if "reservations" in raw:
         block = raw["reservations"]
-        _require_keys(block, allowed=("uniform_u", "entries"), required=(), context="reservations")
-        if ("uniform_u" in block) == ("entries" in block):
-            raise InvalidInputError("reservations: give exactly one of uniform_u or entries")
-        if "uniform_u" in block:
-            uniform_u = _real(block["uniform_u"], "reservations.uniform_u")
-        else:
-            reservations = ReservationSchedule(
-                {
-                    (agent, _integer(lag, "reservations.entries lag")): _real(u, "reservations.entries u")
-                    for agent, lag, u in block["entries"]
-                }
-            )
-
-    u_grid = t_grid = grid2 = None
+        read(block, "reservations", _RESERVATION_KEYS)
+        if (block.get("uniform_u") is None) == (block.get("entries") is None):
+            raise InvalidInputError(f"{path}: reservations: give exactly one of uniform_u or entries")
     if "sweeps" in raw:
-        sweeps = raw["sweeps"]
-        _require_keys(sweeps, allowed=("u_grid", "t_grid", "grid2"), required=(), context="sweeps")
-        u_grid = tuple(sweeps["u_grid"]) if "u_grid" in sweeps else None
-        t_grid = tuple(sweeps["t_grid"]) if "t_grid" in sweeps else None
-        if "grid2" in sweeps:
-            block = sweeps["grid2"]
-            _require_keys(
-                block,
-                allowed=("agent_a", "agent_b", "u_grid_a", "u_grid_b", "others_u"),
-                required=("agent_a", "agent_b", "u_grid_a", "u_grid_b"),
-                context="sweeps.grid2",
-            )
-            grid2 = TwoAgentGrid(
-                agent_a=block["agent_a"],
-                agent_b=block["agent_b"],
-                u_grid_a=tuple(block["u_grid_a"]),
-                u_grid_b=tuple(block["u_grid_b"]),
-                others_u=_real(block.get("others_u", 0.1), "sweeps.grid2.others_u"),
-            )
-
-    return ScenarioConfig(
-        scenario_id=str(raw.get("scenario_id", path.stem)),
-        central_agent=market["central_agent"],
-        support_agents=tuple(market["support_agents"]) if "support_agents" in market else None,
-        lag_spec=lag_spec,
-        solver=solver,
-        synthetic=synthetic,
-        uniform_u=uniform_u,
-        reservations=reservations,
-        u_grid=u_grid,
-        t_grid=t_grid,
-        grid2=grid2,
-        out_dir=str(raw.get("out_dir", "results")),
-        **csv_fields,
-    )
+        read(raw["sweeps"], "sweeps", _SWEEP_KEYS, blocks=("grid2",))
+        if "grid2" in raw["sweeps"]:
+            required = ("agent_a", "agent_b", "u_grid_a", "u_grid_b")
+            read(raw["sweeps"]["grid2"], "sweeps.grid2", _GRID2_KEYS, required)
+    return kind, fields, labels
 
 
-_DATA_KEYS = {
-    "synthetic": (
-        "n_independent",
-        "ar_coefficients",
-        "noise_std",
-        "cross_coefficients",
-        "dependent_phi",
-        "dependent_noise_std",
-    ),
-    "csv": ("path", "schema", "normalization", "window_start"),
-}
+def _take(fields: dict, constructor) -> dict:
+    """Remove and return the entries of ``fields`` that are fields of ``constructor``."""
+    return {f.name: fields.pop(f.name) for f in dataclasses.fields(constructor) if f.name in fields}
+
+
+def _entries(value) -> dict:
+    """``reservations.entries``, a list of ``[agent, lag, u]`` triples, as a schedule mapping."""
+    if not isinstance(value, list) or not all(
+        isinstance(e, list) and len(e) == 3 and isinstance(e[0], str) and isinstance(e[1], Hashable)
+        for e in value
+    ):
+        raise InvalidInputError(
+            f"entries must be a list of [agent, lag, u] triples, got {value!r}", field="entries"
+        )
+    return {(agent, lag): u for agent, lag, u in value}

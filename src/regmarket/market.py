@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, ViabilityError
+from .errors import InvalidInputError, ViabilityError, integer, real, sequence
 from .regression import (
     DesignMatrix,
     SolverSettings,
@@ -50,21 +50,23 @@ VIABILITY_TOLERANCE = 1e-6
 class ReservationSchedule:
     """Per-feature reservation prices: (agent_id, lag) -> u >= 0.
 
-    Features missing from the schedule are offered for free (u = 0).
+    Features missing from the schedule are offered for free (u = 0). Lags
+    are integers of at least 1 (``2.0`` reads as 2) and reservations finite
+    nonnegative numbers; a bool is neither.
     """
 
     entries: dict
 
     def __post_init__(self):
         entries = {}
-        for key, u in dict(self.entries).items():
-            agent_id, lag = key
-            if not isinstance(lag, int) or lag < 1:
-                raise InvalidInputError(f"lag must be a positive integer, got {lag!r}")
-            u = float(u)
-            if not np.isfinite(u) or u < 0:
+        for (agent_id, lag), u in dict(self.entries).items():
+            lag = integer(lag, "entries", "entries lag")
+            if lag < 1:
+                raise InvalidInputError(f"entries lag must be at least 1, got {lag}", field="entries")
+            u = real(u, "entries", "entries u")
+            if u < 0:
                 raise InvalidInputError(
-                    f"reservation for {key!r} must be finite and nonnegative, got {u}"
+                    f"entries u must be nonnegative, got {u!r} for {(agent_id, lag)!r}", field="entries"
                 )
             entries[(agent_id, lag)] = u
         object.__setattr__(self, "entries", entries)
@@ -97,7 +99,7 @@ class MarketConfig:
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):
-        supports = tuple(self.support_agents)
+        supports = sequence(self.support_agents, "support_agents")
         if self.central_agent in supports:
             raise InvalidInputError(
                 f"central agent {self.central_agent!r} cannot also be a support agent"

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidInputError
+from .errors import ConvergenceError, InvalidInputError, integer, real
 
 __all__ = [
     "DesignMatrix",
@@ -132,10 +132,12 @@ class SolverSettings:
     max_iterations: int = 10_000
 
     def __post_init__(self):
-        if not 0 < self.tolerance < np.inf:
-            raise InvalidInputError(f"tolerance must be positive and finite, got {self.tolerance!r}")
+        object.__setattr__(self, "tolerance", real(self.tolerance, "tolerance"))
+        if self.tolerance <= 0:
+            raise InvalidInputError(f"tolerance must be positive, got {self.tolerance!r}", field="tolerance")
+        object.__setattr__(self, "max_iterations", integer(self.max_iterations, "max_iterations"))
         if self.max_iterations < 1:
-            raise InvalidInputError("max_iterations must be at least 1")
+            raise InvalidInputError("max_iterations must be at least 1", field="max_iterations")
 
 
 def _as_target(y, n_rows: int) -> np.ndarray:
@@ -360,8 +362,9 @@ def weighted_lasso_fit(
     s and the penalties by s^2 scales every gradient by s^2, so that bound
     makes the stopping rule independent of the data's units.
 
-    Raises :class:`ConvergenceError` with the last iterate attached when
-    ``settings.max_iterations`` sweeps are exhausted first.
+    Raises :class:`ConvergenceError` when ``settings.max_iterations`` sweeps
+    are exhausted first, with the last iterate and its optimality residual,
+    measured from a fresh residual, attached.
     """
     if settings is None:
         settings = SolverSettings()
@@ -377,7 +380,6 @@ def weighted_lasso_fit(
     beta = np.zeros(n_cols)
     correlation = moment.copy()
     delta = np.inf
-    kkt = np.inf
 
     for sweep in range(1, settings.max_iterations + 1):
         delta = 0.0
@@ -412,11 +414,13 @@ def weighted_lasso_fit(
             beta = candidate
             correlation = moment - gram @ beta
 
+    # Measured for the iterate handed back: a run that never tried to certify has no residual yet.
+    kkt = _kkt_from_correlation(A.T @ (y - A @ beta), penalties, beta, n_rows)
     raise ConvergenceError(
         f"coordinate descent did not converge in {settings.max_iterations} sweeps "
         f"(last sweep delta {delta:.3e}, optimality residual {kkt:.3e}, "
         f"bound {kkt_bound:.3e} from tolerance {settings.tolerance:.3e})",
         last_beta=beta,
         sweep_delta=delta,
-        kkt_residual=None if np.isinf(kkt) else kkt,
+        kkt_residual=kkt,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, integer, real, sequence
 from .regression import DesignMatrix
 
 __all__ = [
@@ -70,10 +70,11 @@ class LagSpec:
     window_length: int
 
     def __post_init__(self):
-        if self.max_lag < 1:
-            raise InvalidInputError("max_lag must be at least 1")
-        if self.window_length < 1:
-            raise InvalidInputError("window_length must be at least 1")
+        for name in ("max_lag", "window_length"):
+            value = integer(getattr(self, name), name)
+            if value < 1:
+                raise InvalidInputError(f"{name} must be at least 1, got {value}", field=name)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -95,18 +96,23 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "n_independent", integer(self.n_independent, "n_independent"))
         if self.n_independent < 1:
-            raise InvalidInputError("need at least one independent agent")
+            raise InvalidInputError("n_independent must be at least 1", field="n_independent")
+        object.__setattr__(self, "seed", integer(self.seed, "seed"))
         if self.seed < 0:
-            raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
+            raise InvalidInputError(f"seed must be nonnegative, got {self.seed}", field="seed")
         for name in ("ar_coefficients", "noise_std", "cross_coefficients"):
-            entries = tuple(getattr(self, name))
+            entries = tuple(real(v, name) for v in sequence(getattr(self, name), name))
             if len(entries) != self.n_independent:
                 raise InvalidInputError(
                     f"{name} must have one entry per independent agent "
-                    f"({self.n_independent}), got {len(entries)}"
+                    f"({self.n_independent}), got {len(entries)}",
+                    field=name,
                 )
             object.__setattr__(self, name, entries)
+        for name in ("dependent_phi", "dependent_noise_std"):
+            object.__setattr__(self, name, real(getattr(self, name), name))
         for phi in (*self.ar_coefficients, self.dependent_phi):
             if not abs(phi) < 1:
                 raise InvalidInputError(f"AR coefficient {phi} is not stationary")

@@ -323,10 +323,28 @@ class TestExitCodes:
             (("data", "path"), 5, "data.path"),
             (("data", "schema"), 5, "data.schema"),
             (("data", "schema"), {"DK1": ["a"]}, "data.schema"),
+            (("data", "normalization"), 5, "data.normalization"),
+            (("out_dir",), None, "out_dir"),
+            (("scenario_id",), None, "scenario_id"),
         ],
-        ids=["number-path", "number-schema", "list-zone-name"],
+        ids=["number-path", "number-schema", "list-zone-name", "number-normalization", "null-out-dir", "null-scenario-id"],
     )
     def test_bad_csv_source_exits_2_naming_the_key(self, tmp_path, capsys, where, value, key):
+        self.assert_clear_exits_2_naming(tmp_path, capsys, where, value, key)
+
+    @pytest.mark.parametrize(
+        ("where", "value", "key"),
+        [
+            (("reservations",), {"entries": [["DK2", 1]]}, "reservations.entries"),
+            (("reservations",), {"entries": 5}, "reservations.entries"),
+            (("sweeps", "u_grid"), 0.1, "u_grid"),
+            (("data",), {"type": "synthetic", "ar_coefficients": 0.5}, "data.ar_coefficients"),
+            (("market",), [1], "market"),
+            (("market", "support_agents"), "DK2", "market.support_agents"),
+        ],
+        ids=["short-entry", "scalar-entries", "scalar-u-grid", "scalar-ar-coefficients", "list-market", "string-roster"],
+    )
+    def test_wrong_shape_exits_2_naming_the_key(self, tmp_path, capsys, where, value, key):
         self.assert_clear_exits_2_naming(tmp_path, capsys, where, value, key)
 
     @pytest.mark.parametrize(

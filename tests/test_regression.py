@@ -189,6 +189,20 @@ class TestWeightedLassoFit:
         assert err.last_beta is not None and err.last_beta.shape == (5,)
         assert err.sweep_delta is not None and err.sweep_delta > 0
 
+    def test_non_convergence_reports_the_measured_residual(self, rng):
+        # One sweep moves too far to try a certificate, so the residual is
+        # measured only when the error is raised.
+        design = make_design(rng, 30, 4)
+        y = rng.normal(size=30)
+        penalties = np.array([0.0, 1.0, 0.0, 2.0, 0.5])
+        with pytest.raises(ConvergenceError) as excinfo:
+            weighted_lasso_fit(design, y, penalties, SolverSettings(max_iterations=1))
+        err = excinfo.value
+        expected = kkt_residual(design.values, y, penalties, err.last_beta)
+        assert abs(err.kkt_residual - expected) <= 1e-12 * max(1.0, expected)
+        assert "inf" not in str(err)
+        assert f"optimality residual {err.kkt_residual:.3e}" in str(err)
+
     def test_objective_descends_across_sweeps(self):
         # Correlated columns so the solve needs several sweeps; truncated runs
         # expose the iterate after each sweep through the convergence error.
