@@ -97,18 +97,15 @@ def run_method_comparison(scenario: ScenarioConfig) -> ExperimentReport:
     outcome = market.clear(scenario.schedule(market.config.support_agents))
 
     ols_all = ols_fit(outcome.design_all, outcome.target)
-    self_columns = {
-        (agent, lag): j for j, agent, lag in outcome.design_self.feature_columns()
-    }
+    n_self = outcome.design_self.n_cols  # the buyer's block leads design_all
     rows = []
     for j, agent, lag in outcome.design_all.feature_columns():
-        own = self_columns.get((agent, lag))
         rows.append(
             {
                 "agent": agent,
                 "lag": lag,
                 "true": _true_coefficient(scenario, agent, lag),
-                "ols_self": None if own is None else float(outcome.baseline_beta[own]),
+                "ols_self": float(outcome.baseline_beta[j]) if j < n_self else None,
                 "ols_all": float(ols_all[j]),
                 "lasso": float(outcome.market_beta[j]),
             }

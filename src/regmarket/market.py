@@ -165,47 +165,45 @@ def penalties_from_reservations(
 
     A support feature sold at reservation ``u`` is penalized by ``(T/2) * u``;
     the intercept and every column belonging to the central agent stay at
-    zero so the buyer's own information is never shrunk.
+    zero so the buyer's own information is never shrunk. One pass over the
+    schedule's entries writes each penalty at the column the design's
+    ``column_index`` gives; features the schedule leaves out stay free.
     """
     expected = {config.central_agent, *config.support_agents}
-    present = {agent for _, agent, _ in design.feature_columns()}
-    if present != expected:
+    if design.agents != expected:
         raise InvalidInputError(
-            f"design covers agents {sorted(map(str, present))}, "
+            f"design covers agents {sorted(map(str, design.agents))}, "
             f"config needs {sorted(map(str, expected))}"
         )
-    feature_index = {
-        (agent, lag): j for j, agent, lag in design.feature_columns()
-    }
-    for agent_id, lag in reservations.entries:
+    half_T = design.n_rows / 2.0
+    penalties = np.zeros(design.n_cols)
+    for (agent_id, lag), u in reservations.entries.items():
         if agent_id == config.central_agent:
-            if reservations.entries[(agent_id, lag)] != 0.0:
+            if u != 0.0:
                 raise InvalidInputError(
                     f"central agent {agent_id!r} cannot sell its own features"
                 )
             continue
-        if (agent_id, lag) not in feature_index:
+        column = design.column_index.get((agent_id, lag))
+        if column is None:
             raise InvalidInputError(
                 f"reservation for agent {agent_id!r} lag {lag} has no design column"
             )
-
-    half_T = design.n_rows / 2.0
-    penalties = np.zeros(design.n_cols)
-    for j, agent_id, lag in design.feature_columns():
-        if agent_id != config.central_agent:
-            penalties[j] = half_T * reservations.get(agent_id, lag)
+        penalties[column] = half_T * u
     return penalties
 
 
 class PreparedMarket:
     """The reservation-independent half of a clearing, built once.
 
-    The target, both lag designs and the buyer's baseline OLS fit depend only
+    The target, the lag design and the buyer's baseline OLS fit depend only
     on the data and the window, so a sweep over reservations prepares them
     once and calls :meth:`clear` per point, and a sweep over training
     lengths prepares the longest window once and clears each shorter one on
-    :meth:`window`. Construction checks the roster: every configured agent
-    needs exactly one series.
+    :meth:`window`. One lag matrix is built per market: the buyer's own
+    design ``design_self`` is the intercept and buyer block that lead
+    ``design_all``, a column view of it. Construction checks the roster:
+    every configured agent needs exactly one series.
     """
 
     def __init__(self, config: MarketConfig, all_series):
@@ -223,17 +221,17 @@ class PreparedMarket:
         self._fit(
             config,
             central.window(spec.window_length),
-            build_lag_matrix([central], spec),
             build_lag_matrix([central, *(by_id[a] for a in config.support_agents)], spec),
         )
 
-    def _fit(self, config, target, design_self, design_all) -> None:
+    def _fit(self, config, target, design_all) -> None:
         """Attach the window's data and fit the buyer's own-features baseline."""
+        own = 1 + config.lag_spec.max_lag  # the intercept and the buyer's lags
         self.config = config
         self.target = target
-        self.design_self = design_self
-        self.baseline_beta = ols_fit(design_self, target)
-        self.baseline_mse = mse(design_self, self.baseline_beta, target)
+        self.design_self = DesignMatrix(design_all.values[:, :own], design_all.column_map[:own])
+        self.baseline_beta = ols_fit(self.design_self, target)
+        self.baseline_mse = mse(self.design_self, self.baseline_beta, target)
         self.design_all = design_all
         # (agent, lag, column) per seller feature, in payment-record order.
         self.seller_columns = tuple(
@@ -245,7 +243,7 @@ class PreparedMarket:
     def window(self, length: int) -> "PreparedMarket":
         """This market on the first ``length`` hours of its window.
 
-        The target and both designs are row-prefix views, not copies; the
+        The target and the design are row-prefix views, not copies; the
         baseline fit and the Gram matrices are the shorter window's own, so
         it clears bitwise as a market prepared at ``length``.
         """
@@ -260,7 +258,6 @@ class PreparedMarket:
         market._fit(
             dataclasses.replace(self.config, lag_spec=LagSpec(spec.max_lag, length)),
             self.target[:length],
-            DesignMatrix(self.design_self.values[:length], self.design_self.column_map),
             DesignMatrix(self.design_all.values[:length], self.design_all.column_map),
         )
         return market

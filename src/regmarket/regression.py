@@ -54,7 +54,8 @@ class DesignMatrix:
     ``column_map`` has one entry per column: ``None`` marks the intercept
     column (only allowed, and then required to be all ones, at position 0),
     and any other entry is an ``(agent_id, lag)`` pair. Duplicate pairs are
-    rejected.
+    rejected. ``column_index`` maps each pair to its column and ``agents``
+    holds the agent ids that own a column; both are built once, here.
     """
 
     values: np.ndarray
@@ -77,11 +78,13 @@ class DesignMatrix:
             raise InvalidInputError("intercept marker may only appear at column 0")
         if column_map[0] is None and not np.all(values[:, 0] == 1.0):
             raise InvalidInputError("intercept column must be all ones")
-        features = [entry for entry in column_map if entry is not None]
-        if len(set(features)) != len(features):
+        column_index = {entry: j for j, entry in enumerate(column_map) if entry is not None}
+        if len(column_index) != len(column_map) - (column_map[0] is None):
             raise InvalidInputError("duplicate (agent, lag) column in design matrix")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "column_map", column_map)
+        object.__setattr__(self, "column_index", column_index)
+        object.__setattr__(self, "agents", frozenset(agent for agent, _ in column_index))
 
     @property
     def n_rows(self) -> int:
@@ -103,10 +106,10 @@ class DesignMatrix:
         return gram
 
     def column_of(self, agent_id, lag: int) -> int:
-        """Index of the column holding ``agent_id``'s lag-``lag`` feature."""
+        """Index of the column holding ``agent_id``'s lag-``lag`` feature: a ``column_index`` lookup."""
         try:
-            return self.column_map.index((agent_id, lag))
-        except ValueError:
+            return self.column_index[(agent_id, lag)]
+        except (KeyError, TypeError):  # TypeError: an unhashable agent id has no column either
             raise InvalidInputError(
                 f"no column for agent {agent_id!r} at lag {lag}"
             ) from None

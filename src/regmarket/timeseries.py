@@ -113,12 +113,14 @@ class SyntheticSpec:
             object.__setattr__(self, name, entries)
         for name in ("dependent_phi", "dependent_noise_std"):
             object.__setattr__(self, name, real(getattr(self, name), name))
-        for phi in (*self.ar_coefficients, self.dependent_phi):
-            if not abs(phi) < 1:
-                raise InvalidInputError(f"AR coefficient {phi} is not stationary")
-        for std in (*self.noise_std, self.dependent_noise_std):
-            if not std > 0:
-                raise InvalidInputError("noise_std must be positive")
+        for name in ("ar_coefficients", "dependent_phi"):
+            for phi in np.atleast_1d(getattr(self, name)).tolist():
+                if not abs(phi) < 1:
+                    raise InvalidInputError(f"{name} must be stationary (|phi| < 1), got {phi}", field=name)
+        for name in ("noise_std", "dependent_noise_std"):
+            for std in np.atleast_1d(getattr(self, name)).tolist():
+                if not std > 0:
+                    raise InvalidInputError(f"{name} must be positive, got {std}", field=name)
 
     @property
     def agent_ids(self) -> tuple:

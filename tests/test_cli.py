@@ -320,6 +320,19 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         ("where", "value", "key"),
         [
+            (("data",), {"type": "synthetic", "dependent_phi": 1.5}, "data.dependent_phi"),
+            (("data",), {"type": "synthetic", "ar_coefficients": [0.5, 0.3, -1.0, 0.3]}, "data.ar_coefficients"),
+            (("data",), {"type": "synthetic", "noise_std": [1, 1, 1, -1]}, "data.noise_std"),
+            (("data",), {"type": "synthetic", "dependent_noise_std": 0}, "data.dependent_noise_std"),
+        ],
+        ids=["non-stationary-dependent-phi", "non-stationary-ar", "negative-noise-std", "zero-dependent-noise-std"],
+    )
+    def test_out_of_range_synthetic_setting_exits_2_naming_the_key(self, tmp_path, capsys, where, value, key):
+        self.assert_clear_exits_2_naming(tmp_path, capsys, where, value, key)
+
+    @pytest.mark.parametrize(
+        ("where", "value", "key"),
+        [
             (("data", "path"), 5, "data.path"),
             (("data", "schema"), 5, "data.schema"),
             (("data", "schema"), {"DK1": ["a"]}, "data.schema"),

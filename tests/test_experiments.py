@@ -29,6 +29,14 @@ def scenario(central="P1", seed=0, window=240, max_lag=3, **kwargs):
     )
 
 
+def own_lag_fit(values, start: int, window: int, max_lag: int) -> dict:
+    """Least squares of ``values[start:start + window]`` on an intercept and its own lags, by lag."""
+    hours = np.arange(start, start + window)
+    X = np.column_stack([np.ones(window)] + [values[hours - lag] for lag in range(1, max_lag + 1)])
+    beta = np.linalg.lstsq(X, values[hours], rcond=None)[0]
+    return {lag: beta[lag] for lag in range(1, max_lag + 1)}
+
+
 class TestMethodComparison:
     def test_correlated_central_recovers_structure(self):
         report = run_method_comparison(scenario("P1", seed=0))
@@ -61,6 +69,35 @@ class TestMethodComparison:
                 assert row["ols_self"] is not None
             else:
                 assert row["ols_self"] is None
+
+    def test_ols_self_is_the_buyers_own_lag_fit_on_synthetic_data(self):
+        report = run_method_comparison(scenario("P1", seed=4))
+        buyer = synthetic_market_series(SyntheticSpec(seed=4), history=3, window=240)[0]
+        assert buyer.agent_id == "P1"
+        self.assert_ols_self_matches(report, "P1", own_lag_fit(buyer.values, 3, 240, 3))
+
+    def test_ols_self_is_the_buyers_own_lag_fit_on_csv_data(self, tmp_path):
+        # The buyer is the file's middle zone, so its design block is not
+        # where the file puts its column.
+        rng = np.random.default_rng(11)
+        values = rng.normal(size=(70, 3)).cumsum(axis=0) * 0.1
+        lines = ["timestamp,A,B,C"] + [f"{t},{','.join(map(repr, row))}" for t, row in enumerate(values.tolist())]
+        path = tmp_path / "zones.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = ScenarioConfig(
+            scenario_id="csv", central_agent="B", lag_spec=LagSpec(max_lag=2, window_length=60), csv_path=str(path)
+        )
+        report = run_method_comparison(config)
+        self.assert_ols_self_matches(report, "B", own_lag_fit(values[:, 1], 2, 60, 2))
+
+    @staticmethod
+    def assert_ols_self_matches(report, buyer, expected):
+        rows = report.coefficient_rows
+        own = {row["lag"]: row["ols_self"] for row in rows if row["agent"] == buyer}
+        assert own.keys() == expected.keys()
+        for lag, value in own.items():
+            assert value == pytest.approx(expected[lag], rel=1e-9, abs=1e-12)
+        assert all(row["ols_self"] is None for row in rows if row["agent"] != buyer)
 
     def test_true_column_matches_generator(self):
         spec = SyntheticSpec(seed=0)

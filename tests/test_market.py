@@ -277,6 +277,29 @@ class TestPreparedMarket:
         assert computed == [market.design_all]
         assert all(outcome.design_all.gram is market.design_all.gram for outcome in outcomes)
 
+    def test_one_lag_matrix_per_prepare(self, monkeypatch):
+        import regmarket.market as market_module
+
+        built = []
+
+        def counted(series_list, spec):
+            built.append(spec)
+            return build_lag_matrix(series_list, spec)
+
+        monkeypatch.setattr(market_module, "build_lag_matrix", counted)
+        config, roster = default_market(seed=1)
+        market = PreparedMarket(config, roster)
+        assert built == [LAG]
+        shorter = market.window(120)
+        shorter.clear(ReservationSchedule.uniform(SUPPORTS, 3, 0.1))
+        assert built == [LAG]
+
+        central = next(series for series in roster if series.agent_id == "P1")
+        for prepared, spec in ((market, LAG), (shorter, LagSpec(3, 120))):
+            own = build_lag_matrix([central], spec)
+            assert np.array_equal(prepared.design_self.values, own.values)
+            assert prepared.design_self.column_map == own.column_map
+
     @pytest.mark.parametrize("length", [0, -1, 241])
     def test_window_outside_the_prepared_one_rejected(self, length):
         config, roster = default_market(seed=0)

@@ -209,6 +209,10 @@ def test_constructor_and_loader_reject_the_same_value(tmp_path, field, whole, co
         (lambda: ReservationSchedule({("P2", 1): True}), "entries"),
         (lambda: SyntheticSpec(seed=1.5), "seed"),
         (lambda: SyntheticSpec(noise_std=(True, 1.0, 1.0, 1.0)), "noise_std"),
+        (lambda: SyntheticSpec(ar_coefficients=four(1.0)), "ar_coefficients"),
+        (lambda: SyntheticSpec(dependent_phi=-1.5), "dependent_phi"),
+        (lambda: SyntheticSpec(noise_std=(1.0, 1.0, 1.0, -1.0)), "noise_std"),
+        (lambda: SyntheticSpec(dependent_noise_std=0), "dependent_noise_std"),
         (lambda: MarketConfig("P1", "P2P3", LagSpec(1, 10)), "support_agents"),
         (lambda: scenario(synthetic=SyntheticSpec(), support_agents="P2"), "support_agents"),
         (lambda: scenario(synthetic=SyntheticSpec(), out_dir=None), "out_dir"),
@@ -221,6 +225,10 @@ def test_constructor_and_loader_reject_the_same_value(tmp_path, field, whole, co
         "bool-reservation",
         "fractional-seed",
         "bool-noise-std",
+        "non-stationary-ar",
+        "non-stationary-dependent-phi",
+        "negative-noise-std",
+        "zero-dependent-noise-std",
         "string-market-roster",
         "string-scenario-roster",
         "null-out-dir",
