@@ -23,8 +23,6 @@ from .timeseries import (
     LagSpec,
     SyntheticSpec,
     build_lag_matrix,
-    generate_ar1,
-    generate_var_dependent,
     synthetic_market_series,
 )
 from .market import (
@@ -40,6 +38,7 @@ from .market import (
     verify_buyer_viability,
 )
 from .data_io import (
+    OUTCOME_COLUMNS,
     IngestReport,
     ScenarioConfig,
     TwoAgentGrid,
@@ -48,6 +47,8 @@ from .data_io import (
     load_scenario,
     to_agent_series,
     write_outcome_table,
+    write_rows,
+    write_zonal_csv,
 )
 from .experiments import (
     ExperimentReport,

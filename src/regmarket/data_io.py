@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError, integer, real, sequence
-from .market import MarketConfig, ReservationSchedule
+from .market import MarketConfig, ReservationSchedule, support_roster
 from .regression import SolverSettings
 from .timeseries import AgentSeries, LagSpec, SyntheticSpec
 
@@ -547,7 +547,8 @@ class ScenarioConfig:
         if self.csv_window_start is not None:
             object.__setattr__(self, "csv_window_start", integer(self.csv_window_start, "csv_window_start"))
         if self.support_agents is not None:
-            object.__setattr__(self, "support_agents", sequence(self.support_agents, "support_agents"))
+            supports = support_roster(self.central_agent, self.support_agents)
+            object.__setattr__(self, "support_agents", supports)
         if self.uniform_u is not None and self.reservations is not None:
             raise InvalidInputError("give either uniform_u or explicit reservations")
         if self.uniform_u is None and self.reservations is None:

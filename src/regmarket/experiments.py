@@ -69,24 +69,6 @@ def _prepare(scenario: ScenarioConfig) -> PreparedMarket:
     return PreparedMarket(scenario.market_config([s.agent_id for s in series]), series)
 
 
-def _true_coefficient(scenario: ScenarioConfig, agent, lag: int):
-    """Generative-model coefficient for a synthetic scenario's target, else None."""
-    spec = scenario.synthetic
-    if spec is None:
-        return None
-    ids = spec.agent_ids
-    central = scenario.central_agent
-    if central == ids[0]:
-        if lag == 1 and agent == ids[0]:
-            return spec.dependent_phi
-        if lag == 1 and agent in ids[1:]:
-            return spec.cross_coefficients[ids.index(agent) - 1]
-        return 0.0
-    if agent == central and lag == 1:
-        return spec.ar_coefficients[ids.index(central) - 1]
-    return 0.0
-
-
 def run_method_comparison(scenario: ScenarioConfig) -> ExperimentReport:
     """Fit own-features OLS, all-features OLS and the weighted lasso side by side.
 
@@ -95,6 +77,7 @@ def run_method_comparison(scenario: ScenarioConfig) -> ExperimentReport:
     """
     market = _prepare(scenario)
     outcome = market.clear(scenario.schedule(market.config.support_agents))
+    truth = scenario.synthetic
 
     ols_all = ols_fit(outcome.design_all, outcome.target)
     n_self = outcome.design_self.n_cols  # the buyer's block leads design_all
@@ -104,7 +87,7 @@ def run_method_comparison(scenario: ScenarioConfig) -> ExperimentReport:
             {
                 "agent": agent,
                 "lag": lag,
-                "true": _true_coefficient(scenario, agent, lag),
+                "true": None if truth is None else truth.coefficient(scenario.central_agent, agent, lag),
                 "ols_self": float(outcome.baseline_beta[j]) if j < n_self else None,
                 "ols_all": float(ols_all[j]),
                 "lasso": float(outcome.market_beta[j]),
@@ -210,18 +193,20 @@ def run_two_agent_grid(scenario: ScenarioConfig) -> ExperimentReport:
 
     # Adjacent grid steps where one seller's payment does not increase when
     # the other seller raises its reservation. Rows run over u_b within u_a.
+    # Payments are in MSE units, so the rounding slack scales with the baseline.
     rows, n_b = report.derived_rows, len(grid.u_grid_b)
     b_steps = [(rows[k], rows[k + 1]) for k in range(len(rows) - 1) if (k + 1) % n_b]
     a_steps = list(zip(rows, rows[n_b:]))
+    slack = 1e-12 * market.baseline_mse
     report.summary = {
-        "a_payment_nonincreasing_in_b_frac": _nonincreasing_frac(b_steps, "payment_a"),
-        "b_payment_nonincreasing_in_a_frac": _nonincreasing_frac(a_steps, "payment_b"),
+        "a_payment_nonincreasing_in_b_frac": _nonincreasing_frac(b_steps, "payment_a", slack),
+        "b_payment_nonincreasing_in_a_frac": _nonincreasing_frac(a_steps, "payment_b", slack),
     }
     return report
 
 
-def _nonincreasing_frac(steps, key) -> float:
-    """Share of ``(low, high)`` row pairs whose ``key`` does not rise."""
+def _nonincreasing_frac(steps, key, slack: float) -> float:
+    """Share of ``(low, high)`` row pairs whose ``key`` rises by at most ``slack``."""
     if not steps:
         return 1.0
-    return sum(high[key] <= low[key] + 1e-12 for low, high in steps) / len(steps)
+    return sum(high[key] <= low[key] + slack for low, high in steps) / len(steps)

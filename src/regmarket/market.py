@@ -99,14 +99,21 @@ class MarketConfig:
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):
-        supports = sequence(self.support_agents, "support_agents")
-        if self.central_agent in supports:
-            raise InvalidInputError(
-                f"central agent {self.central_agent!r} cannot also be a support agent"
-            )
-        if len(set(supports)) != len(supports):
-            raise InvalidInputError("duplicate support agent ids")
-        object.__setattr__(self, "support_agents", supports)
+        object.__setattr__(self, "support_agents", support_roster(self.central_agent, self.support_agents))
+
+
+def support_roster(central_agent, support_agents) -> tuple:
+    """``support_agents`` as a tuple; the central agent or a repeated id is rejected.
+
+    The one roster check of :class:`MarketConfig` and ``ScenarioConfig``.
+    """
+    supports = sequence(support_agents, "support_agents")
+    if central_agent in supports:
+        raise InvalidInputError(f"support_agents includes the central agent {central_agent!r}", "support_agents")
+    repeated = [agent for k, agent in enumerate(supports) if agent in supports[:k]]
+    if repeated:
+        raise InvalidInputError(f"support_agents lists {repeated[0]!r} more than once", "support_agents")
+    return supports
 
 
 @dataclass(frozen=True)
@@ -322,16 +329,16 @@ def clear_market(config: MarketConfig, all_series, reservations: ReservationSche
     return PreparedMarket(config, all_series).clear(reservations)
 
 
-def verify_buyer_viability(outcome: MarketOutcome, tolerance: float = VIABILITY_TOLERANCE) -> ViabilityCheck:
+def verify_buyer_viability(outcome: MarketOutcome) -> ViabilityCheck:
     """Re-check buyer viability from the outcome's raw matrices.
 
     Both squared-error sides are recomputed from the stored designs, targets
     and coefficient vectors rather than trusting the stored MSEs; payments
     are summed from the payment records, not read from ``total_payments``.
-    The gap may reach ``tolerance`` times the baseline MSE, so the verdict
-    does not depend on the data's units; for a buyer whose own features fit
-    exactly, the baseline is floored at the rounding level of the target's
-    mean square. Returns the inequality verdict with both sides and their
+    The gap may reach ``VIABILITY_TOLERANCE`` times the baseline MSE, so the
+    verdict does not depend on the data's units; for a buyer whose own
+    features fit exactly, the baseline is floored at the rounding level of
+    the target's mean square. Returns the verdict with both sides and their
     gap, never raising.
     """
     market_mse = mse(outcome.design_all, outcome.market_beta, outcome.target)
@@ -340,7 +347,7 @@ def verify_buyer_viability(outcome: MarketOutcome, tolerance: float = VIABILITY_
     market_side = market_mse + total_payments
     gap = market_side - baseline_mse
     target = outcome.target
-    slack = tolerance * max(baseline_mse, float(np.finfo(float).eps * (target @ target)) / target.size)
+    slack = VIABILITY_TOLERANCE * max(baseline_mse, float(np.finfo(float).eps * (target @ target)) / target.size)
     return ViabilityCheck(
         holds=gap <= slack,
         market_mse=market_mse,

@@ -4,12 +4,14 @@ Hour indexing is series-local: ``values[k]`` is the sample at hour ``k`` and
 ``start_time`` is the index of the first in-window sample, so everything
 before it is lag history. Row ``t`` of a lag matrix (1-based, ``t = 1..T``)
 pairs target hour ``start_time + t - 1`` with feature values from hours
-``t - max_lag .. t - 1``.
+``t - max_lag .. t - 1``. One recursion, ``_ar_path``, generates every
+synthetic series: each seller is an AR(1) process, and the buyer P1 is one
+forced by the sellers' previous hours. :class:`SyntheticSpec` checks every
+generator setting and states the true coefficients.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +24,6 @@ __all__ = [
     "LagSpec",
     "SyntheticSpec",
     "build_lag_matrix",
-    "generate_ar1",
-    "generate_var_dependent",
     "synthetic_market_series",
 ]
 
@@ -84,7 +84,8 @@ class SyntheticSpec:
     Agents P2..P(n+1) are independent AR(1) processes; agent P1 additionally
     loads on every independent agent's previous-hour value with the given
     cross coefficients. These defaults are the declared ground truth for the
-    package's recovery experiments and can be overridden freely.
+    package's recovery experiments and can be overridden freely;
+    :meth:`coefficient` states that truth feature by feature.
     """
 
     n_independent: int = 4
@@ -105,6 +106,11 @@ class SyntheticSpec:
         for name in ("ar_coefficients", "noise_std", "cross_coefficients"):
             entries = tuple(real(v, name) for v in sequence(getattr(self, name), name))
             if len(entries) != self.n_independent:
+                if entries == getattr(SyntheticSpec, name):  # a default fits the default roster only
+                    raise InvalidInputError(
+                        f"n_independent {self.n_independent} needs {name} of that length, not the default",
+                        field="n_independent",
+                    )
                 raise InvalidInputError(
                     f"{name} must have one entry per independent agent "
                     f"({self.n_independent}), got {len(entries)}",
@@ -125,6 +131,19 @@ class SyntheticSpec:
     @property
     def agent_ids(self) -> tuple:
         return tuple(f"P{k}" for k in range(1, self.n_independent + 2))
+
+    def coefficient(self, target: str, agent: str, lag: int) -> float:
+        """The true coefficient of ``agent``'s lag-``lag`` value in ``target``'s equation.
+
+        P1 loads on its own and every seller's previous hour, and a seller
+        on its own previous hour only; every other coefficient is 0.
+        """
+        ids = self.agent_ids
+        if lag != 1 or agent not in ids or target not in (ids[0], agent):
+            return 0.0
+        if target == ids[0]:
+            return (self.dependent_phi, *self.cross_coefficients)[ids.index(agent)]
+        return self.ar_coefficients[ids.index(agent) - 1]
 
 
 def build_lag_matrix(series_list, spec: LagSpec) -> DesignMatrix:
@@ -163,82 +182,24 @@ def build_lag_matrix(series_list, spec: LagSpec) -> DesignMatrix:
     return DesignMatrix(values=np.column_stack(columns), column_map=tuple(column_map))
 
 
-def generate_ar1(phi: float, noise_std: float, length: int, seed, agent_id: str = "ar1") -> AgentSeries:
-    """Simulate x_t = phi * x_{t-1} + eps_t with Gaussian noise.
+def _ar_path(phi: float, noise, forcing=()) -> np.ndarray:
+    """Run ``state = phi * state + eps`` from 0 over ``noise`` and drop the burn-in.
 
-    The first ``BURN_IN`` samples are discarded so the output starts at the
-    stationary distribution. Deterministic given ``seed``.
+    Each of the last ``len(forcing)`` steps then adds its ``forcing`` entry.
+    The loop runs on Python floats, overwriting each draw with its state: the
+    same IEEE operations as on numpy scalars, without per-element boxing.
     """
-    if not abs(phi) < 1:
-        raise InvalidInputError(f"AR coefficient {phi} is not stationary")
-    if not noise_std > 0:
-        raise InvalidInputError("noise_std must be positive")
-    if length < 1:
-        raise InvalidInputError("length must be at least 1")
-    rng = np.random.default_rng(seed)
-    # The recursion runs on Python floats, overwriting each noise draw with
-    # its state: the same IEEE operations as on numpy scalars, without the
-    # per-element boxing.
-    out = rng.normal(0.0, noise_std, BURN_IN + length).tolist()
-    phi = float(phi)
+    out = noise.tolist()
     state = 0.0
-    for t, eps in enumerate(out):
+    unforced = len(out) - len(forcing)
+    for t, eps in zip(range(unforced), out):
         state = phi * state + eps
         out[t] = state
-    return AgentSeries(agent_id=agent_id, values=np.array(out[BURN_IN:]), start_time=0)
-
-
-def generate_var_dependent(
-    drivers,
-    cross_coefficients,
-    own_phi: float,
-    noise_std: float,
-    seed,
-    agent_id: str = "var",
-) -> AgentSeries:
-    """Simulate a series loading on its own lag and every driver's lag-1 value.
-
-    x_t = own_phi * x_{t-1} + sum_k c_k * driver_k[t-1] + eps_t, aligned
-    hour-for-hour with the drivers. Burn-in runs on the own-lag recursion
-    alone (no driver data exists before the drivers' horizon), so with all
-    cross coefficients zero the output matches :func:`generate_ar1` exactly.
-    """
-    drivers = list(drivers)
-    cross = np.asarray(cross_coefficients, dtype=float)
-    if cross.ndim != 1 or cross.shape[0] != len(drivers):
-        raise InvalidInputError(
-            f"need one cross coefficient per driver, got {cross.shape[0]} for {len(drivers)}"
-        )
-    if not abs(own_phi) < 1:
-        raise InvalidInputError(f"AR coefficient {own_phi} is not stationary")
-    if not noise_std > 0:
-        raise InvalidInputError("noise_std must be positive")
-    lengths = {d.values.shape[0] for d in drivers}
-    if len(lengths) > 1:
-        raise InvalidInputError(f"drivers differ in length: {sorted(lengths)}")
-    starts = {d.start_time for d in drivers}
-    if len(starts) > 1:
-        raise InvalidInputError(f"drivers differ in start_time: {sorted(starts)}")
-    if not drivers:
-        raise InvalidInputError("need at least one driver series")
-    length = lengths.pop()
-
-    cross_input = np.zeros(length)
-    for c, driver in zip(cross, drivers):
-        cross_input[1:] += c * driver.values[:-1]
-
-    rng = np.random.default_rng(seed)
-    out = rng.normal(0.0, noise_std, BURN_IN + length).tolist()  # see generate_ar1
-    own_phi = float(own_phi)
-    state = 0.0
-    for t in range(BURN_IN):
-        state = own_phi * state + out[t]
-        out[t] = state
-    for t, driven in enumerate(cross_input.tolist(), start=BURN_IN):
-        state = own_phi * state + out[t]
+    for t, driven in enumerate(forcing, start=unforced):
+        state = phi * state + out[t]
         state += driven
         out[t] = state
-    return AgentSeries(agent_id=agent_id, values=np.array(out[BURN_IN:]), start_time=starts.pop())
+    return np.array(out[BURN_IN:])
 
 
 def synthetic_market_series(spec: SyntheticSpec, history: int, window: int) -> list:
@@ -246,28 +207,25 @@ def synthetic_market_series(spec: SyntheticSpec, history: int, window: int) -> l
 
     Every returned series has ``history`` pre-window samples followed by
     ``window`` in-window samples. Per-agent seeds are spawned from
-    ``spec.seed`` so the roster is reproducible as a whole.
+    ``spec.seed`` so the roster is reproducible as a whole: the first child
+    seeds P1's noise, child ``k + 1`` seller ``k``'s. P1 is forced by the
+    sellers over the output hours only, as no seller data precedes them.
     """
     if history < 0 or window < 1:
         raise InvalidInputError("history must be >= 0 and window >= 1")
     length = history + window
-    ids = spec.agent_ids
     children = np.random.SeedSequence(spec.seed).spawn(spec.n_independent + 1)
-    independents = [
-        generate_ar1(phi, std, length, child, agent_id=ids[k + 1])
-        for k, (phi, std, child) in enumerate(
-            zip(spec.ar_coefficients, spec.noise_std, children[1:])
-        )
+
+    def noise(child, std):
+        return np.random.default_rng(child).normal(0.0, std, BURN_IN + length)
+
+    sellers = [
+        _ar_path(phi, noise(child, std))
+        for phi, std, child in zip(spec.ar_coefficients, spec.noise_std, children[1:])
     ]
-    dependent = generate_var_dependent(
-        independents,
-        spec.cross_coefficients,
-        spec.dependent_phi,
-        spec.dependent_noise_std,
-        children[0],
-        agent_id=ids[0],
-    )
-    return [
-        dataclasses.replace(series, start_time=history)
-        for series in (dependent, *independents)
-    ]
+    forcing = np.zeros(length)
+    for c, seller in zip(spec.cross_coefficients, sellers):
+        forcing[1:] += c * seller[:-1]
+    buyer = _ar_path(spec.dependent_phi, noise(children[0], spec.dependent_noise_std), forcing.tolist())
+    roster = zip(spec.agent_ids, (buyer, *sellers))
+    return [AgentSeries(agent_id, values, start_time=history) for agent_id, values in roster]

@@ -324,8 +324,17 @@ class TestExitCodes:
             (("data",), {"type": "synthetic", "ar_coefficients": [0.5, 0.3, -1.0, 0.3]}, "data.ar_coefficients"),
             (("data",), {"type": "synthetic", "noise_std": [1, 1, 1, -1]}, "data.noise_std"),
             (("data",), {"type": "synthetic", "dependent_noise_std": 0}, "data.dependent_noise_std"),
+            (("data",), {"type": "synthetic", "n_independent": 2}, "data.n_independent"),
+            (("data",), {"type": "synthetic", "ar_coefficients": [0.5, 0.3]}, "data.ar_coefficients"),
         ],
-        ids=["non-stationary-dependent-phi", "non-stationary-ar", "negative-noise-std", "zero-dependent-noise-std"],
+        ids=[
+            "non-stationary-dependent-phi",
+            "non-stationary-ar",
+            "negative-noise-std",
+            "zero-dependent-noise-std",
+            "n-independent-against-default-lists",
+            "short-ar-coefficients",
+        ],
     )
     def test_out_of_range_synthetic_setting_exits_2_naming_the_key(self, tmp_path, capsys, where, value, key):
         self.assert_clear_exits_2_naming(tmp_path, capsys, where, value, key)
@@ -354,8 +363,19 @@ class TestExitCodes:
             (("data",), {"type": "synthetic", "ar_coefficients": 0.5}, "data.ar_coefficients"),
             (("market",), [1], "market"),
             (("market", "support_agents"), "DK2", "market.support_agents"),
+            (("market", "support_agents"), ["DK1", "DK2"], "market.support_agents"),
+            (("market", "support_agents"), ["DK2", "DK2"], "market.support_agents"),
         ],
-        ids=["short-entry", "scalar-entries", "scalar-u-grid", "scalar-ar-coefficients", "list-market", "string-roster"],
+        ids=[
+            "short-entry",
+            "scalar-entries",
+            "scalar-u-grid",
+            "scalar-ar-coefficients",
+            "list-market",
+            "string-roster",
+            "central-in-roster",
+            "repeated-seller",
+        ],
     )
     def test_wrong_shape_exits_2_naming_the_key(self, tmp_path, capsys, where, value, key):
         self.assert_clear_exits_2_naming(tmp_path, capsys, where, value, key)

@@ -249,6 +249,32 @@ class TestTwoAgentGrid:
         assert 0.0 <= report.summary["a_payment_nonincreasing_in_b_frac"] <= 1.0
         assert 0.0 <= report.summary["b_payment_nonincreasing_in_a_frac"] <= 1.0
 
+    def test_monotonicity_statistic_independent_of_units(self, tmp_path):
+        # Scaling the data by s scales every MSE and payment by s^2 when the
+        # reservations scale by s^2 too, so the fractions must not change.
+        roster = synthetic_market_series(SyntheticSpec(seed=2), history=3, window=240)
+        values = np.column_stack([s.values for s in roster])
+        grid = (0.05, 0.1, 0.2)
+
+        def fractions(scale):
+            lines = ["timestamp," + ",".join(s.agent_id for s in roster)]
+            lines += [f"{t},{','.join(map(repr, row))}" for t, row in enumerate((values * scale).tolist())]
+            path = tmp_path / f"zones-{scale!r}.csv"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            u = lambda v: v * scale**2
+            config = ScenarioConfig(
+                scenario_id="units",
+                central_agent="P1",
+                lag_spec=LagSpec(max_lag=3, window_length=240),
+                csv_path=str(path),
+                grid2=TwoAgentGrid("P2", "P3", tuple(map(u, grid)), tuple(map(u, grid)), others_u=u(0.1)),
+            )
+            return run_two_agent_grid(config).summary
+
+        unscaled = fractions(1.0)
+        assert unscaled["b_payment_nonincreasing_in_a_frac"] < 1.0  # the statistic has something to show
+        assert fractions(1e-6) == unscaled
+
     def test_non_support_agent_rejected(self):
         sc = scenario("P1", grid2=TwoAgentGrid("P1", "P2", (0.1,), (0.1,)))
         with pytest.raises(InvalidInputError):

@@ -213,8 +213,12 @@ def test_constructor_and_loader_reject_the_same_value(tmp_path, field, whole, co
         (lambda: SyntheticSpec(dependent_phi=-1.5), "dependent_phi"),
         (lambda: SyntheticSpec(noise_std=(1.0, 1.0, 1.0, -1.0)), "noise_std"),
         (lambda: SyntheticSpec(dependent_noise_std=0), "dependent_noise_std"),
+        (lambda: SyntheticSpec(n_independent=2), "n_independent"),  # the lists keep their 4-entry defaults
+        (lambda: SyntheticSpec(ar_coefficients=(0.5, 0.3)), "ar_coefficients"),
         (lambda: MarketConfig("P1", "P2P3", LagSpec(1, 10)), "support_agents"),
         (lambda: scenario(synthetic=SyntheticSpec(), support_agents="P2"), "support_agents"),
+        (lambda: MarketConfig("P1", ("P1", "P2"), LagSpec(1, 10)), "support_agents"),
+        (lambda: scenario(synthetic=SyntheticSpec(), support_agents=("P2", "P2")), "support_agents"),
         (lambda: scenario(synthetic=SyntheticSpec(), out_dir=None), "out_dir"),
     ],
     ids=[
@@ -229,8 +233,12 @@ def test_constructor_and_loader_reject_the_same_value(tmp_path, field, whole, co
         "non-stationary-dependent-phi",
         "negative-noise-std",
         "zero-dependent-noise-std",
+        "n-independent-against-default-lists",
+        "short-ar-coefficients",
         "string-market-roster",
         "string-scenario-roster",
+        "central-in-market-roster",
+        "repeated-seller-in-scenario-roster",
         "null-out-dir",
     ],
 )

@@ -11,8 +11,6 @@ from regmarket import (
     LagSpec,
     SyntheticSpec,
     build_lag_matrix,
-    generate_ar1,
-    generate_var_dependent,
     ols_fit,
     synthetic_market_series,
 )
@@ -105,53 +103,116 @@ class TestBuildLagMatrix:
             assert design.values[row, column] == agent.values[start + row - lag]
 
 
+def one_seller(phi, std, seed, cross=0.0, dependent_phi=0.2, dependent_std=0.3):
+    """A spec with one seller, P2, and the buyer P1."""
+    return SyntheticSpec(
+        n_independent=1,
+        ar_coefficients=(phi,),
+        noise_std=(std,),
+        cross_coefficients=(cross,),
+        dependent_phi=dependent_phi,
+        dependent_noise_std=dependent_std,
+        seed=seed,
+    )
+
+
+def seller_path(phi, std, length, seed):
+    """The values of P2, the one seller of ``one_seller(phi, std, seed)``."""
+    return synthetic_market_series(one_seller(phi, std, seed), history=0, window=length)[1].values
+
+
+def plain_recursion(phi, noise_std, length, seed, forcing=None):
+    """The AR(1) recursion on numpy scalars, with ``forcing`` added after the burn-in."""
+    eps = np.random.default_rng(seed).normal(0.0, noise_std, BURN_IN + length)
+    out = np.empty(BURN_IN + length)
+    state = 0.0
+    for t in range(BURN_IN + length):
+        state = phi * state + eps[t]
+        if forcing is not None and t >= BURN_IN:
+            state += forcing[t - BURN_IN]
+        out[t] = state
+    return out[BURN_IN:]
+
+
+def plain_roster(spec, length):
+    """Every series of ``spec``'s roster, P1 first, by :func:`plain_recursion`.
+
+    Seeds are spawned as the generator states: the first child for P1 and
+    child ``k + 1`` for seller ``k``; P1's forcing sums the sellers'
+    previous hours in seller order.
+    """
+    children = np.random.SeedSequence(spec.seed).spawn(spec.n_independent + 1)
+    sellers = [
+        plain_recursion(phi, std, length, child)
+        for phi, std, child in zip(spec.ar_coefficients, spec.noise_std, children[1:])
+    ]
+    forcing = np.zeros(length)
+    for c, seller in zip(spec.cross_coefficients, sellers):
+        forcing[1:] += c * seller[:-1]
+    buyer = plain_recursion(spec.dependent_phi, spec.dependent_noise_std, length, children[0], forcing)
+    return [buyer, *sellers]
+
+
 class TestGenerateAr1:
+    """The sellers are AR(1) processes; each case reads P2 of a one-seller spec."""
+
     def test_white_noise_has_no_autocorrelation(self):
-        s = generate_ar1(0.0, 1.0, 10_000, seed=5)
-        x = s.values
+        x = seller_path(0.0, 1.0, 10_000, seed=5)
         r1 = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert abs(r1) < 0.1
 
     def test_autocorrelation_matches_phi(self):
-        s = generate_ar1(0.7, 1.0, 10_000, seed=6)
-        x = s.values
+        x = seller_path(0.7, 1.0, 10_000, seed=6)
         r1 = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert abs(r1 - 0.7) < 0.05
 
     def test_deterministic_given_seed(self):
-        a = generate_ar1(0.4, 1.5, 500, seed=42)
-        b = generate_ar1(0.4, 1.5, 500, seed=42)
-        assert np.array_equal(a.values, b.values)
-        c = generate_ar1(0.4, 1.5, 500, seed=43)
-        assert not np.array_equal(a.values, c.values)
+        a = seller_path(0.4, 1.5, 500, seed=42)
+        b = seller_path(0.4, 1.5, 500, seed=42)
+        assert np.array_equal(a, b)
+        c = seller_path(0.4, 1.5, 500, seed=43)
+        assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("phi,std", [(0.7, 1.0), (0.3, 2.0), (-0.5, 0.5)])
     def test_stationary_moments(self, phi, std):
-        s = generate_ar1(phi, std, 20_000, seed=9)
-        x = s.values
+        x = seller_path(phi, std, 20_000, seed=9)
         target_var = std**2 / (1 - phi**2)
         assert abs(x.mean()) < 0.1 * np.sqrt(target_var)
         assert abs(x.var() - target_var) < 0.1 * target_var
 
     def test_non_stationary_rejected(self):
         with pytest.raises(InvalidInputError):
-            generate_ar1(1.0, 1.0, 100, seed=0)
+            one_seller(1.0, 1.0, seed=0)
         with pytest.raises(InvalidInputError):
-            generate_ar1(-1.2, 1.0, 100, seed=0)
+            one_seller(-1.2, 1.0, seed=0)
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(InvalidInputError):
-            generate_ar1(0.5, 0.0, 100, seed=0)
+            one_seller(0.5, 0.0, seed=0)
         with pytest.raises(InvalidInputError):
-            generate_ar1(0.5, 1.0, 0, seed=0)
+            synthetic_market_series(one_seller(0.5, 1.0, seed=0), history=0, window=0)
 
 
 class TestGenerateVarDependent:
+    """P1 loads on its own lag and on every seller's previous hour."""
+
     def test_zero_cross_reduces_to_ar1(self):
-        drivers = [generate_ar1(0.5, 1.0, 300, seed=k) for k in range(3)]
-        dependent = generate_var_dependent(drivers, [0.0, 0.0, 0.0], 0.35, 0.8, seed=77)
-        plain = generate_ar1(0.35, 0.8, 300, seed=77)
-        assert np.array_equal(dependent.values, plain.values)
+        def buyer(ar_coefficients, noise_std):
+            spec = SyntheticSpec(
+                n_independent=3,
+                ar_coefficients=ar_coefficients,
+                noise_std=noise_std,
+                cross_coefficients=(0.0, 0.0, 0.0),
+                dependent_phi=0.35,
+                dependent_noise_std=0.8,
+                seed=77,
+            )
+            return synthetic_market_series(spec, history=0, window=300)[0].values
+
+        plain = buyer((0.5, 0.5, 0.5), (1.0, 1.0, 1.0))
+        assert np.array_equal(buyer((0.9, -0.3, 0.0), (2.0, 0.1, 1.0)), plain)
+        first_child = np.random.SeedSequence(77).spawn(4)[0]
+        assert np.array_equal(plain, plain_recursion(0.35, 0.8, 300, first_child))
 
     def test_recovers_generative_coefficients(self):
         spec = SyntheticSpec(seed=21)
@@ -165,20 +226,16 @@ class TestGenerateVarDependent:
             assert abs(beta[design.column_of(agent, lag)] - value) < 0.05
 
     def test_noiseless_single_driver_is_shifted_copy(self):
-        driver = generate_ar1(0.6, 1.0, 200, seed=3)
-        dependent = generate_var_dependent([driver], [1.0], 0.0, 1e-12, seed=4)
-        assert np.allclose(dependent.values[1:], driver.values[:-1], atol=1e-9)
-
-    def test_driver_length_mismatch_rejected(self):
-        a = generate_ar1(0.5, 1.0, 100, seed=0)
-        b = generate_ar1(0.5, 1.0, 101, seed=1)
-        with pytest.raises(InvalidInputError):
-            generate_var_dependent([a, b], [0.1, 0.2], 0.2, 1.0, seed=2)
+        spec = one_seller(0.6, 1.0, seed=3, cross=1.0, dependent_phi=0.0, dependent_std=1e-12)
+        buyer, seller = synthetic_market_series(spec, history=0, window=200)
+        assert np.allclose(buyer.values[1:], seller.values[:-1], atol=1e-9)
 
     def test_coefficient_count_mismatch_rejected(self):
-        a = generate_ar1(0.5, 1.0, 100, seed=0)
-        with pytest.raises(InvalidInputError):
-            generate_var_dependent([a], [0.1, 0.2], 0.2, 1.0, seed=2)
+        with pytest.raises(InvalidInputError) as caught:
+            SyntheticSpec(
+                n_independent=1, ar_coefficients=(0.5,), noise_std=(1.0,), cross_coefficients=(0.1, 0.2)
+            )
+        assert caught.value.field == "cross_coefficients"
 
 
 class TestSyntheticSpec:
@@ -189,6 +246,17 @@ class TestSyntheticSpec:
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             SyntheticSpec(n_independent=3)
+
+    @pytest.mark.parametrize("target", ["P1", "P3"])
+    def test_coefficient_recovered_by_ols(self, target):
+        spec = SyntheticSpec(seed=13)
+        roster = synthetic_market_series(spec, history=2, window=20_000)
+        design = build_lag_matrix(roster, LagSpec(max_lag=2, window_length=20_000))
+        y = roster[spec.agent_ids.index(target)].window(20_000)
+        beta = ols_fit(design, y)
+        for j, agent, lag in design.feature_columns():
+            assert abs(beta[j] - spec.coefficient(target, agent, lag)) < 0.05, (agent, lag)
+        assert spec.coefficient(target, target, 1) == (0.2 if target == "P1" else 0.3)
 
     def test_non_stationary_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -219,31 +287,52 @@ class TestSyntheticMarketSeries:
 
 
 class TestGeneratorsMatchPlainLoop:
-    """Both generators equal, bit for bit, the numpy-scalar recursion they state."""
+    """Every series of a roster equals, bit for bit, the numpy-scalar recursion it states."""
 
     @staticmethod
-    def plain_recursion(phi, noise_std, length, seed, forcing=None):
-        eps = np.random.default_rng(seed).normal(0.0, noise_std, BURN_IN + length)
-        out = np.empty(BURN_IN + length)
-        state = 0.0
-        for t in range(BURN_IN + length):
-            state = phi * state + eps[t]
-            if forcing is not None and t >= BURN_IN:
-                state += forcing[t - BURN_IN]
-            out[t] = state
-        return out[BURN_IN:]
+    def assert_matches_plain_loop(spec, history, window):
+        roster = synthetic_market_series(spec, history=history, window=window)
+        expected = plain_roster(spec, history + window)
+        assert [s.agent_id for s in roster] == list(spec.agent_ids)
+        for series, values in zip(roster, expected):
+            assert series.start_time == history
+            assert series.values.tobytes() == values.tobytes()
 
     def test_ar1(self):
         for phi, std, seed in ((0.95, 1.0, 0), (-0.4, 0.3, 7), (0.0, 2.0, 11)):
-            expected = self.plain_recursion(phi, std, 500, seed)
-            assert generate_ar1(phi, std, 500, seed).values.tobytes() == expected.tobytes()
+            self.assert_matches_plain_loop(one_seller(phi, std, seed), history=2, window=498)
 
     def test_var_dependent(self):
-        drivers = [generate_ar1(phi, 1.0, 400, seed=k) for k, phi in enumerate((0.6, 0.9, 0.3))]
-        cross = np.array([0.5, -0.2, 0.1])
-        forcing = np.zeros(400)
-        for c, driver in zip(cross, drivers):
-            forcing[1:] += c * driver.values[:-1]
-        expected = self.plain_recursion(0.3, 0.5, 400, 5, forcing)
-        dependent = generate_var_dependent(drivers, cross, 0.3, 0.5, seed=5)
-        assert dependent.values.tobytes() == expected.tobytes()
+        spec = SyntheticSpec(
+            n_independent=3,
+            ar_coefficients=(0.6, 0.9, 0.3),
+            noise_std=(1.0, 1.0, 1.0),
+            cross_coefficients=(0.5, -0.2, 0.1),
+            dependent_phi=0.3,
+            dependent_noise_std=0.5,
+            seed=5,
+        )
+        self.assert_matches_plain_loop(spec, history=3, window=397)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        history=st.integers(0, 4),
+        window=st.integers(1, 60),
+    )
+    def test_random_specs(self, data, n, seed, history, window):
+        phi = st.floats(-0.95, 0.95, exclude_min=True, exclude_max=True)
+        std = st.floats(1e-3, 10.0)
+        cross = st.floats(-2.0, 2.0)
+        spec = SyntheticSpec(
+            n_independent=n,
+            ar_coefficients=tuple(data.draw(st.lists(phi, min_size=n, max_size=n))),
+            noise_std=tuple(data.draw(st.lists(std, min_size=n, max_size=n))),
+            cross_coefficients=tuple(data.draw(st.lists(cross, min_size=n, max_size=n))),
+            dependent_phi=data.draw(phi),
+            dependent_noise_std=data.draw(std),
+            seed=seed,
+        )
+        self.assert_matches_plain_loop(spec, history, window)

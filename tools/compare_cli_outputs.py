@@ -5,8 +5,9 @@
 Each tree is a source checkout (its package under ``src/regmarket``). The
 inputs are written once, through ``HEAD_TREE/bench/inputs.py``: the
 benchmark's ``paper-u`` and ``small-many`` scenarios at seeds 0 and 3, its
-``csv-t`` scenario and 3-year zonal CSV at seed 1, and the full scenario
-file shown in ``HEAD_TREE/README.md``. Every command then runs on every
+``csv-t`` scenario and 3-year zonal CSV at seed 1, the full scenario
+file shown in ``HEAD_TREE/README.md``, and ``EDGE_SCENARIO`` below, a
+generator edge case. Every command then runs on every
 input, once per tree, in a fresh process with that tree's ``src/`` on the
 path and the same relative output directory, so the printed paths match.
 A command that rejects an input (``ingest`` on a synthetic scenario, say)
@@ -33,6 +34,22 @@ COMMANDS = ("simulate", "clear", "compare-methods", "sweep-u", "sweep-t", "grid-
 SEEDS = (0, 3)  # paper-u and small-many
 CSV_SEED = 1
 
+# The generator's edge: one seller, a negative AR coefficient and no
+# cross-seller loading, so the buyer is a plain AR(1) of its own.
+EDGE_SCENARIO = {
+    "scenario_id": "one-seller-edge",
+    "seed": 5,
+    "data": {
+        "type": "synthetic",
+        "n_independent": 1,
+        "ar_coefficients": [-0.7],
+        "noise_std": [1.0],
+        "cross_coefficients": [0.0],
+    },
+    "market": {"central_agent": "P1", "max_lag": 3, "window": 240},
+    "sweeps": {"u_grid": [0.0, 0.05, 0.2], "t_grid": [120, 240]},
+}
+
 
 def write_inputs(head: Path, directory: Path) -> list:
     """Write every input under ``directory``; return ``(label, config, seed)`` per run."""
@@ -56,6 +73,9 @@ def write_inputs(head: Path, directory: Path) -> list:
     config = directory / "readme.json"
     inputs.write_json(config, json.loads(block))
     runs.append(("readme", config, None))
+    config = directory / "edge.json"
+    inputs.write_json(config, EDGE_SCENARIO)
+    runs.append(("edge", config, None))
     return runs
 
 
