@@ -16,6 +16,7 @@ import numpy as np
 from .data_io import (
     ZonalDataset,
     ingest_csv,
+    label_error,
     load_scenario,
     write_outcome_table,
     write_rows,
@@ -55,13 +56,12 @@ def _cmd_simulate(scenario, args) -> int:
 
 def _cmd_clear(scenario, args) -> int:
     series = materialize_series(scenario)
-    config = scenario.market_config([s.agent_id for s in series])
-    schedule = scenario.schedule(config.support_agents)
-    outcome = clear_market(config, series, schedule)
+    config = scenario.market.resolve(s.agent_id for s in series)
+    outcome = clear_market(config, series, scenario.schedule(config.support_agents))
     out = Path(scenario.out_dir) / "clearing.csv"
     write_outcome_table([("clearing", "", outcome)], out)
     print(
-        f"baseline mse {outcome.baseline_mse:.6g}, market mse {outcome.market_mse:.6g}, "
+        f"baseline mse {outcome.market.baseline_mse:.6g}, market mse {outcome.market_mse:.6g}, "
         f"payments {outcome.total_payments:.6g}, buyer net gain {outcome.buyer_net_gain:.6g}"
     )
     print(f"wrote {out}")
@@ -177,7 +177,10 @@ def main(argv=None) -> int:
             scenario = scenario.with_seed(args.seed)
         if args.out is not None:
             scenario = dataclasses.replace(scenario, out_dir=args.out)
-        return handler(scenario, args)
+        try:
+            return handler(scenario, args)
+        except InvalidInputError as err:  # the overrides' own errors above stay unlabelled
+            raise label_error(err, args.config) from None
     except (InvalidInputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -17,7 +17,7 @@ import json
 import os
 from array import array
 from collections.abc import Hashable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import chain
 from pathlib import Path
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError, integer, real, sequence
-from .market import MarketConfig, ReservationSchedule, support_roster
+from .market import MarketConfig, ReservationSchedule
 from .regression import SolverSettings
 from .timeseries import AgentSeries, LagSpec, SyntheticSpec
 
@@ -455,8 +455,9 @@ def write_outcome_table(outcomes, path) -> None:
         for record in outcome.payments:
             cells = map(_format_cell, (record.coefficient, record.reservation, record.amount))
             rows.append([*point, record.agent_id, record.lag, *cells, "", "", ""])
-        totals = (outcome.total_payments, outcome.baseline_mse, outcome.market_mse, outcome.buyer_net_gain)
-        rows.append([*point, outcome.config.central_agent, "", "", "", *map(_format_cell, totals)])
+        market = outcome.market
+        totals = (outcome.total_payments, market.baseline_mse, outcome.market_mse, outcome.buyer_net_gain)
+        rows.append([*point, market.config.central_agent, "", "", "", *map(_format_cell, totals)])
     if not rows:
         raise InvalidInputError("no outcomes to write")
     _write_csv(path, OUTCOME_COLUMNS, rows, columns_comment=True)
@@ -506,18 +507,18 @@ def _checked_grid(grid, field: str, whole: bool = False) -> tuple:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A full experiment description: data source, market shape, sweeps, output."""
+    """A full experiment description: data source, market, reservations, sweeps, output.
+
+    ``market`` may leave its sellers ``None``; the prepared market names them from the data.
+    """
 
     scenario_id: str
-    central_agent: str
-    lag_spec: LagSpec
+    market: MarketConfig
     synthetic: SyntheticSpec | None = None
     csv_path: str | None = None
     csv_schema: dict | None = None
     csv_normalization: str = "none"
     csv_window_start: int | None = None
-    support_agents: tuple | None = None
-    solver: SolverSettings = field(default_factory=SolverSettings)
     uniform_u: float | None = None
     reservations: ReservationSchedule | None = None
     u_grid: tuple | None = None
@@ -546,9 +547,6 @@ class ScenarioConfig:
         _check_normalization(self.csv_normalization, "csv_normalization")
         if self.csv_window_start is not None:
             object.__setattr__(self, "csv_window_start", integer(self.csv_window_start, "csv_window_start"))
-        if self.support_agents is not None:
-            supports = support_roster(self.central_agent, self.support_agents)
-            object.__setattr__(self, "support_agents", supports)
         if self.uniform_u is not None and self.reservations is not None:
             raise InvalidInputError("give either uniform_u or explicit reservations")
         if self.uniform_u is None and self.reservations is None:
@@ -575,31 +573,7 @@ class ScenarioConfig:
         """The scenario's reservation schedule over the given support agents."""
         if self.reservations is not None:
             return self.reservations
-        return ReservationSchedule.uniform(
-            support_agents, self.lag_spec.max_lag, self.uniform_u
-        )
-
-    def market_config(self, available_agents) -> MarketConfig:
-        """Resolve the market shape against the agents the data source provides."""
-        available = list(available_agents)
-        if self.central_agent not in available:
-            raise InvalidInputError(
-                f"central agent {self.central_agent!r} not in data source "
-                f"(has {available})"
-            )
-        supports = self.support_agents
-        if supports is None:
-            supports = tuple(a for a in available if a != self.central_agent)
-        else:
-            absent = [a for a in supports if a not in available]
-            if absent:
-                raise InvalidInputError(f"support agents {absent} not in data source")
-        return MarketConfig(
-            central_agent=self.central_agent,
-            support_agents=supports,
-            lag_spec=self.lag_spec,
-            solver=self.solver,
-        )
+        return ReservationSchedule.uniform(support_agents, self.market.lag_spec.max_lag, self.uniform_u)
 
 
 def _same(*keys):
@@ -623,6 +597,24 @@ _RESERVATION_KEYS = _same("uniform_u", "entries")
 _SWEEP_KEYS = _same("u_grid", "t_grid")
 _GRID2_KEYS = _same("agent_a", "agent_b", "u_grid_a", "u_grid_b", "others_u")
 _BARE_KEYS = ("u_grid", "t_grid", "u_grid_a", "u_grid_b")
+# Each field, mapped to the key that sets it as messages name it.
+_KEY_OF = {
+    field: key if not block or key in _BARE_KEYS else f"{block}.{key}"
+    for block, keys in (("", _TOP_KEYS), *(("data", k) for k in _DATA_KEYS.values()), ("market", _MARKET_KEYS),
+                        ("reservations", _RESERVATION_KEYS), ("sweeps", _SWEEP_KEYS), ("sweeps.grid2", _GRID2_KEYS))
+    for key, field in keys.items()
+}
+
+
+def label_error(err: InvalidInputError, path) -> InvalidInputError:
+    """``err`` naming the scenario file and, in place of its field, the key that sets it.
+
+    An error whose field no scenario key sets is returned unchanged.
+    """
+    key = _KEY_OF.get(err.field)
+    if key is None:
+        return err
+    return InvalidInputError(f"{Path(path)}: invalid value ({key}{str(err)[len(err.field) :]})")
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -632,14 +624,15 @@ def load_scenario(path) -> ScenarioConfig:
     keys present are passed on, so every default lives in its constructor,
     and the constructors check every value. An unknown or missing key, a
     block that is not an object, or a value a constructor rejects raises
-    :class:`InvalidInputError` naming the file, and for a value the key.
+    :class:`InvalidInputError` naming the file, and for a value the key
+    (:func:`label_error`).
     """
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise InvalidInputError(f"{path}: invalid JSON ({err})") from None
-    kind, fields, labels = _read_blocks(raw, path)
+    kind, fields = _read_blocks(raw, path)
     try:
         if kind == "synthetic":
             fields["synthetic"] = SyntheticSpec(**_take(fields, SyntheticSpec))
@@ -647,6 +640,8 @@ def load_scenario(path) -> ScenarioConfig:
             integer(fields.pop("seed"), "seed")
         fields["lag_spec"] = LagSpec(**_take(fields, LagSpec))
         fields["solver"] = SolverSettings(**_take(fields, SolverSettings))
+        fields.setdefault("support_agents", None)
+        fields["market"] = MarketConfig(**_take(fields, MarketConfig))
         if "entries" in fields:
             fields["reservations"] = ReservationSchedule(_entries(fields.pop("entries")))
         if "agent_a" in fields:  # a grid2 block, which requires its agents
@@ -654,15 +649,12 @@ def load_scenario(path) -> ScenarioConfig:
         fields.setdefault("scenario_id", path.stem)
         return ScenarioConfig(**fields)
     except InvalidInputError as err:
-        if err.field not in labels:
-            raise
-        detail = str(err)[len(err.field) :]
-        raise InvalidInputError(f"{path}: invalid value ({labels[err.field]}{detail})") from None
+        raise label_error(err, path) from None
 
 
 def _read_blocks(raw, path: Path):
-    """The data type, the fields the keys of ``raw`` set, and the name of each field's key."""
-    fields, labels = {}, {}
+    """The data type, and the fields the keys of ``raw`` set."""
+    fields = {}
 
     def read(block, name, keys, required=(), blocks=()):
         if not isinstance(block, dict):
@@ -674,10 +666,7 @@ def _read_blocks(raw, path: Path):
         absent = sorted(set(required) - set(block))
         if absent:
             raise InvalidInputError(f"{context}: missing required key(s) {absent}")
-        for key, field_name in keys.items():
-            if key in block:
-                fields[field_name] = block[key]
-                labels[field_name] = key if not name or key in _BARE_KEYS else f"{name}.{key}"
+        fields.update((field_name, block[key]) for key, field_name in keys.items() if key in block)
 
     if not isinstance(raw, dict):
         raise InvalidInputError(f"{path}: top level must be an object")
@@ -699,7 +688,7 @@ def _read_blocks(raw, path: Path):
         if "grid2" in raw["sweeps"]:
             required = ("agent_a", "agent_b", "u_grid_a", "u_grid_b")
             read(raw["sweeps"]["grid2"], "sweeps.grid2", _GRID2_KEYS, required)
-    return kind, fields, labels
+    return kind, fields
 
 
 def _take(fields: dict, constructor) -> dict:

@@ -45,7 +45,7 @@ class ExperimentReport:
 
 def materialize_series(scenario: ScenarioConfig) -> list:
     """Produce the agent series the scenario describes, seeded and windowed."""
-    lag_spec = scenario.lag_spec
+    lag_spec = scenario.market.lag_spec
     if scenario.synthetic is not None:
         return synthetic_market_series(
             scenario.synthetic, history=lag_spec.max_lag, window=lag_spec.window_length
@@ -65,8 +65,7 @@ def materialize_series(scenario: ScenarioConfig) -> list:
 
 def _prepare(scenario: ScenarioConfig) -> PreparedMarket:
     """Materialize the scenario's series and prepare its market once."""
-    series = materialize_series(scenario)
-    return PreparedMarket(scenario.market_config([s.agent_id for s in series]), series)
+    return PreparedMarket(scenario.market, materialize_series(scenario))
 
 
 def run_method_comparison(scenario: ScenarioConfig) -> ExperimentReport:
@@ -79,16 +78,16 @@ def run_method_comparison(scenario: ScenarioConfig) -> ExperimentReport:
     outcome = market.clear(scenario.schedule(market.config.support_agents))
     truth = scenario.synthetic
 
-    ols_all = ols_fit(outcome.design_all, outcome.target)
-    n_self = outcome.design_self.n_cols  # the buyer's block leads design_all
+    ols_all = ols_fit(market.design_all, market.target)
+    n_self = market.design_self.n_cols  # the buyer's block leads design_all
     rows = []
-    for j, agent, lag in outcome.design_all.feature_columns():
+    for j, agent, lag in market.design_all.feature_columns():
         rows.append(
             {
                 "agent": agent,
                 "lag": lag,
-                "true": None if truth is None else truth.coefficient(scenario.central_agent, agent, lag),
-                "ols_self": float(outcome.baseline_beta[j]) if j < n_self else None,
+                "true": None if truth is None else truth.coefficient(market.config.central_agent, agent, lag),
+                "ols_self": float(market.baseline_beta[j]) if j < n_self else None,
                 "ols_all": float(ols_all[j]),
                 "lasso": float(outcome.market_beta[j]),
             }
@@ -126,8 +125,8 @@ def run_T_sweep(scenario: ScenarioConfig) -> ExperimentReport:
     grid = scenario.t_grid
     if grid is None:
         raise InvalidInputError("T sweep needs a non-empty t_grid")
-    longest = LagSpec(max_lag=scenario.lag_spec.max_lag, window_length=max(grid))
-    market = _prepare(dataclasses.replace(scenario, lag_spec=longest))
+    longest = LagSpec(max_lag=scenario.market.lag_spec.max_lag, window_length=max(grid))
+    market = _prepare(dataclasses.replace(scenario, market=dataclasses.replace(scenario.market, lag_spec=longest)))
     config = market.config
     schedule = scenario.schedule(config.support_agents)
 
@@ -170,9 +169,9 @@ def run_two_agent_grid(scenario: ScenarioConfig) -> ExperimentReport:
     agent_a, agent_b = grid.agent_a, grid.agent_b
     market = _prepare(scenario)
     config = market.config
-    for agent in (agent_a, agent_b):
+    for name, agent in (("agent_a", agent_a), ("agent_b", agent_b)):
         if agent not in config.support_agents:
-            raise InvalidInputError(f"{agent!r} is not a support agent")
+            raise InvalidInputError(f"{name} {agent!r} is not a support agent", name)
     max_lag = config.lag_spec.max_lag
     base = ReservationSchedule.uniform(config.support_agents, max_lag, grid.others_u)
 

@@ -91,29 +91,41 @@ class ReservationSchedule:
 
 @dataclass(frozen=True)
 class MarketConfig:
-    """Who buys, who sells, and how the clearing regression is run."""
+    """Who buys, who sells, and how the clearing regression is run.
+
+    ``support_agents=None`` means every other agent the data provides.
+    """
 
     central_agent: str
-    support_agents: tuple
+    support_agents: tuple | None
     lag_spec: LagSpec
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):
-        object.__setattr__(self, "support_agents", support_roster(self.central_agent, self.support_agents))
+        if self.support_agents is None:
+            return
+        central, supports = self.central_agent, sequence(self.support_agents, "support_agents")
+        if central in supports:
+            raise InvalidInputError(f"support_agents includes the central agent {central!r}", "support_agents")
+        repeated = [agent for k, agent in enumerate(supports) if agent in supports[:k]]
+        if repeated:
+            raise InvalidInputError(f"support_agents lists {repeated[0]!r} more than once", "support_agents")
+        object.__setattr__(self, "support_agents", supports)
 
+    def resolve(self, agent_ids) -> "MarketConfig":
+        """This config with its sellers named: as listed, or else every other agent in data order.
 
-def support_roster(central_agent, support_agents) -> tuple:
-    """``support_agents`` as a tuple; the central agent or a repeated id is rejected.
-
-    The one roster check of :class:`MarketConfig` and ``ScenarioConfig``.
-    """
-    supports = sequence(support_agents, "support_agents")
-    if central_agent in supports:
-        raise InvalidInputError(f"support_agents includes the central agent {central_agent!r}", "support_agents")
-    repeated = [agent for k, agent in enumerate(supports) if agent in supports[:k]]
-    if repeated:
-        raise InvalidInputError(f"support_agents lists {repeated[0]!r} more than once", "support_agents")
-    return supports
+        A central agent or seller missing from ``agent_ids`` is rejected naming its field.
+        """
+        available, central = list(agent_ids), self.central_agent
+        if central not in available:
+            raise InvalidInputError(f"central_agent {central!r} not in data source (has {available})", "central_agent")
+        if self.support_agents is None:
+            return dataclasses.replace(self, support_agents=tuple(a for a in available if a != central))
+        absent = [a for a in self.support_agents if a not in available]
+        if absent:
+            raise InvalidInputError(f"support_agents {absent} not in data source", "support_agents")
+        return self
 
 
 @dataclass(frozen=True)
@@ -144,24 +156,20 @@ class ViabilityCheck:
 
 @dataclass(frozen=True)
 class MarketOutcome:
-    """Everything a clearing produced, plus the raw inputs needed to audit it.
+    """What one clearing produced, and the :class:`PreparedMarket` it was cleared on.
 
-    ``total_payments`` is the sum of the payment records' amounts, which is
-    also the fitted lasso penalty term; ``buyer_net_gain`` is
-    ``baseline_mse - market_mse - total_payments``.
+    ``market`` holds the resolved config, target, designs and baseline fit
+    that every clearing of it shares. ``total_payments`` is the sum of the
+    payment records' amounts, which is also the fitted lasso penalty term;
+    ``buyer_net_gain`` is ``market.baseline_mse - market_mse - total_payments``.
     """
 
-    config: MarketConfig
-    baseline_beta: np.ndarray
+    market: PreparedMarket
     market_beta: np.ndarray
-    baseline_mse: float
     market_mse: float
     payments: tuple
     total_payments: float
     buyer_net_gain: float
-    design_self: DesignMatrix
-    design_all: DesignMatrix
-    target: np.ndarray
     penalties: np.ndarray
 
 
@@ -174,9 +182,11 @@ def penalties_from_reservations(
     the intercept and every column belonging to the central agent stay at
     zero so the buyer's own information is never shrunk. One pass over the
     schedule's entries writes each penalty at the column the design's
-    ``column_index`` gives; features the schedule leaves out stay free.
+    ``column_index`` gives; features the schedule leaves out stay free. The
+    design must hold exactly the config's agents (any sellers, for ``None``).
     """
-    expected = {config.central_agent, *config.support_agents}
+    supports = config.support_agents
+    expected = {config.central_agent, *(design.agents if supports is None else supports)}
     if design.agents != expected:
         raise InvalidInputError(
             f"design covers agents {sorted(map(str, design.agents))}, "
@@ -188,13 +198,13 @@ def penalties_from_reservations(
         if agent_id == config.central_agent:
             if u != 0.0:
                 raise InvalidInputError(
-                    f"central agent {agent_id!r} cannot sell its own features"
+                    f"entries price central agent {agent_id!r}, which cannot sell its own features", "entries"
                 )
             continue
         column = design.column_index.get((agent_id, lag))
         if column is None:
             raise InvalidInputError(
-                f"reservation for agent {agent_id!r} lag {lag} has no design column"
+                f"entries price agent {agent_id!r} lag {lag}, which has no design column", "entries"
             )
         penalties[column] = half_T * u
     return penalties
@@ -209,8 +219,9 @@ class PreparedMarket:
     lengths prepares the longest window once and clears each shorter one on
     :meth:`window`. One lag matrix is built per market: the buyer's own
     design ``design_self`` is the intercept and buyer block that lead
-    ``design_all``, a column view of it. Construction checks the roster:
-    every configured agent needs exactly one series.
+    ``design_all``, a column view of it. Construction resolves the config
+    against the series (:meth:`MarketConfig.resolve`), so ``config`` always
+    names its sellers, and rejects two series for one agent.
     """
 
     def __init__(self, config: MarketConfig, all_series):
@@ -219,17 +230,9 @@ class PreparedMarket:
             if series.agent_id in by_id:
                 raise InvalidInputError(f"duplicate series for agent {series.agent_id!r}")
             by_id[series.agent_id] = series
-        missing = [a for a in (config.central_agent, *config.support_agents) if a not in by_id]
-        if missing:
-            raise InvalidInputError(f"no series provided for agents {missing}")
-
-        spec = config.lag_spec
-        central = by_id[config.central_agent]
-        self._fit(
-            config,
-            central.window(spec.window_length),
-            build_lag_matrix([central, *(by_id[a] for a in config.support_agents)], spec),
-        )
+        config = config.resolve(by_id)
+        roster = [by_id[agent] for agent in (config.central_agent, *config.support_agents)]
+        self._fit(config, roster[0].window(config.lag_spec.window_length), build_lag_matrix(roster, config.lag_spec))
 
     def _fit(self, config, target, design_all) -> None:
         """Attach the window's data and fit the buyer's own-features baseline."""
@@ -292,17 +295,12 @@ class PreparedMarket:
 
         market_mse = mse(self.design_all, market_beta, self.target)
         outcome = MarketOutcome(
-            config=self.config,
-            baseline_beta=self.baseline_beta,
+            market=self,
             market_beta=market_beta,
-            baseline_mse=self.baseline_mse,
             market_mse=market_mse,
             payments=tuple(payments),
             total_payments=total_payments,
             buyer_net_gain=self.baseline_mse - market_mse - total_payments,
-            design_self=self.design_self,
-            design_all=self.design_all,
-            target=self.target,
             penalties=penalties,
         )
         check = verify_buyer_viability(outcome)
@@ -332,21 +330,21 @@ def clear_market(config: MarketConfig, all_series, reservations: ReservationSche
 def verify_buyer_viability(outcome: MarketOutcome) -> ViabilityCheck:
     """Re-check buyer viability from the outcome's raw matrices.
 
-    Both squared-error sides are recomputed from the stored designs, targets
-    and coefficient vectors rather than trusting the stored MSEs; payments
-    are summed from the payment records, not read from ``total_payments``.
+    Both squared-error sides are recomputed from ``outcome.market``'s designs,
+    target and baseline coefficients and the cleared coefficients rather than
+    trusting the stored MSEs; payments are summed from the payment records.
     The gap may reach ``VIABILITY_TOLERANCE`` times the baseline MSE, so the
     verdict does not depend on the data's units; for a buyer whose own
     features fit exactly, the baseline is floored at the rounding level of
     the target's mean square. Returns the verdict with both sides and their
     gap, never raising.
     """
-    market_mse = mse(outcome.design_all, outcome.market_beta, outcome.target)
-    baseline_mse = mse(outcome.design_self, outcome.baseline_beta, outcome.target)
+    market, target = outcome.market, outcome.market.target
+    market_mse = mse(market.design_all, outcome.market_beta, target)
+    baseline_mse = mse(market.design_self, market.baseline_beta, target)
     total_payments = sum(record.amount for record in outcome.payments)
     market_side = market_mse + total_payments
     gap = market_side - baseline_mse
-    target = outcome.target
     slack = VIABILITY_TOLERANCE * max(baseline_mse, float(np.finfo(float).eps * (target @ target)) / target.size)
     return ViabilityCheck(
         holds=gap <= slack,

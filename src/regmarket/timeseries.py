@@ -160,7 +160,7 @@ def build_lag_matrix(series_list, spec: LagSpec) -> DesignMatrix:
         raise InvalidInputError("need at least one agent series")
     T, D = spec.window_length, spec.max_lag
 
-    columns = [np.ones(T)]
+    blocks = [np.ones((T, 1))]
     column_map = [None]
     for series in series_list:
         if series.start_time < D:
@@ -174,12 +174,10 @@ def build_lag_matrix(series_list, spec: LagSpec) -> DesignMatrix:
                 f"agent {series.agent_id!r}: window of {T} hours runs past the end "
                 f"of the series (missing {missing} hours)"
             )
-        for d in range(1, D + 1):
-            lag = D - d + 1
-            first = series.start_time - lag
-            columns.append(series.values[first : first + T])
-            column_map.append((series.agent_id, lag))
-    return DesignMatrix(values=np.column_stack(columns), column_map=tuple(column_map))
+        start = series.start_time  # row t's window holds hours start - D + t .. start + t - 1
+        blocks.append(np.lib.stride_tricks.sliding_window_view(series.values[start - D : start + T - 1], D))
+        column_map += [(series.agent_id, lag) for lag in range(D, 0, -1)]
+    return DesignMatrix(values=np.hstack(blocks), column_map=tuple(column_map))
 
 
 def _ar_path(phi: float, noise, forcing=()) -> np.ndarray:

@@ -95,7 +95,7 @@ def test_criterion_2_solver_kkt_and_prox_oracle():
         worst_kkt = max(
             worst_kkt,
             kkt_residual(
-                outcome.design_all.values, outcome.target, outcome.penalties, outcome.market_beta
+                outcome.market.design_all.values, outcome.market.target, outcome.penalties, outcome.market_beta
             ),
         )
     worst_gap = 0.0
@@ -149,7 +149,7 @@ def test_criterion_4_payment_identity():
         )
         outcome = clear_market(config, roster, schedule)
         for record in outcome.payments:
-            column = outcome.design_all.column_of(record.agent_id, record.lag)
+            column = outcome.market.design_all.column_of(record.agent_id, record.lag)
             beta = float(outcome.market_beta[column])
             u = schedule.get(record.agent_id, record.lag)
             exact &= record.amount == abs(u * beta)
@@ -174,7 +174,7 @@ def test_criterion_5_synthetic_recovery():
         config = MarketConfig("P1", tuple(a for a in ids if a != "P1"), lag)
         schedule = ReservationSchedule.uniform(config.support_agents, max_lag, u)
         outcome = clear_market(config, roster, schedule)
-        design = outcome.design_all
+        design = outcome.market.design_all
         cross_lag1 = [design.column_of(a, 1) for a in config.support_agents]
         cross_deep = [design.column_of(a, l) for a in config.support_agents for l in (2, 3)]
         keep = all(outcome.market_beta[j] != 0.0 for j in cross_lag1)
@@ -182,14 +182,14 @@ def test_criterion_5_synthetic_recovery():
         p1_ok += keep and kill
 
         true_zero = cross_deep + [design.column_of("P1", 2), design.column_of("P1", 3)]
-        beta_ols_all = ols_fit(design, outcome.target)
+        beta_ols_all = ols_fit(design, outcome.market.target)
         ols_spurious += sum(abs(beta_ols_all[j]) > 0.02 for j in true_zero)
         lasso_spurious += sum(abs(outcome.market_beta[j]) > 0.02 for j in true_zero)
 
         config2 = MarketConfig("P2", tuple(a for a in ids if a != "P2"), lag)
         schedule2 = ReservationSchedule.uniform(config2.support_agents, max_lag, u)
         outcome2 = clear_market(config2, roster, schedule2)
-        support_cols = [j for j, a, _ in outcome2.design_all.feature_columns() if a != "P2"]
+        support_cols = [j for j, a, _ in outcome2.market.design_all.feature_columns() if a != "P2"]
         p2_ok += all(abs(outcome2.market_beta[j]) < 0.02 for j in support_cols)
 
     n = len(seeds)

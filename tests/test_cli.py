@@ -421,6 +421,32 @@ class TestExitCodes:
         assert err.startswith(f"error: {config}: invalid value ({key}")
         assert not (tmp_path / "results" / "clearing.csv").exists()
 
+    @pytest.mark.parametrize(
+        ("command", "where", "value", "key"),
+        [
+            ("clear", ("market", "support_agents"), ["P2", "P9"], "market.support_agents"),
+            ("clear", ("market", "central_agent"), "P9", "market.central_agent"),
+            ("grid-2", ("sweeps", "grid2", "agent_a"), "P1", "sweeps.grid2.agent_a"),
+            ("clear", ("reservations", "entries"), [["P9", 1, 0.1]], "reservations.entries"),
+            ("clear", ("reservations", "entries"), [["P1", 1, 0.1]], "reservations.entries"),
+            ("clear", ("reservations", "entries"), [["P2", 9, 0.1]], "reservations.entries"),
+        ],
+        ids=["seller-not-in-data", "buyer-not-in-data", "grid-agent-not-a-seller", "entry-agent-not-in-data",
+             "entry-for-the-buyer", "entry-lag-past-max-lag"],
+    )
+    def test_roster_checked_against_the_data_exits_2_naming_the_key(
+        self, tmp_path, capsys, command, where, value, key
+    ):
+        payload = json.loads(write_scenario(tmp_path).read_text(encoding="utf-8"))
+        payload["reservations"] = {"entries": [["P2", 1, 0.1]]}
+        node = payload
+        for name in where[:-1]:
+            node = node[name]
+        node[where[-1]] = value
+        config = write_scenario(tmp_path, **payload)
+        assert main([command, "--config", str(config)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {config}: invalid value ({key} ")
+
     def test_bad_central_agent(self, tmp_path):
         config = write_scenario(
             tmp_path, market={"central_agent": "P99", "max_lag": 2, "window": 120}

@@ -16,6 +16,7 @@ from regmarket import (
     MarketConfig,
     MarketOutcome,
     PaymentRecord,
+    PreparedMarket,
     ReservationSchedule,
     SyntheticSpec,
     build_lag_matrix,
@@ -578,7 +579,7 @@ class TestWriteOutcomeTable:
         buyer = path.read_text(encoding="utf-8").splitlines()[-1].split(",")
         assert buyer[2] == "P1"
         assert float(buyer[6]) == outcome.total_payments
-        assert float(buyer[7]) == outcome.baseline_mse
+        assert float(buyer[7]) == outcome.market.baseline_mse
         assert float(buyer[8]) == outcome.market_mse
         assert float(buyer[9]) == outcome.buyer_net_gain
 
@@ -587,12 +588,12 @@ class TestWriteOutcomeTable:
             write_outcome_table([], tmp_path / "out.csv")
 
     def test_bytes_of_a_hand_built_outcome(self, tmp_path):
-        config = MarketConfig("P1", ("P2",), LagSpec(max_lag=2, window_length=10))
+        market = PreparedMarket.__new__(PreparedMarket)  # only what the table reads
+        market.config = MarketConfig("P1", ("P2",), LagSpec(max_lag=2, window_length=10))
+        market.baseline_mse = 1.5
         outcome = MarketOutcome(
-            config=config,
-            baseline_beta=None,
+            market=market,
             market_beta=None,
-            baseline_mse=1.5,
             market_mse=0.1 + 0.2,
             payments=(
                 PaymentRecord("P2", 1, -0.25, 0.1, 0.025),
@@ -600,9 +601,6 @@ class TestWriteOutcomeTable:
             ),
             total_payments=0.025,
             buyer_net_gain=1.175,
-            design_self=None,
-            design_all=None,
-            target=None,
             penalties=None,
         )
         path = tmp_path / "out.csv"
@@ -674,7 +672,7 @@ class TestScenarioConfig:
         scenario = load_scenario(write_scenario(tmp_path))
         assert scenario.scenario_id == "unit"
         assert scenario.synthetic.seed == 3
-        assert scenario.lag_spec == LagSpec(max_lag=3, window_length=240)
+        assert scenario.market.lag_spec == LagSpec(max_lag=3, window_length=240)
         assert scenario.uniform_u == 0.1
         assert scenario.u_grid == (0.0, 0.1, 0.5)
         assert scenario.t_grid == (120, 240)
@@ -696,7 +694,7 @@ class TestScenarioConfig:
         overrides = {"market.max_lag": 3.0, "market.window": 240.0, "sweeps.t_grid": [120.0, 240]}
         scenario = load_scenario(write_scenario(tmp_path, overrides=overrides, seed=3.0))
         assert scenario == expected
-        assert type(scenario.synthetic.seed) is type(scenario.lag_spec.max_lag) is int
+        assert type(scenario.synthetic.seed) is type(scenario.market.lag_spec.max_lag) is int
 
     def test_explicit_reservations(self, tmp_path):
         path = write_scenario(
@@ -710,19 +708,17 @@ class TestScenarioConfig:
         with pytest.raises(InvalidInputError, match="one data source"):
             ScenarioConfig(
                 scenario_id="x",
-                central_agent="P1",
-                lag_spec=LagSpec(1, 10),
+                market=MarketConfig("P1", None, LagSpec(1, 10)),
                 synthetic=SyntheticSpec(),
                 csv_path="also.csv",
             )
         with pytest.raises(InvalidInputError, match="one data source"):
-            ScenarioConfig(scenario_id="x", central_agent="P1", lag_spec=LagSpec(1, 10))
+            ScenarioConfig(scenario_id="x", market=MarketConfig("P1", None, LagSpec(1, 10)))
 
     def test_default_uniform_u(self):
         scenario = ScenarioConfig(
             scenario_id="x",
-            central_agent="P1",
-            lag_spec=LagSpec(1, 10),
+            market=MarketConfig("P1", None, LagSpec(1, 10)),
             synthetic=SyntheticSpec(),
         )
         assert scenario.uniform_u == 0.1
@@ -733,10 +729,10 @@ class TestScenarioConfig:
 
     def test_market_config_resolution(self, tmp_path):
         scenario = load_scenario(write_scenario(tmp_path))
-        config = scenario.market_config(["P1", "P2", "P3", "P4", "P5"])
+        config = scenario.market.resolve(["P1", "P2", "P3", "P4", "P5"])
         assert config.support_agents == ("P2", "P3", "P4", "P5")
         with pytest.raises(InvalidInputError):
-            scenario.market_config(["P2", "P3"])
+            scenario.market.resolve(["P2", "P3"])
 
     @pytest.mark.parametrize(
         ("field", "value"),
@@ -753,8 +749,7 @@ class TestScenarioConfig:
         with pytest.raises(InvalidInputError, match=f"^{field} must be"):
             ScenarioConfig(
                 scenario_id="x",
-                central_agent="P1",
-                lag_spec=LagSpec(1, 10),
+                market=MarketConfig("P1", None, LagSpec(1, 10)),
                 synthetic=SyntheticSpec(),
                 **{field: value},
             )

@@ -1,7 +1,11 @@
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regmarket import (
     InvalidInputError,
@@ -16,17 +20,29 @@ from regmarket import (
     run_u_sweep,
     synthetic_market_series,
 )
+from regmarket import experiments
 from regmarket.data_io import ScenarioConfig, TwoAgentGrid
 
 
 def scenario(central="P1", seed=0, window=240, max_lag=3, **kwargs):
     return ScenarioConfig(
         scenario_id="test",
-        central_agent=central,
-        lag_spec=LagSpec(max_lag=max_lag, window_length=window),
+        market=MarketConfig(central, None, LagSpec(max_lag=max_lag, window_length=window)),
         synthetic=SyntheticSpec(seed=seed),
         **kwargs,
     )
+
+
+def capture_prepared(monkeypatch) -> list:
+    """A list that collects every market the runners prepare from now on."""
+    prepared, prepare = [], experiments._prepare
+
+    def recording(scenario):
+        prepared.append(prepare(scenario))
+        return prepared[-1]
+
+    monkeypatch.setattr(experiments, "_prepare", recording)
+    return prepared
 
 
 def own_lag_fit(values, start: int, window: int, max_lag: int) -> dict:
@@ -85,7 +101,7 @@ class TestMethodComparison:
         path = tmp_path / "zones.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         config = ScenarioConfig(
-            scenario_id="csv", central_agent="B", lag_spec=LagSpec(max_lag=2, window_length=60), csv_path=str(path)
+            scenario_id="csv", market=MarketConfig("B", None, LagSpec(max_lag=2, window_length=60)), csv_path=str(path)
         )
         report = run_method_comparison(config)
         self.assert_ols_self_matches(report, "B", own_lag_fit(values[:, 1], 2, 60, 2))
@@ -148,10 +164,11 @@ class TestUSweep:
         with pytest.raises(InvalidInputError):
             run_u_sweep(scenario("P1"))
 
-    def test_points_share_one_design(self):
+    def test_points_share_one_design(self, monkeypatch):
+        prepared = capture_prepared(monkeypatch)
         report = run_u_sweep(scenario("P1", seed=0, u_grid=(0.0, 0.05, 0.5)))
-        designs = {id(outcome.design_all) for _, _, outcome in report.sweep_rows}
-        assert len(designs) == 1
+        (market,) = prepared
+        assert all(outcome.market is market for _, _, outcome in report.sweep_rows)
 
 
 class TestTSweep:
@@ -175,10 +192,10 @@ class TestTSweep:
         for _, T, outcome in report.sweep_rows:
             config = MarketConfig("P1", ("P2", "P3", "P4", "P5"), LagSpec(3, T))
             direct = clear_market(config, roster, schedule)
-            assert outcome.config == config
-            assert np.array_equal(outcome.baseline_beta, direct.baseline_beta)
+            assert outcome.market.config == config
+            assert np.array_equal(outcome.market.baseline_beta, direct.market.baseline_beta)
             assert np.array_equal(outcome.market_beta, direct.market_beta)
-            assert outcome.baseline_mse == direct.baseline_mse
+            assert outcome.market.baseline_mse == direct.market.baseline_mse
             assert outcome.market_mse == direct.market_mse
             assert outcome.payments == direct.payments
             assert outcome.buyer_net_gain == direct.buyer_net_gain
@@ -190,10 +207,23 @@ class TestTSweep:
         report = run_T_sweep(scenario("P1", seed=0, t_grid=(60, 120, 240)))
         *shorter, (_, _, longest) = report.sweep_rows
         for _, T, outcome in shorter:
-            assert outcome.design_all.n_rows == outcome.target.shape[0] == T
-            assert np.shares_memory(outcome.design_all.values, longest.design_all.values)
-            assert np.shares_memory(outcome.design_self.values, longest.design_self.values)
-            assert np.shares_memory(outcome.target, longest.target)
+            market, longest_market = outcome.market, longest.market
+            assert market.design_all.n_rows == market.target.shape[0] == T
+            assert np.shares_memory(market.design_all.values, longest_market.design_all.values)
+            assert np.shares_memory(market.design_self.values, longest_market.design_self.values)
+            assert np.shares_memory(market.target, longest_market.target)
+
+    def test_each_point_clears_its_window(self, monkeypatch):
+        prepared = capture_prepared(monkeypatch)
+        report = run_T_sweep(scenario("P1", seed=0, t_grid=(60, 120, 240)))
+        (market,) = prepared
+        assert report.sweep_rows[-1][2].market is market
+        for _, T, outcome in report.sweep_rows:
+            window = market.window(T)
+            assert outcome.market.config == window.config
+            assert outcome.market.config.lag_spec.window_length == T
+            assert np.shares_memory(outcome.market.design_all.values, market.design_all.values)
+            assert np.array_equal(outcome.market.baseline_beta, window.baseline_beta)
 
     def test_derived_rows_cover_each_agent_and_buyer(self):
         report = run_T_sweep(scenario("P1", seed=0, t_grid=(120, 240)))
@@ -240,6 +270,14 @@ class TestTwoAgentGrid:
         assert cell[(0.05, 0.05)][0] == pytest.approx(pay("P2"), rel=1e-9)
         assert cell[(0.05, 0.05)][1] == pytest.approx(pay("P3"), rel=1e-9)
 
+    def test_points_share_one_market(self, monkeypatch):
+        prepared = capture_prepared(monkeypatch)
+        grid = (0.05, 0.2)
+        report = run_two_agent_grid(scenario("P1", seed=0, grid2=TwoAgentGrid("P2", "P3", grid, grid)))
+        (market,) = prepared
+        assert len(report.sweep_rows) == 4
+        assert all(outcome.market is market for _, _, outcome in report.sweep_rows)
+
     def test_monotonicity_statistic_reported(self):
         grid = (0.05, 0.1, 0.2)
         report = run_two_agent_grid(
@@ -264,8 +302,7 @@ class TestTwoAgentGrid:
             u = lambda v: v * scale**2
             config = ScenarioConfig(
                 scenario_id="units",
-                central_agent="P1",
-                lag_spec=LagSpec(max_lag=3, window_length=240),
+                market=MarketConfig("P1", None, LagSpec(max_lag=3, window_length=240)),
                 csv_path=str(path),
                 grid2=TwoAgentGrid("P2", "P3", tuple(map(u, grid)), tuple(map(u, grid)), others_u=u(0.1)),
             )
@@ -286,6 +323,53 @@ class TestTwoAgentGrid:
         grid = TwoAgentGrid("P2", "P3", (0.05, 0.1, 0.2), (0.05, 0.1, 0.2))
         with pytest.raises(InvalidInputError, match="u_grid_a must be strictly increasing"):
             dataclasses.replace(grid, u_grid_a=u_grid_a)
+
+
+class TestOmittedSupportAgents:
+    """A scenario without support_agents clears as one listing every other agent in data order."""
+
+    @staticmethod
+    def assert_same_clearings(scenario, agent_ids):
+        central = scenario.market.central_agent
+        listed = dataclasses.replace(
+            scenario,
+            market=MarketConfig(central, tuple(a for a in agent_ids if a != central), scenario.market.lag_spec),
+        )
+        pairs = zip(run_u_sweep(scenario).sweep_rows, run_u_sweep(listed).sweep_rows, strict=True)
+        for (_, _, omitted), (_, _, explicit) in pairs:
+            assert omitted.market.config == explicit.market.config
+            assert np.array_equal(omitted.market_beta, explicit.market_beta)
+            assert omitted.market_mse == explicit.market_mse
+            assert omitted.payments == explicit.payments
+            assert omitted.buyer_net_gain == explicit.buyer_net_gain
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        phis=st.lists(st.floats(-0.9, 0.9), min_size=1, max_size=5),
+        buyer=st.integers(0, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_synthetic_rosters(self, phis, buyer, seed):
+        n = len(phis)
+        spec = SyntheticSpec(
+            n_independent=n, ar_coefficients=phis, noise_std=(1.0,) * n, cross_coefficients=(0.3,) * n, seed=seed
+        )
+        central = spec.agent_ids[min(buyer, n)]
+        sc = ScenarioConfig("omitted", MarketConfig(central, None, LagSpec(2, 60)), synthetic=spec, u_grid=(0.0, 0.05))
+        self.assert_same_clearings(sc, spec.agent_ids)
+
+    @settings(max_examples=10, deadline=None)
+    @given(n_zones=st.integers(3, 6), data=st.data(), seed=st.integers(0, 2**16))
+    def test_csv_with_a_middle_buyer(self, n_zones, data, seed):
+        zones = [f"Z{k:02d}" for k in range(1, n_zones + 1)]
+        central = zones[data.draw(st.integers(1, n_zones - 2), label="buyer column")]
+        values = np.random.default_rng(seed).normal(size=(70, n_zones))
+        lines = ["timestamp," + ",".join(zones)] + [f"{t},{','.join(map(repr, row))}" for t, row in enumerate(values.tolist())]
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "zones.csv"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            market = MarketConfig(central, None, LagSpec(2, 60))
+            self.assert_same_clearings(ScenarioConfig("omitted", market, csv_path=str(path), u_grid=(0.0, 0.05)), zones)
 
 
 class TestDeterminism:

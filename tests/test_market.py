@@ -80,6 +80,32 @@ class TestMarketConfig:
         with pytest.raises(InvalidInputError):
             MarketConfig("P1", ("P1", "P2"), LAG)
 
+    def test_resolve_names_every_other_agent_in_data_order(self):
+        config = MarketConfig("P3", None, LAG).resolve(["P5", "P1", "P3", "P2"])
+        assert config == MarketConfig("P3", ("P5", "P1", "P2"), LAG)
+
+    @pytest.mark.parametrize(
+        ("central", "supports", "field"),
+        [("P9", None, "central_agent"), ("P9", ("P2",), "central_agent"), ("P1", ("P2", "P9"), "support_agents")],
+        ids=["central-of-open-roster", "central-of-listed-roster", "listed-seller"],
+    )
+    def test_resolve_names_a_missing_agent_by_its_field(self, central, supports, field):
+        with pytest.raises(InvalidInputError, match=f"^{field} .*'P9'") as caught:
+            MarketConfig(central, supports, LAG).resolve(["P1", "P2", "P3"])
+        assert caught.value.field == field
+
+    @pytest.mark.parametrize("supports", [None, ("P3", "P2")], ids=["open-roster", "listed-roster"])
+    def test_a_resolved_config_resolves_to_an_equal_one(self, supports):
+        ids = ["P1", "P2", "P3"]
+        resolved = MarketConfig("P1", supports, LAG).resolve(ids)
+        assert resolved.support_agents == (supports or ("P2", "P3"))  # a listed roster keeps its order
+        assert resolved.resolve(ids) == resolved
+
+    def test_a_prepared_market_holds_its_resolved_config(self):
+        _, roster = default_market(seed=0)
+        market = PreparedMarket(MarketConfig("P1", None, LAG), roster)
+        assert market.config == MarketConfig("P1", SUPPORTS, LAG)
+
 
 class TestPenaltiesFromReservations:
     def setup_method(self):
@@ -143,7 +169,7 @@ class TestClearMarket:
         )
         assert all(record.coefficient == 0.0 for record in outcome.payments)
         assert all(record.amount == 0.0 for record in outcome.payments)
-        assert outcome.market_mse <= outcome.baseline_mse + 1e-6
+        assert outcome.market_mse <= outcome.market.baseline_mse + 1e-6
         assert outcome.buyer_net_gain >= -1e-6
 
     def test_free_data_is_plain_ols_over_all_features(self):
@@ -152,7 +178,7 @@ class TestClearMarket:
             config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.0)
         )
         assert outcome.total_payments == 0.0
-        assert outcome.market_mse <= outcome.baseline_mse + 1e-6
+        assert outcome.market_mse <= outcome.market.baseline_mse + 1e-6
 
     def test_default_study_pays_lag_one_features(self):
         config, roster = default_market(seed=0)
@@ -163,7 +189,7 @@ class TestClearMarket:
             assert paid > 0.0
         # Independently rebuild each payment from the stored coefficients.
         for record in outcome.payments:
-            column = outcome.design_all.column_of(record.agent_id, record.lag)
+            column = outcome.market.design_all.column_of(record.agent_id, record.lag)
             beta = float(outcome.market_beta[column])
             assert record.coefficient == beta
             assert record.amount == abs(schedule.get(record.agent_id, record.lag) * beta)
@@ -172,7 +198,7 @@ class TestClearMarket:
         config, roster = default_market(seed=4)
         outcome = clear_market(config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.07))
         assert outcome.total_payments == sum(r.amount for r in outcome.payments)
-        assert outcome.buyer_net_gain == outcome.baseline_mse - outcome.market_mse - outcome.total_payments
+        assert outcome.buyer_net_gain == outcome.market.baseline_mse - outcome.market_mse - outcome.total_payments
 
     def test_market_without_sellers_pays_a_float_zero(self):
         _, roster = default_market(seed=0)
@@ -215,10 +241,10 @@ class TestClearMarket:
     def test_central_feature_immunity(self):
         config, roster = default_market(seed=6)
         outcome = clear_market(config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.2))
-        residual = outcome.target - outcome.design_all.values @ outcome.market_beta
+        residual = outcome.market.target - outcome.market.design_all.values @ outcome.market_beta
         T = LAG.window_length
         for lag in (1, 2, 3):
-            column = outcome.design_all.values[:, outcome.design_all.column_of("P1", lag)]
+            column = outcome.market.design_all.values[:, outcome.market.design_all.column_of("P1", lag)]
             assert abs((2.0 / T) * float(column @ residual)) <= 10 * config.solver.tolerance
 
     def test_raising_reservation_eventually_zeroes_feature(self):
@@ -227,7 +253,7 @@ class TestClearMarket:
         for _ in range(25):
             schedule = ReservationSchedule.uniform(SUPPORTS, 3, u)
             outcome = clear_market(config, roster, schedule)
-            coefficient = outcome.market_beta[outcome.design_all.column_of("P3", 1)]
+            coefficient = outcome.market_beta[outcome.market.design_all.column_of("P3", 1)]
             if coefficient == 0.0:
                 break
             u *= 2.0
@@ -239,7 +265,7 @@ class TestDuplicateSeller:
     def test_penalized_copy_clears_to_exact_zero(self):
         config, roster, schedule = duplicate_seller_market()
         outcome = clear_market(config, roster, schedule)
-        assert outcome.market_beta[outcome.design_all.column_of("P3", 3)] == 0.0
+        assert outcome.market_beta[outcome.market.design_all.column_of("P3", 3)] == 0.0
         assert outcome.total_payments == 0.0
         # The free copy carries the weight: same fit as with P3's lag 3 priced out.
         priced_out = clear_market(config, roster, ReservationSchedule({("P3", 3): 1e6}))
@@ -275,7 +301,7 @@ class TestPreparedMarket:
             market.clear(ReservationSchedule.uniform(SUPPORTS, 3, u)) for u in (0.0, 0.05, 0.3)
         ]
         assert computed == [market.design_all]
-        assert all(outcome.design_all.gram is market.design_all.gram for outcome in outcomes)
+        assert all(outcome.market.design_all.gram is market.design_all.gram for outcome in outcomes)
 
     def test_one_lag_matrix_per_prepare(self, monkeypatch):
         import regmarket.market as market_module
@@ -347,7 +373,7 @@ class TestScaleInvariance:
         )
         assert reference.total_payments > 0.0
         assert scaled.market_mse / squared == pytest.approx(reference.market_mse, rel=1e-9)
-        assert scaled.baseline_mse / squared == pytest.approx(reference.baseline_mse, rel=1e-9)
+        assert scaled.market.baseline_mse / squared == pytest.approx(reference.market.baseline_mse, rel=1e-9)
 
     @pytest.mark.parametrize("scale", [1e-3, 1e5])
     def test_viability_slack_follows_the_baseline(self, scale):
@@ -360,7 +386,7 @@ class TestScaleInvariance:
         outcome = clear_market(
             config, scaled_roster, ReservationSchedule.uniform(SUPPORTS, 3, 1e6 * scale**2)
         )
-        baseline = outcome.baseline_mse
+        baseline = outcome.market.baseline_mse
 
         def check_with_extra_payment(extra):
             tampered = list(outcome.payments)
@@ -381,7 +407,7 @@ reservation_prices = st.lists(
 
 def slack(outcome):
     """Solver-tolerance allowance, relative to the buyer's baseline loss."""
-    return 1e-12 * outcome.baseline_mse
+    return 1e-12 * outcome.market.baseline_mse
 
 
 class TestMetamorphic:
@@ -492,7 +518,7 @@ class TestVerifyBuyerViability:
         config = MarketConfig("P1", SUPPORTS, LAG)
         for u in (0.0, 0.1):
             outcome = clear_market(config, roster, ReservationSchedule.uniform(SUPPORTS, 3, u))
-            assert outcome.baseline_mse < 1e-20
+            assert outcome.market.baseline_mse < 1e-20
             assert verify_buyer_viability(outcome).holds
             for extra, holds in ((1e-30, True), (1e-12, False)):
                 tampered = list(outcome.payments)

@@ -40,7 +40,7 @@ CSV_DATA = {"type": "csv", "path": "wind.csv"}
 
 
 def scenario(**fields):
-    return ScenarioConfig(scenario_id="x", central_agent="P1", lag_spec=LagSpec(1, 10), **fields)
+    return ScenarioConfig(scenario_id="x", market=MarketConfig("P1", None, LagSpec(1, 10)), **fields)
 
 
 def four(v):
@@ -216,9 +216,8 @@ def test_constructor_and_loader_reject_the_same_value(tmp_path, field, whole, co
         (lambda: SyntheticSpec(n_independent=2), "n_independent"),  # the lists keep their 4-entry defaults
         (lambda: SyntheticSpec(ar_coefficients=(0.5, 0.3)), "ar_coefficients"),
         (lambda: MarketConfig("P1", "P2P3", LagSpec(1, 10)), "support_agents"),
-        (lambda: scenario(synthetic=SyntheticSpec(), support_agents="P2"), "support_agents"),
         (lambda: MarketConfig("P1", ("P1", "P2"), LagSpec(1, 10)), "support_agents"),
-        (lambda: scenario(synthetic=SyntheticSpec(), support_agents=("P2", "P2")), "support_agents"),
+        (lambda: MarketConfig("P1", ("P2", "P2"), LagSpec(1, 10)), "support_agents"),
         (lambda: scenario(synthetic=SyntheticSpec(), out_dir=None), "out_dir"),
     ],
     ids=[
@@ -236,9 +235,8 @@ def test_constructor_and_loader_reject_the_same_value(tmp_path, field, whole, co
         "n-independent-against-default-lists",
         "short-ar-coefficients",
         "string-market-roster",
-        "string-scenario-roster",
         "central-in-market-roster",
-        "repeated-seller-in-scenario-roster",
+        "repeated-seller-in-market-roster",
         "null-out-dir",
     ],
 )

@@ -6,8 +6,9 @@ Each tree is a source checkout (its package under ``src/regmarket``). The
 inputs are written once, through ``HEAD_TREE/bench/inputs.py``: the
 benchmark's ``paper-u`` and ``small-many`` scenarios at seeds 0 and 3, its
 ``csv-t`` scenario and 3-year zonal CSV at seed 1, the full scenario
-file shown in ``HEAD_TREE/README.md``, and ``EDGE_SCENARIO`` below, a
-generator edge case. Every command then runs on every
+file shown in ``HEAD_TREE/README.md``, ``EDGE_SCENARIO`` below, a
+generator edge case, and the ``csv-t`` CSV under ``MIDDLE_BUYER`` below.
+Every command then runs on every
 input, once per tree, in a fresh process with that tree's ``src/`` on the
 path and the same relative output directory, so the printed paths match.
 A command that rejects an input (``ingest`` on a synthetic scenario, say)
@@ -50,6 +51,18 @@ EDGE_SCENARIO = {
     "sweeps": {"u_grid": [0.0, 0.05, 0.2], "t_grid": [120, 240]},
 }
 
+# The csv-t CSV with the buyer in a middle column and no support_agents, so
+# the sellers are every other zone in column order, on short windows.
+MIDDLE_BUYER = {
+    "scenario_id": "csv-middle-buyer",
+    "market": {"central_agent": "Z08", "max_lag": 3, "window": 500},
+    "sweeps": {
+        "u_grid": [0.0, 0.001, 0.01],
+        "t_grid": [250, 500],
+        "grid2": {"agent_a": "Z02", "agent_b": "Z15", "u_grid_a": [0.001, 0.01], "u_grid_b": [0.001, 0.01]},
+    },
+}
+
 
 def write_inputs(head: Path, directory: Path) -> list:
     """Write every input under ``directory``; return ``(label, config, seed)`` per run."""
@@ -66,6 +79,9 @@ def write_inputs(head: Path, directory: Path) -> list:
     config = directory / f"csv-t-{CSV_SEED}.json"
     inputs.write_json(config, inputs.csv_t_scenario(CSV_SEED, table))
     runs.append((f"csv-t-{CSV_SEED}", config, CSV_SEED))
+    config = directory / "csv-middle-buyer.json"
+    inputs.write_json(config, {**inputs.csv_t_scenario(CSV_SEED, table), **MIDDLE_BUYER})
+    runs.append(("csv-middle-buyer", config, CSV_SEED))
 
     readme = (head / "README.md").read_text(encoding="utf-8")
     section = readme[readme.index("A full scenario file") :]
