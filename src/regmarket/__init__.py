@@ -53,6 +53,7 @@ from .data_io import (
 from .experiments import (
     ExperimentReport,
     materialize_series,
+    run_clearing,
     run_T_sweep,
     run_method_comparison,
     run_two_agent_grid,

@@ -1,7 +1,8 @@
 """Command-line harness around the experiment runners.
 
 Exit codes: 0 success, 2 bad input or configuration, 3 solver
-non-convergence, 4 internal buyer-viability violation.
+non-convergence, 4 internal buyer-viability violation; exits 3 and 4 name
+the scenario file and the point that failed.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from .data_io import (
 from .errors import ConvergenceError, InvalidInputError, ViabilityError
 from .experiments import (
     materialize_series,
+    run_clearing,
     run_T_sweep,
     run_method_comparison,
     run_two_agent_grid,
     run_u_sweep,
 )
-from .market import clear_market
-from .market import verify_buyer_viability  # noqa: F401  (name patched by bench/tracer.py)
+from .market import clear_market, verify_buyer_viability  # noqa: F401  (names patched by bench/tracer.py)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -55,11 +56,10 @@ def _cmd_simulate(scenario, args) -> int:
 
 
 def _cmd_clear(scenario, args) -> int:
-    series = materialize_series(scenario)
-    config = scenario.market.resolve(s.agent_id for s in series)
-    outcome = clear_market(config, series, scenario.schedule(config.support_agents))
+    report = run_clearing(scenario)
+    outcome = report.sweep_rows[0][2]
     out = Path(scenario.out_dir) / "clearing.csv"
-    write_outcome_table([("clearing", "", outcome)], out)
+    write_outcome_table(report.sweep_rows, out)
     print(
         f"baseline mse {outcome.market.baseline_mse:.6g}, market mse {outcome.market_mse:.6g}, "
         f"payments {outcome.total_payments:.6g}, buyer net gain {outcome.buyer_net_gain:.6g}"
@@ -184,12 +184,9 @@ def main(argv=None) -> int:
     except (InvalidInputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except ConvergenceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except ViabilityError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VIABILITY
+    except (ConvergenceError, ViabilityError) as err:  # a sweep's error already names its point
+        print(f"error: {Path(args.config)}: {err}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE if isinstance(err, ConvergenceError) else EXIT_VIABILITY
 
 
 if __name__ == "__main__":

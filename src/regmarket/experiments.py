@@ -1,4 +1,4 @@
-"""Experiment harness: method comparison, reservation sweeps and training sweeps.
+"""Experiment harness: one clearing, method comparison, reservation sweeps and training sweeps.
 
 Every sweep reads its grid only from the scenario (``u_grid``, ``t_grid``,
 ``grid2``), where :class:`regmarket.data_io.ScenarioConfig` has checked it;
@@ -6,7 +6,9 @@ to vary a grid, ``dataclasses.replace`` the scenario. Every runner prepares
 one :class:`regmarket.market.PreparedMarket` per scenario through
 :func:`_prepare`: reservation sweeps clear it once per point, and the
 training sweep prepares it at the longest window and clears each shorter
-one on a row prefix of it. Buyer viability is checked inside the market,
+one on a row prefix of it. Every runner clears its points in one loop,
+:func:`_clear_points`, which names the point a solver or viability error
+came from. Buyer viability is checked inside the market,
 by :func:`regmarket.market.verify_buyer_viability` on every clearing, so a
 report can only contain buyer-viable outcomes.
 """
@@ -17,7 +19,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from .data_io import ScenarioConfig, ingest_csv, to_agent_series
-from .errors import InvalidInputError
+from .errors import ConvergenceError, InvalidInputError, ViabilityError
 from .market import PreparedMarket, ReservationSchedule
 from .market import clear_market, verify_buyer_viability  # noqa: F401  (names patched by bench/tracer.py)
 from .regression import ols_fit
@@ -25,6 +27,7 @@ from .timeseries import LagSpec, synthetic_market_series
 
 __all__ = [
     "ExperimentReport",
+    "run_clearing",
     "run_method_comparison",
     "run_u_sweep",
     "run_T_sweep",
@@ -68,31 +71,59 @@ def _prepare(scenario: ScenarioConfig) -> PreparedMarket:
     return PreparedMarket(scenario.market, materialize_series(scenario))
 
 
+def _clear_points(points) -> ExperimentReport:
+    """Clear ``(param, value, market, schedule)`` points in order, one ``sweep_rows`` row each.
+
+    A :class:`ConvergenceError` or :class:`ViabilityError` at a point is raised again as the
+    same object, ``"<param>=<value>: "`` put before its message unless the value is ``""``.
+    """
+    report = ExperimentReport()
+    for param, value, market, schedule in points:
+        try:
+            outcome = market.clear(schedule)
+        except (ConvergenceError, ViabilityError) as err:
+            if value != "":
+                err.args = (f"{param}={value}: {err}",)
+            raise
+        report.sweep_rows.append((param, value, outcome))
+    return report
+
+
+def _paid(outcome, agent) -> float:
+    """What ``agent`` was paid in ``outcome``, over all its lags."""
+    return sum(record.amount for record in outcome.payments if record.agent_id == agent)
+
+
+def run_clearing(scenario: ScenarioConfig) -> ExperimentReport:
+    """Prepare the scenario's market and clear it once, at the scenario's schedule."""
+    market = _prepare(scenario)
+    return _clear_points([("clearing", "", market, scenario.schedule(market.config.support_agents))])
+
+
 def run_method_comparison(scenario: ScenarioConfig) -> ExperimentReport:
     """Fit own-features OLS, all-features OLS and the weighted lasso side by side.
 
     All three methods see the same design matrices and target. For synthetic
     scenarios each coefficient row also carries the generative truth.
     """
-    market = _prepare(scenario)
-    outcome = market.clear(scenario.schedule(market.config.support_agents))
-    truth = scenario.synthetic
+    report = run_clearing(scenario)
+    outcome = report.sweep_rows[0][2]
+    market, truth = outcome.market, scenario.synthetic
 
     ols_all = ols_fit(market.design_all, market.target)
     n_self = market.design_self.n_cols  # the buyer's block leads design_all
-    rows = []
-    for j, agent, lag in market.design_all.feature_columns():
-        rows.append(
-            {
-                "agent": agent,
-                "lag": lag,
-                "true": None if truth is None else truth.coefficient(market.config.central_agent, agent, lag),
-                "ols_self": float(market.baseline_beta[j]) if j < n_self else None,
-                "ols_all": float(ols_all[j]),
-                "lasso": float(outcome.market_beta[j]),
-            }
-        )
-    return ExperimentReport(sweep_rows=[("clearing", "", outcome)], coefficient_rows=rows)
+    report.coefficient_rows = [
+        {
+            "agent": agent,
+            "lag": lag,
+            "true": None if truth is None else truth.coefficient(market.config.central_agent, agent, lag),
+            "ols_self": float(market.baseline_beta[j]) if j < n_self else None,
+            "ols_all": float(ols_all[j]),
+            "lasso": float(outcome.market_beta[j]),
+        }
+        for j, agent, lag in market.design_all.feature_columns()
+    ]
+    return report
 
 
 def run_u_sweep(scenario: ScenarioConfig) -> ExperimentReport:
@@ -104,12 +135,10 @@ def run_u_sweep(scenario: ScenarioConfig) -> ExperimentReport:
         raise InvalidInputError("u sweep needs a non-empty u_grid")
     market = _prepare(scenario)
     config = market.config
-
-    report = ExperimentReport()
-    for u in scenario.u_grid:
-        schedule = ReservationSchedule.uniform(config.support_agents, config.lag_spec.max_lag, u)
-        report.sweep_rows.append(("u", u, market.clear(schedule)))
-    return report
+    return _clear_points(
+        ("u", u, market, ReservationSchedule.uniform(config.support_agents, config.lag_spec.max_lag, u))
+        for u in scenario.u_grid
+    )
 
 
 def run_T_sweep(scenario: ScenarioConfig) -> ExperimentReport:
@@ -129,29 +158,15 @@ def run_T_sweep(scenario: ScenarioConfig) -> ExperimentReport:
     market = _prepare(dataclasses.replace(scenario, market=dataclasses.replace(scenario.market, lag_spec=longest)))
     config = market.config
     schedule = scenario.schedule(config.support_agents)
-
-    report = ExperimentReport()
-    for T in grid:
-        outcome = market.window(T).clear(schedule)
-        report.sweep_rows.append(("T", T, outcome))
+    report = _clear_points(("T", T, market.window(T), schedule) for T in grid)
+    for _, T, outcome in report.sweep_rows:
         for agent in config.support_agents:
-            paid = sum(r.amount for r in outcome.payments if r.agent_id == agent)
-            report.derived_rows.append(
-                {
-                    "T": T,
-                    "agent": agent,
-                    "payment": paid,
-                    "payment_per_step": paid / T,
-                }
-            )
+            paid = _paid(outcome, agent)
+            report.derived_rows.append({"T": T, "agent": agent, "payment": paid, "payment_per_step": paid / T})
+        total = outcome.total_payments
         report.derived_rows.append(
-            {
-                "T": T,
-                "agent": config.central_agent,
-                "payment": outcome.total_payments,
-                "payment_per_step": outcome.total_payments / T,
-                "buyer_net_gain": outcome.buyer_net_gain,
-            }
+            {"T": T, "agent": config.central_agent, "payment": total, "payment_per_step": total / T,
+             "buyer_net_gain": outcome.buyer_net_gain}
         )
     return report
 
@@ -172,23 +187,17 @@ def run_two_agent_grid(scenario: ScenarioConfig) -> ExperimentReport:
     for name, agent in (("agent_a", agent_a), ("agent_b", agent_b)):
         if agent not in config.support_agents:
             raise InvalidInputError(f"{name} {agent!r} is not a support agent", name)
-    max_lag = config.lag_spec.max_lag
-    base = ReservationSchedule.uniform(config.support_agents, max_lag, grid.others_u)
 
-    report = ExperimentReport()
-    for ua in grid.u_grid_a:
-        for ub in grid.u_grid_b:
-            schedule = base.replacing(agent_a, max_lag, ua).replacing(agent_b, max_lag, ub)
-            outcome = market.clear(schedule)
-            report.sweep_rows.append((f"u({agent_a},{agent_b})", f"{ua!r};{ub!r}", outcome))
-            report.derived_rows.append(
-                {
-                    "u_a": ua,
-                    "u_b": ub,
-                    "payment_a": sum(r.amount for r in outcome.payments if r.agent_id == agent_a),
-                    "payment_b": sum(r.amount for r in outcome.payments if r.agent_id == agent_b),
-                }
-            )
+    def schedule(ua, ub):  # every seller feature at others_u, but the focal two's
+        u_of = {agent_a: ua, agent_b: ub}
+        return ReservationSchedule({(a, lag): u_of.get(a, grid.others_u) for a, lag, _ in market.seller_columns})
+
+    pairs = [(ua, ub) for ua in grid.u_grid_a for ub in grid.u_grid_b]
+    report = _clear_points((f"u({agent_a},{agent_b})", f"{ua!r};{ub!r}", market, schedule(ua, ub)) for ua, ub in pairs)
+    report.derived_rows = [
+        {"u_a": ua, "u_b": ub, "payment_a": _paid(outcome, agent_a), "payment_b": _paid(outcome, agent_b)}
+        for (ua, ub), (_, _, outcome) in zip(pairs, report.sweep_rows)
+    ]
 
     # Adjacent grid steps where one seller's payment does not increase when
     # the other seller raises its reservation. Rows run over u_b within u_a.

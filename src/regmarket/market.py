@@ -81,13 +81,6 @@ class ReservationSchedule:
     def get(self, agent_id, lag: int) -> float:
         return self.entries.get((agent_id, lag), 0.0)
 
-    def replacing(self, agent_id, max_lag: int, u: float) -> "ReservationSchedule":
-        """Copy of the schedule with one agent's reservations set to ``u`` on all lags."""
-        entries = dict(self.entries)
-        for lag in range(1, max_lag + 1):
-            entries[(agent_id, lag)] = u
-        return ReservationSchedule(entries)
-
 
 @dataclass(frozen=True)
 class MarketConfig:

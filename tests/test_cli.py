@@ -9,7 +9,7 @@ import pytest
 
 from regmarket import cli
 from regmarket.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_VIABILITY, main
-from regmarket.errors import ViabilityError
+from regmarket.errors import ConvergenceError, ViabilityError
 
 
 def write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -467,6 +467,7 @@ class TestExitCodes:
         )
         result = run_cli("clear", "--config", str(config))
         assert result.returncode == EXIT_NO_CONVERGENCE
+        assert result.stderr.startswith(f"error: {config}: coordinate descent")
         assert "converge" in result.stderr
 
     def test_duplicate_zone_with_tiny_reservation_clears(self, tmp_path, capsys):
@@ -513,8 +514,36 @@ class TestExitCodes:
         )
         code = main(["clear", "--config", str(config)])
         assert code == EXIT_VIABILITY
-        assert "solver defect" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: clearing lost the buyer money")
+        assert "solver defect" in err
         assert not (tmp_path / "results" / "clearing.csv").exists()
+
+    @pytest.mark.parametrize(
+        ("command", "point"),
+        [("sweep-u", "u=0.05"), ("sweep-t", "T=120"), ("grid-2", "u(P2,P3)=0.05;0.2")],
+    )
+    @pytest.mark.parametrize("code", [EXIT_NO_CONVERGENCE, EXIT_VIABILITY])
+    def test_failing_sweep_point_is_named(self, tmp_path, monkeypatch, capsys, command, point, code):
+        # The second fit of the sweep, at its second point, fails to converge
+        # or returns zeros, which lose the buyer money.
+        import regmarket.market as market_module
+
+        fit, calls = market_module.weighted_lasso_fit, []
+
+        def second_fails(X, y, penalties, settings):
+            calls.append(None)
+            if len(calls) != 2:
+                return fit(X, y, penalties, settings)
+            if code == EXIT_NO_CONVERGENCE:
+                raise ConvergenceError("forced for testing")
+            return np.zeros(X.n_cols)
+
+        monkeypatch.setattr(market_module, "weighted_lasso_fit", second_fails)
+        config = write_scenario(tmp_path)
+        assert main([command, "--config", str(config)]) == code
+        assert capsys.readouterr().err.startswith(f"error: {config}: {point}: ")
+        assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize(
         "body",

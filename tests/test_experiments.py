@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regmarket import (
+    ConvergenceError,
     InvalidInputError,
     LagSpec,
     MarketConfig,
     ReservationSchedule,
     SyntheticSpec,
+    ViabilityError,
     clear_market,
+    run_clearing,
     run_T_sweep,
     run_method_comparison,
     run_two_agent_grid,
@@ -21,6 +24,7 @@ from regmarket import (
     synthetic_market_series,
 )
 from regmarket import experiments
+from regmarket import market as market_module
 from regmarket.data_io import ScenarioConfig, TwoAgentGrid
 
 
@@ -51,6 +55,85 @@ def own_lag_fit(values, start: int, window: int, max_lag: int) -> dict:
     X = np.column_stack([np.ones(window)] + [values[hours - lag] for lag in range(1, max_lag + 1)])
     beta = np.linalg.lstsq(X, values[hours], rcond=None)[0]
     return {lag: beta[lag] for lag in range(1, max_lag + 1)}
+
+
+def csv_scenario(directory, **kwargs):
+    """Zones A, B and C of a random walk, with the buyer B in the middle column."""
+    values = np.random.default_rng(11).normal(size=(70, 3)).cumsum(axis=0) * 0.1
+    lines = ["timestamp,A,B,C"] + [f"{t},{','.join(map(repr, row))}" for t, row in enumerate(values.tolist())]
+    path = Path(directory) / "zones.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    market = MarketConfig("B", None, LagSpec(max_lag=2, window_length=60))
+    return ScenarioConfig(scenario_id="csv", market=market, csv_path=str(path), **kwargs), values
+
+
+class TestRunClearing:
+    """``clear`` and ``compare-methods`` clear through the same loop as the sweeps, with the same numbers."""
+
+    @staticmethod
+    def assert_equals_direct_clearing(sc):
+        ((param, value, outcome),) = run_clearing(sc).sweep_rows
+        assert (param, value) == ("clearing", "")
+        series = experiments.materialize_series(sc)
+        config = sc.market.resolve(s.agent_id for s in series)
+        direct = clear_market(config, series, sc.schedule(config.support_agents))
+        assert outcome.market.config == config
+        assert np.array_equal(outcome.market_beta, direct.market_beta)
+        assert outcome.market_mse == direct.market_mse
+        assert outcome.total_payments == direct.total_payments
+        assert outcome.payments == direct.payments
+        lasso = [row["lasso"] for row in run_method_comparison(sc).coefficient_rows]
+        assert lasso == [float(outcome.market_beta[j]) for j, _, _ in outcome.market.design_all.feature_columns()]
+
+    def test_synthetic(self):
+        self.assert_equals_direct_clearing(scenario("P1", seed=2, uniform_u=0.05))
+
+    def test_csv_with_omitted_sellers(self, tmp_path):
+        sc, _ = csv_scenario(tmp_path, reservations=ReservationSchedule({("A", 1): 0.05, ("C", 2): 0.02}))
+        self.assert_equals_direct_clearing(sc)
+
+
+class TestFailingPointIsNamed:
+    """An error raised at a sweep point is raised again as itself, naming the point."""
+
+    @staticmethod
+    def fail_second_fit(monkeypatch, failure):
+        fit, calls = market_module.weighted_lasso_fit, []
+
+        def failing(X, y, penalties, settings):
+            calls.append(None)
+            return failure(X) if len(calls) == 2 else fit(X, y, penalties, settings)
+
+        monkeypatch.setattr(market_module, "weighted_lasso_fit", failing)
+
+    def test_convergence_error_keeps_its_object_and_attributes(self, monkeypatch):
+        beta = np.zeros(3)
+        forced = ConvergenceError("forced for testing", last_beta=beta, sweep_delta=0.25, kkt_residual=0.5)
+
+        def fail(X):
+            raise forced
+
+        self.fail_second_fit(monkeypatch, fail)
+        with pytest.raises(ConvergenceError) as raised:
+            run_u_sweep(scenario("P1", seed=0, u_grid=(0.0, 0.05, 0.2)))
+        assert raised.value is forced
+        assert str(raised.value) == "u=0.05: forced for testing"
+        assert raised.value.last_beta is beta
+        assert (raised.value.sweep_delta, raised.value.kkt_residual) == (0.25, 0.5)
+
+    def test_viability_error_keeps_both_sides(self, monkeypatch):
+        self.fail_second_fit(monkeypatch, lambda X: np.zeros(X.n_cols))
+        with pytest.raises(ViabilityError) as raised:
+            run_u_sweep(scenario("P1", seed=0, u_grid=(0.0, 0.05, 0.2)))
+        assert type(raised.value) is ViabilityError
+        assert str(raised.value).startswith("u=0.05: clearing lost the buyer money")
+        assert raised.value.market_side > raised.value.baseline_side > 0
+
+    def test_single_clearing_adds_no_point(self, monkeypatch):
+        self.fail_second_fit(monkeypatch, lambda X: np.zeros(X.n_cols))
+        run_clearing(scenario("P1", seed=0))  # the first fit clears
+        with pytest.raises(ViabilityError, match="^clearing lost the buyer money"):
+            run_clearing(scenario("P1", seed=0))
 
 
 class TestMethodComparison:
@@ -95,14 +178,7 @@ class TestMethodComparison:
     def test_ols_self_is_the_buyers_own_lag_fit_on_csv_data(self, tmp_path):
         # The buyer is the file's middle zone, so its design block is not
         # where the file puts its column.
-        rng = np.random.default_rng(11)
-        values = rng.normal(size=(70, 3)).cumsum(axis=0) * 0.1
-        lines = ["timestamp,A,B,C"] + [f"{t},{','.join(map(repr, row))}" for t, row in enumerate(values.tolist())]
-        path = tmp_path / "zones.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        config = ScenarioConfig(
-            scenario_id="csv", market=MarketConfig("B", None, LagSpec(max_lag=2, window_length=60)), csv_path=str(path)
-        )
+        config, values = csv_scenario(tmp_path)
         report = run_method_comparison(config)
         self.assert_ols_self_matches(report, "B", own_lag_fit(values[:, 1], 2, 60, 2))
 

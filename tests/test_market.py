@@ -67,13 +67,6 @@ class TestReservationSchedule:
         with pytest.raises(InvalidInputError):
             ReservationSchedule({("A", 0): 0.1})
 
-    def test_replacing_overrides_one_agent(self):
-        schedule = ReservationSchedule.uniform(("A", "B"), 2, 0.3)
-        updated = schedule.replacing("A", 2, 0.7)
-        assert updated.get("A", 1) == 0.7
-        assert updated.get("B", 1) == 0.3
-        assert schedule.get("A", 1) == 0.3  # original untouched
-
 
 class TestMarketConfig:
     def test_central_cannot_support(self):
