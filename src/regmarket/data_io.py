@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, integer, real, sequence
+from .errors import InvalidInputError, finite_array, integer, real, sequence
 from .market import MarketConfig, ReservationSchedule
 from .regression import SolverSettings
 from .timeseries import AgentSeries, LagSpec, SyntheticSpec
@@ -63,6 +63,8 @@ class ZonalDataset:
 
     Gaps may remain after rows with missing values were dropped; windowing
     (:func:`to_agent_series`) requires the requested span to be contiguous.
+    Timestamps are integers (:func:`~regmarket.errors.integer`, entry by
+    entry); an int64 array is kept as it is.
     """
 
     zones: tuple
@@ -71,19 +73,18 @@ class ZonalDataset:
 
     def __post_init__(self):
         zones = tuple(self.zones)
-        timestamps = np.asarray(self.timestamps, dtype=np.int64)
-        values = np.asarray(self.values, dtype=float)
+        timestamps = self.timestamps
+        if not (isinstance(timestamps, np.ndarray) and timestamps.dtype == np.int64):
+            hours = [integer(hour, "timestamps") for hour in sequence(timestamps, "timestamps")]
+            try:
+                timestamps = np.array(hours, dtype=np.int64)
+            except OverflowError:
+                raise InvalidInputError("timestamps must fit in 64-bit integers", "timestamps") from None
         if timestamps.ndim != 1 or timestamps.shape[0] < 1:
-            raise InvalidInputError("dataset needs at least one hour")
+            raise InvalidInputError("timestamps must hold at least one hour", "timestamps")
         if np.any(timestamps[1:] <= timestamps[:-1]):  # np.diff can wrap around
-            raise InvalidInputError("timestamps must be strictly increasing")
-        if values.shape != (timestamps.shape[0], len(zones)):
-            raise InvalidInputError(
-                f"values shape {values.shape} does not match "
-                f"{timestamps.shape[0]} hours x {len(zones)} zones"
-            )
-        if not np.all(np.isfinite(values)):
-            raise InvalidInputError("dataset contains non-finite values")
+            raise InvalidInputError("timestamps must be strictly increasing", "timestamps")
+        values = finite_array(self.values, "values", (timestamps.shape[0], len(zones)), "values of the dataset")
         object.__setattr__(self, "zones", zones)
         object.__setattr__(self, "timestamps", timestamps)
         object.__setattr__(self, "values", values)
@@ -383,8 +384,12 @@ def to_agent_series(dataset: ZonalDataset, start: int, window_length: int, max_l
     The requested span must be present without gaps; otherwise the call is
     rejected with the required and available ranges.
     """
-    if window_length < 1 or max_lag < 0:
-        raise InvalidInputError("window_length must be >= 1 and max_lag >= 0")
+    start = integer(start, "start")
+    window_length, max_lag = integer(window_length, "window_length"), integer(max_lag, "max_lag")
+    if window_length < 1:
+        raise InvalidInputError(f"window_length must be at least 1, got {window_length}", "window_length")
+    if max_lag < 0:
+        raise InvalidInputError(f"max_lag must be nonnegative, got {max_lag}", "max_lag")
     first_hour = start - max_lag
     span = max_lag + window_length
     timestamps = dataset.timestamps

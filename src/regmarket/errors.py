@@ -1,7 +1,13 @@
-"""Exception types shared across the package, and the setting checks that raise them."""
+"""Exception types shared across the package, and the input checks that raise them.
+
+:func:`integer`, :func:`real` and :func:`sequence` check scalar settings and
+lists; :func:`finite_array` checks every vector and matrix the package takes.
+"""
 
 import math
 import numbers
+
+import numpy as np
 
 __all__ = ["InvalidInputError", "ConvergenceError", "ViabilityError"]
 
@@ -53,6 +59,27 @@ def sequence(values, field: str) -> tuple:
         except TypeError:
             pass
     raise InvalidInputError(f"{field} must be a list, got {values!r}", field)
+
+
+def finite_array(values, field: str, shape: tuple, name: str = "") -> np.ndarray:
+    """``values`` as a float ndarray of ``shape`` with every entry finite; else rejected naming ``field``.
+
+    Each entry of ``shape`` is an exact length, or ``None`` for any length of
+    at least 1. A string, a ragged list or anything else numpy cannot read as
+    floats is rejected, as are a wrong shape, NaN and infinities. The message
+    starts with ``name``, or with ``field`` when no name is given.
+    """
+    label = name or field
+    try:
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise InvalidInputError(f"{label} must be an array of numbers ({err})", field) from None
+    if array.ndim != len(shape) or not all(n > 0 if m is None else n == m for n, m in zip(array.shape, shape)):
+        dims = ", ".join("n>=1" if m is None else str(m) for m in shape)
+        raise InvalidInputError(f"{label} must have shape ({dims}), got {array.shape}", field)
+    if not np.isfinite(array).all():
+        raise InvalidInputError(f"{label} must be finite", field)
+    return array
 
 
 class ConvergenceError(RuntimeError):

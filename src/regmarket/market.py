@@ -74,9 +74,8 @@ class ReservationSchedule:
     @classmethod
     def uniform(cls, agent_ids, max_lag: int, u: float) -> "ReservationSchedule":
         """Same reservation ``u`` on every lag of every listed agent."""
-        return cls(
-            {(agent_id, lag): u for agent_id in agent_ids for lag in range(1, max_lag + 1)}
-        )
+        lags = range(1, integer(max_lag, "max_lag") + 1)
+        return cls({(agent_id, lag): u for agent_id in agent_ids for lag in lags})
 
     def get(self, agent_id, lag: int) -> float:
         return self.entries.get((agent_id, lag), 0.0)
@@ -250,7 +249,7 @@ class PreparedMarket:
         baseline fit and the Gram matrices are the shorter window's own, so
         it clears bitwise as a market prepared at ``length``.
         """
-        spec = self.config.lag_spec
+        spec, length = self.config.lag_spec, integer(length, "length")
         if length == spec.window_length:
             return self
         if not 1 <= length <= spec.window_length:

@@ -2,8 +2,8 @@
 
 Conventions used throughout the package:
 
-* A design matrix holds T rows (hours) and P columns. Column 0 is normally
-  an all-ones intercept column; every other column is a lagged agent
+* A design matrix holds T rows (hours) and P columns. Column 0 is always
+  the all-ones intercept column; every other column is a lagged agent
   feature identified by a ``(agent_id, lag)`` entry in ``column_map``.
 * Coefficient and penalty vectors are plain float ndarrays aligned to the
   design columns. Penalties are nonnegative and the intercept entry is
@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidInputError, integer, real
+from .errors import ConvergenceError, InvalidInputError, finite_array, integer, real
 
 __all__ = [
     "DesignMatrix",
@@ -51,36 +51,28 @@ __all__ = [
 class DesignMatrix:
     """Regressor matrix plus the provenance of each column.
 
-    ``column_map`` has one entry per column: ``None`` marks the intercept
-    column (only allowed, and then required to be all ones, at position 0),
-    and any other entry is an ``(agent_id, lag)`` pair. Duplicate pairs are
-    rejected. ``column_index`` maps each pair to its column and ``agents``
-    holds the agent ids that own a column; both are built once, here.
+    ``column_map`` has one entry per column: ``None`` marks column 0, which
+    must be the all-ones intercept, and every other entry is a distinct
+    ``(agent_id, lag)`` pair. ``column_index`` maps each pair to its column
+    and ``agents`` holds the agent ids that own a column; both are built
+    once, here.
     """
 
     values: np.ndarray
     column_map: tuple
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
-            raise InvalidInputError(
-                f"design matrix must be 2-D with at least one row and column, got shape {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise InvalidInputError("design matrix contains non-finite values")
+        values = finite_array(self.values, "values", (None, None), "values of the design matrix")
         column_map = tuple(self.column_map)
         if len(column_map) != values.shape[1]:
             raise InvalidInputError(
-                f"column_map has {len(column_map)} entries for {values.shape[1]} columns"
+                f"column_map has {len(column_map)} entries for {values.shape[1]} columns", "column_map"
             )
-        if any(entry is None for entry in column_map[1:]):
-            raise InvalidInputError("intercept marker may only appear at column 0")
-        if column_map[0] is None and not np.all(values[:, 0] == 1.0):
-            raise InvalidInputError("intercept column must be all ones")
-        column_index = {entry: j for j, entry in enumerate(column_map) if entry is not None}
-        if len(column_index) != len(column_map) - (column_map[0] is None):
-            raise InvalidInputError("duplicate (agent, lag) column in design matrix")
+        if column_map[0] is not None or not np.all(values[:, 0] == 1.0):
+            raise InvalidInputError("column_map must start with None, over an all-ones intercept column", "column_map")
+        column_index = {entry: j for j, entry in enumerate(column_map[1:], 1)}
+        if None in column_index or len(column_index) < len(column_map) - 1:
+            raise InvalidInputError("column_map must give each later column its own (agent, lag) pair", "column_map")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "column_map", column_map)
         object.__setattr__(self, "column_index", column_index)
@@ -116,9 +108,8 @@ class DesignMatrix:
 
     def feature_columns(self):
         """Yield ``(index, agent_id, lag)`` for every non-intercept column."""
-        for j, entry in enumerate(self.column_map):
-            if entry is not None:
-                yield j, entry[0], entry[1]
+        for j, (agent_id, lag) in enumerate(self.column_map[1:], 1):
+            yield j, agent_id, lag
 
 
 @dataclass(frozen=True)
@@ -143,38 +134,12 @@ class SolverSettings:
             raise InvalidInputError("max_iterations must be at least 1", field="max_iterations")
 
 
-def _as_target(y, n_rows: int) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.shape[0] != n_rows:
-        raise InvalidInputError(
-            f"target must be a length-{n_rows} vector, got shape {y.shape}"
-        )
-    if not np.all(np.isfinite(y)):
-        raise InvalidInputError("target contains non-finite values")
-    return y
-
-
-def _as_coefficients(beta, n_cols: int) -> np.ndarray:
-    beta = np.asarray(beta, dtype=float)
-    if beta.ndim != 1 or beta.shape[0] != n_cols:
-        raise InvalidInputError(
-            f"coefficient vector must have length {n_cols}, got shape {beta.shape}"
-        )
-    if not np.all(np.isfinite(beta)):
-        raise InvalidInputError("coefficient vector contains non-finite values")
-    return beta
-
-
 def _as_penalties(penalties, n_cols: int) -> np.ndarray:
-    penalties = np.asarray(penalties, dtype=float)
-    if penalties.ndim != 1 or penalties.shape[0] != n_cols:
-        raise InvalidInputError(
-            f"penalty vector must have length {n_cols}, got shape {penalties.shape}"
-        )
-    if not np.all(np.isfinite(penalties)) or np.any(penalties < 0):
-        raise InvalidInputError("penalties must be finite and nonnegative")
+    penalties = finite_array(penalties, "penalties", (n_cols,))
+    if np.any(penalties < 0):
+        raise InvalidInputError("penalties must be nonnegative", "penalties")
     if penalties[0] != 0.0:
-        raise InvalidInputError("penalty on column 0 (intercept) must be zero")
+        raise InvalidInputError("penalties must be zero on column 0, the intercept", "penalties")
     return penalties
 
 
@@ -184,15 +149,15 @@ def ols_fit(X: DesignMatrix, y) -> np.ndarray:
     Rank-deficient systems get the minimum-norm solution, so the result is
     deterministic even when T < P or columns are collinear.
     """
-    y = _as_target(y, X.n_rows)
+    y = finite_array(y, "y", (X.n_rows,))
     beta, *_ = np.linalg.lstsq(X.values, y, rcond=None)
     return beta
 
 
 def mse(X: DesignMatrix, beta, y) -> float:
     """Average squared residual (1/T) * sum_t (y_t - X_t . beta)^2."""
-    beta = _as_coefficients(beta, X.n_cols)
-    y = _as_target(y, X.n_rows)
+    beta = finite_array(beta, "beta", (X.n_cols,))
+    y = finite_array(y, "y", (X.n_rows,))
     residual = y - X.values @ beta
     return float(residual @ residual) / X.n_rows
 
@@ -217,8 +182,8 @@ def kkt_violation(X: DesignMatrix, y, penalties, beta) -> float:
     below tol * max(1, (2/T) ||X'y||_inf).
     """
     penalties = _as_penalties(penalties, X.n_cols)
-    beta = _as_coefficients(beta, X.n_cols)
-    y = _as_target(y, X.n_rows)
+    beta = finite_array(beta, "beta", (X.n_cols,))
+    y = finite_array(y, "y", (X.n_rows,))
     residual = y - X.values @ beta
     return _kkt_from_correlation(X.values.T @ residual, penalties, beta, X.n_rows)
 
@@ -373,7 +338,7 @@ def weighted_lasso_fit(
         settings = SolverSettings()
     A = X.values
     n_rows, n_cols = A.shape
-    y = _as_target(y, n_rows)
+    y = finite_array(y, "y", (n_rows,))
     penalties = _as_penalties(penalties, n_cols)
 
     gram = X.gram

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, integer, real, sequence
+from .errors import InvalidInputError, finite_array, integer, real, sequence
 from .regression import DesignMatrix
 
 __all__ = [
@@ -39,21 +39,18 @@ class AgentSeries:
     start_time: int = 0
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.shape[0] < 1:
+        values = finite_array(self.values, "values", (None,), f"values of agent {self.agent_id!r}")
+        start_time = integer(self.start_time, "start_time", f"start_time of agent {self.agent_id!r}")
+        if not 0 <= start_time <= values.shape[0]:
             raise InvalidInputError(
-                f"agent {self.agent_id!r}: values must be a non-empty vector"
-            )
-        if not np.all(np.isfinite(values)):
-            raise InvalidInputError(f"agent {self.agent_id!r}: non-finite values")
-        if not 0 <= self.start_time <= values.shape[0]:
-            raise InvalidInputError(
-                f"agent {self.agent_id!r}: start_time {self.start_time} outside series"
+                f"start_time of agent {self.agent_id!r} is {start_time}, outside the series", "start_time"
             )
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "start_time", start_time)
 
     def window(self, length: int) -> np.ndarray:
         """The first ``length`` in-window samples (the regression target)."""
+        length = integer(length, "length")
         if self.start_time + length > self.values.shape[0]:
             raise InvalidInputError(
                 f"agent {self.agent_id!r}: window of {length} hours needs "
@@ -209,8 +206,11 @@ def synthetic_market_series(spec: SyntheticSpec, history: int, window: int) -> l
     seeds P1's noise, child ``k + 1`` seller ``k``'s. P1 is forced by the
     sellers over the output hours only, as no seller data precedes them.
     """
-    if history < 0 or window < 1:
-        raise InvalidInputError("history must be >= 0 and window >= 1")
+    history, window = integer(history, "history"), integer(window, "window")
+    if history < 0:
+        raise InvalidInputError(f"history must be nonnegative, got {history}", "history")
+    if window < 1:
+        raise InvalidInputError(f"window must be at least 1, got {window}", "window")
     length = history + window
     children = np.random.SeedSequence(spec.seed).spawn(spec.n_independent + 1)
 

@@ -18,13 +18,10 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 )
 
 
-def make_design(rng, n_rows, n_features, agent="A", intercept=True):
+def make_design(rng, n_rows, n_features, agent="A"):
     """Random standard-normal design with an intercept and one fake agent."""
-    columns = []
-    column_map = []
-    if intercept:
-        columns.append(np.ones(n_rows))
-        column_map.append(None)
+    columns = [np.ones(n_rows)]
+    column_map = [None]
     for j in range(n_features):
         columns.append(rng.normal(size=n_rows))
         column_map.append((agent, j + 1))

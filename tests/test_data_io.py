@@ -618,6 +618,18 @@ class TestWriteOutcomeTable:
         )
 
 
+class TestZonalDataset:
+    def test_int64_timestamps_pass_through(self):
+        stamps = np.array([2**62 + 1, 2**62 + 3], dtype=np.int64)  # above 2**53: a float would round them
+        assert ZonalDataset(("A",), stamps, np.ones((2, 1))).timestamps is stamps
+
+    def test_integer_list_is_read_exactly(self):
+        stamps = [2**53 + 1, 2**53 + 3, 2**63 - 1]
+        dataset = ZonalDataset(("A",), stamps, np.ones((3, 1)))
+        assert dataset.timestamps.dtype == np.int64
+        assert dataset.timestamps.tolist() == stamps
+
+
 class TestCsvWriters:
     def test_zonal_csv_bytes_keep_the_hour_gap(self, tmp_path):
         dataset = ZonalDataset(

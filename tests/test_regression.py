@@ -33,6 +33,16 @@ class TestDesignMatrix:
         with pytest.raises(InvalidInputError):
             DesignMatrix(values, (None, ("A", 1)))
 
+    @pytest.mark.parametrize(
+        "column_map",
+        [(("A", 1), ("A", 2)), (("A", 1), None), (None, None)],
+        ids=["no-intercept", "intercept-last", "two-intercepts"],
+    )
+    def test_column_0_must_be_the_intercept(self, column_map):
+        with pytest.raises(InvalidInputError) as caught:
+            DesignMatrix(np.ones((3, 2)), column_map)
+        assert caught.value.field == "column_map"
+
     def test_duplicate_feature_rejected(self):
         values = np.ones((3, 3))
         with pytest.raises(InvalidInputError):

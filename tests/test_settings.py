@@ -2,7 +2,8 @@
 
 The scenario loader reaches each setting through one JSON key, so a value a
 constructor rejects must also be rejected by ``load_scenario``, naming that
-key and the file.
+key and the file. Every array and count argument of the public API is
+rejected the same way, naming the argument.
 """
 
 import json
@@ -13,15 +14,24 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from regmarket import (
+    AgentSeries,
+    DesignMatrix,
     InvalidInputError,
     LagSpec,
     MarketConfig,
+    PreparedMarket,
     ReservationSchedule,
     SolverSettings,
     SyntheticSpec,
+    kkt_violation,
     load_scenario,
+    mse,
+    ols_fit,
+    synthetic_market_series,
+    to_agent_series,
+    weighted_lasso_fit,
 )
-from regmarket.data_io import ScenarioConfig, TwoAgentGrid
+from regmarket.data_io import ScenarioConfig, TwoAgentGrid, ZonalDataset
 
 SCENARIO = {
     "scenario_id": "settings",
@@ -253,3 +263,90 @@ def test_integral_numbers_are_read_as_int():
     spec = LagSpec(np.int64(3), 24.0)
     assert (spec.max_lag, spec.window_length) == (3, 24)
     assert type(spec.max_lag) is type(spec.window_length) is int
+
+
+# Every public entry point that takes an array or a count, with bad inputs.
+X = DesignMatrix(np.column_stack([np.ones(4), np.arange(4.0)]), (None, ("A", 1)))
+Y, FREE = np.arange(4.0), np.zeros(2)
+DATASET = ZonalDataset(("A",), np.arange(10), np.ones((10, 1)))
+MARKET = PreparedMarket(MarketConfig("P1", None, LagSpec(1, 20)), synthetic_market_series(SyntheticSpec(), 1, 20))
+
+# (entry point, field, call, shape of a good value)
+ARRAYS = [
+    ("DesignMatrix", "values", lambda v: DesignMatrix(v, (None, ("A", 1))), (4, 2)),
+    ("AgentSeries", "values", lambda v: AgentSeries("A", v), (4,)),
+    ("ZonalDataset", "values", lambda v: ZonalDataset(("A", "B"), [0, 1, 2, 3], v), (4, 2)),
+    ("ols_fit", "y", lambda v: ols_fit(X, v), (4,)),
+    ("mse", "beta", lambda v: mse(X, v, Y), (2,)),
+    ("mse", "y", lambda v: mse(X, FREE, v), (4,)),
+    ("kkt_violation", "y", lambda v: kkt_violation(X, v, FREE, FREE), (4,)),
+    ("kkt_violation", "penalties", lambda v: kkt_violation(X, Y, v, FREE), (2,)),
+    ("kkt_violation", "beta", lambda v: kkt_violation(X, Y, FREE, v), (2,)),
+    ("weighted_lasso_fit", "y", lambda v: weighted_lasso_fit(X, v, FREE), (4,)),
+    ("weighted_lasso_fit", "penalties", lambda v: weighted_lasso_fit(X, Y, v), (2,)),
+]
+
+
+def with_nan(shape):
+    values = np.ones(shape)
+    values.flat[-1] = np.nan
+    return values
+
+
+BAD_ARRAYS = {
+    "strings": lambda shape: np.full(shape, "x").tolist(),
+    "ragged": lambda shape: [[1.0, 2.0], [1.0]],
+    "nan": with_nan,
+    "wrong-shape": lambda shape: np.ones((*shape, 1)),
+}
+
+# (entry point, field, call)
+COUNTS = [
+    ("AgentSeries", "start_time", lambda v: AgentSeries("A", np.ones(4), start_time=v)),
+    ("AgentSeries.window", "length", lambda v: AgentSeries("A", np.ones(4)).window(v)),
+    ("synthetic_market_series", "history", lambda v: synthetic_market_series(SyntheticSpec(), history=v, window=3)),
+    ("synthetic_market_series", "window", lambda v: synthetic_market_series(SyntheticSpec(), history=1, window=v)),
+    ("to_agent_series", "start", lambda v: to_agent_series(DATASET, v, 3, 1)),
+    ("to_agent_series", "window_length", lambda v: to_agent_series(DATASET, 2, v, 1)),
+    ("to_agent_series", "max_lag", lambda v: to_agent_series(DATASET, 2, 3, v)),
+    ("ReservationSchedule.uniform", "max_lag", lambda v: ReservationSchedule.uniform(("P2",), v, 0.1)),
+    ("PreparedMarket.window", "length", lambda v: MARKET.window(v)),
+]
+BAD_COUNTS = {"bool": True, "fractional": 2.5, "string": "2"}
+
+# Timestamps follow the integer rules entry by entry.
+BAD_TIMESTAMPS = {
+    "strings": "0123",
+    "ragged": [[0, 1], [2]],
+    "nan": [0, 1, 2, float("nan")],
+    "wrong-shape": [[0], [1], [2], [3]],
+    "bool": [True, 2, 3, 4],
+    "fractional": [0.5, 1.5, 2.5, 3.5],
+    "overflow": [1e30, 2e30, 3e30, 4e30],
+}
+
+BAD_INPUTS = [
+    pytest.param(field, lambda call=call, make=make, shape=shape: call(make(shape)), id=f"{where}-{field}-{bad}")
+    for where, field, call, shape in ARRAYS
+    for bad, make in BAD_ARRAYS.items()
+]
+BAD_INPUTS += [
+    pytest.param(field, lambda call=call, value=value: call(value), id=f"{where}-{field}-{bad}")
+    for where, field, call in COUNTS
+    for bad, value in BAD_COUNTS.items()
+]
+BAD_INPUTS += [
+    pytest.param(
+        "timestamps",
+        lambda value=value: ZonalDataset(("A",), value, np.ones((4, 1))),
+        id=f"ZonalDataset-timestamps-{bad}",
+    )
+    for bad, value in BAD_TIMESTAMPS.items()
+]
+
+
+@pytest.mark.parametrize(("field", "call"), BAD_INPUTS)
+def test_bad_array_or_count_is_rejected_naming_the_field(field, call):
+    with pytest.raises(InvalidInputError) as caught:
+        call()
+    assert caught.value.field == field

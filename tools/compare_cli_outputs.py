@@ -16,8 +16,9 @@ is compared like any other run.
 
 For each run the exit code, standard output, standard error and the sha256
 of every file it wrote are compared. Each difference is printed on its own
-line, then a summary that counts the runs per exit code; the exit status is
-1 if there is any difference, else 0.
+line, then a summary that counts the runs per exit code and gives each
+tree's ``src/regmarket/*.py`` line total, as ``wc -l`` counts it; the exit
+status is 1 if there is any difference, else 0.
 
 No input makes a command exit 3 (non-convergence) or 4 (a viability
 violation), so this comparison never sees those exits or their messages;
@@ -142,6 +143,11 @@ def differences(base: dict, head: dict) -> list:
     return lines
 
 
+def source_lines(tree: Path) -> int:
+    """Newlines in the tree's ``src/regmarket/*.py``: the total ``wc -l`` prints."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "regmarket").glob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path, help="source tree of the reference version")
@@ -158,7 +164,8 @@ def main(argv=None) -> int:
         print(line)
     codes = dict(sorted(Counter(code for code, *_ in head.values()).items()))
     print(f"{len(base)} runs compared ({len(runs)} inputs x {len(COMMANDS)} commands, exit codes {codes}): "
-          f"{len(lines)} difference(s)")
+          f"{len(lines)} difference(s); src/regmarket/*.py lines {source_lines(args.base)} -> "
+          f"{source_lines(args.head)}")
     return 1 if lines else 0
 
 
