@@ -8,7 +8,10 @@ one :class:`regmarket.market.PreparedMarket` per scenario through
 training sweep prepares it at the longest window and clears each shorter
 one on a row prefix of it. Every runner clears its points in one loop,
 :func:`_clear_points`, which names the point a solver or viability error
-came from. Buyer viability is checked inside the market,
+came from. The loop warm-starts each reservation-sweep point after the
+first from the previous point's coefficients on the same prepared market;
+a sweep's first point, one-point runs and every training-sweep window (its
+own market) start cold. Buyer viability is checked inside the market,
 by :func:`regmarket.market.verify_buyer_viability` on every clearing, so a
 report can only contain buyer-viable outcomes.
 """
@@ -74,13 +77,16 @@ def _prepare(scenario: ScenarioConfig) -> PreparedMarket:
 def _clear_points(points) -> ExperimentReport:
     """Clear ``(param, value, market, schedule)`` points in order, one ``sweep_rows`` row each.
 
+    A point on the same prepared market as the point before it is warm-started from that
+    point's coefficients; the first point, and a point on another market, start from 0.
     A :class:`ConvergenceError` or :class:`ViabilityError` at a point is raised again as the
     same object, ``"<param>=<value>: "`` put before its message unless the value is ``""``.
     """
-    report = ExperimentReport()
+    report, outcome = ExperimentReport(), None
     for param, value, market, schedule in points:
+        start = outcome.market_beta if outcome is not None and outcome.market is market else None
         try:
-            outcome = market.clear(schedule)
+            outcome = market.clear(schedule, start)
         except (ConvergenceError, ViabilityError) as err:
             if value != "":
                 err.args = (f"{param}={value}: {err}",)

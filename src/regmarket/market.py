@@ -74,8 +74,10 @@ class ReservationSchedule:
     @classmethod
     def uniform(cls, agent_ids, max_lag: int, u: float) -> "ReservationSchedule":
         """Same reservation ``u`` on every lag of every listed agent."""
-        lags = range(1, integer(max_lag, "max_lag") + 1)
-        return cls({(agent_id, lag): u for agent_id in agent_ids for lag in lags})
+        max_lag = integer(max_lag, "max_lag")
+        if max_lag < 1:
+            raise InvalidInputError(f"max_lag must be at least 1, got {max_lag}", "max_lag")
+        return cls({(agent_id, lag): u for agent_id in agent_ids for lag in range(1, max_lag + 1)})
 
     def get(self, agent_id, lag: int) -> float:
         return self.entries.get((agent_id, lag), 0.0)
@@ -264,8 +266,11 @@ class PreparedMarket:
         )
         return market
 
-    def clear(self, reservations: ReservationSchedule) -> MarketOutcome:
+    def clear(self, reservations: ReservationSchedule, start=None) -> MarketOutcome:
         """Clear at one reservation schedule: penalties, lasso fit, payments.
+
+        The fit starts from 0, or from the coefficients ``start`` (see
+        :func:`regmarket.regression.weighted_lasso_fit`).
 
         Each support feature with cleared coefficient ``b`` and reservation
         ``u`` is paid ``|u * b|``, which sums exactly to the fitted penalty
@@ -274,7 +279,7 @@ class PreparedMarket:
         sides of the inequality, which a correct solve cannot trigger.
         """
         penalties = penalties_from_reservations(self.config, reservations, self.design_all)
-        market_beta = weighted_lasso_fit(self.design_all, self.target, penalties, self.config.solver)
+        market_beta = weighted_lasso_fit(self.design_all, self.target, penalties, self.config.solver, start)
 
         payments = []
         for agent, lag, column in self.seller_columns:

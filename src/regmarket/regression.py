@@ -53,9 +53,10 @@ class DesignMatrix:
 
     ``column_map`` has one entry per column: ``None`` marks column 0, which
     must be the all-ones intercept, and every other entry is a distinct
-    ``(agent_id, lag)`` pair. ``column_index`` maps each pair to its column
-    and ``agents`` holds the agent ids that own a column; both are built
-    once, here.
+    ``(agent_id, lag)`` tuple: a hashable agent id and an integral lag of
+    at least 1. ``column_index`` maps each pair to its column and
+    ``agents`` holds the agent ids that own a column; both are built once,
+    here.
     """
 
     values: np.ndarray
@@ -70,8 +71,9 @@ class DesignMatrix:
             )
         if column_map[0] is not None or not np.all(values[:, 0] == 1.0):
             raise InvalidInputError("column_map must start with None, over an all-ones intercept column", "column_map")
+        column_map = (None, *map(_feature_entry, column_map[1:]))
         column_index = {entry: j for j, entry in enumerate(column_map[1:], 1)}
-        if None in column_index or len(column_index) < len(column_map) - 1:
+        if len(column_index) < len(column_map) - 1:
             raise InvalidInputError("column_map must give each later column its own (agent, lag) pair", "column_map")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "column_map", column_map)
@@ -110,6 +112,21 @@ class DesignMatrix:
         """Yield ``(index, agent_id, lag)`` for every non-intercept column."""
         for j, (agent_id, lag) in enumerate(self.column_map[1:], 1):
             yield j, agent_id, lag
+
+
+def _feature_entry(entry) -> tuple:
+    """A ``column_map`` entry after the intercept as ``(agent_id, lag)``: a hashable agent, an integer lag >= 1."""
+    if isinstance(entry, tuple) and len(entry) == 2:
+        agent_id, lag = entry
+        try:
+            hash(agent_id)
+        except TypeError:
+            pass
+        else:
+            lag = integer(lag, "column_map", "column_map lag")
+            if lag >= 1:
+                return agent_id, lag
+    raise InvalidInputError(f"column_map entry {entry!r} must be an (agent_id, lag) pair with lag >= 1", "column_map")
 
 
 @dataclass(frozen=True)
@@ -306,7 +323,7 @@ def _sign_pattern_step(gram, correlation, beta, penalties):
 
 
 def weighted_lasso_fit(
-    X: DesignMatrix, y, penalties, settings: SolverSettings | None = None
+    X: DesignMatrix, y, penalties, settings: SolverSettings | None = None, start=None
 ) -> np.ndarray:
     """Minimize (1/T)||y - Xb||^2 + (2/T) sum_j penalties[j] |b_j|.
 
@@ -322,6 +339,13 @@ def weighted_lasso_fit(
     continued on the smaller pattern, or along the null space of singular
     active columns. Neither a sweep nor a step raises the objective, so it
     is non-increasing throughout.
+
+    The solve starts from 0, or from a copy of ``start`` with
+    q = c - G start; ``start`` itself is never written. Reservation sweeps
+    warm-start each point after the first from the previous point's
+    coefficients on the same prepared market, as glmnet does along its
+    path; a sweep's first point and every training-sweep window start from
+    0. The stopping rule and its certificate are the same from any start.
 
     The solve stops once a full sweep moves no coefficient by more than
     ``settings.tolerance`` *and* the first-order optimality residual,
@@ -345,8 +369,12 @@ def weighted_lasso_fit(
     diagonal = np.diag(gram).tolist()
     moment = A.T @ y
     kkt_bound = settings.tolerance * max(1.0, (2.0 / n_rows) * float(np.max(np.abs(moment))))
-    beta = np.zeros(n_cols)
-    correlation = moment.copy()
+    if start is None:
+        beta = np.zeros(n_cols)
+        correlation = moment.copy()
+    else:
+        beta = finite_array(start, "start", (n_cols,)).copy()
+        correlation = moment - gram @ beta
     delta = np.inf
 
     for sweep in range(1, settings.max_iterations + 1):

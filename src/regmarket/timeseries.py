@@ -4,10 +4,12 @@ Hour indexing is series-local: ``values[k]`` is the sample at hour ``k`` and
 ``start_time`` is the index of the first in-window sample, so everything
 before it is lag history. Row ``t`` of a lag matrix (1-based, ``t = 1..T``)
 pairs target hour ``start_time + t - 1`` with feature values from hours
-``t - max_lag .. t - 1``. One recursion, ``_ar_path``, generates every
-synthetic series: each seller is an AR(1) process, and the buyer P1 is one
-forced by the sellers' previous hours. :class:`SyntheticSpec` checks every
-generator setting and states the true coefficients.
+``t - max_lag .. t - 1``. One vectorized scan of ``x_t = phi * x_(t-1) +
+eps_t``, ``_ar_scan``, generates every synthetic series: each seller is an
+AR(1) process, and the buyer P1 is one forced by the sellers' previous
+hours. The roster is reproducible per seed and equals the sample-by-sample
+recursion to rounding. :class:`SyntheticSpec` checks every generator
+setting and states the true coefficients.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ class AgentSeries:
     def window(self, length: int) -> np.ndarray:
         """The first ``length`` in-window samples (the regression target)."""
         length = integer(length, "length")
+        if length < 1:
+            raise InvalidInputError(f"length must be at least 1, got {length}", "length")
         if self.start_time + length > self.values.shape[0]:
             raise InvalidInputError(
                 f"agent {self.agent_id!r}: window of {length} hours needs "
@@ -177,24 +181,20 @@ def build_lag_matrix(series_list, spec: LagSpec) -> DesignMatrix:
     return DesignMatrix(values=np.hstack(blocks), column_map=tuple(column_map))
 
 
-def _ar_path(phi: float, noise, forcing=()) -> np.ndarray:
-    """Run ``state = phi * state + eps`` from 0 over ``noise`` and drop the burn-in.
+def _ar_scan(noise: np.ndarray, phi) -> np.ndarray:
+    """Turn ``noise`` into ``x_t = phi * x_(t-1) + noise_t`` from 0 along its last axis, in place.
 
-    Each of the last ``len(forcing)`` steps then adds its ``forcing`` entry.
-    The loop runs on Python floats, overwriting each draw with its state: the
-    same IEEE operations as on numpy scalars, without per-element boxing.
+    A doubling scan of the linear recurrence (Blelloch, *Prefix sums and
+    their applications*, 1990): after the pass at ``lag`` each entry holds
+    its last ``2 * lag`` noise terms weighted by powers of ``phi``, so
+    ceil(log2 N) vector passes replace N scalar steps. ``phi`` broadcasts
+    against ``noise``: a column of coefficients scans one series per row.
     """
-    out = noise.tolist()
-    state = 0.0
-    unforced = len(out) - len(forcing)
-    for t, eps in zip(range(unforced), out):
-        state = phi * state + eps
-        out[t] = state
-    for t, driven in enumerate(forcing, start=unforced):
-        state = phi * state + out[t]
-        state += driven
-        out[t] = state
-    return np.array(out[BURN_IN:])
+    lag = 1
+    while lag < noise.shape[-1]:
+        noise[..., lag:] += phi**lag * noise[..., :-lag]
+        lag *= 2
+    return noise
 
 
 def synthetic_market_series(spec: SyntheticSpec, history: int, window: int) -> list:
@@ -203,8 +203,12 @@ def synthetic_market_series(spec: SyntheticSpec, history: int, window: int) -> l
     Every returned series has ``history`` pre-window samples followed by
     ``window`` in-window samples. Per-agent seeds are spawned from
     ``spec.seed`` so the roster is reproducible as a whole: the first child
-    seeds P1's noise, child ``k + 1`` seller ``k``'s. P1 is forced by the
-    sellers over the output hours only, as no seller data precedes them.
+    seeds P1's noise, child ``k + 1`` seller ``k``'s. All sellers are
+    scanned at once (:func:`_ar_scan`), each from 0 with ``BURN_IN`` samples
+    dropped; then the sellers' weighted previous hours are added to P1's
+    noise over the output hours after the first, as no seller data precedes
+    them, and P1 is scanned. Each series equals the sample-by-sample
+    recursion to rounding, and reruns of one spec are byte-identical.
     """
     history, window = integer(history, "history"), integer(window, "window")
     if history < 0:
@@ -213,17 +217,14 @@ def synthetic_market_series(spec: SyntheticSpec, history: int, window: int) -> l
         raise InvalidInputError(f"window must be at least 1, got {window}", "window")
     length = history + window
     children = np.random.SeedSequence(spec.seed).spawn(spec.n_independent + 1)
-
-    def noise(child, std):
-        return np.random.default_rng(child).normal(0.0, std, BURN_IN + length)
-
-    sellers = [
-        _ar_path(phi, noise(child, std))
-        for phi, std, child in zip(spec.ar_coefficients, spec.noise_std, children[1:])
-    ]
-    forcing = np.zeros(length)
+    buyer, *sellers = (
+        np.random.default_rng(child).normal(0.0, std, BURN_IN + length)
+        for child, std in zip(children, (spec.dependent_noise_std, *spec.noise_std))
+    )
+    sellers = _ar_scan(np.array(sellers), np.array(spec.ar_coefficients)[:, None])[:, BURN_IN:]
+    forced = buyer[BURN_IN + 1 :]  # P1's output hours after the first
     for c, seller in zip(spec.cross_coefficients, sellers):
-        forcing[1:] += c * seller[:-1]
-    buyer = _ar_path(spec.dependent_phi, noise(children[0], spec.dependent_noise_std), forcing.tolist())
+        forced += c * seller[:-1]
+    buyer = _ar_scan(buyer, spec.dependent_phi)[BURN_IN:]
     roster = zip(spec.agent_ids, (buyer, *sellers))
     return [AgentSeries(agent_id, values, start_time=history) for agent_id, values in roster]

@@ -510,7 +510,7 @@ class TestExitCodes:
 
         config = write_scenario(tmp_path)
         monkeypatch.setattr(
-            market_module, "weighted_lasso_fit", lambda X, y, penalties, settings: np.zeros(X.n_cols)
+            market_module, "weighted_lasso_fit", lambda X, y, penalties, settings, start=None: np.zeros(X.n_cols)
         )
         code = main(["clear", "--config", str(config)])
         assert code == EXIT_VIABILITY
@@ -531,10 +531,10 @@ class TestExitCodes:
 
         fit, calls = market_module.weighted_lasso_fit, []
 
-        def second_fails(X, y, penalties, settings):
+        def second_fails(X, y, penalties, settings, start=None):
             calls.append(None)
             if len(calls) != 2:
-                return fit(X, y, penalties, settings)
+                return fit(X, y, penalties, settings, start)
             if code == EXIT_NO_CONVERGENCE:
                 raise ConvergenceError("forced for testing")
             return np.zeros(X.n_cols)

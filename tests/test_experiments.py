@@ -1,4 +1,6 @@
 import dataclasses
+import importlib.util
+import json
 import tempfile
 from pathlib import Path
 
@@ -25,7 +27,10 @@ from regmarket import (
 )
 from regmarket import experiments
 from regmarket import market as market_module
-from regmarket.data_io import ScenarioConfig, TwoAgentGrid
+from regmarket.data_io import ScenarioConfig, TwoAgentGrid, load_scenario
+from regmarket.regression import SolverSettings
+
+from oracles import kkt_residual, penalized_objective
 
 
 def scenario(central="P1", seed=0, window=240, max_lag=3, **kwargs):
@@ -100,9 +105,9 @@ class TestFailingPointIsNamed:
     def fail_second_fit(monkeypatch, failure):
         fit, calls = market_module.weighted_lasso_fit, []
 
-        def failing(X, y, penalties, settings):
+        def failing(X, y, penalties, settings, start=None):
             calls.append(None)
-            return failure(X) if len(calls) == 2 else fit(X, y, penalties, settings)
+            return failure(X) if len(calls) == 2 else fit(X, y, penalties, settings, start)
 
         monkeypatch.setattr(market_module, "weighted_lasso_fit", failing)
 
@@ -446,6 +451,67 @@ class TestOmittedSupportAgents:
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
             market = MarketConfig(central, None, LagSpec(2, 60))
             self.assert_same_clearings(ScenarioConfig("omitted", market, csv_path=str(path), u_grid=(0.0, 0.05)), zones)
+
+
+def bench_scenario(name, seed, directory):
+    """The benchmark's ``paper-u`` or ``small-many`` scenario at ``seed``, loaded from a file."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", Path(__file__).parents[1] / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    make = inputs.paper_u_scenario if name == "paper-u" else inputs.small_many_scenario
+    path = Path(directory) / f"{name}.json"
+    path.write_text(json.dumps(make(seed)), encoding="utf-8")
+    return load_scenario(path)
+
+
+class TestWarmStartedSweeps:
+    """Each point of a reservation sweep starts from the previous point's fit, to the same optimum."""
+
+    @pytest.mark.parametrize("run", [run_u_sweep, run_two_agent_grid])
+    @pytest.mark.parametrize(("name", "seed"), [("small-many", 0), ("paper-u", 0)])
+    def test_chained_points_match_cold_clearings(self, monkeypatch, tmp_path, run, name, seed):
+        fit, fits = market_module.weighted_lasso_fit, []
+
+        def recording(X, y, penalties, settings=None, start=None):
+            given = None if start is None else start.copy()
+            beta = fit(X, y, penalties, settings, start)
+            fits.append((start, given, beta))
+            return beta
+
+        sc = bench_scenario(name, seed, tmp_path)
+        monkeypatch.setattr(market_module, "weighted_lasso_fit", recording)
+        report = run(sc)
+        monkeypatch.undo()
+
+        assert len(fits) == len(report.sweep_rows) > 1
+        assert fits[0][0] is None
+        for (_, _, previous), (start, given, _) in zip(fits, fits[1:]):
+            assert start is previous and start.tobytes() == given.tobytes()
+        tolerance = SolverSettings().tolerance
+        for k, (_, _, outcome) in enumerate(report.sweep_rows):
+            market = outcome.market
+            schedule = ReservationSchedule({(r.agent_id, r.lag): r.reservation for r in outcome.payments})
+            cold = market.clear(schedule)
+            if k == 0:
+                assert outcome.market_beta.tobytes() == cold.market_beta.tobytes()
+            A, y, penalties = market.design_all.values, market.target, outcome.penalties
+            assert np.array_equal(penalties, cold.penalties)
+            warm_objective = penalized_objective(A, y, penalties, outcome.market_beta)
+            assert warm_objective == pytest.approx(penalized_objective(A, y, penalties, cold.market_beta), rel=1e-12)
+            bound = 10 * tolerance * max(1.0, (2.0 / len(y)) * np.max(np.abs(A.T @ y)))
+            assert kkt_residual(A, y, penalties, outcome.market_beta) <= bound
+            assert kkt_residual(A, y, penalties, cold.market_beta) <= bound
+
+    def test_training_sweep_points_start_cold(self, monkeypatch):
+        starts, fit = [], market_module.weighted_lasso_fit
+
+        def recording(X, y, penalties, settings=None, start=None):
+            starts.append(start)
+            return fit(X, y, penalties, settings, start)
+
+        monkeypatch.setattr(market_module, "weighted_lasso_fit", recording)
+        run_T_sweep(scenario("P1", seed=0, t_grid=(60, 120, 240)))
+        assert starts == [None, None, None]
 
 
 class TestDeterminism:

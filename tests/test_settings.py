@@ -284,6 +284,7 @@ ARRAYS = [
     ("kkt_violation", "beta", lambda v: kkt_violation(X, Y, FREE, v), (2,)),
     ("weighted_lasso_fit", "y", lambda v: weighted_lasso_fit(X, v, FREE), (4,)),
     ("weighted_lasso_fit", "penalties", lambda v: weighted_lasso_fit(X, Y, v), (2,)),
+    ("weighted_lasso_fit", "start", lambda v: weighted_lasso_fit(X, Y, FREE, start=v), (2,)),
 ]
 
 
@@ -313,6 +314,17 @@ COUNTS = [
     ("PreparedMarket.window", "length", lambda v: MARKET.window(v)),
 ]
 BAD_COUNTS = {"bool": True, "fractional": 2.5, "string": "2"}
+# (entry point, field, call, value): a count out of range, or a column_map entry that is no (agent, lag) pair.
+OUT_OF_RANGE = [
+    ("AgentSeries.window", "length", lambda v: AgentSeries("A", np.arange(5.0), start_time=2).window(v), -1),
+    ("AgentSeries.window", "length", lambda v: AgentSeries("A", np.arange(5.0), start_time=2).window(v), 0),
+    ("ReservationSchedule.uniform", "max_lag", lambda v: ReservationSchedule.uniform(("P2",), v, 0.1), -3),
+    ("ReservationSchedule.uniform", "max_lag", lambda v: ReservationSchedule.uniform(("P2",), v, 0.1), 0),
+    *(
+        ("DesignMatrix", "column_map", lambda v: DesignMatrix(np.ones((2, 2)), (None, v)), entry)
+        for entry in ("ABC", ["A", 1], "AB", ("A", 0), ("A", 1.5), (["A"], 1), ("A", 1, 2), None)
+    ),
+]
 
 # Timestamps follow the integer rules entry by entry.
 BAD_TIMESTAMPS = {
@@ -334,6 +346,10 @@ BAD_INPUTS += [
     pytest.param(field, lambda call=call, value=value: call(value), id=f"{where}-{field}-{bad}")
     for where, field, call in COUNTS
     for bad, value in BAD_COUNTS.items()
+]
+BAD_INPUTS += [
+    pytest.param(field, lambda call=call, value=value: call(value), id=f"{where}-{field}-{value!r}")
+    for where, field, call, value in OUT_OF_RANGE
 ]
 BAD_INPUTS += [
     pytest.param(

@@ -14,11 +14,19 @@ path and the same relative output directory, so the printed paths match.
 A command that rejects an input (``ingest`` on a synthetic scenario, say)
 is compared like any other run.
 
-For each run the exit code, standard output, standard error and the sha256
+For each run the exit code, standard output, standard error and the bytes
 of every file it wrote are compared. Each difference is printed on its own
 line, then a summary that counts the runs per exit code and gives each
 tree's ``src/regmarket/*.py`` line total, as ``wc -l`` counts it; the exit
 status is 1 if there is any difference, else 0.
+
+A written CSV file whose rows and cells line up, and whose non-numeric
+cells are equal, differs in values only: its line gives the largest cell
+difference divided by the largest magnitude in that cell's column. Standard
+output that differs only in its numbers is sized the same way, each number
+scaled by the larger of its two magnitudes. Every other difference is
+structural and printed with both sha256 digests. The size is reported, never
+forgiven: a value-only difference counts like any other.
 
 No input makes a command exit 3 (non-convergence) or 4 (a viability
 violation), so this comparison never sees those exits or their messages;
@@ -28,8 +36,11 @@ violation), so this comparison never sees those exits or their messages;
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -117,7 +128,7 @@ def run_tree(tree: Path, work: Path, runs) -> dict:
                 [sys.executable, "-m", "regmarket", *argv], cwd=work, env=env, capture_output=True
             )
             written = {
-                str(path.relative_to(work / out)): hashlib.sha256(path.read_bytes()).hexdigest()
+                str(path.relative_to(work / out)): path.read_bytes()
                 for path in sorted((work / out).rglob("*"))
                 if path.is_file()
             }
@@ -125,22 +136,85 @@ def run_tree(tree: Path, work: Path, runs) -> dict:
     return results
 
 
-def differences(base: dict, head: dict) -> list:
-    """One line per differing exit code, stream or written file."""
-    lines = []
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def _number(cell: str):
+    """``cell`` as a finite float, or None."""
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def value_difference(base: bytes, head: bytes, is_csv: bool):
+    """How two outputs that differ only in their numbers differ, as a line ending; None if not so.
+
+    A CSV is read as rows of cells, and a stream as one row: the text between
+    its numbers, and the numbers. Each difference is divided by the largest
+    magnitude in its column, over both outputs; the largest of these is
+    returned with the column's name (a CSV's first-row cell, or the text
+    before a number) and both terms of the ratio.
+    """
+    def rows(data):
+        text = data.decode("utf-8", errors="replace")
+        return list(csv.reader(io.StringIO(text, newline=""))) if is_csv else [NUMBER.split(text)]
+
+    rows_base, rows_head = rows(base), rows(head)
+    if len(rows_base) != len(rows_head) or any(len(a) != len(b) for a, b in zip(rows_base, rows_head)):
+        return None
+    scale, worst = {}, {}
+    for row_base, row_head in zip(rows_base, rows_head):
+        for column, (a, b) in enumerate(zip(row_base, row_head)):
+            x, y = _number(a), _number(b)
+            if x is None or y is None:
+                if a != b:
+                    return None
+                continue
+            scale[column] = max(scale.get(column, 0.0), abs(x), abs(y))
+            worst[column] = max(worst.get(column, 0.0), abs(x - y))
+    column = max((k for k in worst if worst[k] > 0.0), key=lambda k: worst[k] / scale[k], default=None)
+    if column is None:
+        return 0.0, "in values only (all equal as numbers)"
+    name = rows_base[0][column] if is_csv else rows_base[0][column - 1].strip()
+    size = worst[column] / scale[column]
+    return size, (
+        f"in values only (largest scaled difference {size:.2e}, in {name!r}: "
+        f"{worst[column]:.2e} where the largest magnitude is {scale[column]:.2e})"
+    )
+
+
+def differences(base: dict, head: dict) -> tuple:
+    """One line per differing exit code, stream or written file, and the value-only sizes."""
+    lines, sizes = [], []
+
+    def sized(where, what, a, b, is_csv):
+        found = value_difference(a, b, is_csv)
+        if found is None:
+            return False
+        sizes.append(found[0])
+        lines.append(f"{where} {what} differs {found[1]}")
+        return True
+
     for (label, command), (code, stdout, stderr, written) in base.items():
         other_code, other_stdout, other_stderr, other_written = head[label, command]
         where = f"{label} {command}:"
         if code != other_code:
             lines.append(f"{where} exit code {code} != {other_code}")
-        if stdout != other_stdout:
+        if stdout != other_stdout and not sized(where, "stdout", stdout, other_stdout, False):
             lines.append(f"{where} stdout differs")
         if stderr != other_stderr:
             lines.append(f"{where} stderr differs")
         for name in sorted(written.keys() | other_written.keys()):
-            if written.get(name) != other_written.get(name):
-                lines.append(f"{where} {name} differs (sha256 {written.get(name)} != {other_written.get(name)})")
-    return lines
+            mine, theirs = written.get(name), other_written.get(name)
+            if mine == theirs or (
+                mine is not None and theirs is not None and name.endswith(".csv") and sized(where, name, mine, theirs, True)
+            ):
+                continue
+            digests = [None if data is None else hashlib.sha256(data).hexdigest() for data in (mine, theirs)]
+            lines.append(f"{where} {name} differs (sha256 {digests[0]} != {digests[1]})")
+    return lines, sizes
 
 
 def source_lines(tree: Path) -> int:
@@ -159,12 +233,13 @@ def main(argv=None) -> int:
         runs = write_inputs(args.head, scratch / "inputs")
         base = run_tree(args.base, scratch / "base", runs)
         head = run_tree(args.head, scratch / "head", runs)
-    lines = differences(base, head)
+    lines, sizes = differences(base, head)
     for line in lines:
         print(line)
     codes = dict(sorted(Counter(code for code, *_ in head.values()).items()))
     print(f"{len(base)} runs compared ({len(runs)} inputs x {len(COMMANDS)} commands, exit codes {codes}): "
-          f"{len(lines)} difference(s); src/regmarket/*.py lines {source_lines(args.base)} -> "
+          f"{len(lines)} difference(s), {len(sizes)} in values only (largest scaled difference "
+          f"{max(sizes, default=0.0):.2e}); src/regmarket/*.py lines {source_lines(args.base)} -> "
           f"{source_lines(args.head)}")
     return 1 if lines else 0
 
