@@ -382,7 +382,9 @@ def to_agent_series(dataset: ZonalDataset, start: int, window_length: int, max_l
     """Cut one AgentSeries per zone covering hours [start - max_lag, start + window_length).
 
     The requested span must be present without gaps; otherwise the call is
-    rejected with the required and available ranges.
+    rejected with the required and available ranges, naming ``start`` when
+    the span's first hour is not in the dataset and ``window_length`` when
+    the span runs past its end or across a gap.
     """
     start = integer(start, "start")
     window_length, max_lag = integer(window_length, "window_length"), integer(max_lag, "max_lag")
@@ -397,16 +399,20 @@ def to_agent_series(dataset: ZonalDataset, start: int, window_length: int, max_l
     required = f"hours {first_hour}..{first_hour + span - 1}"
     position = int(np.searchsorted(timestamps, first_hour))
     if position >= dataset.n_hours or timestamps[position] != first_hour:
-        raise InvalidInputError(f"window needs {required}, dataset has {available}")
+        raise InvalidInputError(f"start {start} needs {required}, dataset has {available}", "start")
     if position + span > dataset.n_hours:
-        raise InvalidInputError(f"window needs {required}, dataset has {available}")
+        raise InvalidInputError(
+            f"window_length {window_length} needs {required}, dataset has {available}", "window_length"
+        )
     # Strictly increasing integers spanning exactly `span` slots are contiguous
     # iff the last one matches; pinpoint the first gap for the error message.
     if timestamps[position + span - 1] != first_hour + span - 1:
         segment = timestamps[position : position + span]
         gap_at = int(segment[np.argmax(np.diff(segment) > 1)]) + 1
         raise InvalidInputError(
-            f"window needs {required} contiguously, dataset has a gap after hour {gap_at - 1}"
+            f"window_length {window_length} needs {required} contiguously, "
+            f"dataset has a gap after hour {gap_at - 1}",
+            "window_length",
         )
     block = dataset.values[position : position + span]
     return [
@@ -415,20 +421,13 @@ def to_agent_series(dataset: ZonalDataset, start: int, window_length: int, max_l
     ]
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _write_csv(path, header, rows, columns_comment: bool = False) -> None:
     """Write ``header`` and the cell lists ``rows`` as CSV, creating the parent directory.
 
-    With ``columns_comment``, a leading ``# columns:`` line repeats the header.
+    ``csv.writer`` formats each cell: a string as itself, ``None`` as an
+    empty cell, and a number as ``str`` gives it, which for a float is its
+    shortest round-tripping ``repr``. With ``columns_comment``, a leading
+    ``# columns:`` line repeats the header.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -442,7 +441,7 @@ def _write_csv(path, header, rows, columns_comment: bool = False) -> None:
 
 def write_rows(path, fieldnames, rows) -> None:
     """Write dict rows as CSV under a ``fieldnames`` header; missing cells stay empty."""
-    _write_csv(path, fieldnames, ([_format_cell(row.get(name)) for name in fieldnames] for row in rows))
+    _write_csv(path, fieldnames, ([row.get(name) for name in fieldnames] for row in rows))
 
 
 def write_outcome_table(outcomes, path) -> None:
@@ -456,13 +455,12 @@ def write_outcome_table(outcomes, path) -> None:
     """
     rows = []
     for sweep_param, sweep_value, outcome in outcomes:
-        point = (_format_cell(sweep_param), _format_cell(sweep_value))
-        for record in outcome.payments:
-            cells = map(_format_cell, (record.coefficient, record.reservation, record.amount))
-            rows.append([*point, record.agent_id, record.lag, *cells, "", "", ""])
+        point = (sweep_param, sweep_value)
+        for r in outcome.payments:
+            rows.append([*point, r.agent_id, r.lag, r.coefficient, r.reservation, r.amount, "", "", ""])
         market = outcome.market
         totals = (outcome.total_payments, market.baseline_mse, outcome.market_mse, outcome.buyer_net_gain)
-        rows.append([*point, market.config.central_agent, "", "", "", *map(_format_cell, totals)])
+        rows.append([*point, market.config.central_agent, "", "", "", *totals])
     if not rows:
         raise InvalidInputError("no outcomes to write")
     _write_csv(path, OUTCOME_COLUMNS, rows, columns_comment=True)
@@ -619,7 +617,7 @@ def label_error(err: InvalidInputError, path) -> InvalidInputError:
     key = _KEY_OF.get(err.field)
     if key is None:
         return err
-    return InvalidInputError(f"{Path(path)}: invalid value ({key}{str(err)[len(err.field) :]})")
+    return InvalidInputError(f"{Path(path)}: invalid value ({err.renamed(key)})")
 
 
 def load_scenario(path) -> ScenarioConfig:

@@ -24,6 +24,10 @@ class InvalidInputError(ValueError):
         super().__init__(message)
         self.field = field
 
+    def renamed(self, field: str) -> "InvalidInputError":
+        """This error with ``field`` in place of its own field, at the head of the message too."""
+        return InvalidInputError(field + str(self)[len(self.field) :], field)
+
 
 def integer(value, field: str, name: str = "") -> int:
     """``value`` as an int; anything but an integral number is rejected naming ``field``.

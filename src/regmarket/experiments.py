@@ -64,9 +64,12 @@ def materialize_series(scenario: ScenarioConfig) -> list:
     start = scenario.csv_window_start
     if start is None:
         start = int(report.dataset.timestamps[0]) + lag_spec.max_lag
-    return to_agent_series(
-        report.dataset, start, lag_spec.window_length, lag_spec.max_lag
-    )
+    try:
+        return to_agent_series(report.dataset, start, lag_spec.window_length, lag_spec.max_lag)
+    except InvalidInputError as err:
+        if err.field == "start":  # the default start's first hour is always in the data
+            raise err.renamed("csv_window_start") from None
+        raise
 
 
 def _prepare(scenario: ScenarioConfig) -> PreparedMarket:
@@ -161,7 +164,12 @@ def run_T_sweep(scenario: ScenarioConfig) -> ExperimentReport:
     if grid is None:
         raise InvalidInputError("T sweep needs a non-empty t_grid")
     longest = LagSpec(max_lag=scenario.market.lag_spec.max_lag, window_length=max(grid))
-    market = _prepare(dataclasses.replace(scenario, market=dataclasses.replace(scenario.market, lag_spec=longest)))
+    try:
+        market = _prepare(dataclasses.replace(scenario, market=dataclasses.replace(scenario.market, lag_spec=longest)))
+    except InvalidInputError as err:
+        if err.field == "window_length":  # the data cannot hold the longest window the grid asks for
+            raise err.renamed("t_grid") from None
+        raise
     config = market.config
     schedule = scenario.schedule(config.support_agents)
     report = _clear_points(("T", T, market.window(T), schedule) for T in grid)

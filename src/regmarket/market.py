@@ -207,11 +207,12 @@ def penalties_from_reservations(
 class PreparedMarket:
     """The reservation-independent half of a clearing, built once.
 
-    The target, the lag design and the buyer's baseline OLS fit depend only
-    on the data and the window, so a sweep over reservations prepares them
-    once and calls :meth:`clear` per point, and a sweep over training
-    lengths prepares the longest window once and clears each shorter one on
-    :meth:`window`. One lag matrix is built per market: the buyer's own
+    The target, the lag design, its moment ``X'y`` and the buyer's baseline
+    OLS fit depend only on the data and the window, so a sweep over
+    reservations prepares them once and calls :meth:`clear` per point, and
+    a sweep over training lengths prepares the longest window once and
+    clears each shorter one on :meth:`window`. Every solve is given the
+    moment, so no clearing reads the design to solve. One lag matrix is built per market: the buyer's own
     design ``design_self`` is the intercept and buyer block that lead
     ``design_all``, a column view of it. Construction resolves the config
     against the series (:meth:`MarketConfig.resolve`), so ``config`` always
@@ -237,6 +238,9 @@ class PreparedMarket:
         self.baseline_beta = ols_fit(self.design_self, target)
         self.baseline_mse = mse(self.design_self, self.baseline_beta, target)
         self.design_all = design_all
+        # X'y, the solver's moment c, shared by every clearing of this market.
+        self.moment = design_all.values.T @ target
+        self.moment.flags.writeable = False
         # (agent, lag, column) per seller feature, in payment-record order.
         self.seller_columns = tuple(
             (agent, lag, design_all.column_of(agent, lag))
@@ -279,7 +283,9 @@ class PreparedMarket:
         sides of the inequality, which a correct solve cannot trigger.
         """
         penalties = penalties_from_reservations(self.config, reservations, self.design_all)
-        market_beta = weighted_lasso_fit(self.design_all, self.target, penalties, self.config.solver, start)
+        market_beta = weighted_lasso_fit(
+            self.design_all, self.target, penalties, self.config.solver, start, moment=self.moment
+        )
 
         payments = []
         for agent, lag, column in self.seller_columns:

@@ -15,13 +15,16 @@ Conventions used throughout the package:
   which has the same minimizer as (1/2)||y - X b||^2 + sum_j penalties[j]
   |b_j| (the two differ by the constant factor 2/T).
 * The solver works on the Gram matrix G = X'X, which each design computes
-  once and caches (:attr:`DesignMatrix.gram`), so repeated solves on one
-  design pay for it once. Its cyclic coordinate descent updates the
-  residual correlation q = X'y - G b in O(P) per coordinate. After every
-  sweep that does not certify, an exact active-set step moves to the
-  minimizer on the current sign pattern: cut at the first penalized sign
-  crossing and retried on the smaller pattern, or, on collinear active
-  columns, moved through the null space of their Gram block.
+  once and caches (:attr:`DesignMatrix.gram`), and on the moment c = X'y,
+  which a prepared market computes once for all its clearings; so repeated
+  solves on one design pay for them once, and a solve given c never reads
+  X. Its cyclic coordinate descent updates the residual correlation
+  q = c - G b in O(P) per coordinate, and certifies from q recomputed as
+  c - G b in O(P^2). After every sweep that does not certify, an exact
+  active-set step moves to the minimizer on the current sign pattern: cut
+  at the first penalized sign crossing and retried on the smaller pattern,
+  or, on collinear active columns, moved through the null space of their
+  Gram block.
 * ``SolverSettings.tolerance`` bounds the last sweep's largest coefficient
   change, in coefficient units, and the first-order optimality residual
   relative to the data's scale: at most tolerance * max(1, (2/T)||X'y||_inf).
@@ -196,7 +199,8 @@ def kkt_violation(X: DesignMatrix, y, penalties, beta) -> float:
     correlation (2/T) X_j . r must sit inside [-t_j, t_j] when b_j = 0 and
     equal t_j * sign(b_j) otherwise (t_j = (2/T) penalties[j]); unpenalized
     columns need zero correlation. A tolerance-tol solve keeps this at or
-    below tol * max(1, (2/T) ||X'y||_inf).
+    below tol * max(1, (2/T) ||X'y||_inf), up to the rounding between this
+    direct form and the solver's Gram form c - G b.
     """
     penalties = _as_penalties(penalties, X.n_cols)
     beta = finite_array(beta, "beta", (X.n_cols,))
@@ -323,7 +327,7 @@ def _sign_pattern_step(gram, correlation, beta, penalties):
 
 
 def weighted_lasso_fit(
-    X: DesignMatrix, y, penalties, settings: SolverSettings | None = None, start=None
+    X: DesignMatrix, y, penalties, settings: SolverSettings | None = None, start=None, *, moment=None
 ) -> np.ndarray:
     """Minimize (1/T)||y - Xb||^2 + (2/T) sum_j penalties[j] |b_j|.
 
@@ -347,12 +351,20 @@ def weighted_lasso_fit(
     path; a sweep's first point and every training-sweep window start from
     0. The stopping rule and its certificate are the same from any start.
 
+    ``moment`` is c = X'y computed by the caller: a prepared market computes
+    it once and passes it to every clearing, so a solve given it never reads
+    the T x P design. Without it the solve computes ``X.values.T @ y``, the
+    same expression, so the result does not depend on who computed c.
+
     The solve stops once a full sweep moves no coefficient by more than
     ``settings.tolerance`` *and* the first-order optimality residual,
-    recomputed from a fresh residual y - Xb, is at most
-    ``settings.tolerance * max(1, (2/T) ||X'y||_inf)``. Scaling the data by
-    s and the penalties by s^2 scales every gradient by s^2, so that bound
-    makes the stopping rule independent of the data's units.
+    computed from q recomputed from b as c - G b, is at most
+    ``settings.tolerance * max(1, (2/T) ||X'y||_inf)``. Recomputing q drops
+    the rounding the covariance updates accumulated in it; its own rounding,
+    of order eps * (|c| + |G||b|), is that of the direct form X'(y - Xb) and
+    far below the bound. Scaling the data by s and the penalties by s^2
+    scales every gradient by s^2, so that bound makes the stopping rule
+    independent of the data's units.
 
     Raises :class:`ConvergenceError` when ``settings.max_iterations`` sweeps
     are exhausted first, with the last iterate and its optimality residual,
@@ -367,7 +379,7 @@ def weighted_lasso_fit(
 
     gram = X.gram
     diagonal = np.diag(gram).tolist()
-    moment = A.T @ y
+    moment = A.T @ y if moment is None else finite_array(moment, "moment", (n_cols,))
     kkt_bound = settings.tolerance * max(1.0, (2.0 / n_rows) * float(np.max(np.abs(moment))))
     if start is None:
         beta = np.zeros(n_cols)
@@ -399,9 +411,9 @@ def weighted_lasso_fit(
                     delta = step
                 beta[j] = updated
         if delta < settings.tolerance:
-            # Certify from a fresh residual, which also drops the rounding
-            # error the covariance updates accumulated in q.
-            correlation = A.T @ (y - A @ beta)
+            # Certify from q recomputed from b, which drops the rounding
+            # error the covariance updates accumulated in it.
+            correlation = moment - gram @ beta
             kkt = _kkt_from_correlation(correlation, penalties, beta, n_rows)
             if kkt <= kkt_bound:
                 return beta
@@ -410,7 +422,7 @@ def weighted_lasso_fit(
             beta = candidate
             correlation = moment - gram @ beta
 
-    # Measured for the iterate handed back: a run that never tried to certify has no residual yet.
+    # Measured for the iterate handed back from a fresh residual, which only this failure path computes.
     kkt = _kkt_from_correlation(A.T @ (y - A @ beta), penalties, beta, n_rows)
     raise ConvergenceError(
         f"coordinate descent did not converge in {settings.max_iterations} sweeps "

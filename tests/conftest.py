@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import regmarket
 from regmarket import DesignMatrix
@@ -37,6 +38,23 @@ def random_instance(rng, n_rows, n_features, penalty_scale=1.0):
         [[0.0], penalty_scale * rng.uniform(0.0, n_rows / 4.0, n_features)]
     )
     return design, y, penalties
+
+
+COLLINEAR = st.lists(st.sampled_from(["duplicate", "scaled-duplicate", "constant"]), max_size=3)
+
+
+def with_collinear_columns(rng, columns, kinds):
+    """``columns`` followed by a copy, a scaled copy or a constant column per entry of ``kinds``."""
+    columns = list(columns)
+    for kind in kinds:
+        source = columns[int(rng.integers(len(columns)))]
+        if kind == "duplicate":
+            columns.append(source.copy())
+        elif kind == "scaled-duplicate":
+            columns.append(float(rng.choice([-2.0, 0.5, 3.0])) * source)
+        else:
+            columns.append(np.full(source.shape, float(rng.uniform(-2.0, 2.0))))
+    return columns
 
 
 @pytest.fixture

@@ -398,12 +398,13 @@ class TestExitCodes:
         assert not (tmp_path / "results" / "clearing.csv").exists()
 
     @staticmethod
-    def assert_clear_exits_2_naming(tmp_path, capsys, where, value, key):
-        """``clear`` on a CSV scenario with ``value`` set at path ``where`` exits 2 naming ``key``."""
+    def csv_scenario(tmp_path, where, value, missing_hour=None):
+        """A CSV scenario over hours 17689440..17689479, but ``missing_hour``, with ``value`` set at path ``where``."""
         rows = ["timestamp,DK1,DK2"]
-        for t in range(40):  # hours 17689440..17689479
-            stamp = (datetime(2019, 1, 1) + timedelta(hours=t)).isoformat()
-            rows.append(f"{stamp},{np.sin(t)!r},{np.cos(t)!r}")
+        for t in range(40):
+            if t != missing_hour:
+                stamp = (datetime(2019, 1, 1) + timedelta(hours=t)).isoformat()
+                rows.append(f"{stamp},{float(np.sin(t))!r},{float(np.cos(t))!r}")
         csv_path = tmp_path / "wind.csv"
         csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         payload = {
@@ -415,11 +416,38 @@ class TestExitCodes:
         for name in where[:-1]:
             node = node[name]
         node[where[-1]] = value
-        config = write_scenario(tmp_path, **payload)
+        return write_scenario(tmp_path, **payload)
+
+    def assert_clear_exits_2_naming(self, tmp_path, capsys, where, value, key):
+        """``clear`` on a CSV scenario with ``value`` set at path ``where`` exits 2 naming ``key``."""
+        config = self.csv_scenario(tmp_path, where, value)
         assert main(["clear", "--config", str(config)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith(f"error: {config}: invalid value ({key}")
         assert not (tmp_path / "results" / "clearing.csv").exists()
+
+    @pytest.mark.parametrize(
+        ("command", "where", "value", "missing_hour", "message"),
+        [
+            ("clear", ("market", "window"), 40, None, "market.window 40 needs hours 17689444..17689485"),
+            ("sweep-t", ("sweeps", "t_grid"), [10, 60], None, "t_grid 60 needs hours 17689444..17689505"),
+            ("clear", ("data", "window_start"), 5, None, "data.window_start 5 needs hours 3..14"),
+            ("sweep-t", ("data", "window_start"), 17689500, None,
+             "data.window_start 17689500 needs hours 17689498..17689519"),
+            ("clear", ("market", "window"), 10, 12, "market.window 10 needs hours 17689444..17689455 contiguously"),
+        ],
+        ids=["window-past-the-end", "longest-t-past-the-end", "start-before-the-data", "start-after-the-data",
+             "window-across-a-gap"],
+    )
+    def test_data_window_rejection_names_the_key(self, tmp_path, capsys, command, where, value, missing_hour, message):
+        config = self.csv_scenario(tmp_path, where, value, missing_hour)
+        assert main([command, "--config", str(config)]) == EXIT_INPUT
+        if missing_hour is None:
+            available = "dataset has hours 17689440..17689479 (40 rows)"
+        else:
+            available = f"dataset has a gap after hour {17689440 + missing_hour - 1}"
+        assert capsys.readouterr().err == f"error: {config}: invalid value ({message}, {available})\n"
+        assert not (tmp_path / "results").exists()
 
     @pytest.mark.parametrize(
         ("command", "where", "value", "key"),
@@ -510,7 +538,7 @@ class TestExitCodes:
 
         config = write_scenario(tmp_path)
         monkeypatch.setattr(
-            market_module, "weighted_lasso_fit", lambda X, y, penalties, settings, start=None: np.zeros(X.n_cols)
+            market_module, "weighted_lasso_fit", lambda X, y, penalties, settings, start=None, *, moment=None: np.zeros(X.n_cols)
         )
         code = main(["clear", "--config", str(config)])
         assert code == EXIT_VIABILITY
@@ -531,10 +559,10 @@ class TestExitCodes:
 
         fit, calls = market_module.weighted_lasso_fit, []
 
-        def second_fails(X, y, penalties, settings, start=None):
+        def second_fails(X, y, penalties, settings, start=None, *, moment=None):
             calls.append(None)
             if len(calls) != 2:
-                return fit(X, y, penalties, settings, start)
+                return fit(X, y, penalties, settings, start, moment=moment)
             if code == EXIT_NO_CONVERGENCE:
                 raise ConvergenceError("forced for testing")
             return np.zeros(X.n_cols)

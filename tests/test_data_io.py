@@ -617,6 +617,37 @@ class TestWriteOutcomeTable:
             "clearing,,P1,,,,0.025,1.5,0.30000000000000004,1.175\n"
         )
 
+    def test_bytes_of_edge_floats(self, tmp_path):
+        # Every float cell is its shortest round-tripping repr: a signed zero,
+        # the smallest subnormal, an exponent form and a rounded sum. The
+        # grid-2 sweep name holds a comma, so it is quoted.
+        market = PreparedMarket.__new__(PreparedMarket)
+        market.config = MarketConfig("P1", ("P2",), LagSpec(max_lag=2, window_length=10))
+        market.baseline_mse = 1e16
+        outcome = MarketOutcome(
+            market=market,
+            market_beta=None,
+            market_mse=0.1 + 0.2,
+            payments=(
+                PaymentRecord("P2", 1, -0.0, 5e-324, 0.0),
+                PaymentRecord("P2", 2, 1e16, 0.02, 2e14),
+            ),
+            total_payments=2e14,
+            buyer_net_gain=-0.0,
+            penalties=None,
+        )
+        path = tmp_path / "out.csv"
+        write_outcome_table([("T", 8760, outcome), ("u(P2,P4)", "0.005;0.02", outcome)], path)
+        rows = path.read_bytes().decode("utf-8").splitlines()[2:]
+        assert rows == [
+            "T,8760,P2,1,-0.0,5e-324,0.0,,,",
+            "T,8760,P2,2,1e+16,0.02,200000000000000.0,,,",
+            "T,8760,P1,,,,200000000000000.0,1e+16,0.30000000000000004,-0.0",
+            '"u(P2,P4)",0.005;0.02,P2,1,-0.0,5e-324,0.0,,,',
+            '"u(P2,P4)",0.005;0.02,P2,2,1e+16,0.02,200000000000000.0,,,',
+            '"u(P2,P4)",0.005;0.02,P1,,,,200000000000000.0,1e+16,0.30000000000000004,-0.0',
+        ]
+
 
 class TestZonalDataset:
     def test_int64_timestamps_pass_through(self):

@@ -22,6 +22,7 @@ from regmarket import (
     weighted_lasso_fit,
 )
 
+from conftest import COLLINEAR, with_collinear_columns
 from oracles import duality_gap
 
 # The gap is a difference of sums of T products, so it carries rounding of
@@ -36,22 +37,7 @@ def rounding_level(A, y, beta):
     return np.finfo(float).eps * float(y @ y + scale @ scale) / A.shape[0]
 
 
-COLLINEAR = st.lists(st.sampled_from(["duplicate", "scaled-duplicate", "constant"]), max_size=3)
 PRICE_SCALE = st.sampled_from([0.0, 1e-3, 1e-2, 1e-1, 1.0])
-
-
-def with_collinear_columns(rng, columns, kinds):
-    """``columns`` followed by a copy, a scaled copy or a constant column per entry of ``kinds``."""
-    columns = list(columns)
-    for kind in kinds:
-        source = columns[int(rng.integers(len(columns)))]
-        if kind == "duplicate":
-            columns.append(source.copy())
-        elif kind == "scaled-duplicate":
-            columns.append(float(rng.choice([-2.0, 0.5, 3.0])) * source)
-        else:
-            columns.append(np.full(source.shape, float(rng.uniform(-2.0, 2.0))))
-    return columns
 
 
 @settings(max_examples=150, deadline=None)

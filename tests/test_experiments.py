@@ -24,6 +24,7 @@ from regmarket import (
     run_two_agent_grid,
     run_u_sweep,
     synthetic_market_series,
+    weighted_lasso_fit,
 )
 from regmarket import experiments
 from regmarket import market as market_module
@@ -105,9 +106,9 @@ class TestFailingPointIsNamed:
     def fail_second_fit(monkeypatch, failure):
         fit, calls = market_module.weighted_lasso_fit, []
 
-        def failing(X, y, penalties, settings, start=None):
+        def failing(X, y, penalties, settings, start=None, *, moment=None):
             calls.append(None)
-            return failure(X) if len(calls) == 2 else fit(X, y, penalties, settings, start)
+            return failure(X) if len(calls) == 2 else fit(X, y, penalties, settings, start, moment=moment)
 
         monkeypatch.setattr(market_module, "weighted_lasso_fit", failing)
 
@@ -472,9 +473,9 @@ class TestWarmStartedSweeps:
     def test_chained_points_match_cold_clearings(self, monkeypatch, tmp_path, run, name, seed):
         fit, fits = market_module.weighted_lasso_fit, []
 
-        def recording(X, y, penalties, settings=None, start=None):
+        def recording(X, y, penalties, settings=None, start=None, *, moment=None):
             given = None if start is None else start.copy()
-            beta = fit(X, y, penalties, settings, start)
+            beta = fit(X, y, penalties, settings, start, moment=moment)
             fits.append((start, given, beta))
             return beta
 
@@ -505,13 +506,35 @@ class TestWarmStartedSweeps:
     def test_training_sweep_points_start_cold(self, monkeypatch):
         starts, fit = [], market_module.weighted_lasso_fit
 
-        def recording(X, y, penalties, settings=None, start=None):
+        def recording(X, y, penalties, settings=None, start=None, *, moment=None):
             starts.append(start)
-            return fit(X, y, penalties, settings, start)
+            return fit(X, y, penalties, settings, start, moment=moment)
 
         monkeypatch.setattr(market_module, "weighted_lasso_fit", recording)
         run_T_sweep(scenario("P1", seed=0, t_grid=(60, 120, 240)))
         assert starts == [None, None, None]
+
+
+class TestMarketMoment:
+    """A prepared market computes X'y once; a solve given it equals one that computes it, to the bit."""
+
+    @pytest.mark.parametrize(("name", "seed"), [("small-many", 0), ("paper-u", 0)])
+    def test_solve_given_the_moment_equals_one_without(self, tmp_path, name, seed):
+        sc = bench_scenario(name, seed, tmp_path)
+        prepared = experiments._prepare(sc)
+        config = prepared.config
+        for market in (prepared, prepared.window(config.lag_spec.window_length // 2)):
+            design, target = market.design_all, market.target
+            assert not market.moment.flags.writeable
+            start = None
+            for u in sc.u_grid:
+                schedule = ReservationSchedule.uniform(config.support_agents, config.lag_spec.max_lag, u)
+                outcome = market.clear(schedule, start)
+                penalties = outcome.penalties
+                computed = weighted_lasso_fit(design, target, penalties, config.solver, start)
+                given = weighted_lasso_fit(design, target, penalties, config.solver, start, moment=market.moment)
+                assert outcome.market_beta.tobytes() == given.tobytes() == computed.tobytes()
+                start = outcome.market_beta
 
 
 class TestDeterminism:

@@ -333,7 +333,7 @@ class TestPreparedMarket:
         import regmarket.market as market_module
 
         monkeypatch.setattr(
-            market_module, "weighted_lasso_fit", lambda X, y, penalties, settings, start=None: np.zeros(X.n_cols)
+            market_module, "weighted_lasso_fit", lambda X, y, penalties, settings, start=None, *, moment=None: np.zeros(X.n_cols)
         )
         config, roster = default_market(seed=0)
         with pytest.raises(ViabilityError) as caught:

@@ -17,7 +17,7 @@ from regmarket import (
     weighted_lasso_fit,
 )
 
-from conftest import make_design, random_instance
+from conftest import COLLINEAR, make_design, random_instance, with_collinear_columns
 from oracles import (
     kkt_residual,
     normal_equation_ols,
@@ -455,6 +455,54 @@ class TestStepSafety:
         with pytest.raises(ConvergenceError) as caught:
             weighted_lasso_fit(design, y, penalties, SolverSettings(max_iterations=needed - 1))
         assert caught.value.last_beta.shape == (design.n_cols,)
+
+
+def certificate_allowance(A, y, beta):
+    """Rounding allowed between the solver's certificate and a fresh-residual one, in gradient units.
+
+    The solver certifies from c - G b and the oracle from X'(y - X b). Each
+    is a sum of T products followed by a sum of P terms, so each is within
+    (T + P) eps |X_j|'(|y| + |X||b|) of the exact correlation (Higham's
+    gamma_n bound on a dot product); twice that covers both. On 3,000
+    random fits like those below, the two differed by at most 3.2% of it.
+    """
+    T, P = A.shape
+    scale = np.abs(A).T @ (np.abs(y) + np.abs(A) @ np.abs(beta))
+    return (2.0 / T) * 2 * (T + P) * np.finfo(float).eps * float(np.max(scale))
+
+
+class TestCertificateAtAnyScale:
+    """Every returned fit passes the KKT check from a fresh residual: the solver's bound plus rounding."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(6, 60),
+        n_features=st.integers(1, 5),
+        kinds=COLLINEAR,
+        scale=st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6]),
+        price_scale=st.sampled_from([0.0, 1e-3, 1e-2, 1e-1, 1.0]),
+        warm=st.booleans(),
+    )
+    def test_fresh_residual_kkt_within_the_bound(self, seed, n_rows, n_features, kinds, scale, price_scale, warm):
+        # The features and the target are in units ``scale``; the intercept
+        # column stays all ones, so its coefficient is in those units too.
+        # Prices are fractions of the largest correlation at b = 0.
+        rng = np.random.default_rng(seed)
+        features = with_collinear_columns(rng, [rng.normal(size=n_rows) for _ in range(n_features)], kinds)
+        A = np.column_stack([np.ones(n_rows), *(scale * feature for feature in features)])
+        design = DesignMatrix(A, (None, *(("A", j) for j in range(1, A.shape[1]))))
+        truth = rng.normal(size=A.shape[1]) * np.r_[scale, np.ones(len(features))]
+        y = A @ truth + scale * rng.uniform(0.01, 1.0) * rng.normal(size=n_rows)
+        largest = float(np.max(np.abs(A.T @ y)))
+        penalties = price_scale * largest * rng.uniform(size=A.shape[1])
+        penalties[: 1 + int(rng.integers(0, n_features + 1))] = 0.0  # the intercept and any free features
+        start = rng.normal(size=A.shape[1]) * np.r_[scale, np.ones(len(features))] if warm else None
+
+        beta = weighted_lasso_fit(design, y, penalties, start=start)
+
+        bound = SolverSettings().tolerance * max(1.0, (2.0 / n_rows) * largest)
+        assert kkt_residual(A, y, penalties, beta) <= bound + certificate_allowance(A, y, beta)
 
 
 class TestLosses:

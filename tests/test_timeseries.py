@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regmarket import (
@@ -101,6 +101,38 @@ class TestBuildLagMatrix:
             lag = int(rng.integers(1, max_lag + 1))
             column = design.column_of(agent.agent_id, lag)
             assert design.values[row, column] == agent.values[start + row - lag]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        max_lag=st.integers(1, 4),
+        window=st.integers(1, 12),
+        margins=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4),
+    )
+    @example(seed=0, max_lag=1, window=1, margins=[(0, 0)])
+    @example(seed=1, max_lag=1, window=7, margins=[(3, 0), (0, 2), (1, 1)])
+    @example(seed=2, max_lag=4, window=1, margins=[(0, 3), (2, 0)])
+    def test_whole_matrix_matches_per_entry_reference(self, seed, max_lag, window, margins):
+        # Each series has its own extra history before the window and its
+        # own extra samples after it, so its start_time and length differ.
+        rng = np.random.default_rng(seed)
+        roster = [
+            series(f"A{k}", rng.normal(size=max_lag + before + window + after), start_time=max_lag + before)
+            for k, (before, after) in enumerate(margins)
+        ]
+        design = build_lag_matrix(roster, LagSpec(max_lag=max_lag, window_length=window))
+
+        expected = np.ones((window, 1 + len(roster) * max_lag))
+        column_map = [None]
+        for k, agent in enumerate(roster):
+            for position in range(max_lag):  # oldest lag first
+                lag = max_lag - position
+                column_map.append((agent.agent_id, lag))
+                for row in range(window):
+                    expected[row, 1 + k * max_lag + position] = agent.values[agent.start_time + row - lag]
+        assert design.values.shape == expected.shape
+        assert design.values.tobytes() == expected.tobytes()
+        assert design.column_map == tuple(column_map)
 
 
 def one_seller(phi, std, seed, cross=0.0, dependent_phi=0.2, dependent_std=0.3):
