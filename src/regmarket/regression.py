@@ -215,16 +215,24 @@ def kkt_violation(X: DesignMatrix, y, penalties, beta) -> float:
 # null-space direction below this fraction of its largest is rounding.
 _SINGULAR_PIVOT = 1e-10
 
+# An inverse whose smallest squared Cholesky pivot is below this fraction of
+# its column's squared norm carries rounding of relative order eps over that
+# fraction. Downdating it would pass that rounding on to the smaller block,
+# which may be well conditioned, so the smaller block is refactored instead.
+_DOWNDATE_PIVOT = 1e-4
+
 
 def _inverse(block):
-    """Inverse of ``block``, or None when it is numerically singular."""
+    """Inverse of ``block`` and its smallest squared Cholesky pivot as a
+    fraction of the diagonal, or ``(None, 0.0)`` when it is numerically
+    singular."""
     try:
         pivots = np.linalg.cholesky(block).diagonal()
     except np.linalg.LinAlgError:
-        return None
+        return None, 0.0
     if np.any(pivots * pivots <= _SINGULAR_PIVOT * block.diagonal()):
-        return None
-    return np.linalg.inv(block)
+        return None, 0.0
+    return np.linalg.inv(block), float(np.min(pivots * pivots / block.diagonal()))
 
 
 def _singular_direction(curvature, pull, push, kept):
@@ -263,7 +271,9 @@ def _sign_pattern_step(gram, correlation, beta, penalties):
     is set to exactly 0; the restricted quadratic falls along the cut
     segment and the penalty stays linear on it, so the objective does not
     rise. Dropping coordinate k downdates the inverse,
-    H' = H_{-k,-k} - H_{-k,k} H_{k,-k} / H_kk, the pull on the kept set
+    H' = H_{-k,-k} - H_{-k,k} H_{k,-k} / H_kk (or refactors the kept block
+    when H came from a near-singular factorization, see
+    ``_DOWNDATE_PIVOT``), the pull on the kept set
     becomes (1 - t) * pull, and the step is retried until a full one keeps
     every penalized sign (the lasso modification of LARS; Osborne, Presnell
     & Turlach's active-set method). When G_AA is singular and the pull has a
@@ -283,7 +293,7 @@ def _sign_pattern_step(gram, correlation, beta, penalties):
     penalized = penalties[active] > 0.0
     moved = beta[active]
     kept = np.ones(active.size, dtype=bool)
-    inverse = _inverse(curvature)
+    inverse, pivot = _inverse(curvature)
     while True:
         linear = False
         if inverse is not None:
@@ -305,13 +315,18 @@ def _sign_pattern_step(gram, correlation, beta, penalties):
         kept[k] = False
         if not linear:
             pull *= 1.0 - cut
-        if inverse is not None:
+        if inverse is not None and pivot > _DOWNDATE_PIVOT:
             column = inverse[k].copy()
             inverse -= np.outer(column, column / column[k])
             inverse[k] = 0.0
             inverse[:, k] = 0.0
         else:
-            block = _inverse(curvature[np.ix_(kept, kept)])
+            # The pull is recomputed at the point reached, which drops the
+            # rounding that steps on a singular or near-singular block put
+            # into the point and the scaled pull so far.
+            pull = correlation[active] - curvature @ (moved - beta[active]) - push
+            block, pivot = _inverse(curvature[np.ix_(kept, kept)])
+            inverse = None
             if block is not None:
                 inverse = np.zeros_like(curvature)
                 inverse[np.ix_(kept, kept)] = block

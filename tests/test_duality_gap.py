@@ -8,7 +8,7 @@ duality gap by rounding only.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regmarket import (
@@ -77,6 +77,10 @@ def test_every_fit_has_a_gap_at_rounding_level(seed, n_rows, n_features, kinds, 
     price_scale=PRICE_SCALE,
     warm=st.booleans(),
 )
+# Nine rows and eleven columns, a constant seller and an intercept: the first
+# active block is square and near singular (condition number 1e8), and the
+# step drops two of its columns. Downdating its inverse left a gap of 8e-10.
+@example(seed=9, n_sellers=3, max_lag=2, window=9, kinds=["constant"], price_scale=0.01, warm=False)
 def test_every_clearing_is_viable_within_its_gap(seed, n_sellers, max_lag, window, kinds, price_scale, warm):
     rng = np.random.default_rng(seed)
     length = max_lag + window
