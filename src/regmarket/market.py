@@ -212,11 +212,12 @@ class PreparedMarket:
     reservations prepares them once and calls :meth:`clear` per point, and
     a sweep over training lengths prepares the longest window once and
     clears each shorter one on :meth:`window`. Every solve is given the
-    moment, so no clearing reads the design to solve. One lag matrix is built per market: the buyer's own
-    design ``design_self`` is the intercept and buyer block that lead
-    ``design_all``, a column view of it. Construction resolves the config
-    against the series (:meth:`MarketConfig.resolve`), so ``config`` always
-    names its sellers, and rejects two series for one agent.
+    moment, so no clearing reads the design to solve. One lag matrix is
+    built per market: the buyer's own design ``design_self`` is the
+    intercept and buyer block that lead ``design_all``, a column view of
+    it. Construction resolves the config against the series
+    (:meth:`MarketConfig.resolve`), so ``config`` always names its sellers,
+    and rejects two series for one agent.
     """
 
     def __init__(self, config: MarketConfig, all_series):

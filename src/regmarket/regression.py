@@ -369,7 +369,10 @@ def weighted_lasso_fit(
     ``moment`` is c = X'y computed by the caller: a prepared market computes
     it once and passes it to every clearing, so a solve given it never reads
     the T x P design. Without it the solve computes ``X.values.T @ y``, the
-    same expression, so the result does not depend on who computed c.
+    same expression, so the result does not depend on who computed c. A
+    given ``moment`` must equal ``X.values.T @ y`` for this exact ``y``;
+    only its shape and finiteness are checked, so a moment from another
+    window or target is certified against silently and yields a wrong fit.
 
     The solve stops once a full sweep moves no coefficient by more than
     ``settings.tolerance`` *and* the first-order optimality residual,

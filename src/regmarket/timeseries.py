@@ -187,7 +187,7 @@ def build_lag_matrix(series_list, spec: LagSpec) -> DesignMatrix:
     windows = np.lib.stride_tricks.sliding_window_view(history, D, axis=1)  # windows[k, t, d] = history[k, t + d]
     values = np.empty((T, 1 + len(series_list) * D))
     values[:, 0] = 1.0
-    values[:, 1:].reshape(T, len(series_list), D, copy=False)[...] = windows.transpose(1, 0, 2)
+    values[:, 1:].reshape(T, len(series_list), D)[...] = windows.transpose(1, 0, 2)
     return DesignMatrix(values=values, column_map=tuple(column_map))
 
 

@@ -37,6 +37,23 @@ def rounding_level(A, y, beta):
     return np.finfo(float).eps * float(y @ y + scale @ scale) / A.shape[0]
 
 
+def box_rounding(A, y, penalties, beta):
+    """What the oracle's box scaling adds to the gap of a fit optimal to rounding.
+
+    A_j'r carries rounding of order eps |A_j|'(|y| + |A||b|), so on a column
+    whose penalty p_j is not much larger, |A_j'r| / p_j exceeds 1 by that
+    over p_j, and dividing the dual point by it lowers the dual by that
+    fraction of r'Ab = sum_j p_j |b_j|. For ordinary penalties this is far
+    below the rounding level; for a penalty near 1e-8 it is not.
+    """
+    scale = np.abs(A).T @ (np.abs(y) + np.abs(A) @ np.abs(beta))
+    priced = penalties > 0.0
+    if not np.any(priced):
+        return 0.0
+    amplification = float(np.max(scale[priced] / penalties[priced]))
+    return np.finfo(float).eps * amplification * (2.0 / A.shape[0]) * float(penalties @ np.abs(beta))
+
+
 PRICE_SCALE = st.sampled_from([0.0, 1e-3, 1e-2, 1e-1, 1.0])
 
 
@@ -49,6 +66,10 @@ PRICE_SCALE = st.sampled_from([0.0, 1e-3, 1e-2, 1e-1, 1.0])
     price_scale=PRICE_SCALE,
     warm=st.booleans(),
 )
+# A seller's penalty of 2.1e-8 on an active coefficient: the fit's KKT
+# residual is 1e-15, but A_j'r exceeds p_j by 6e-7 of it through rounding,
+# and the box scaling alone puts the gap at 7e-10.
+@example(seed=5, n_rows=31, n_features=5, kinds=["scaled-duplicate"] * 3, price_scale=1e-3, warm=False)
 def test_every_fit_has_a_gap_at_rounding_level(seed, n_rows, n_features, kinds, price_scale, warm):
     rng = np.random.default_rng(seed)
     features = with_collinear_columns(rng, [rng.normal(size=n_rows) for _ in range(n_features)], kinds)
@@ -62,7 +83,8 @@ def test_every_fit_has_a_gap_at_rounding_level(seed, n_rows, n_features, kinds, 
 
     beta = weighted_lasso_fit(design, y, penalties, start=start)
 
-    assert duality_gap(A, y, penalties, beta) <= ROUNDING_MULTIPLE * rounding_level(A, y, beta)
+    slack = ROUNDING_MULTIPLE * rounding_level(A, y, beta) + box_rounding(A, y, penalties, beta)
+    assert duality_gap(A, y, penalties, beta) <= slack
     if warm:
         assert start.tobytes() == given_start.tobytes()
 
@@ -99,6 +121,6 @@ def test_every_clearing_is_viable_within_its_gap(seed, n_sellers, max_lag, windo
 
     A, y, beta = market.design_all.values, market.target, outcome.market_beta
     gap = duality_gap(A, y, outcome.penalties, beta)
-    slack = ROUNDING_MULTIPLE * rounding_level(A, y, beta)
+    slack = ROUNDING_MULTIPLE * rounding_level(A, y, beta) + box_rounding(A, y, outcome.penalties, beta)
     assert gap <= slack
     assert verify_buyer_viability(outcome).gap <= gap + slack

@@ -134,6 +134,17 @@ class TestBuildLagMatrix:
         assert design.values.tobytes() == expected.tobytes()
         assert design.column_map == tuple(column_map)
 
+    @pytest.mark.parametrize("window, n_agents, max_lag", [(1, 1, 1), (5, 1, 3), (7, 3, 1), (8760, 10, 9)])
+    def test_feature_block_reshape_is_a_view(self, window, n_agents, max_lag):
+        # build_lag_matrix writes the lag windows through this reshape of
+        # the feature columns; it must be a view on every supported numpy,
+        # not a copy the writes would be lost in.
+        values = np.empty((window, 1 + n_agents * max_lag))
+        block = values[:, 1:].reshape(window, n_agents, max_lag)
+        assert np.shares_memory(block, values)
+        block[...] = 2.0
+        assert np.all(values[:, 1:] == 2.0)
+
 
 def one_seller(phi, std, seed, cross=0.0, dependent_phi=0.2, dependent_std=0.3):
     """A spec with one seller, P2, and the buyer P1."""
