@@ -700,7 +700,11 @@ def _take(fields: dict, constructor) -> dict:
 
 
 def _entries(value) -> dict:
-    """``reservations.entries``, a list of ``[agent, lag, u]`` triples, as a schedule mapping."""
+    """``reservations.entries``, a list of ``[agent, lag, u]`` triples, as a schedule mapping.
+
+    A feature may be priced once: a second triple for an equal ``(agent, lag)``
+    pair (``1`` and ``1.0`` are one lag) is rejected naming the pair.
+    """
     if not isinstance(value, list) or not all(
         isinstance(e, list) and len(e) == 3 and isinstance(e[0], str) and isinstance(e[1], Hashable)
         for e in value
@@ -708,4 +712,9 @@ def _entries(value) -> dict:
         raise InvalidInputError(
             f"entries must be a list of [agent, lag, u] triples, got {value!r}", field="entries"
         )
-    return {(agent, lag): u for agent, lag, u in value}
+    entries = {}
+    for agent, lag, u in value:
+        if (agent, lag) in entries:
+            raise InvalidInputError(f"entries price agent {agent!r} lag {lag!r} more than once", field="entries")
+        entries[agent, lag] = u
+    return entries

@@ -11,9 +11,9 @@ one on a row prefix of it. Every runner clears its points in one loop,
 came from. The loop warm-starts each reservation-sweep point after the
 first from the previous point's coefficients on the same prepared market;
 a sweep's first point, one-point runs and every training-sweep window (its
-own market) start cold. Buyer viability is checked inside the market,
-by :func:`regmarket.market.verify_buyer_viability` on every clearing, so a
-report can only contain buyer-viable outcomes.
+own market) start cold. Buyer viability is checked inside the market on
+every clearing, by the check :func:`regmarket.market.verify_buyer_viability`
+makes, so a report can only contain buyer-viable outcomes.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def run_two_agent_grid(scenario: ScenarioConfig) -> ExperimentReport:
 
     def schedule(ua, ub):  # every seller feature at others_u, but the focal two's
         u_of = {agent_a: ua, agent_b: ub}
-        return ReservationSchedule({(a, lag): u_of.get(a, grid.others_u) for a, lag, _ in market.seller_columns})
+        return ReservationSchedule({(a, lag): u_of.get(a, grid.others_u) for a, lag in market.seller_features})
 
     pairs = [(ua, ub) for ua in grid.u_grid_a for ub in grid.u_grid_b]
     report = _clear_points((f"u({agent_a},{agent_b})", f"{ua!r};{ub!r}", market, schedule(ua, ub)) for ua, ub in pairs)

@@ -135,9 +135,11 @@ class PaymentRecord:
 
 @dataclass(frozen=True)
 class ViabilityCheck:
-    """Recomputed buyer-viability inequality with both sides attached.
+    """One clearing's buyer-viability inequality with both sides attached.
 
-    ``tolerance`` is the absolute slack the gap was held to.
+    ``market_mse`` and ``total_payments`` are the market side, computed for
+    the check; ``baseline_mse`` and ``tolerance``, the absolute slack the gap
+    was held to, are the prepared market's.
     """
 
     holds: bool
@@ -153,9 +155,11 @@ class MarketOutcome:
     """What one clearing produced, and the :class:`PreparedMarket` it was cleared on.
 
     ``market`` holds the resolved config, target, designs and baseline fit
-    that every clearing of it shares. ``total_payments`` is the sum of the
-    payment records' amounts, which is also the fitted lasso penalty term;
-    ``buyer_net_gain`` is ``market.baseline_mse - market_mse - total_payments``.
+    that every clearing of it shares. ``market_mse`` is the MSE of a fresh
+    residual ``y - X market_beta``, the one the clearing's viability check
+    held. ``total_payments`` is the sum of the payment records' amounts,
+    which is also the fitted lasso penalty term; ``buyer_net_gain`` is
+    ``market.baseline_mse - market_mse - total_payments``.
     """
 
     market: PreparedMarket
@@ -207,17 +211,24 @@ def penalties_from_reservations(
 class PreparedMarket:
     """The reservation-independent half of a clearing, built once.
 
-    The target, the lag design, its moment ``X'y`` and the buyer's baseline
-    OLS fit depend only on the data and the window, so a sweep over
-    reservations prepares them once and calls :meth:`clear` per point, and
-    a sweep over training lengths prepares the longest window once and
-    clears each shorter one on :meth:`window`. Every solve is given the
-    moment, so no clearing reads the design to solve. One lag matrix is
-    built per market: the buyer's own design ``design_self`` is the
-    intercept and buyer block that lead ``design_all``, a column view of
-    it. Construction resolves the config against the series
-    (:meth:`MarketConfig.resolve`), so ``config`` always names its sellers,
-    and rejects two series for one agent.
+    The target, the lag design, its moment ``X'y``, the buyer's baseline
+    OLS fit, its MSE ``baseline_mse`` (from a fresh residual) and the
+    buyer-viability slack ``viability_slack`` depend only on the data and
+    the window, so a sweep over reservations prepares them once and calls
+    :meth:`clear` per point, and a sweep over training lengths prepares the
+    longest window once and clears each shorter one on :meth:`window`.
+    Every solve is given the moment, so no clearing reads the design to
+    solve. One lag matrix is built per market: the buyer's own design
+    ``design_self`` is the intercept and buyer block that lead
+    ``design_all``, a column view of it. Construction resolves the config
+    against the series (:meth:`MarketConfig.resolve`), so ``config``
+    always names its sellers, and rejects two series for one agent.
+
+    ``design_all.values``, ``target``, ``baseline_beta`` and ``moment`` are
+    read-only, so nothing written through the market can move them away
+    from the baseline and slack computed here. ``target`` is a view of the
+    caller's buyer series, not a copy: writing into that series' values
+    after preparing leaves ``moment`` and the baseline stale.
     """
 
     def __init__(self, config: MarketConfig, all_series):
@@ -231,23 +242,31 @@ class PreparedMarket:
         self._fit(config, roster[0].window(config.lag_spec.window_length), build_lag_matrix(roster, config.lag_spec))
 
     def _fit(self, config, target, design_all) -> None:
-        """Attach the window's data and fit the buyer's own-features baseline."""
+        """Attach the window's data, read-only, and fit the buyer's own-features baseline."""
         own = 1 + config.lag_spec.max_lag  # the intercept and the buyer's lags
+        design_all.values.flags.writeable = False
+        target.flags.writeable = False
         self.config = config
         self.target = target
         self.design_self = DesignMatrix(design_all.values[:, :own], design_all.column_map[:own])
         self.baseline_beta = ols_fit(self.design_self, target)
+        self.baseline_beta.flags.writeable = False
         self.baseline_mse = mse(self.design_self, self.baseline_beta, target)
+        # The gap buyer viability allows: VIABILITY_TOLERANCE times the
+        # baseline MSE, floored at the rounding level of the target's mean
+        # square for a buyer whose own features fit exactly.
+        self.viability_slack = VIABILITY_TOLERANCE * max(
+            self.baseline_mse, float(np.finfo(float).eps * (target @ target)) / target.size
+        )
         self.design_all = design_all
         # X'y, the solver's moment c, shared by every clearing of this market.
         self.moment = design_all.values.T @ target
         self.moment.flags.writeable = False
-        # (agent, lag, column) per seller feature, in payment-record order.
-        self.seller_columns = tuple(
-            (agent, lag, design_all.column_of(agent, lag))
-            for agent in config.support_agents
-            for lag in range(1, config.lag_spec.max_lag + 1)
+        # (agent, lag) per seller feature, in payment-record order, and its column.
+        self.seller_features = tuple(
+            (agent, lag) for agent in config.support_agents for lag in range(1, config.lag_spec.max_lag + 1)
         )
+        self.seller_index = np.array([design_all.column_of(*f) for f in self.seller_features], dtype=np.intp)
 
     def window(self, length: int) -> "PreparedMarket":
         """This market on the first ``length`` hours of its window.
@@ -279,9 +298,12 @@ class PreparedMarket:
 
         Each support feature with cleared coefficient ``b`` and reservation
         ``u`` is paid ``|u * b|``, which sums exactly to the fitted penalty
-        term. Every outcome passes :func:`verify_buyer_viability` before it
-        is returned; otherwise :class:`ViabilityError` is raised with both
-        sides of the inequality, which a correct solve cannot trigger.
+        term. After the solve the clearing reads the design once: one fresh
+        residual gives both the outcome's ``market_mse`` and the market side
+        of the buyer-viability check, whose baseline side and slack are this
+        market's own. The check is the one :func:`verify_buyer_viability`
+        makes; a failed one raises :class:`ViabilityError` with both sides
+        of the inequality, which a correct solve cannot trigger.
         """
         penalties = penalties_from_reservations(self.config, reservations, self.design_all)
         market_beta = weighted_lasso_fit(
@@ -289,25 +311,14 @@ class PreparedMarket:
         )
 
         payments = []
-        for agent, lag, column in self.seller_columns:
-            coefficient = float(market_beta[column])
+        for (agent, lag), coefficient in zip(self.seller_features, market_beta[self.seller_index].tolist()):
             reservation = reservations.get(agent, lag)
             payments.append(
                 PaymentRecord(agent, lag, coefficient, reservation, abs(reservation * coefficient))
             )
-        total_payments = sum((record.amount for record in payments), 0.0)
-
+        payments = tuple(payments)
         market_mse = mse(self.design_all, market_beta, self.target)
-        outcome = MarketOutcome(
-            market=self,
-            market_beta=market_beta,
-            market_mse=market_mse,
-            payments=tuple(payments),
-            total_payments=total_payments,
-            buyer_net_gain=self.baseline_mse - market_mse - total_payments,
-            penalties=penalties,
-        )
-        check = verify_buyer_viability(outcome)
+        check = _viability(self, market_mse, payments)
         if not check.holds:
             market_side = check.market_mse + check.total_payments
             raise ViabilityError(
@@ -317,7 +328,15 @@ class PreparedMarket:
                 market_side=market_side,
                 baseline_side=check.baseline_mse,
             )
-        return outcome
+        return MarketOutcome(
+            market=self,
+            market_beta=market_beta,
+            market_mse=market_mse,
+            payments=payments,
+            total_payments=check.total_payments,
+            buyer_net_gain=self.baseline_mse - market_mse - check.total_payments,
+            penalties=penalties,
+        )
 
 
 def clear_market(config: MarketConfig, all_series, reservations: ReservationSchedule) -> MarketOutcome:
@@ -332,29 +351,32 @@ def clear_market(config: MarketConfig, all_series, reservations: ReservationSche
 
 
 def verify_buyer_viability(outcome: MarketOutcome) -> ViabilityCheck:
-    """Re-check buyer viability from the outcome's raw matrices.
+    """Re-check buyer viability from the outcome's cleared coefficients and payment records.
 
-    Both squared-error sides are recomputed from ``outcome.market``'s designs,
-    target and baseline coefficients and the cleared coefficients rather than
-    trusting the stored MSEs; payments are summed from the payment records.
-    The gap may reach ``VIABILITY_TOLERANCE`` times the baseline MSE, so the
-    verdict does not depend on the data's units; for a buyer whose own
-    features fit exactly, the baseline is floored at the rounding level of
-    the target's mean square. Returns the verdict with both sides and their
-    gap, never raising.
+    The market side is recomputed rather than trusted: the MSE from a fresh
+    residual of ``outcome.market``'s design, target and the cleared
+    coefficients, and the payments summed from the payment records, so a
+    forged ``market_beta`` or payment is caught. The baseline side and the
+    slack are the prepared market's, computed once from a fresh residual
+    when it was built, over read-only arrays. The gap may reach
+    ``VIABILITY_TOLERANCE`` times the baseline MSE, so the verdict does not
+    depend on the data's units; for a buyer whose own features fit exactly,
+    the baseline is floored at the rounding level of the target's mean
+    square. Returns the verdict with both sides and their gap, never raising.
     """
-    market, target = outcome.market, outcome.market.target
-    market_mse = mse(market.design_all, outcome.market_beta, target)
-    baseline_mse = mse(market.design_self, market.baseline_beta, target)
-    total_payments = sum(record.amount for record in outcome.payments)
-    market_side = market_mse + total_payments
-    gap = market_side - baseline_mse
-    slack = VIABILITY_TOLERANCE * max(baseline_mse, float(np.finfo(float).eps * (target @ target)) / target.size)
+    market = outcome.market
+    return _viability(market, mse(market.design_all, outcome.market_beta, market.target), outcome.payments)
+
+
+def _viability(market: PreparedMarket, market_mse: float, payments) -> ViabilityCheck:
+    """The buyer-viability inequality on ``market`` for one clearing's MSE and payment records."""
+    total_payments = sum((record.amount for record in payments), 0.0)
+    gap = market_mse + total_payments - market.baseline_mse
     return ViabilityCheck(
-        holds=gap <= slack,
+        holds=gap <= market.viability_slack,
         market_mse=market_mse,
         total_payments=total_payments,
-        baseline_mse=baseline_mse,
+        baseline_mse=market.baseline_mse,
         gap=gap,
-        tolerance=slack,
+        tolerance=market.viability_slack,
     )

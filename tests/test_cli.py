@@ -1,8 +1,10 @@
 import argparse
+import importlib.util
 import json
 import subprocess
 import sys
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -475,6 +477,16 @@ class TestExitCodes:
         assert main([command, "--config", str(config)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: {config}: invalid value ({key} ")
 
+    def test_repeated_reservation_entry_exits_2_naming_the_pair(self, tmp_path, capsys):
+        # Lags 1 and 1.0 are one feature, so the second triple prices it again.
+        entries = [["P2", 1, 0.1], ["P2", 1.0, 0.5], ["P3", 2, 0.2], ["P3", 2, 0.0]]
+        config = write_scenario(tmp_path, reservations={"entries": entries})
+        assert main(["clear", "--config", str(config)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {config}: invalid value (reservations.entries price agent 'P2' lag 1.0 more than once)\n"
+        )
+        assert not (tmp_path / "results").exists()
+
     def test_bad_central_agent(self, tmp_path):
         config = write_scenario(
             tmp_path, market={"central_agent": "P99", "max_lag": 2, "window": 120}
@@ -596,3 +608,24 @@ class TestExitCodes:
         )
         result = run_cli("simulate", "--config", str(config))
         assert result.returncode == EXIT_INPUT
+
+
+class TestDesignPassesPerCycle:
+    """One benchmark cycle reads each design once per clearing, plus once per prepared market."""
+
+    def test_small_many_cycle_makes_one_mse_per_clearing_and_per_market(self, tmp_path, monkeypatch):
+        import regmarket.market as market_module
+
+        spec = importlib.util.spec_from_file_location("bench_inputs", Path(__file__).parents[1] / "bench" / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        config = tmp_path / "small-many.json"
+        config.write_text(json.dumps(inputs.small_many_scenario(0)), encoding="utf-8")
+
+        calls, original = [], market_module.mse
+        monkeypatch.setattr(market_module, "mse", lambda *args: calls.append(args[0]) or original(*args))
+        for command in ("clear", "sweep-u", "sweep-t", "grid-2"):
+            assert main([command, "--config", str(config), "--out", str(tmp_path / command)]) == EXIT_OK
+        # 22 clearings (1 + 8 + 4 + 9) on 7 prepared markets (one per command,
+        # and sweep-t's three shorter windows).
+        assert len(calls) == 29

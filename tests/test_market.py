@@ -545,3 +545,76 @@ class TestVerifyBuyerViability:
             )
             outcome = clear_market(config, roster, schedule)
             assert verify_buyer_viability(outcome).holds
+
+
+class TestOnePassPerClearing:
+    """A clearing reads the design once after its solve; its baseline and slack are its market's."""
+
+    def counted_mse(self, monkeypatch):
+        import regmarket.market as market_module
+
+        calls, original = [], market_module.mse
+
+        def counted(X, beta, y):
+            calls.append(X)
+            return original(X, beta, y)
+
+        monkeypatch.setattr(market_module, "mse", counted)
+        return calls
+
+    def test_one_mse_per_clearing_and_one_per_market(self, monkeypatch):
+        calls = self.counted_mse(monkeypatch)
+        config, roster = default_market(seed=1)
+        market = PreparedMarket(config, roster)
+        assert calls == [market.design_self]
+        for u in (0.0, 0.1, 0.3):
+            market.clear(ReservationSchedule.uniform(SUPPORTS, 3, u))
+        assert calls == [market.design_self] + [market.design_all] * 3
+        shorter = market.window(120)
+        shorter.clear(ReservationSchedule.uniform(SUPPORTS, 3, 0.1))
+        assert calls[4:] == [shorter.design_self, shorter.design_all]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_outcome_sides_are_the_public_checks_to_the_bit(self, seed):
+        config, roster = default_market(seed=seed)
+        market = PreparedMarket(config, roster)
+        for u in (0.0, 0.05, 1e6):
+            outcome = market.clear(ReservationSchedule.uniform(SUPPORTS, 3, u))
+            check = verify_buyer_viability(outcome)
+            assert check.holds
+            assert outcome.market_mse.hex() == check.market_mse.hex()
+            assert outcome.total_payments.hex() == check.total_payments.hex()
+            assert check.baseline_mse.hex() == outcome.market.baseline_mse.hex()
+            assert check.tolerance.hex() == market.viability_slack.hex()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_forged_coefficients_fail_the_public_check(self, seed):
+        # The market side is recomputed from market_beta, not read from the
+        # outcome: an intercept moved by 10 target standard deviations adds
+        # about 100 variances to the loss.
+        config, roster = default_market(seed=seed)
+        outcome = clear_market(config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.1))
+        beta = outcome.market_beta.copy()
+        beta[0] += 10.0 * np.std(outcome.market.target)
+        check = verify_buyer_viability(dataclasses.replace(outcome, market_beta=beta))
+        assert not check.holds
+        assert check.market_mse > 50.0 * check.baseline_mse
+        assert check.market_mse != outcome.market_mse
+
+    def test_prepared_arrays_are_read_only(self):
+        config, roster = default_market(seed=0)
+        market = PreparedMarket(config, roster)
+        for prepared in (market, market.window(120)):
+            for array in (
+                prepared.design_all.values,
+                prepared.design_self.values,
+                prepared.target,
+                prepared.baseline_beta,
+                prepared.moment,
+            ):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[(0,) * array.ndim] = 1.0
+        # The target is a read-only view of the buyer's series, which stays writable.
+        buyer = roster[0]
+        assert buyer.agent_id == "P1" and buyer.values.flags.writeable
+        assert np.shares_memory(market.target, buyer.values)
