@@ -28,7 +28,6 @@ from .timeseries import (
 from .market import (
     MarketConfig,
     MarketOutcome,
-    PaymentRecord,
     PreparedMarket,
     ViabilityCheck,
     ReservationSchedule,

@@ -448,17 +448,17 @@ def write_outcome_table(outcomes, path) -> None:
     """Write clearing results as CSV: one row per support feature plus a buyer row.
 
     ``outcomes`` is a sequence of ``(sweep_param, sweep_value, MarketOutcome)``.
-    Feature rows carry the agent, lag, cleared coefficient, reservation and
-    payment; the buyer row carries the total payment, both MSEs and the
-    buyer's net gain. The column order is fixed and documented in a leading
-    comment line.
+    Feature rows follow the market's ``seller_features``, each with its
+    agent, lag, cleared coefficient, price and payment; the buyer row carries
+    the total payment, both MSEs and the buyer's net gain. The column order
+    is fixed and documented in a leading comment line.
     """
     rows = []
     for sweep_param, sweep_value, outcome in outcomes:
-        point = (sweep_param, sweep_value)
-        for r in outcome.payments:
-            rows.append([*point, r.agent_id, r.lag, r.coefficient, r.reservation, r.amount, "", "", ""])
-        market = outcome.market
+        point, market = (sweep_param, sweep_value), outcome.market
+        beta = outcome.market_beta[market.seller_index].tolist()
+        cells = zip(market.seller_features, beta, outcome.prices.tolist(), outcome.payments.tolist())
+        rows += ([*point, *feature, b, u, paid, "", "", ""] for feature, b, u, paid in cells)
         totals = (outcome.total_payments, market.baseline_mse, outcome.market_mse, outcome.buyer_net_gain)
         rows.append([*point, market.config.central_agent, "", "", "", *totals])
     if not rows:

@@ -21,9 +21,11 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .data_io import ScenarioConfig, ingest_csv, to_agent_series
 from .errors import ConvergenceError, InvalidInputError, ViabilityError
-from .market import PreparedMarket, ReservationSchedule
+from .market import PreparedMarket
 from .market import clear_market, verify_buyer_viability  # noqa: F401  (names patched by bench/tracer.py)
 from .regression import ols_fit
 from .timeseries import LagSpec, synthetic_market_series
@@ -78,7 +80,7 @@ def _prepare(scenario: ScenarioConfig) -> PreparedMarket:
 
 
 def _clear_points(points) -> ExperimentReport:
-    """Clear ``(param, value, market, schedule)`` points in order, one ``sweep_rows`` row each.
+    """Clear ``(param, value, market, prices)`` points in order, one ``sweep_rows`` row each.
 
     A point on the same prepared market as the point before it is warm-started from that
     point's coefficients; the first point, and a point on another market, start from 0.
@@ -86,10 +88,10 @@ def _clear_points(points) -> ExperimentReport:
     same object, ``"<param>=<value>: "`` put before its message unless the value is ``""``.
     """
     report, outcome = ExperimentReport(), None
-    for param, value, market, schedule in points:
+    for param, value, market, prices in points:
         start = outcome.market_beta if outcome is not None and outcome.market is market else None
         try:
-            outcome = market.clear(schedule, start)
+            outcome = market.clear(prices, start)
         except (ConvergenceError, ViabilityError) as err:
             if value != "":
                 err.args = (f"{param}={value}: {err}",)
@@ -98,15 +100,17 @@ def _clear_points(points) -> ExperimentReport:
     return report
 
 
-def _paid(outcome, agent) -> float:
-    """What ``agent`` was paid in ``outcome``, over all its lags."""
-    return sum(record.amount for record in outcome.payments if record.agent_id == agent)
+def _paid(outcome) -> dict:
+    """What each seller was paid in ``outcome``, over all its lags, by agent."""
+    config = outcome.market.config
+    rows = outcome.payments.reshape(len(config.support_agents), config.lag_spec.max_lag).tolist()
+    return {agent: sum(row, 0.0) for agent, row in zip(config.support_agents, rows)}
 
 
 def run_clearing(scenario: ScenarioConfig) -> ExperimentReport:
     """Prepare the scenario's market and clear it once, at the scenario's schedule."""
     market = _prepare(scenario)
-    return _clear_points([("clearing", "", market, scenario.schedule(market.config.support_agents))])
+    return _clear_points([("clearing", "", market, market.prices(scenario.schedule(market.config.support_agents)))])
 
 
 def run_method_comparison(scenario: ScenarioConfig) -> ExperimentReport:
@@ -143,11 +147,7 @@ def run_u_sweep(scenario: ScenarioConfig) -> ExperimentReport:
     if scenario.u_grid is None:
         raise InvalidInputError("u sweep needs a non-empty u_grid")
     market = _prepare(scenario)
-    config = market.config
-    return _clear_points(
-        ("u", u, market, ReservationSchedule.uniform(config.support_agents, config.lag_spec.max_lag, u))
-        for u in scenario.u_grid
-    )
+    return _clear_points(("u", u, market, np.full(len(market.seller_features), u)) for u in scenario.u_grid)
 
 
 def run_T_sweep(scenario: ScenarioConfig) -> ExperimentReport:
@@ -171,11 +171,10 @@ def run_T_sweep(scenario: ScenarioConfig) -> ExperimentReport:
             raise err.renamed("t_grid") from None
         raise
     config = market.config
-    schedule = scenario.schedule(config.support_agents)
-    report = _clear_points(("T", T, market.window(T), schedule) for T in grid)
+    prices = market.prices(scenario.schedule(config.support_agents))  # every window has the same sellers
+    report = _clear_points(("T", T, market.window(T), prices) for T in grid)
     for _, T, outcome in report.sweep_rows:
-        for agent in config.support_agents:
-            paid = _paid(outcome, agent)
+        for agent, paid in _paid(outcome).items():
             report.derived_rows.append({"T": T, "agent": agent, "payment": paid, "payment_per_step": paid / T})
         total = outcome.total_payments
         report.derived_rows.append(
@@ -202,15 +201,17 @@ def run_two_agent_grid(scenario: ScenarioConfig) -> ExperimentReport:
         if agent not in config.support_agents:
             raise InvalidInputError(f"{name} {agent!r} is not a support agent", name)
 
-    def schedule(ua, ub):  # every seller feature at others_u, but the focal two's
-        u_of = {agent_a: ua, agent_b: ub}
-        return ReservationSchedule({(a, lag): u_of.get(a, grid.others_u) for a, lag in market.seller_features})
-
     pairs = [(ua, ub) for ua in grid.u_grid_a for ub in grid.u_grid_b]
-    report = _clear_points((f"u({agent_a},{agent_b})", f"{ua!r};{ub!r}", market, schedule(ua, ub)) for ua, ub in pairs)
+    per_seller = (  # every seller at others_u, but the focal two
+        [{agent_a: ua, agent_b: ub}.get(a, grid.others_u) for a in config.support_agents] for ua, ub in pairs
+    )
+    report = _clear_points(
+        (f"u({agent_a},{agent_b})", f"{ua!r};{ub!r}", market, np.repeat(u, config.lag_spec.max_lag))
+        for (ua, ub), u in zip(pairs, per_seller)
+    )
     report.derived_rows = [
-        {"u_a": ua, "u_b": ub, "payment_a": _paid(outcome, agent_a), "payment_b": _paid(outcome, agent_b)}
-        for (ua, ub), (_, _, outcome) in zip(pairs, report.sweep_rows)
+        {"u_a": ua, "u_b": ub, "payment_a": paid[agent_a], "payment_b": paid[agent_b]}
+        for (ua, ub), paid in zip(pairs, (_paid(outcome) for _, _, outcome in report.sweep_rows))
     ]
 
     # Adjacent grid steps where one seller's payment does not increase when

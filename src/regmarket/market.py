@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, ViabilityError, integer, real, sequence
+from .errors import InvalidInputError, ViabilityError, finite_array, integer, real, sequence
 from .regression import (
     DesignMatrix,
     SolverSettings,
@@ -30,7 +30,6 @@ from .timeseries import LagSpec, build_lag_matrix
 __all__ = [
     "ReservationSchedule",
     "MarketConfig",
-    "PaymentRecord",
     "MarketOutcome",
     "ViabilityCheck",
     "VIABILITY_TOLERANCE",
@@ -73,14 +72,14 @@ class ReservationSchedule:
 
     @classmethod
     def uniform(cls, agent_ids, max_lag: int, u: float) -> "ReservationSchedule":
-        """Same reservation ``u`` on every lag of every listed agent."""
+        """Same reservation ``u`` on every lag of every listed agent; ``u`` is checked even for no agents."""
         max_lag = integer(max_lag, "max_lag")
         if max_lag < 1:
             raise InvalidInputError(f"max_lag must be at least 1, got {max_lag}", "max_lag")
+        u = real(u, "u")
+        if u < 0:
+            raise InvalidInputError(f"u must be nonnegative, got {u!r}", "u")
         return cls({(agent_id, lag): u for agent_id in agent_ids for lag in range(1, max_lag + 1)})
-
-    def get(self, agent_id, lag: int) -> float:
-        return self.entries.get((agent_id, lag), 0.0)
 
 
 @dataclass(frozen=True)
@@ -123,17 +122,6 @@ class MarketConfig:
 
 
 @dataclass(frozen=True)
-class PaymentRecord:
-    """What one support feature earned in a clearing: |reservation * coefficient|."""
-
-    agent_id: str
-    lag: int
-    coefficient: float
-    reservation: float
-    amount: float
-
-
-@dataclass(frozen=True)
 class ViabilityCheck:
     """One clearing's buyer-viability inequality with both sides attached.
 
@@ -157,54 +145,33 @@ class MarketOutcome:
     ``market`` holds the resolved config, target, designs and baseline fit
     that every clearing of it shares. ``market_mse`` is the MSE of a fresh
     residual ``y - X market_beta``, the one the clearing's viability check
-    held. ``total_payments`` is the sum of the payment records' amounts,
-    which is also the fitted lasso penalty term; ``buyer_net_gain`` is
-    ``market.baseline_mse - market_mse - total_payments``.
+    held. ``prices`` and ``payments`` are read-only arrays over
+    ``market.seller_features``: each feature's reservation ``u`` and its pay
+    ``|u * b|``. ``total_payments``, their sum, is also the fitted lasso
+    penalty term; ``buyer_net_gain`` is ``market.baseline_mse - market_mse -
+    total_payments``.
     """
 
     market: PreparedMarket
     market_beta: np.ndarray
     market_mse: float
-    payments: tuple
+    prices: np.ndarray
+    payments: np.ndarray
     total_payments: float
     buyer_net_gain: float
     penalties: np.ndarray
 
 
-def penalties_from_reservations(
-    config: MarketConfig, reservations: ReservationSchedule, design: DesignMatrix
-) -> np.ndarray:
-    """Convert reservation prices into the per-column penalty vector.
+def penalties_from_reservations(market: PreparedMarket, prices: np.ndarray) -> np.ndarray:
+    """Convert per-seller-feature reservation prices into the per-column penalty vector.
 
-    A support feature sold at reservation ``u`` is penalized by ``(T/2) * u``;
-    the intercept and every column belonging to the central agent stay at
-    zero so the buyer's own information is never shrunk. One pass over the
-    schedule's entries writes each penalty at the column the design's
-    ``column_index`` gives; features the schedule leaves out stay free. The
-    design must hold exactly the config's agents (any sellers, for ``None``).
+    ``prices`` is aligned with ``market.seller_features``. A support feature
+    sold at reservation ``u`` is penalized by ``(T/2) * u``; the intercept
+    and every column belonging to the central agent stay at zero so the
+    buyer's own information is never shrunk.
     """
-    supports = config.support_agents
-    expected = {config.central_agent, *(design.agents if supports is None else supports)}
-    if design.agents != expected:
-        raise InvalidInputError(
-            f"design covers agents {sorted(map(str, design.agents))}, "
-            f"config needs {sorted(map(str, expected))}"
-        )
-    half_T = design.n_rows / 2.0
-    penalties = np.zeros(design.n_cols)
-    for (agent_id, lag), u in reservations.entries.items():
-        if agent_id == config.central_agent:
-            if u != 0.0:
-                raise InvalidInputError(
-                    f"entries price central agent {agent_id!r}, which cannot sell its own features", "entries"
-                )
-            continue
-        column = design.column_index.get((agent_id, lag))
-        if column is None:
-            raise InvalidInputError(
-                f"entries price agent {agent_id!r} lag {lag}, which has no design column", "entries"
-            )
-        penalties[column] = half_T * u
+    penalties = np.zeros(market.design_all.n_cols)
+    penalties[market.seller_index] = market.design_all.n_rows / 2.0 * prices
     return penalties
 
 
@@ -262,7 +229,7 @@ class PreparedMarket:
         # X'y, the solver's moment c, shared by every clearing of this market.
         self.moment = design_all.values.T @ target
         self.moment.flags.writeable = False
-        # (agent, lag) per seller feature, in payment-record order, and its column.
+        # (agent, lag) per seller feature, the order of prices and payments, and its column.
         self.seller_features = tuple(
             (agent, lag) for agent in config.support_agents for lag in range(1, config.lag_spec.max_lag + 1)
         )
@@ -290,11 +257,37 @@ class PreparedMarket:
         )
         return market
 
-    def clear(self, reservations: ReservationSchedule, start=None) -> MarketOutcome:
-        """Clear at one reservation schedule: penalties, lasso fit, payments.
+    def prices(self, reservations: ReservationSchedule) -> np.ndarray:
+        """The schedule's reservation per seller feature, aligned with ``seller_features``.
 
-        The fit starts from 0, or from the coefficients ``start`` (see
-        :func:`regmarket.regression.weighted_lasso_fit`).
+        Features the schedule leaves out cost 0. The schedule is checked
+        against this market entry by entry: a nonzero price on the central
+        agent, which cannot sell its own features, or any price on a feature
+        with no design column is rejected naming ``entries``.
+        """
+        by_column = np.zeros(self.design_all.n_cols)
+        for (agent_id, lag), u in reservations.entries.items():
+            if agent_id == self.config.central_agent:
+                if u != 0.0:
+                    raise InvalidInputError(
+                        f"entries price central agent {agent_id!r}, which cannot sell its own features", "entries"
+                    )
+                continue
+            column = self.design_all.column_index.get((agent_id, lag))
+            if column is None:
+                raise InvalidInputError(
+                    f"entries price agent {agent_id!r} lag {lag}, which has no design column", "entries"
+                )
+            by_column[column] = u
+        return by_column[self.seller_index]
+
+    def clear(self, prices, start=None) -> MarketOutcome:
+        """Clear at one price per seller feature: penalties, lasso fit, payments.
+
+        ``prices`` holds a finite nonnegative reservation per entry of
+        ``seller_features`` (:meth:`prices` gives a schedule's); the outcome
+        keeps a read-only copy. The fit starts from 0, or from the
+        coefficients ``start`` (see :func:`regmarket.regression.weighted_lasso_fit`).
 
         Each support feature with cleared coefficient ``b`` and reservation
         ``u`` is paid ``|u * b|``, which sums exactly to the fitted penalty
@@ -305,18 +298,16 @@ class PreparedMarket:
         makes; a failed one raises :class:`ViabilityError` with both sides
         of the inequality, which a correct solve cannot trigger.
         """
-        penalties = penalties_from_reservations(self.config, reservations, self.design_all)
+        prices = finite_array(prices, "prices", (len(self.seller_features),)).copy()
+        if (prices < 0).any():
+            raise InvalidInputError("prices must be nonnegative", "prices")
+        prices.flags.writeable = False
+        penalties = penalties_from_reservations(self, prices)
         market_beta = weighted_lasso_fit(
             self.design_all, self.target, penalties, self.config.solver, start, moment=self.moment
         )
-
-        payments = []
-        for (agent, lag), coefficient in zip(self.seller_features, market_beta[self.seller_index].tolist()):
-            reservation = reservations.get(agent, lag)
-            payments.append(
-                PaymentRecord(agent, lag, coefficient, reservation, abs(reservation * coefficient))
-            )
-        payments = tuple(payments)
+        payments = np.abs(prices * market_beta[self.seller_index])
+        payments.flags.writeable = False
         market_mse = mse(self.design_all, market_beta, self.target)
         check = _viability(self, market_mse, payments)
         if not check.holds:
@@ -332,6 +323,7 @@ class PreparedMarket:
             market=self,
             market_beta=market_beta,
             market_mse=market_mse,
+            prices=prices,
             payments=payments,
             total_payments=check.total_payments,
             buyer_net_gain=self.baseline_mse - market_mse - check.total_payments,
@@ -342,21 +334,23 @@ class PreparedMarket:
 def clear_market(config: MarketConfig, all_series, reservations: ReservationSchedule) -> MarketOutcome:
     """Run one clearing: baseline fit, weighted-lasso fit, payments, viability.
 
-    Shorthand for ``PreparedMarket(config, all_series).clear(reservations)``;
-    sweeps over reservations on one dataset should prepare the market once
-    instead. Raises :class:`InvalidInputError` for a bad roster or schedule
-    and :class:`ViabilityError` if the outcome fails buyer viability.
+    Shorthand for ``market.clear(market.prices(reservations))`` on
+    ``market = PreparedMarket(config, all_series)``; sweeps over reservations
+    on one dataset should prepare the market once instead. Raises
+    :class:`InvalidInputError` for a bad roster or schedule and
+    :class:`ViabilityError` if the outcome fails buyer viability.
     """
-    return PreparedMarket(config, all_series).clear(reservations)
+    market = PreparedMarket(config, all_series)
+    return market.clear(market.prices(reservations))
 
 
 def verify_buyer_viability(outcome: MarketOutcome) -> ViabilityCheck:
-    """Re-check buyer viability from the outcome's cleared coefficients and payment records.
+    """Re-check buyer viability from the outcome's cleared coefficients and payments.
 
     The market side is recomputed rather than trusted: the MSE from a fresh
     residual of ``outcome.market``'s design, target and the cleared
-    coefficients, and the payments summed from the payment records, so a
-    forged ``market_beta`` or payment is caught. The baseline side and the
+    coefficients, and the total from the ``payments`` array, so a forged
+    ``market_beta`` or payment is caught. The baseline side and the
     slack are the prepared market's, computed once from a fresh residual
     when it was built, over read-only arrays. The gap may reach
     ``VIABILITY_TOLERANCE`` times the baseline MSE, so the verdict does not
@@ -368,9 +362,9 @@ def verify_buyer_viability(outcome: MarketOutcome) -> ViabilityCheck:
     return _viability(market, mse(market.design_all, outcome.market_beta, market.target), outcome.payments)
 
 
-def _viability(market: PreparedMarket, market_mse: float, payments) -> ViabilityCheck:
-    """The buyer-viability inequality on ``market`` for one clearing's MSE and payment records."""
-    total_payments = sum((record.amount for record in payments), 0.0)
+def _viability(market: PreparedMarket, market_mse: float, payments: np.ndarray) -> ViabilityCheck:
+    """The buyer-viability inequality on ``market`` for one clearing's MSE and payments."""
+    total_payments = sum(payments.tolist(), 0.0)  # left to right in feature order; np.sum adds pairwise
     gap = market_mse + total_payments - market.baseline_mse
     return ViabilityCheck(
         holds=gap <= market.viability_slack,

@@ -148,12 +148,12 @@ def test_criterion_4_payment_identity():
             }
         )
         outcome = clear_market(config, roster, schedule)
-        for record in outcome.payments:
-            column = outcome.market.design_all.column_of(record.agent_id, record.lag)
+        for (agent, lag), amount in zip(outcome.market.seller_features, outcome.payments):
+            column = outcome.market.design_all.column_of(agent, lag)
             beta = float(outcome.market_beta[column])
-            u = schedule.get(record.agent_id, record.lag)
-            exact &= record.amount == abs(u * beta)
-            coupling &= (record.amount == 0.0) == (beta == 0.0)
+            u = schedule.entries.get((agent, lag), 0.0)
+            exact &= amount == abs(u * beta)
+            coupling &= (amount == 0.0) == (beta == 0.0)
     verdict(
         "criterion 4: payment equals |u * coefficient| bit-exactly, zero iff unselected",
         exact and coupling,
@@ -225,12 +225,13 @@ def test_criterion_6_u_sweep_shape(tmp_path):
     by_u = {value: outcome for _, value, outcome in report.sweep_rows}
     supports = ("P2", "P3", "P4", "P5")
 
-    zero_at_origin = all(r.amount == 0.0 for r in by_u[0.0].payments)
-    zero_at_endpoint = all(r.amount == 0.0 for r in by_u[5.0].payments)
-    nonnegative = all(r.amount >= 0.0 for outcome in by_u.values() for r in outcome.payments)
+    features = by_u[0.0].market.seller_features
+    zero_at_origin = all(by_u[0.0].payments == 0.0)
+    zero_at_endpoint = all(by_u[5.0].payments == 0.0)
+    nonnegative = all(amount >= 0.0 for outcome in by_u.values() for amount in outcome.payments)
     interior_positive = all(
         max(
-            sum(r.amount for r in by_u[u].payments if r.agent_id == agent)
+            sum(amount for (a, _), amount in zip(features, by_u[u].payments) if a == agent)
             for u in grid[1:-1]
         )
         > 0.0

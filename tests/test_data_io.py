@@ -15,7 +15,6 @@ from regmarket import (
     LagSpec,
     MarketConfig,
     MarketOutcome,
-    PaymentRecord,
     PreparedMarket,
     ReservationSchedule,
     SyntheticSpec,
@@ -583,25 +582,48 @@ class TestWriteOutcomeTable:
         assert float(buyer[8]) == outcome.market_mse
         assert float(buyer[9]) == outcome.buyer_net_gain
 
+    @pytest.mark.parametrize(("max_lag", "n_supports"), [(1, 4), (3, 2), (2, 5)])
+    def test_one_feature_row_per_payment_at_every_point(self, tmp_path, max_lag, n_supports):
+        outcome = self._outcome(max_lag=max_lag, n_supports=n_supports)
+        path = tmp_path / "out.csv"
+        write_outcome_table([("u", 0.1, outcome), ("u", 0.2, outcome)], path)
+        rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()[2:]))
+        assert len(rows) == 2 * (len(outcome.payments) + 1)
+        for point in (rows[: len(rows) // 2], rows[len(rows) // 2 :]):
+            feature_rows = [row for row in point if row[3] != ""]
+            assert len(feature_rows) == len(outcome.payments) == n_supports * max_lag
+            assert [(row[2], int(row[3])) for row in feature_rows] == list(outcome.market.seller_features)
+            assert [float(row[6]) for row in feature_rows] == outcome.payments.tolist()
+
     def test_empty_list_rejected(self, tmp_path):
         with pytest.raises(InvalidInputError):
             write_outcome_table([], tmp_path / "out.csv")
 
-    def test_bytes_of_a_hand_built_outcome(self, tmp_path):
-        market = PreparedMarket.__new__(PreparedMarket)  # only what the table reads
+    @staticmethod
+    def _hand_built(baseline_mse, coefficients, prices, payments, **fields):
+        """An outcome on a one-seller market at ``max_lag=2``, holding only what the table reads.
+
+        ``coefficients``, ``prices`` and ``payments`` are P2's at lags 1 and 2.
+        """
+        market = PreparedMarket.__new__(PreparedMarket)
         market.config = MarketConfig("P1", ("P2",), LagSpec(max_lag=2, window_length=10))
-        market.baseline_mse = 1.5
-        outcome = MarketOutcome(
+        market.baseline_mse = baseline_mse
+        market.seller_features = (("P2", 1), ("P2", 2))
+        market.seller_index = np.array([4, 3])  # intercept, P1 lags 2 and 1, P2 lags 2 and 1
+        beta = np.array([0.5, 0.25, 0.75, coefficients[1], coefficients[0]])
+        return MarketOutcome(
             market=market,
-            market_beta=None,
+            market_beta=beta,
             market_mse=0.1 + 0.2,
-            payments=(
-                PaymentRecord("P2", 1, -0.25, 0.1, 0.025),
-                PaymentRecord("P2", 2, 0.0, 1e-05, 0.0),
-            ),
-            total_payments=0.025,
-            buyer_net_gain=1.175,
+            prices=np.array(prices),
+            payments=np.array(payments),
             penalties=None,
+            **fields,
+        )
+
+    def test_bytes_of_a_hand_built_outcome(self, tmp_path):
+        outcome = self._hand_built(
+            1.5, (-0.25, 0.0), (0.1, 1e-05), (0.025, 0.0), total_payments=0.025, buyer_net_gain=1.175
         )
         path = tmp_path / "out.csv"
         write_outcome_table([("T", 240, outcome), ("clearing", "", outcome)], path)
@@ -621,20 +643,8 @@ class TestWriteOutcomeTable:
         # Every float cell is its shortest round-tripping repr: a signed zero,
         # the smallest subnormal, an exponent form and a rounded sum. The
         # grid-2 sweep name holds a comma, so it is quoted.
-        market = PreparedMarket.__new__(PreparedMarket)
-        market.config = MarketConfig("P1", ("P2",), LagSpec(max_lag=2, window_length=10))
-        market.baseline_mse = 1e16
-        outcome = MarketOutcome(
-            market=market,
-            market_beta=None,
-            market_mse=0.1 + 0.2,
-            payments=(
-                PaymentRecord("P2", 1, -0.0, 5e-324, 0.0),
-                PaymentRecord("P2", 2, 1e16, 0.02, 2e14),
-            ),
-            total_payments=2e14,
-            buyer_net_gain=-0.0,
-            penalties=None,
+        outcome = self._hand_built(
+            1e16, (-0.0, 1e16), (5e-324, 0.02), (0.0, 2e14), total_payments=2e14, buyer_net_gain=-0.0
         )
         path = tmp_path / "out.csv"
         write_outcome_table([("T", 8760, outcome), ("u(P2,P4)", "0.005;0.02", outcome)], path)
@@ -744,7 +754,7 @@ class TestScenarioConfig:
             tmp_path, reservations={"entries": [["P2", 1, 0.25], ["P3", 2, 0.5]]}
         )
         scenario = load_scenario(path)
-        assert scenario.reservations.get("P2", 1) == 0.25
+        assert scenario.reservations.entries.get(("P2", 1), 0.0) == 0.25
         assert scenario.uniform_u is None
 
     def test_exactly_one_source(self):

@@ -119,7 +119,7 @@ def test_every_clearing_is_viable_within_its_gap(seed, n_sellers, max_lag, windo
     )
     start = rng.normal(size=market.design_all.n_cols) if warm else None
 
-    outcome = market.clear(schedule, start)
+    outcome = market.clear(market.prices(schedule), start)
 
     A, y, beta = market.design_all.values, market.target, outcome.market_beta
     gap = duality_gap(A, y, outcome.penalties, beta)

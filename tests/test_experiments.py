@@ -87,7 +87,7 @@ class TestRunClearing:
         assert np.array_equal(outcome.market_beta, direct.market_beta)
         assert outcome.market_mse == direct.market_mse
         assert outcome.total_payments == direct.total_payments
-        assert outcome.payments == direct.payments
+        assert np.array_equal(outcome.payments, direct.payments) and np.array_equal(outcome.prices, direct.prices)
         lasso = [row["lasso"] for row in run_method_comparison(sc).coefficient_rows]
         assert lasso == [float(outcome.market_beta[j]) for j, _, _ in outcome.market.design_all.feature_columns()]
 
@@ -228,11 +228,12 @@ class TestUSweep:
         report = run_u_sweep(scenario("P1", seed=0, u_grid=grid))
         assert len(report.sweep_rows) == len(grid)
         by_point = {value: outcome for _, value, outcome in report.sweep_rows}
-        assert all(r.amount == 0.0 for r in by_point[0.0].payments)
-        assert all(r.amount == 0.0 for r in by_point[5.0].payments)
+        features = by_point[0.0].market.seller_features
+        assert all(by_point[0.0].payments == 0.0)
+        assert all(by_point[5.0].payments == 0.0)
         for agent in ("P2", "P3", "P4", "P5"):
             interior = [
-                sum(r.amount for r in by_point[u].payments if r.agent_id == agent)
+                sum(amount for (a, _), amount in zip(features, by_point[u].payments) if a == agent)
                 for u in grid[1:-1]
             ]
             assert max(interior) > 0.0
@@ -279,7 +280,7 @@ class TestTSweep:
             assert np.array_equal(outcome.market_beta, direct.market_beta)
             assert outcome.market.baseline_mse == direct.market.baseline_mse
             assert outcome.market_mse == direct.market_mse
-            assert outcome.payments == direct.payments
+            assert np.array_equal(outcome.payments, direct.payments) and np.array_equal(outcome.prices, direct.prices)
             assert outcome.buyer_net_gain == direct.buyer_net_gain
         swept = run_u_sweep(sc).sweep_rows[0][2]
         assert np.array_equal(report.sweep_rows[-1][2].market_beta, swept.market_beta)
@@ -348,7 +349,8 @@ class TestTwoAgentGrid:
         }
         uniform = run_u_sweep(sc)
         outcome = uniform.sweep_rows[0][2]
-        pay = lambda agent: sum(r.amount for r in outcome.payments if r.agent_id == agent)
+        features = outcome.market.seller_features
+        pay = lambda agent: sum(amount for (a, _), amount in zip(features, outcome.payments) if a == agent)
         assert cell[(0.05, 0.05)][0] == pytest.approx(pay("P2"), rel=1e-9)
         assert cell[(0.05, 0.05)][1] == pytest.approx(pay("P3"), rel=1e-9)
 
@@ -422,7 +424,7 @@ class TestOmittedSupportAgents:
             assert omitted.market.config == explicit.market.config
             assert np.array_equal(omitted.market_beta, explicit.market_beta)
             assert omitted.market_mse == explicit.market_mse
-            assert omitted.payments == explicit.payments
+            assert np.array_equal(omitted.payments, explicit.payments) and np.array_equal(omitted.prices, explicit.prices)
             assert omitted.buyer_net_gain == explicit.buyer_net_gain
 
     @settings(max_examples=15, deadline=None)
@@ -491,8 +493,7 @@ class TestWarmStartedSweeps:
         tolerance = SolverSettings().tolerance
         for k, (_, _, outcome) in enumerate(report.sweep_rows):
             market = outcome.market
-            schedule = ReservationSchedule({(r.agent_id, r.lag): r.reservation for r in outcome.payments})
-            cold = market.clear(schedule)
+            cold = market.clear(outcome.prices)
             if k == 0:
                 assert outcome.market_beta.tobytes() == cold.market_beta.tobytes()
             A, y, penalties = market.design_all.values, market.target, outcome.penalties
@@ -529,7 +530,7 @@ class TestMarketMoment:
             start = None
             for u in sc.u_grid:
                 schedule = ReservationSchedule.uniform(config.support_agents, config.lag_spec.max_lag, u)
-                outcome = market.clear(schedule, start)
+                outcome = market.clear(market.prices(schedule), start)
                 penalties = outcome.penalties
                 computed = weighted_lasso_fit(design, target, penalties, config.solver, start)
                 given = weighted_lasso_fit(design, target, penalties, config.solver, start, moment=market.moment)

@@ -52,12 +52,26 @@ def duplicate_seller_market():
     return config, roster, ReservationSchedule({("P3", 3): 6.6e-6})
 
 
+def with_extra_payment(outcome, extra):
+    """``outcome`` with ``extra`` added to its first payment."""
+    tampered = outcome.payments.copy()
+    tampered[0] += extra
+    return dataclasses.replace(outcome, payments=tampered)
+
+
 class TestReservationSchedule:
     def test_uniform_covers_all_lags(self):
         schedule = ReservationSchedule.uniform(("A", "B"), 2, 0.3)
-        assert schedule.get("A", 1) == 0.3
-        assert schedule.get("B", 2) == 0.3
-        assert schedule.get("C", 1) == 0.0  # absent means free
+        assert schedule.entries.get(("A", 1), 0.0) == 0.3
+        assert schedule.entries.get(("B", 2), 0.0) == 0.3
+        assert schedule.entries.get(("C", 1), 0.0) == 0.0  # absent means free
+
+    @pytest.mark.parametrize("agents", [(), ("A",)], ids=["no-agents", "one-agent"])
+    @pytest.mark.parametrize("u", [float("nan"), -1.0, True, "x"], ids=["nan", "negative", "bool", "string"])
+    def test_uniform_rejects_a_bad_u_for_any_roster(self, agents, u):
+        with pytest.raises(InvalidInputError) as caught:
+            ReservationSchedule.uniform(agents, 3, u)
+        assert caught.value.field == "u"
 
     def test_negative_reservation_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -103,16 +117,20 @@ class TestMarketConfig:
 class TestPenaltiesFromReservations:
     def setup_method(self):
         self.config, self.roster = default_market(seed=0)
-        self.design = build_lag_matrix(self.roster, LAG)
+        self.market = PreparedMarket(self.config, self.roster)
+        self.design = self.market.design_all
+
+    def penalties(self, schedule):
+        return penalties_from_reservations(self.market, self.market.prices(schedule))
 
     def test_zero_reservations_give_zero_penalties(self):
         schedule = ReservationSchedule.uniform(SUPPORTS, 3, 0.0)
-        penalties = penalties_from_reservations(self.config, schedule, self.design)
+        penalties = self.penalties(schedule)
         assert np.all(penalties == 0.0)
 
     def test_uniform_reservation_arithmetic(self):
         schedule = ReservationSchedule.uniform(SUPPORTS, 3, 0.1)
-        penalties = penalties_from_reservations(self.config, schedule, self.design)
+        penalties = self.penalties(schedule)
         assert penalties[0] == 0.0
         for lag in (1, 2, 3):
             assert penalties[self.design.column_of("P1", lag)] == 0.0
@@ -124,7 +142,7 @@ class TestPenaltiesFromReservations:
 
     def test_free_agent_is_unpenalized(self):
         schedule = ReservationSchedule.uniform(("P3", "P4", "P5"), 3, 0.2)
-        penalties = penalties_from_reservations(self.config, schedule, self.design)
+        penalties = self.penalties(schedule)
         for lag in (1, 2, 3):
             assert penalties[self.design.column_of("P2", lag)] == 0.0
             assert penalties[self.design.column_of("P3", lag)] == 24.0
@@ -132,26 +150,19 @@ class TestPenaltiesFromReservations:
     def test_reservation_without_design_column_rejected(self):
         schedule = ReservationSchedule({("P9", 1): 0.1})
         with pytest.raises(InvalidInputError, match="P9"):
-            penalties_from_reservations(self.config, schedule, self.design)
+            self.penalties(schedule)
         schedule = ReservationSchedule({("P2", 4): 0.1})
         with pytest.raises(InvalidInputError, match="lag 4"):
-            penalties_from_reservations(self.config, schedule, self.design)
+            self.penalties(schedule)
 
     def test_central_agent_cannot_sell(self):
         schedule = ReservationSchedule({("P1", 1): 0.1})
         with pytest.raises(InvalidInputError, match="central"):
-            penalties_from_reservations(self.config, schedule, self.design)
+            self.penalties(schedule)
         # A zero entry for the central agent is equivalent to absence.
         schedule = ReservationSchedule({("P1", 1): 0.0})
-        penalties = penalties_from_reservations(self.config, schedule, self.design)
+        penalties = self.penalties(schedule)
         assert penalties[self.design.column_of("P1", 1)] == 0.0
-
-    def test_design_must_cover_config_agents(self):
-        partial = build_lag_matrix(self.roster[:3], LAG)
-        with pytest.raises(InvalidInputError):
-            penalties_from_reservations(
-                self.config, ReservationSchedule.uniform(SUPPORTS, 3, 0.1), partial
-            )
 
 
 class TestClearMarket:
@@ -160,8 +171,8 @@ class TestClearMarket:
         outcome = clear_market(
             config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 1e6)
         )
-        assert all(record.coefficient == 0.0 for record in outcome.payments)
-        assert all(record.amount == 0.0 for record in outcome.payments)
+        assert all(outcome.market_beta[outcome.market.seller_index] == 0.0)
+        assert all(outcome.payments == 0.0)
         assert outcome.market_mse <= outcome.market.baseline_mse + 1e-6
         assert outcome.buyer_net_gain >= -1e-6
 
@@ -177,40 +188,41 @@ class TestClearMarket:
         config, roster = default_market(seed=0)
         schedule = ReservationSchedule.uniform(SUPPORTS, 3, 0.1)
         outcome = clear_market(config, roster, schedule)
+        features = outcome.market.seller_features
         for agent in SUPPORTS:
-            paid = sum(r.amount for r in outcome.payments if r.agent_id == agent)
+            paid = sum(amount for (a, _), amount in zip(features, outcome.payments) if a == agent)
             assert paid > 0.0
         # Independently rebuild each payment from the stored coefficients.
-        for record in outcome.payments:
-            column = outcome.market.design_all.column_of(record.agent_id, record.lag)
+        for k, (agent, lag) in enumerate(features):
+            column = outcome.market.design_all.column_of(agent, lag)
             beta = float(outcome.market_beta[column])
-            assert record.coefficient == beta
-            assert record.amount == abs(schedule.get(record.agent_id, record.lag) * beta)
+            assert outcome.market_beta[outcome.market.seller_index[k]] == beta
+            assert outcome.payments[k] == abs(schedule.entries.get((agent, lag), 0.0) * beta)
 
     def test_payment_sum_equals_penalty_term_exactly(self):
         config, roster = default_market(seed=4)
         outcome = clear_market(config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.07))
-        assert outcome.total_payments == sum(r.amount for r in outcome.payments)
+        assert outcome.total_payments == sum(outcome.payments)
         assert outcome.buyer_net_gain == outcome.market.baseline_mse - outcome.market_mse - outcome.total_payments
 
     def test_market_without_sellers_pays_a_float_zero(self):
         _, roster = default_market(seed=0)
         config = MarketConfig("P1", (), LAG)
         outcome = clear_market(config, roster, ReservationSchedule({}))
-        assert outcome.payments == ()
+        assert outcome.payments.shape == (0,)
         assert type(outcome.total_payments) is float and outcome.total_payments == 0.0
 
     def test_payment_zero_iff_coefficient_zero(self):
         config, roster = default_market(seed=5)
         outcome = clear_market(config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.15))
-        for record in outcome.payments:
-            assert (record.amount == 0.0) == (record.coefficient == 0.0)
+        for amount, coefficient in zip(outcome.payments, outcome.market_beta[outcome.market.seller_index]):
+            assert (amount == 0.0) == (coefficient == 0.0)
 
     def test_one_record_per_support_feature(self):
         config, roster = default_market(seed=0)
         outcome = clear_market(config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.1))
-        keys = [(r.agent_id, r.lag) for r in outcome.payments]
-        assert len(keys) == len(SUPPORTS) * LAG.max_lag
+        keys = list(outcome.market.seller_features)
+        assert len(outcome.payments) == len(keys) == len(SUPPORTS) * LAG.max_lag
         assert len(set(keys)) == len(keys)
 
     def test_missing_series_rejected(self):
@@ -271,10 +283,10 @@ class TestPreparedMarket:
         market = PreparedMarket(config, roster)
         for u in (0.0, 0.05, 0.3):
             schedule = ReservationSchedule.uniform(SUPPORTS, 3, u)
-            prepared = market.clear(schedule)
+            prepared = market.clear(market.prices(schedule))
             direct = clear_market(config, roster, schedule)
             assert np.array_equal(prepared.market_beta, direct.market_beta)
-            assert prepared.payments == direct.payments
+            assert np.array_equal(prepared.payments, direct.payments)
             assert prepared.buyer_net_gain == direct.buyer_net_gain
 
     def test_points_share_one_gram(self, monkeypatch):
@@ -291,7 +303,7 @@ class TestPreparedMarket:
         config, roster = default_market(seed=3)
         market = PreparedMarket(config, roster)
         outcomes = [
-            market.clear(ReservationSchedule.uniform(SUPPORTS, 3, u)) for u in (0.0, 0.05, 0.3)
+            market.clear(market.prices(ReservationSchedule.uniform(SUPPORTS, 3, u))) for u in (0.0, 0.05, 0.3)
         ]
         assert computed == [market.design_all]
         assert all(outcome.market.design_all.gram is market.design_all.gram for outcome in outcomes)
@@ -310,7 +322,7 @@ class TestPreparedMarket:
         market = PreparedMarket(config, roster)
         assert built == [LAG]
         shorter = market.window(120)
-        shorter.clear(ReservationSchedule.uniform(SUPPORTS, 3, 0.1))
+        shorter.clear(shorter.prices(ReservationSchedule.uniform(SUPPORTS, 3, 0.1)))
         assert built == [LAG]
 
         central = next(series for series in roster if series.agent_id == "P1")
@@ -341,6 +353,71 @@ class TestPreparedMarket:
         assert caught.value.market_side > caught.value.baseline_side
 
 
+class TestPricesArray:
+    """``PreparedMarket.clear`` takes one finite nonnegative price per seller feature.
+
+    NaN, a 2-D array, strings and a ragged list are among the bad arrays
+    ``tests/test_settings.py`` gives every array argument.
+    """
+
+    def setup_method(self):
+        config, roster = default_market(seed=0)
+        self.market = PreparedMarket(config, roster)
+        self.n = len(self.market.seller_features)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: np.full(n - 1, 0.1),
+            lambda n: np.full(n + 1, 0.1),
+            lambda n: np.r_[np.full(n - 1, 0.1), np.inf],
+            lambda n: np.r_[np.full(n - 1, 0.1), -1e-9],
+        ],
+        ids=["short", "long", "infinity", "negative"],
+    )
+    def test_bad_prices_rejected_naming_prices(self, make):
+        with pytest.raises(InvalidInputError, match="^prices") as caught:
+            self.market.clear(make(self.n))
+        assert caught.value.field == "prices"
+
+    def test_market_without_sellers_takes_only_an_empty_array(self):
+        _, roster = default_market(seed=0)
+        market = PreparedMarket(MarketConfig("P1", (), LAG), roster)
+        with pytest.raises(InvalidInputError, match="^prices") as caught:
+            market.clear([0.1])
+        assert caught.value.field == "prices"
+        assert market.clear(np.zeros(0)).total_payments == 0.0
+
+    def test_writing_the_callers_array_leaves_the_outcome_alone(self):
+        prices = np.full(self.n, 0.1)
+        outcome = self.market.clear(prices)
+        payments = outcome.payments.copy()
+        prices[:] = 7.0
+        assert np.all(outcome.prices == 0.1)
+        assert np.array_equal(outcome.payments, payments)
+        assert np.array_equal(outcome.payments, np.abs(outcome.prices * outcome.market_beta[self.market.seller_index]))
+        for array in (outcome.prices, outcome.payments):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    @pytest.mark.parametrize("u", [0.0, 0.05, 0.3])
+    def test_uniform_array_clears_as_the_uniform_schedule_to_the_bit(self, u):
+        market = self.market
+        direct = market.clear(np.full(self.n, u))
+        scheduled = market.clear(market.prices(ReservationSchedule.uniform(SUPPORTS, LAG.max_lag, u)))
+        for name in ("market_beta", "prices", "payments", "penalties"):
+            assert getattr(direct, name).tobytes() == getattr(scheduled, name).tobytes()
+        for name in ("market_mse", "total_payments", "buyer_net_gain"):
+            assert getattr(direct, name).hex() == getattr(scheduled, name).hex()
+
+    def test_schedule_prices_follow_the_seller_features(self):
+        schedule = ReservationSchedule({("P3", 2): 0.5, ("P2", 1): 1e-9, ("P1", 3): 0.0, ("P5", 3): -0.0})
+        prices = self.market.prices(schedule)
+        expected = [schedule.entries.get(feature, 0.0) for feature in self.market.seller_features]
+        assert prices.tolist() == expected
+        assert np.signbit(prices[self.market.seller_features.index(("P5", 3))])
+
+
 class TestScaleInvariance:
     """Rescaling the data by s and the reservations by s^2 is the same market.
 
@@ -361,9 +438,7 @@ class TestScaleInvariance:
         assert np.max(np.abs(scaled.market_beta[1:] - reference.market_beta[1:])) <= 1e-9
         assert scaled.market_beta[0] / scale == pytest.approx(reference.market_beta[0], rel=1e-9)
         squared = scale**2
-        assert [record.amount / squared for record in scaled.payments] == pytest.approx(
-            [record.amount for record in reference.payments], rel=1e-9, abs=1e-12
-        )
+        assert list(scaled.payments / squared) == pytest.approx(list(reference.payments), rel=1e-9, abs=1e-12)
         assert reference.total_payments > 0.0
         assert scaled.market_mse / squared == pytest.approx(reference.market_mse, rel=1e-9)
         assert scaled.market.baseline_mse / squared == pytest.approx(reference.market.baseline_mse, rel=1e-9)
@@ -382,9 +457,7 @@ class TestScaleInvariance:
         baseline = outcome.market.baseline_mse
 
         def check_with_extra_payment(extra):
-            tampered = list(outcome.payments)
-            tampered[0] = dataclasses.replace(tampered[0], amount=tampered[0].amount + extra)
-            return verify_buyer_viability(dataclasses.replace(outcome, payments=tuple(tampered)))
+            return verify_buyer_viability(with_extra_payment(outcome, extra))
 
         assert check_with_extra_payment(0.0).tolerance == VIABILITY_TOLERANCE * baseline
         assert check_with_extra_payment(0.0).holds
@@ -424,8 +497,8 @@ class TestMetamorphic:
         market = PreparedMarket(config, roster)
         raised = dict(schedule.entries)
         raised[feature] += rise
-        before = market.clear(schedule)
-        after = market.clear(ReservationSchedule(raised))
+        before = market.clear(market.prices(schedule))
+        after = market.clear(market.prices(ReservationSchedule(raised)))
         assert after.buyer_net_gain <= before.buyer_net_gain + slack(before)
 
     @settings(max_examples=40, deadline=None)
@@ -489,10 +562,7 @@ class TestVerifyBuyerViability:
         # by 1.0 shows up as a gap of about 1.0.
         config, roster = default_market(seed=1)
         outcome = clear_market(config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 1e6))
-        tampered = list(outcome.payments)
-        tampered[0] = dataclasses.replace(tampered[0], amount=tampered[0].amount + 1.0)
-        forged = dataclasses.replace(outcome, payments=tuple(tampered))
-        check = verify_buyer_viability(forged)
+        check = verify_buyer_viability(with_extra_payment(outcome, 1.0))
         assert not check.holds
         assert 0.9 < check.gap < 1.0001
 
@@ -514,10 +584,7 @@ class TestVerifyBuyerViability:
             assert outcome.market.baseline_mse < 1e-20
             assert verify_buyer_viability(outcome).holds
             for extra, holds in ((1e-30, True), (1e-12, False)):
-                tampered = list(outcome.payments)
-                tampered[0] = dataclasses.replace(tampered[0], amount=tampered[0].amount + extra)
-                forged = dataclasses.replace(outcome, payments=tuple(tampered))
-                assert verify_buyer_viability(forged).holds is holds
+                assert verify_buyer_viability(with_extra_payment(outcome, extra)).holds is holds
 
     def test_randomized_scenarios_always_verify(self):
         rng = np.random.default_rng(987)
@@ -568,10 +635,10 @@ class TestOnePassPerClearing:
         market = PreparedMarket(config, roster)
         assert calls == [market.design_self]
         for u in (0.0, 0.1, 0.3):
-            market.clear(ReservationSchedule.uniform(SUPPORTS, 3, u))
+            market.clear(market.prices(ReservationSchedule.uniform(SUPPORTS, 3, u)))
         assert calls == [market.design_self] + [market.design_all] * 3
         shorter = market.window(120)
-        shorter.clear(ReservationSchedule.uniform(SUPPORTS, 3, 0.1))
+        shorter.clear(shorter.prices(ReservationSchedule.uniform(SUPPORTS, 3, 0.1)))
         assert calls[4:] == [shorter.design_self, shorter.design_all]
 
     @pytest.mark.parametrize("seed", range(4))
@@ -579,7 +646,7 @@ class TestOnePassPerClearing:
         config, roster = default_market(seed=seed)
         market = PreparedMarket(config, roster)
         for u in (0.0, 0.05, 1e6):
-            outcome = market.clear(ReservationSchedule.uniform(SUPPORTS, 3, u))
+            outcome = market.clear(market.prices(ReservationSchedule.uniform(SUPPORTS, 3, u)))
             check = verify_buyer_viability(outcome)
             assert check.holds
             assert outcome.market_mse.hex() == check.market_mse.hex()

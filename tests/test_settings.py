@@ -285,6 +285,7 @@ ARRAYS = [
     ("weighted_lasso_fit", "y", lambda v: weighted_lasso_fit(X, v, FREE), (4,)),
     ("weighted_lasso_fit", "penalties", lambda v: weighted_lasso_fit(X, Y, v), (2,)),
     ("weighted_lasso_fit", "start", lambda v: weighted_lasso_fit(X, Y, FREE, start=v), (2,)),
+    ("PreparedMarket.clear", "prices", lambda v: MARKET.clear(v), (len(MARKET.seller_features),)),
 ]
 
 

@@ -7,8 +7,9 @@ inputs are written once, through ``HEAD_TREE/bench/inputs.py``: the
 benchmark's ``paper-u`` and ``small-many`` scenarios at seeds 0 and 3, its
 ``csv-t`` scenario and 3-year zonal CSV at seed 1, the full scenario
 file shown in ``HEAD_TREE/README.md``, ``EDGE_SCENARIO`` below, a
-generator edge case, and the ``csv-t`` CSV under ``MIDDLE_BUYER`` below.
-Every command then runs on every
+generator edge case, the ``csv-t`` CSV under ``MIDDLE_BUYER`` below, and
+``ENTRIES_SCENARIO`` below, the one input whose reservations are explicit
+``entries``. Every command then runs on every
 input, once per tree, in a fresh process with that tree's ``src/`` on the
 path and the same relative output directory, so the printed paths match.
 A command that rejects an input (``ingest`` on a synthetic scenario, say)
@@ -82,6 +83,25 @@ MIDDLE_BUYER = {
 }
 
 
+# Explicit reservations.entries, listed out of feature order: P4 lag 3 is
+# left out (free), the buyer is priced 0.0, P3 lag 2 at -0.0 and P5 lag 1 at
+# 1e-9. The t_grid runs the schedule on two windows of one prepared market.
+ENTRIES_SCENARIO = {
+    "scenario_id": "explicit-entries",
+    "seed": 2,
+    "data": {"type": "synthetic"},
+    "market": {"central_agent": "P1", "max_lag": 3, "window": 240},
+    "reservations": {
+        "entries": [
+            ["P5", 3, 0.2], ["P3", 1, 0.05], ["P1", 2, 0.0], ["P2", 2, 0.1], ["P4", 1, 0.3],
+            ["P3", 2, -0.0], ["P5", 1, 1e-9], ["P2", 1, 0.02], ["P4", 2, 0.01], ["P3", 3, 1.0],
+            ["P2", 3, 0.1], ["P5", 2, 0.07],
+        ]
+    },
+    "sweeps": {"t_grid": [120, 240]},
+}
+
+
 def write_inputs(head: Path, directory: Path) -> list:
     """Write every input under ``directory``; return ``(label, config, seed)`` per run."""
     sys.path.insert(0, str(head / "bench"))
@@ -110,6 +130,9 @@ def write_inputs(head: Path, directory: Path) -> list:
     config = directory / "edge.json"
     inputs.write_json(config, EDGE_SCENARIO)
     runs.append(("edge", config, None))
+    config = directory / "entries.json"
+    inputs.write_json(config, ENTRIES_SCENARIO)
+    runs.append(("entries", config, None))
     return runs
 
 
