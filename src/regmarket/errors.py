@@ -87,15 +87,15 @@ def finite_array(values, field: str, shape: tuple, name: str = "") -> np.ndarray
 
 
 class ConvergenceError(RuntimeError):
-    """Solver ran out of sweeps before meeting its tolerance.
+    """Solver ran out of sweeps before its optimality certificate held.
 
-    Carries the last iterate so callers can inspect how far the solve got.
+    Carries the last iterate and its optimality residual, measured from a
+    fresh residual, so callers can inspect how far the solve got.
     """
 
-    def __init__(self, message, last_beta=None, sweep_delta=None, kkt_residual=None):
+    def __init__(self, message, last_beta=None, kkt_residual=None):
         super().__init__(message)
         self.last_beta = last_beta
-        self.sweep_delta = sweep_delta
         self.kkt_residual = kkt_residual
 
 

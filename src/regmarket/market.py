@@ -193,9 +193,9 @@ class PreparedMarket:
 
     ``design_all.values``, ``target``, ``baseline_beta`` and ``moment`` are
     read-only, so nothing written through the market can move them away
-    from the baseline and slack computed here. ``target`` is a view of the
-    caller's buyer series, not a copy: writing into that series' values
-    after preparing leaves ``moment`` and the baseline stale.
+    from the baseline and slack computed here. ``target`` is a copy of the
+    caller's buyer window, so writing into that series' values after
+    preparing leaves the market as it was prepared.
     """
 
     def __init__(self, config: MarketConfig, all_series):
@@ -206,7 +206,8 @@ class PreparedMarket:
             by_id[series.agent_id] = series
         config = config.resolve(by_id)
         roster = [by_id[agent] for agent in (config.central_agent, *config.support_agents)]
-        self._fit(config, roster[0].window(config.lag_spec.window_length), build_lag_matrix(roster, config.lag_spec))
+        target = roster[0].window(config.lag_spec.window_length).copy()
+        self._fit(config, target, build_lag_matrix(roster, config.lag_spec))
 
     def _fit(self, config, target, design_all) -> None:
         """Attach the window's data, read-only, and fit the buyer's own-features baseline."""

@@ -25,10 +25,13 @@ Conventions used throughout the package:
   at the first penalized sign crossing and retried on the smaller pattern,
   or, on collinear active columns, moved through the null space of their
   Gram block.
-* ``SolverSettings.tolerance`` bounds the last sweep's largest coefficient
-  change, in coefficient units, and the first-order optimality residual
-  relative to the data's scale: at most tolerance * max(1, (2/T)||X'y||_inf).
-  The stopping rule therefore does not depend on the data's units.
+* The solver stops on one test, its certificate: the first-order
+  optimality residual is at most tolerance * (2/T)||X'y||_inf, with
+  ``SolverSettings.tolerance`` a relative threshold. The bound moves with
+  the data's units, so they do not decide whether a solve converges. It is
+  set by the largest entry of X'y: a column whose entry is far smaller,
+  such as a feature in units far below the target's, is certified only to
+  that larger scale.
 """
 
 from __future__ import annotations
@@ -57,9 +60,8 @@ class DesignMatrix:
     ``column_map`` has one entry per column: ``None`` marks column 0, which
     must be the all-ones intercept, and every other entry is a distinct
     ``(agent_id, lag)`` tuple: a hashable agent id and an integral lag of
-    at least 1. ``column_index`` maps each pair to its column and
-    ``agents`` holds the agent ids that own a column; both are built once,
-    here.
+    at least 1. ``column_index`` maps each pair to its column; it is built
+    once, here.
     """
 
     values: np.ndarray
@@ -81,7 +83,6 @@ class DesignMatrix:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "column_map", column_map)
         object.__setattr__(self, "column_index", column_index)
-        object.__setattr__(self, "agents", frozenset(agent for agent, _ in column_index))
 
     @property
     def n_rows(self) -> int:
@@ -136,10 +137,10 @@ def _feature_entry(entry) -> tuple:
 class SolverSettings:
     """Stopping rule for the coordinate-descent solver.
 
-    ``tolerance`` bounds the largest coefficient change in the last full
-    sweep and the first-order optimality residual of the returned solution,
-    the latter scaled by max(1, (2/T)||X'y||_inf), so a converged fit
-    carries its own optimality certificate whatever the data's units.
+    ``tolerance`` is relative: a solve returns once the first-order
+    optimality residual is at most tolerance * (2/T)||X'y||_inf, so a
+    converged fit carries its own optimality certificate whatever the
+    data's units. ``max_iterations`` caps the sweeps.
     """
 
     tolerance: float = 1e-8
@@ -199,8 +200,8 @@ def kkt_violation(X: DesignMatrix, y, penalties, beta) -> float:
     correlation (2/T) X_j . r must sit inside [-t_j, t_j] when b_j = 0 and
     equal t_j * sign(b_j) otherwise (t_j = (2/T) penalties[j]); unpenalized
     columns need zero correlation. A tolerance-tol solve keeps this at or
-    below tol * max(1, (2/T) ||X'y||_inf), up to the rounding between this
-    direct form and the solver's Gram form c - G b.
+    below tol * (2/T) ||X'y||_inf, up to the rounding between this direct
+    form and the solver's Gram form c - G b.
     """
     penalties = _as_penalties(penalties, X.n_cols)
     beta = finite_array(beta, "beta", (X.n_cols,))
@@ -374,15 +375,16 @@ def weighted_lasso_fit(
     only its shape and finiteness are checked, so a moment from another
     window or target is certified against silently and yields a wrong fit.
 
-    The solve stops once a full sweep moves no coefficient by more than
-    ``settings.tolerance`` *and* the first-order optimality residual,
-    computed from q recomputed from b as c - G b, is at most
-    ``settings.tolerance * max(1, (2/T) ||X'y||_inf)``. Recomputing q drops
-    the rounding the covariance updates accumulated in it; its own rounding,
-    of order eps * (|c| + |G||b|), is that of the direct form X'(y - Xb) and
-    far below the bound. Scaling the data by s and the penalties by s^2
-    scales every gradient by s^2, so that bound makes the stopping rule
-    independent of the data's units.
+    The solve has one stopping test, its certificate: it returns as soon as
+    the first-order optimality residual, computed from q recomputed from b
+    as c - G b, is at most ``settings.tolerance * (2/T) ||X'y||_inf``. The
+    test is made at the start, after every sweep and after every accepted
+    step. Recomputing q drops the rounding the covariance updates
+    accumulated in it; its own rounding, of order eps * (|c| + |G||b|), is
+    that of the direct form X'(y - Xb). Features in units s_x, the target
+    in s_y and the penalties in s_x * s_y scale each feature's gradient and
+    its entry of c by s_x * s_y, and the intercept's by s_y, so the bound
+    moves with the data's units.
 
     Raises :class:`ConvergenceError` when ``settings.max_iterations`` sweeps
     are exhausted first, with the last iterate and its optimality residual,
@@ -398,17 +400,13 @@ def weighted_lasso_fit(
     gram = X.gram
     diagonal = np.diag(gram).tolist()
     moment = A.T @ y if moment is None else finite_array(moment, "moment", (n_cols,))
-    kkt_bound = settings.tolerance * max(1.0, (2.0 / n_rows) * float(np.max(np.abs(moment))))
-    if start is None:
-        beta = np.zeros(n_cols)
-        correlation = moment.copy()
-    else:
-        beta = finite_array(start, "start", (n_cols,)).copy()
-        correlation = moment - gram @ beta
-    delta = np.inf
+    kkt_bound = settings.tolerance * (2.0 / n_rows) * float(np.max(np.abs(moment)))
+    beta = np.zeros(n_cols) if start is None else finite_array(start, "start", (n_cols,)).copy()
+    correlation = moment - gram @ beta
+    if _kkt_from_correlation(correlation, penalties, beta, n_rows) <= kkt_bound:
+        return beta
 
-    for sweep in range(1, settings.max_iterations + 1):
-        delta = 0.0
+    for _ in range(settings.max_iterations):
         for j in range(n_cols):
             sq = diagonal[j]
             if sq == 0.0:
@@ -424,29 +422,24 @@ def weighted_lasso_fit(
                 updated = rho / sq
             if updated != current:
                 correlation -= (updated - current) * gram[j]
-                step = abs(updated - current)
-                if step > delta:
-                    delta = step
                 beta[j] = updated
-        if delta < settings.tolerance:
-            # Certify from q recomputed from b, which drops the rounding
-            # error the covariance updates accumulated in it.
-            correlation = moment - gram @ beta
-            kkt = _kkt_from_correlation(correlation, penalties, beta, n_rows)
-            if kkt <= kkt_bound:
-                return beta
+        # Certify from q recomputed from b, which drops the rounding error
+        # the covariance updates accumulated in it.
+        correlation = moment - gram @ beta
+        if _kkt_from_correlation(correlation, penalties, beta, n_rows) <= kkt_bound:
+            return beta
         candidate = _sign_pattern_step(gram, correlation, beta, penalties)
         if candidate is not None:
             beta = candidate
             correlation = moment - gram @ beta
+            if _kkt_from_correlation(correlation, penalties, beta, n_rows) <= kkt_bound:
+                return beta
 
     # Measured for the iterate handed back from a fresh residual, which only this failure path computes.
     kkt = _kkt_from_correlation(A.T @ (y - A @ beta), penalties, beta, n_rows)
     raise ConvergenceError(
         f"coordinate descent did not converge in {settings.max_iterations} sweeps "
-        f"(last sweep delta {delta:.3e}, optimality residual {kkt:.3e}, "
-        f"bound {kkt_bound:.3e} from tolerance {settings.tolerance:.3e})",
+        f"(optimality residual {kkt:.3e}, bound {kkt_bound:.3e} from tolerance {settings.tolerance:.3e})",
         last_beta=beta,
-        sweep_delta=delta,
         kkt_residual=kkt,
     )

@@ -510,6 +510,22 @@ class TestExitCodes:
         assert result.stderr.startswith(f"error: {config}: coordinate descent")
         assert "converge" in result.stderr
 
+    def test_a_certified_last_step_clears(self, tmp_path):
+        # The scenario above with one more sweep: its exact step lands on an
+        # iterate whose certificate holds, so the solve returns it.
+        config = write_scenario(
+            tmp_path,
+            market={
+                "central_agent": "P1",
+                "max_lag": 2,
+                "window": 120,
+                "tolerance": 1e-13,
+                "max_iterations": 2,
+            },
+        )
+        result = run_cli("clear", "--config", str(config))
+        assert result.returncode == 0, result.stderr
+
     def test_duplicate_zone_with_tiny_reservation_clears(self, tmp_path, capsys):
         # Zone P3 repeats zone P4 and only P3's lag 3 has an ask: the market
         # has a clear optimum (P3's lag 3 at 0), so it clears instead of

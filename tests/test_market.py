@@ -238,7 +238,7 @@ class TestClearMarket:
     def test_solver_settings_propagate(self):
         config, roster = default_market(seed=0)
         strangled = dataclasses.replace(
-            config, solver=SolverSettings(tolerance=1e-12, max_iterations=1)
+            config, solver=SolverSettings(tolerance=1e-20, max_iterations=1)
         )
         with pytest.raises(ConvergenceError):
             clear_market(strangled, roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.1))
@@ -681,7 +681,22 @@ class TestOnePassPerClearing:
             ):
                 with pytest.raises(ValueError, match="read-only"):
                     array[(0,) * array.ndim] = 1.0
-        # The target is a read-only view of the buyer's series, which stays writable.
+        # The target is a read-only copy of the buyer's window; the series stays writable.
         buyer = roster[0]
         assert buyer.agent_id == "P1" and buyer.values.flags.writeable
-        assert np.shares_memory(market.target, buyer.values)
+        assert not np.shares_memory(market.target, buyer.values)
+
+    def test_writing_the_buyer_series_after_preparing_leaves_the_market_as_prepared(self):
+        # The moment X'y and the baseline were computed from the target
+        # when the market was prepared; a later write into the caller's
+        # series must not reach the target they certify against.
+        config, roster = default_market(seed=0)
+        market = PreparedMarket(config, roster)
+        prices = market.prices(ReservationSchedule.uniform(SUPPORTS, 3, 0.1))
+        before = market.clear(prices)
+        buyer = roster[0]
+        buyer.values[buyer.start_time : buyer.start_time + LAG.window_length] *= 3.0
+        after = market.clear(prices)
+        assert after.market_beta.tobytes() == before.market_beta.tobytes()
+        assert after.market_mse.hex() == before.market_mse.hex()
+        assert after.payments.tobytes() == before.payments.tobytes()
