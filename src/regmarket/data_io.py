@@ -140,7 +140,9 @@ def ingest_csv(path, schema=None, normalization: str = "none") -> IngestReport:
     """Read a zonal CSV in one streaming pass, dropping unusable rows.
 
     ``schema`` optionally maps CSV column names to zone ids; by default every
-    non-timestamp column is a zone named after its header. A row is dropped,
+    non-timestamp column is a zone named after its header. A header that
+    repeats ``timestamp`` or a column the schema reads is rejected naming
+    the file and the name. A row is dropped,
     and counted in ``dropped_rows``, when its timestamp is unparseable or
     outside the int64 hour range, or any zone cell is missing, empty,
     non-numeric or non-finite; lines whose cells are all blank are skipped
@@ -181,6 +183,9 @@ def ingest_csv(path, schema=None, normalization: str = "none") -> IngestReport:
                 raise InvalidInputError(
                     f"{path}: schema column(s) {missing_columns} not found in header"
                 )
+            repeated = [name for name in (_TIMESTAMP, *schema) if header.count(name) > 1]
+            if repeated:
+                raise InvalidInputError(f"{path}: header repeats column {repeated[0]!r}")
             zone_indices = [(header.index(name), zone) for name, zone in schema.items()]
             zone_indices.sort()  # header order keeps zone layout independent of dict order
             zones = tuple(zone for _, zone in zone_indices)
@@ -488,7 +493,7 @@ class TwoAgentGrid:
 
     def __post_init__(self):
         if self.agent_a == self.agent_b:
-            raise InvalidInputError("two-agent grid needs two distinct agents")
+            raise InvalidInputError(f"agent_b {self.agent_b!r} is agent_a too; the grid needs two sellers", "agent_b")
         for name in ("u_grid_a", "u_grid_b"):
             object.__setattr__(self, name, _checked_grid(getattr(self, name), name))
         object.__setattr__(self, "others_u", real(self.others_u, "others_u"))
@@ -522,8 +527,7 @@ class ScenarioConfig:
     csv_schema: dict | None = None
     csv_normalization: str = "none"
     csv_window_start: int | None = None
-    uniform_u: float | None = None
-    reservations: ReservationSchedule | None = None
+    reservations: ReservationSchedule = dataclasses.field(default_factory=lambda: ReservationSchedule(default=0.1))
     u_grid: tuple | None = None
     t_grid: tuple | None = None
     grid2: TwoAgentGrid | None = None
@@ -550,14 +554,9 @@ class ScenarioConfig:
         _check_normalization(self.csv_normalization, "csv_normalization")
         if self.csv_window_start is not None:
             object.__setattr__(self, "csv_window_start", integer(self.csv_window_start, "csv_window_start"))
-        if self.uniform_u is not None and self.reservations is not None:
-            raise InvalidInputError("give either uniform_u or explicit reservations")
-        if self.uniform_u is None and self.reservations is None:
-            object.__setattr__(self, "uniform_u", 0.1)
-        if self.uniform_u is not None:
-            object.__setattr__(self, "uniform_u", real(self.uniform_u, "uniform_u"))
-            if self.uniform_u < 0:
-                raise InvalidInputError("uniform_u must be nonnegative", field="uniform_u")
+        if not isinstance(self.reservations, ReservationSchedule):
+            message = f"reservations must be a ReservationSchedule, got {self.reservations!r}"
+            raise InvalidInputError(message, field="reservations")
         if self.u_grid is not None:
             object.__setattr__(self, "u_grid", _checked_grid(self.u_grid, "u_grid"))
         if self.t_grid is not None:
@@ -571,12 +570,6 @@ class ScenarioConfig:
         if self.synthetic is None:
             return self
         return dataclasses.replace(self, synthetic=dataclasses.replace(self.synthetic, seed=seed))
-
-    def schedule(self, support_agents) -> ReservationSchedule:
-        """The scenario's reservation schedule over the given support agents."""
-        if self.reservations is not None:
-            return self.reservations
-        return ReservationSchedule.uniform(support_agents, self.market.lag_spec.max_lag, self.uniform_u)
 
 
 def _same(*keys):
@@ -596,7 +589,7 @@ _MARKET_KEYS = {
     **_same("central_agent", "support_agents", "max_lag", "tolerance", "max_iterations"),
     "window": "window_length",
 }
-_RESERVATION_KEYS = _same("uniform_u", "entries")
+_RESERVATION_KEYS = {"uniform_u": "default", "entries": "entries"}
 _SWEEP_KEYS = _same("u_grid", "t_grid")
 _GRID2_KEYS = _same("agent_a", "agent_b", "u_grid_a", "u_grid_b", "others_u")
 _BARE_KEYS = ("u_grid", "t_grid", "u_grid_a", "u_grid_b")
@@ -645,8 +638,10 @@ def load_scenario(path) -> ScenarioConfig:
         fields["solver"] = SolverSettings(**_take(fields, SolverSettings))
         fields.setdefault("support_agents", None)
         fields["market"] = MarketConfig(**_take(fields, MarketConfig))
-        if "entries" in fields:
-            fields["reservations"] = ReservationSchedule(_entries(fields.pop("entries")))
+        if "reservations" in raw:  # uniform_u sets the default, or entries price features one by one
+            if "entries" in fields:
+                fields["entries"] = _entries(fields["entries"])
+            fields["reservations"] = ReservationSchedule(**_take(fields, ReservationSchedule))
         if "agent_a" in fields:  # a grid2 block, which requires its agents
             fields["grid2"] = TwoAgentGrid(**_take(fields, TwoAgentGrid))
         fields.setdefault("scenario_id", path.stem)

@@ -21,11 +21,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .data_io import ScenarioConfig, ingest_csv, to_agent_series
 from .errors import ConvergenceError, InvalidInputError, ViabilityError
-from .market import PreparedMarket
+from .market import PreparedMarket, ReservationSchedule
 from .market import clear_market, verify_buyer_viability  # noqa: F401  (names patched by bench/tracer.py)
 from .regression import ols_fit
 from .timeseries import LagSpec, synthetic_market_series
@@ -101,16 +99,17 @@ def _clear_points(points) -> ExperimentReport:
 
 
 def _paid(outcome) -> dict:
-    """What each seller was paid in ``outcome``, over all its lags, by agent."""
-    config = outcome.market.config
-    rows = outcome.payments.reshape(len(config.support_agents), config.lag_spec.max_lag).tolist()
-    return {agent: sum(row, 0.0) for agent, row in zip(config.support_agents, rows)}
+    """What each seller was paid in ``outcome``, over all its lags, by agent, added in feature order."""
+    paid = {}
+    for (agent, _), payment in zip(outcome.market.seller_features, outcome.payments.tolist()):
+        paid[agent] = paid.get(agent, 0.0) + payment
+    return paid
 
 
 def run_clearing(scenario: ScenarioConfig) -> ExperimentReport:
     """Prepare the scenario's market and clear it once, at the scenario's schedule."""
     market = _prepare(scenario)
-    return _clear_points([("clearing", "", market, market.prices(scenario.schedule(market.config.support_agents)))])
+    return _clear_points([("clearing", "", market, market.prices(scenario.reservations))])
 
 
 def run_method_comparison(scenario: ScenarioConfig) -> ExperimentReport:
@@ -147,7 +146,7 @@ def run_u_sweep(scenario: ScenarioConfig) -> ExperimentReport:
     if scenario.u_grid is None:
         raise InvalidInputError("u sweep needs a non-empty u_grid")
     market = _prepare(scenario)
-    return _clear_points(("u", u, market, np.full(len(market.seller_features), u)) for u in scenario.u_grid)
+    return _clear_points(("u", u, market, market.prices(ReservationSchedule(default=u))) for u in scenario.u_grid)
 
 
 def run_T_sweep(scenario: ScenarioConfig) -> ExperimentReport:
@@ -171,7 +170,7 @@ def run_T_sweep(scenario: ScenarioConfig) -> ExperimentReport:
             raise err.renamed("t_grid") from None
         raise
     config = market.config
-    prices = market.prices(scenario.schedule(config.support_agents))  # every window has the same sellers
+    prices = market.prices(scenario.reservations)  # every window has the same sellers
     report = _clear_points(("T", T, market.window(T), prices) for T in grid)
     for _, T, outcome in report.sweep_rows:
         for agent, paid in _paid(outcome).items():
@@ -202,12 +201,14 @@ def run_two_agent_grid(scenario: ScenarioConfig) -> ExperimentReport:
             raise InvalidInputError(f"{name} {agent!r} is not a support agent", name)
 
     pairs = [(ua, ub) for ua in grid.u_grid_a for ub in grid.u_grid_b]
-    per_seller = (  # every seller at others_u, but the focal two
-        [{agent_a: ua, agent_b: ub}.get(a, grid.others_u) for a in config.support_agents] for ua, ub in pairs
+    focal = [(agent, lag) for agent, lag in market.seller_features if agent in (agent_a, agent_b)]
+    schedules = (  # every seller at others_u, but the focal two
+        ReservationSchedule({(a, lag): ua if a == agent_a else ub for a, lag in focal}, grid.others_u)
+        for ua, ub in pairs
     )
     report = _clear_points(
-        (f"u({agent_a},{agent_b})", f"{ua!r};{ub!r}", market, np.repeat(u, config.lag_spec.max_lag))
-        for (ua, ub), u in zip(pairs, per_seller)
+        (f"u({agent_a},{agent_b})", f"{ua!r};{ub!r}", market, market.prices(schedule))
+        for (ua, ub), schedule in zip(pairs, schedules)
     )
     report.derived_rows = [
         {"u_a": ua, "u_b": ub, "payment_a": paid[agent_a], "payment_b": paid[agent_b]}

@@ -47,14 +47,17 @@ VIABILITY_TOLERANCE = 1e-6
 
 @dataclass(frozen=True)
 class ReservationSchedule:
-    """Per-feature reservation prices: (agent_id, lag) -> u >= 0.
+    """Per-feature reservation prices: (agent_id, lag) -> u >= 0, and ``default`` for every other feature.
 
-    Features missing from the schedule are offered for free (u = 0). Lags
-    are integers of at least 1 (``2.0`` reads as 2) and reservations finite
-    nonnegative numbers; a bool is neither.
+    A seller feature the entries leave out is priced at ``default``, so
+    ``ReservationSchedule(default=u)`` prices every seller feature of any
+    market at ``u``. Lags are integers of at least 1 (``2.0`` reads as 2)
+    and reservations, the default among them, finite nonnegative numbers; a
+    bool is neither.
     """
 
-    entries: dict
+    entries: dict = field(default_factory=dict)
+    default: float = 0.0
 
     def __post_init__(self):
         entries = {}
@@ -69,17 +72,10 @@ class ReservationSchedule:
                 )
             entries[(agent_id, lag)] = u
         object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def uniform(cls, agent_ids, max_lag: int, u: float) -> "ReservationSchedule":
-        """Same reservation ``u`` on every lag of every listed agent; ``u`` is checked even for no agents."""
-        max_lag = integer(max_lag, "max_lag")
-        if max_lag < 1:
-            raise InvalidInputError(f"max_lag must be at least 1, got {max_lag}", "max_lag")
-        u = real(u, "u")
-        if u < 0:
-            raise InvalidInputError(f"u must be nonnegative, got {u!r}", "u")
-        return cls({(agent_id, lag): u for agent_id in agent_ids for lag in range(1, max_lag + 1)})
+        default = real(self.default, "default")
+        if default < 0:
+            raise InvalidInputError(f"default must be nonnegative, got {default!r}", "default")
+        object.__setattr__(self, "default", default)
 
 
 @dataclass(frozen=True)
@@ -261,12 +257,13 @@ class PreparedMarket:
     def prices(self, reservations: ReservationSchedule) -> np.ndarray:
         """The schedule's reservation per seller feature, aligned with ``seller_features``.
 
-        Features the schedule leaves out cost 0. The schedule is checked
-        against this market entry by entry: a nonzero price on the central
-        agent, which cannot sell its own features, or any price on a feature
-        with no design column is rejected naming ``entries``.
+        Features the entries leave out cost the schedule's ``default``. The
+        entries are checked against this market one by one: a nonzero price
+        on the central agent, which cannot sell its own features, or any
+        price on a feature with no design column is rejected naming
+        ``entries``.
         """
-        by_column = np.zeros(self.design_all.n_cols)
+        by_column = np.full(self.design_all.n_cols, reservations.default)
         for (agent_id, lag), u in reservations.entries.items():
             if agent_id == self.config.central_agent:
                 if u != 0.0:

@@ -172,7 +172,7 @@ def test_criterion_5_synthetic_recovery():
         ids = [s.agent_id for s in roster]
 
         config = MarketConfig("P1", tuple(a for a in ids if a != "P1"), lag)
-        schedule = ReservationSchedule.uniform(config.support_agents, max_lag, u)
+        schedule = ReservationSchedule(default=u)
         outcome = clear_market(config, roster, schedule)
         design = outcome.market.design_all
         cross_lag1 = [design.column_of(a, 1) for a in config.support_agents]
@@ -187,7 +187,7 @@ def test_criterion_5_synthetic_recovery():
         lasso_spurious += sum(abs(outcome.market_beta[j]) > 0.02 for j in true_zero)
 
         config2 = MarketConfig("P2", tuple(a for a in ids if a != "P2"), lag)
-        schedule2 = ReservationSchedule.uniform(config2.support_agents, max_lag, u)
+        schedule2 = ReservationSchedule(default=u)
         outcome2 = clear_market(config2, roster, schedule2)
         support_cols = [j for j, a, _ in outcome2.market.design_all.feature_columns() if a != "P2"]
         p2_ok += all(abs(outcome2.market_beta[j]) < 0.02 for j in support_cols)

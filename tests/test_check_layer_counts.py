@@ -1,4 +1,4 @@
-"""``tools/check_layer_counts.py`` fails a traced run whose per-cycle count exceeds its pin."""
+"""``tools/check_layer_counts.py`` fails a traced run whose per-cycle count is off its pin."""
 
 import importlib.util
 import json
@@ -20,12 +20,21 @@ def write_results(directory, counts):
         (directory / f"{workload}-seed1-trace1.json").write_text(json.dumps({"metrics": metrics}), encoding="utf-8")
 
 
-@pytest.mark.parametrize(("calls", "status"), [(22, 0), (21, 0), (23, 1)])
+@pytest.mark.parametrize(("calls", "status"), [(22, 0), (21, 1), (23, 1)])
 def test_paper_u_mse_calls_are_held_to_22(tmp_path, capsys, calls, status):
     write_results(tmp_path, {"paper-u": {"regression.mse.calls": calls}})
     assert tool.main(["--results", str(tmp_path)]) == status
     out = capsys.readouterr().out
-    assert ("paper-u: regression.mse.calls is 23 per cycle, pinned at 22" in out) == (status == 1)
+    assert (f"paper-u: regression.mse.calls is {calls} per cycle, pinned at 22" in out) == (status == 1)
+
+
+@pytest.mark.parametrize(("workload", "pin"), [("paper-u", 19), ("small-many", 22)])
+def test_a_solve_count_below_its_pin_fails(tmp_path, capsys, workload, pin):
+    # A refactor that stops calling through the traced name reads 0.
+    assert tool.PINS[workload]["regression.weighted_lasso_fit.calls"] == pin
+    write_results(tmp_path, {workload: {"regression.weighted_lasso_fit.calls": 0}})
+    assert tool.main(["--results", str(tmp_path)]) == 1
+    assert f"{workload}: regression.weighted_lasso_fit.calls is 0 per cycle, pinned at {pin}" in capsys.readouterr().out
 
 
 def test_a_missing_result_fails(tmp_path, capsys):

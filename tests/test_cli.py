@@ -367,6 +367,8 @@ class TestExitCodes:
             (("market", "support_agents"), "DK2", "market.support_agents"),
             (("market", "support_agents"), ["DK1", "DK2"], "market.support_agents"),
             (("market", "support_agents"), ["DK2", "DK2"], "market.support_agents"),
+            (("sweeps", "grid2"), {"agent_a": "DK2", "agent_b": "DK2", "u_grid_a": [0.1], "u_grid_b": [0.1]},
+             "sweeps.grid2.agent_b"),
         ],
         ids=[
             "short-entry",
@@ -377,6 +379,7 @@ class TestExitCodes:
             "string-roster",
             "central-in-roster",
             "repeated-seller",
+            "repeated-grid2-agent",
         ],
     )
     def test_wrong_shape_exits_2_naming_the_key(self, tmp_path, capsys, where, value, key):

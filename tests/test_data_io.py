@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 
@@ -93,6 +94,25 @@ class TestIngestCsv:
         rows, _ = complete_rows(5)
         with pytest.raises(InvalidInputError, match="NO_SUCH"):
             ingest_csv(write_csv(tmp_path / "wind.csv", rows), schema={"NO_SUCH": "x"})
+
+    @pytest.mark.parametrize(
+        ("header", "repeated"),
+        [(("timestamp", "A", "A", "B"), "A"), (("timestamp", "A", "timestamp"), "timestamp")],
+        ids=["zone", "stamp"],
+    )
+    @pytest.mark.parametrize("schema", [None, {"A": "west"}], ids=["all-columns", "schema"])
+    def test_header_repeating_a_read_column_rejected(self, tmp_path, header, repeated, schema):
+        rows = [(100 + t, *[1.0] * (len(header) - 1)) for t in range(3)]
+        path = write_csv(tmp_path / "wind.csv", rows, header=header)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: header repeats column '{repeated}'$"):
+            ingest_csv(path, schema=schema)
+
+    def test_header_repeating_an_unread_column_accepted(self, tmp_path):
+        rows = [(100 + t, 1.0, 2.0, 3.0) for t in range(3)]
+        path = write_csv(tmp_path / "wind.csv", rows, header=("timestamp", "A", "A", "B"))
+        report = ingest_csv(path, schema={"B": "east"})
+        assert report.dataset.zones == ("east",)
+        assert report.dataset.values[:, 0].tolist() == [3.0, 3.0, 3.0]
 
     def test_non_monotonic_rejected(self, tmp_path):
         rows, _ = complete_rows(5)
@@ -542,8 +562,7 @@ class TestWriteOutcomeTable:
         lag = LagSpec(max_lag=max_lag, window_length=120)
         roster = synthetic_market_series(spec, history=max_lag, window=120)
         config = MarketConfig("P1", spec.agent_ids[1:], lag)
-        schedule = ReservationSchedule.uniform(config.support_agents, max_lag, u)
-        return clear_market(config, roster, schedule)
+        return clear_market(config, roster, ReservationSchedule(default=u))
 
     def test_single_outcome_row_counts(self, tmp_path):
         outcome = self._outcome(max_lag=1)
@@ -726,7 +745,7 @@ class TestScenarioConfig:
         assert scenario.scenario_id == "unit"
         assert scenario.synthetic.seed == 3
         assert scenario.market.lag_spec == LagSpec(max_lag=3, window_length=240)
-        assert scenario.uniform_u == 0.1
+        assert scenario.reservations.default == 0.1
         assert scenario.u_grid == (0.0, 0.1, 0.5)
         assert scenario.t_grid == (120, 240)
 
@@ -755,7 +774,7 @@ class TestScenarioConfig:
         )
         scenario = load_scenario(path)
         assert scenario.reservations.entries.get(("P2", 1), 0.0) == 0.25
-        assert scenario.uniform_u is None
+        assert scenario.reservations.default == 0.0
 
     def test_exactly_one_source(self):
         with pytest.raises(InvalidInputError, match="one data source"):
@@ -768,13 +787,13 @@ class TestScenarioConfig:
         with pytest.raises(InvalidInputError, match="one data source"):
             ScenarioConfig(scenario_id="x", market=MarketConfig("P1", None, LagSpec(1, 10)))
 
-    def test_default_uniform_u(self):
+    def test_default_reservation_price(self):
         scenario = ScenarioConfig(
             scenario_id="x",
             market=MarketConfig("P1", None, LagSpec(1, 10)),
             synthetic=SyntheticSpec(),
         )
-        assert scenario.uniform_u == 0.1
+        assert scenario.reservations == ReservationSchedule(default=0.1)
 
     def test_with_seed_reseeds_synthetic(self, tmp_path):
         scenario = load_scenario(write_scenario(tmp_path)).with_seed(99)
@@ -788,23 +807,23 @@ class TestScenarioConfig:
             scenario.market.resolve(["P2", "P3"])
 
     @pytest.mark.parametrize(
-        ("field", "value"),
+        ("field", "fields"),
         [
-            ("uniform_u", float("nan")),
-            ("uniform_u", True),
-            ("u_grid", (0.0, float("nan"))),
-            ("u_grid", (False, True)),
-            ("t_grid", (5, True)),
+            ("default", lambda: {"reservations": ReservationSchedule(default=float("nan"))}),
+            ("default", lambda: {"reservations": ReservationSchedule(default=True)}),
+            ("u_grid", lambda: {"u_grid": (0.0, float("nan"))}),
+            ("u_grid", lambda: {"u_grid": (False, True)}),
+            ("t_grid", lambda: {"t_grid": (5, True)}),
         ],
         ids=["nan-uniform-u", "bool-uniform-u", "nan-u-grid", "bool-u-grid", "bool-t-grid"],
     )
-    def test_constructor_rejects_nan_and_bool_naming_the_field(self, field, value):
+    def test_constructor_rejects_nan_and_bool_naming_the_field(self, field, fields):
         with pytest.raises(InvalidInputError, match=f"^{field} must be"):
             ScenarioConfig(
                 scenario_id="x",
                 market=MarketConfig("P1", None, LagSpec(1, 10)),
                 synthetic=SyntheticSpec(),
-                **{field: value},
+                **fields(),
             )
 
     @pytest.mark.parametrize(

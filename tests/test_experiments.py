@@ -82,7 +82,7 @@ class TestRunClearing:
         assert (param, value) == ("clearing", "")
         series = experiments.materialize_series(sc)
         config = sc.market.resolve(s.agent_id for s in series)
-        direct = clear_market(config, series, sc.schedule(config.support_agents))
+        direct = clear_market(config, series, sc.reservations)
         assert outcome.market.config == config
         assert np.array_equal(outcome.market_beta, direct.market_beta)
         assert outcome.market_mse == direct.market_mse
@@ -92,7 +92,7 @@ class TestRunClearing:
         assert lasso == [float(outcome.market_beta[j]) for j, _, _ in outcome.market.design_all.feature_columns()]
 
     def test_synthetic(self):
-        self.assert_equals_direct_clearing(scenario("P1", seed=2, uniform_u=0.05))
+        self.assert_equals_direct_clearing(scenario("P1", seed=2, reservations=ReservationSchedule(default=0.05)))
 
     def test_csv_with_omitted_sellers(self, tmp_path):
         sc, _ = csv_scenario(tmp_path, reservations=ReservationSchedule({("A", 1): 0.05, ("C", 2): 0.02}))
@@ -271,7 +271,7 @@ class TestTSweep:
         report = run_T_sweep(sc)
         assert [value for _, value, _ in report.sweep_rows] == list(grid)
         roster = synthetic_market_series(sc.synthetic, history=3, window=240)
-        schedule = ReservationSchedule.uniform(("P2", "P3", "P4", "P5"), 3, 0.1)
+        schedule = ReservationSchedule(default=0.1)
         for _, T, outcome in report.sweep_rows:
             config = MarketConfig("P1", ("P2", "P3", "P4", "P5"), LagSpec(3, T))
             direct = clear_market(config, roster, schedule)
@@ -328,9 +328,7 @@ class TestTwoAgentGrid:
         swept = run_u_sweep(sc).sweep_rows[0][2]
         roster = synthetic_market_series(sc.synthetic, history=3, window=240)
         config = MarketConfig("P1", ("P2", "P3", "P4", "P5"), LagSpec(3, 240))
-        direct = clear_market(
-            config, roster, ReservationSchedule.uniform(config.support_agents, 3, 0.1)
-        )
+        direct = clear_market(config, roster, ReservationSchedule(default=0.1))
         for other in (swept, direct):
             assert np.array_equal(outcome.market_beta, other.market_beta)
             assert outcome.total_payments == other.total_payments
@@ -529,8 +527,7 @@ class TestMarketMoment:
             assert not market.moment.flags.writeable
             start = None
             for u in sc.u_grid:
-                schedule = ReservationSchedule.uniform(config.support_agents, config.lag_spec.max_lag, u)
-                outcome = market.clear(market.prices(schedule), start)
+                outcome = market.clear(market.prices(ReservationSchedule(default=u)), start)
                 penalties = outcome.penalties
                 computed = weighted_lasso_fit(design, target, penalties, config.solver, start)
                 given = weighted_lasso_fit(design, target, penalties, config.solver, start, moment=market.moment)

@@ -60,18 +60,20 @@ def with_extra_payment(outcome, extra):
 
 
 class TestReservationSchedule:
-    def test_uniform_covers_all_lags(self):
-        schedule = ReservationSchedule.uniform(("A", "B"), 2, 0.3)
-        assert schedule.entries.get(("A", 1), 0.0) == 0.3
-        assert schedule.entries.get(("B", 2), 0.0) == 0.3
-        assert schedule.entries.get(("C", 1), 0.0) == 0.0  # absent means free
+    def test_default_covers_all_lags(self):
+        market = PreparedMarket(*default_market(seed=0))
+        prices = dict(zip(market.seller_features, market.prices(ReservationSchedule(default=0.3)).tolist()))
+        assert prices[("P2", 1)] == 0.3
+        assert prices[("P5", 3)] == 0.3
+        prices = dict(zip(market.seller_features, market.prices(ReservationSchedule({("P2", 1): 0.3})).tolist()))
+        assert prices[("P3", 1)] == 0.0  # absent, and no default, means free
 
-    @pytest.mark.parametrize("agents", [(), ("A",)], ids=["no-agents", "one-agent"])
+    @pytest.mark.parametrize("entries", [{}, {("A", 1): 0.1}], ids=["no-entries", "one-entry"])
     @pytest.mark.parametrize("u", [float("nan"), -1.0, True, "x"], ids=["nan", "negative", "bool", "string"])
-    def test_uniform_rejects_a_bad_u_for_any_roster(self, agents, u):
-        with pytest.raises(InvalidInputError) as caught:
-            ReservationSchedule.uniform(agents, 3, u)
-        assert caught.value.field == "u"
+    def test_default_rejects_a_bad_u_for_any_entries(self, entries, u):
+        with pytest.raises(InvalidInputError, match="^default ") as caught:
+            ReservationSchedule(entries, default=u)
+        assert caught.value.field == "default"
 
     def test_negative_reservation_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -80,6 +82,54 @@ class TestReservationSchedule:
     def test_bad_lag_rejected(self):
         with pytest.raises(InvalidInputError):
             ReservationSchedule({("A", 0): 0.1})
+
+
+@functools.cache
+def small_market(n_sellers, sellers, max_lag):
+    """A synthetic market of ``n_sellers`` AR(1) sellers and buyer P1; ``sellers=None`` buys from all."""
+    spec = SyntheticSpec(
+        seed=n_sellers,
+        n_independent=n_sellers,
+        ar_coefficients=(0.5, 0.3, 0.3, 0.3)[:n_sellers],
+        noise_std=(0.4, 1.0, 1.0, 2.0)[:n_sellers],
+        cross_coefficients=(0.4, 0.3, 0.2, 0.1)[:n_sellers],
+    )
+    lag = LagSpec(max_lag=max_lag, window_length=40)
+    roster = synthetic_market_series(spec, history=max_lag, window=lag.window_length)
+    return PreparedMarket(MarketConfig("P1", sellers, lag), roster)
+
+
+class TestDefaultPrice:
+    """``ReservationSchedule(default=u)`` prices every seller feature of any market at ``u``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_sellers=st.integers(1, 4),
+        pick_sellers=st.none() | st.lists(st.integers(0, 3), unique=True, max_size=4),
+        max_lag=st.integers(1, 4),
+        u=st.floats(0.0, 1e3),
+        picks=st.lists(st.tuples(st.integers(0, 15), st.floats(0.0, 1e3)), max_size=6),
+    )
+    # The README's open roster, MarketConfig("P1", None, lag): its prices once needed the sellers restated.
+    @example(n_sellers=4, pick_sellers=None, max_lag=3, u=0.1, picks=[])
+    def test_default_fills_every_feature_the_entries_leave_out(self, n_sellers, pick_sellers, max_lag, u, picks):
+        agents = tuple(f"P{k + 2}" for k in range(n_sellers))
+        sellers = None if pick_sellers is None else tuple(agents[k] for k in pick_sellers if k < n_sellers)
+        market = small_market(n_sellers, sellers, max_lag)
+        features = market.seller_features
+        assert len(features) == len(market.config.support_agents) * max_lag
+
+        prices = market.prices(ReservationSchedule(default=u))
+        assert prices.tobytes() == np.full(len(features), u).tobytes()
+        assert prices.tobytes() == market.prices(ReservationSchedule(dict.fromkeys(features, u))).tobytes()
+
+        entries = {features[k % len(features)]: price for k, price in picks} if features else {}
+        partial = market.prices(ReservationSchedule(entries, default=u)).tolist()
+        assert partial == [entries.get(feature, u) for feature in features]
+
+        with pytest.raises(InvalidInputError, match="^entries price central agent 'P1'") as caught:
+            market.prices(ReservationSchedule({("P1", max_lag): 1.0}, default=u))
+        assert caught.value.field == "entries"
 
 
 class TestMarketConfig:
@@ -124,12 +174,12 @@ class TestPenaltiesFromReservations:
         return penalties_from_reservations(self.market, self.market.prices(schedule))
 
     def test_zero_reservations_give_zero_penalties(self):
-        schedule = ReservationSchedule.uniform(SUPPORTS, 3, 0.0)
+        schedule = ReservationSchedule(default=0.0)
         penalties = self.penalties(schedule)
         assert np.all(penalties == 0.0)
 
     def test_uniform_reservation_arithmetic(self):
-        schedule = ReservationSchedule.uniform(SUPPORTS, 3, 0.1)
+        schedule = ReservationSchedule(default=0.1)
         penalties = self.penalties(schedule)
         assert penalties[0] == 0.0
         for lag in (1, 2, 3):
@@ -141,7 +191,7 @@ class TestPenaltiesFromReservations:
                 assert value == pytest.approx(12.0)
 
     def test_free_agent_is_unpenalized(self):
-        schedule = ReservationSchedule.uniform(("P3", "P4", "P5"), 3, 0.2)
+        schedule = ReservationSchedule({(agent, lag): 0.2 for agent in ("P3", "P4", "P5") for lag in (1, 2, 3)})
         penalties = self.penalties(schedule)
         for lag in (1, 2, 3):
             assert penalties[self.design.column_of("P2", lag)] == 0.0
@@ -169,7 +219,7 @@ class TestClearMarket:
     def test_huge_reservations_collapse_to_self_regression(self):
         config, roster = default_market(seed=2)
         outcome = clear_market(
-            config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 1e6)
+            config, roster, ReservationSchedule(default=1e6)
         )
         assert all(outcome.market_beta[outcome.market.seller_index] == 0.0)
         assert all(outcome.payments == 0.0)
@@ -179,14 +229,14 @@ class TestClearMarket:
     def test_free_data_is_plain_ols_over_all_features(self):
         config, roster = default_market(seed=2)
         outcome = clear_market(
-            config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.0)
+            config, roster, ReservationSchedule(default=0.0)
         )
         assert outcome.total_payments == 0.0
         assert outcome.market_mse <= outcome.market.baseline_mse + 1e-6
 
     def test_default_study_pays_lag_one_features(self):
         config, roster = default_market(seed=0)
-        schedule = ReservationSchedule.uniform(SUPPORTS, 3, 0.1)
+        schedule = ReservationSchedule(default=0.1)
         outcome = clear_market(config, roster, schedule)
         features = outcome.market.seller_features
         for agent in SUPPORTS:
@@ -197,11 +247,11 @@ class TestClearMarket:
             column = outcome.market.design_all.column_of(agent, lag)
             beta = float(outcome.market_beta[column])
             assert outcome.market_beta[outcome.market.seller_index[k]] == beta
-            assert outcome.payments[k] == abs(schedule.entries.get((agent, lag), 0.0) * beta)
+            assert outcome.payments[k] == abs(schedule.entries.get((agent, lag), schedule.default) * beta)
 
     def test_payment_sum_equals_penalty_term_exactly(self):
         config, roster = default_market(seed=4)
-        outcome = clear_market(config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.07))
+        outcome = clear_market(config, roster, ReservationSchedule(default=0.07))
         assert outcome.total_payments == sum(outcome.payments)
         assert outcome.buyer_net_gain == outcome.market.baseline_mse - outcome.market_mse - outcome.total_payments
 
@@ -214,13 +264,13 @@ class TestClearMarket:
 
     def test_payment_zero_iff_coefficient_zero(self):
         config, roster = default_market(seed=5)
-        outcome = clear_market(config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.15))
+        outcome = clear_market(config, roster, ReservationSchedule(default=0.15))
         for amount, coefficient in zip(outcome.payments, outcome.market_beta[outcome.market.seller_index]):
             assert (amount == 0.0) == (coefficient == 0.0)
 
     def test_one_record_per_support_feature(self):
         config, roster = default_market(seed=0)
-        outcome = clear_market(config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.1))
+        outcome = clear_market(config, roster, ReservationSchedule(default=0.1))
         keys = list(outcome.market.seller_features)
         assert len(outcome.payments) == len(keys) == len(SUPPORTS) * LAG.max_lag
         assert len(set(keys)) == len(keys)
@@ -228,12 +278,12 @@ class TestClearMarket:
     def test_missing_series_rejected(self):
         config, roster = default_market(seed=0)
         with pytest.raises(InvalidInputError, match="P5"):
-            clear_market(config, roster[:-1], ReservationSchedule.uniform(SUPPORTS, 3, 0.1))
+            clear_market(config, roster[:-1], ReservationSchedule(default=0.1))
 
     def test_duplicate_series_rejected(self):
         config, roster = default_market(seed=0)
         with pytest.raises(InvalidInputError, match="duplicate"):
-            clear_market(config, roster + [roster[0]], ReservationSchedule.uniform(SUPPORTS, 3, 0.1))
+            clear_market(config, roster + [roster[0]], ReservationSchedule(default=0.1))
 
     def test_solver_settings_propagate(self):
         config, roster = default_market(seed=0)
@@ -241,11 +291,11 @@ class TestClearMarket:
             config, solver=SolverSettings(tolerance=1e-20, max_iterations=1)
         )
         with pytest.raises(ConvergenceError):
-            clear_market(strangled, roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.1))
+            clear_market(strangled, roster, ReservationSchedule(default=0.1))
 
     def test_central_feature_immunity(self):
         config, roster = default_market(seed=6)
-        outcome = clear_market(config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.2))
+        outcome = clear_market(config, roster, ReservationSchedule(default=0.2))
         residual = outcome.market.target - outcome.market.design_all.values @ outcome.market_beta
         T = LAG.window_length
         for lag in (1, 2, 3):
@@ -256,7 +306,7 @@ class TestClearMarket:
         config, roster = default_market(seed=0)
         u = 0.1
         for _ in range(25):
-            schedule = ReservationSchedule.uniform(SUPPORTS, 3, u)
+            schedule = ReservationSchedule(default=u)
             outcome = clear_market(config, roster, schedule)
             coefficient = outcome.market_beta[outcome.market.design_all.column_of("P3", 1)]
             if coefficient == 0.0:
@@ -282,7 +332,7 @@ class TestPreparedMarket:
         config, roster = default_market(seed=3)
         market = PreparedMarket(config, roster)
         for u in (0.0, 0.05, 0.3):
-            schedule = ReservationSchedule.uniform(SUPPORTS, 3, u)
+            schedule = ReservationSchedule(default=u)
             prepared = market.clear(market.prices(schedule))
             direct = clear_market(config, roster, schedule)
             assert np.array_equal(prepared.market_beta, direct.market_beta)
@@ -303,7 +353,7 @@ class TestPreparedMarket:
         config, roster = default_market(seed=3)
         market = PreparedMarket(config, roster)
         outcomes = [
-            market.clear(market.prices(ReservationSchedule.uniform(SUPPORTS, 3, u))) for u in (0.0, 0.05, 0.3)
+            market.clear(market.prices(ReservationSchedule(default=u))) for u in (0.0, 0.05, 0.3)
         ]
         assert computed == [market.design_all]
         assert all(outcome.market.design_all.gram is market.design_all.gram for outcome in outcomes)
@@ -322,7 +372,7 @@ class TestPreparedMarket:
         market = PreparedMarket(config, roster)
         assert built == [LAG]
         shorter = market.window(120)
-        shorter.clear(shorter.prices(ReservationSchedule.uniform(SUPPORTS, 3, 0.1)))
+        shorter.clear(shorter.prices(ReservationSchedule(default=0.1)))
         assert built == [LAG]
 
         central = next(series for series in roster if series.agent_id == "P1")
@@ -349,7 +399,7 @@ class TestPreparedMarket:
         )
         config, roster = default_market(seed=0)
         with pytest.raises(ViabilityError) as caught:
-            clear_market(config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.1))
+            clear_market(config, roster, ReservationSchedule(default=0.1))
         assert caught.value.market_side > caught.value.baseline_side
 
 
@@ -404,7 +454,7 @@ class TestPricesArray:
     def test_uniform_array_clears_as_the_uniform_schedule_to_the_bit(self, u):
         market = self.market
         direct = market.clear(np.full(self.n, u))
-        scheduled = market.clear(market.prices(ReservationSchedule.uniform(SUPPORTS, LAG.max_lag, u)))
+        scheduled = market.clear(market.prices(ReservationSchedule(default=u)))
         for name in ("market_beta", "prices", "payments", "penalties"):
             assert getattr(direct, name).tobytes() == getattr(scheduled, name).tobytes()
         for name in ("market_mse", "total_payments", "buyer_net_gain"):
@@ -429,10 +479,10 @@ class TestScaleInvariance:
     @pytest.mark.parametrize("scale", [1e-3, 1e5])
     def test_units_do_not_change_the_clearing(self, scale):
         config, roster = default_market(seed=0)
-        reference = clear_market(config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.1))
+        reference = clear_market(config, roster, ReservationSchedule(default=0.1))
         scaled_roster = [dataclasses.replace(series, values=series.values * scale) for series in roster]
         scaled = clear_market(
-            config, scaled_roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.1 * scale**2)
+            config, scaled_roster, ReservationSchedule(default=0.1 * scale**2)
         )
 
         assert np.max(np.abs(scaled.market_beta[1:] - reference.market_beta[1:])) <= 1e-9
@@ -452,7 +502,7 @@ class TestScaleInvariance:
         config, roster = default_market(seed=0)
         scaled_roster = [dataclasses.replace(series, values=series.values * scale) for series in roster]
         outcome = clear_market(
-            config, scaled_roster, ReservationSchedule.uniform(SUPPORTS, 3, 1e6 * scale**2)
+            config, scaled_roster, ReservationSchedule(default=1e6 * scale**2)
         )
         baseline = outcome.market.baseline_mse
 
@@ -551,7 +601,7 @@ class TestMetamorphic:
 class TestVerifyBuyerViability:
     def test_converged_clearing_verifies(self):
         config, roster = default_market(seed=1)
-        outcome = clear_market(config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.1))
+        outcome = clear_market(config, roster, ReservationSchedule(default=0.1))
         check = verify_buyer_viability(outcome)
         assert check.holds
         assert check.gap <= check.tolerance
@@ -561,7 +611,7 @@ class TestVerifyBuyerViability:
         # Full shrinkage makes the true slack tiny, so inflating one payment
         # by 1.0 shows up as a gap of about 1.0.
         config, roster = default_market(seed=1)
-        outcome = clear_market(config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 1e6))
+        outcome = clear_market(config, roster, ReservationSchedule(default=1e6))
         check = verify_buyer_viability(with_extra_payment(outcome, 1.0))
         assert not check.holds
         assert 0.9 < check.gap < 1.0001
@@ -580,7 +630,7 @@ class TestVerifyBuyerViability:
         roster += [AgentSeries(agent, rng.normal(size=length), LAG.max_lag) for agent in SUPPORTS]
         config = MarketConfig("P1", SUPPORTS, LAG)
         for u in (0.0, 0.1):
-            outcome = clear_market(config, roster, ReservationSchedule.uniform(SUPPORTS, 3, u))
+            outcome = clear_market(config, roster, ReservationSchedule(default=u))
             assert outcome.market.baseline_mse < 1e-20
             assert verify_buyer_viability(outcome).holds
             for extra, holds in ((1e-30, True), (1e-12, False)):
@@ -635,10 +685,10 @@ class TestOnePassPerClearing:
         market = PreparedMarket(config, roster)
         assert calls == [market.design_self]
         for u in (0.0, 0.1, 0.3):
-            market.clear(market.prices(ReservationSchedule.uniform(SUPPORTS, 3, u)))
+            market.clear(market.prices(ReservationSchedule(default=u)))
         assert calls == [market.design_self] + [market.design_all] * 3
         shorter = market.window(120)
-        shorter.clear(shorter.prices(ReservationSchedule.uniform(SUPPORTS, 3, 0.1)))
+        shorter.clear(shorter.prices(ReservationSchedule(default=0.1)))
         assert calls[4:] == [shorter.design_self, shorter.design_all]
 
     @pytest.mark.parametrize("seed", range(4))
@@ -646,7 +696,7 @@ class TestOnePassPerClearing:
         config, roster = default_market(seed=seed)
         market = PreparedMarket(config, roster)
         for u in (0.0, 0.05, 1e6):
-            outcome = market.clear(market.prices(ReservationSchedule.uniform(SUPPORTS, 3, u)))
+            outcome = market.clear(market.prices(ReservationSchedule(default=u)))
             check = verify_buyer_viability(outcome)
             assert check.holds
             assert outcome.market_mse.hex() == check.market_mse.hex()
@@ -660,7 +710,7 @@ class TestOnePassPerClearing:
         # outcome: an intercept moved by 10 target standard deviations adds
         # about 100 variances to the loss.
         config, roster = default_market(seed=seed)
-        outcome = clear_market(config, roster, ReservationSchedule.uniform(SUPPORTS, 3, 0.1))
+        outcome = clear_market(config, roster, ReservationSchedule(default=0.1))
         beta = outcome.market_beta.copy()
         beta[0] += 10.0 * np.std(outcome.market.target)
         check = verify_buyer_viability(dataclasses.replace(outcome, market_beta=beta))
@@ -692,7 +742,7 @@ class TestOnePassPerClearing:
         # series must not reach the target they certify against.
         config, roster = default_market(seed=0)
         market = PreparedMarket(config, roster)
-        prices = market.prices(ReservationSchedule.uniform(SUPPORTS, 3, 0.1))
+        prices = market.prices(ReservationSchedule(default=0.1))
         before = market.clear(prices)
         buyer = roster[0]
         buyer.values[buyer.start_time : buyer.start_time + LAG.window_length] *= 3.0

@@ -155,9 +155,9 @@ CASES = [
         "data.window_start",
     ),
     (
-        "uniform_u",
+        "default",
         False,
-        lambda v: scenario(synthetic=SyntheticSpec(), uniform_u=v),
+        lambda v: scenario(synthetic=SyntheticSpec(), reservations=ReservationSchedule(default=v)),
         lambda v: (("reservations",), {"uniform_u": v}),
         "reservations.uniform_u",
     ),
@@ -229,6 +229,7 @@ def test_constructor_and_loader_reject_the_same_value(tmp_path, field, whole, co
         (lambda: MarketConfig("P1", ("P1", "P2"), LagSpec(1, 10)), "support_agents"),
         (lambda: MarketConfig("P1", ("P2", "P2"), LagSpec(1, 10)), "support_agents"),
         (lambda: scenario(synthetic=SyntheticSpec(), out_dir=None), "out_dir"),
+        (lambda: scenario(synthetic=SyntheticSpec(), reservations=None), "reservations"),
     ],
     ids=[
         "fractional-lag",
@@ -248,6 +249,7 @@ def test_constructor_and_loader_reject_the_same_value(tmp_path, field, whole, co
         "central-in-market-roster",
         "repeated-seller-in-market-roster",
         "null-out-dir",
+        "null-reservations",
     ],
 )
 def test_constructor_rejects_naming_the_field(construct, field):
@@ -311,7 +313,6 @@ COUNTS = [
     ("to_agent_series", "start", lambda v: to_agent_series(DATASET, v, 3, 1)),
     ("to_agent_series", "window_length", lambda v: to_agent_series(DATASET, 2, v, 1)),
     ("to_agent_series", "max_lag", lambda v: to_agent_series(DATASET, 2, 3, v)),
-    ("ReservationSchedule.uniform", "max_lag", lambda v: ReservationSchedule.uniform(("P2",), v, 0.1)),
     ("PreparedMarket.window", "length", lambda v: MARKET.window(v)),
 ]
 BAD_COUNTS = {"bool": True, "fractional": 2.5, "string": "2"}
@@ -319,8 +320,6 @@ BAD_COUNTS = {"bool": True, "fractional": 2.5, "string": "2"}
 OUT_OF_RANGE = [
     ("AgentSeries.window", "length", lambda v: AgentSeries("A", np.arange(5.0), start_time=2).window(v), -1),
     ("AgentSeries.window", "length", lambda v: AgentSeries("A", np.arange(5.0), start_time=2).window(v), 0),
-    ("ReservationSchedule.uniform", "max_lag", lambda v: ReservationSchedule.uniform(("P2",), v, 0.1), -3),
-    ("ReservationSchedule.uniform", "max_lag", lambda v: ReservationSchedule.uniform(("P2",), v, 0.1), 0),
     *(
         ("DesignMatrix", "column_map", lambda v: DesignMatrix(np.ones((2, 2)), (None, v)), entry)
         for entry in ("ABC", ["A", 1], "AB", ("A", 0), ("A", 1.5), (["A"], 1), ("A", 1, 2), None)

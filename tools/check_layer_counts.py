@@ -1,4 +1,4 @@
-"""Fail when a traced benchmark run makes more calls per cycle than its pinned count.
+"""Fail when a traced benchmark run makes other than its pinned number of calls per cycle.
 
     python3 tools/check_layer_counts.py [--results DIR]
 
@@ -6,9 +6,12 @@ For each workload in ``PINS`` it reads ``DIR/<workload>-seed1-trace1.json``,
 the result ``bench/run.py --workload <workload> --seed 1 --trace 1`` writes
 (``DIR`` is ``.bench_work/results`` of this checkout by default), and
 compares each pinned per-cycle call count with its pin. Every cycle of a
-workload makes the same calls, so the counts are exact and no timing
-enters. Each count over its pin, and each missing result or metric, is
-printed on its own line; the exit status is 1 if there is any, else 0.
+workload makes the same calls, so the counts are whole numbers, each must
+equal its pin exactly, and no timing enters. A count below its pin fails
+too: the tracer counts calls through module attributes, so code that stops
+calling through a traced name reads fewer calls, not more. Each count off
+its pin, and each missing result or metric, is printed on its own line;
+the exit status is 1 if there is any, else 0.
 """
 
 from __future__ import annotations
@@ -20,16 +23,18 @@ from pathlib import Path
 
 RESULTS = Path(__file__).resolve().parents[1] / ".bench_work" / "results"
 
-# Per-cycle call counts: one mse per clearing plus one per prepared market
-# or window, one lag matrix per prepared market, and one baseline OLS fit
-# per prepared market or window.
+# Per-cycle call counts: one lasso solve per clearing, one mse per clearing
+# plus one per prepared market or window, one lag matrix per prepared
+# market, and one baseline OLS fit per prepared market or window.
 PINS = {
     "paper-u": {
+        "regression.weighted_lasso_fit.calls": 19,
         "regression.mse.calls": 22,
         "timeseries.build_lag_matrix.calls": 3,
         "regression.ols_fit.calls": 3,
     },
     "small-many": {
+        "regression.weighted_lasso_fit.calls": 22,
         "regression.mse.calls": 29,
         "timeseries.build_lag_matrix.calls": 4,
         "regression.ols_fit.calls": 7,
@@ -38,7 +43,7 @@ PINS = {
 
 
 def problems(results: Path) -> list:
-    """One line per count over its pin, and per missing result or metric."""
+    """One line per count off its pin, and per missing result or metric."""
     found = []
     for workload, pins in PINS.items():
         path = results / f"{workload}-seed1-trace1.json"
@@ -49,7 +54,7 @@ def problems(results: Path) -> list:
         for name, pin in pins.items():
             if name not in metrics:
                 found.append(f"{workload}: {name} missing from {path}")
-            elif metrics[name]["value"] > pin:
+            elif metrics[name]["value"] != pin:
                 found.append(f"{workload}: {name} is {metrics[name]['value']:g} per cycle, pinned at {pin}")
     return found
 
