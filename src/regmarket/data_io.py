@@ -19,7 +19,7 @@ from array import array
 from collections.abc import Hashable
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -426,13 +426,15 @@ def to_agent_series(dataset: ZonalDataset, start: int, window_length: int, max_l
     ]
 
 
-def _write_csv(path, header, rows, columns_comment: bool = False) -> None:
+def _write_csv(path, header, rows=(), columns_comment: bool = False, lines=()) -> None:
     """Write ``header`` and the cell lists ``rows`` as CSV, creating the parent directory.
 
     ``csv.writer`` formats each cell: a string as itself, ``None`` as an
     empty cell, and a number as ``str`` gives it, which for a float is its
     shortest round-tripping ``repr``. With ``columns_comment``, a leading
-    ``# columns:`` line repeats the header.
+    ``# columns:`` line repeats the header. ``lines`` are rows already
+    formatted (see :func:`_formatted`), each ending in a newline, written after
+    ``rows``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -442,6 +444,22 @@ def _write_csv(path, header, rows, columns_comment: bool = False) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+        handle.writelines(lines)
+
+
+def _formatted(rows) -> list:
+    """Each cell list in ``rows`` as ``csv.writer`` writes it, without the line end.
+
+    Each cell is quoted as in any row, so the text can be formatted once and
+    reused in many rows. One writer formats them all; ``writerow`` returns
+    the length it wrote, which splits the text. ``csv.writer`` writes a row
+    of one empty cell as ``""``, so every row holds a nonempty cell.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    ends = list(accumulate(writer.writerow(row) for row in rows))
+    text = buffer.getvalue()
+    return [text[start : end - 1] for start, end in zip([0, *ends], ends)]
 
 
 def write_rows(path, fieldnames, rows) -> None:
@@ -457,18 +475,28 @@ def write_outcome_table(outcomes, path) -> None:
     agent, lag, cleared coefficient, price and payment; the buyer row carries
     the total payment, both MSEs and the buyer's net gain. The column order
     is fixed and documented in a leading comment line.
+
+    The bytes are those ``csv.writer`` writes for the same cells. Each
+    point's ``(sweep_param, sweep_value)`` and each market's ``(agent, lag)``
+    and buyer cells are formatted once, and every float as its ``repr``,
+    which is what ``csv.writer`` writes for a float.
     """
-    rows = []
-    for sweep_param, sweep_value, outcome in outcomes:
-        point, market = (sweep_param, sweep_value), outcome.market
+    outcomes = list(outcomes)
+    points = _formatted((sweep_param, sweep_value) for sweep_param, sweep_value, _ in outcomes)
+    lines, by_market = [], {}
+    for point, (_, _, outcome) in zip(points, outcomes):
+        market = outcome.market
+        if market not in by_market:
+            by_market[market] = _formatted([*market.seller_features, (market.config.central_agent, "", "", "")])
+        *features, buyer = by_market[market]
         beta = outcome.market_beta[market.seller_index].tolist()
-        cells = zip(market.seller_features, beta, outcome.prices.tolist(), outcome.payments.tolist())
-        rows += ([*point, *feature, b, u, paid, "", "", ""] for feature, b, u, paid in cells)
+        cells = zip(features, beta, outcome.prices.tolist(), outcome.payments.tolist())
+        lines += (f"{point},{feature},{b!r},{u!r},{paid!r},,,\n" for feature, b, u, paid in cells)
         totals = (outcome.total_payments, market.baseline_mse, outcome.market_mse, outcome.buyer_net_gain)
-        rows.append([*point, market.config.central_agent, "", "", "", *totals])
-    if not rows:
+        lines.append(f"{point},{buyer},{','.join(map(repr, totals))}\n")
+    if not lines:
         raise InvalidInputError("no outcomes to write")
-    _write_csv(path, OUTCOME_COLUMNS, rows, columns_comment=True)
+    _write_csv(path, OUTCOME_COLUMNS, columns_comment=True, lines=lines)
 
 
 def write_zonal_csv(dataset: ZonalDataset, path) -> None:

@@ -11,7 +11,7 @@ one on a row prefix of it. Every runner clears its points in one loop,
 came from. The loop warm-starts each reservation-sweep point after the
 first from the previous point's coefficients on the same prepared market;
 a sweep's first point, one-point runs and every training-sweep window (its
-own market) start cold. Buyer viability is checked inside the market on
+own market) start from their market's baseline fit. Buyer viability is checked inside the market on
 every clearing, by the check :func:`regmarket.market.verify_buyer_viability`
 makes, so a report can only contain buyer-viable outcomes.
 """
@@ -81,7 +81,8 @@ def _clear_points(points) -> ExperimentReport:
     """Clear ``(param, value, market, prices)`` points in order, one ``sweep_rows`` row each.
 
     A point on the same prepared market as the point before it is warm-started from that
-    point's coefficients; the first point, and a point on another market, start from 0.
+    point's coefficients; the first point, and a point on another market, start from
+    that market's ``baseline_start``.
     A :class:`ConvergenceError` or :class:`ViabilityError` at a point is raised again as the
     same object, ``"<param>=<value>: "`` put before its message unless the value is ``""``.
     """

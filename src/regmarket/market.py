@@ -121,9 +121,11 @@ class MarketConfig:
 class ViabilityCheck:
     """One clearing's buyer-viability inequality with both sides attached.
 
-    ``market_mse`` and ``total_payments`` are the market side, computed for
-    the check; ``baseline_mse`` and ``tolerance``, the absolute slack the gap
-    was held to, are the prepared market's.
+    ``market_mse`` and ``total_payments`` are the market side: in a
+    clearing's own check, the outcome's loss and payments; in
+    :func:`verify_buyer_viability`, the loss of a fresh residual and the
+    payments summed again. ``baseline_mse`` and ``tolerance``, the absolute
+    slack the gap was held to, are the prepared market's.
     """
 
     holds: bool
@@ -139,13 +141,16 @@ class MarketOutcome:
     """What one clearing produced, and the :class:`PreparedMarket` it was cleared on.
 
     ``market`` holds the resolved config, target, designs and baseline fit
-    that every clearing of it shares. ``market_mse`` is the MSE of a fresh
-    residual ``y - X market_beta``, the one the clearing's viability check
-    held. ``prices`` and ``payments`` are read-only arrays over
-    ``market.seller_features``: each feature's reservation ``u`` and its pay
-    ``|u * b|``. ``total_payments``, their sum, is also the fitted lasso
-    penalty term; ``buyer_net_gain`` is ``market.baseline_mse - market_mse -
-    total_payments``.
+    that every clearing of it shares. ``market_mse`` is ``||y - X
+    market_beta||^2 / T`` measured as a change from the market's baseline fit
+    (see :meth:`PreparedMarket.clear`), the loss the clearing's viability
+    check held: ``market.baseline_mse`` to the bit when the fit is its
+    baseline start; otherwise it differs from a fresh residual's MSE only by
+    rounding at the scale of the change. ``prices`` and ``payments`` are
+    read-only arrays over ``market.seller_features``: each feature's
+    reservation ``u`` and its pay ``|u * b|``. ``total_payments``, their
+    sum, is also the fitted lasso penalty term; ``buyer_net_gain`` is
+    ``market.baseline_mse - market_mse - total_payments``.
     """
 
     market: PreparedMarket
@@ -174,24 +179,28 @@ def penalties_from_reservations(market: PreparedMarket, prices: np.ndarray) -> n
 class PreparedMarket:
     """The reservation-independent half of a clearing, built once.
 
-    The target, the lag design, its moment ``X'y``, the buyer's baseline
-    OLS fit, its MSE ``baseline_mse`` (from a fresh residual) and the
-    buyer-viability slack ``viability_slack`` depend only on the data and
-    the window, so a sweep over reservations prepares them once and calls
-    :meth:`clear` per point, and a sweep over training lengths prepares the
-    longest window once and clears each shorter one on :meth:`window`.
-    Every solve is given the moment, so no clearing reads the design to
-    solve. One lag matrix is built per market: the buyer's own design
-    ``design_self`` is the intercept and buyer block that lead
+    The target, the lag design, its Gram matrix ``X'X`` and moment ``X'y``,
+    the buyer's baseline OLS fit, its MSE ``baseline_mse`` (from a fresh
+    residual), that fit as a full coefficient vector ``baseline_start`` =
+    ``(b_self, 0)``, its residual correlation ``baseline_correlation`` =
+    ``X'y - X'X baseline_start`` and the buyer-viability slack
+    ``viability_slack`` depend only on the data and the window, so a sweep
+    over reservations prepares them once and calls :meth:`clear` per point,
+    and a sweep over training lengths prepares the longest window once and
+    clears each shorter one on :meth:`window`. Every solve is given the
+    moment and every loss is measured from the baseline, so no clearing
+    reads the T x P design. One lag matrix is built per market: the buyer's
+    own design ``design_self`` is the intercept and buyer block that lead
     ``design_all``, a column view of it. Construction resolves the config
     against the series (:meth:`MarketConfig.resolve`), so ``config``
     always names its sellers, and rejects two series for one agent.
 
-    ``design_all.values``, ``target``, ``baseline_beta`` and ``moment`` are
-    read-only, so nothing written through the market can move them away
-    from the baseline and slack computed here. ``target`` is a copy of the
-    caller's buyer window, so writing into that series' values after
-    preparing leaves the market as it was prepared.
+    ``design_all.values``, ``target``, ``baseline_beta``, ``moment``,
+    ``baseline_start`` and ``baseline_correlation`` are read-only, so
+    nothing written through the market can move them away from the baseline
+    and slack computed here. ``target`` is a copy of the caller's buyer
+    window, so writing into that series' values after preparing leaves the
+    market as it was prepared.
     """
 
     def __init__(self, config: MarketConfig, all_series):
@@ -226,6 +235,14 @@ class PreparedMarket:
         # X'y, the solver's moment c, shared by every clearing of this market.
         self.moment = design_all.values.T @ target
         self.moment.flags.writeable = False
+        # The baseline as a full coefficient vector b0 = (b_self, 0), where
+        # every cold solve starts, and its residual correlation q0 = c - G b0,
+        # from which each clearing's loss is measured.
+        self.baseline_start = np.zeros(design_all.n_cols)
+        self.baseline_start[:own] = self.baseline_beta
+        self.baseline_start.flags.writeable = False
+        self.baseline_correlation = self.moment - design_all.gram @ self.baseline_start
+        self.baseline_correlation.flags.writeable = False
         # (agent, lag) per seller feature, the order of prices and payments, and its column.
         self.seller_features = tuple(
             (agent, lag) for agent in config.support_agents for lag in range(1, config.lag_spec.max_lag + 1)
@@ -284,29 +301,39 @@ class PreparedMarket:
 
         ``prices`` holds a finite nonnegative reservation per entry of
         ``seller_features`` (:meth:`prices` gives a schedule's); the outcome
-        keeps a read-only copy. The fit starts from 0, or from the
-        coefficients ``start`` (see :func:`regmarket.regression.weighted_lasso_fit`).
+        keeps a read-only copy. The fit starts from ``baseline_start``, or
+        from the coefficients ``start`` (see
+        :func:`regmarket.regression.weighted_lasso_fit`), so a clearing at
+        prices where the baseline already certifies returns its coefficients.
 
         Each support feature with cleared coefficient ``b`` and reservation
         ``u`` is paid ``|u * b|``, which sums exactly to the fitted penalty
-        term. After the solve the clearing reads the design once: one fresh
-        residual gives both the outcome's ``market_mse`` and the market side
-        of the buyer-viability check, whose baseline side and slack are this
-        market's own. The check is the one :func:`verify_buyer_viability`
-        makes; a failed one raises :class:`ViabilityError` with both sides
-        of the inequality, which a correct solve cannot trigger.
+        term. The loss ``market_mse`` is ``baseline_mse`` plus its change
+        ``(d'G d - 2 d'q0) / T`` from the baseline, with ``d = b -
+        baseline_start`` and ``q0 = baseline_correlation``: an exact
+        identity for ``||y - X b||^2 / T`` that costs O(P^2) and reads no
+        design. Its rounding is at the scale of the change, so a clearing
+        that buys nothing from its baseline start reports ``baseline_mse``
+        to the bit and a ``buyer_net_gain`` of exactly 0. The loss is both
+        the outcome's and the market side of the buyer-viability check,
+        whose baseline side and slack are this market's own. The check is
+        the rule :func:`verify_buyer_viability` applies to a fresh residual;
+        a failed one raises :class:`ViabilityError` with both sides of the
+        inequality, which a correct solve cannot trigger.
         """
         prices = finite_array(prices, "prices", (len(self.seller_features),)).copy()
         if (prices < 0).any():
             raise InvalidInputError("prices must be nonnegative", "prices")
         prices.flags.writeable = False
         penalties = penalties_from_reservations(self, prices)
+        if start is None:
+            start = self.baseline_start
         market_beta = weighted_lasso_fit(
             self.design_all, self.target, penalties, self.config.solver, start, moment=self.moment
         )
         payments = np.abs(prices * market_beta[self.seller_index])
         payments.flags.writeable = False
-        market_mse = mse(self.design_all, market_beta, self.target)
+        market_mse = self._change_mse(market_beta)
         check = _viability(self, market_mse, payments)
         if not check.holds:
             market_side = check.market_mse + check.total_payments
@@ -328,6 +355,20 @@ class PreparedMarket:
             penalties=penalties,
         )
 
+    def _change_mse(self, beta: np.ndarray) -> float:
+        """``||y - X beta||^2 / T`` as ``baseline_mse`` plus its change, in O(P^2).
+
+        With d = beta - b0 and r0 = y - X b0, ||r0 - X d||^2 = ||r0||^2 +
+        d'G d - 2 d'q0 exactly, so no T-length pass is made. Rounding enters
+        at the scale of the change, not at that of y'y, and a fit equal to
+        its baseline start gives ``baseline_mse`` to the bit. A squared norm
+        is never negative, so a change that rounding carries below
+        ``-baseline_mse`` reads 0.
+        """
+        change = beta - self.baseline_start
+        moved = float(change @ (self.design_all.gram @ change)) - 2.0 * float(change @ self.baseline_correlation)
+        return max(self.baseline_mse + moved / self.design_all.n_rows, 0.0)
+
 
 def clear_market(config: MarketConfig, all_series, reservations: ReservationSchedule) -> MarketOutcome:
     """Run one clearing: baseline fit, weighted-lasso fit, payments, viability.
@@ -347,8 +388,9 @@ def verify_buyer_viability(outcome: MarketOutcome) -> ViabilityCheck:
 
     The market side is recomputed rather than trusted: the MSE from a fresh
     residual of ``outcome.market``'s design, target and the cleared
-    coefficients, and the total from the ``payments`` array, so a forged
-    ``market_beta`` or payment is caught. The baseline side and the
+    coefficients, independent of the clearing's change-from-baseline loss,
+    and the total from the ``payments`` array, so a forged ``market_beta``
+    or payment is caught. The baseline side and the
     slack are the prepared market's, computed once from a fresh residual
     when it was built, over read-only arrays. The gap may reach
     ``VIABILITY_TOLERANCE`` times the baseline MSE, so the verdict does not

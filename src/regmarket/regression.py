@@ -361,11 +361,12 @@ def weighted_lasso_fit(
     is non-increasing throughout.
 
     The solve starts from 0, or from a copy of ``start`` with
-    q = c - G start; ``start`` itself is never written. Reservation sweeps
-    warm-start each point after the first from the previous point's
-    coefficients on the same prepared market, as glmnet does along its
-    path; a sweep's first point and every training-sweep window start from
-    0. The stopping rule and its certificate are the same from any start.
+    q = c - G start; ``start`` itself is never written. A prepared market
+    passes its baseline fit (b_self, 0) to every cold clearing, and
+    reservation sweeps warm-start each point after the first from the
+    previous point's coefficients on the same prepared market, as glmnet
+    does along its path. The stopping rule and its certificate are the same
+    from any start.
 
     ``moment`` is c = X'y computed by the caller: a prepared market computes
     it once and passes it to every clearing, so a solve given it never reads
@@ -406,23 +407,28 @@ def weighted_lasso_fit(
     if _kkt_from_correlation(correlation, penalties, beta, n_rows) <= kkt_bound:
         return beta
 
+    # The sweep reads and writes Python floats, the same IEEE doubles as
+    # numpy's scalars without their per-access cost; beta is rebuilt once per sweep.
+    weights = penalties.tolist()
     for _ in range(settings.max_iterations):
+        coefficients = beta.tolist()
         for j in range(n_cols):
             sq = diagonal[j]
             if sq == 0.0:
                 # All-zero column: it cannot change the fit, leave b_j = 0.
                 continue
-            current = beta[j]
-            rho = correlation[j] + sq * current
-            if penalties[j] > 0.0:
+            current = coefficients[j]
+            rho = correlation.item(j) + sq * current
+            if weights[j] > 0.0:
                 # Soft-threshold: shrink rho toward 0 by the penalty, to 0 at most.
-                magnitude = abs(rho) - penalties[j]
+                magnitude = abs(rho) - weights[j]
                 updated = 0.0 if magnitude <= 0.0 else (magnitude if rho > 0 else -magnitude) / sq
             else:
                 updated = rho / sq
             if updated != current:
                 correlation -= (updated - current) * gram[j]
-                beta[j] = updated
+                coefficients[j] = updated
+        beta = np.array(coefficients)
         # Certify from q recomputed from b, which drops the rounding error
         # the covariance updates accumulated in it.
         correlation = moment - gram @ beta

@@ -20,12 +20,13 @@ def write_results(directory, counts):
         (directory / f"{workload}-seed1-trace1.json").write_text(json.dumps({"metrics": metrics}), encoding="utf-8")
 
 
-@pytest.mark.parametrize(("calls", "status"), [(22, 0), (21, 1), (23, 1)])
-def test_paper_u_mse_calls_are_held_to_22(tmp_path, capsys, calls, status):
+@pytest.mark.parametrize(("calls", "status"), [(3, 0), (2, 1), (4, 1)])
+def test_paper_u_mse_calls_are_held_to_3(tmp_path, capsys, calls, status):
+    # One baseline MSE per prepared market (clear, sweep-u, grid-2), none per clearing.
     write_results(tmp_path, {"paper-u": {"regression.mse.calls": calls}})
     assert tool.main(["--results", str(tmp_path)]) == status
     out = capsys.readouterr().out
-    assert (f"paper-u: regression.mse.calls is {calls} per cycle, pinned at 22" in out) == (status == 1)
+    assert (f"paper-u: regression.mse.calls is {calls} per cycle, pinned at 3" in out) == (status == 1)
 
 
 @pytest.mark.parametrize(("workload", "pin"), [("paper-u", 19), ("small-many", 22)])

@@ -630,9 +630,9 @@ class TestExitCodes:
 
 
 class TestDesignPassesPerCycle:
-    """One benchmark cycle reads each design once per clearing, plus once per prepared market."""
+    """One benchmark cycle reads each buyer design once per prepared market, and no design per clearing."""
 
-    def test_small_many_cycle_makes_one_mse_per_clearing_and_per_market(self, tmp_path, monkeypatch):
+    def test_small_many_cycle_makes_one_mse_per_market_and_none_per_clearing(self, tmp_path, monkeypatch):
         import regmarket.market as market_module
 
         spec = importlib.util.spec_from_file_location("bench_inputs", Path(__file__).parents[1] / "bench" / "inputs.py")
@@ -646,5 +646,7 @@ class TestDesignPassesPerCycle:
         for command in ("clear", "sweep-u", "sweep-t", "grid-2"):
             assert main([command, "--config", str(config), "--out", str(tmp_path / command)]) == EXIT_OK
         # 22 clearings (1 + 8 + 4 + 9) on 7 prepared markets (one per command,
-        # and sweep-t's three shorter windows).
-        assert len(calls) == 29
+        # and sweep-t's three shorter windows): each market's baseline MSE
+        # reads its buyer design, and each clearing measures its loss from it.
+        assert len(calls) == 7
+        assert all(X.n_cols == 1 + 3 for X in calls)  # the intercept and the buyer's three lags

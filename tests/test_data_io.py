@@ -32,6 +32,15 @@ from regmarket.data_io import ScenarioConfig, TwoAgentGrid, ZonalDataset, write_
 
 ZONES = ("DK1", "DK2", "SE1")
 
+# Text a CSV writer must quote or keep as it is: a comma, a quote, a line
+# break, a leading space, and the empty string.
+AWKWARD_TEXT = st.sampled_from(["P2", "a,b", 'say "hi"', "two\nlines", " lead", ""]) | st.text(
+    alphabet=st.sampled_from(list('ab,"\n\r ;')), max_size=5
+)
+# Floats whose shortest repr takes each form: a signed zero, the smallest
+# subnormal, an exponent, and a plain 1.0; and any other finite float.
+EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, 1e308, 1.0]) | st.floats(allow_nan=False, allow_infinity=False)
+
 
 def write_csv(path, rows, header=("timestamp",) + ZONES):
     lines = [",".join(header)]
@@ -676,6 +685,64 @@ class TestWriteOutcomeTable:
             '"u(P2,P4)",0.005;0.02,P2,2,1e+16,0.02,200000000000000.0,,,',
             '"u(P2,P4)",0.005;0.02,P1,,,,200000000000000.0,1e+16,0.30000000000000004,-0.0',
         ]
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        central=AWKWARD_TEXT,
+        sellers=st.lists(AWKWARD_TEXT, min_size=1, max_size=3, unique=True),
+        max_lag=st.integers(1, 3),
+        points=st.lists(
+            st.tuples(AWKWARD_TEXT, st.one_of(AWKWARD_TEXT, st.integers(), EDGE_FLOATS), st.booleans()),
+            min_size=1,
+            max_size=3,
+        ),
+        data=st.data(),
+    )
+    def test_bytes_are_csv_writers_bytes(self, tmp_path, central, sellers, max_lag, points, data):
+        # Points alternate between two markets, so a market's cells are reused
+        # across points that are not adjacent. The reference writes every row
+        # through csv.writer, cell by cell.
+        sellers = [agent for agent in sellers if agent != central] or [central + "'"]
+        floats = st.lists(EDGE_FLOATS, min_size=max_lag * len(sellers), max_size=max_lag * len(sellers))
+        markets = []
+        for _ in range(2):
+            market = PreparedMarket.__new__(PreparedMarket)
+            market.config = MarketConfig(central, tuple(sellers), LagSpec(max_lag=max_lag, window_length=10))
+            market.baseline_mse = data.draw(EDGE_FLOATS)
+            market.seller_features = tuple((agent, lag) for agent in sellers for lag in range(1, max_lag + 1))
+            market.seller_index = np.arange(1 + max_lag, 1 + max_lag + len(market.seller_features))[::-1].copy()
+            markets.append(market)
+        outcomes = []
+        for param, value, second in points:
+            market = markets[second]
+            outcome = MarketOutcome(
+                market=market,
+                market_beta=np.array([1.0] * (1 + max_lag) + data.draw(floats)),
+                market_mse=data.draw(EDGE_FLOATS),
+                prices=np.array(data.draw(floats)),
+                payments=np.array(data.draw(floats)),
+                total_payments=data.draw(EDGE_FLOATS),
+                buyer_net_gain=data.draw(EDGE_FLOATS),
+                penalties=None,
+            )
+            outcomes.append((param, value, outcome))
+        path = tmp_path / "out.csv"
+        write_outcome_table(outcomes, path)
+
+        expected = io.StringIO()
+        expected.write("# columns: " + ",".join(data_io.OUTCOME_COLUMNS) + "\n")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(data_io.OUTCOME_COLUMNS)
+        for param, value, outcome in outcomes:
+            market = outcome.market
+            beta = outcome.market_beta.tolist()
+            columns = market.seller_index.tolist()
+            cells = zip(market.seller_features, columns, outcome.prices.tolist(), outcome.payments.tolist())
+            for (agent, lag), column, u, paid in cells:
+                writer.writerow([param, value, agent, lag, beta[column], u, paid, "", "", ""])
+            totals = [outcome.total_payments, market.baseline_mse, outcome.market_mse, outcome.buyer_net_gain]
+            writer.writerow([param, value, central, "", "", "", *totals])
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 class TestZonalDataset:

@@ -485,7 +485,7 @@ class TestWarmStartedSweeps:
         monkeypatch.undo()
 
         assert len(fits) == len(report.sweep_rows) > 1
-        assert fits[0][0] is None
+        assert fits[0][0] is report.sweep_rows[0][2].market.baseline_start
         for (_, _, previous), (start, given, _) in zip(fits, fits[1:]):
             assert start is previous and start.tobytes() == given.tobytes()
         tolerance = SolverSettings().tolerance
@@ -502,16 +502,42 @@ class TestWarmStartedSweeps:
             assert kkt_residual(A, y, penalties, outcome.market_beta) <= bound
             assert kkt_residual(A, y, penalties, cold.market_beta) <= bound
 
-    def test_training_sweep_points_start_cold(self, monkeypatch):
-        starts, fit = [], market_module.weighted_lasso_fit
+    def test_training_sweep_points_start_from_their_baselines(self, monkeypatch):
+        # Each window is its own market: it starts at (b_self, 0), its own
+        # buyer-only least squares fit, with every seller coefficient at 0.
+        fits, fit = [], market_module.weighted_lasso_fit
 
         def recording(X, y, penalties, settings=None, start=None, *, moment=None):
-            starts.append(start)
+            fits.append((X.values, y, start))
             return fit(X, y, penalties, settings, start, moment=moment)
 
         monkeypatch.setattr(market_module, "weighted_lasso_fit", recording)
         run_T_sweep(scenario("P1", seed=0, t_grid=(60, 120, 240)))
-        assert starts == [None, None, None]
+        assert [len(y) for _, y, _ in fits] == [60, 120, 240]
+        own = 1 + 3  # the intercept and P1's three lags lead the design
+        for A, y, start in fits:
+            assert not start.flags.writeable
+            assert not start[own:].any()
+            assert start[:own].tobytes() == np.linalg.lstsq(A[:, :own], y, rcond=None)[0].tobytes()
+
+
+class TestBuyingNothing:
+    """A clearing that buys nothing returns its baseline start's loss to the bit, so the buyer nets exactly 0."""
+
+    @pytest.mark.parametrize(("name", "n_seeds"), [("paper-u", 6), ("small-many", 8)])
+    def test_cold_and_warm_clearings_that_buy_nothing_net_zero(self, tmp_path, name, n_seeds):
+        # Cold: one clearing at u = 1e6. Warm: u = 1e3 and 1e6 after 0.0 and
+        # 0.05 on one sweep, each starting from the point before it.
+        for seed in range(n_seeds):
+            sc = bench_scenario(name, seed, tmp_path)
+            market = experiments._prepare(sc)
+            cold = market.clear(market.prices(ReservationSchedule(default=1e6)))
+            warm = run_u_sweep(dataclasses.replace(sc, u_grid=(0.0, 0.05, 1e3, 1e6))).sweep_rows[2:]
+            for outcome in (cold, *(outcome for _, _, outcome in warm)):
+                assert not outcome.market_beta[outcome.market.seller_index].any()
+                assert outcome.total_payments == 0.0
+                assert outcome.market_mse.hex() == outcome.market.baseline_mse.hex()
+                assert outcome.buyer_net_gain.hex() == (0.0).hex()
 
 
 class TestMarketMoment:
@@ -525,7 +551,7 @@ class TestMarketMoment:
         for market in (prepared, prepared.window(config.lag_spec.window_length // 2)):
             design, target = market.design_all, market.target
             assert not market.moment.flags.writeable
-            start = None
+            start = market.baseline_start
             for u in sc.u_grid:
                 outcome = market.clear(market.prices(ReservationSchedule(default=u)), start)
                 penalties = outcome.penalties

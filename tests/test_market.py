@@ -59,6 +59,68 @@ def with_extra_payment(outcome, extra):
     return dataclasses.replace(outcome, payments=tampered)
 
 
+def exact_fit_roster(seed):
+    """P1 follows y_t = 1.6 y_{t-1} - y_{t-2} exactly, so its own lags fit it
+    to rounding; the sellers are white noise drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    length = LAG.max_lag + LAG.window_length
+    y = np.zeros(length)
+    y[:2] = (1.0, 0.3)
+    for t in range(2, length):
+        y[t] = 1.6 * y[t - 1] - y[t - 2]
+    roster = [AgentSeries("P1", y, LAG.max_lag)]
+    return roster + [AgentSeries(agent, rng.normal(size=length), LAG.max_lag) for agent in SUPPORTS]
+
+
+def raw_design(roster, config):
+    """The clearing's design and target, built here from the series values.
+
+    Column 0 is the intercept; then, for the buyer and each seller in turn,
+    its lags ``max_lag`` down to 1.
+    """
+    T, D = config.lag_spec.window_length, config.lag_spec.max_lag
+    by_id = {series.agent_id: series for series in roster}
+    columns = [np.ones(T)]
+    for agent in (config.central_agent, *config.support_agents):
+        series = by_id[agent]
+        columns += [series.values[series.start_time - lag : series.start_time - lag + T] for lag in range(D, 0, -1)]
+    buyer = by_id[config.central_agent]
+    return np.column_stack(columns), buyer.values[buyer.start_time : buyer.start_time + T]
+
+
+def change_form_bound(A, y, beta, start):
+    """How far rounding can put a clearing's ``market_mse`` from ``||y - A beta||^2 / T``.
+
+    The clearing measures its loss as a change from its start b0 (the
+    baseline fit): with d = beta - b0, G = A'A and q0 = A'y - G b0, it is
+    baseline_mse + (d'G d - 2 d'q0) / T. Let u = eps/2, gamma_n = n u / (1 -
+    n u) (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3) with
+    n = T + 2P + 4, a_t = |y_t| + |A_t| |beta|, a0_t = |y_t| + |A_t| |b0| and
+    e = a + a0, so that |A_t| |d| <= e_t. Then, summed over the rows:
+
+    * the fresh MSE here and the market's baseline MSE are each a residual
+      of P + 1 terms squared and summed over T rows, off by at most
+      gamma_n * sum(a^2) and gamma_n * sum(a0^2); a^2 + a0^2 <= e^2;
+    * each entry j of G b0, A'y and q0 is off by at most gamma_n times
+      sum_t |A_tj| a0_t, so d'q0, with its own dot product, is off by at most
+      gamma_n * sum(e a0) <= gamma_n * sum(e^2), and 2 d'q0 by twice that;
+    * d'G d, with G's rounding, by at most gamma_n * sum(e^2);
+    * rounding d itself moves the loss by at most 2u * sum(e^2), and the
+      last subtraction, division and addition by at most 10u * sum(e^2);
+      12u <= gamma_n.
+
+    In all, 5 gamma_n * sum(e^2) / T; this bound allows 6 for the terms of
+    second order in u. The clearing's floor at 0 only moves its value
+    toward the fresh one, which is never negative.
+    """
+    n_rows, n_cols = A.shape
+    n = n_rows + 2 * n_cols + 4
+    unit = np.finfo(float).eps / 2
+    gamma = n * unit / (1 - n * unit)
+    e = 2 * np.abs(y) + np.abs(A) @ (np.abs(beta) + np.abs(start))
+    return 6 * gamma * float(e @ e) / n_rows
+
+
 class TestReservationSchedule:
     def test_default_covers_all_lags(self):
         market = PreparedMarket(*default_market(seed=0))
@@ -617,17 +679,10 @@ class TestVerifyBuyerViability:
         assert 0.9 < check.gap < 1.0001
 
     def test_exact_fit_buyer_verifies(self):
-        # P1 follows y_t = 1.6 y_{t-1} - y_{t-2} exactly, so its own lags fit
-        # it to rounding and the baseline MSE is about 0. A gap at the
-        # target's rounding level still verifies; a real one is caught.
-        rng = np.random.default_rng(5)
-        length = LAG.max_lag + LAG.window_length
-        y = np.zeros(length)
-        y[:2] = (1.0, 0.3)
-        for t in range(2, length):
-            y[t] = 1.6 * y[t - 1] - y[t - 2]
-        roster = [AgentSeries("P1", y, LAG.max_lag)]
-        roster += [AgentSeries(agent, rng.normal(size=length), LAG.max_lag) for agent in SUPPORTS]
+        # The buyer's own lags fit it to rounding, so the baseline MSE is
+        # about 0. A gap at the target's rounding level still verifies; a
+        # real one is caught.
+        roster = exact_fit_roster(5)
         config = MarketConfig("P1", SUPPORTS, LAG)
         for u in (0.0, 0.1):
             outcome = clear_market(config, roster, ReservationSchedule(default=u))
@@ -665,7 +720,11 @@ class TestVerifyBuyerViability:
 
 
 class TestOnePassPerClearing:
-    """A clearing reads the design once after its solve; its baseline and slack are its market's."""
+    """A clearing reads no design after its solve: its loss is a change from its market's baseline.
+
+    Only preparing a market, or a window of it, reads the buyer's design once,
+    for the baseline MSE; the baseline and the slack are the market's.
+    """
 
     def counted_mse(self, monkeypatch):
         import regmarket.market as market_module
@@ -679,30 +738,80 @@ class TestOnePassPerClearing:
         monkeypatch.setattr(market_module, "mse", counted)
         return calls
 
-    def test_one_mse_per_clearing_and_one_per_market(self, monkeypatch):
+    def test_one_mse_per_market_and_none_per_clearing(self, monkeypatch):
         calls = self.counted_mse(monkeypatch)
         config, roster = default_market(seed=1)
         market = PreparedMarket(config, roster)
         assert calls == [market.design_self]
         for u in (0.0, 0.1, 0.3):
             market.clear(market.prices(ReservationSchedule(default=u)))
-        assert calls == [market.design_self] + [market.design_all] * 3
+        assert calls == [market.design_self]
         shorter = market.window(120)
         shorter.clear(shorter.prices(ReservationSchedule(default=0.1)))
-        assert calls[4:] == [shorter.design_self, shorter.design_all]
+        assert calls == [market.design_self, shorter.design_self]
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_outcome_sides_are_the_public_checks_to_the_bit(self, seed):
+    def test_outcome_sides_are_the_public_checks(self, seed):
+        # The payments, the baseline and the slack are the public check's to
+        # the bit; the outcome's loss, a change from the baseline, is within
+        # rounding of the check's fresh residual.
         config, roster = default_market(seed=seed)
         market = PreparedMarket(config, roster)
+        A, y = raw_design(roster, config)
         for u in (0.0, 0.05, 1e6):
             outcome = market.clear(market.prices(ReservationSchedule(default=u)))
             check = verify_buyer_viability(outcome)
             assert check.holds
-            assert outcome.market_mse.hex() == check.market_mse.hex()
+            bound = change_form_bound(A, y, outcome.market_beta, market.baseline_start)
+            assert abs(outcome.market_mse - check.market_mse) <= bound
             assert outcome.total_payments.hex() == check.total_payments.hex()
             assert check.baseline_mse.hex() == outcome.market.baseline_mse.hex()
             assert check.tolerance.hex() == market.viability_slack.hex()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        exact_fit=st.booleans(),
+        duplicate=st.booleans(),
+        ahead=st.booleans(),
+        exponent=st.floats(-6.0, 6.0),
+        asks=st.lists(st.sampled_from([0.0, 1e-3, 0.02, 0.1, 1.0, 1e6]), min_size=1, max_size=3),
+    )
+    @example(seed=5, exact_fit=True, duplicate=False, ahead=False, exponent=0.0, asks=[0.0, 0.1])
+    @example(seed=2, exact_fit=False, duplicate=True, ahead=False, exponent=-6.0, asks=[0.0, 0.02])
+    @example(seed=1, exact_fit=False, duplicate=False, ahead=False, exponent=6.0, asks=[1e6, 0.0])
+    @example(seed=0, exact_fit=False, duplicate=False, ahead=True, exponent=0.0, asks=[0.0])
+    def test_change_form_loss_is_the_fresh_residual_loss(self, seed, exact_fit, duplicate, ahead, exponent, asks):
+        # The data in units of 10**exponent, prices in their square (the
+        # units of x * y); each point after the first warm-starts from the one
+        # before, so fits reached from other starts than the baseline are drawn too.
+        scale = 10.0**exponent
+        roster = exact_fit_roster(seed) if exact_fit else default_market(seed)[1]
+        if duplicate:  # P3 sells a copy of P4's series
+            copied = next(series.values for series in roster if series.agent_id == "P4")
+            roster = [dataclasses.replace(s, values=copied) if s.agent_id == "P3" else s for s in roster]
+        if ahead:
+            # P2 sells the buyer's series one hour ahead, so its lag 1 is the
+            # target itself: the market fits exactly, and the change from the
+            # baseline cancels the whole baseline loss.
+            buyer = roster[0].values
+            roster[1] = dataclasses.replace(roster[1], values=np.append(buyer[1:], 0.0))
+        roster = [dataclasses.replace(series, values=series.values * scale) for series in roster]
+        config = MarketConfig("P1", SUPPORTS, LAG)
+        market = PreparedMarket(config, roster)
+        A, y = raw_design(roster, config)
+        start = None
+        for ask in asks:
+            outcome = market.clear(market.prices(ReservationSchedule(default=ask * scale**2)), start)
+            beta = outcome.market_beta
+            residual = y - A @ beta
+            fresh = float(residual @ residual) / len(y)
+            assert abs(outcome.market_mse - fresh) <= change_form_bound(A, y, beta, market.baseline_start)
+            assert outcome.market_mse >= 0.0
+            # The clearing's own verdict, read back from its outcome, is the public one.
+            gap = outcome.market_mse + outcome.total_payments - market.baseline_mse
+            assert (gap <= market.viability_slack) == verify_buyer_viability(outcome).holds
+            start = beta
 
     @pytest.mark.parametrize("seed", range(8))
     def test_forged_coefficients_fail_the_public_check(self, seed):
