@@ -140,9 +140,10 @@ def ingest_csv(path, schema=None, normalization: str = "none") -> IngestReport:
     """Read a zonal CSV in one streaming pass, dropping unusable rows.
 
     ``schema`` optionally maps CSV column names to zone ids; by default every
-    non-timestamp column is a zone named after its header. A header that
-    repeats ``timestamp`` or a column the schema reads is rejected naming
-    the file and the name. A row is dropped,
+    non-timestamp column is a zone named after its header, and a column with
+    no name is rejected naming the file and its 1-based position. A header
+    that repeats ``timestamp`` or a column the schema reads is rejected
+    naming the file and the name. A row is dropped,
     and counted in ``dropped_rows``, when its timestamp is unparseable or
     outside the int64 hour range, or any zone cell is missing, empty,
     non-numeric or non-finite; lines whose cells are all blank are skipped
@@ -157,14 +158,15 @@ def ingest_csv(path, schema=None, normalization: str = "none") -> IngestReport:
     stays near one block plus the dataset, and the finiteness check runs
     once over the whole value block. With ``normalization="per-zone-max"``
     each zone is divided by its maximum over the retained rows. A warning is
-    reported when over 10% of rows drop. A file that is not UTF-8 text, or
-    holds a cell over ``csv.field_size_limit()`` characters, is rejected
-    with :class:`InvalidInputError` naming it.
+    reported when over 10% of rows drop. One leading UTF-8 byte-order mark
+    is skipped. A file that is not UTF-8 text, or holds a cell over
+    ``csv.field_size_limit()`` characters, is rejected with
+    :class:`InvalidInputError` naming it.
     """
     _check_normalization(normalization, "normalization")
     path = Path(path)
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:  # drops a leading byte-order mark
             reader = csv.reader(handle)
             try:
                 header = next(reader)
@@ -177,6 +179,8 @@ def ingest_csv(path, schema=None, normalization: str = "none") -> IngestReport:
             ts_index = header.index(_TIMESTAMP)
 
             if schema is None:
+                if "" in header:
+                    raise InvalidInputError(f"{path}: header column {header.index('') + 1} has no name")
                 schema = {name: name for name in header if name != _TIMESTAMP}
             missing_columns = [name for name in schema if name not in header]
             if missing_columns:
@@ -426,25 +430,16 @@ def to_agent_series(dataset: ZonalDataset, start: int, window_length: int, max_l
     ]
 
 
-def _write_csv(path, header, rows=(), columns_comment: bool = False, lines=()) -> None:
-    """Write ``header`` and the cell lists ``rows`` as CSV, creating the parent directory.
+def _write_csv(path, lines) -> None:
+    """Write the text ``lines``, each ended by a newline, creating the parent directory.
 
-    ``csv.writer`` formats each cell: a string as itself, ``None`` as an
-    empty cell, and a number as ``str`` gives it, which for a float is its
-    shortest round-tripping ``repr``. With ``columns_comment``, a leading
-    ``# columns:`` line repeats the header. ``lines`` are rows already
-    formatted (see :func:`_formatted`), each ending in a newline, written after
-    ``rows``.
+    Every caller formats its own lines: cells through :func:`_formatted`,
+    floats as their ``repr``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        if columns_comment:
-            handle.write("# columns: " + ",".join(header) + "\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        handle.writelines(lines)
+        handle.write("\n".join(lines) + "\n")
 
 
 def _formatted(rows) -> list:
@@ -464,7 +459,7 @@ def _formatted(rows) -> list:
 
 def write_rows(path, fieldnames, rows) -> None:
     """Write dict rows as CSV under a ``fieldnames`` header; missing cells stay empty."""
-    _write_csv(path, fieldnames, ([row.get(name) for name in fieldnames] for row in rows))
+    _write_csv(path, _formatted([fieldnames, *([row.get(name) for name in fieldnames] for row in rows)]))
 
 
 def write_outcome_table(outcomes, path) -> None:
@@ -491,12 +486,12 @@ def write_outcome_table(outcomes, path) -> None:
         *features, buyer = by_market[market]
         beta = outcome.market_beta[market.seller_index].tolist()
         cells = zip(features, beta, outcome.prices.tolist(), outcome.payments.tolist())
-        lines += (f"{point},{feature},{b!r},{u!r},{paid!r},,,\n" for feature, b, u, paid in cells)
+        lines += (f"{point},{feature},{b!r},{u!r},{paid!r},,," for feature, b, u, paid in cells)
         totals = (outcome.total_payments, market.baseline_mse, outcome.market_mse, outcome.buyer_net_gain)
-        lines.append(f"{point},{buyer},{','.join(map(repr, totals))}\n")
+        lines.append(f"{point},{buyer},{','.join(map(repr, totals))}")
     if not lines:
         raise InvalidInputError("no outcomes to write")
-    _write_csv(path, OUTCOME_COLUMNS, columns_comment=True, lines=lines)
+    _write_csv(path, ["# columns: " + ",".join(OUTCOME_COLUMNS), *_formatted([OUTCOME_COLUMNS]), *lines])
 
 
 def write_zonal_csv(dataset: ZonalDataset, path) -> None:
@@ -506,7 +501,8 @@ def write_zonal_csv(dataset: ZonalDataset, path) -> None:
     dropped rows survive a round trip.
     """
     rows = zip(dataset.timestamps.tolist(), dataset.values.tolist())
-    _write_csv(path, [_TIMESTAMP, *dataset.zones], ([hour, *map(repr, row)] for hour, row in rows))
+    lines = (",".join(map(repr, [hour, *row])) for hour, row in rows)  # repr of an int is str's
+    _write_csv(path, [*_formatted([[_TIMESTAMP, *dataset.zones]]), *lines])
 
 
 @dataclass(frozen=True)

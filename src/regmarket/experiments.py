@@ -124,13 +124,13 @@ def run_method_comparison(scenario: ScenarioConfig) -> ExperimentReport:
     market, truth = outcome.market, scenario.synthetic
 
     ols_all = ols_fit(market.design_all, market.target)
-    n_self = market.design_self.n_cols  # the buyer's block leads design_all
+    own = 1 + market.config.lag_spec.max_lag  # the buyer's block leads design_all
     report.coefficient_rows = [
         {
             "agent": agent,
             "lag": lag,
             "true": None if truth is None else truth.coefficient(market.config.central_agent, agent, lag),
-            "ols_self": float(market.baseline_beta[j]) if j < n_self else None,
+            "ols_self": float(market.baseline_start[j]) if j < own else None,
             "ols_all": float(ols_all[j]),
             "lasso": float(outcome.market_beta[j]),
         }

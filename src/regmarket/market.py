@@ -140,7 +140,7 @@ class ViabilityCheck:
 class MarketOutcome:
     """What one clearing produced, and the :class:`PreparedMarket` it was cleared on.
 
-    ``market`` holds the resolved config, target, designs and baseline fit
+    ``market`` holds the resolved config, target, design and baseline fit
     that every clearing of it shares. ``market_mse`` is ``||y - X
     market_beta||^2 / T`` measured as a change from the market's baseline fit
     (see :meth:`PreparedMarket.clear`), the loss the clearing's viability
@@ -149,7 +149,8 @@ class MarketOutcome:
     rounding at the scale of the change. ``prices`` and ``payments`` are
     read-only arrays over ``market.seller_features``: each feature's
     reservation ``u`` and its pay ``|u * b|``. ``total_payments``, their
-    sum, is also the fitted lasso penalty term; ``buyer_net_gain`` is
+    sum, is also the fitted lasso penalty term, at the penalties
+    ``penalties_from_reservations(market, prices)``; ``buyer_net_gain`` is
     ``market.baseline_mse - market_mse - total_payments``.
     """
 
@@ -160,7 +161,6 @@ class MarketOutcome:
     payments: np.ndarray
     total_payments: float
     buyer_net_gain: float
-    penalties: np.ndarray
 
 
 def penalties_from_reservations(market: PreparedMarket, prices: np.ndarray) -> np.ndarray:
@@ -179,28 +179,29 @@ def penalties_from_reservations(market: PreparedMarket, prices: np.ndarray) -> n
 class PreparedMarket:
     """The reservation-independent half of a clearing, built once.
 
-    The target, the lag design, its Gram matrix ``X'X`` and moment ``X'y``,
-    the buyer's baseline OLS fit, its MSE ``baseline_mse`` (from a fresh
-    residual), that fit as a full coefficient vector ``baseline_start`` =
-    ``(b_self, 0)``, its residual correlation ``baseline_correlation`` =
-    ``X'y - X'X baseline_start`` and the buyer-viability slack
-    ``viability_slack`` depend only on the data and the window, so a sweep
-    over reservations prepares them once and calls :meth:`clear` per point,
-    and a sweep over training lengths prepares the longest window once and
-    clears each shorter one on :meth:`window`. Every solve is given the
-    moment and every loss is measured from the baseline, so no clearing
-    reads the T x P design. One lag matrix is built per market: the buyer's
-    own design ``design_self`` is the intercept and buyer block that lead
-    ``design_all``, a column view of it. Construction resolves the config
-    against the series (:meth:`MarketConfig.resolve`), so ``config``
-    always names its sellers, and rejects two series for one agent.
+    The target, the lag design ``design_all``, its Gram matrix ``X'X`` and
+    moment ``X'y``, the buyer's baseline OLS fit as a full coefficient
+    vector ``baseline_start`` = ``(b_self, 0)``, its MSE ``baseline_mse``
+    (from a fresh residual), its residual correlation
+    ``baseline_correlation`` = ``X'y - X'X baseline_start`` and the
+    buyer-viability slack ``viability_slack`` depend only on the data and
+    the window, so a sweep over reservations prepares them once and calls
+    :meth:`clear` per point, and a sweep over training lengths prepares the
+    longest window once and clears each shorter one on :meth:`window`.
+    Every solve is given the moment and every loss is measured from the
+    baseline, so no clearing reads the T x P design. One lag matrix is
+    built per market, with the buyer's block first: the baseline is fitted
+    on its leading ``1 + max_lag`` columns (the intercept and the buyer's
+    lags), a column view, so ``b_self`` is ``baseline_start[:1 + max_lag]``.
+    Construction resolves the config against the series
+    (:meth:`MarketConfig.resolve`), so ``config`` always names its sellers,
+    and rejects two series for one agent.
 
-    ``design_all.values``, ``target``, ``baseline_beta``, ``moment``,
-    ``baseline_start`` and ``baseline_correlation`` are read-only, so
-    nothing written through the market can move them away from the baseline
-    and slack computed here. ``target`` is a copy of the caller's buyer
-    window, so writing into that series' values after preparing leaves the
-    market as it was prepared.
+    ``design_all.values``, ``target``, ``moment``, ``baseline_start`` and
+    ``baseline_correlation`` are read-only, so nothing written through the
+    market can move them away from the baseline and slack computed here.
+    ``target`` is a copy of the caller's buyer window, so writing into that
+    series' values after preparing leaves the market as it was prepared.
     """
 
     def __init__(self, config: MarketConfig, all_series):
@@ -221,10 +222,9 @@ class PreparedMarket:
         target.flags.writeable = False
         self.config = config
         self.target = target
-        self.design_self = DesignMatrix(design_all.values[:, :own], design_all.column_map[:own])
-        self.baseline_beta = ols_fit(self.design_self, target)
-        self.baseline_beta.flags.writeable = False
-        self.baseline_mse = mse(self.design_self, self.baseline_beta, target)
+        buyer_design = DesignMatrix(design_all.values[:, :own], design_all.column_map[:own])
+        baseline = ols_fit(buyer_design, target)
+        self.baseline_mse = mse(buyer_design, baseline, target)
         # The gap buyer viability allows: VIABILITY_TOLERANCE times the
         # baseline MSE, floored at the rounding level of the target's mean
         # square for a buyer whose own features fit exactly.
@@ -239,7 +239,7 @@ class PreparedMarket:
         # every cold solve starts, and its residual correlation q0 = c - G b0,
         # from which each clearing's loss is measured.
         self.baseline_start = np.zeros(design_all.n_cols)
-        self.baseline_start[:own] = self.baseline_beta
+        self.baseline_start[:own] = baseline
         self.baseline_start.flags.writeable = False
         self.baseline_correlation = self.moment - design_all.gram @ self.baseline_start
         self.baseline_correlation.flags.writeable = False
@@ -352,7 +352,6 @@ class PreparedMarket:
             payments=payments,
             total_payments=check.total_payments,
             buyer_net_gain=self.baseline_mse - market_mse - check.total_payments,
-            penalties=penalties,
         )
 
     def _change_mse(self, beta: np.ndarray) -> float:

@@ -17,6 +17,7 @@ from regmarket import (
     SyntheticSpec,
     clear_market,
     ols_fit,
+    penalties_from_reservations,
     run_T_sweep,
     run_u_sweep,
     synthetic_market_series,
@@ -95,7 +96,10 @@ def test_criterion_2_solver_kkt_and_prox_oracle():
         worst_kkt = max(
             worst_kkt,
             kkt_residual(
-                outcome.market.design_all.values, outcome.market.target, outcome.penalties, outcome.market_beta
+                outcome.market.design_all.values,
+                outcome.market.target,
+                penalties_from_reservations(outcome.market, outcome.prices),
+                outcome.market_beta,
             ),
         )
     worst_gap = 0.0

@@ -38,6 +38,15 @@ def test_a_solve_count_below_its_pin_fails(tmp_path, capsys, workload, pin):
     assert f"{workload}: regression.weighted_lasso_fit.calls is 0 per cycle, pinned at {pin}" in capsys.readouterr().out
 
 
+def test_a_second_lag_matrix_in_the_training_sweep_fails(tmp_path, capsys):
+    # sweep-t clears every window on row prefixes of its one prepared market.
+    write_results(tmp_path, {"csv-t": {"timeseries.build_lag_matrix.calls": 5}})
+    assert tool.main(["--results", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "csv-t: timeseries.build_lag_matrix.calls is 5 per cycle, pinned at 1" in out
+    assert "layer counts: 1 problem(s) in 3 workloads" in out
+
+
 def test_a_missing_result_fails(tmp_path, capsys):
     write_results(tmp_path, {})
     (tmp_path / "small-many-seed1-trace1.json").unlink()

@@ -210,6 +210,12 @@ class TestExitCodes:
         assert result.returncode == EXIT_INPUT
         assert "window" in result.stderr
 
+    def test_scenario_that_is_not_json_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "scenario.json"
+        config.write_text('{"data": ', encoding="utf-8")
+        assert main(["clear", "--config", str(config)]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {config}: invalid JSON (")
+
     @pytest.mark.parametrize(
         "override",
         [

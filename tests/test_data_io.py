@@ -123,6 +123,35 @@ class TestIngestCsv:
         assert report.dataset.zones == ("east",)
         assert report.dataset.values[:, 0].tolist() == [3.0, 3.0, 3.0]
 
+    @pytest.mark.parametrize(
+        ("header", "row", "column"),
+        [(("timestamp", "A", "B", ""), (1.0, 2.0, ""), 4), (("timestamp", "A", "", "B"), (1.0, 9.0, 2.0), 3)],
+        ids=["trailing-comma", "between-zones"],
+    )
+    def test_unnamed_column_is_rejected_unless_a_schema_skips_it(self, tmp_path, header, row, column):
+        path = write_csv(tmp_path / "wind.csv", [(100 + t, *row) for t in range(3)], header=header)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: header column {column} has no name$"):
+            ingest_csv(path)
+        report = ingest_csv(path, schema={"A": "west", "B": "east"})
+        assert report.dataset.zones == ("west", "east")
+        assert report.dataset.values.tolist() == [[1.0, 2.0]] * 3
+        assert report.dropped_rows == 0
+
+    @pytest.mark.parametrize("stamps", ["integer", "iso"])
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, stamps):
+        # Spreadsheet "CSV UTF-8" exports start with one; it must not stick to the header's first name.
+        rows, _ = complete_rows(48)
+        if stamps == "iso":
+            rows = [(f"2021-06-{1 + t // 24:02d}T{t % 24:02d}:00:00", *cells) for t, (_, *cells) in enumerate(rows)]
+        plain = write_csv(tmp_path / "plain.csv", rows)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected, report = ingest_csv(plain), ingest_csv(marked)
+        assert report.dataset.zones == expected.dataset.zones == ZONES
+        assert report.dataset.timestamps.tobytes() == expected.dataset.timestamps.tobytes()
+        assert report.dataset.values.tobytes() == expected.dataset.values.tobytes()
+        assert report.dropped_rows == expected.dropped_rows == 0
+
     def test_non_monotonic_rejected(self, tmp_path):
         rows, _ = complete_rows(5)
         rows[3], rows[2] = rows[2], rows[3]
@@ -645,7 +674,6 @@ class TestWriteOutcomeTable:
             market_mse=0.1 + 0.2,
             prices=np.array(prices),
             payments=np.array(payments),
-            penalties=None,
             **fields,
         )
 
@@ -723,7 +751,6 @@ class TestWriteOutcomeTable:
                 payments=np.array(data.draw(floats)),
                 total_payments=data.draw(EDGE_FLOATS),
                 buyer_net_gain=data.draw(EDGE_FLOATS),
-                penalties=None,
             )
             outcomes.append((param, value, outcome))
         path = tmp_path / "out.csv"
@@ -791,6 +818,9 @@ SCENARIO = {
 }
 
 
+DROP = object()  # an override value that removes its key
+
+
 def write_scenario(tmp_path, overrides=None, **kwargs):
     payload = json.loads(json.dumps(SCENARIO))
     payload.update(kwargs)
@@ -800,10 +830,49 @@ def write_scenario(tmp_path, overrides=None, **kwargs):
             *parents, leaf = dotted.split(".")
             for key in parents:
                 node = node.setdefault(key, {})
-            node[leaf] = value
+            if value is DROP:
+                del node[leaf]
+            else:
+                node[leaf] = value
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path
+
+
+GRID2_KEYS = "['agent_a', 'agent_b', 'u_grid_a', 'u_grid_b']"
+# Every structural rejection of a scenario file, by its text or its overrides, and the message after "<file>: ".
+STRUCTURAL = {
+    "invalid-json": ("{", "invalid JSON (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"),
+    "top-level-list": ("[]", "top level must be an object"),
+    "data-scalar": ({"data": 5}, "invalid value (data must be an object, got 5)"),
+    "market-list": ({"market": ["P1"]}, "invalid value (market must be an object, got ['P1'])"),
+    "reservations-scalar": ({"reservations": 0.1}, "invalid value (reservations must be an object, got 0.1)"),
+    "sweeps-list": ({"sweeps": [0.1]}, "invalid value (sweeps must be an object, got [0.1])"),
+    "grid2-null": ({"sweeps.grid2": None}, "invalid value (sweeps.grid2 must be an object, got None)"),
+    "no-data-type": ({"data.type": DROP}, "invalid value (data.type must be 'synthetic' or 'csv', got None)"),
+    "other-data-type": ({"data.type": "excel"}, "invalid value (data.type must be 'synthetic' or 'csv', got 'excel')"),
+    "csv-without-path": ({"data.type": "csv"}, "data: missing required key(s) ['path']"),
+    "no-data": ({"data": DROP}, "missing required key(s) ['data']"),
+    "no-market": ({"market": DROP}, "missing required key(s) ['market']"),
+    "no-window": ({"market.window": DROP}, "market: missing required key(s) ['window']"),
+    "both-reservations": (
+        {"reservations.entries": [["P2", 1, 0.5]]}, "reservations: give exactly one of uniform_u or entries"
+    ),
+    "no-reservations": ({"reservations.uniform_u": DROP}, "reservations: give exactly one of uniform_u or entries"),
+    "grid2-without-agents": ({"sweeps.grid2": {"others_u": 0.1}}, f"sweeps.grid2: missing required key(s) {GRID2_KEYS}"),
+}
+
+
+@pytest.mark.parametrize(("change", "message"), STRUCTURAL.values(), ids=STRUCTURAL.keys())
+def test_structural_rejection_names_the_file(tmp_path, change, message):
+    if isinstance(change, str):  # the whole file's text
+        path = tmp_path / "scenario.json"
+        path.write_text(change, encoding="utf-8")
+    else:
+        path = write_scenario(tmp_path, overrides=change)
+    with pytest.raises(InvalidInputError) as caught:
+        load_scenario(path)
+    assert str(caught.value) == f"{path}: {message}"
 
 
 class TestScenarioConfig:

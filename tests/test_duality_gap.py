@@ -18,6 +18,7 @@ from regmarket import (
     MarketConfig,
     PreparedMarket,
     ReservationSchedule,
+    penalties_from_reservations,
     verify_buyer_viability,
     weighted_lasso_fit,
 )
@@ -122,7 +123,8 @@ def test_every_clearing_is_viable_within_its_gap(seed, n_sellers, max_lag, windo
     outcome = market.clear(market.prices(schedule), start)
 
     A, y, beta = market.design_all.values, market.target, outcome.market_beta
-    gap = duality_gap(A, y, outcome.penalties, beta)
-    slack = ROUNDING_MULTIPLE * rounding_level(A, y, beta) + box_rounding(A, y, outcome.penalties, beta)
+    penalties = penalties_from_reservations(market, outcome.prices)
+    gap = duality_gap(A, y, penalties, beta)
+    slack = ROUNDING_MULTIPLE * rounding_level(A, y, beta) + box_rounding(A, y, penalties, beta)
     assert gap <= slack
     assert verify_buyer_viability(outcome).gap <= gap + slack

@@ -18,6 +18,7 @@ from regmarket import (
     SyntheticSpec,
     ViabilityError,
     clear_market,
+    penalties_from_reservations,
     run_clearing,
     run_T_sweep,
     run_method_comparison,
@@ -276,7 +277,7 @@ class TestTSweep:
             config = MarketConfig("P1", ("P2", "P3", "P4", "P5"), LagSpec(3, T))
             direct = clear_market(config, roster, schedule)
             assert outcome.market.config == config
-            assert np.array_equal(outcome.market.baseline_beta, direct.market.baseline_beta)
+            assert np.array_equal(outcome.market.baseline_start, direct.market.baseline_start)
             assert np.array_equal(outcome.market_beta, direct.market_beta)
             assert outcome.market.baseline_mse == direct.market.baseline_mse
             assert outcome.market_mse == direct.market_mse
@@ -293,7 +294,8 @@ class TestTSweep:
             market, longest_market = outcome.market, longest.market
             assert market.design_all.n_rows == market.target.shape[0] == T
             assert np.shares_memory(market.design_all.values, longest_market.design_all.values)
-            assert np.shares_memory(market.design_self.values, longest_market.design_self.values)
+            own = 1 + market.config.lag_spec.max_lag  # the buyer's block leads the design
+            assert np.shares_memory(market.design_all.values[:, :own], longest_market.design_all.values[:, :own])
             assert np.shares_memory(market.target, longest_market.target)
 
     def test_each_point_clears_its_window(self, monkeypatch):
@@ -306,7 +308,7 @@ class TestTSweep:
             assert outcome.market.config == window.config
             assert outcome.market.config.lag_spec.window_length == T
             assert np.shares_memory(outcome.market.design_all.values, market.design_all.values)
-            assert np.array_equal(outcome.market.baseline_beta, window.baseline_beta)
+            assert np.array_equal(outcome.market.baseline_start, window.baseline_start)
 
     def test_derived_rows_cover_each_agent_and_buyer(self):
         report = run_T_sweep(scenario("P1", seed=0, t_grid=(120, 240)))
@@ -494,8 +496,9 @@ class TestWarmStartedSweeps:
             cold = market.clear(outcome.prices)
             if k == 0:
                 assert outcome.market_beta.tobytes() == cold.market_beta.tobytes()
-            A, y, penalties = market.design_all.values, market.target, outcome.penalties
-            assert np.array_equal(penalties, cold.penalties)
+            A, y = market.design_all.values, market.target
+            penalties = penalties_from_reservations(market, outcome.prices)
+            assert np.array_equal(penalties, penalties_from_reservations(market, cold.prices))
             warm_objective = penalized_objective(A, y, penalties, outcome.market_beta)
             assert warm_objective == pytest.approx(penalized_objective(A, y, penalties, cold.market_beta), rel=1e-12)
             bound = tolerance * (2.0 / len(y)) * np.max(np.abs(A.T @ y))
@@ -554,7 +557,7 @@ class TestMarketMoment:
             start = market.baseline_start
             for u in sc.u_grid:
                 outcome = market.clear(market.prices(ReservationSchedule(default=u)), start)
-                penalties = outcome.penalties
+                penalties = penalties_from_reservations(market, outcome.prices)
                 computed = weighted_lasso_fit(design, target, penalties, config.solver, start)
                 given = weighted_lasso_fit(design, target, penalties, config.solver, start, moment=market.moment)
                 assert outcome.market_beta.tobytes() == given.tobytes() == computed.tobytes()

@@ -52,6 +52,14 @@ def duplicate_seller_market():
     return config, roster, ReservationSchedule({("P3", 3): 6.6e-6})
 
 
+def assert_buyer_design(X, market):
+    """``X`` is ``market``'s buyer design: the intercept and buyer columns that lead ``design_all``, as a view."""
+    own = 1 + market.config.lag_spec.max_lag
+    assert X.column_map == market.design_all.column_map[:own]
+    assert np.array_equal(X.values, market.design_all.values[:, :own])
+    assert np.shares_memory(X.values, market.design_all.values)
+
+
 def with_extra_payment(outcome, extra):
     """``outcome`` with ``extra`` added to its first payment."""
     tampered = outcome.payments.copy()
@@ -423,13 +431,18 @@ class TestPreparedMarket:
     def test_one_lag_matrix_per_prepare(self, monkeypatch):
         import regmarket.market as market_module
 
-        built = []
+        built, fitted, fit = [], [], market_module.ols_fit
 
         def counted(series_list, spec):
             built.append(spec)
             return build_lag_matrix(series_list, spec)
 
+        def recording(X, y):
+            fitted.append(X)
+            return fit(X, y)
+
         monkeypatch.setattr(market_module, "build_lag_matrix", counted)
+        monkeypatch.setattr(market_module, "ols_fit", recording)
         config, roster = default_market(seed=1)
         market = PreparedMarket(config, roster)
         assert built == [LAG]
@@ -437,11 +450,14 @@ class TestPreparedMarket:
         shorter.clear(shorter.prices(ReservationSchedule(default=0.1)))
         assert built == [LAG]
 
+        # The baseline is fitted on the buyer's block of the one lag matrix.
         central = next(series for series in roster if series.agent_id == "P1")
-        for prepared, spec in ((market, LAG), (shorter, LagSpec(3, 120))):
+        assert len(fitted) == 2
+        for design_self, prepared, spec in zip(fitted, (market, shorter), (LAG, LagSpec(3, 120))):
+            assert_buyer_design(design_self, prepared)
             own = build_lag_matrix([central], spec)
-            assert np.array_equal(prepared.design_self.values, own.values)
-            assert prepared.design_self.column_map == own.column_map
+            assert np.array_equal(design_self.values, own.values)
+            assert design_self.column_map == own.column_map
 
     @pytest.mark.parametrize("length", [0, -1, 241])
     def test_window_outside_the_prepared_one_rejected(self, length):
@@ -517,8 +533,10 @@ class TestPricesArray:
         market = self.market
         direct = market.clear(np.full(self.n, u))
         scheduled = market.clear(market.prices(ReservationSchedule(default=u)))
-        for name in ("market_beta", "prices", "payments", "penalties"):
+        for name in ("market_beta", "prices", "payments"):
             assert getattr(direct, name).tobytes() == getattr(scheduled, name).tobytes()
+        penalties = [penalties_from_reservations(market, outcome.prices) for outcome in (direct, scheduled)]
+        assert penalties[0].tobytes() == penalties[1].tobytes()
         for name in ("market_mse", "total_payments", "buyer_net_gain"):
             assert getattr(direct, name).hex() == getattr(scheduled, name).hex()
 
@@ -742,13 +760,15 @@ class TestOnePassPerClearing:
         calls = self.counted_mse(monkeypatch)
         config, roster = default_market(seed=1)
         market = PreparedMarket(config, roster)
-        assert calls == [market.design_self]
+        assert len(calls) == 1
+        assert_buyer_design(calls[0], market)
         for u in (0.0, 0.1, 0.3):
             market.clear(market.prices(ReservationSchedule(default=u)))
-        assert calls == [market.design_self]
+        assert len(calls) == 1
         shorter = market.window(120)
         shorter.clear(shorter.prices(ReservationSchedule(default=0.1)))
-        assert calls == [market.design_self, shorter.design_self]
+        assert len(calls) == 2
+        assert_buyer_design(calls[1], shorter)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_outcome_sides_are_the_public_checks(self, seed):
@@ -833,10 +853,10 @@ class TestOnePassPerClearing:
         for prepared in (market, market.window(120)):
             for array in (
                 prepared.design_all.values,
-                prepared.design_self.values,
                 prepared.target,
-                prepared.baseline_beta,
                 prepared.moment,
+                prepared.baseline_start,
+                prepared.baseline_correlation,
             ):
                 with pytest.raises(ValueError, match="read-only"):
                     array[(0,) * array.ndim] = 1.0

@@ -26,7 +26,9 @@ RESULTS = Path(__file__).resolve().parents[1] / ".bench_work" / "results"
 # Per-cycle call counts: one lasso solve per clearing; one mse (the
 # baseline's) per prepared market or window and none per clearing, whose
 # loss is a change from that baseline; one lag matrix per prepared market;
-# and one baseline OLS fit per prepared market or window.
+# and one baseline OLS fit per prepared market or window. csv-t's sweep-t
+# clears every window on row prefixes of one prepared market, and it and
+# ingest read the CSV once each.
 PINS = {
     "paper-u": {
         "regression.weighted_lasso_fit.calls": 19,
@@ -39,6 +41,13 @@ PINS = {
         "regression.mse.calls": 7,
         "timeseries.build_lag_matrix.calls": 4,
         "regression.ols_fit.calls": 7,
+    },
+    "csv-t": {
+        "regression.weighted_lasso_fit.calls": 5,
+        "regression.mse.calls": 5,
+        "timeseries.build_lag_matrix.calls": 1,
+        "regression.ols_fit.calls": 5,
+        "data_io.ingest_csv.calls": 2,
     },
 }
 
