@@ -12,6 +12,7 @@ baseline loss.
 from .errors import ConvergenceError, InvalidInputError, ViabilityError
 from .regression import (
     DesignMatrix,
+    NormalEquations,
     SolverSettings,
     kkt_violation,
     mse,

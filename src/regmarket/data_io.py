@@ -73,6 +73,9 @@ class ZonalDataset:
 
     def __post_init__(self):
         zones = tuple(self.zones)
+        repeated = [zone for k, zone in enumerate(zones) if zone in zones[:k]]
+        if repeated:
+            raise InvalidInputError(f"zones lists {repeated[0]!r} more than once", "zones")
         timestamps = self.timestamps
         if not (isinstance(timestamps, np.ndarray) and timestamps.dtype == np.int64):
             hours = [integer(hour, "timestamps") for hour in sequence(timestamps, "timestamps")]

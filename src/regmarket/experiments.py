@@ -21,11 +21,12 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .data_io import ScenarioConfig, ingest_csv, to_agent_series
 from .errors import ConvergenceError, InvalidInputError, ViabilityError
 from .market import PreparedMarket, ReservationSchedule
 from .market import clear_market, verify_buyer_viability  # noqa: F401  (names patched by bench/tracer.py)
-from .regression import ols_fit
 from .timeseries import LagSpec, synthetic_market_series
 
 __all__ = [
@@ -123,7 +124,7 @@ def run_method_comparison(scenario: ScenarioConfig) -> ExperimentReport:
     outcome = report.sweep_rows[0][2]
     market, truth = outcome.market, scenario.synthetic
 
-    ols_all = ols_fit(market.design_all, market.target)
+    ols_all, *_ = np.linalg.lstsq(market.normal.gram, market.normal.moment, rcond=None)  # min-norm solution of G b = c
     own = 1 + market.config.lag_spec.max_lag  # the buyer's block leads design_all
     report.coefficient_rows = [
         {

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import InvalidInputError, ViabilityError, finite_array, integer, real, sequence
 from .regression import (
     DesignMatrix,
+    NormalEquations,
     SolverSettings,
     mse,
     ols_fit,
@@ -179,16 +180,16 @@ def penalties_from_reservations(market: PreparedMarket, prices: np.ndarray) -> n
 class PreparedMarket:
     """The reservation-independent half of a clearing, built once.
 
-    The target, the lag design ``design_all``, its Gram matrix ``X'X`` and
-    moment ``X'y``, the buyer's baseline OLS fit as a full coefficient
-    vector ``baseline_start`` = ``(b_self, 0)``, its MSE ``baseline_mse``
-    (from a fresh residual), its residual correlation
+    The target, the lag design ``design_all``, their normal equations
+    ``normal`` (``X'X``, ``X'y`` and ``y'y``), the buyer's baseline OLS fit
+    as a full coefficient vector ``baseline_start`` = ``(b_self, 0)``, its
+    MSE ``baseline_mse`` (from a fresh residual), its residual correlation
     ``baseline_correlation`` = ``X'y - X'X baseline_start`` and the
     buyer-viability slack ``viability_slack`` depend only on the data and
     the window, so a sweep over reservations prepares them once and calls
     :meth:`clear` per point, and a sweep over training lengths prepares the
     longest window once and clears each shorter one on :meth:`window`.
-    Every solve is given the moment and every loss is measured from the
+    Every solve is given ``normal`` and every loss is measured from the
     baseline, so no clearing reads the T x P design. One lag matrix is
     built per market, with the buyer's block first: the baseline is fitted
     on its leading ``1 + max_lag`` columns (the intercept and the buyer's
@@ -197,9 +198,9 @@ class PreparedMarket:
     (:meth:`MarketConfig.resolve`), so ``config`` always names its sellers,
     and rejects two series for one agent.
 
-    ``design_all.values``, ``target``, ``moment``, ``baseline_start`` and
-    ``baseline_correlation`` are read-only, so nothing written through the
-    market can move them away from the baseline and slack computed here.
+    ``design_all.values``, ``target``, ``normal``'s arrays, ``baseline_start``
+    and ``baseline_correlation`` are read-only, so nothing written through
+    the market can move them away from the baseline and slack computed here.
     ``target`` is a copy of the caller's buyer window, so writing into that
     series' values after preparing leaves the market as it was prepared.
     """
@@ -222,6 +223,7 @@ class PreparedMarket:
         target.flags.writeable = False
         self.config = config
         self.target = target
+        self.normal = NormalEquations(design_all, target)
         buyer_design = DesignMatrix(design_all.values[:, :own], design_all.column_map[:own])
         baseline = ols_fit(buyer_design, target)
         self.baseline_mse = mse(buyer_design, baseline, target)
@@ -229,19 +231,16 @@ class PreparedMarket:
         # baseline MSE, floored at the rounding level of the target's mean
         # square for a buyer whose own features fit exactly.
         self.viability_slack = VIABILITY_TOLERANCE * max(
-            self.baseline_mse, float(np.finfo(float).eps * (target @ target)) / target.size
+            self.baseline_mse, float(np.finfo(float).eps * self.normal.target_square) / target.size
         )
         self.design_all = design_all
-        # X'y, the solver's moment c, shared by every clearing of this market.
-        self.moment = design_all.values.T @ target
-        self.moment.flags.writeable = False
         # The baseline as a full coefficient vector b0 = (b_self, 0), where
         # every cold solve starts, and its residual correlation q0 = c - G b0,
         # from which each clearing's loss is measured.
         self.baseline_start = np.zeros(design_all.n_cols)
         self.baseline_start[:own] = baseline
         self.baseline_start.flags.writeable = False
-        self.baseline_correlation = self.moment - design_all.gram @ self.baseline_start
+        self.baseline_correlation = self.normal.moment - self.normal.gram @ self.baseline_start
         self.baseline_correlation.flags.writeable = False
         # (agent, lag) per seller feature, the order of prices and payments, and its column.
         self.seller_features = tuple(
@@ -253,8 +252,8 @@ class PreparedMarket:
         """This market on the first ``length`` hours of its window.
 
         The target and the design are row-prefix views, not copies; the
-        baseline fit and the Gram matrices are the shorter window's own, so
-        it clears bitwise as a market prepared at ``length``.
+        baseline fit and the normal equations are the shorter window's own,
+        so it clears bitwise as a market prepared at ``length``.
         """
         spec, length = self.config.lag_spec, integer(length, "length")
         if length == spec.window_length:
@@ -329,7 +328,7 @@ class PreparedMarket:
         if start is None:
             start = self.baseline_start
         market_beta = weighted_lasso_fit(
-            self.design_all, self.target, penalties, self.config.solver, start, moment=self.moment
+            self.design_all, self.target, penalties, self.config.solver, start, normal=self.normal
         )
         payments = np.abs(prices * market_beta[self.seller_index])
         payments.flags.writeable = False
@@ -365,7 +364,7 @@ class PreparedMarket:
         ``-baseline_mse`` reads 0.
         """
         change = beta - self.baseline_start
-        moved = float(change @ (self.design_all.gram @ change)) - 2.0 * float(change @ self.baseline_correlation)
+        moved = float(change @ (self.normal.gram @ change)) - 2.0 * float(change @ self.baseline_correlation)
         return max(self.baseline_mse + moved / self.design_all.n_rows, 0.0)
 
 

@@ -14,17 +14,17 @@ Conventions used throughout the package:
 
   which has the same minimizer as (1/2)||y - X b||^2 + sum_j penalties[j]
   |b_j| (the two differ by the constant factor 2/T).
-* The solver works on the Gram matrix G = X'X, which each design computes
-  once and caches (:attr:`DesignMatrix.gram`), and on the moment c = X'y,
-  which a prepared market computes once for all its clearings; so repeated
-  solves on one design pay for them once, and a solve given c never reads
-  X. Its cyclic coordinate descent updates the residual correlation
-  q = c - G b in O(P) per coordinate, and certifies from q recomputed as
-  c - G b in O(P^2). After every sweep that does not certify, an exact
-  active-set step moves to the minimizer on the current sign pattern: cut
-  at the first penalized sign crossing and retried on the smaller pattern,
-  or, on collinear active columns, moved through the null space of their
-  Gram block.
+* Apart from :func:`ols_fit`'s solve, every sum over the T rows is formed by
+  :class:`NormalEquations` (G = X'X, c = X'y and y'y of one design and target)
+  or its helper :func:`_row_sums`, in an order set by the data, not by the
+  BLAS thread count. A prepared market forms the record once for all its
+  clearings, and a solve given it never reads X. The solver's cyclic
+  coordinate descent updates the residual correlation q = c - G b in O(P) per
+  coordinate, and certifies from q recomputed as c - G b in O(P^2). After
+  every sweep that does not certify, an exact active-set step moves to the
+  minimizer on the current sign pattern: cut at the first penalized sign
+  crossing and retried on the smaller pattern, or, on collinear active
+  columns, moved through the null space of their Gram block.
 * The solver stops on one test, its certificate: the first-order
   optimality residual is at most tolerance * (2/T)||X'y||_inf, with
   ``SolverSettings.tolerance`` a relative threshold. The bound moves with
@@ -37,7 +37,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +44,7 @@ from .errors import ConvergenceError, InvalidInputError, finite_array, integer, 
 
 __all__ = [
     "DesignMatrix",
+    "NormalEquations",
     "SolverSettings",
     "ols_fit",
     "weighted_lasso_fit",
@@ -92,17 +92,6 @@ class DesignMatrix:
     def n_cols(self) -> int:
         return self.values.shape[1]
 
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """The Gram matrix X'X, computed on first use and read-only.
-
-        Cached on the design, so every solve on one design (all points of a
-        reservation sweep on one prepared market) shares one copy.
-        """
-        gram = self.values.T @ self.values
-        gram.flags.writeable = False
-        return gram
-
     def column_of(self, agent_id, lag: int) -> int:
         """Index of the column holding ``agent_id``'s lag-``lag`` feature: a ``column_index`` lookup."""
         try:
@@ -131,6 +120,31 @@ def _feature_entry(entry) -> tuple:
             if lag >= 1:
                 return agent_id, lag
     raise InvalidInputError(f"column_map entry {entry!r} must be an (agent_id, lag) pair with lag >= 1", "column_map")
+
+
+def _row_sums(a, b):
+    """sum_t a[t] * b[t]: X'v for a T x P ``a``, v'w for vectors. ``np.einsum`` without ``optimize``
+    sums in its own loop, not BLAS's, so the bits do not depend on the BLAS thread count."""
+    return np.einsum("t...,t->...", a, b)
+
+
+@dataclass(frozen=True, eq=False)
+class NormalEquations:
+    """The normal equations of ``target`` on ``design``, formed once: ``gram`` G = X'X and ``moment``
+    c = X'y, both read-only, and ``target_square`` y'y. G is numpy's X'X product; c and y'y come from
+    :func:`_row_sums`. The record keeps the very ``design`` and ``target`` it was formed from (the
+    target as :func:`~regmarket.errors.finite_array` reads it), so a solve handed a record checks by
+    identity that it belongs to its data.
+    """
+
+    design: DesignMatrix
+    target: np.ndarray
+
+    def __post_init__(self):
+        values, target = self.design.values, finite_array(self.target, "y", (self.design.n_rows,))
+        gram, moment = values.T @ values, _row_sums(values, target)
+        gram.flags.writeable = moment.flags.writeable = False
+        vars(self).update(target=target, gram=gram, moment=moment, target_square=float(_row_sums(target, target)))
 
 
 @dataclass(frozen=True)
@@ -180,7 +194,7 @@ def mse(X: DesignMatrix, beta, y) -> float:
     beta = finite_array(beta, "beta", (X.n_cols,))
     y = finite_array(y, "y", (X.n_rows,))
     residual = y - X.values @ beta
-    return float(residual @ residual) / X.n_rows
+    return float(_row_sums(residual, residual)) / X.n_rows
 
 
 def _kkt_from_correlation(correlation, penalties, beta, n_rows):
@@ -206,8 +220,7 @@ def kkt_violation(X: DesignMatrix, y, penalties, beta) -> float:
     penalties = _as_penalties(penalties, X.n_cols)
     beta = finite_array(beta, "beta", (X.n_cols,))
     y = finite_array(y, "y", (X.n_rows,))
-    residual = y - X.values @ beta
-    return _kkt_from_correlation(X.values.T @ residual, penalties, beta, X.n_rows)
+    return _kkt_from_correlation(_row_sums(X.values, y - X.values @ beta), penalties, beta, X.n_rows)
 
 
 # A Cholesky pivot below this fraction of its column's squared norm, or an
@@ -343,22 +356,22 @@ def _sign_pattern_step(gram, correlation, beta, penalties):
 
 
 def weighted_lasso_fit(
-    X: DesignMatrix, y, penalties, settings: SolverSettings | None = None, start=None, *, moment=None
+    X: DesignMatrix, y, penalties, settings: SolverSettings | None = None, start=None, *, normal=None
 ) -> np.ndarray:
     """Minimize (1/T)||y - Xb||^2 + (2/T) sum_j penalties[j] |b_j|.
 
     Cyclic coordinate descent with covariance updates (Friedman, Hastie &
     Tibshirani, JSS 2010): the solver keeps the residual correlation
-    q = X'(y - Xb) = c - G b, with the Gram matrix G = X'X (cached on ``X``
-    as :attr:`DesignMatrix.gram`) and c = X'y. Each coordinate is re-solved
-    in closed form by soft-thresholding q_j + G_jj b_j, and a change in b_j
-    updates q with column j of G in O(P), independent of T. After every
-    sweep that does not certify, the solver takes the exact active-set step
-    of :func:`_sign_pattern_step`: towards the minimizer on the current
-    sign pattern, cut where a penalized coefficient first reaches 0 and
-    continued on the smaller pattern, or along the null space of singular
-    active columns. Neither a sweep nor a step raises the objective, so it
-    is non-increasing throughout.
+    q = X'(y - Xb) = c - G b, with the Gram matrix G = X'X and c = X'y read
+    from ``normal``. Each coordinate is re-solved in closed form by
+    soft-thresholding q_j + G_jj b_j, and a change in b_j updates q with
+    column j of G in O(P), independent of T. After every sweep that does not
+    certify, the solver takes the exact active-set step of
+    :func:`_sign_pattern_step`: towards the minimizer on the current sign
+    pattern, cut where a penalized coefficient first reaches 0 and continued
+    on the smaller pattern, or along the null space of singular active
+    columns. Neither a sweep nor a step raises the objective, so it is
+    non-increasing throughout.
 
     The solve starts from 0, or from a copy of ``start`` with
     q = c - G start; ``start`` itself is never written. A prepared market
@@ -368,13 +381,12 @@ def weighted_lasso_fit(
     does along its path. The stopping rule and its certificate are the same
     from any start.
 
-    ``moment`` is c = X'y computed by the caller: a prepared market computes
-    it once and passes it to every clearing, so a solve given it never reads
-    the T x P design. Without it the solve computes ``X.values.T @ y``, the
-    same expression, so the result does not depend on who computed c. A
-    given ``moment`` must equal ``X.values.T @ y`` for this exact ``y``;
-    only its shape and finiteness are checked, so a moment from another
-    window or target is certified against silently and yields a wrong fit.
+    ``normal`` is the :class:`NormalEquations` record of ``X`` and ``y``: a
+    prepared market forms it once and passes it to every clearing, so a
+    solve given it never reads the T x P design. Without it the solve forms
+    its own, the same way, so the result does not depend on who formed it.
+    A record whose design or target is not this very ``X`` or ``y`` is
+    rejected naming ``normal``.
 
     The solve has one stopping test, its certificate: it returns as soon as
     the first-order optimality residual, computed from q recomputed from b
@@ -393,14 +405,14 @@ def weighted_lasso_fit(
     """
     if settings is None:
         settings = SolverSettings()
-    A = X.values
+    if normal is None:
+        normal = NormalEquations(X, y)
+    elif normal.design is not X or normal.target is not y:
+        raise InvalidInputError("normal must be the NormalEquations of this very X and y", "normal")
+    A, y, gram, moment = X.values, normal.target, normal.gram, normal.moment
     n_rows, n_cols = A.shape
-    y = finite_array(y, "y", (n_rows,))
     penalties = _as_penalties(penalties, n_cols)
-
-    gram = X.gram
     diagonal = np.diag(gram).tolist()
-    moment = A.T @ y if moment is None else finite_array(moment, "moment", (n_cols,))
     kkt_bound = settings.tolerance * (2.0 / n_rows) * float(np.max(np.abs(moment)))
     beta = np.zeros(n_cols) if start is None else finite_array(start, "start", (n_cols,)).copy()
     correlation = moment - gram @ beta
@@ -442,7 +454,7 @@ def weighted_lasso_fit(
                 return beta
 
     # Measured for the iterate handed back from a fresh residual, which only this failure path computes.
-    kkt = _kkt_from_correlation(A.T @ (y - A @ beta), penalties, beta, n_rows)
+    kkt = _kkt_from_correlation(_row_sums(A, y - A @ beta), penalties, beta, n_rows)
     raise ConvergenceError(
         f"coordinate descent did not converge in {settings.max_iterations} sweeps "
         f"(optimality residual {kkt:.3e}, bound {kkt_bound:.3e} from tolerance {settings.tolerance:.3e})",

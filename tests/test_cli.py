@@ -575,7 +575,7 @@ class TestExitCodes:
 
         config = write_scenario(tmp_path)
         monkeypatch.setattr(
-            market_module, "weighted_lasso_fit", lambda X, y, penalties, settings, start=None, *, moment=None: np.zeros(X.n_cols)
+            market_module, "weighted_lasso_fit", lambda X, y, penalties, settings, start=None, *, normal=None: np.zeros(X.n_cols)
         )
         code = main(["clear", "--config", str(config)])
         assert code == EXIT_VIABILITY
@@ -596,10 +596,10 @@ class TestExitCodes:
 
         fit, calls = market_module.weighted_lasso_fit, []
 
-        def second_fails(X, y, penalties, settings, start=None, *, moment=None):
+        def second_fails(X, y, penalties, settings, start=None, *, normal=None):
             calls.append(None)
             if len(calls) != 2:
-                return fit(X, y, penalties, settings, start, moment=moment)
+                return fit(X, y, penalties, settings, start, normal=normal)
             if code == EXIT_NO_CONVERGENCE:
                 raise ConvergenceError("forced for testing")
             return np.zeros(X.n_cols)

@@ -783,6 +783,13 @@ class TestZonalDataset:
         assert dataset.timestamps.dtype == np.int64
         assert dataset.timestamps.tolist() == stamps
 
+    def test_repeated_zone_rejected_naming_zones(self):
+        # A repeated zone would be written as a header ingest rejects, and
+        # would give a prepared market two series for one agent.
+        with pytest.raises(InvalidInputError, match="^zones lists 'A' more than once$") as err:
+            ZonalDataset(("A", "B", "A"), [100, 101], np.ones((2, 3)))
+        assert err.value.field == "zones"
+
 
 class TestCsvWriters:
     def test_zonal_csv_bytes_keep_the_hour_gap(self, tmp_path):

@@ -32,7 +32,7 @@ from regmarket import market as market_module
 from regmarket.data_io import ScenarioConfig, TwoAgentGrid, load_scenario
 from regmarket.regression import SolverSettings
 
-from oracles import kkt_residual, penalized_objective
+from oracles import kkt_residual, normal_equation_ols, penalized_objective
 
 
 def scenario(central="P1", seed=0, window=240, max_lag=3, **kwargs):
@@ -107,9 +107,9 @@ class TestFailingPointIsNamed:
     def fail_second_fit(monkeypatch, failure):
         fit, calls = market_module.weighted_lasso_fit, []
 
-        def failing(X, y, penalties, settings, start=None, *, moment=None):
+        def failing(X, y, penalties, settings, start=None, *, normal=None):
             calls.append(None)
-            return failure(X) if len(calls) == 2 else fit(X, y, penalties, settings, start, moment=moment)
+            return failure(X) if len(calls) == 2 else fit(X, y, penalties, settings, start, normal=normal)
 
         monkeypatch.setattr(market_module, "weighted_lasso_fit", failing)
 
@@ -157,6 +157,15 @@ class TestMethodComparison:
         ols_noise = sum(abs(r["ols_all"]) > 0.02 for r in spurious)
         lasso_noise = sum(abs(r["lasso"]) > 0.02 for r in spurious)
         assert ols_noise > lasso_noise
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_ols_all_matches_the_normal_equation_oracle(self, tmp_path, seed):
+        # ols_all solves the market's normal equations; the oracle forms them in long double.
+        report = run_method_comparison(bench_scenario("paper-u", seed, tmp_path))
+        market = report.sweep_rows[0][2].market
+        expected = normal_equation_ols(market.design_all.values, market.target)[1:]
+        ols_all = np.array([row["ols_all"] for row in report.coefficient_rows])
+        assert np.max(np.abs(ols_all - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_independent_central_stays_self_reliant(self):
         report = run_method_comparison(scenario("P2", seed=0))
@@ -475,9 +484,9 @@ class TestWarmStartedSweeps:
     def test_chained_points_match_cold_clearings(self, monkeypatch, tmp_path, run, name, seed):
         fit, fits = market_module.weighted_lasso_fit, []
 
-        def recording(X, y, penalties, settings=None, start=None, *, moment=None):
+        def recording(X, y, penalties, settings=None, start=None, *, normal=None):
             given = None if start is None else start.copy()
-            beta = fit(X, y, penalties, settings, start, moment=moment)
+            beta = fit(X, y, penalties, settings, start, normal=normal)
             fits.append((start, given, beta))
             return beta
 
@@ -510,9 +519,9 @@ class TestWarmStartedSweeps:
         # buyer-only least squares fit, with every seller coefficient at 0.
         fits, fit = [], market_module.weighted_lasso_fit
 
-        def recording(X, y, penalties, settings=None, start=None, *, moment=None):
+        def recording(X, y, penalties, settings=None, start=None, *, normal=None):
             fits.append((X.values, y, start))
-            return fit(X, y, penalties, settings, start, moment=moment)
+            return fit(X, y, penalties, settings, start, normal=normal)
 
         monkeypatch.setattr(market_module, "weighted_lasso_fit", recording)
         run_T_sweep(scenario("P1", seed=0, t_grid=(60, 120, 240)))
@@ -544,7 +553,7 @@ class TestBuyingNothing:
 
 
 class TestMarketMoment:
-    """A prepared market computes X'y once; a solve given it equals one that computes it, to the bit."""
+    """A prepared market forms its normal equations once; a solve given them equals one that forms its own, to the bit."""
 
     @pytest.mark.parametrize(("name", "seed"), [("small-many", 0), ("paper-u", 0)])
     def test_solve_given_the_moment_equals_one_without(self, tmp_path, name, seed):
@@ -553,15 +562,49 @@ class TestMarketMoment:
         config = prepared.config
         for market in (prepared, prepared.window(config.lag_spec.window_length // 2)):
             design, target = market.design_all, market.target
-            assert not market.moment.flags.writeable
+            assert not market.normal.moment.flags.writeable
             start = market.baseline_start
             for u in sc.u_grid:
                 outcome = market.clear(market.prices(ReservationSchedule(default=u)), start)
                 penalties = penalties_from_reservations(market, outcome.prices)
                 computed = weighted_lasso_fit(design, target, penalties, config.solver, start)
-                given = weighted_lasso_fit(design, target, penalties, config.solver, start, moment=market.moment)
+                given = weighted_lasso_fit(design, target, penalties, config.solver, start, normal=market.normal)
                 assert outcome.market_beta.tobytes() == given.tobytes() == computed.tobytes()
                 start = outcome.market_beta
+
+    @pytest.mark.parametrize("name", ["small-many", "paper-u"])
+    def test_a_record_of_another_window_is_rejected_naming_normal(self, tmp_path, name):
+        full = experiments._prepare(bench_scenario(name, 0, tmp_path))
+        half = full.window(full.config.lag_spec.window_length // 2)
+        for market, record in ((full, half.normal), (half, full.normal)):
+            penalties = penalties_from_reservations(market, market.prices(ReservationSchedule(default=0.01)))
+            with pytest.raises(InvalidInputError, match="^normal") as err:
+                weighted_lasso_fit(market.design_all, market.target, penalties, normal=record)
+            assert err.value.field == "normal"
+        # The same arrays in a copy of the target are not the record's target either.
+        penalties = penalties_from_reservations(full, full.prices(ReservationSchedule(default=0.01)))
+        with pytest.raises(InvalidInputError, match="^normal"):
+            weighted_lasso_fit(full.design_all, full.target.copy(), penalties, normal=full.normal)
+
+    @pytest.mark.parametrize("name", ["small-many", "paper-u"])
+    def test_record_matches_long_double_products(self, tmp_path, name):
+        full = experiments._prepare(bench_scenario(name, 0, tmp_path))
+        for market in (full, full.window(full.config.lag_spec.window_length // 2)):
+            normal = market.normal
+            X = market.design_all.values.astype(np.longdouble)
+            y = market.target.astype(np.longdouble)
+            gram = np.zeros((X.shape[1], X.shape[1]), dtype=np.longdouble)
+            for row in X:  # a row at a time, so no BLAS product enters
+                gram += np.multiply.outer(row, row)
+            moment = (X * y[:, None]).sum(axis=0)
+            square = (y * y).sum()
+            # Each sum of T products carries rounding of order T eps of its terms' magnitudes.
+            bound = 4 * X.shape[0] * np.finfo(float).eps
+            scale = np.sqrt(np.outer(np.diag(gram), np.diag(gram)))
+            assert np.all(np.abs(normal.gram - gram) <= bound * scale)
+            assert np.all(np.abs(normal.moment - moment) <= bound * np.sqrt(np.diag(gram) * square))
+            assert abs(normal.target_square - square) <= bound * square
+            assert normal.design is market.design_all and normal.target is market.target
 
 
 class TestDeterminism:

@@ -10,10 +10,10 @@ from regmarket import (
     VIABILITY_TOLERANCE,
     AgentSeries,
     ConvergenceError,
-    DesignMatrix,
     InvalidInputError,
     LagSpec,
     MarketConfig,
+    NormalEquations,
     PreparedMarket,
     ReservationSchedule,
     SolverSettings,
@@ -411,22 +411,20 @@ class TestPreparedMarket:
 
     def test_points_share_one_gram(self, monkeypatch):
         computed = []
-        gram = DesignMatrix.gram.func
+        form = NormalEquations.__post_init__
 
-        def counted(design):
-            computed.append(design)
-            return gram(design)
+        def counted(normal):
+            computed.append(normal)
+            form(normal)
 
-        cached = functools.cached_property(counted)
-        cached.__set_name__(DesignMatrix, "gram")
-        monkeypatch.setattr(DesignMatrix, "gram", cached)
+        monkeypatch.setattr(NormalEquations, "__post_init__", counted)
         config, roster = default_market(seed=3)
         market = PreparedMarket(config, roster)
         outcomes = [
             market.clear(market.prices(ReservationSchedule(default=u))) for u in (0.0, 0.05, 0.3)
         ]
-        assert computed == [market.design_all]
-        assert all(outcome.market.design_all.gram is market.design_all.gram for outcome in outcomes)
+        assert computed == [market.normal]
+        assert all(outcome.market.normal.gram is market.normal.gram for outcome in outcomes)
 
     def test_one_lag_matrix_per_prepare(self, monkeypatch):
         import regmarket.market as market_module
@@ -473,7 +471,7 @@ class TestPreparedMarket:
         import regmarket.market as market_module
 
         monkeypatch.setattr(
-            market_module, "weighted_lasso_fit", lambda X, y, penalties, settings, start=None, *, moment=None: np.zeros(X.n_cols)
+            market_module, "weighted_lasso_fit", lambda X, y, penalties, settings, start=None, *, normal=None: np.zeros(X.n_cols)
         )
         config, roster = default_market(seed=0)
         with pytest.raises(ViabilityError) as caught:
@@ -854,7 +852,8 @@ class TestOnePassPerClearing:
             for array in (
                 prepared.design_all.values,
                 prepared.target,
-                prepared.moment,
+                prepared.normal.gram,
+                prepared.normal.moment,
                 prepared.baseline_start,
                 prepared.baseline_correlation,
             ):
@@ -866,7 +865,7 @@ class TestOnePassPerClearing:
         assert not np.shares_memory(market.target, buyer.values)
 
     def test_writing_the_buyer_series_after_preparing_leaves_the_market_as_prepared(self):
-        # The moment X'y and the baseline were computed from the target
+        # The normal equations and the baseline were computed from the target
         # when the market was prepared; a later write into the caller's
         # series must not reach the target they certify against.
         config, roster = default_market(seed=0)
