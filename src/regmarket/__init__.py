@@ -39,6 +39,7 @@ from .market import (
 )
 from .data_io import (
     OUTCOME_COLUMNS,
+    CsvSource,
     IngestReport,
     ScenarioConfig,
     TwoAgentGrid,

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_io import (
+    CsvSource,
     ZonalDataset,
     ingest_csv,
     label_error,
@@ -41,7 +42,7 @@ EXIT_VIABILITY = 4
 
 
 def _cmd_simulate(scenario, args) -> int:
-    if scenario.synthetic is None:
+    if isinstance(scenario.data, CsvSource):
         raise InvalidInputError("simulate needs a synthetic data source")
     series = materialize_series(scenario)
     dataset = ZonalDataset(
@@ -111,13 +112,10 @@ def _cmd_grid2(scenario, args) -> int:
 
 
 def _cmd_ingest(scenario, args) -> int:
-    if scenario.csv_path is None:
+    data = scenario.data
+    if not isinstance(data, CsvSource):
         raise InvalidInputError("ingest needs a csv data source")
-    report = ingest_csv(
-        scenario.csv_path,
-        schema=scenario.csv_schema,
-        normalization=scenario.csv_normalization,
-    )
+    report = ingest_csv(data.path, schema=data.schema, normalization=data.normalization)
     dataset = report.dataset
     print(
         f"zones {', '.join(map(str, dataset.zones))}; {dataset.n_hours} hours "

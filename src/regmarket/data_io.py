@@ -33,6 +33,7 @@ __all__ = [
     "ZonalDataset",
     "IngestReport",
     "TwoAgentGrid",
+    "CsvSource",
     "ScenarioConfig",
     "ingest_csv",
     "to_agent_series",
@@ -72,7 +73,7 @@ class ZonalDataset:
     values: np.ndarray
 
     def __post_init__(self):
-        zones = tuple(self.zones)
+        zones = sequence(self.zones, "zones")
         repeated = [zone for k, zone in enumerate(zones) if zone in zones[:k]]
         if repeated:
             raise InvalidInputError(f"zones lists {repeated[0]!r} more than once", "zones")
@@ -134,9 +135,9 @@ def _parse_hour(cell: str) -> int:
     return 24 + hours
 
 
-def _check_normalization(value, field: str) -> None:
+def _check_normalization(value) -> None:
     if value not in ("none", "per-zone-max"):
-        raise InvalidInputError(f"{field} must be 'none' or 'per-zone-max', got {value!r}", field=field)
+        raise InvalidInputError(f"normalization must be 'none' or 'per-zone-max', got {value!r}", "normalization")
 
 
 def ingest_csv(path, schema=None, normalization: str = "none") -> IngestReport:
@@ -166,7 +167,7 @@ def ingest_csv(path, schema=None, normalization: str = "none") -> IngestReport:
     ``csv.field_size_limit()`` characters, is rejected with
     :class:`InvalidInputError` naming it.
     """
-    _check_normalization(normalization, "normalization")
+    _check_normalization(normalization)
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:  # drops a leading byte-order mark
@@ -541,19 +542,37 @@ def _checked_grid(grid, field: str, whole: bool = False) -> tuple:
 
 
 @dataclass(frozen=True)
+class CsvSource:
+    """A zonal CSV as a scenario's data: :func:`ingest_csv` reads ``path`` with ``schema`` and
+    ``normalization``, and the window starts at hour ``window_start``, by default the first its lags allow."""
+
+    path: str
+    schema: dict | None = None
+    normalization: str = "none"
+    window_start: int | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.path, (str, os.PathLike)):
+            raise InvalidInputError(f"path must be a string, got {self.path!r}", field="path")
+        schema = self.schema
+        if schema is not None and not (isinstance(schema, dict) and all(isinstance(v, str) for v in schema.values())):
+            raise InvalidInputError(f"schema must map column names to zone names, got {schema!r}", field="schema")
+        _check_normalization(self.normalization)
+        if self.window_start is not None:
+            object.__setattr__(self, "window_start", integer(self.window_start, "window_start"))
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
     """A full experiment description: data source, market, reservations, sweeps, output.
 
+    ``data`` is a :class:`~regmarket.timeseries.SyntheticSpec` or a :class:`CsvSource`.
     ``market`` may leave its sellers ``None``; the prepared market names them from the data.
     """
 
     scenario_id: str
     market: MarketConfig
-    synthetic: SyntheticSpec | None = None
-    csv_path: str | None = None
-    csv_schema: dict | None = None
-    csv_normalization: str = "none"
-    csv_window_start: int | None = None
+    data: SyntheticSpec | CsvSource
     reservations: ReservationSchedule = dataclasses.field(default_factory=lambda: ReservationSchedule(default=0.1))
     u_grid: tuple | None = None
     t_grid: tuple | None = None
@@ -561,26 +580,11 @@ class ScenarioConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
-        if (self.synthetic is None) == (self.csv_path is None):
-            raise InvalidInputError(
-                "scenario needs exactly one data source (synthetic or csv)"
-            )
-        names = {"scenario_id": self.scenario_id, "out_dir": self.out_dir}
-        if self.csv_path is not None:
-            names["csv_path"] = self.csv_path
-        for name, value in names.items():
+        if not isinstance(self.data, (SyntheticSpec, CsvSource)):
+            raise InvalidInputError(f"data must be a SyntheticSpec or a CsvSource, got {self.data!r}", field="data")
+        for name, value in {"scenario_id": self.scenario_id, "out_dir": self.out_dir}.items():
             if not isinstance(value, (str, os.PathLike)):
                 raise InvalidInputError(f"{name} must be a string, got {value!r}", field=name)
-        schema = self.csv_schema
-        if schema is not None and not (
-            isinstance(schema, dict) and all(isinstance(v, str) for v in schema.values())
-        ):
-            raise InvalidInputError(
-                f"csv_schema must map column names to zone names, got {schema!r}", field="csv_schema"
-            )
-        _check_normalization(self.csv_normalization, "csv_normalization")
-        if self.csv_window_start is not None:
-            object.__setattr__(self, "csv_window_start", integer(self.csv_window_start, "csv_window_start"))
         if not isinstance(self.reservations, ReservationSchedule):
             message = f"reservations must be a ReservationSchedule, got {self.reservations!r}"
             raise InvalidInputError(message, field="reservations")
@@ -594,9 +598,9 @@ class ScenarioConfig:
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         """Copy whose synthetic generator uses ``seed``; a CSV scenario is unchanged."""
-        if self.synthetic is None:
+        if isinstance(self.data, CsvSource):
             return self
-        return dataclasses.replace(self, synthetic=dataclasses.replace(self.synthetic, seed=seed))
+        return dataclasses.replace(self, data=dataclasses.replace(self.data, seed=seed))
 
 
 def _same(*keys):
@@ -610,7 +614,7 @@ def _same(*keys):
 _TOP_KEYS = _same("scenario_id", "seed", "out_dir")
 _DATA_KEYS = {
     "synthetic": _same(*(f.name for f in dataclasses.fields(SyntheticSpec) if f.name != "seed")),
-    "csv": {key: f"csv_{key}" for key in ("path", "schema", "normalization", "window_start")},
+    "csv": _same("path", "schema", "normalization", "window_start"),
 }
 _MARKET_KEYS = {
     **_same("central_agent", "support_agents", "max_lag", "tolerance", "max_iterations"),
@@ -645,21 +649,30 @@ def load_scenario(path) -> ScenarioConfig:
 
     The tables above map each block's keys to constructor fields. Only the
     keys present are passed on, so every default lives in its constructor,
-    and the constructors check every value. An unknown or missing key, a
-    block that is not an object, or a value a constructor rejects raises
+    and the constructors check every value. An unknown, missing or repeated
+    key, a block that is not an object, or a value a constructor rejects raises
     :class:`InvalidInputError` naming the file, and for a value the key
     (:func:`label_error`).
     """
     path = Path(path)
+
+    def unique(pairs):  # one JSON object; a key it repeats is rejected
+        block = {}
+        for key, value in pairs:
+            if key in block:
+                raise InvalidInputError(f"{path}: an object repeats key {key!r}")
+            block[key] = value
+        return block
+
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique)
     except json.JSONDecodeError as err:
         raise InvalidInputError(f"{path}: invalid JSON ({err})") from None
     kind, fields = _read_blocks(raw, path)
     try:
-        if kind == "synthetic":
-            fields["synthetic"] = SyntheticSpec(**_take(fields, SyntheticSpec))
-        elif "seed" in fields:  # a CSV scenario passes its seed to no constructor
+        source = SyntheticSpec if kind == "synthetic" else CsvSource
+        fields["data"] = source(**_take(fields, source))
+        if "seed" in fields:  # a CSV scenario passes its seed to no constructor
             integer(fields.pop("seed"), "seed")
         fields["lag_spec"] = LagSpec(**_take(fields, LagSpec))
         fields["solver"] = SolverSettings(**_take(fields, SolverSettings))

@@ -89,8 +89,8 @@ def finite_array(values, field: str, shape: tuple, name: str = "") -> np.ndarray
 class ConvergenceError(RuntimeError):
     """Solver ran out of sweeps before its optimality certificate held.
 
-    Carries the last iterate and its optimality residual, measured from a
-    fresh residual, so callers can inspect how far the solve got.
+    Carries the last iterate and its optimality residual in the certificate's
+    column units, measured from a fresh residual, so callers can see how far the solve got.
     """
 
     def __init__(self, message, last_beta=None, kkt_residual=None):

@@ -27,7 +27,7 @@ from .data_io import ScenarioConfig, ingest_csv, to_agent_series
 from .errors import ConvergenceError, InvalidInputError, ViabilityError
 from .market import PreparedMarket, ReservationSchedule
 from .market import clear_market, verify_buyer_viability  # noqa: F401  (names patched by bench/tracer.py)
-from .timeseries import LagSpec, synthetic_market_series
+from .timeseries import LagSpec, SyntheticSpec, synthetic_market_series
 
 __all__ = [
     "ExperimentReport",
@@ -52,24 +52,18 @@ class ExperimentReport:
 
 def materialize_series(scenario: ScenarioConfig) -> list:
     """Produce the agent series the scenario describes, seeded and windowed."""
-    lag_spec = scenario.market.lag_spec
-    if scenario.synthetic is not None:
-        return synthetic_market_series(
-            scenario.synthetic, history=lag_spec.max_lag, window=lag_spec.window_length
-        )
-    report = ingest_csv(
-        scenario.csv_path,
-        schema=scenario.csv_schema,
-        normalization=scenario.csv_normalization,
-    )
-    start = scenario.csv_window_start
+    lag_spec, data = scenario.market.lag_spec, scenario.data
+    if isinstance(data, SyntheticSpec):
+        return synthetic_market_series(data, history=lag_spec.max_lag, window=lag_spec.window_length)
+    report = ingest_csv(data.path, schema=data.schema, normalization=data.normalization)
+    start = data.window_start
     if start is None:
         start = int(report.dataset.timestamps[0]) + lag_spec.max_lag
     try:
         return to_agent_series(report.dataset, start, lag_spec.window_length, lag_spec.max_lag)
     except InvalidInputError as err:
         if err.field == "start":  # the default start's first hour is always in the data
-            raise err.renamed("csv_window_start") from None
+            raise err.renamed("window_start") from None
         raise
 
 
@@ -122,7 +116,7 @@ def run_method_comparison(scenario: ScenarioConfig) -> ExperimentReport:
     """
     report = run_clearing(scenario)
     outcome = report.sweep_rows[0][2]
-    market, truth = outcome.market, scenario.synthetic
+    market, truth = outcome.market, scenario.data if isinstance(scenario.data, SyntheticSpec) else None
 
     ols_all, *_ = np.linalg.lstsq(market.normal.gram, market.normal.moment, rcond=None)  # min-norm solution of G b = c
     own = 1 + market.config.lag_spec.max_lag  # the buyer's block leads design_all

@@ -25,13 +25,13 @@ Conventions used throughout the package:
   minimizer on the current sign pattern: cut at the first penalized sign
   crossing and retried on the smaller pattern, or, on collinear active
   columns, moved through the null space of their Gram block.
-* The solver stops on one test, its certificate: the first-order
-  optimality residual is at most tolerance * (2/T)||X'y||_inf, with
-  ``SolverSettings.tolerance`` a relative threshold. The bound moves with
-  the data's units, so they do not decide whether a solve converges. It is
-  set by the largest entry of X'y: a column whose entry is far smaller,
-  such as a feature in units far below the target's, is certified only to
-  that larger scale.
+* The solver stops on one test, its certificate, read in column units:
+  each column's first-order optimality violation over its norm ||X_j|| is
+  at most tolerance * (2/T) max_k |X_k'y| / ||X_k||, with
+  ``SolverSettings.tolerance`` a relative threshold; an all-zero column is
+  skipped. Rescaling a column or the target scales both sides alike, so the
+  data's units decide neither whether a solve converges nor where it stops,
+  however far apart the columns' units are.
 """
 
 from __future__ import annotations
@@ -151,10 +151,10 @@ class NormalEquations:
 class SolverSettings:
     """Stopping rule for the coordinate-descent solver.
 
-    ``tolerance`` is relative: a solve returns once the first-order
-    optimality residual is at most tolerance * (2/T)||X'y||_inf, so a
-    converged fit carries its own optimality certificate whatever the
-    data's units. ``max_iterations`` caps the sweeps.
+    ``tolerance`` is relative: a solve returns once each column's first-order
+    optimality violation over its norm ||X_j|| is at most tolerance * (2/T)
+    max_k |X_k'y| / ||X_k||, so a converged fit carries its own optimality
+    certificate whatever the data's units. ``max_iterations`` caps the sweeps.
     """
 
     tolerance: float = 1e-8
@@ -197,10 +197,10 @@ def mse(X: DesignMatrix, beta, y) -> float:
     return float(_row_sums(residual, residual)) / X.n_rows
 
 
-def _kkt_from_correlation(correlation, penalties, beta, n_rows):
-    """Largest optimality violation, given the residual correlation X' r."""
-    gradient = (2.0 / n_rows) * correlation
-    thresholds = (2.0 / n_rows) * penalties
+def _kkt_from_correlation(correlation, penalties, beta, unit):
+    """Largest optimality violation from the residual correlation X' r: 2/T, or (2/T)/||X_j||, times it."""
+    gradient = unit * correlation
+    thresholds = unit * penalties
     at_zero = beta == 0.0
     violation = np.abs(gradient - thresholds * np.sign(beta))
     violation[at_zero] = np.maximum(np.abs(gradient[at_zero]) - thresholds[at_zero], 0.0)
@@ -213,14 +213,15 @@ def kkt_violation(X: DesignMatrix, y, penalties, beta) -> float:
     Computed from a fresh residual: for a penalized column the residual
     correlation (2/T) X_j . r must sit inside [-t_j, t_j] when b_j = 0 and
     equal t_j * sign(b_j) otherwise (t_j = (2/T) penalties[j]); unpenalized
-    columns need zero correlation. A tolerance-tol solve keeps this at or
-    below tol * (2/T) ||X'y||_inf, up to the rounding between this direct
-    form and the solver's Gram form c - G b.
+    columns need zero correlation. The solver certifies the same violations
+    in column units, each over its column's norm: a tolerance-tol solve keeps
+    column j's at or below ||X_j|| tol (2/T) max_k |X_k'y| / ||X_k||, up to
+    the rounding between this direct form and the solver's Gram form c - G b.
     """
     penalties = _as_penalties(penalties, X.n_cols)
     beta = finite_array(beta, "beta", (X.n_cols,))
     y = finite_array(y, "y", (X.n_rows,))
-    return _kkt_from_correlation(_row_sums(X.values, y - X.values @ beta), penalties, beta, X.n_rows)
+    return _kkt_from_correlation(_row_sums(X.values, y - X.values @ beta), penalties, beta, 2.0 / X.n_rows)
 
 
 # A Cholesky pivot below this fraction of its column's squared norm, or an
@@ -388,20 +389,22 @@ def weighted_lasso_fit(
     A record whose design or target is not this very ``X`` or ``y`` is
     rejected naming ``normal``.
 
-    The solve has one stopping test, its certificate: it returns as soon as
-    the first-order optimality residual, computed from q recomputed from b
-    as c - G b, is at most ``settings.tolerance * (2/T) ||X'y||_inf``. The
+    The solve has one stopping test, its certificate, in column units: it
+    returns as soon as the first-order optimality residual, computed from q
+    recomputed from b as c - G b with each column's violation divided by
+    ||X_j|| = sqrt(G_jj), is at most
+    ``settings.tolerance * (2/T) max_k |c_k| / ||X_k||``; the reciprocal
+    norms are formed once per solve, and an all-zero column is skipped. The
     test is made at the start, after every sweep and after every accepted
     step. Recomputing q drops the rounding the covariance updates
     accumulated in it; its own rounding, of order eps * (|c| + |G||b|), is
-    that of the direct form X'(y - Xb). Features in units s_x, the target
-    in s_y and the penalties in s_x * s_y scale each feature's gradient and
-    its entry of c by s_x * s_y, and the intercept's by s_y, so the bound
-    moves with the data's units.
+    that of the direct form X'(y - Xb). A column in units s_x and the target
+    in s_y scale that column's violation and entry of c by s_x * s_y and its
+    norm by s_x, so every column's side of the test scales by s_y alone.
 
     Raises :class:`ConvergenceError` when ``settings.max_iterations`` sweeps
     are exhausted first, with the last iterate and its optimality residual,
-    measured from a fresh residual, attached.
+    measured from a fresh residual in the same column units, attached.
     """
     if settings is None:
         settings = SolverSettings()
@@ -413,10 +416,11 @@ def weighted_lasso_fit(
     n_rows, n_cols = A.shape
     penalties = _as_penalties(penalties, n_cols)
     diagonal = np.diag(gram).tolist()
-    kkt_bound = settings.tolerance * (2.0 / n_rows) * float(np.max(np.abs(moment)))
+    unit = np.divide(2.0 / n_rows, np.sqrt(np.diag(gram)), out=np.zeros(n_cols), where=np.diag(gram) > 0.0)
+    kkt_bound = settings.tolerance * float(np.max(np.abs(moment) * unit))
     beta = np.zeros(n_cols) if start is None else finite_array(start, "start", (n_cols,)).copy()
     correlation = moment - gram @ beta
-    if _kkt_from_correlation(correlation, penalties, beta, n_rows) <= kkt_bound:
+    if _kkt_from_correlation(correlation, penalties, beta, unit) <= kkt_bound:
         return beta
 
     # The sweep reads and writes Python floats, the same IEEE doubles as
@@ -444,17 +448,17 @@ def weighted_lasso_fit(
         # Certify from q recomputed from b, which drops the rounding error
         # the covariance updates accumulated in it.
         correlation = moment - gram @ beta
-        if _kkt_from_correlation(correlation, penalties, beta, n_rows) <= kkt_bound:
+        if _kkt_from_correlation(correlation, penalties, beta, unit) <= kkt_bound:
             return beta
         candidate = _sign_pattern_step(gram, correlation, beta, penalties)
         if candidate is not None:
             beta = candidate
             correlation = moment - gram @ beta
-            if _kkt_from_correlation(correlation, penalties, beta, n_rows) <= kkt_bound:
+            if _kkt_from_correlation(correlation, penalties, beta, unit) <= kkt_bound:
                 return beta
 
     # Measured for the iterate handed back from a fresh residual, which only this failure path computes.
-    kkt = _kkt_from_correlation(_row_sums(A, y - A @ beta), penalties, beta, n_rows)
+    kkt = _kkt_from_correlation(_row_sums(A, y - A @ beta), penalties, beta, unit)
     raise ConvergenceError(
         f"coordinate descent did not converge in {settings.max_iterations} sweeps "
         f"(optimality residual {kkt:.3e}, bound {kkt_bound:.3e} from tolerance {settings.tolerance:.3e})",

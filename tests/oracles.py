@@ -69,24 +69,46 @@ def penalized_objective(A, y, penalties, beta):
     )
 
 
-def kkt_residual(A, y, penalties, beta):
-    """Largest stationarity violation, recomputed from raw arrays."""
+def kkt_violations(A, y, penalties, beta):
+    """Each column's stationarity violation, recomputed from raw arrays, in gradient units."""
     A = np.asarray(A, dtype=float)
     beta = np.asarray(beta, dtype=float)
     penalties = np.asarray(penalties, dtype=float)
     T = A.shape[0]
     gradient = (2.0 / T) * (A.T @ (np.asarray(y, dtype=float) - A @ beta))
     thresholds = (2.0 / T) * penalties
-    worst = 0.0
+    violations = np.zeros(A.shape[1])
     for j in range(A.shape[1]):
         if penalties[j] == 0.0:
-            violation = abs(gradient[j])
+            violations[j] = abs(gradient[j])
         elif beta[j] == 0.0:
-            violation = max(abs(gradient[j]) - thresholds[j], 0.0)
+            violations[j] = max(abs(gradient[j]) - thresholds[j], 0.0)
         else:
-            violation = abs(gradient[j] - thresholds[j] * np.sign(beta[j]))
-        worst = max(worst, violation)
-    return worst
+            violations[j] = abs(gradient[j] - thresholds[j] * np.sign(beta[j]))
+    return violations
+
+
+def kkt_residual(A, y, penalties, beta):
+    """Largest stationarity violation, recomputed from raw arrays."""
+    return float(np.max(kkt_violations(A, y, penalties, beta)))
+
+
+def in_column_units(A, values):
+    """``values`` (one per column of ``A``, or one for all) over each column's norm, with the
+    norms summed in long double; 0 for an all-zero column."""
+    norms = np.sqrt((np.asarray(A, dtype=np.longdouble) ** 2).sum(axis=0)).astype(float)
+    return np.divide(values, norms, out=np.zeros(norms.shape), where=norms > 0.0)
+
+
+def column_kkt_residual(A, y, penalties, beta):
+    """Largest stationarity violation in column units: each column's over its norm."""
+    return float(np.max(in_column_units(A, kkt_violations(A, y, penalties, beta))))
+
+
+def column_kkt_bound(A, y, tolerance):
+    """The certificate's bound tolerance * (2/T) max_k |A_k'y| / ||A_k||, in column units."""
+    A = np.asarray(A, dtype=float)
+    return tolerance * (2.0 / A.shape[0]) * float(np.max(in_column_units(A, np.abs(A.T @ np.asarray(y, dtype=float)))))
 
 
 def duality_gap(A, y, penalties, beta):

@@ -28,7 +28,7 @@ from regmarket import (
     write_outcome_table,
 )
 from regmarket import data_io
-from regmarket.data_io import ScenarioConfig, TwoAgentGrid, ZonalDataset, write_rows, write_zonal_csv
+from regmarket.data_io import CsvSource, ScenarioConfig, TwoAgentGrid, ZonalDataset, write_rows, write_zonal_csv
 
 ZONES = ("DK1", "DK2", "SE1")
 
@@ -790,6 +790,12 @@ class TestZonalDataset:
             ZonalDataset(("A", "B", "A"), [100, 101], np.ones((2, 3)))
         assert err.value.field == "zones"
 
+    def test_string_of_zones_rejected_naming_zones(self):
+        # A bare string would otherwise be split into one zone per letter.
+        with pytest.raises(InvalidInputError, match="^zones must be a list, got 'AB'$") as err:
+            ZonalDataset(zones="AB", timestamps=[0, 1], values=[[1.0, 2.0], [3.0, 4.0]])
+        assert err.value.field == "zones"
+
 
 class TestCsvWriters:
     def test_zonal_csv_bytes_keep_the_hour_gap(self, tmp_path):
@@ -851,6 +857,10 @@ GRID2_KEYS = "['agent_a', 'agent_b', 'u_grid_a', 'u_grid_b']"
 STRUCTURAL = {
     "invalid-json": ("{", "invalid JSON (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"),
     "top-level-list": ("[]", "top level must be an object"),
+    "repeated-key": (
+        '{"data": {"type": "synthetic"}, "market": {"central_agent": "P1", "max_lag": 3, "window": 100, "window": 60}}',
+        "an object repeats key 'window'",
+    ),
     "data-scalar": ({"data": 5}, "invalid value (data must be an object, got 5)"),
     "market-list": ({"market": ["P1"]}, "invalid value (market must be an object, got ['P1'])"),
     "reservations-scalar": ({"reservations": 0.1}, "invalid value (reservations must be an object, got 0.1)"),
@@ -886,7 +896,7 @@ class TestScenarioConfig:
     def test_load_round_trip(self, tmp_path):
         scenario = load_scenario(write_scenario(tmp_path))
         assert scenario.scenario_id == "unit"
-        assert scenario.synthetic.seed == 3
+        assert scenario.data.seed == 3
         assert scenario.market.lag_spec == LagSpec(max_lag=3, window_length=240)
         assert scenario.reservations.default == 0.1
         assert scenario.u_grid == (0.0, 0.1, 0.5)
@@ -909,7 +919,7 @@ class TestScenarioConfig:
         overrides = {"market.max_lag": 3.0, "market.window": 240.0, "sweeps.t_grid": [120.0, 240]}
         scenario = load_scenario(write_scenario(tmp_path, overrides=overrides, seed=3.0))
         assert scenario == expected
-        assert type(scenario.synthetic.seed) is type(scenario.market.lag_spec.max_lag) is int
+        assert type(scenario.data.seed) is type(scenario.market.lag_spec.max_lag) is int
 
     def test_explicit_reservations(self, tmp_path):
         path = write_scenario(
@@ -920,27 +930,44 @@ class TestScenarioConfig:
         assert scenario.reservations.default == 0.0
 
     def test_exactly_one_source(self):
-        with pytest.raises(InvalidInputError, match="one data source"):
-            ScenarioConfig(
-                scenario_id="x",
-                market=MarketConfig("P1", None, LagSpec(1, 10)),
-                synthetic=SyntheticSpec(),
-                csv_path="also.csv",
-            )
-        with pytest.raises(InvalidInputError, match="one data source"):
-            ScenarioConfig(scenario_id="x", market=MarketConfig("P1", None, LagSpec(1, 10)))
+        for data in (None, "wind.csv"):
+            with pytest.raises(InvalidInputError, match="^data must be a SyntheticSpec or a CsvSource") as caught:
+                ScenarioConfig(scenario_id="x", market=MarketConfig("P1", None, LagSpec(1, 10)), data=data)
+            assert caught.value.field == "data"
+
+    @pytest.mark.parametrize(
+        ("fields", "field"),
+        [
+            ({"path": 5}, "path"),
+            ({"path": "wind.csv", "schema": {"DK1": 1}}, "schema"),
+            ({"path": "wind.csv", "normalization": "per-zone-min"}, "normalization"),
+            ({"path": "wind.csv", "window_start": 2.5}, "window_start"),
+        ],
+        ids=["non-string-path", "non-string-zone", "unknown-normalization", "fractional-window-start"],
+    )
+    def test_csv_source_rejects_naming_the_field(self, fields, field):
+        with pytest.raises(InvalidInputError, match=f"^{field} must ") as caught:
+            CsvSource(**fields)
+        assert caught.value.field == field
+
+    def test_csv_scenario_holds_its_source(self, tmp_path):
+        data = {"type": "csv", "path": "wind.csv", "schema": {"DK1": "west"}, "normalization": "per-zone-max"}
+        scenario = load_scenario(write_scenario(tmp_path, data={**data, "window_start": 17689446.0}))
+        assert scenario.data == CsvSource("wind.csv", {"DK1": "west"}, "per-zone-max", 17689446)
+        assert type(scenario.data.window_start) is int
+        assert scenario.with_seed(99) is scenario
 
     def test_default_reservation_price(self):
         scenario = ScenarioConfig(
             scenario_id="x",
             market=MarketConfig("P1", None, LagSpec(1, 10)),
-            synthetic=SyntheticSpec(),
+            data=SyntheticSpec(),
         )
         assert scenario.reservations == ReservationSchedule(default=0.1)
 
     def test_with_seed_reseeds_synthetic(self, tmp_path):
         scenario = load_scenario(write_scenario(tmp_path)).with_seed(99)
-        assert scenario.synthetic.seed == 99
+        assert scenario.data.seed == 99
 
     def test_market_config_resolution(self, tmp_path):
         scenario = load_scenario(write_scenario(tmp_path))
@@ -965,7 +992,7 @@ class TestScenarioConfig:
             ScenarioConfig(
                 scenario_id="x",
                 market=MarketConfig("P1", None, LagSpec(1, 10)),
-                synthetic=SyntheticSpec(),
+                data=SyntheticSpec(),
                 **fields(),
             )
 

@@ -29,17 +29,17 @@ from regmarket import (
 )
 from regmarket import experiments
 from regmarket import market as market_module
-from regmarket.data_io import ScenarioConfig, TwoAgentGrid, load_scenario
+from regmarket.data_io import CsvSource, ScenarioConfig, TwoAgentGrid, load_scenario
 from regmarket.regression import SolverSettings
 
-from oracles import kkt_residual, normal_equation_ols, penalized_objective
+from oracles import column_kkt_bound, column_kkt_residual, normal_equation_ols, penalized_objective
 
 
 def scenario(central="P1", seed=0, window=240, max_lag=3, **kwargs):
     return ScenarioConfig(
         scenario_id="test",
         market=MarketConfig(central, None, LagSpec(max_lag=max_lag, window_length=window)),
-        synthetic=SyntheticSpec(seed=seed),
+        data=SyntheticSpec(seed=seed),
         **kwargs,
     )
 
@@ -71,7 +71,7 @@ def csv_scenario(directory, **kwargs):
     path = Path(directory) / "zones.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     market = MarketConfig("B", None, LagSpec(max_lag=2, window_length=60))
-    return ScenarioConfig(scenario_id="csv", market=market, csv_path=str(path), **kwargs), values
+    return ScenarioConfig(scenario_id="csv", market=market, data=CsvSource(str(path)), **kwargs), values
 
 
 class TestRunClearing:
@@ -280,7 +280,7 @@ class TestTSweep:
         sc = scenario("P1", seed=0, window=240, t_grid=grid, u_grid=(0.1,))
         report = run_T_sweep(sc)
         assert [value for _, value, _ in report.sweep_rows] == list(grid)
-        roster = synthetic_market_series(sc.synthetic, history=3, window=240)
+        roster = synthetic_market_series(sc.data, history=3, window=240)
         schedule = ReservationSchedule(default=0.1)
         for _, T, outcome in report.sweep_rows:
             config = MarketConfig("P1", ("P2", "P3", "P4", "P5"), LagSpec(3, T))
@@ -337,7 +337,7 @@ class TestTwoAgentGrid:
         outcome = report.sweep_rows[0][2]
         # others_u defaults to 0.1 as well, so this is the uniform clearing.
         swept = run_u_sweep(sc).sweep_rows[0][2]
-        roster = synthetic_market_series(sc.synthetic, history=3, window=240)
+        roster = synthetic_market_series(sc.data, history=3, window=240)
         config = MarketConfig("P1", ("P2", "P3", "P4", "P5"), LagSpec(3, 240))
         direct = clear_market(config, roster, ReservationSchedule(default=0.1))
         for other in (swept, direct):
@@ -396,7 +396,7 @@ class TestTwoAgentGrid:
             config = ScenarioConfig(
                 scenario_id="units",
                 market=MarketConfig("P1", None, LagSpec(max_lag=3, window_length=240)),
-                csv_path=str(path),
+                data=CsvSource(str(path)),
                 grid2=TwoAgentGrid("P2", "P3", tuple(map(u, grid)), tuple(map(u, grid)), others_u=u(0.1)),
             )
             return run_two_agent_grid(config).summary
@@ -448,7 +448,7 @@ class TestOmittedSupportAgents:
             n_independent=n, ar_coefficients=phis, noise_std=(1.0,) * n, cross_coefficients=(0.3,) * n, seed=seed
         )
         central = spec.agent_ids[min(buyer, n)]
-        sc = ScenarioConfig("omitted", MarketConfig(central, None, LagSpec(2, 60)), synthetic=spec, u_grid=(0.0, 0.05))
+        sc = ScenarioConfig("omitted", MarketConfig(central, None, LagSpec(2, 60)), data=spec, u_grid=(0.0, 0.05))
         self.assert_same_clearings(sc, spec.agent_ids)
 
     @settings(max_examples=10, deadline=None)
@@ -462,7 +462,7 @@ class TestOmittedSupportAgents:
             path = Path(directory) / "zones.csv"
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
             market = MarketConfig(central, None, LagSpec(2, 60))
-            self.assert_same_clearings(ScenarioConfig("omitted", market, csv_path=str(path), u_grid=(0.0, 0.05)), zones)
+            self.assert_same_clearings(ScenarioConfig("omitted", market, data=CsvSource(str(path)), u_grid=(0.0, 0.05)), zones)
 
 
 def bench_scenario(name, seed, directory):
@@ -510,9 +510,9 @@ class TestWarmStartedSweeps:
             assert np.array_equal(penalties, penalties_from_reservations(market, cold.prices))
             warm_objective = penalized_objective(A, y, penalties, outcome.market_beta)
             assert warm_objective == pytest.approx(penalized_objective(A, y, penalties, cold.market_beta), rel=1e-12)
-            bound = tolerance * (2.0 / len(y)) * np.max(np.abs(A.T @ y))
-            assert kkt_residual(A, y, penalties, outcome.market_beta) <= bound
-            assert kkt_residual(A, y, penalties, cold.market_beta) <= bound
+            bound = column_kkt_bound(A, y, tolerance)
+            assert column_kkt_residual(A, y, penalties, outcome.market_beta) <= bound
+            assert column_kkt_residual(A, y, penalties, cold.market_beta) <= bound
 
     def test_training_sweep_points_start_from_their_baselines(self, monkeypatch):
         # Each window is its own market: it starts at (b_self, 0), its own

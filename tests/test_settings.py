@@ -31,7 +31,7 @@ from regmarket import (
     to_agent_series,
     weighted_lasso_fit,
 )
-from regmarket.data_io import ScenarioConfig, TwoAgentGrid, ZonalDataset
+from regmarket.data_io import CsvSource, ScenarioConfig, TwoAgentGrid, ZonalDataset
 
 SCENARIO = {
     "scenario_id": "settings",
@@ -148,30 +148,30 @@ CASES = [
         "sweeps.grid2.others_u",
     ),
     (
-        "csv_window_start",
+        "window_start",
         True,
-        lambda v: scenario(csv_path="wind.csv", csv_window_start=v),
+        lambda v: scenario(data=CsvSource("wind.csv", window_start=v)),
         lambda v: (("data",), {**CSV_DATA, "window_start": v}),
         "data.window_start",
     ),
     (
         "default",
         False,
-        lambda v: scenario(synthetic=SyntheticSpec(), reservations=ReservationSchedule(default=v)),
+        lambda v: scenario(data=SyntheticSpec(), reservations=ReservationSchedule(default=v)),
         lambda v: (("reservations",), {"uniform_u": v}),
         "reservations.uniform_u",
     ),
     (
         "u_grid",
         False,
-        lambda v: scenario(synthetic=SyntheticSpec(), u_grid=(v,)),
+        lambda v: scenario(data=SyntheticSpec(), u_grid=(v,)),
         lambda v: (("sweeps", "u_grid"), [v]),
         "u_grid",
     ),
     (
         "t_grid",
         True,
-        lambda v: scenario(synthetic=SyntheticSpec(), t_grid=(v,)),
+        lambda v: scenario(data=SyntheticSpec(), t_grid=(v,)),
         lambda v: (("sweeps", "t_grid"), [v]),
         "t_grid",
     ),
@@ -228,8 +228,8 @@ def test_constructor_and_loader_reject_the_same_value(tmp_path, field, whole, co
         (lambda: MarketConfig("P1", "P2P3", LagSpec(1, 10)), "support_agents"),
         (lambda: MarketConfig("P1", ("P1", "P2"), LagSpec(1, 10)), "support_agents"),
         (lambda: MarketConfig("P1", ("P2", "P2"), LagSpec(1, 10)), "support_agents"),
-        (lambda: scenario(synthetic=SyntheticSpec(), out_dir=None), "out_dir"),
-        (lambda: scenario(synthetic=SyntheticSpec(), reservations=None), "reservations"),
+        (lambda: scenario(data=SyntheticSpec(), out_dir=None), "out_dir"),
+        (lambda: scenario(data=SyntheticSpec(), reservations=None), "reservations"),
     ],
     ids=[
         "fractional-lag",

@@ -7,11 +7,13 @@ inputs are written once, through ``HEAD_TREE/bench/inputs.py``: the
 benchmark's ``paper-u`` and ``small-many`` scenarios at seeds 0 and 3, its
 ``csv-t`` scenario and 3-year zonal CSV at seed 1, the full scenario
 file shown in ``HEAD_TREE/README.md``, ``EDGE_SCENARIO`` below, a
-generator edge case, the ``csv-t`` CSV under ``MIDDLE_BUYER`` below, and
+generator edge case, the ``csv-t`` CSV under ``MIDDLE_BUYER`` below,
 ``ENTRIES_SCENARIO`` below, the one input whose reservations are explicit
-``entries``. Every command then runs on every
-input, once per tree, in a fresh process with that tree's ``src/`` on the
-path and the same relative output directory, so the printed paths match.
+``entries``, and the ``csv-t`` CSV under ``SCHEMA_SCENARIO`` below, the one
+input that sets ``data.schema`` and ``data.window_start``. Every command
+then runs on every input, once per tree, in a fresh process with that
+tree's ``src/`` on the path and the same relative output directory, so the
+printed paths match.
 A command that rejects an input (``ingest`` on a synthetic scenario, say)
 is compared like any other run.
 
@@ -101,6 +103,21 @@ ENTRIES_SCENARIO = {
     "sweeps": {"t_grid": [120, 240]},
 }
 
+# The csv-t CSV read through SCHEMA, which renames two zones, keeps three
+# names and drops the other ten, from data.window_start WINDOW_OFFSET hours
+# after the file's first hour, with the sellers named in column order.
+SCHEMA = {"Z01": "Z01", "Z02": "north", "Z05": "Z05", "Z09": "west", "Z14": "Z14"}
+WINDOW_OFFSET = 100
+SCHEMA_SCENARIO = {
+    "scenario_id": "csv-schema-window",
+    "market": {"central_agent": "Z01", "max_lag": 2, "window": 400},
+    "sweeps": {
+        "u_grid": [0.0, 0.001, 0.01],
+        "t_grid": [200, 400],
+        "grid2": {"agent_a": "north", "agent_b": "Z05", "u_grid_a": [0.001, 0.01], "u_grid_b": [0.001, 0.01]},
+    },
+}
+
 
 def write_inputs(head: Path, directory: Path) -> list:
     """Write every input under ``directory``; return ``(label, config, seed)`` per run."""
@@ -113,13 +130,18 @@ def write_inputs(head: Path, directory: Path) -> list:
         inputs.write_json(config, make(SEEDS[0]))
         runs += [(f"{name}-{seed}", config, seed) for seed in SEEDS]
     table = directory / f"zones-{CSV_SEED}.csv"
-    inputs.write_zonal_csv(table, CSV_SEED)
+    facts = inputs.write_zonal_csv(table, CSV_SEED)
     config = directory / f"csv-t-{CSV_SEED}.json"
     inputs.write_json(config, inputs.csv_t_scenario(CSV_SEED, table))
     runs.append((f"csv-t-{CSV_SEED}", config, CSV_SEED))
     config = directory / "csv-middle-buyer.json"
     inputs.write_json(config, {**inputs.csv_t_scenario(CSV_SEED, table), **MIDDLE_BUYER})
     runs.append(("csv-middle-buyer", config, CSV_SEED))
+    scenario = inputs.csv_t_scenario(CSV_SEED, table)
+    data = {**scenario["data"], "schema": SCHEMA, "window_start": facts["first_hour"] + WINDOW_OFFSET}
+    config = directory / "csv-schema-window.json"
+    inputs.write_json(config, {**scenario, **SCHEMA_SCENARIO, "data": data})
+    runs.append(("csv-schema-window", config, CSV_SEED))
 
     readme = (head / "README.md").read_text(encoding="utf-8")
     section = readme[readme.index("A full scenario file") :]
