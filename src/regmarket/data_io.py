@@ -18,7 +18,7 @@ import os
 from array import array
 from collections.abc import Hashable
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import date, datetime, timedelta
 from itertools import accumulate, chain
 from pathlib import Path
 
@@ -250,8 +250,6 @@ _BLOCK_CHARS = 1 << 18  # body text parsed per block
 _STAMP = np.frombuffer(b"yyyy-mm-ddThh:00:00,", dtype=np.uint8)  # with its comma
 _STAMP_DIGITS = np.flatnonzero(_STAMP >= ord("a"))
 _STAMP_FIXED = np.flatnonzero(_STAMP < ord("a"))
-_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-_DAYS_BEFORE_MONTH = np.concatenate(([0], np.cumsum(_DAYS_IN_MONTH[:-1])))
 
 
 def _read_body(handle, ts_index: int, n_fields: int, columns, hours, cells) -> int:
@@ -331,10 +329,12 @@ def _screen_lines(data, n_fields: int):
 
     ``data`` holds whole lines, each ending in a newline. Line ``k`` is
     ``data[starts[k]:starts[k + 1]]``. It is plain when it reads
-    ``YYYY-MM-DDTHH:00:00`` on an existing date and an hour of 0-23, then
-    ``n_fields - 1`` nonempty cells of the bytes ``0-9 . + - e E``, and
-    ends in a newline with at most a CR before it. Its hour is the one
-    :func:`_parse_hour` gives; any other stamp is left to that function.
+    ``YYYY-MM-DDTHH:00:00`` with an hour of 0-23 on a day ``datetime.date``
+    accepts, then ``n_fields - 1`` nonempty cells of the bytes
+    ``0-9 . + - e E``, and ends in a newline with at most a CR before it.
+    Both paths thus use ``datetime``'s calendar, and a plain line's hour is
+    the one :func:`_parse_hour` gives; any other stamp is left to that
+    function.
     """
     b = np.frombuffer(data, dtype=np.uint8)
     starts = np.concatenate(([0], np.flatnonzero(b == 10) + 1))
@@ -358,32 +358,25 @@ def _screen_lines(data, n_fields: int):
 
     stamp = b[heads[rows, None] + np.arange(_STAMP.size)]
     digits = (stamp[:, _STAMP_DIGITS] - 48).astype(np.int64)  # uint8 wraps: > 9 unless a digit
-    year = digits[:, 0:4] @ (1000, 100, 10, 1)
-    month = digits[:, 4:6] @ (10, 1)
-    day = digits[:, 6:8] @ (10, 1)
+    shaped = (stamp[:, _STAMP_FIXED] == _STAMP[_STAMP_FIXED]).all(axis=1) & (digits <= 9).all(axis=1)
+    rows, digits = rows[shaped], digits[shaped]
+    days, day_of = np.unique(digits[:, :8] @ 10 ** np.arange(7, -1, -1), return_inverse=True)  # yyyymmdd
+    # datetime.date, not numpy's datetime64 cast, which can crash on an invalid date.
+    ordinals = np.array([_ordinal(day) for day in days.tolist()], dtype=np.int64)[day_of]
     hour = digits[:, 8:10] @ (10, 1)
-    month_index = np.clip(month, 0, 12)
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    valid = (
-        (stamp[:, _STAMP_FIXED] == _STAMP[_STAMP_FIXED]).all(axis=1)
-        & (digits <= 9).all(axis=1)
-        & (year >= 1)
-        & (month >= 1)
-        & (month <= 12)
-        & (day >= 1)
-        & (day <= _DAYS_IN_MONTH[month_index] + (leap & (month == 2)))
-        & (hour <= 23)
-    )
-    prior = year - 1  # proleptic Gregorian ordinal, as date.toordinal()
-    ordinal = (
-        prior * 365 + prior // 4 - prior // 100 + prior // 400
-        + _DAYS_BEFORE_MONTH[month_index] + (leap & (month > 2)) + day
-    )
     plain = np.zeros(heads.shape[0], dtype=bool)
-    plain[rows[valid]] = True
+    plain[rows] = (ordinals > 0) & (hour <= 23)
     stamp_hours = np.zeros(heads.shape[0], dtype=np.int64)
-    stamp_hours[rows] = ordinal * 24 + hour
+    stamp_hours[rows] = ordinals * 24 + hour
     return starts, plain, stamp_hours
+
+
+def _ordinal(day: int) -> int:
+    """``date.toordinal()`` of the day ``yyyymmdd``; 0 if the calendar lacks it."""
+    try:
+        return date(day // 10000, day // 100 % 100, day % 100).toordinal()
+    except ValueError:
+        return 0
 
 
 def _per_line(mask, starts):

@@ -1,9 +1,11 @@
-"""``tools/compare_cli_outputs.py`` sizes a difference in values only, and calls every other one structural."""
+"""``tools/compare_cli_outputs.py`` sizes a difference in values only, calls every other one structural, and rewrites ISO stamps as the hours ingest reads."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from regmarket import ingest_csv
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_cli_outputs.py"
 spec = importlib.util.spec_from_file_location("compare_cli_outputs", TOOL)
@@ -45,3 +47,20 @@ def test_value_only_differences_are_still_reported():
     lines, sizes = tool.differences({("in", "sweep-u"): run}, {("in", "sweep-u"): changed})
     assert len(lines) == len(sizes) == 1
     assert "values only" in lines[0]
+
+
+def test_integer_stamps_ingest_as_the_iso_ones(tmp_path):
+    # Hours across a leap day and a year end, with one blank cell whose row drops.
+    iso = tmp_path / "iso.csv"
+    iso.write_text(
+        "timestamp,A,B\n2020-02-28T23:00:00,1.5,-2\n2020-02-29T00:00:00,,3\n"
+        "2020-03-01T07:00:00,0.25,1e3\n2020-12-31T23:00:00,4,5\n2021-01-01T00:00:00,6,7\n",
+        encoding="utf-8",
+    )
+    hours = tmp_path / "hours.csv"
+    tool.write_integer_stamps(iso, hours)
+    assert hours.read_text(encoding="utf-8").splitlines()[1].split(",")[0] == str(24 * 737483 + 23)
+    a, b = ingest_csv(iso), ingest_csv(hours)
+    assert a.dropped_rows == b.dropped_rows == 1
+    assert a.dataset.timestamps.tolist() == b.dataset.timestamps.tolist()
+    assert a.dataset.values.tobytes() == b.dataset.values.tobytes()

@@ -9,8 +9,10 @@ benchmark's ``paper-u`` and ``small-many`` scenarios at seeds 0 and 3, its
 file shown in ``HEAD_TREE/README.md``, ``EDGE_SCENARIO`` below, a
 generator edge case, the ``csv-t`` CSV under ``MIDDLE_BUYER`` below,
 ``ENTRIES_SCENARIO`` below, the one input whose reservations are explicit
-``entries``, and the ``csv-t`` CSV under ``SCHEMA_SCENARIO`` below, the one
-input that sets ``data.schema`` and ``data.window_start``. Every command
+``entries``, the ``csv-t`` CSV under ``SCHEMA_SCENARIO`` below, the one
+input that sets ``data.schema`` and ``data.window_start``, and the
+``csv-t`` scenario on a copy of its CSV with each ISO stamp rewritten as
+its integer hour index (:func:`write_integer_stamps`). Every command
 then runs on every input, once per tree, in a fresh process with that
 tree's ``src/`` on the path and the same relative output directory, so the
 printed paths match.
@@ -50,6 +52,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from datetime import datetime
 from pathlib import Path
 
 COMMANDS = ("simulate", "clear", "compare-methods", "sweep-u", "sweep-t", "grid-2", "ingest")
@@ -119,6 +122,17 @@ SCHEMA_SCENARIO = {
 }
 
 
+def write_integer_stamps(source: Path, target: Path) -> None:
+    """Copy the zonal CSV ``source`` to ``target`` with each ISO stamp as ``24 * ordinal + hour``."""
+    header, *rows = source.read_text(encoding="utf-8").splitlines()
+    lines = [header]
+    for row in rows:
+        stamp, cells = row.split(",", 1)
+        when = datetime.fromisoformat(stamp)
+        lines.append(f"{24 * when.toordinal() + when.hour},{cells}")
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def write_inputs(head: Path, directory: Path) -> list:
     """Write every input under ``directory``; return ``(label, config, seed)`` per run."""
     sys.path.insert(0, str(head / "bench"))
@@ -142,6 +156,11 @@ def write_inputs(head: Path, directory: Path) -> list:
     config = directory / "csv-schema-window.json"
     inputs.write_json(config, {**scenario, **SCHEMA_SCENARIO, "data": data})
     runs.append(("csv-schema-window", config, CSV_SEED))
+    hours_table = directory / f"zones-{CSV_SEED}-hours.csv"
+    write_integer_stamps(table, hours_table)
+    config = directory / f"csv-t-{CSV_SEED}-hours.json"
+    inputs.write_json(config, inputs.csv_t_scenario(CSV_SEED, hours_table))
+    runs.append((f"csv-t-{CSV_SEED}-hours", config, CSV_SEED))
 
     readme = (head / "README.md").read_text(encoding="utf-8")
     section = readme[readme.index("A full scenario file") :]
