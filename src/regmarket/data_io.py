@@ -393,11 +393,8 @@ def to_agent_series(dataset: ZonalDataset, start: int, window_length: int, max_l
     the span runs past its end or across a gap.
     """
     start = integer(start, "start")
-    window_length, max_lag = integer(window_length, "window_length"), integer(max_lag, "max_lag")
-    if window_length < 1:
-        raise InvalidInputError(f"window_length must be at least 1, got {window_length}", "window_length")
-    if max_lag < 0:
-        raise InvalidInputError(f"max_lag must be nonnegative, got {max_lag}", "max_lag")
+    window_length = integer(window_length, "window_length", least=1)
+    max_lag = integer(max_lag, "max_lag", least=0)
     first_hour = start - max_lag
     span = max_lag + window_length
     timestamps = dataset.timestamps
@@ -517,20 +514,16 @@ class TwoAgentGrid:
             raise InvalidInputError(f"agent_b {self.agent_b!r} is agent_a too; the grid needs two sellers", "agent_b")
         for name in ("u_grid_a", "u_grid_b"):
             object.__setattr__(self, name, _checked_grid(getattr(self, name), name))
-        object.__setattr__(self, "others_u", real(self.others_u, "others_u"))
-        if self.others_u < 0:
-            raise InvalidInputError("others_u must be nonnegative", field="others_u")
+        object.__setattr__(self, "others_u", real(self.others_u, "others_u", least=0))
 
 
 def _checked_grid(grid, field: str, whole: bool = False) -> tuple:
-    check = integer if whole else real
-    values = tuple(check(v, field) for v in sequence(grid, field))
+    """A u grid of reals of at least 0, or with ``whole`` a T grid of integers of at least 1, strictly increasing."""
+    values = tuple(integer(v, field, least=1) if whole else real(v, field, least=0) for v in sequence(grid, field))
     if not values:
         raise InvalidInputError(f"{field} must not be empty", field=field)
     if any(b <= a for a, b in zip(values, values[1:])):
         raise InvalidInputError(f"{field} must be strictly increasing", field=field)
-    if any(v < 0 for v in values):
-        raise InvalidInputError(f"{field} entries must be nonnegative", field=field)
     return values
 
 
@@ -584,14 +577,12 @@ class ScenarioConfig:
         if self.u_grid is not None:
             object.__setattr__(self, "u_grid", _checked_grid(self.u_grid, "u_grid"))
         if self.t_grid is not None:
-            grid = _checked_grid(self.t_grid, "t_grid", whole=True)
-            if any(v < 1 for v in grid):
-                raise InvalidInputError("t_grid entries must be positive", field="t_grid")
-            object.__setattr__(self, "t_grid", grid)
+            object.__setattr__(self, "t_grid", _checked_grid(self.t_grid, "t_grid", whole=True))
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
-        """Copy whose synthetic generator uses ``seed``; a CSV scenario is unchanged."""
+        """Copy whose synthetic generator uses ``seed``; a CSV scenario only checks ``seed`` and is unchanged."""
         if isinstance(self.data, CsvSource):
+            integer(seed, "seed", least=0)
             return self
         return dataclasses.replace(self, data=dataclasses.replace(self.data, seed=seed))
 
@@ -666,7 +657,7 @@ def load_scenario(path) -> ScenarioConfig:
         source = SyntheticSpec if kind == "synthetic" else CsvSource
         fields["data"] = source(**_take(fields, source))
         if "seed" in fields:  # a CSV scenario passes its seed to no constructor
-            integer(fields.pop("seed"), "seed")
+            integer(fields.pop("seed"), "seed", least=0)
         fields["lag_spec"] = LagSpec(**_take(fields, LagSpec))
         fields["solver"] = SolverSettings(**_take(fields, SolverSettings))
         fields.setdefault("support_agents", None)

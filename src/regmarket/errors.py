@@ -1,7 +1,7 @@
 """Exception types shared across the package, and the input checks that raise them.
 
-:func:`integer`, :func:`real` and :func:`sequence` check scalar settings and
-lists; :func:`finite_array` checks every vector and matrix the package takes.
+:func:`integer` and :func:`real` check scalar settings, each against its least
+value, :func:`sequence` lists and :func:`finite_array` every vector and matrix.
 """
 
 import math
@@ -29,29 +29,38 @@ class InvalidInputError(ValueError):
         return InvalidInputError(field + str(self)[len(self.field) :], field)
 
 
-def integer(value, field: str, name: str = "") -> int:
+def integer(value, field: str, name: str = "", least: int | None = None) -> int:
     """``value`` as an int; anything but an integral number is rejected naming ``field``.
 
     ``2``, ``2.0`` and ``np.int64(2)`` read as 2; a bool, ``2.5``, NaN, an
-    infinity or a string is rejected. The message starts with ``name``, or
-    with ``field`` when no name is given (``"entries lag"`` names a part of
-    ``entries``).
+    infinity or a string is rejected, and so is a value below ``least``. The
+    message starts with ``name``, or with ``field`` when no name is given
+    (``"entries lag"`` names a part of ``entries``).
     """
-    if type(value) is int:
-        return value
-    if not isinstance(value, bool) and isinstance(value, numbers.Real) and float(value).is_integer():
-        return int(value)
-    raise InvalidInputError(f"{name or field} must be an integer, got {value!r}", field)
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
+            raise InvalidInputError(f"{name or field} must be an integer, got {value!r}", field)
+        value = int(value)
+    return _at_least(value, least, field, name)
 
 
-def real(value, field: str, name: str = "") -> float:
-    """``value`` as a finite float; a bool, a string, NaN or an infinity is rejected naming ``field``."""
+def real(value, field: str, name: str = "", least: float | None = None) -> float:
+    """``value`` as a finite float; a bool, a string, NaN, an infinity or a value below ``least`` is rejected."""
     if type(value) is not float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise InvalidInputError(f"{name or field} must be a number, got {value!r}", field)
         value = float(value)
     if not math.isfinite(value):
         raise InvalidInputError(f"{name or field} must be finite, got {value!r}", field)
+    return _at_least(value, least, field, name)
+
+
+def _at_least(value, least, field: str, name: str):
+    """``value``; one below ``least`` is rejected, the message giving the least ("at least N", or
+    "nonnegative" at 0) and the value."""
+    if least is not None and value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise InvalidInputError(f"{name or field} must be {bound}, got {value!r}", field)
     return value
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .data_io import ScenarioConfig, ingest_csv, to_agent_series
 from .errors import ConvergenceError, InvalidInputError, ViabilityError
-from .market import PreparedMarket, ReservationSchedule
+from .market import PreparedMarket
 from .market import clear_market, verify_buyer_viability  # noqa: F401  (names patched by bench/tracer.py)
 from .timeseries import LagSpec, SyntheticSpec, synthetic_market_series
 
@@ -142,7 +142,7 @@ def run_u_sweep(scenario: ScenarioConfig) -> ExperimentReport:
     if scenario.u_grid is None:
         raise InvalidInputError("u sweep needs a non-empty u_grid")
     market = _prepare(scenario)
-    return _clear_points(("u", u, market, market.prices(ReservationSchedule(default=u))) for u in scenario.u_grid)
+    return _clear_points(("u", u, market, np.full(len(market.seller_features), u)) for u in scenario.u_grid)
 
 
 def run_T_sweep(scenario: ScenarioConfig) -> ExperimentReport:
@@ -197,14 +197,11 @@ def run_two_agent_grid(scenario: ScenarioConfig) -> ExperimentReport:
             raise InvalidInputError(f"{name} {agent!r} is not a support agent", name)
 
     pairs = [(ua, ub) for ua in grid.u_grid_a for ub in grid.u_grid_b]
-    focal = [(agent, lag) for agent, lag in market.seller_features if agent in (agent_a, agent_b)]
-    schedules = (  # every seller at others_u, but the focal two
-        ReservationSchedule({(a, lag): ua if a == agent_a else ub for a, lag in focal}, grid.others_u)
+    sellers = [agent for agent, _ in market.seller_features]
+    report = _clear_points(  # every seller at others_u, but the focal two
+        (f"u({agent_a},{agent_b})", f"{ua!r};{ub!r}", market,
+         np.array([ua if a == agent_a else ub if a == agent_b else grid.others_u for a in sellers]))
         for ua, ub in pairs
-    )
-    report = _clear_points(
-        (f"u({agent_a},{agent_b})", f"{ua!r};{ub!r}", market, market.prices(schedule))
-        for (ua, ub), schedule in zip(pairs, schedules)
     )
     report.derived_rows = [
         {"u_a": ua, "u_b": ub, "payment_a": paid[agent_a], "payment_b": paid[agent_b]}

@@ -52,31 +52,28 @@ class ReservationSchedule:
 
     A seller feature the entries leave out is priced at ``default``, so
     ``ReservationSchedule(default=u)`` prices every seller feature of any
-    market at ``u``. Lags are integers of at least 1 (``2.0`` reads as 2)
-    and reservations, the default among them, finite nonnegative numbers; a
-    bool is neither.
+    market at ``u``. ``entries`` is anything ``dict()`` reads as ``(agent_id,
+    lag) -> u``. Lags are integers of at least 1 (``2.0`` reads as 2) and
+    reservations, the default among them, finite nonnegative numbers; a
+    bool is neither. Anything else is rejected naming ``entries`` or
+    ``default``.
     """
 
     entries: dict = field(default_factory=dict)
     default: float = 0.0
 
     def __post_init__(self):
-        entries = {}
-        for (agent_id, lag), u in dict(self.entries).items():
-            lag = integer(lag, "entries", "entries lag")
-            if lag < 1:
-                raise InvalidInputError(f"entries lag must be at least 1, got {lag}", field="entries")
-            u = real(u, "entries", "entries u")
-            if u < 0:
-                raise InvalidInputError(
-                    f"entries u must be nonnegative, got {u!r} for {(agent_id, lag)!r}", field="entries"
-                )
-            entries[(agent_id, lag)] = u
+        try:
+            pairs = [(agent_id, lag, u) for (agent_id, lag), u in dict(self.entries).items()]
+        except (TypeError, ValueError):  # not a mapping, or a key that is no (agent, lag) pair
+            message = f"entries must map (agent, lag) pairs to prices, got {self.entries!r}"
+            raise InvalidInputError(message, "entries") from None
+        entries = {
+            (agent_id, integer(lag, "entries", "entries lag", least=1)): real(u, "entries", "entries u", least=0)
+            for agent_id, lag, u in pairs
+        }
         object.__setattr__(self, "entries", entries)
-        default = real(self.default, "default")
-        if default < 0:
-            raise InvalidInputError(f"default must be nonnegative, got {default!r}", "default")
-        object.__setattr__(self, "default", default)
+        object.__setattr__(self, "default", real(self.default, "default", least=0))
 
 
 @dataclass(frozen=True)

@@ -164,9 +164,7 @@ class SolverSettings:
         object.__setattr__(self, "tolerance", real(self.tolerance, "tolerance"))
         if self.tolerance <= 0:
             raise InvalidInputError(f"tolerance must be positive, got {self.tolerance!r}", field="tolerance")
-        object.__setattr__(self, "max_iterations", integer(self.max_iterations, "max_iterations"))
-        if self.max_iterations < 1:
-            raise InvalidInputError("max_iterations must be at least 1", field="max_iterations")
+        object.__setattr__(self, "max_iterations", integer(self.max_iterations, "max_iterations", least=1))
 
 
 def _as_penalties(penalties, n_cols: int) -> np.ndarray:

@@ -52,9 +52,7 @@ class AgentSeries:
 
     def window(self, length: int) -> np.ndarray:
         """The first ``length`` in-window samples (the regression target)."""
-        length = integer(length, "length")
-        if length < 1:
-            raise InvalidInputError(f"length must be at least 1, got {length}", "length")
+        length = integer(length, "length", least=1)
         if self.start_time + length > self.values.shape[0]:
             raise InvalidInputError(
                 f"agent {self.agent_id!r}: window of {length} hours needs "
@@ -72,10 +70,7 @@ class LagSpec:
 
     def __post_init__(self):
         for name in ("max_lag", "window_length"):
-            value = integer(getattr(self, name), name)
-            if value < 1:
-                raise InvalidInputError(f"{name} must be at least 1, got {value}", field=name)
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, integer(getattr(self, name), name, least=1))
 
 
 @dataclass(frozen=True)
@@ -98,12 +93,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_independent", integer(self.n_independent, "n_independent"))
-        if self.n_independent < 1:
-            raise InvalidInputError("n_independent must be at least 1", field="n_independent")
-        object.__setattr__(self, "seed", integer(self.seed, "seed"))
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be nonnegative, got {self.seed}", field="seed")
+        object.__setattr__(self, "n_independent", integer(self.n_independent, "n_independent", least=1))
+        object.__setattr__(self, "seed", integer(self.seed, "seed", least=0))
         for name in ("ar_coefficients", "noise_std", "cross_coefficients"):
             entries = tuple(real(v, name) for v in sequence(getattr(self, name), name))
             if len(entries) != self.n_independent:
@@ -220,11 +211,7 @@ def synthetic_market_series(spec: SyntheticSpec, history: int, window: int) -> l
     them, and P1 is scanned. Each series equals the sample-by-sample
     recursion to rounding, and reruns of one spec are byte-identical.
     """
-    history, window = integer(history, "history"), integer(window, "window")
-    if history < 0:
-        raise InvalidInputError(f"history must be nonnegative, got {history}", "history")
-    if window < 1:
-        raise InvalidInputError(f"window must be at least 1, got {window}", "window")
+    history, window = integer(history, "history", least=0), integer(window, "window", least=1)
     length = history + window
     children = np.random.SeedSequence(spec.seed).spawn(spec.n_independent + 1)
     buyer, *sellers = (

@@ -392,12 +392,14 @@ class TestExitCodes:
         self.assert_clear_exits_2_naming(tmp_path, capsys, where, value, key)
 
     @pytest.mark.parametrize(
-        ("flags", "seed"), [(["--seed", "-1"], 5), ([], -3)], ids=["seed-flag", "scenario-seed"]
+        ("flags", "seed", "csv"),
+        [(["--seed", "-1"], 5, False), ([], -3, False), (["--seed", "-1"], 5, True), ([], -3, True)],
+        ids=["seed-flag", "scenario-seed", "seed-flag-csv", "scenario-seed-csv"],
     )
-    def test_negative_seed_exits_2(self, tmp_path, capsys, flags, seed):
-        config = write_scenario(tmp_path, seed=seed)
+    def test_negative_seed_exits_2(self, tmp_path, capsys, flags, seed, csv):
+        config = self.csv_scenario(tmp_path, ("seed",), seed) if csv else write_scenario(tmp_path, seed=seed)
         assert main(["clear", "--config", str(config), *flags]) == EXIT_INPUT
-        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert f"seed must be nonnegative, got {flags[-1] if flags else seed}" in capsys.readouterr().err
         assert not (tmp_path / "results" / "clearing.csv").exists()
 
     def test_infinite_tolerance_exits_2(self, tmp_path, capsys):

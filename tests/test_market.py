@@ -153,6 +153,19 @@ class TestReservationSchedule:
         with pytest.raises(InvalidInputError):
             ReservationSchedule({("A", 0): 0.1})
 
+    @pytest.mark.parametrize(
+        "entries", [5, "ab", {5: 0.1}, {("P2", 1, 2): 0.1}], ids=["number", "string", "bare-key", "triple-key"]
+    )
+    def test_entries_that_are_no_pair_to_price_mapping_are_rejected_naming_entries(self, entries):
+        with pytest.raises(InvalidInputError, match="^entries ") as caught:
+            ReservationSchedule(entries)
+        assert caught.value.field == "entries"
+
+    def test_entries_take_whatever_dict_reads_as_pairs_to_prices(self):
+        pairs = [(("P2", 1), 0.1), (("P3", 2.0), 0.2)]
+        expected = {("P2", 1): 0.1, ("P3", 2): 0.2}
+        assert ReservationSchedule(pairs).entries == ReservationSchedule(iter(pairs)).entries == expected
+
 
 @functools.cache
 def small_market(n_sellers, sellers, max_lag):

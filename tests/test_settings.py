@@ -366,3 +366,46 @@ def test_bad_array_or_count_is_rejected_naming_the_field(field, call):
     with pytest.raises(InvalidInputError) as caught:
         call()
     assert caught.value.field == field
+
+
+# (where, field, name the message starts with, least, integer?, call): every setting with a least value.
+ONE_SELLER = {"ar_coefficients": (0.5,), "noise_std": (1.0,), "cross_coefficients": (0.4,)}
+LEAST = [
+    ("LagSpec", "max_lag", "max_lag", 1, True, lambda v: LagSpec(v, 10)),
+    ("LagSpec", "window_length", "window_length", 1, True, lambda v: LagSpec(1, v)),
+    ("SolverSettings", "max_iterations", "max_iterations", 1, True, lambda v: SolverSettings(max_iterations=v)),
+    ("SyntheticSpec", "n_independent", "n_independent", 1, True,
+     lambda v: SyntheticSpec(n_independent=v, **ONE_SELLER)),
+    ("SyntheticSpec", "seed", "seed", 0, True, lambda v: SyntheticSpec(seed=v)),
+    ("ReservationSchedule", "entries", "entries lag", 1, True, lambda v: ReservationSchedule({("P2", v): 0.1})),
+    ("ReservationSchedule", "entries", "entries u", 0, False, lambda v: ReservationSchedule({("P2", 1): v})),
+    ("ReservationSchedule", "default", "default", 0, False, lambda v: ReservationSchedule(default=v)),
+    ("TwoAgentGrid", "others_u", "others_u", 0, False, lambda v: TwoAgentGrid("P2", "P3", (0.1,), (0.1,), others_u=v)),
+    ("TwoAgentGrid", "u_grid_a", "u_grid_a", 0, False, lambda v: TwoAgentGrid("P2", "P3", (v, 0.5), (0.1,))),
+    ("TwoAgentGrid", "u_grid_b", "u_grid_b", 0, False, lambda v: TwoAgentGrid("P2", "P3", (0.1,), (v, 0.5))),
+    ("ScenarioConfig", "u_grid", "u_grid", 0, False, lambda v: scenario(data=SyntheticSpec(), u_grid=(v, 0.5))),
+    ("ScenarioConfig", "t_grid", "t_grid", 1, True, lambda v: scenario(data=SyntheticSpec(), t_grid=(v, 20))),
+    ("ScenarioConfig.with_seed", "seed", "seed", 0, True, lambda v: scenario(data=CsvSource("wind.csv")).with_seed(v)),
+    ("AgentSeries.window", "length", "length", 1, True,
+     lambda v: AgentSeries("A", np.arange(5.0), start_time=2).window(v)),
+    ("synthetic_market_series", "history", "history", 0, True,
+     lambda v: synthetic_market_series(SyntheticSpec(), v, 3)),
+    ("synthetic_market_series", "window", "window", 1, True, lambda v: synthetic_market_series(SyntheticSpec(), 1, v)),
+    ("to_agent_series", "window_length", "window_length", 1, True, lambda v: to_agent_series(DATASET, 2, v, 1)),
+    ("to_agent_series", "max_lag", "max_lag", 0, True, lambda v: to_agent_series(DATASET, 2, 3, v)),
+]
+LEAST_IDS = [f"{where}-{name.replace(' ', '-')}" for where, _, name, *_ in LEAST]
+
+
+@pytest.mark.parametrize(("where", "field", "name", "least", "whole", "call"), LEAST, ids=LEAST_IDS)
+def test_a_value_one_below_its_least_is_rejected_naming_the_field(where, field, name, least, whole, call):
+    below = least - 1 if whole else least - 1.0
+    bound = "nonnegative" if least == 0 else f"at least {least}"
+    with pytest.raises(InvalidInputError) as caught:
+        call(below)
+    assert (str(caught.value), caught.value.field) == (f"{name} must be {bound}, got {below!r}", field)
+
+
+@pytest.mark.parametrize(("where", "field", "name", "least", "whole", "call"), LEAST, ids=LEAST_IDS)
+def test_a_setting_at_its_least_is_accepted(where, field, name, least, whole, call):
+    call(least if whole else float(least))
