@@ -64,7 +64,8 @@ class ZonalDataset:
 
     Gaps may remain after rows with missing values were dropped; windowing
     (:func:`to_agent_series`) requires the requested span to be contiguous.
-    Timestamps are integers (:func:`~regmarket.errors.integer`, entry by
+    A repeated zone is rejected, and so are hours out of order, naming the
+    first pair. Timestamps are integers (:func:`~regmarket.errors.integer`, entry by
     entry); an int64 array is kept as it is.
     """
 
@@ -86,8 +87,11 @@ class ZonalDataset:
                 raise InvalidInputError("timestamps must fit in 64-bit integers", "timestamps") from None
         if timestamps.ndim != 1 or timestamps.shape[0] < 1:
             raise InvalidInputError("timestamps must hold at least one hour", "timestamps")
-        if np.any(timestamps[1:] <= timestamps[:-1]):  # np.diff can wrap around
-            raise InvalidInputError("timestamps must be strictly increasing", "timestamps")
+        steps = np.flatnonzero(timestamps[1:] <= timestamps[:-1])  # np.diff can wrap around
+        if steps.size:
+            earlier, later = timestamps[steps[0] : steps[0] + 2].tolist()
+            message = f"timestamps must be strictly increasing (hour {later} follows hour {earlier})"
+            raise InvalidInputError(message, "timestamps")
         values = finite_array(self.values, "values", (timestamps.shape[0], len(zones)), "values of the dataset")
         object.__setattr__(self, "zones", zones)
         object.__setattr__(self, "timestamps", timestamps)
@@ -162,10 +166,11 @@ def ingest_csv(path, schema=None, normalization: str = "none") -> IngestReport:
     stays near one block plus the dataset, and the finiteness check runs
     once over the whole value block. With ``normalization="per-zone-max"``
     each zone is divided by its maximum over the retained rows. A warning is
-    reported when over 10% of rows drop. One leading UTF-8 byte-order mark
-    is skipped. A file that is not UTF-8 text, or holds a cell over
-    ``csv.field_size_limit()`` characters, is rejected with
-    :class:`InvalidInputError` naming it.
+    reported when over 10% of rows drop. The zones and the retained hours
+    must make a :class:`ZonalDataset`, whose error is raised naming the
+    file. One leading UTF-8 byte-order mark is skipped. A file that is not
+    UTF-8 text, or holds a cell over ``csv.field_size_limit()`` characters,
+    is rejected with :class:`InvalidInputError` naming it.
     """
     _check_normalization(normalization)
     path = Path(path)
@@ -197,8 +202,6 @@ def ingest_csv(path, schema=None, normalization: str = "none") -> IngestReport:
             zone_indices = [(header.index(name), zone) for name, zone in schema.items()]
             zone_indices.sort()  # header order keeps zone layout independent of dict order
             zones = tuple(zone for _, zone in zone_indices)
-            if len(set(zones)) != len(zones):
-                raise InvalidInputError(f"{path}: duplicate zone names in schema")
             if not zones:
                 raise InvalidInputError(f"{path}: no zone columns")
             columns = [index for index, _ in zone_indices]
@@ -207,8 +210,7 @@ def ingest_csv(path, schema=None, normalization: str = "none") -> IngestReport:
             cells = array("d")
             dropped = _read_body(handle, ts_index, len(header), columns, hours, cells)
     except UnicodeDecodeError as err:
-        bad = err.object[err.start : err.start + 1].hex()
-        raise InvalidInputError(f"{path}: not UTF-8 text (byte 0x{bad})") from None
+        raise _not_utf8(path, err) from None
     except csv.Error as err:
         raise InvalidInputError(f"{path}: unreadable CSV ({err})") from None
 
@@ -220,12 +222,6 @@ def ingest_csv(path, schema=None, normalization: str = "none") -> IngestReport:
         hours, values = hours[finite], values[finite]
     if not hours.shape[0]:
         raise InvalidInputError(f"{path}: no usable data rows ({dropped} dropped)")
-    steps = np.flatnonzero(hours[1:] <= hours[:-1])
-    if steps.size:
-        k = steps[0]
-        raise InvalidInputError(
-            f"{path}: non-monotonic timestamps (hour {hours[k + 1]} follows hour {hours[k]})"
-        )
 
     if normalization == "per-zone-max":
         peaks = values.max(axis=0)
@@ -242,8 +238,16 @@ def ingest_csv(path, schema=None, normalization: str = "none") -> IngestReport:
         warnings.append(
             f"dropped {dropped} of {total} rows ({100.0 * dropped / total:.1f}%)"
         )
-    dataset = ZonalDataset(zones=zones, timestamps=hours, values=values)
+    try:
+        dataset = ZonalDataset(zones=zones, timestamps=hours, values=values)
+    except InvalidInputError as err:  # a repeated zone, or hours out of order
+        raise InvalidInputError(f"{path}: {err}") from None
     return IngestReport(dataset=dataset, dropped_rows=dropped, warnings=tuple(warnings))
+
+
+def _not_utf8(path, err: UnicodeDecodeError) -> InvalidInputError:
+    """The error for file ``path`` that ``err`` found not to be UTF-8, naming the first bad byte."""
+    return InvalidInputError(f"{path}: not UTF-8 text (byte 0x{err.object[err.start : err.start + 1].hex()})")
 
 
 _BLOCK_CHARS = 1 << 18  # body text parsed per block
@@ -649,15 +653,16 @@ def load_scenario(path) -> ScenarioConfig:
         return block
 
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique)
+        raw = json.loads(path.read_text(encoding="utf-8-sig"), object_pairs_hook=unique)  # drops a byte-order mark
+    except UnicodeDecodeError as err:
+        raise _not_utf8(path, err) from None
     except json.JSONDecodeError as err:
         raise InvalidInputError(f"{path}: invalid JSON ({err})") from None
     kind, fields = _read_blocks(raw, path)
+    seed = fields.pop("seed", None)
     try:
         source = SyntheticSpec if kind == "synthetic" else CsvSource
         fields["data"] = source(**_take(fields, source))
-        if "seed" in fields:  # a CSV scenario passes its seed to no constructor
-            integer(fields.pop("seed"), "seed", least=0)
         fields["lag_spec"] = LagSpec(**_take(fields, LagSpec))
         fields["solver"] = SolverSettings(**_take(fields, SolverSettings))
         fields.setdefault("support_agents", None)
@@ -669,7 +674,8 @@ def load_scenario(path) -> ScenarioConfig:
         if "agent_a" in fields:  # a grid2 block, which requires its agents
             fields["grid2"] = TwoAgentGrid(**_take(fields, TwoAgentGrid))
         fields.setdefault("scenario_id", path.stem)
-        return ScenarioConfig(**fields)
+        scenario = ScenarioConfig(**fields)
+        return scenario.with_seed(seed) if "seed" in raw else scenario
     except InvalidInputError as err:
         raise label_error(err, path) from None
 

@@ -372,13 +372,15 @@ def weighted_lasso_fit(
     columns. Neither a sweep nor a step raises the objective, so it is
     non-increasing throughout.
 
-    The solve starts from 0, or from a copy of ``start`` with
-    q = c - G start; ``start`` itself is never written. A prepared market
-    passes its baseline fit (b_self, 0) to every cold clearing, and
-    reservation sweeps warm-start each point after the first from the
-    previous point's coefficients on the same prepared market, as glmnet
-    does along its path. The stopping rule and its certificate are the same
-    from any start.
+    The solve starts from 0, or from a copy of ``start`` with q = c - G b;
+    ``start`` itself is never written. The copy's entries on all-zero
+    columns are set to 0, the only minimizer for such a column when it is
+    penalized, since neither the sweep nor the certificate weighs them. A
+    prepared market passes its baseline fit (b_self, 0) to every cold
+    clearing, and reservation sweeps warm-start each point after the first
+    from the previous point's coefficients on the same prepared market, as
+    glmnet does along its path. The stopping rule and its certificate are
+    the same from any start.
 
     ``normal`` is the :class:`NormalEquations` record of ``X`` and ``y``: a
     prepared market forms it once and passes it to every clearing, so a
@@ -417,6 +419,7 @@ def weighted_lasso_fit(
     unit = np.divide(2.0 / n_rows, np.sqrt(np.diag(gram)), out=np.zeros(n_cols), where=np.diag(gram) > 0.0)
     kkt_bound = settings.tolerance * float(np.max(np.abs(moment) * unit))
     beta = np.zeros(n_cols) if start is None else finite_array(start, "start", (n_cols,)).copy()
+    beta[np.diag(gram) == 0.0] = 0.0  # all-zero columns, which the sweep skips
     correlation = moment - gram @ beta
     if _kkt_from_correlation(correlation, penalties, beta, unit) <= kkt_bound:
         return beta
@@ -429,7 +432,7 @@ def weighted_lasso_fit(
         for j in range(n_cols):
             sq = diagonal[j]
             if sq == 0.0:
-                # All-zero column: it cannot change the fit, leave b_j = 0.
+                # All-zero column: it cannot change the fit, and b_j was set to 0 with the start.
                 continue
             current = coefficients[j]
             rho = correlation.item(j) + sq * current

@@ -53,12 +53,13 @@ class AgentSeries:
     def window(self, length: int) -> np.ndarray:
         """The first ``length`` in-window samples (the regression target)."""
         length = integer(length, "length", least=1)
-        if self.start_time + length > self.values.shape[0]:
+        needed, held = self.start_time + length, self.values.shape[0]
+        if needed > held:
             raise InvalidInputError(
                 f"agent {self.agent_id!r}: window of {length} hours needs "
-                f"{self.start_time + length} samples, series has {self.values.shape[0]}"
+                f"{needed} samples, series has {held} (missing {needed - held})"
             )
-        return self.values[self.start_time : self.start_time + length]
+        return self.values[self.start_time : needed]
 
 
 @dataclass(frozen=True)
@@ -166,14 +167,9 @@ def build_lag_matrix(series_list, spec: LagSpec) -> DesignMatrix:
                 f"agent {series.agent_id!r}: needs {D} hours of history before the "
                 f"window, has {series.start_time} (missing {D - series.start_time})"
             )
-        if series.start_time + T > series.values.shape[0]:
-            missing = series.start_time + T - series.values.shape[0]
-            raise InvalidInputError(
-                f"agent {series.agent_id!r}: window of {T} hours runs past the end "
-                f"of the series (missing {missing} hours)"
-            )
         start = series.start_time  # row t's window holds hours start - D + t .. start + t - 1
-        history[k] = series.values[start - D : start + T - 1]
+        history[k, :D] = series.values[start - D : start]
+        history[k, D:] = series.window(T)[:-1]
         column_map += [(series.agent_id, lag) for lag in range(D, 0, -1)]
     windows = np.lib.stride_tricks.sliding_window_view(history, D, axis=1)  # windows[k, t, d] = history[k, t + d]
     values = np.empty((T, 1 + len(series_list) * D))

@@ -172,9 +172,10 @@ def reference_ingest(path, schema=None, normalization="none"):
 
     Lines whose cells are all blank are skipped; any other row is dropped
     and counted when its stamp or one of its zone cells is missing, empty,
-    non-numeric or non-finite. Raises InvalidInputError where ingest must.
+    non-numeric or non-finite; one leading byte-order mark is skipped.
+    Raises InvalidInputError where ingest must.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         rows = list(csv.reader(handle))
     if not rows:
         raise InvalidInputError("empty file")

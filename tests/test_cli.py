@@ -216,6 +216,22 @@ class TestExitCodes:
         assert main(["clear", "--config", str(config)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: {config}: invalid JSON (")
 
+    def test_scenario_that_is_not_utf8_exits_2_naming_the_byte(self, tmp_path, capsys):
+        config = tmp_path / "scenario.json"
+        config.write_bytes(b'{"scenario_id": "caf\xe9"}')
+        assert main(["clear", "--config", str(config)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {config}: not UTF-8 text (byte 0xe9)\n"
+
+    def test_scenario_with_a_byte_order_mark_clears_as_without(self, tmp_path, capsys):
+        runs = {}
+        for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+            config = write_scenario(tmp_path, name=f"{name}.json", out_dir=str(tmp_path / name))
+            config.write_bytes(mark + config.read_bytes())
+            assert main(["clear", "--config", str(config)]) == EXIT_OK
+            printed = capsys.readouterr().out.replace(str(tmp_path / name), "OUT")
+            runs[name] = printed, (tmp_path / name / "clearing.csv").read_bytes()
+        assert runs["marked"] == runs["plain"]
+
     @pytest.mark.parametrize(
         "override",
         [

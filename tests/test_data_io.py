@@ -155,8 +155,15 @@ class TestIngestCsv:
     def test_non_monotonic_rejected(self, tmp_path):
         rows, _ = complete_rows(5)
         rows[3], rows[2] = rows[2], rows[3]
-        with pytest.raises(InvalidInputError, match="non-monotonic"):
+        with pytest.raises(InvalidInputError, match=r"strictly increasing \(hour 102 follows hour 103\)"):
             ingest_csv(write_csv(tmp_path / "wind.csv", rows))
+
+    def test_schema_mapping_two_columns_to_one_zone_rejected(self, tmp_path):
+        rows, _ = complete_rows(5)
+        path = write_csv(tmp_path / "wind.csv", rows)
+        with pytest.raises(InvalidInputError) as caught:
+            ingest_csv(path, schema={"DK1": "east", "DK2": "east", "SE1": "SE1"})
+        assert str(caught.value) == f"{path}: zones lists 'east' more than once"
 
     def test_heavy_dropping_raises_warning(self, tmp_path):
         rows, _ = complete_rows(20)
@@ -503,6 +510,15 @@ class TestBlockParser:
         path = write_lines(tmp_path / "z.csv", lines, header=header)
         report = assert_matches_reference(path, schema={zone: zone for zone in ZONES})
         assert report.dataset.timestamps.tolist() == list(range(100, 110))
+
+    @pytest.mark.parametrize("stamps", ["iso", "integer"])
+    def test_leading_byte_order_mark(self, tmp_path, stamps):
+        lines = iso_lines(10)
+        if stamps == "integer":
+            lines = [f"{100 + t},{line[20:]}" for t, line in enumerate(lines)]
+        path = write_lines(tmp_path / "z.csv", lines, header="\ufefftimestamp," + ",".join(ZONES))
+        assert path.read_bytes().startswith(b"\xef\xbb\xbftimestamp,")
+        assert assert_matches_reference(path).dataset.n_hours == 10
 
     def test_cr_only_line_ends(self, tmp_path):
         report = assert_matches_reference(write_lines(tmp_path / "z.csv", iso_lines(10), newline="\r"))

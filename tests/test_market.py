@@ -478,6 +478,17 @@ class TestPreparedMarket:
         with pytest.raises(InvalidInputError, match=r"outside 1\.\.240"):
             market.window(length)
 
+    @pytest.mark.parametrize("short", ["P1", "P3"], ids=["buyer", "seller"])
+    def test_series_one_hour_short_of_the_window_rejected_alike(self, short):
+        config, roster = default_market(seed=0)
+        roster = [
+            AgentSeries(s.agent_id, s.values[:-1], s.start_time) if s.agent_id == short else s for s in roster
+        ]
+        message = f"agent '{short}': window of 240 hours needs 243 samples, series has 242 (missing 1)"
+        with pytest.raises(InvalidInputError) as caught:
+            PreparedMarket(config, roster)
+        assert str(caught.value) == message
+
     def test_failed_viability_raises_with_both_sides(self, monkeypatch):
         # A solver that returns all zeros drops even the buyer's own
         # features, so loss plus payments exceeds the baseline.

@@ -287,6 +287,29 @@ class TestWeightedLassoFit:
         beta = weighted_lasso_fit(design, y, np.array([0.0, 0.5, 0.5]))
         assert beta[1] == 0.0
 
+    @pytest.mark.parametrize("centered", [False, True], ids=["start-at-the-optimum", "one-sweep-certifies"])
+    def test_warm_start_on_an_all_zero_column_is_cleared(self, centered):
+        # Neither the sweep nor the certificate weighs an all-zero column, so
+        # a nonzero start entry there came back unchanged: in the first case
+        # with objective 0.610 where the optimum's is 0.010, and violation 0.2.
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=50)
+        y = 0.5 * x + 0.1 * rng.normal(size=50)
+        if centered:  # orthogonal to the intercept, so the first sweep lands on the optimum
+            x -= x.mean()
+        values = np.column_stack([np.ones(50), x, np.zeros(50)])
+        design = DesignMatrix(values, (None, ("A", 1), ("B", 1)))
+        penalties = np.array([0.0, 0.0, 5.0])
+        cold = weighted_lasso_fit(design, y, penalties)
+        start = np.array([0.0, 0.5, 3.0]) if centered else cold + [0.0, 0.0, 3.0]
+        beta = weighted_lasso_fit(design, y, penalties, start=start)
+        assert beta[2] == 0.0
+        assert start[2] == 3.0  # the caller's start is not written
+        assert penalized_objective(values, y, penalties, beta) == pytest.approx(
+            penalized_objective(values, y, penalties, cold), rel=1e-12
+        )
+        assert kkt_violation(design, y, penalties, beta) < 1e-12
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 10_000),

@@ -6,8 +6,9 @@ Each tree is a source checkout (its package under ``src/regmarket``). The
 inputs are written once, through ``HEAD_TREE/bench/inputs.py``: the
 benchmark's ``paper-u`` and ``small-many`` scenarios at seeds 0 and 3, its
 ``csv-t`` scenario and 3-year zonal CSV at seed 1, the full scenario
-file shown in ``HEAD_TREE/README.md``, ``EDGE_SCENARIO`` below, a
-generator edge case, the ``csv-t`` CSV under ``MIDDLE_BUYER`` below,
+file shown in ``HEAD_TREE/README.md``, that file again behind a UTF-8
+byte-order mark, which a scenario reader must skip, ``EDGE_SCENARIO``
+below, a generator edge case, the ``csv-t`` CSV under ``MIDDLE_BUYER`` below,
 ``ENTRIES_SCENARIO`` below, the one input whose reservations are explicit
 ``entries``, the ``csv-t`` CSV under ``SCHEMA_SCENARIO`` below, the one
 input that sets ``data.schema`` and ``data.window_start``, and the
@@ -168,6 +169,9 @@ def write_inputs(head: Path, directory: Path) -> list:
     config = directory / "readme.json"
     inputs.write_json(config, json.loads(block))
     runs.append(("readme", config, None))
+    marked = directory / "readme-bom.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+    runs.append(("readme-bom", marked, None))
     config = directory / "edge.json"
     inputs.write_json(config, EDGE_SCENARIO)
     runs.append(("edge", config, None))
