@@ -129,10 +129,8 @@ def _parse_hour(cell: str) -> int:
         except ValueError:
             pass
     stamp = datetime.fromisoformat(text)
-    if stamp.tzinfo is None:
-        since = stamp - _ORDINAL_ONE
-    else:  # subtract the offset last: near year 1 the UTC stamp is out of range
-        since = stamp.replace(tzinfo=None) - _ORDINAL_ONE - stamp.utcoffset()
+    # A naive stamp has no offset. Subtract the offset last: near year 1 the UTC stamp is out of range.
+    since = stamp.replace(tzinfo=None) - _ORDINAL_ONE - (stamp.utcoffset() or timedelta())
     hours, rest = divmod(since, _HOUR)
     if rest:
         raise ValueError(f"{text!r} is not a whole hour")

@@ -119,13 +119,12 @@ def run_method_comparison(scenario: ScenarioConfig) -> ExperimentReport:
     market, truth = outcome.market, scenario.data if isinstance(scenario.data, SyntheticSpec) else None
 
     ols_all, *_ = np.linalg.lstsq(market.normal.gram, market.normal.moment, rcond=None)  # min-norm solution of G b = c
-    own = 1 + market.config.lag_spec.max_lag  # the buyer's block leads design_all
     report.coefficient_rows = [
         {
             "agent": agent,
             "lag": lag,
             "true": None if truth is None else truth.coefficient(market.config.central_agent, agent, lag),
-            "ols_self": float(market.baseline_start[j]) if j < own else None,
+            "ols_self": float(market.baseline_start[j]) if agent == market.config.central_agent else None,
             "ols_all": float(ols_all[j]),
             "lasso": float(outcome.market_beta[j]),
         }

@@ -271,19 +271,16 @@ class PreparedMarket:
         """The schedule's reservation per seller feature, aligned with ``seller_features``.
 
         Features the entries leave out cost the schedule's ``default``. The
-        entries are checked against this market one by one: a nonzero price
-        on the central agent, which cannot sell its own features, or any
-        price on a feature with no design column is rejected naming
-        ``entries``.
+        entries are checked against this market one by one: a price on a
+        feature with no design column, or a nonzero one on the central agent,
+        which cannot sell its own features, is rejected naming ``entries``.
         """
         by_column = np.full(self.design_all.n_cols, reservations.default)
         for (agent_id, lag), u in reservations.entries.items():
-            if agent_id == self.config.central_agent:
-                if u != 0.0:
-                    raise InvalidInputError(
-                        f"entries price central agent {agent_id!r}, which cannot sell its own features", "entries"
-                    )
-                continue
+            if agent_id == self.config.central_agent and u != 0.0:
+                raise InvalidInputError(
+                    f"entries price central agent {agent_id!r}, which cannot sell its own features", "entries"
+                )
             column = self.design_all.column_index.get((agent_id, lag))
             if column is None:
                 raise InvalidInputError(

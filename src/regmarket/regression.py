@@ -28,10 +28,10 @@ Conventions used throughout the package:
 * The solver stops on one test, its certificate, read in column units:
   each column's first-order optimality violation over its norm ||X_j|| is
   at most tolerance * (2/T) max_k |X_k'y| / ||X_k||, with
-  ``SolverSettings.tolerance`` a relative threshold; an all-zero column is
-  skipped. Rescaling a column or the target scales both sides alike, so the
-  data's units decide neither whether a solve converges nor where it stops,
-  however far apart the columns' units are.
+  ``SolverSettings.tolerance`` a relative threshold; an all-zero column, which
+  the sweep leaves at 0, counts no violation. Rescaling a column or the target
+  scales both sides alike, so the data's units decide neither whether a solve
+  converges nor where it stops, however far apart the columns' units are.
 """
 
 from __future__ import annotations
@@ -199,10 +199,9 @@ def _kkt_from_correlation(correlation, penalties, beta, unit):
     """Largest optimality violation from the residual correlation X' r: 2/T, or (2/T)/||X_j||, times it."""
     gradient = unit * correlation
     thresholds = unit * penalties
-    at_zero = beta == 0.0
-    violation = np.abs(gradient - thresholds * np.sign(beta))
-    violation[at_zero] = np.maximum(np.abs(gradient[at_zero]) - thresholds[at_zero], 0.0)
-    return float(np.max(violation))
+    # Off zero |g - t sign(b)|; at zero |g| - t, floored at 0 by ``initial``.
+    violation = np.abs(gradient - thresholds * np.sign(beta)) - thresholds * (beta == 0.0)
+    return float(np.max(violation, initial=0.0))
 
 
 def kkt_violation(X: DesignMatrix, y, penalties, beta) -> float:
@@ -375,7 +374,7 @@ def weighted_lasso_fit(
     The solve starts from 0, or from a copy of ``start`` with q = c - G b;
     ``start`` itself is never written. The copy's entries on all-zero
     columns are set to 0, the only minimizer for such a column when it is
-    penalized, since neither the sweep nor the certificate weighs them. A
+    penalized, since the sweep leaves them at 0 and the certificate skips them. A
     prepared market passes its baseline fit (b_self, 0) to every cold
     clearing, and reservation sweeps warm-start each point after the first
     from the previous point's coefficients on the same prepared market, as
@@ -394,9 +393,9 @@ def weighted_lasso_fit(
     recomputed from b as c - G b with each column's violation divided by
     ||X_j|| = sqrt(G_jj), is at most
     ``settings.tolerance * (2/T) max_k |c_k| / ||X_k||``; the reciprocal
-    norms are formed once per solve, and an all-zero column is skipped. The
-    test is made at the start, after every sweep and after every accepted
-    step. Recomputing q drops the rounding the covariance updates
+    norms are formed once per solve, and an all-zero column counts no
+    violation. The test is made at the start, after every sweep and after
+    every accepted step. Recomputing q drops the rounding the covariance updates
     accumulated in it; its own rounding, of order eps * (|c| + |G||b|), is
     that of the direct form X'(y - Xb). A column in units s_x and the target
     in s_y scale that column's violation and entry of c by s_x * s_y and its
@@ -415,33 +414,28 @@ def weighted_lasso_fit(
     A, y, gram, moment = X.values, normal.target, normal.gram, normal.moment
     n_rows, n_cols = A.shape
     penalties = _as_penalties(penalties, n_cols)
-    diagonal = np.diag(gram).tolist()
-    unit = np.divide(2.0 / n_rows, np.sqrt(np.diag(gram)), out=np.zeros(n_cols), where=np.diag(gram) > 0.0)
+    squares = np.diag(gram)
+    unit = np.divide(2.0 / n_rows, np.sqrt(squares), out=np.zeros(n_cols), where=squares > 0.0)
     kkt_bound = settings.tolerance * float(np.max(np.abs(moment) * unit))
     beta = np.zeros(n_cols) if start is None else finite_array(start, "start", (n_cols,)).copy()
-    beta[np.diag(gram) == 0.0] = 0.0  # all-zero columns, which the sweep skips
+    beta[squares == 0.0] = 0.0  # columns with G_jj = 0, which the sweep leaves at 0
     correlation = moment - gram @ beta
     if _kkt_from_correlation(correlation, penalties, beta, unit) <= kkt_bound:
         return beta
 
     # The sweep reads and writes Python floats, the same IEEE doubles as
     # numpy's scalars without their per-access cost; beta is rebuilt once per sweep.
-    weights = penalties.tolist()
+    # A column with G_jj = 0 weighs inf, so the soft-threshold keeps it at 0 and never divides by
+    # G_jj: its rho is 0 if the column is all zero, but not if only its squares underflow.
+    diagonal, weights = squares.tolist(), np.where(squares > 0.0, penalties, np.inf).tolist()
     for _ in range(settings.max_iterations):
         coefficients = beta.tolist()
         for j in range(n_cols):
-            sq = diagonal[j]
-            if sq == 0.0:
-                # All-zero column: it cannot change the fit, and b_j was set to 0 with the start.
-                continue
-            current = coefficients[j]
+            sq, current = diagonal[j], coefficients[j]
             rho = correlation.item(j) + sq * current
-            if weights[j] > 0.0:
-                # Soft-threshold: shrink rho toward 0 by the penalty, to 0 at most.
-                magnitude = abs(rho) - weights[j]
-                updated = 0.0 if magnitude <= 0.0 else (magnitude if rho > 0 else -magnitude) / sq
-            else:
-                updated = rho / sq
+            # Soft-threshold: shrink rho toward 0 by the penalty, to 0 at most; weight 0 gives rho / sq exactly.
+            magnitude = abs(rho) - weights[j]
+            updated = 0.0 if magnitude <= 0.0 else (magnitude if rho > 0 else -magnitude) / sq
             if updated != current:
                 correlation -= (updated - current) * gram[j]
                 coefficients[j] = updated

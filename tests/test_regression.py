@@ -287,6 +287,17 @@ class TestWeightedLassoFit:
         beta = weighted_lasso_fit(design, y, np.array([0.0, 0.5, 0.5]))
         assert beta[1] == 0.0
 
+    @pytest.mark.parametrize("penalty", [0.0, 1e-300, 0.5])
+    def test_column_whose_squares_underflow_stays_at_zero(self, rng, penalty):
+        # G_jj is 0 but X_j'y is not, so the sweep must leave b_j at 0 without dividing by G_jj.
+        kept = np.column_stack([np.ones(30), rng.normal(size=30)])
+        values = np.column_stack([kept, 1e-170 * rng.normal(size=30)])
+        y = 1e10 * rng.normal(size=30)
+        beta = weighted_lasso_fit(DesignMatrix(values, (None, ("A", 1), ("B", 1))), y, np.array([0.0, 1.0, penalty]))
+        assert beta[2] == 0.0
+        alone = weighted_lasso_fit(DesignMatrix(kept, (None, ("A", 1))), y, np.array([0.0, 1.0]))
+        np.testing.assert_array_equal(beta[:2], alone)
+
     @pytest.mark.parametrize("centered", [False, True], ids=["start-at-the-optimum", "one-sweep-certifies"])
     def test_warm_start_on_an_all_zero_column_is_cleared(self, centered):
         # Neither the sweep nor the certificate weighs an all-zero column, so
