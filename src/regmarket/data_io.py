@@ -64,8 +64,8 @@ class ZonalDataset:
 
     Gaps may remain after rows with missing values were dropped; windowing
     (:func:`to_agent_series`) requires the requested span to be contiguous.
-    A repeated zone is rejected, and so are hours out of order, naming the
-    first pair. Timestamps are integers (:func:`~regmarket.errors.integer`, entry by
+    No zone, or a repeated one, is rejected, and so are hours out of order,
+    naming the first pair. Timestamps are integers (:func:`~regmarket.errors.integer`, entry by
     entry); an int64 array is kept as it is.
     """
 
@@ -75,6 +75,8 @@ class ZonalDataset:
 
     def __post_init__(self):
         zones = sequence(self.zones, "zones")
+        if not zones:
+            raise InvalidInputError("zones must name at least one zone", "zones")
         repeated = [zone for k, zone in enumerate(zones) if zone in zones[:k]]
         if repeated:
             raise InvalidInputError(f"zones lists {repeated[0]!r} more than once", "zones")

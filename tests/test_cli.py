@@ -111,6 +111,17 @@ class TestSubcommands:
         cleaned = tmp_path / "results" / "ingested.csv"
         assert cleaned.read_text(encoding="utf-8").startswith("timestamp,DK1,DK2")
 
+    def test_ingest_warns_when_over_a_tenth_of_the_rows_drop(self, tmp_path, capsys):
+        rows = ["timestamp,DK1,DK2"] + [f"{100 + t},{1.0 + t},{'' if t < 4 else 2.0}" for t in range(20)]
+        csv_path = tmp_path / "wind.csv"
+        csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        market = {"central_agent": "DK1", "max_lag": 2, "window": 10}
+        config = write_scenario(tmp_path, data={"type": "csv", "path": str(csv_path)}, market=market)
+        assert main(["ingest", "--config", str(config)]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "zones DK1, DK2; 16 hours (104..119); dropped 4 rows\nwarning: dropped 4 of 20 rows (20.0%)\n"
+        )
+
     def test_ingest_write_clean_keeps_hours(self, tmp_path, capsys):
         from regmarket.data_io import ingest_csv
 
@@ -487,9 +498,10 @@ class TestExitCodes:
             ("clear", ("reservations", "entries"), [["P9", 1, 0.1]], "reservations.entries"),
             ("clear", ("reservations", "entries"), [["P1", 1, 0.1]], "reservations.entries"),
             ("clear", ("reservations", "entries"), [["P2", 9, 0.1]], "reservations.entries"),
+            ("clear", ("reservations", "entries"), [["P1", 9, 0.0]], "reservations.entries"),
         ],
         ids=["seller-not-in-data", "buyer-not-in-data", "grid-agent-not-a-seller", "entry-agent-not-in-data",
-             "entry-for-the-buyer", "entry-lag-past-max-lag"],
+             "entry-for-the-buyer", "entry-lag-past-max-lag", "free-buyer-entry-past-max-lag"],
     )
     def test_roster_checked_against_the_data_exits_2_naming_the_key(
         self, tmp_path, capsys, command, where, value, key
@@ -640,6 +652,11 @@ class TestExitCodes:
         config = write_scenario(tmp_path, data={"type": "csv", "path": str(csv_path)}, market=market)
         assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith(f"error: {csv_path}: ")
+
+    def test_ingest_requires_a_csv_source(self, tmp_path, capsys):
+        config = write_scenario(tmp_path)
+        assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: ingest needs a csv data source\n"
 
     def test_simulate_requires_synthetic_source(self, tmp_path):
         csv_path = tmp_path / "wind.csv"

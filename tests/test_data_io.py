@@ -116,6 +116,13 @@ class TestIngestCsv:
         with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: header repeats column '{repeated}'$"):
             ingest_csv(path, schema=schema)
 
+    @pytest.mark.parametrize(("header", "schema"), [(("timestamp",), None), (("timestamp", "A"), {})],
+                             ids=["stamp-only", "empty-schema"])
+    def test_no_zone_column_rejected(self, tmp_path, header, schema):
+        path = write_csv(tmp_path / "wind.csv", [(100 + t, *[1.0] * (len(header) - 1)) for t in range(3)], header=header)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: no zone columns$"):
+            ingest_csv(path, schema=schema)
+
     def test_header_repeating_an_unread_column_accepted(self, tmp_path):
         rows = [(100 + t, 1.0, 2.0, 3.0) for t in range(3)]
         path = write_csv(tmp_path / "wind.csv", rows, header=("timestamp", "A", "A", "B"))
@@ -805,6 +812,18 @@ class TestZonalDataset:
         with pytest.raises(InvalidInputError, match="^zones lists 'A' more than once$") as err:
             ZonalDataset(("A", "B", "A"), [100, 101], np.ones((2, 3)))
         assert err.value.field == "zones"
+
+    def test_no_zones_rejected_naming_zones(self):
+        # write_zonal_csv would write a header of no zone column, which ingest_csv rejects.
+        with pytest.raises(InvalidInputError, match="^zones must name at least one zone$") as err:
+            ZonalDataset((), [100, 101], np.ones((2, 0)))
+        assert err.value.field == "zones"
+
+    @pytest.mark.parametrize("timestamps", [[], np.zeros((1, 1), dtype=np.int64)], ids=["no-hour", "two-dimensional"])
+    def test_no_hours_rejected_naming_timestamps(self, timestamps):
+        with pytest.raises(InvalidInputError, match="^timestamps must hold at least one hour$") as err:
+            ZonalDataset(("A",), timestamps, np.ones((0, 1)))
+        assert err.value.field == "timestamps"
 
     def test_string_of_zones_rejected_naming_zones(self):
         # A bare string would otherwise be split into one zone per letter.

@@ -319,6 +319,10 @@ class TestTSweep:
             assert np.shares_memory(outcome.market.design_all.values, market.design_all.values)
             assert np.array_equal(outcome.market.baseline_start, window.baseline_start)
 
+    def test_missing_grid_rejected(self):
+        with pytest.raises(InvalidInputError, match="^T sweep needs a non-empty t_grid$"):
+            run_T_sweep(scenario("P1"))
+
     def test_derived_rows_cover_each_agent_and_buyer(self):
         report = run_T_sweep(scenario("P1", seed=0, t_grid=(120, 240)))
         agents = {(row["T"], row["agent"]) for row in report.derived_rows}
@@ -328,6 +332,10 @@ class TestTSweep:
 
 
 class TestTwoAgentGrid:
+    def test_missing_grid_rejected(self):
+        with pytest.raises(InvalidInputError, match="^two-agent grid needs both agents and both grids$"):
+            run_two_agent_grid(scenario("P1"))
+
     def test_one_by_one_grid_equals_single_clearing(self):
         sc = scenario(
             "P1", seed=0, u_grid=(0.1,), grid2=TwoAgentGrid("P2", "P3", (0.1,), (0.1,))

@@ -288,6 +288,13 @@ class TestPenaltiesFromReservations:
         with pytest.raises(InvalidInputError, match="lag 4"):
             self.penalties(schedule)
 
+    def test_free_buyer_entry_without_design_column_rejected(self):
+        # The buyer's one extra rule is a price of 0; its entries still need a design column.
+        schedule = ReservationSchedule({("P1", 9): 0.0})
+        with pytest.raises(InvalidInputError, match="^entries price agent 'P1' lag 9, which has no design column$") as err:
+            self.penalties(schedule)
+        assert err.value.field == "entries"
+
     def test_central_agent_cannot_sell(self):
         schedule = ReservationSchedule({("P1", 1): 0.1})
         with pytest.raises(InvalidInputError, match="central"):

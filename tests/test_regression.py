@@ -47,6 +47,11 @@ class TestDesignMatrix:
             DesignMatrix(np.ones((3, 2)), column_map)
         assert caught.value.field == "column_map"
 
+    def test_column_map_of_another_length_rejected(self):
+        with pytest.raises(InvalidInputError, match="^column_map has 1 entries for 2 columns$") as err:
+            DesignMatrix(np.ones((3, 2)), (None,))
+        assert err.value.field == "column_map"
+
     def test_duplicate_feature_rejected(self):
         values = np.ones((3, 3))
         with pytest.raises(InvalidInputError):

@@ -38,6 +38,10 @@ class TestAgentSeries:
 
 
 class TestBuildLagMatrix:
+    def test_no_series_rejected(self):
+        with pytest.raises(InvalidInputError, match="^need at least one agent series$"):
+            build_lag_matrix([], LagSpec(max_lag=1, window_length=2))
+
     def test_single_agent_lag_one(self):
         s = series("A", [10.0, 11.0, 12.0], start_time=1)
         design = build_lag_matrix([s], LagSpec(max_lag=1, window_length=2))
