@@ -151,7 +151,8 @@ def run_T_sweep(scenario: ScenarioConfig) -> ExperimentReport:
     window starts at the same hour, so each shorter one clears on
     :meth:`regmarket.market.PreparedMarket.window`, whose target and designs
     are row prefixes of the longest window's; each point equals a direct
-    clearing at its own window. Each clearing reports per-agent payments
+    clearing at its own window, bitwise on the longest window's series and
+    to rounding on series cut to its own, whose shifts differ. Each clearing reports per-agent payments
     both as window totals and per time step.
     """
     grid = scenario.t_grid

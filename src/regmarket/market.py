@@ -198,8 +198,11 @@ class PreparedMarket:
     ``design_all.values``, ``target``, ``normal``'s arrays, ``baseline_start``
     and ``baseline_correlation`` are read-only, so nothing written through
     the market can move them away from the baseline and slack computed here.
-    ``target`` is a copy of the caller's buyer window, so writing into that
-    series' values after preparing leaves the market as it was prepared.
+    Each series is first moved off its location into a copy
+    (:func:`_off_location`), so writing into the caller's series after
+    preparing leaves the market as it was prepared. ``target``,
+    ``design_all`` and the intercept of every fit on them are in these
+    shifted units; no lag coefficient, loss or payment depends on them.
     """
 
     def __init__(self, config: MarketConfig, all_series):
@@ -210,7 +213,8 @@ class PreparedMarket:
             by_id[series.agent_id] = series
         config = config.resolve(by_id)
         roster = [by_id[agent] for agent in (config.central_agent, *config.support_agents)]
-        target = roster[0].window(config.lag_spec.window_length).copy()
+        roster = [dataclasses.replace(series, values=_off_location(series.values)) for series in roster]
+        target = roster[0].window(config.lag_spec.window_length)
         self._fit(config, target, build_lag_matrix(roster, config.lag_spec))
 
     def _fit(self, config, target, design_all) -> None:
@@ -249,8 +253,9 @@ class PreparedMarket:
         """This market on the first ``length`` hours of its window.
 
         The target and the design are row-prefix views, not copies; the
-        baseline fit and the normal equations are the shorter window's own,
-        so it clears bitwise as a market prepared at ``length``.
+        baseline fit and the normal equations are the shorter window's own, and
+        the series' shifts this market's, so it clears bitwise as a market
+        prepared at ``length`` from the same series.
         """
         spec, length = self.config.lag_spec, integer(length, "length")
         if length == spec.window_length:
@@ -360,6 +365,17 @@ class PreparedMarket:
         change = beta - self.baseline_start
         moved = float(change @ (self.normal.gram @ change)) - 2.0 * float(change @ self.baseline_correlation)
         return max(self.baseline_mse + moved / self.design_all.n_rows, 0.0)
+
+
+def _off_location(values: np.ndarray) -> np.ndarray:
+    """``values`` less its first sample v0, then less the mean of ``values - v0``.
+
+    The free intercept absorbs any constant added to a series, but a far-off location drowns the fit
+    in the Gram form's rounding. Two passes make a constant series exact zeros, which subtracting
+    its plain mean often does not.
+    """
+    step = values - values[0]
+    return step - np.mean(step)
 
 
 def clear_market(config: MarketConfig, all_series, reservations: ReservationSchedule) -> MarketOutcome:

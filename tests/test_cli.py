@@ -691,3 +691,33 @@ class TestDesignPassesPerCycle:
         # reads its buyer design, and each clearing measures its loss from it.
         assert len(calls) == 7
         assert all(X.n_cols == 1 + 3 for X in calls)  # the intercept and the buyer's three lags
+
+
+def load_module(name, *parts):
+    """The module at ``parts`` under the repository root, loaded as ``name``."""
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).parents[1].joinpath(*parts))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestLocationDoesNotDecideTheClearing:
+    def test_offset_zonal_csv_clears_as_the_unshifted_one(self, tmp_path, capsys):
+        # The benchmark's csv-t CSV at seed 1, and a copy with 1e4 added to every value cell, cleared
+        # unnormalized at window 4380. Cleared on the raw offset sums, the market bought nothing.
+        inputs = load_module("bench_inputs", "bench", "inputs.py")
+        tool = load_module("compare_cli_outputs", "tools", "compare_cli_outputs.py")
+        table, offset_table = tmp_path / "zones.csv", tmp_path / "zones-offset.csv"
+        inputs.write_zonal_csv(table, 1)
+        tool.write_offset_cells(table, offset_table, 1e4)
+        printed = []
+        for path in (table, offset_table):
+            scenario = inputs.csv_t_scenario(1, path)
+            scenario["data"]["normalization"] = "none"
+            scenario["market"]["window"] = 4380
+            scenario["reservations"] = {"uniform_u": 0.002}
+            config = write_scenario(tmp_path, name=f"{path.stem}.json", **scenario)
+            assert main(["clear", "--config", str(config), "--out", str(tmp_path / path.stem)]) == EXIT_OK
+            printed.append(capsys.readouterr().out.splitlines()[0])
+        assert printed[1] == printed[0]
+        assert printed[1].endswith("payments 0.00323041, buyer net gain 0.570462")

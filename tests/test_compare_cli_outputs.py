@@ -1,4 +1,4 @@
-"""``tools/compare_cli_outputs.py`` sizes a difference in values only, calls every other one structural, and rewrites ISO stamps as the hours ingest reads."""
+"""``tools/compare_cli_outputs.py`` sizes a difference in values only, calls every other one structural, rewrites ISO stamps as the hours ingest reads, and offsets value cells."""
 
 import importlib.util
 from pathlib import Path
@@ -64,3 +64,13 @@ def test_integer_stamps_ingest_as_the_iso_ones(tmp_path):
     assert a.dropped_rows == b.dropped_rows == 1
     assert a.dataset.timestamps.tolist() == b.dataset.timestamps.tolist()
     assert a.dataset.values.tobytes() == b.dataset.values.tobytes()
+
+
+def test_offset_cells_add_the_offset_to_each_value_cell(tmp_path):
+    source = tmp_path / "zones.csv"
+    source.write_text("timestamp,A,B\n2020-02-28T23:00:00,1.5000,-2.2500\n2020-02-29T00:00:00,,3.0001\n", encoding="utf-8")
+    shifted = tmp_path / "offset.csv"
+    tool.write_offset_cells(source, shifted, 1e4)
+    assert shifted.read_text(encoding="utf-8") == (
+        "timestamp,A,B\n2020-02-28T23:00:00,10001.5000,9997.7500\n2020-02-29T00:00:00,,10003.0001\n"
+    )

@@ -96,6 +96,12 @@ def raw_design(roster, config):
     return np.column_stack(columns), buyer.values[buyer.start_time : buyer.start_time + T]
 
 
+def shifted(roster):
+    """Each series as a prepared market reads it: less its first sample, then less the mean of that difference."""
+    steps = [series.values - series.values[0] for series in roster]
+    return [dataclasses.replace(series, values=step - np.mean(step)) for series, step in zip(roster, steps)]
+
+
 def change_form_bound(A, y, beta, start):
     """How far rounding can put a clearing's ``market_mse`` from ``||y - A beta||^2 / T``.
 
@@ -468,8 +474,8 @@ class TestPreparedMarket:
         shorter.clear(shorter.prices(ReservationSchedule(default=0.1)))
         assert built == [LAG]
 
-        # The baseline is fitted on the buyer's block of the one lag matrix.
-        central = next(series for series in roster if series.agent_id == "P1")
+        # The baseline is fitted on the buyer's block of the one lag matrix, of the shifted series.
+        central = next(series for series in shifted(roster) if series.agent_id == "P1")
         assert len(fitted) == 2
         for design_self, prepared, spec in zip(fitted, (market, shorter), (LAG, LagSpec(3, 120))):
             assert_buyer_design(design_self, prepared)
@@ -633,6 +639,53 @@ reservation_prices = st.lists(
 def slack(outcome):
     """Solver-tolerance allowance, relative to the buyer's baseline loss."""
     return 1e-12 * outcome.market.baseline_mse
+
+
+class TestLocationInvariance:
+    """Adding a constant to any agent's series is the same market.
+
+    The intercept is never penalized, so it absorbs each series' location:
+    the seller coefficients, both losses and every payment are unchanged.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        prices=st.lists(st.sampled_from([0.0, 1e-3, 0.02, 0.1, 1.0]), min_size=12, max_size=12),
+        offsets=st.lists(st.floats(-1e4, 1e4), min_size=5, max_size=5),
+    )
+    @example(seed=0, prices=[0.02] * 12, offsets=[1e4] * 5)
+    @example(seed=3, prices=[0.0, 0.1, 0.02] * 4, offsets=[-1e4, 1e4, 3e3, -7e3, 1e4])
+    def test_offsets_do_not_change_the_clearing(self, seed, prices, offsets):
+        config, roster = default_market(seed=seed)
+        moved = [dataclasses.replace(s, values=s.values + c * np.std(s.values)) for s, c in zip(roster, offsets)]
+        schedule = ReservationSchedule(dict(zip(FEATURES, prices)))
+        outcomes = []
+        for data in (roster, moved):
+            try:
+                outcomes.append(clear_market(config, data, schedule))
+            except ConvergenceError:
+                outcomes.append(None)
+        reference, outcome = outcomes
+        assert (outcome is None) == (reference is None)
+        if reference is None:
+            return
+        sellers = reference.market.seller_index
+        scale = np.max(np.abs(reference.market_beta[1:]))
+        assert np.max(np.abs(outcome.market_beta[sellers] - reference.market_beta[sellers])) <= 1e-9 * scale
+        baseline = reference.market.baseline_mse
+        assert np.max(np.abs(outcome.payments - reference.payments)) <= 1e-9 * baseline
+        assert outcome.market.baseline_mse == pytest.approx(baseline, rel=1e-9)
+        assert outcome.market_mse == pytest.approx(reference.market_mse, rel=1e-9)
+
+    def test_constant_seller_clears_at_zero(self):
+        # Free, a constant seller is collinear with the intercept; shifted off its location it is all zeros.
+        config, roster = default_market(seed=0)
+        roster.append(AgentSeries("P6", np.full(LAG.max_lag + LAG.window_length, 3.7), LAG.max_lag))
+        config = dataclasses.replace(config, support_agents=SUPPORTS + ("P6",))
+        outcome = clear_market(config, roster, ReservationSchedule(default=0.0))
+        columns = [outcome.market.design_all.column_of("P6", lag) for lag in range(1, LAG.max_lag + 1)]
+        assert outcome.market_beta[columns].tolist() == [0.0] * LAG.max_lag
 
 
 class TestMetamorphic:
@@ -848,7 +901,7 @@ class TestOnePassPerClearing:
         roster = [dataclasses.replace(series, values=series.values * scale) for series in roster]
         config = MarketConfig("P1", SUPPORTS, LAG)
         market = PreparedMarket(config, roster)
-        A, y = raw_design(roster, config)
+        A, y = raw_design(shifted(roster), config)  # the market's intercept is that of the shifted data
         start = None
         for ask in asks:
             outcome = market.clear(market.prices(ReservationSchedule(default=ask * scale**2)), start)

@@ -13,7 +13,9 @@ below, a generator edge case, the ``csv-t`` CSV under ``MIDDLE_BUYER`` below,
 ``entries``, the ``csv-t`` CSV under ``SCHEMA_SCENARIO`` below, the one
 input that sets ``data.schema`` and ``data.window_start``, and the
 ``csv-t`` scenario on a copy of its CSV with each ISO stamp rewritten as
-its integer hour index (:func:`write_integer_stamps`). Every command
+its integer hour index (:func:`write_integer_stamps`), and on a copy with
+``OFFSET`` added to every value cell (:func:`write_offset_cells`), read
+without normalization. Every command
 then runs on every input, once per tree, in a fresh process with that
 tree's ``src/`` on the path and the same relative output directory, so the
 printed paths match.
@@ -59,6 +61,7 @@ from pathlib import Path
 COMMANDS = ("simulate", "clear", "compare-methods", "sweep-u", "sweep-t", "grid-2", "ingest")
 SEEDS = (0, 3)  # paper-u and small-many
 CSV_SEED = 1
+OFFSET = 1e4  # csv-t-offset's location, thousands of times each zone's spread; it must not decide the clearing
 
 # The generator's edge: one seller, a negative AR coefficient and no
 # cross-seller loading, so the buyer is a plain AR(1) of its own.
@@ -134,6 +137,19 @@ def write_integer_stamps(source: Path, target: Path) -> None:
     target.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_offset_cells(source: Path, target: Path, offset: float = OFFSET) -> None:
+    """Copy the zonal CSV ``source`` to ``target`` with ``offset`` added to each nonempty value cell.
+
+    Sums are written to 4 decimals, as the benchmark writes its cells, so each is the exact decimal sum.
+    """
+    header, *rows = source.read_text(encoding="utf-8").splitlines()
+    lines = [header]
+    for row in rows:
+        stamp, *cells = row.split(",")
+        lines.append(",".join([stamp, *(cell and f"{float(cell) + offset:.4f}" for cell in cells)]))
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def write_inputs(head: Path, directory: Path) -> list:
     """Write every input under ``directory``; return ``(label, config, seed)`` per run."""
     sys.path.insert(0, str(head / "bench"))
@@ -162,6 +178,13 @@ def write_inputs(head: Path, directory: Path) -> list:
     config = directory / f"csv-t-{CSV_SEED}-hours.json"
     inputs.write_json(config, inputs.csv_t_scenario(CSV_SEED, hours_table))
     runs.append((f"csv-t-{CSV_SEED}-hours", config, CSV_SEED))
+    offset_table = directory / f"zones-{CSV_SEED}-offset.csv"
+    write_offset_cells(table, offset_table)
+    config = directory / "csv-t-offset.json"
+    # Unnormalized: dividing each zone by its peak would shrink its spread along with its location.
+    scenario = inputs.csv_t_scenario(CSV_SEED, offset_table)
+    inputs.write_json(config, {**scenario, "data": {**scenario["data"], "normalization": "none"}})
+    runs.append(("csv-t-offset", config, CSV_SEED))
 
     readme = (head / "README.md").read_text(encoding="utf-8")
     section = readme[readme.index("A full scenario file") :]
