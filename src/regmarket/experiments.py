@@ -152,8 +152,8 @@ def run_T_sweep(scenario: ScenarioConfig) -> ExperimentReport:
     :meth:`regmarket.market.PreparedMarket.window`, whose target and designs
     are row prefixes of the longest window's; each point equals a direct
     clearing at its own window, bitwise on the longest window's series and
-    to rounding on series cut to its own, whose shifts differ. Each clearing reports per-agent payments
-    both as window totals and per time step.
+    to rounding on series cut to its own, whose shifts differ. Each clearing
+    reports per-agent payments both as window totals and per time step.
     """
     grid = scenario.t_grid
     if grid is None:
