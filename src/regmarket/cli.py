@@ -8,7 +8,6 @@ the scenario file and the point that failed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -57,10 +56,9 @@ def _cmd_simulate(scenario, args) -> int:
 
 
 def _cmd_clear(scenario, args) -> int:
-    report = run_clearing(scenario)
-    outcome = report.sweep_rows[0][2]
+    outcome = run_clearing(scenario)
     out = Path(scenario.out_dir) / "clearing.csv"
-    write_outcome_table(report.sweep_rows, out)
+    write_outcome_table([("clearing", "", outcome)], out)
     print(
         f"baseline mse {outcome.market.baseline_mse:.6g}, market mse {outcome.market_mse:.6g}, "
         f"payments {outcome.total_payments:.6g}, buyer net gain {outcome.buyer_net_gain:.6g}"
@@ -70,43 +68,39 @@ def _cmd_clear(scenario, args) -> int:
 
 
 def _cmd_compare(scenario, args) -> int:
-    report = run_method_comparison(scenario)
+    rows = run_method_comparison(scenario)
     out = Path(scenario.out_dir) / "method_comparison.csv"
-    write_rows(out, ("agent", "lag", "true", "ols_self", "ols_all", "lasso"), report.coefficient_rows)
-    print(f"wrote coefficient comparison for {len(report.coefficient_rows)} features to {out}")
+    write_rows(out, ("agent", "lag", "true", "ols_self", "ols_all", "lasso"), rows)
+    print(f"wrote coefficient comparison for {len(rows)} features to {out}")
     return EXIT_OK
 
 
 def _cmd_sweep_u(scenario, args) -> int:
-    report = run_u_sweep(scenario)
+    rows = run_u_sweep(scenario)
     out = Path(scenario.out_dir) / "u_sweep.csv"
-    write_outcome_table(report.sweep_rows, out)
-    print(f"wrote {len(report.sweep_rows)} clearings to {out}")
+    write_outcome_table(rows, out)
+    print(f"wrote {len(rows)} clearings to {out}")
     return EXIT_OK
 
 
 def _cmd_sweep_t(scenario, args) -> int:
-    report = run_T_sweep(scenario)
+    rows, per_step_rows = run_T_sweep(scenario)
     out = Path(scenario.out_dir) / "t_sweep.csv"
-    write_outcome_table(report.sweep_rows, out)
+    write_outcome_table(rows, out)
     per_step = out.with_name("t_sweep_per_step.csv")
-    write_rows(
-        per_step,
-        ("T", "agent", "payment", "payment_per_step", "buyer_net_gain"),
-        report.derived_rows,
-    )
-    print(f"wrote {len(report.sweep_rows)} clearings to {out} and per-step payments to {per_step}")
+    write_rows(per_step, ("T", "agent", "payment", "payment_per_step", "buyer_net_gain"), per_step_rows)
+    print(f"wrote {len(rows)} clearings to {out} and per-step payments to {per_step}")
     return EXIT_OK
 
 
 def _cmd_grid2(scenario, args) -> int:
-    report = run_two_agent_grid(scenario)
+    rows, summary = run_two_agent_grid(scenario)
     out = Path(scenario.out_dir) / "u_grid2.csv"
-    write_outcome_table(report.sweep_rows, out)
+    write_outcome_table(rows, out)
     print(
-        f"wrote {len(report.sweep_rows)} clearings to {out} "
-        f"(cross-monotonicity: a in b {report.summary['a_payment_nonincreasing_in_b_frac']:.2f}, "
-        f"b in a {report.summary['b_payment_nonincreasing_in_a_frac']:.2f})"
+        f"wrote {len(rows)} clearings to {out} "
+        f"(cross-monotonicity: a in b {summary['a_payment_nonincreasing_in_b_frac']:.2f}, "
+        f"b in a {summary['b_payment_nonincreasing_in_a_frac']:.2f})"
     )
     return EXIT_OK
 
@@ -170,14 +164,10 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     handler, _ = _COMMANDS[args.command]
     try:
-        scenario = load_scenario(args.config)
-        if args.seed is not None:
-            scenario = scenario.with_seed(args.seed)
-        if args.out is not None:
-            scenario = dataclasses.replace(scenario, out_dir=args.out)
+        scenario = load_scenario(args.config, seed=args.seed, out_dir=args.out)
         try:
             return handler(scenario, args)
-        except InvalidInputError as err:  # the overrides' own errors above stay unlabelled
+        except InvalidInputError as err:
             raise label_error(err, args.config) from None
     except (InvalidInputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -542,8 +542,7 @@ class CsvSource:
     window_start: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.path, (str, os.PathLike)):
-            raise InvalidInputError(f"path must be a string, got {self.path!r}", field="path")
+        _text(self.path, "path")
         schema = self.schema
         if schema is not None and not (isinstance(schema, dict) and all(isinstance(v, str) for v in schema.values())):
             raise InvalidInputError(f"schema must map column names to zone names, got {schema!r}", field="schema")
@@ -572,9 +571,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if not isinstance(self.data, (SyntheticSpec, CsvSource)):
             raise InvalidInputError(f"data must be a SyntheticSpec or a CsvSource, got {self.data!r}", field="data")
-        for name, value in {"scenario_id": self.scenario_id, "out_dir": self.out_dir}.items():
-            if not isinstance(value, (str, os.PathLike)):
-                raise InvalidInputError(f"{name} must be a string, got {value!r}", field=name)
+        _text(self.scenario_id, "scenario_id")
+        _text(self.out_dir, "out_dir")
         if not isinstance(self.reservations, ReservationSchedule):
             message = f"reservations must be a ReservationSchedule, got {self.reservations!r}"
             raise InvalidInputError(message, field="reservations")
@@ -583,12 +581,12 @@ class ScenarioConfig:
         if self.t_grid is not None:
             object.__setattr__(self, "t_grid", _checked_grid(self.t_grid, "t_grid", whole=True))
 
-    def with_seed(self, seed: int) -> "ScenarioConfig":
-        """Copy whose synthetic generator uses ``seed``; a CSV scenario only checks ``seed`` and is unchanged."""
-        if isinstance(self.data, CsvSource):
-            integer(seed, "seed", least=0)
-            return self
-        return dataclasses.replace(self, data=dataclasses.replace(self.data, seed=seed))
+
+def _text(value, field: str):
+    """``value``, a string or path; anything else is rejected naming ``field``."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise InvalidInputError(f"{field} must be a string, got {value!r}", field=field)
+    return value
 
 
 def _same(*keys):
@@ -612,6 +610,9 @@ _RESERVATION_KEYS = {"uniform_u": "default", "entries": "entries"}
 _SWEEP_KEYS = _same("u_grid", "t_grid")
 _GRID2_KEYS = _same("agent_a", "agent_b", "u_grid_a", "u_grid_b", "others_u")
 _BARE_KEYS = ("u_grid", "t_grid", "u_grid_a", "u_grid_b")
+# The top-level keys an argument of load_scenario may replace, each with the
+# rule its constructor applies; a CSV source takes no seed, so only this checks its seed.
+_TOP_CHECKS = {"seed": lambda value: integer(value, "seed", least=0), "out_dir": lambda value: _text(value, "out_dir")}
 # Each field, mapped to the key that sets it as messages name it.
 _KEY_OF = {
     field: key if not block or key in _BARE_KEYS else f"{block}.{key}"
@@ -632,7 +633,7 @@ def label_error(err: InvalidInputError, path) -> InvalidInputError:
     return InvalidInputError(f"{Path(path)}: invalid value ({err.renamed(key)})")
 
 
-def load_scenario(path) -> ScenarioConfig:
+def load_scenario(path, seed=None, out_dir=None) -> ScenarioConfig:
     """Parse a scenario JSON file into a :class:`ScenarioConfig`.
 
     The tables above map each block's keys to constructor fields. Only the
@@ -641,7 +642,13 @@ def load_scenario(path) -> ScenarioConfig:
     key, a block that is not an object, or a value a constructor rejects raises
     :class:`InvalidInputError` naming the file, and for a value the key
     (:func:`label_error`).
+
+    ``seed`` and ``out_dir``, when given, replace the file's values before any
+    constructor runs. The file's own values are still checked, and rejected
+    naming the file and key; a rejected argument names neither, since it is
+    not in the file, and is rejected before the file is read.
     """
+    given = {name: _TOP_CHECKS[name](v) for name, v in {"seed": seed, "out_dir": out_dir}.items() if v is not None}
     path = Path(path)
 
     def unique(pairs):  # one JSON object; a key it repeats is rejected
@@ -659,10 +666,14 @@ def load_scenario(path) -> ScenarioConfig:
     except json.JSONDecodeError as err:
         raise InvalidInputError(f"{path}: invalid JSON ({err})") from None
     kind, fields = _read_blocks(raw, path)
-    seed = fields.pop("seed", None)
     try:
+        for name, check in _TOP_CHECKS.items():  # the file's own, even where an argument replaces it
+            if name in fields:
+                check(fields[name])
+        fields.update(given)
         source = SyntheticSpec if kind == "synthetic" else CsvSource
-        fields["data"] = source(**_take(fields, source))
+        fields["data"] = source(**_take(fields, source))  # a synthetic source takes the seed
+        fields.pop("seed", None)  # a CSV source takes none
         fields["lag_spec"] = LagSpec(**_take(fields, LagSpec))
         fields["solver"] = SolverSettings(**_take(fields, SolverSettings))
         fields.setdefault("support_agents", None)
@@ -674,8 +685,7 @@ def load_scenario(path) -> ScenarioConfig:
         if "agent_a" in fields:  # a grid2 block, which requires its agents
             fields["grid2"] = TwoAgentGrid(**_take(fields, TwoAgentGrid))
         fields.setdefault("scenario_id", path.stem)
-        scenario = ScenarioConfig(**fields)
-        return scenario.with_seed(seed) if "seed" in raw else scenario
+        return ScenarioConfig(**fields)
     except InvalidInputError as err:
         raise label_error(err, path) from None
 

@@ -1,36 +1,37 @@
 """Experiment harness: one clearing, method comparison, reservation sweeps and training sweeps.
 
-Every sweep reads its grid only from the scenario (``u_grid``, ``t_grid``,
-``grid2``), where :class:`regmarket.data_io.ScenarioConfig` has checked it;
-to vary a grid, ``dataclasses.replace`` the scenario. Every runner prepares
-one :class:`regmarket.market.PreparedMarket` per scenario through
-:func:`_prepare`: reservation sweeps clear it once per point, and the
+Each runner returns the rows its command writes. Every sweep reads its grid
+only from the scenario (``u_grid``, ``t_grid``, ``grid2``), where
+:class:`regmarket.data_io.ScenarioConfig` has checked it; to vary a grid,
+``dataclasses.replace`` the scenario. Every runner prepares one
+:class:`regmarket.market.PreparedMarket` per scenario: a single clearing
+through :func:`regmarket.market.clear_market`, a sweep through
+:func:`_prepare`. Reservation sweeps clear it once per point, and the
 training sweep prepares it at the longest window and clears each shorter
-one on a row prefix of it. Every runner clears its points in one loop,
+one on a row prefix of it. Every sweep clears its points in one loop,
 :func:`_clear_points`, which names the point a solver or viability error
 came from. The loop warm-starts each reservation-sweep point after the
 first from the previous point's coefficients on the same prepared market;
-a sweep's first point, one-point runs and every training-sweep window (its
-own market) start from their market's baseline fit. Buyer viability is checked inside the market on
-every clearing, by the check :func:`regmarket.market.verify_buyer_viability`
-makes, so a report can only contain buyer-viable outcomes.
+a sweep's first point and every training-sweep window (its own market)
+start from their market's baseline fit, as a single clearing does. Buyer
+viability is checked inside the market on every clearing, by the check
+:func:`regmarket.market.verify_buyer_viability` makes, so a runner can only
+return buyer-viable outcomes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data_io import ScenarioConfig, ingest_csv, to_agent_series
 from .errors import ConvergenceError, InvalidInputError, ViabilityError
-from .market import PreparedMarket
-from .market import clear_market, verify_buyer_viability  # noqa: F401  (names patched by bench/tracer.py)
+from .market import MarketOutcome, PreparedMarket, clear_market
+from .market import verify_buyer_viability  # noqa: F401  (name patched by bench/tracer.py)
 from .timeseries import LagSpec, SyntheticSpec, synthetic_market_series
 
 __all__ = [
-    "ExperimentReport",
     "run_clearing",
     "run_method_comparison",
     "run_u_sweep",
@@ -38,16 +39,6 @@ __all__ = [
     "run_two_agent_grid",
     "materialize_series",
 ]
-
-
-@dataclass
-class ExperimentReport:
-    """Results of one experiment: raw clearings plus tabulated views."""
-
-    sweep_rows: list = field(default_factory=list)  # (param, value, MarketOutcome)
-    coefficient_rows: list | None = None
-    derived_rows: list = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
 
 
 def materialize_series(scenario: ScenarioConfig) -> list:
@@ -72,26 +63,25 @@ def _prepare(scenario: ScenarioConfig) -> PreparedMarket:
     return PreparedMarket(scenario.market, materialize_series(scenario))
 
 
-def _clear_points(points) -> ExperimentReport:
-    """Clear ``(param, value, market, prices)`` points in order, one ``sweep_rows`` row each.
+def _clear_points(points) -> list:
+    """Clear ``(param, value, market, prices)`` points in order, one ``(param, value, outcome)`` row each.
 
     A point on the same prepared market as the point before it is warm-started from that
     point's coefficients; the first point, and a point on another market, start from
     that market's ``baseline_start``.
     A :class:`ConvergenceError` or :class:`ViabilityError` at a point is raised again as the
-    same object, ``"<param>=<value>: "`` put before its message unless the value is ``""``.
+    same object, ``"<param>=<value>: "`` put before its message.
     """
-    report, outcome = ExperimentReport(), None
+    rows, outcome = [], None
     for param, value, market, prices in points:
         start = outcome.market_beta if outcome is not None and outcome.market is market else None
         try:
             outcome = market.clear(prices, start)
         except (ConvergenceError, ViabilityError) as err:
-            if value != "":
-                err.args = (f"{param}={value}: {err}",)
+            err.args = (f"{param}={value}: {err}",)
             raise
-        report.sweep_rows.append((param, value, outcome))
-    return report
+        rows.append((param, value, outcome))
+    return rows
 
 
 def _paid(outcome) -> dict:
@@ -102,24 +92,22 @@ def _paid(outcome) -> dict:
     return paid
 
 
-def run_clearing(scenario: ScenarioConfig) -> ExperimentReport:
-    """Prepare the scenario's market and clear it once, at the scenario's schedule."""
-    market = _prepare(scenario)
-    return _clear_points([("clearing", "", market, market.prices(scenario.reservations))])
+def run_clearing(scenario: ScenarioConfig) -> MarketOutcome:
+    """Clear the scenario's market once, at the scenario's schedule."""
+    return clear_market(scenario.market, materialize_series(scenario), scenario.reservations)
 
 
-def run_method_comparison(scenario: ScenarioConfig) -> ExperimentReport:
-    """Fit own-features OLS, all-features OLS and the weighted lasso side by side.
+def run_method_comparison(scenario: ScenarioConfig) -> list:
+    """Fit own-features OLS, all-features OLS and the weighted lasso side by side, one row per feature.
 
     All three methods see the same design matrices and target. For synthetic
     scenarios each coefficient row also carries the generative truth.
     """
-    report = run_clearing(scenario)
-    outcome = report.sweep_rows[0][2]
+    outcome = run_clearing(scenario)
     market, truth = outcome.market, scenario.data if isinstance(scenario.data, SyntheticSpec) else None
 
     ols_all, *_ = np.linalg.lstsq(market.normal.gram, market.normal.moment, rcond=None)  # min-norm solution of G b = c
-    report.coefficient_rows = [
+    return [
         {
             "agent": agent,
             "lag": lag,
@@ -130,11 +118,10 @@ def run_method_comparison(scenario: ScenarioConfig) -> ExperimentReport:
         }
         for j, agent, lag in market.design_all.feature_columns()
     ]
-    return report
 
 
-def run_u_sweep(scenario: ScenarioConfig) -> ExperimentReport:
-    """One clearing per entry of the scenario's ``u_grid``.
+def run_u_sweep(scenario: ScenarioConfig) -> list:
+    """One clearing per entry of the scenario's ``u_grid``, a ``("u", u, outcome)`` row each.
 
     At each point every support feature's reservation is set to the grid value.
     """
@@ -144,7 +131,7 @@ def run_u_sweep(scenario: ScenarioConfig) -> ExperimentReport:
     return _clear_points(("u", u, market, np.full(len(market.seller_features), u)) for u in scenario.u_grid)
 
 
-def run_T_sweep(scenario: ScenarioConfig) -> ExperimentReport:
+def run_T_sweep(scenario: ScenarioConfig) -> tuple[list, list]:
     """One clearing per entry of the scenario's ``t_grid``, on one prepared market.
 
     The market is prepared once, at the longest requested window. Every
@@ -152,8 +139,11 @@ def run_T_sweep(scenario: ScenarioConfig) -> ExperimentReport:
     :meth:`regmarket.market.PreparedMarket.window`, whose target and designs
     are row prefixes of the longest window's; each point equals a direct
     clearing at its own window, bitwise on the longest window's series and
-    to rounding on series cut to its own, whose shifts differ. Each clearing
-    reports per-agent payments both as window totals and per time step.
+    to rounding on series cut to its own, whose shifts differ.
+
+    Returns a ``("T", T, outcome)`` row per window, and per-step rows that give
+    each window's payment to each seller and in total to the buyer, both as
+    window totals and per time step.
     """
     grid = scenario.t_grid
     if grid is None:
@@ -167,24 +157,24 @@ def run_T_sweep(scenario: ScenarioConfig) -> ExperimentReport:
         raise
     config = market.config
     prices = market.prices(scenario.reservations)  # every window has the same sellers
-    report = _clear_points(("T", T, market.window(T), prices) for T in grid)
-    for _, T, outcome in report.sweep_rows:
+    rows, per_step = _clear_points(("T", T, market.window(T), prices) for T in grid), []
+    for _, T, outcome in rows:
         for agent, paid in _paid(outcome).items():
-            report.derived_rows.append({"T": T, "agent": agent, "payment": paid, "payment_per_step": paid / T})
+            per_step.append({"T": T, "agent": agent, "payment": paid, "payment_per_step": paid / T})
         total = outcome.total_payments
-        report.derived_rows.append(
+        per_step.append(
             {"T": T, "agent": config.central_agent, "payment": total, "payment_per_step": total / T,
              "buyer_net_gain": outcome.buyer_net_gain}
         )
-    return report
+    return rows, per_step
 
 
-def run_two_agent_grid(scenario: ScenarioConfig) -> ExperimentReport:
+def run_two_agent_grid(scenario: ScenarioConfig) -> tuple[list, dict]:
     """Clear every combination of the scenario's ``grid2`` reservations.
 
     The two focal sellers take every pair from their grids; the remaining
-    sellers keep ``others_u``. Cross-seller monotonicity is reported as a
-    statistic in the summary, not asserted.
+    sellers keep ``others_u``. Returns a row per pair and a summary that
+    reports cross-seller monotonicity as a statistic, not asserted.
     """
     grid = scenario.grid2
     if grid is None:
@@ -196,34 +186,29 @@ def run_two_agent_grid(scenario: ScenarioConfig) -> ExperimentReport:
         if agent not in config.support_agents:
             raise InvalidInputError(f"{name} {agent!r} is not a support agent", name)
 
-    pairs = [(ua, ub) for ua in grid.u_grid_a for ub in grid.u_grid_b]
     sellers = [agent for agent, _ in market.seller_features]
-    report = _clear_points(  # every seller at others_u, but the focal two
+    rows = _clear_points(  # every seller at others_u, but the focal two
         (f"u({agent_a},{agent_b})", f"{ua!r};{ub!r}", market,
          np.array([ua if a == agent_a else ub if a == agent_b else grid.others_u for a in sellers]))
-        for ua, ub in pairs
+        for ua in grid.u_grid_a for ub in grid.u_grid_b
     )
-    report.derived_rows = [
-        {"u_a": ua, "u_b": ub, "payment_a": paid[agent_a], "payment_b": paid[agent_b]}
-        for (ua, ub), paid in zip(pairs, (_paid(outcome) for _, _, outcome in report.sweep_rows))
-    ]
 
     # Adjacent grid steps where one seller's payment does not increase when
     # the other seller raises its reservation. Rows run over u_b within u_a.
     # Payments are in MSE units, so the rounding slack scales with the baseline.
-    rows, n_b = report.derived_rows, len(grid.u_grid_b)
-    b_steps = [(rows[k], rows[k + 1]) for k in range(len(rows) - 1) if (k + 1) % n_b]
-    a_steps = list(zip(rows, rows[n_b:]))
+    paid, n_b = [_paid(outcome) for _, _, outcome in rows], len(grid.u_grid_b)
+    b_steps = [(paid[k], paid[k + 1]) for k in range(len(paid) - 1) if (k + 1) % n_b]
+    a_steps = list(zip(paid, paid[n_b:]))
     slack = 1e-12 * market.baseline_mse
-    report.summary = {
-        "a_payment_nonincreasing_in_b_frac": _nonincreasing_frac(b_steps, "payment_a", slack),
-        "b_payment_nonincreasing_in_a_frac": _nonincreasing_frac(a_steps, "payment_b", slack),
+    summary = {
+        "a_payment_nonincreasing_in_b_frac": _nonincreasing_frac(b_steps, agent_a, slack),
+        "b_payment_nonincreasing_in_a_frac": _nonincreasing_frac(a_steps, agent_b, slack),
     }
-    return report
+    return rows, summary
 
 
-def _nonincreasing_frac(steps, key, slack: float) -> float:
-    """Share of ``(low, high)`` row pairs whose ``key`` rises by at most ``slack``."""
+def _nonincreasing_frac(steps, agent: str, slack: float) -> float:
+    """Share of ``(low, high)`` pairs of payments by agent whose ``agent`` entry rises by at most ``slack``."""
     if not steps:
         return 1.0
-    return sum(high[key] <= low[key] + slack for low, high in steps) / len(steps)
+    return sum(high[agent] <= low[agent] + slack for low, high in steps) / len(steps)

@@ -13,6 +13,8 @@ loss, so a correct solve is always viable for the buyer.
 from __future__ import annotations
 
 import dataclasses
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -298,8 +300,9 @@ class PreparedMarket:
         """Clear at one price per seller feature: penalties, lasso fit, payments.
 
         ``prices`` holds a finite nonnegative reservation per entry of
-        ``seller_features`` (:meth:`prices` gives a schedule's); the outcome
-        keeps a read-only copy. The fit starts from ``baseline_start``, or
+        ``seller_features`` (:meth:`prices` gives a schedule's), none whose
+        penalty ``(T/2) * u`` passes the largest float; the outcome keeps a
+        read-only copy. The fit starts from ``baseline_start``, or
         from the coefficients ``start`` (see
         :func:`regmarket.regression.weighted_lasso_fit`), so a clearing at
         prices where the baseline already certifies returns its coefficients.
@@ -322,6 +325,12 @@ class PreparedMarket:
         prices = finite_array(prices, "prices", (len(self.seller_features),)).copy()
         if (prices < 0).any():
             raise InvalidInputError("prices must be nonnegative", "prices")
+        T = self.design_all.n_rows
+        ceiling = sys.float_info.max / (T / 2)  # rounded, so its own penalty may overflow; the float below it cannot
+        ceiling = ceiling if T / 2 * ceiling < math.inf else math.nextafter(ceiling, 0.0)
+        if (prices > ceiling).any():
+            message = f"prices must be at most {ceiling!r}, above which the penalty (T/2) * u at T={T} is not finite"
+            raise InvalidInputError(message, "prices")
         prices.flags.writeable = False
         penalties = penalties_from_reservations(self, prices)
         if start is None:

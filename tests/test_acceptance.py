@@ -225,8 +225,7 @@ def _scenario_config(tmp_path, **overrides):
 def test_criterion_6_u_sweep_shape(tmp_path):
     grid = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)
     scenario = _scenario_config(tmp_path, sweeps={"u_grid": list(grid)})
-    report = run_u_sweep(scenario)
-    by_u = {value: outcome for _, value, outcome in report.sweep_rows}
+    by_u = {value: outcome for _, value, outcome in run_u_sweep(scenario)}
     supports = ("P2", "P3", "P4", "P5")
 
     features = by_u[0.0].market.seller_features
@@ -250,9 +249,9 @@ def test_criterion_6_u_sweep_shape(tmp_path):
 
 def test_criterion_7_per_step_payment_decay(tmp_path):
     scenario = _scenario_config(tmp_path, sweeps={"t_grid": [240, 2000]})
-    report = run_T_sweep(scenario)
+    rows, _ = run_T_sweep(scenario)
     per_step = {}
-    for _, T, outcome in report.sweep_rows:
+    for _, T, outcome in rows:
         per_step[T] = outcome.total_payments / T
     ratio = per_step[2000] / per_step[240]
     verdict(

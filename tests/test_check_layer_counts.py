@@ -38,6 +38,15 @@ def test_a_solve_count_below_its_pin_fails(tmp_path, capsys, workload, pin):
     assert f"{workload}: regression.weighted_lasso_fit.calls is 0 per cycle, pinned at {pin}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("workload", ["paper-u", "small-many"])
+def test_a_clear_that_stops_calling_through_clear_market_fails(tmp_path, capsys, workload):
+    # The clear command clears through market.clear_market, once per cycle.
+    assert tool.PINS[workload]["market.clear_market.calls"] == 1
+    write_results(tmp_path, {workload: {"market.clear_market.calls": 0}})
+    assert tool.main(["--results", str(tmp_path)]) == 1
+    assert f"{workload}: market.clear_market.calls is 0 per cycle, pinned at 1" in capsys.readouterr().out
+
+
 def test_a_second_lag_matrix_in_the_training_sweep_fails(tmp_path, capsys):
     # sweep-t clears every window on row prefixes of its one prepared market.
     write_results(tmp_path, {"csv-t": {"timeseries.build_lag_matrix.calls": 5}})

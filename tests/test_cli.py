@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regmarket import cli
+from regmarket import ScenarioConfig, SyntheticSpec, cli
 from regmarket.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_VIABILITY, main
 from regmarket.errors import ConvergenceError, ViabilityError
 
@@ -161,10 +161,25 @@ class TestSubcommands:
         assert table.exists()
         data = table.read_text(encoding="utf-8").splitlines()[2:]
         assert len(data) == 4 * 2 + 1  # the scenario's max lag 2: two rows per seller
+        assert all(line.startswith("clearing,,") for line in data)  # the one point, labelled with no value
         # The scenario alone sets the market: the window flag is gone.
         result = run_cli("clear", "--config", str(config), "--window", "90")
         assert result.returncode == EXIT_INPUT
         assert "unrecognized arguments: --window 90" in result.stderr
+
+    def test_a_seed_flag_builds_the_scenario_once(self, tmp_path, monkeypatch):
+        # The file has its own seed, 5; the flag's 4 replaces it before anything is built.
+        built = []
+        for cls in (SyntheticSpec, ScenarioConfig):
+
+            def counting(self, post_init=cls.__post_init__):
+                built.append(type(self).__name__)
+                post_init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        config = write_scenario(tmp_path)
+        assert main(["clear", "--config", str(config), "--seed", "4"]) == EXIT_OK
+        assert built == ["SyntheticSpec", "ScenarioConfig"]
 
 
 class TestCommandTable:
@@ -428,6 +443,33 @@ class TestExitCodes:
         assert main(["clear", "--config", str(config), *flags]) == EXIT_INPUT
         assert f"seed must be nonnegative, got {flags[-1] if flags else seed}" in capsys.readouterr().err
         assert not (tmp_path / "results" / "clearing.csv").exists()
+
+    @pytest.mark.parametrize(
+        ("file_values", "flags", "message"),
+        [
+            ({"seed": -3}, ["--seed", "4"], "{config}: invalid value (seed must be nonnegative, got -3)"),
+            ({"out_dir": 5}, ["--out", "{tmp}/x"], "{config}: invalid value (out_dir must be a string, got 5)"),
+            ({}, ["--seed", "-1"], "seed must be nonnegative, got -1"),
+        ],
+        ids=["file-seed-replaced", "file-out-dir-replaced", "seed-flag"],
+    )
+    def test_a_flag_replaces_a_checked_file_value_and_its_own_error_names_no_file(
+        self, tmp_path, capsys, file_values, flags, message
+    ):
+        config = write_scenario(tmp_path, **file_values)
+        flags = [flag.format(tmp=tmp_path) for flag in flags]
+        assert main(["clear", "--config", str(config), *flags]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message.format(config=config)}\n"
+
+    @pytest.mark.parametrize("command", ["clear", "sweep-u"])
+    def test_a_price_whose_penalty_overflows_exits_2_without_a_warning(self, tmp_path, command):
+        # Finite, but (T/2) * u at T=120 is past the largest float.
+        config = write_scenario(tmp_path, reservations={"uniform_u": 1e308}, sweeps={"u_grid": [0.0, 1e308]})
+        result = run_cli(command, "--config", str(config))
+        assert result.returncode == EXIT_INPUT
+        assert "RuntimeWarning" not in result.stderr
+        assert result.stderr.startswith("error: prices must be at most 2.996155224770526e+306, ")
+        assert result.stderr.endswith(" at T=120 is not finite\n")
 
     def test_infinite_tolerance_exits_2(self, tmp_path, capsys):
         market = {"central_agent": "P1", "max_lag": 2, "window": 120, "tolerance": float("inf")}

@@ -987,10 +987,11 @@ class TestScenarioConfig:
 
     def test_csv_scenario_holds_its_source(self, tmp_path):
         data = {"type": "csv", "path": "wind.csv", "schema": {"DK1": "west"}, "normalization": "per-zone-max"}
-        scenario = load_scenario(write_scenario(tmp_path, data={**data, "window_start": 17689446.0}))
+        path = write_scenario(tmp_path, data={**data, "window_start": 17689446.0})
+        scenario = load_scenario(path)
         assert scenario.data == CsvSource("wind.csv", {"DK1": "west"}, "per-zone-max", 17689446)
         assert type(scenario.data.window_start) is int
-        assert scenario.with_seed(99) is scenario
+        assert load_scenario(path, seed=99) == scenario
 
     def test_default_reservation_price(self):
         scenario = ScenarioConfig(
@@ -1000,8 +1001,8 @@ class TestScenarioConfig:
         )
         assert scenario.reservations == ReservationSchedule(default=0.1)
 
-    def test_with_seed_reseeds_synthetic(self, tmp_path):
-        scenario = load_scenario(write_scenario(tmp_path)).with_seed(99)
+    def test_seed_argument_reseeds_synthetic(self, tmp_path):
+        scenario = load_scenario(write_scenario(tmp_path), seed=99)
         assert scenario.data.seed == 99
 
     def test_market_config_resolution(self, tmp_path):

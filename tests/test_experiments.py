@@ -75,12 +75,11 @@ def csv_scenario(directory, **kwargs):
 
 
 class TestRunClearing:
-    """``clear`` and ``compare-methods`` clear through the same loop as the sweeps, with the same numbers."""
+    """``clear`` and ``compare-methods`` clear through ``clear_market``, with the same numbers as a direct call."""
 
     @staticmethod
     def assert_equals_direct_clearing(sc):
-        ((param, value, outcome),) = run_clearing(sc).sweep_rows
-        assert (param, value) == ("clearing", "")
+        outcome = run_clearing(sc)
         series = experiments.materialize_series(sc)
         config = sc.market.resolve(s.agent_id for s in series)
         direct = clear_market(config, series, sc.reservations)
@@ -89,7 +88,7 @@ class TestRunClearing:
         assert outcome.market_mse == direct.market_mse
         assert outcome.total_payments == direct.total_payments
         assert np.array_equal(outcome.payments, direct.payments) and np.array_equal(outcome.prices, direct.prices)
-        lasso = [row["lasso"] for row in run_method_comparison(sc).coefficient_rows]
+        lasso = [row["lasso"] for row in run_method_comparison(sc)]
         assert lasso == [float(outcome.market_beta[j]) for j, _, _ in outcome.market.design_all.feature_columns()]
 
     def test_synthetic(self):
@@ -145,8 +144,7 @@ class TestFailingPointIsNamed:
 
 class TestMethodComparison:
     def test_correlated_central_recovers_structure(self):
-        report = run_method_comparison(scenario("P1", seed=0))
-        rows = {(r["agent"], r["lag"]): r for r in report.coefficient_rows}
+        rows = {(r["agent"], r["lag"]): r for r in run_method_comparison(scenario("P1", seed=0))}
         assert len(rows) == 15  # 5 agents x 3 lags
         # Lasso keeps every true lag-1 cross feature and drops deeper lags.
         for agent in ("P2", "P3", "P4", "P5"):
@@ -161,15 +159,14 @@ class TestMethodComparison:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_ols_all_matches_the_normal_equation_oracle(self, tmp_path, seed):
         # ols_all solves the market's normal equations; the oracle forms them in long double.
-        report = run_method_comparison(bench_scenario("paper-u", seed, tmp_path))
-        market = report.sweep_rows[0][2].market
+        sc = bench_scenario("paper-u", seed, tmp_path)
+        market = experiments._prepare(sc)
         expected = normal_equation_ols(market.design_all.values, market.target)[1:]
-        ols_all = np.array([row["ols_all"] for row in report.coefficient_rows])
+        ols_all = np.array([row["ols_all"] for row in run_method_comparison(sc)])
         assert np.max(np.abs(ols_all - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_independent_central_stays_self_reliant(self):
-        report = run_method_comparison(scenario("P2", seed=0))
-        rows = {(r["agent"], r["lag"]): r for r in report.coefficient_rows}
+        rows = {(r["agent"], r["lag"]): r for r in run_method_comparison(scenario("P2", seed=0))}
         for (agent, lag), row in rows.items():
             if agent != "P2":
                 assert abs(row["lasso"]) < 0.02
@@ -178,29 +175,26 @@ class TestMethodComparison:
         assert own["true"] == SyntheticSpec().ar_coefficients[0]
 
     def test_ols_self_only_on_central_columns(self):
-        report = run_method_comparison(scenario("P1", seed=1))
-        for row in report.coefficient_rows:
+        for row in run_method_comparison(scenario("P1", seed=1)):
             if row["agent"] == "P1":
                 assert row["ols_self"] is not None
             else:
                 assert row["ols_self"] is None
 
     def test_ols_self_is_the_buyers_own_lag_fit_on_synthetic_data(self):
-        report = run_method_comparison(scenario("P1", seed=4))
+        rows = run_method_comparison(scenario("P1", seed=4))
         buyer = synthetic_market_series(SyntheticSpec(seed=4), history=3, window=240)[0]
         assert buyer.agent_id == "P1"
-        self.assert_ols_self_matches(report, "P1", own_lag_fit(buyer.values, 3, 240, 3))
+        self.assert_ols_self_matches(rows, "P1", own_lag_fit(buyer.values, 3, 240, 3))
 
     def test_ols_self_is_the_buyers_own_lag_fit_on_csv_data(self, tmp_path):
         # The buyer is the file's middle zone, so its design block is not
         # where the file puts its column.
         config, values = csv_scenario(tmp_path)
-        report = run_method_comparison(config)
-        self.assert_ols_self_matches(report, "B", own_lag_fit(values[:, 1], 2, 60, 2))
+        self.assert_ols_self_matches(run_method_comparison(config), "B", own_lag_fit(values[:, 1], 2, 60, 2))
 
     @staticmethod
-    def assert_ols_self_matches(report, buyer, expected):
-        rows = report.coefficient_rows
+    def assert_ols_self_matches(rows, buyer, expected):
         own = {row["lag"]: row["ols_self"] for row in rows if row["agent"] == buyer}
         assert own.keys() == expected.keys()
         for lag, value in own.items():
@@ -209,8 +203,7 @@ class TestMethodComparison:
 
     def test_true_column_matches_generator(self):
         spec = SyntheticSpec(seed=0)
-        report = run_method_comparison(scenario("P1", seed=0))
-        rows = {(r["agent"], r["lag"]): r["true"] for r in report.coefficient_rows}
+        rows = {(r["agent"], r["lag"]): r["true"] for r in run_method_comparison(scenario("P1", seed=0))}
         assert rows[("P1", 1)] == spec.dependent_phi
         for agent, cross in zip(spec.agent_ids[1:], spec.cross_coefficients):
             assert rows[(agent, 1)] == cross
@@ -235,9 +228,9 @@ class TestMethodComparison:
 class TestUSweep:
     def test_shape_and_endpoints(self):
         grid = (0.0, 0.02, 0.1, 0.5, 2.0, 5.0)
-        report = run_u_sweep(scenario("P1", seed=0, u_grid=grid))
-        assert len(report.sweep_rows) == len(grid)
-        by_point = {value: outcome for _, value, outcome in report.sweep_rows}
+        rows = run_u_sweep(scenario("P1", seed=0, u_grid=grid))
+        assert len(rows) == len(grid)
+        by_point = {value: outcome for _, value, outcome in rows}
         features = by_point[0.0].market.seller_features
         assert all(by_point[0.0].payments == 0.0)
         assert all(by_point[5.0].payments == 0.0)
@@ -249,8 +242,7 @@ class TestUSweep:
             assert max(interior) > 0.0
 
     def test_rows_per_point_agent_lag(self):
-        report = run_u_sweep(scenario("P1", seed=0, u_grid=(0.0, 0.1)))
-        for _, _, outcome in report.sweep_rows:
+        for _, _, outcome in run_u_sweep(scenario("P1", seed=0, u_grid=(0.0, 0.1))):
             assert len(outcome.payments) == 4 * 3
 
     def test_missing_grid_rejected(self):
@@ -259,30 +251,26 @@ class TestUSweep:
 
     def test_points_share_one_design(self, monkeypatch):
         prepared = capture_prepared(monkeypatch)
-        report = run_u_sweep(scenario("P1", seed=0, u_grid=(0.0, 0.05, 0.5)))
+        rows = run_u_sweep(scenario("P1", seed=0, u_grid=(0.0, 0.05, 0.5)))
         (market,) = prepared
-        assert all(outcome.market is market for _, _, outcome in report.sweep_rows)
+        assert all(outcome.market is market for _, _, outcome in rows)
 
 
 class TestTSweep:
     def test_per_step_payment_roughly_halves_when_T_doubles(self):
-        report = run_T_sweep(scenario("P1", seed=0, t_grid=(240, 480)))
-        per_step = {
-            row["T"]: row["payment_per_step"]
-            for row in report.derived_rows
-            if row["agent"] == "P1"
-        }
+        _, per_step_rows = run_T_sweep(scenario("P1", seed=0, t_grid=(240, 480)))
+        per_step = {row["T"]: row["payment_per_step"] for row in per_step_rows if row["agent"] == "P1"}
         ratio = per_step[480] / per_step[240]
         assert 0.25 < ratio < 0.8
 
     def test_single_point_equals_direct_clearing(self):
         grid = (60, 120, 240)
         sc = scenario("P1", seed=0, window=240, t_grid=grid, u_grid=(0.1,))
-        report = run_T_sweep(sc)
-        assert [value for _, value, _ in report.sweep_rows] == list(grid)
+        rows, _ = run_T_sweep(sc)
+        assert [value for _, value, _ in rows] == list(grid)
         roster = synthetic_market_series(sc.data, history=3, window=240)
         schedule = ReservationSchedule(default=0.1)
-        for _, T, outcome in report.sweep_rows:
+        for _, T, outcome in rows:
             config = MarketConfig("P1", ("P2", "P3", "P4", "P5"), LagSpec(3, T))
             direct = clear_market(config, roster, schedule)
             assert outcome.market.config == config
@@ -292,13 +280,13 @@ class TestTSweep:
             assert outcome.market_mse == direct.market_mse
             assert np.array_equal(outcome.payments, direct.payments) and np.array_equal(outcome.prices, direct.prices)
             assert outcome.buyer_net_gain == direct.buyer_net_gain
-        swept = run_u_sweep(sc).sweep_rows[0][2]
-        assert np.array_equal(report.sweep_rows[-1][2].market_beta, swept.market_beta)
-        assert report.sweep_rows[-1][2].total_payments == swept.total_payments
+        swept = run_u_sweep(sc)[0][2]
+        assert np.array_equal(rows[-1][2].market_beta, swept.market_beta)
+        assert rows[-1][2].total_payments == swept.total_payments
 
     def test_points_share_one_design(self):
-        report = run_T_sweep(scenario("P1", seed=0, t_grid=(60, 120, 240)))
-        *shorter, (_, _, longest) = report.sweep_rows
+        rows, _ = run_T_sweep(scenario("P1", seed=0, t_grid=(60, 120, 240)))
+        *shorter, (_, _, longest) = rows
         for _, T, outcome in shorter:
             market, longest_market = outcome.market, longest.market
             assert market.design_all.n_rows == market.target.shape[0] == T
@@ -309,10 +297,10 @@ class TestTSweep:
 
     def test_each_point_clears_its_window(self, monkeypatch):
         prepared = capture_prepared(monkeypatch)
-        report = run_T_sweep(scenario("P1", seed=0, t_grid=(60, 120, 240)))
+        rows, _ = run_T_sweep(scenario("P1", seed=0, t_grid=(60, 120, 240)))
         (market,) = prepared
-        assert report.sweep_rows[-1][2].market is market
-        for _, T, outcome in report.sweep_rows:
+        assert rows[-1][2].market is market
+        for _, T, outcome in rows:
             window = market.window(T)
             assert outcome.market.config == window.config
             assert outcome.market.config.lag_spec.window_length == T
@@ -323,9 +311,9 @@ class TestTSweep:
         with pytest.raises(InvalidInputError, match="^T sweep needs a non-empty t_grid$"):
             run_T_sweep(scenario("P1"))
 
-    def test_derived_rows_cover_each_agent_and_buyer(self):
-        report = run_T_sweep(scenario("P1", seed=0, t_grid=(120, 240)))
-        agents = {(row["T"], row["agent"]) for row in report.derived_rows}
+    def test_per_step_rows_cover_each_agent_and_buyer(self):
+        _, per_step_rows = run_T_sweep(scenario("P1", seed=0, t_grid=(120, 240)))
+        agents = {(row["T"], row["agent"]) for row in per_step_rows}
         for T in (120, 240):
             for agent in ("P1", "P2", "P3", "P4", "P5"):
                 assert (T, agent) in agents
@@ -340,11 +328,11 @@ class TestTwoAgentGrid:
         sc = scenario(
             "P1", seed=0, u_grid=(0.1,), grid2=TwoAgentGrid("P2", "P3", (0.1,), (0.1,))
         )
-        report = run_two_agent_grid(sc)
-        assert len(report.sweep_rows) == 1
-        outcome = report.sweep_rows[0][2]
+        rows, _ = run_two_agent_grid(sc)
+        assert len(rows) == 1
+        outcome = rows[0][2]
         # others_u defaults to 0.1 as well, so this is the uniform clearing.
-        swept = run_u_sweep(sc).sweep_rows[0][2]
+        swept = run_u_sweep(sc)[0][2]
         roster = synthetic_market_series(sc.data, history=3, window=240)
         config = MarketConfig("P1", ("P2", "P3", "P4", "P5"), LagSpec(3, 240))
         direct = clear_market(config, roster, ReservationSchedule(default=0.1))
@@ -359,34 +347,30 @@ class TestTwoAgentGrid:
             u_grid=(0.05,),
             grid2=TwoAgentGrid("P2", "P3", (0.05, 0.2), (0.05, 0.2), others_u=0.05),
         )
-        report = run_two_agent_grid(sc)
-        cell = {
-            (row["u_a"], row["u_b"]): (row["payment_a"], row["payment_b"])
-            for row in report.derived_rows
-        }
-        uniform = run_u_sweep(sc)
-        outcome = uniform.sweep_rows[0][2]
-        features = outcome.market.seller_features
-        pay = lambda agent: sum(amount for (a, _), amount in zip(features, outcome.payments) if a == agent)
-        assert cell[(0.05, 0.05)][0] == pytest.approx(pay("P2"), rel=1e-9)
-        assert cell[(0.05, 0.05)][1] == pytest.approx(pay("P3"), rel=1e-9)
+        rows, _ = run_two_agent_grid(sc)
+
+        def pay(outcome, agent):
+            return sum(amount for (a, _), amount in zip(outcome.market.seller_features, outcome.payments) if a == agent)
+
+        cell = {value: (pay(outcome, "P2"), pay(outcome, "P3")) for _, value, outcome in rows}
+        outcome = run_u_sweep(sc)[0][2]
+        assert cell["0.05;0.05"][0] == pytest.approx(pay(outcome, "P2"), rel=1e-9)
+        assert cell["0.05;0.05"][1] == pytest.approx(pay(outcome, "P3"), rel=1e-9)
 
     def test_points_share_one_market(self, monkeypatch):
         prepared = capture_prepared(monkeypatch)
         grid = (0.05, 0.2)
-        report = run_two_agent_grid(scenario("P1", seed=0, grid2=TwoAgentGrid("P2", "P3", grid, grid)))
+        rows, _ = run_two_agent_grid(scenario("P1", seed=0, grid2=TwoAgentGrid("P2", "P3", grid, grid)))
         (market,) = prepared
-        assert len(report.sweep_rows) == 4
-        assert all(outcome.market is market for _, _, outcome in report.sweep_rows)
+        assert len(rows) == 4
+        assert all(outcome.market is market for _, _, outcome in rows)
 
     def test_monotonicity_statistic_reported(self):
         grid = (0.05, 0.1, 0.2)
-        report = run_two_agent_grid(
-            scenario("P1", seed=0, grid2=TwoAgentGrid("P2", "P3", grid, grid))
-        )
-        assert len(report.sweep_rows) == 9
-        assert 0.0 <= report.summary["a_payment_nonincreasing_in_b_frac"] <= 1.0
-        assert 0.0 <= report.summary["b_payment_nonincreasing_in_a_frac"] <= 1.0
+        rows, summary = run_two_agent_grid(scenario("P1", seed=0, grid2=TwoAgentGrid("P2", "P3", grid, grid)))
+        assert len(rows) == 9
+        assert 0.0 <= summary["a_payment_nonincreasing_in_b_frac"] <= 1.0
+        assert 0.0 <= summary["b_payment_nonincreasing_in_a_frac"] <= 1.0
 
     def test_monotonicity_statistic_independent_of_units(self, tmp_path):
         # Scaling the data by s scales every MSE and payment by s^2 when the
@@ -407,7 +391,7 @@ class TestTwoAgentGrid:
                 data=CsvSource(str(path)),
                 grid2=TwoAgentGrid("P2", "P3", tuple(map(u, grid)), tuple(map(u, grid)), others_u=u(0.1)),
             )
-            return run_two_agent_grid(config).summary
+            return run_two_agent_grid(config)[1]
 
         unscaled = fractions(1.0)
         assert unscaled["b_payment_nonincreasing_in_a_frac"] < 1.0  # the statistic has something to show
@@ -436,7 +420,7 @@ class TestOmittedSupportAgents:
             scenario,
             market=MarketConfig(central, tuple(a for a in agent_ids if a != central), scenario.market.lag_spec),
         )
-        pairs = zip(run_u_sweep(scenario).sweep_rows, run_u_sweep(listed).sweep_rows, strict=True)
+        pairs = zip(run_u_sweep(scenario), run_u_sweep(listed), strict=True)
         for (_, _, omitted), (_, _, explicit) in pairs:
             assert omitted.market.config == explicit.market.config
             assert np.array_equal(omitted.market_beta, explicit.market_beta)
@@ -487,7 +471,9 @@ def bench_scenario(name, seed, directory):
 class TestWarmStartedSweeps:
     """Each point of a reservation sweep starts from the previous point's fit, to the same optimum."""
 
-    @pytest.mark.parametrize("run", [run_u_sweep, run_two_agent_grid])
+    @pytest.mark.parametrize(
+        "run", [run_u_sweep, pytest.param(lambda sc: run_two_agent_grid(sc)[0], id="run_two_agent_grid")]
+    )
     @pytest.mark.parametrize(("name", "seed"), [("small-many", 0), ("paper-u", 0)])
     def test_chained_points_match_cold_clearings(self, monkeypatch, tmp_path, run, name, seed):
         fit, fits = market_module.weighted_lasso_fit, []
@@ -500,15 +486,15 @@ class TestWarmStartedSweeps:
 
         sc = bench_scenario(name, seed, tmp_path)
         monkeypatch.setattr(market_module, "weighted_lasso_fit", recording)
-        report = run(sc)
+        rows = run(sc)
         monkeypatch.undo()
 
-        assert len(fits) == len(report.sweep_rows) > 1
-        assert fits[0][0] is report.sweep_rows[0][2].market.baseline_start
+        assert len(fits) == len(rows) > 1
+        assert fits[0][0] is rows[0][2].market.baseline_start
         for (_, _, previous), (start, given, _) in zip(fits, fits[1:]):
             assert start is previous and start.tobytes() == given.tobytes()
         tolerance = SolverSettings().tolerance
-        for k, (_, _, outcome) in enumerate(report.sweep_rows):
+        for k, (_, _, outcome) in enumerate(rows):
             market = outcome.market
             cold = market.clear(outcome.prices)
             if k == 0:
@@ -552,7 +538,7 @@ class TestBuyingNothing:
             sc = bench_scenario(name, seed, tmp_path)
             market = experiments._prepare(sc)
             cold = market.clear(market.prices(ReservationSchedule(default=1e6)))
-            warm = run_u_sweep(dataclasses.replace(sc, u_grid=(0.0, 0.05, 1e3, 1e6))).sweep_rows[2:]
+            warm = run_u_sweep(dataclasses.replace(sc, u_grid=(0.0, 0.05, 1e3, 1e6)))[2:]
             for outcome in (cold, *(outcome for _, _, outcome in warm)):
                 assert not outcome.market_beta[outcome.market.seller_index].any()
                 assert outcome.total_payments == 0.0
@@ -619,7 +605,7 @@ class TestDeterminism:
     def test_reports_are_deterministic(self):
         a = run_u_sweep(scenario("P1", seed=7, u_grid=(0.0, 0.1, 0.3)))
         b = run_u_sweep(scenario("P1", seed=7, u_grid=(0.0, 0.1, 0.3)))
-        for (_, ua, oa), (_, ub, ob) in zip(a.sweep_rows, b.sweep_rows):
+        for (_, ua, oa), (_, ub, ob) in zip(a, b):
             assert ua == ub
             assert np.array_equal(oa.market_beta, ob.market_beta)
             assert oa.total_payments == ob.total_payments

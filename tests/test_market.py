@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import math
+import re
 
 import numpy as np
 import pytest
@@ -542,6 +544,28 @@ class TestPricesArray:
         with pytest.raises(InvalidInputError, match="^prices") as caught:
             self.market.clear(make(self.n))
         assert caught.value.field == "prices"
+
+    @pytest.mark.parametrize("window", [7, 120])
+    def test_a_price_whose_penalty_overflows_is_rejected_naming_the_bound(self, window):
+        # The penalty (T/2) * u must be finite. At T=7, max / (T/2) itself
+        # rounds to a price whose penalty overflows, so the bound is below it.
+        _, roster = default_market(seed=0)
+        market = PreparedMarket(MarketConfig("P1", SUPPORTS, LagSpec(3, window)), roster)
+        with pytest.raises(InvalidInputError) as caught:
+            market.clear(np.full(self.n, 1e308))
+        assert caught.value.field == "prices"
+        stated = re.fullmatch(
+            r"prices must be at most (\S+), above which the penalty \(T/2\) \* u at T=(\d+) is not finite",
+            str(caught.value),
+        )
+        bound = float(stated[1])
+        assert int(stated[2]) == window
+        half = window / 2.0
+        assert math.isfinite(half * bound) and half * math.nextafter(bound, math.inf) == math.inf
+        outcome = market.clear(np.full(self.n, bound))
+        assert not outcome.payments.any() and outcome.buyer_net_gain == 0.0
+        with pytest.raises(InvalidInputError, match="^prices must be at most "):
+            market.clear(np.r_[np.zeros(self.n - 1), math.nextafter(bound, math.inf)])
 
     def test_market_without_sellers_takes_only_an_empty_array(self):
         _, roster = default_market(seed=0)

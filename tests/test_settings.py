@@ -7,6 +7,8 @@ rejected the same way, naming the argument.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +53,14 @@ CSV_DATA = {"type": "csv", "path": "wind.csv"}
 
 def scenario(**fields):
     return ScenarioConfig(scenario_id="x", market=MarketConfig("P1", None, LagSpec(1, 10)), **fields)
+
+
+def load_csv_scenario(seed):
+    """A CSV scenario file, loaded with ``seed`` in place of its own seed."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "scenario.json"
+        path.write_text(json.dumps({**SCENARIO, "data": CSV_DATA}), encoding="utf-8")
+        return load_scenario(path, seed=seed)
 
 
 def four(v):
@@ -385,7 +395,7 @@ LEAST = [
     ("TwoAgentGrid", "u_grid_b", "u_grid_b", 0, False, lambda v: TwoAgentGrid("P2", "P3", (0.1,), (v, 0.5))),
     ("ScenarioConfig", "u_grid", "u_grid", 0, False, lambda v: scenario(data=SyntheticSpec(), u_grid=(v, 0.5))),
     ("ScenarioConfig", "t_grid", "t_grid", 1, True, lambda v: scenario(data=SyntheticSpec(), t_grid=(v, 20))),
-    ("ScenarioConfig.with_seed", "seed", "seed", 0, True, lambda v: scenario(data=CsvSource("wind.csv")).with_seed(v)),
+    ("load_scenario", "seed", "seed", 0, True, lambda v: load_csv_scenario(seed=v)),
     ("AgentSeries.window", "length", "length", 1, True,
      lambda v: AgentSeries("A", np.arange(5.0), start_time=2).window(v)),
     ("synthetic_market_series", "history", "history", 0, True,

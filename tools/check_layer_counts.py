@@ -28,19 +28,22 @@ RESULTS = Path(__file__).resolve().parents[1] / ".bench_work" / "results"
 # loss is a change from that baseline; one lag matrix per prepared market;
 # and one baseline OLS fit per prepared market or window. csv-t's sweep-t
 # clears every window on row prefixes of one prepared market, and it and
-# ingest read the CSV once each.
+# ingest read the CSV once each. The clear command, and no other, clears
+# through market.clear_market, once.
 PINS = {
     "paper-u": {
         "regression.weighted_lasso_fit.calls": 19,
         "regression.mse.calls": 3,
         "timeseries.build_lag_matrix.calls": 3,
         "regression.ols_fit.calls": 3,
+        "market.clear_market.calls": 1,
     },
     "small-many": {
         "regression.weighted_lasso_fit.calls": 22,
         "regression.mse.calls": 7,
         "timeseries.build_lag_matrix.calls": 4,
         "regression.ols_fit.calls": 7,
+        "market.clear_market.calls": 1,
     },
     "csv-t": {
         "regression.weighted_lasso_fit.calls": 5,
@@ -48,6 +51,7 @@ PINS = {
         "timeseries.build_lag_matrix.calls": 1,
         "regression.ols_fit.calls": 5,
         "data_io.ingest_csv.calls": 2,
+        "market.clear_market.calls": 0,
     },
 }
 
