@@ -16,7 +16,6 @@ import io
 import json
 import os
 from array import array
-from collections.abc import Hashable
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from itertools import accumulate, chain
@@ -734,22 +733,14 @@ def _take(fields: dict, constructor) -> dict:
     return {f.name: fields.pop(f.name) for f in dataclasses.fields(constructor) if f.name in fields}
 
 
-def _entries(value) -> dict:
-    """``reservations.entries``, a list of ``[agent, lag, u]`` triples, as a schedule mapping.
+def _entries(value) -> list:
+    """``reservations.entries``, a list of ``[agent, lag, u]`` triples, as ``((agent, lag), u)`` pairs.
 
-    A feature may be priced once: a second triple for an equal ``(agent, lag)``
-    pair (``1`` and ``1.0`` are one lag) is rejected naming the pair.
+    Only their JSON shape is checked here; :class:`~regmarket.market.ReservationSchedule` checks the rest.
     """
     if not isinstance(value, list) or not all(
-        isinstance(e, list) and len(e) == 3 and isinstance(e[0], str) and isinstance(e[1], Hashable)
+        isinstance(e, list) and len(e) == 3 and isinstance(e[0], str) and not isinstance(e[1], (list, dict))
         for e in value
     ):
-        raise InvalidInputError(
-            f"entries must be a list of [agent, lag, u] triples, got {value!r}", field="entries"
-        )
-    entries = {}
-    for agent, lag, u in value:
-        if (agent, lag) in entries:
-            raise InvalidInputError(f"entries price agent {agent!r} lag {lag!r} more than once", field="entries")
-        entries[agent, lag] = u
-    return entries
+        raise InvalidInputError(f"entries must be a list of [agent, lag, u] triples, got {value!r}", "entries")
+    return [((agent, lag), u) for agent, lag, u in value]

@@ -65,8 +65,8 @@ def _at_least(value, least, field: str, name: str):
 
 
 def sequence(values, field: str) -> tuple:
-    """``values`` as a tuple; a string, a mapping or a scalar is rejected naming ``field``."""
-    if not isinstance(values, (str, bytes, dict)):
+    """``values`` as a tuple; a string, a mapping, a set (ordered by hash) or a scalar is rejected naming ``field``."""
+    if not isinstance(values, (str, bytes, dict, set, frozenset)):
         try:
             return tuple(values)
         except TypeError:

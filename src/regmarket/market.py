@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,25 +55,31 @@ class ReservationSchedule:
 
     A seller feature the entries leave out is priced at ``default``, so
     ``ReservationSchedule(default=u)`` prices every seller feature of any
-    market at ``u``. ``entries`` is anything ``dict()`` reads as ``(agent_id,
-    lag) -> u``. Lags are integers of at least 1 (``2.0`` reads as 2) and
-    reservations, the default among them, finite nonnegative numbers; a
-    bool is neither. Anything else is rejected naming ``entries`` or
-    ``default``.
+    market at ``u``. ``entries``, a mapping or pairs ``(agent_id, lag) -> u``,
+    prices a feature once (``1`` and ``1.0`` are one lag). Lags are integers
+    of at least 1 (``2.0`` reads as 2) and reservations, the default among
+    them, finite nonnegative numbers; a bool is neither. Anything else is
+    rejected naming ``entries`` or ``default``.
     """
 
     entries: dict = field(default_factory=dict)
     default: float = 0.0
 
     def __post_init__(self):
+        items = self.entries.items() if isinstance(self.entries, Mapping) else self.entries
         try:
-            pairs = [(agent_id, lag, u) for (agent_id, lag), u in dict(self.entries).items()]
-        except (TypeError, ValueError):  # not a mapping, or a key that is no (agent, lag) pair
+            pairs = [((agent_id, lag), u) for (agent_id, lag), u in items]
+            distinct = len({feature for feature, _ in pairs})
+        except (TypeError, ValueError):  # not a mapping or pairs, or a key that is no hashable (agent, lag) pair
             message = f"entries must map (agent, lag) pairs to prices, got {self.entries!r}"
             raise InvalidInputError(message, "entries") from None
+        if distinct < len(pairs):  # equal numbers hash alike, so lags 1 and 1.0 are one feature
+            features = [feature for feature, _ in pairs]
+            agent_id, lag = next(feature for k, feature in enumerate(features) if feature in features[:k])
+            raise InvalidInputError(f"entries price agent {agent_id!r} lag {lag!r} more than once", "entries")
         entries = {
             (agent_id, integer(lag, "entries", "entries lag", least=1)): real(u, "entries", "entries u", least=0)
-            for agent_id, lag, u in pairs
+            for (agent_id, lag), u in pairs
         }
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "default", real(self.default, "default", least=0))
@@ -166,13 +173,23 @@ class MarketOutcome:
 def penalties_from_reservations(market: PreparedMarket, prices: np.ndarray) -> np.ndarray:
     """Convert per-seller-feature reservation prices into the per-column penalty vector.
 
-    ``prices`` is aligned with ``market.seller_features``. A support feature
-    sold at reservation ``u`` is penalized by ``(T/2) * u``; the intercept
-    and every column belonging to the central agent stay at zero so the
-    buyer's own information is never shrunk.
+    ``prices`` holds a finite nonnegative reservation per entry of
+    ``market.seller_features``, whose penalty must be a finite float; else it
+    is rejected naming ``prices``. A support feature sold at reservation ``u``
+    is penalized by ``(T/2) * u``; the intercept and every column belonging to
+    the central agent stay at zero so the buyer's own information is never shrunk.
     """
+    prices = finite_array(prices, "prices", (len(market.seller_features),))
+    if (prices < 0).any():
+        raise InvalidInputError("prices must be nonnegative", "prices")
+    T = market.design_all.n_rows
+    ceiling = sys.float_info.max / (T / 2)  # rounded, so its own penalty may overflow; the float below it cannot
+    ceiling = ceiling if T / 2 * ceiling < math.inf else math.nextafter(ceiling, 0.0)
+    if (prices > ceiling).any():
+        message = f"prices must be at most {ceiling!r}, above which the penalty (T/2) * u at T={T} is not finite"
+        raise InvalidInputError(message, "prices")
     penalties = np.zeros(market.design_all.n_cols)
-    penalties[market.seller_index] = market.design_all.n_rows / 2.0 * prices
+    penalties[market.seller_index] = T / 2.0 * prices
     return penalties
 
 
@@ -299,12 +316,11 @@ class PreparedMarket:
     def clear(self, prices, start=None) -> MarketOutcome:
         """Clear at one price per seller feature: penalties, lasso fit, payments.
 
-        ``prices`` holds a finite nonnegative reservation per entry of
-        ``seller_features`` (:meth:`prices` gives a schedule's), none whose
-        penalty ``(T/2) * u`` passes the largest float; the outcome keeps a
-        read-only copy. The fit starts from ``baseline_start``, or
-        from the coefficients ``start`` (see
-        :func:`regmarket.regression.weighted_lasso_fit`), so a clearing at
+        ``prices`` holds a reservation per entry of ``seller_features``
+        (:meth:`prices` gives a schedule's), checked by
+        :func:`penalties_from_reservations`; the outcome keeps a read-only copy.
+        The fit starts from ``baseline_start``, or from the coefficients ``start``
+        (see :func:`regmarket.regression.weighted_lasso_fit`), so a clearing at
         prices where the baseline already certifies returns its coefficients.
 
         Each support feature with cleared coefficient ``b`` and reservation
@@ -322,17 +338,9 @@ class PreparedMarket:
         a failed one raises :class:`ViabilityError` with both sides of the
         inequality, which a correct solve cannot trigger.
         """
-        prices = finite_array(prices, "prices", (len(self.seller_features),)).copy()
-        if (prices < 0).any():
-            raise InvalidInputError("prices must be nonnegative", "prices")
-        T = self.design_all.n_rows
-        ceiling = sys.float_info.max / (T / 2)  # rounded, so its own penalty may overflow; the float below it cannot
-        ceiling = ceiling if T / 2 * ceiling < math.inf else math.nextafter(ceiling, 0.0)
-        if (prices > ceiling).any():
-            message = f"prices must be at most {ceiling!r}, above which the penalty (T/2) * u at T={T} is not finite"
-            raise InvalidInputError(message, "prices")
-        prices.flags.writeable = False
         penalties = penalties_from_reservations(self, prices)
+        prices = np.array(prices, dtype=float)
+        prices.flags.writeable = False
         if start is None:
             start = self.baseline_start
         market_beta = weighted_lasso_fit(

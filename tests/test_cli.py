@@ -710,6 +710,7 @@ class TestExitCodes:
         )
         result = run_cli("simulate", "--config", str(config))
         assert result.returncode == EXIT_INPUT
+        assert result.stderr == "error: simulate needs a synthetic data source\n"
 
 
 class TestDesignPassesPerCycle:

@@ -1,11 +1,13 @@
-"""``tools/compare_cli_outputs.py`` sizes a difference in values only, calls every other one structural, rewrites ISO stamps as the hours ingest reads, and offsets value cells."""
+"""``tools/compare_cli_outputs.py`` sizes a difference in values only, calls every other one structural, rewrites ISO stamps as the hours ingest reads, offsets value cells, and writes inputs whose prices every command rejects."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 from regmarket import ingest_csv
+from regmarket.cli import main
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_cli_outputs.py"
 spec = importlib.util.spec_from_file_location("compare_cli_outputs", TOOL)
@@ -74,3 +76,20 @@ def test_offset_cells_add_the_offset_to_each_value_cell(tmp_path):
     assert shifted.read_text(encoding="utf-8") == (
         "timestamp,A,B\n2020-02-28T23:00:00,10001.5000,9997.7500\n2020-02-29T00:00:00,,10003.0001\n"
     )
+
+
+OVERFLOW = "prices must be at most 2.996155224770526e+306, above which the penalty (T/2) * u at T=120 is not finite"
+
+
+@pytest.mark.parametrize(
+    ("label", "message"),
+    [
+        ("entries-twice", "invalid value (reservations.entries price agent 'P2' lag 1.0 more than once)\n"),
+        ("price-overflow", f"error: {OVERFLOW}\n"),
+    ],
+)
+def test_rejected_prices_inputs_exit_2_with_the_rule_they_break(tmp_path, capsys, label, message):
+    config = tmp_path / f"{label}.json"
+    config.write_text(json.dumps(tool.rejected_prices(tool.readme_scenario(TOOL.parents[1]))[label]), encoding="utf-8")
+    assert main(["clear", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.endswith(message)

@@ -169,10 +169,16 @@ class TestReservationSchedule:
             ReservationSchedule(entries)
         assert caught.value.field == "entries"
 
-    def test_entries_take_whatever_dict_reads_as_pairs_to_prices(self):
+    def test_entries_take_a_mapping_or_pairs_and_price_each_feature_once(self):
         pairs = [(("P2", 1), 0.1), (("P3", 2.0), 0.2)]
         expected = {("P2", 1): 0.1, ("P3", 2): 0.2}
         assert ReservationSchedule(pairs).entries == ReservationSchedule(iter(pairs)).entries == expected
+        assert ReservationSchedule(dict(pairs)).entries == expected
+        twice = [*pairs, (("P2", 1.0), 0.5)]  # lag 1.0 is lag 1
+        for entries in (twice, iter(twice)):
+            with pytest.raises(InvalidInputError, match=r"^entries price agent 'P2' lag 1\.0 more than once$") as err:
+                ReservationSchedule(entries)
+            assert err.value.field == "entries"
 
 
 @functools.cache
@@ -551,9 +557,12 @@ class TestPricesArray:
         # rounds to a price whose penalty overflows, so the bound is below it.
         _, roster = default_market(seed=0)
         market = PreparedMarket(MarketConfig("P1", SUPPORTS, LagSpec(3, window)), roster)
+        with pytest.raises(InvalidInputError) as direct:  # pytest's error::RuntimeWarning filter fails an overflow
+            penalties_from_reservations(market, np.full(self.n, 1e308))
         with pytest.raises(InvalidInputError) as caught:
             market.clear(np.full(self.n, 1e308))
-        assert caught.value.field == "prices"
+        assert caught.value.field == direct.value.field == "prices"
+        assert str(caught.value) == str(direct.value)
         stated = re.fullmatch(
             r"prices must be at most (\S+), above which the penalty \(T/2\) \* u at T=(\d+) is not finite",
             str(caught.value),

@@ -29,6 +29,7 @@ from regmarket import (
     load_scenario,
     mse,
     ols_fit,
+    penalties_from_reservations,
     synthetic_market_series,
     to_agent_series,
     weighted_lasso_fit,
@@ -268,6 +269,24 @@ def test_constructor_rejects_naming_the_field(construct, field):
     assert caught.value.field == field
 
 
+@pytest.mark.parametrize(
+    ("field", "construct", "values"),
+    [
+        ("zones", lambda v: ZonalDataset(v, np.arange(2), np.ones((2, 3))), ["A", "B", "C"]),
+        ("support_agents", lambda v: MarketConfig("P1", v, LagSpec(1, 10)), ["P2", "P3", "P4"]),
+        ("ar_coefficients", lambda v: SyntheticSpec(ar_coefficients=v), [0.5, 0.3, 0.2, 0.1]),
+    ],
+    ids=["zones", "support_agents", "ar_coefficients"],
+)
+@pytest.mark.parametrize("unordered", [set, frozenset])
+def test_an_unordered_collection_is_no_list(field, construct, values, unordered):
+    # A set iterates in hash order, so it would label columns or assign coefficients by string hash.
+    with pytest.raises(InvalidInputError, match=f"^{field} must be a list, got ") as caught:
+        construct(unordered(values))
+    assert caught.value.field == field
+    assert getattr(construct(dict.fromkeys(values).keys()), field) == tuple(values)  # a dict view keeps its order
+
+
 def test_integral_numbers_are_read_as_int():
     schedule = ReservationSchedule({("P2", np.int64(1)): 0.1, ("P3", 2.0): np.float32(0.5)})
     assert schedule.entries == {("P2", 1): 0.1, ("P3", 2): 0.5}
@@ -298,6 +317,12 @@ ARRAYS = [
     ("weighted_lasso_fit", "penalties", lambda v: weighted_lasso_fit(X, Y, v), (2,)),
     ("weighted_lasso_fit", "start", lambda v: weighted_lasso_fit(X, Y, FREE, start=v), (2,)),
     ("PreparedMarket.clear", "prices", lambda v: MARKET.clear(v), (len(MARKET.seller_features),)),
+    (
+        "penalties_from_reservations",
+        "prices",
+        lambda v: penalties_from_reservations(MARKET, v),
+        (len(MARKET.seller_features),),
+    ),
 ]
 
 

@@ -15,7 +15,10 @@ input that sets ``data.schema`` and ``data.window_start``, and the
 ``csv-t`` scenario on a copy of its CSV with each ISO stamp rewritten as
 its integer hour index (:func:`write_integer_stamps`), and on a copy with
 ``OFFSET`` added to every value cell (:func:`write_offset_cells`), read
-without normalization. Every command
+without normalization, and the README file at a 120-hour window twice
+more: with one feature priced twice in ``reservations.entries``, and with
+prices whose lasso penalty overflows a float (:func:`rejected_prices`).
+Every command
 then runs on every input, once per tree, in a fresh process with that
 tree's ``src/`` on the path and the same relative output directory, so the
 printed paths match.
@@ -126,6 +129,26 @@ SCHEMA_SCENARIO = {
 }
 
 
+def readme_scenario(tree: Path) -> dict:
+    """The full scenario file shown in ``tree``'s README."""
+    readme = (tree / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("A full scenario file") :]
+    return json.loads(re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1))
+
+
+def rejected_prices(readme: dict) -> dict:
+    """The README scenario at window 120, once pricing P2 lag 1 twice and once at prices whose penalty overflows."""
+    short = {**readme, "market": {**readme["market"], "window": 120}}
+    return {
+        "entries-twice": {**short, "reservations": {"entries": [["P2", 1, 0.1], ["P2", 1.0, 0.2]]}},
+        "price-overflow": {
+            **short,
+            "reservations": {"uniform_u": 1e308},
+            "sweeps": {**short["sweeps"], "u_grid": [0.0, 1e308]},
+        },
+    }
+
+
 def write_integer_stamps(source: Path, target: Path) -> None:
     """Copy the zonal CSV ``source`` to ``target`` with each ISO stamp as ``24 * ordinal + hour``."""
     header, *rows = source.read_text(encoding="utf-8").splitlines()
@@ -186,15 +209,17 @@ def write_inputs(head: Path, directory: Path) -> list:
     inputs.write_json(config, {**scenario, "data": {**scenario["data"], "normalization": "none"}})
     runs.append(("csv-t-offset", config, CSV_SEED))
 
-    readme = (head / "README.md").read_text(encoding="utf-8")
-    section = readme[readme.index("A full scenario file") :]
-    block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    readme = readme_scenario(head)
     config = directory / "readme.json"
-    inputs.write_json(config, json.loads(block))
+    inputs.write_json(config, readme)
     runs.append(("readme", config, None))
     marked = directory / "readme-bom.json"
     marked.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
     runs.append(("readme-bom", marked, None))
+    for label, scenario in rejected_prices(readme).items():
+        config = directory / f"{label}.json"
+        inputs.write_json(config, scenario)
+        runs.append((label, config, None))
     config = directory / "edge.json"
     inputs.write_json(config, EDGE_SCENARIO)
     runs.append(("edge", config, None))
