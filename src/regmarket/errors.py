@@ -32,13 +32,20 @@ class InvalidInputError(ValueError):
 def integer(value, field: str, name: str = "", least: int | None = None) -> int:
     """``value`` as an int; anything but an integral number is rejected naming ``field``.
 
-    ``2``, ``2.0`` and ``np.int64(2)`` read as 2; a bool, ``2.5``, NaN, an
-    infinity or a string is rejected, and so is a value below ``least``. The
-    message starts with ``name``, or with ``field`` when no name is given
-    (``"entries lag"`` names a part of ``entries``).
+    ``2``, ``2.0``, ``Fraction(4, 2)`` and ``np.int64(2)`` read as 2; a
+    bool, ``2.5``, NaN, an infinity, a string or a number that is not a
+    ``numbers.Real`` (a ``Decimal``) is rejected, and so is a value below
+    ``least``. Integrality is tested exactly, so ``Fraction(10**17 + 1,
+    10**17)``, whose float is 1.0, is not an integer. The message starts
+    with ``name``, or with ``field`` when no name is given (``"entries lag"``
+    names a part of ``entries``).
     """
     if type(value) is not int:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
+        try:
+            integral = not isinstance(value, bool) and isinstance(value, numbers.Real) and value == int(value)
+        except (ValueError, OverflowError):  # int() of NaN or of an infinity
+            integral = False
+        if not integral:
             raise InvalidInputError(f"{name or field} must be an integer, got {value!r}", field)
         value = int(value)
     return _at_least(value, least, field, name)

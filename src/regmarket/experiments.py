@@ -8,7 +8,7 @@ only from the scenario (``u_grid``, ``t_grid``, ``grid2``), where
 through :func:`regmarket.market.clear_market`, a sweep through
 :func:`_prepare`. Reservation sweeps clear it once per point, and the
 training sweep prepares it at the longest window and clears each shorter
-one on a row prefix of it. Every sweep clears its points in one loop,
+one on a prefix of it. Every sweep clears its points in one loop,
 :func:`_clear_points`, which names the point a solver or viability error
 came from. The loop warm-starts each reservation-sweep point after the
 first from the previous point's coefficients on the same prepared market;
@@ -29,6 +29,7 @@ from .data_io import ScenarioConfig, ingest_csv, to_agent_series
 from .errors import ConvergenceError, InvalidInputError, ViabilityError
 from .market import MarketOutcome, PreparedMarket, clear_market
 from .market import verify_buyer_viability  # noqa: F401  (name patched by bench/tracer.py)
+from .regression import _householder_lstsq
 from .timeseries import LagSpec, SyntheticSpec, synthetic_market_series
 
 __all__ = [
@@ -100,13 +101,17 @@ def run_clearing(scenario: ScenarioConfig) -> MarketOutcome:
 def run_method_comparison(scenario: ScenarioConfig) -> list:
     """Fit own-features OLS, all-features OLS and the weighted lasso side by side, one row per feature.
 
-    All three methods see the same design matrices and target. For synthetic
-    scenarios each coefficient row also carries the generative truth.
+    All three methods see the same design matrices and target. ``ols_all`` is
+    the minimum-norm least-squares fit on the whole design, solved on ``X``
+    itself (:func:`regmarket.regression._householder_lstsq`), which builds the
+    market's T x P values: the normal equations square the condition number
+    and lose directions ``X`` keeps. For synthetic scenarios each
+    coefficient row also carries the generative truth.
     """
     outcome = run_clearing(scenario)
     market, truth = outcome.market, scenario.data if isinstance(scenario.data, SyntheticSpec) else None
 
-    ols_all, *_ = np.linalg.lstsq(market.normal.gram, market.normal.moment, rcond=None)  # min-norm solution of G b = c
+    ols_all = _householder_lstsq(market.design_all.values, market.target)
     return [
         {
             "agent": agent,
@@ -137,7 +142,7 @@ def run_T_sweep(scenario: ScenarioConfig) -> tuple[list, list]:
     The market is prepared once, at the longest requested window. Every
     window starts at the same hour, so each shorter one clears on
     :meth:`regmarket.market.PreparedMarket.window`, whose target and designs
-    are row prefixes of the longest window's; each point equals a direct
+    are prefixes of the longest window's; each point equals a direct
     clearing at its own window, bitwise on the longest window's series and
     to rounding on series cut to its own, whose shifts differ.
 

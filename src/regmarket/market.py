@@ -21,14 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, ViabilityError, finite_array, integer, real, sequence
-from .regression import (
-    DesignMatrix,
-    NormalEquations,
-    SolverSettings,
-    mse,
-    ols_fit,
-    weighted_lasso_fit,
-)
+from .regression import NormalEquations, SolverSettings, mse, ols_fit, weighted_lasso_fit
 from .timeseries import LagSpec, build_lag_matrix
 
 __all__ = [
@@ -205,18 +198,22 @@ class PreparedMarket:
     the window, so a sweep over reservations prepares them once and calls
     :meth:`clear` per point, and a sweep over training lengths prepares the
     longest window once and clears each shorter one on :meth:`window`.
-    Every solve is given ``normal`` and every loss is measured from the
-    baseline, so no clearing reads the T x P design. One lag matrix is
-    built per market, with the buyer's block first: the baseline is fitted
-    on its leading ``1 + max_lag`` columns (the intercept and the buyer's
-    lags), a column view, so ``b_self`` is ``baseline_start[:1 + max_lag]``.
-    Construction resolves the config against the series
-    (:meth:`MarketConfig.resolve`), so ``config`` always names its sellers,
-    and rejects two series for one agent.
+    One lag design is built per market (:func:`build_lag_matrix`), with the
+    buyer's block first. It holds the roster's hours, not the T x P matrix:
+    ``normal`` is formed from those hours, every solve is given ``normal``
+    and every loss is measured from the baseline, so no clearing builds
+    ``design_all.values``; a caller that reads them, such as
+    :func:`verify_buyer_viability`, builds them once. The baseline is fitted
+    on the T x (1 + max_lag) block of the intercept and the buyer's lags,
+    built from the buyer's hours alone, so ``b_self`` is
+    ``baseline_start[:1 + max_lag]``. Construction resolves the config
+    against the series (:meth:`MarketConfig.resolve`), so ``config`` always
+    names its sellers, and rejects two series for one agent.
 
-    ``design_all.values``, ``target``, ``normal``'s arrays, ``baseline_start``
-    and ``baseline_correlation`` are read-only, so nothing written through
-    the market can move them away from the baseline and slack computed here.
+    ``design_all``'s hours and values, ``target``, ``normal``'s arrays,
+    ``baseline_start`` and ``baseline_correlation`` are read-only, so
+    nothing written through the market can move them away from the baseline
+    and slack computed here.
     Each series is first moved off its location into a copy
     (:func:`_off_location`), so writing into the caller's series after
     preparing leaves the market as it was prepared. ``target``,
@@ -239,12 +236,11 @@ class PreparedMarket:
     def _fit(self, config, target, design_all) -> None:
         """Attach the window's data, read-only, and fit the buyer's own-features baseline."""
         own = 1 + config.lag_spec.max_lag  # the intercept and the buyer's lags
-        design_all.values.flags.writeable = False
         target.flags.writeable = False
         self.config = config
         self.target = target
         self.normal = NormalEquations(design_all, target)
-        buyer_design = DesignMatrix(design_all.values[:, :own], design_all.column_map[:own])
+        buyer_design = design_all.prefix(agents=1)
         baseline = ols_fit(buyer_design, target)
         self.baseline_mse = mse(buyer_design, baseline, target)
         # The gap buyer viability allows: VIABILITY_TOLERANCE times the
@@ -271,7 +267,7 @@ class PreparedMarket:
     def window(self, length: int) -> "PreparedMarket":
         """This market on the first ``length`` hours of its window.
 
-        The target and the design are row-prefix views, not copies; the
+        The target and the design's hours are prefix views, not copies; the
         baseline fit and the normal equations are the shorter window's own, and
         the series' shifts this market's, so it clears bitwise as a market
         prepared at ``length`` from the same series.
@@ -287,7 +283,7 @@ class PreparedMarket:
         market._fit(
             dataclasses.replace(self.config, lag_spec=LagSpec(spec.max_lag, length)),
             self.target[:length],
-            DesignMatrix(self.design_all.values[:length], self.design_all.column_map),
+            self.design_all.prefix(rows=length),
         )
         return market
 

@@ -16,9 +16,11 @@ Conventions used throughout the package:
   |b_j| (the two differ by the constant factor 2/T).
 * Apart from :func:`ols_fit`'s solve, every sum over the T rows is formed by
   :class:`NormalEquations` (G = X'X, c = X'y and y'y of one design and target)
-  or its helper :func:`_row_sums`, in an order set by the data, not by the
-  BLAS thread count. A prepared market forms the record once for all its
-  clearings, and a solve given it never reads X. The solver's cyclic
+  through the design's :meth:`DesignMatrix.gram` and
+  :meth:`DesignMatrix.moment`, or by :func:`_row_sums`, which sums in an
+  order set by the data, not by the BLAS thread count. A prepared market
+  forms the record once for all its clearings, and a solve given it never
+  reads X. The solver's cyclic
   coordinate descent updates the residual correlation q = c - G b in O(P) per
   coordinate, and certifies from q recomputed as c - G b in O(P^2). After
   every sweep that does not certify, an exact active-set step moves to the
@@ -61,7 +63,10 @@ class DesignMatrix:
     must be the all-ones intercept, and every other entry is a distinct
     ``(agent_id, lag)`` tuple: a hashable agent id and an integral lag of
     at least 1. ``column_index`` maps each pair to its column; it is built
-    once, here.
+    once, here. :meth:`gram` and :meth:`moment` are the products
+    :class:`NormalEquations` forms, from ``values`` here; a lag design
+    (:func:`regmarket.timeseries.build_lag_matrix`) forms them from its
+    series instead.
     """
 
     values: np.ndarray
@@ -69,18 +74,20 @@ class DesignMatrix:
 
     def __post_init__(self):
         values = finite_array(self.values, "values", (None, None), "values of the design matrix")
-        column_map = tuple(self.column_map)
-        if len(column_map) != values.shape[1]:
-            raise InvalidInputError(
-                f"column_map has {len(column_map)} entries for {values.shape[1]} columns", "column_map"
-            )
-        if column_map[0] is not None or not np.all(values[:, 0] == 1.0):
+        object.__setattr__(self, "values", values)
+        self._map_columns(self.column_map, intercept=np.all(values[:, 0] == 1.0))
+
+    def _map_columns(self, column_map, intercept: bool) -> None:
+        """Check ``column_map`` against the columns and set it and ``column_index``; ``intercept`` says column 0 is all ones."""
+        column_map = tuple(column_map)
+        if len(column_map) != self.n_cols:
+            raise InvalidInputError(f"column_map has {len(column_map)} entries for {self.n_cols} columns", "column_map")
+        if column_map[0] is not None or not intercept:
             raise InvalidInputError("column_map must start with None, over an all-ones intercept column", "column_map")
         column_map = (None, *map(_feature_entry, column_map[1:]))
         column_index = {entry: j for j, entry in enumerate(column_map[1:], 1)}
         if len(column_index) < len(column_map) - 1:
             raise InvalidInputError("column_map must give each later column its own (agent, lag) pair", "column_map")
-        object.__setattr__(self, "values", values)
         object.__setattr__(self, "column_map", column_map)
         object.__setattr__(self, "column_index", column_index)
 
@@ -105,6 +112,14 @@ class DesignMatrix:
         """Yield ``(index, agent_id, lag)`` for every non-intercept column."""
         for j, (agent_id, lag) in enumerate(self.column_map[1:], 1):
             yield j, agent_id, lag
+
+    def gram(self) -> np.ndarray:
+        """``X'X``: numpy's product of the transposed values with the values."""
+        return self.values.T @ self.values
+
+    def moment(self, y: np.ndarray) -> np.ndarray:
+        """``X'y`` for a length-T ``y``, by :func:`_row_sums`."""
+        return _row_sums(self.values, y)
 
 
 def _feature_entry(entry) -> tuple:
@@ -131,18 +146,20 @@ def _row_sums(a, b):
 @dataclass(frozen=True, eq=False)
 class NormalEquations:
     """The normal equations of ``target`` on ``design``, formed once: ``gram`` G = X'X and ``moment``
-    c = X'y, both read-only, and ``target_square`` y'y. G is numpy's X'X product; c and y'y come from
-    :func:`_row_sums`. The record keeps the very ``design`` and ``target`` it was formed from (the
-    target as :func:`~regmarket.errors.finite_array` reads it), so a solve handed a record checks by
-    identity that it belongs to its data.
+    c = X'y, both read-only, and ``target_square`` y'y. The design forms G and c
+    (:meth:`DesignMatrix.gram`, :meth:`DesignMatrix.moment`): a lag design from the series its
+    columns are shifts of, any other from its values. y'y comes from :func:`_row_sums`. The record
+    keeps the very ``design`` and ``target`` it was formed from (the target as
+    :func:`~regmarket.errors.finite_array` reads it), so a solve handed a record checks by identity
+    that it belongs to its data.
     """
 
     design: DesignMatrix
     target: np.ndarray
 
     def __post_init__(self):
-        values, target = self.design.values, finite_array(self.target, "y", (self.design.n_rows,))
-        gram, moment = values.T @ values, _row_sums(values, target)
+        target = finite_array(self.target, "y", (self.design.n_rows,))
+        gram, moment = self.design.gram(), self.design.moment(target)
         gram.flags.writeable = moment.flags.writeable = False
         vars(self).update(target=target, gram=gram, moment=moment, target_square=float(_row_sums(target, target)))
 
@@ -185,6 +202,26 @@ def ols_fit(X: DesignMatrix, y) -> np.ndarray:
     y = finite_array(y, "y", (X.n_rows,))
     beta, *_ = np.linalg.lstsq(X.values, y, rcond=None)
     return beta
+
+
+def _householder_lstsq(A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares coefficients of ``y`` on the T x P ``A``, the same at any BLAS thread count.
+
+    A Householder QR of ``[A y]``, each reflection's sums by :func:`_row_sums`, gives ``R`` and
+    ``z = Q'y``; ``np.linalg.lstsq(R, z)`` on that small system is then ``lstsq(A, y)`` to rounding,
+    with the same rank cutoff, as ``R`` has ``A``'s singular values. ``lstsq(A, y)`` itself reduces
+    over the T rows in BLAS threads, and its bits change with their number.
+    """
+    R = np.column_stack([A, y])
+    for j in range(min(R.shape)):
+        column = R[j:, j]
+        norm = float(np.sqrt(_row_sums(column, column)))
+        if norm > 0.0:
+            v = column.copy()
+            v[0] += np.copysign(norm, v[0])
+            R[j:, j:] -= np.outer(v, _row_sums(R[j:, j:], v) * (2.0 / _row_sums(v, v)))
+    R = np.triu(R[: R.shape[1]])
+    return np.linalg.lstsq(R[:, :-1], R[:, -1], rcond=None)[0]
 
 
 def mse(X: DesignMatrix, beta, y) -> float:
@@ -382,11 +419,12 @@ def weighted_lasso_fit(
     the same from any start.
 
     ``normal`` is the :class:`NormalEquations` record of ``X`` and ``y``: a
-    prepared market forms it once and passes it to every clearing, so a
-    solve given it never reads the T x P design. Without it the solve forms
-    its own, the same way, so the result does not depend on who formed it.
-    A record whose design or target is not this very ``X`` or ``y`` is
-    rejected naming ``normal``.
+    prepared market forms it once and passes it to every clearing. Without
+    it the solve forms its own, through the same design methods, so the
+    result does not depend on who formed it. A record whose design or target
+    is not this very ``X`` or ``y`` is rejected naming ``normal``. The solve
+    reads only ``X``'s shape, and its values only to measure the residual of
+    a failed solve, so a lag design's T x P values are not built for it.
 
     The solve has one stopping test, its certificate, in column units: it
     returns as soon as the first-order optimality residual, computed from q
@@ -411,8 +449,8 @@ def weighted_lasso_fit(
         normal = NormalEquations(X, y)
     elif normal.design is not X or normal.target is not y:
         raise InvalidInputError("normal must be the NormalEquations of this very X and y", "normal")
-    A, y, gram, moment = X.values, normal.target, normal.gram, normal.moment
-    n_rows, n_cols = A.shape
+    y, gram, moment = normal.target, normal.gram, normal.moment
+    n_rows, n_cols = X.n_rows, X.n_cols
     penalties = _as_penalties(penalties, n_cols)
     squares = np.diag(gram)
     unit = np.divide(2.0 / n_rows, np.sqrt(squares), out=np.zeros(n_cols), where=squares > 0.0)
@@ -453,6 +491,7 @@ def weighted_lasso_fit(
                 return beta
 
     # Measured for the iterate handed back from a fresh residual, which only this failure path computes.
+    A = X.values
     kkt = _kkt_from_correlation(_row_sums(A, y - A @ beta), penalties, beta, unit)
     raise ConvergenceError(
         f"coordinate descent did not converge in {settings.max_iterations} sweeps "

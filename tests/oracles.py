@@ -25,6 +25,16 @@ def normal_equation_ols(A, y):
     return np.linalg.solve(gram, moment)
 
 
+def long_double_products(A, y):
+    """``A'A``, ``A'y`` and ``y'y`` accumulated in long double, ``A'A`` a row at a time, so no BLAS product enters."""
+    A_hi = np.asarray(A, dtype=np.longdouble)
+    y_hi = np.asarray(y, dtype=np.longdouble)
+    gram = np.zeros((A_hi.shape[1], A_hi.shape[1]), dtype=np.longdouble)
+    for row in A_hi:
+        gram += np.multiply.outer(row, row)
+    return gram, (A_hi * y_hi[:, None]).sum(axis=0), (y_hi * y_hi).sum()
+
+
 def univariate_lasso(x, y, lam):
     """Closed-form minimizer of (1/2)||y - x b||^2 + lam |b|."""
     rho = float(x @ y)

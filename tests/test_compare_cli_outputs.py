@@ -1,12 +1,15 @@
-"""``tools/compare_cli_outputs.py`` sizes a difference in values only, calls every other one structural, rewrites ISO stamps as the hours ingest reads, offsets value cells, and writes inputs whose prices every command rejects."""
+"""``tools/compare_cli_outputs.py`` sizes a difference in values only, calls every other one structural, rewrites ISO stamps as the hours ingest reads, offsets value cells, writes inputs whose prices every command rejects, and a near-collinear CSV."""
 
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from regmarket import ingest_csv
+from regmarket import PreparedMarket, ingest_csv
+from regmarket.data_io import load_scenario
+from regmarket.experiments import materialize_series
 from regmarket.cli import main
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_cli_outputs.py"
@@ -93,3 +96,17 @@ def test_rejected_prices_inputs_exit_2_with_the_rule_they_break(tmp_path, capsys
     config.write_text(json.dumps(tool.rejected_prices(tool.readme_scenario(TOOL.parents[1]))[label]), encoding="utf-8")
     assert main(["clear", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.endswith(message)
+
+
+def test_collinear_input_adds_a_near_copy_of_p2_as_a_seller(tmp_path):
+    readme = tool.readme_scenario(TOOL.parents[1])
+    config = tmp_path / "collinear.json"
+    config.write_text(json.dumps(tool.write_collinear(TOOL.parents[1], readme, tmp_path)), encoding="utf-8")
+    dataset = ingest_csv(tmp_path / "collinear.csv").dataset
+    assert dataset.zones == ("P1", "P2", "P3", "P4", "P5", "P6")
+    assert dataset.n_hours == readme["market"]["max_lag"] + max(readme["sweeps"]["t_grid"])
+    gap = dataset.values[:, 5] - dataset.values[:, 1]
+    assert 0.0 < np.std(gap) < 2 * tool.COLLINEAR_NOISE
+    scenario = load_scenario(config)
+    market = PreparedMarket(scenario.market, materialize_series(scenario))
+    assert market.config.support_agents == ("P2", "P3", "P4", "P5", "P6")

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regmarket import (
+    AgentSeries,
     ConvergenceError,
     InvalidInputError,
     LagSpec,
@@ -158,12 +159,36 @@ class TestMethodComparison:
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_ols_all_matches_the_normal_equation_oracle(self, tmp_path, seed):
-        # ols_all solves the market's normal equations; the oracle forms them in long double.
+        # On this well-conditioned design the least-squares fit is the solve of the
+        # normal equations, which the oracle forms in long double.
         sc = bench_scenario("paper-u", seed, tmp_path)
         market = experiments._prepare(sc)
         expected = normal_equation_ols(market.design_all.values, market.target)[1:]
         ols_all = np.array([row["ols_all"] for row in run_method_comparison(sc)])
         assert np.max(np.abs(ols_all - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("copy", ["noisy", "scaled"])
+    def test_ols_all_is_least_squares_on_a_near_collinear_roster(self, monkeypatch, copy):
+        # P6 repeats P2, with 1e-6 noise or in units 1e6 times P2's. Forming X'X squares the
+        # condition number, so a solve of the normal equations drops directions lstsq on X keeps.
+        sc = scenario("P1", seed=5, window=2000, max_lag=6)
+        roster = experiments.materialize_series(sc)
+        p2 = roster[1]
+        repeat = p2.values + 1e-6 * np.random.default_rng(0).normal(size=p2.values.size) if copy == "noisy" else 1e6 * p2.values
+        roster.append(AgentSeries("P6", repeat, start_time=p2.start_time))
+        monkeypatch.setattr(experiments, "materialize_series", lambda scenario: roster)
+        rows = run_method_comparison(sc)
+        market = experiments._prepare(sc)
+        X, y = market.design_all.values, market.target
+        assert [(row["agent"], row["lag"]) for row in rows] == list(market.design_all.column_map[1:])
+
+        def loss(features):  # the MSE at the best intercept for these feature coefficients
+            residual = y - X[:, 1:] @ features
+            residual -= residual.mean()
+            return float(residual @ residual) / len(y)
+
+        reference = np.linalg.lstsq(X, y, rcond=None)[0]
+        assert loss(np.array([row["ols_all"] for row in rows])) <= loss(reference[1:]) * (1 + 1e-12)
 
     def test_independent_central_stays_self_reliant(self):
         rows = {(r["agent"], r["lag"]): r for r in run_method_comparison(scenario("P2", seed=0))}
@@ -290,9 +315,9 @@ class TestTSweep:
         for _, T, outcome in shorter:
             market, longest_market = outcome.market, longest.market
             assert market.design_all.n_rows == market.target.shape[0] == T
-            assert np.shares_memory(market.design_all.values, longest_market.design_all.values)
-            own = 1 + market.config.lag_spec.max_lag  # the buyer's block leads the design
-            assert np.shares_memory(market.design_all.values[:, :own], longest_market.design_all.values[:, :own])
+            assert np.shares_memory(market.design_all.history, longest_market.design_all.history)
+            # The buyer's hours lead the design's.
+            assert np.shares_memory(market.design_all.history[1], longest_market.design_all.history[1])
             assert np.shares_memory(market.target, longest_market.target)
 
     def test_each_point_clears_its_window(self, monkeypatch):
@@ -304,7 +329,8 @@ class TestTSweep:
             window = market.window(T)
             assert outcome.market.config == window.config
             assert outcome.market.config.lag_spec.window_length == T
-            assert np.shares_memory(outcome.market.design_all.values, market.design_all.values)
+            assert np.shares_memory(outcome.market.design_all.history, market.design_all.history)
+            assert np.shares_memory(outcome.market.target, market.target)
             assert np.array_equal(outcome.market.baseline_start, window.baseline_start)
 
     def test_missing_grid_rejected(self):
@@ -599,6 +625,33 @@ class TestMarketMoment:
             assert np.all(np.abs(normal.moment - moment) <= bound * np.sqrt(np.diag(gram) * square))
             assert abs(normal.target_square - square) <= bound * square
             assert normal.design is market.design_all and normal.target is market.target
+
+
+class TestNoDesignBuilt:
+    """The clearing runners form every market's normal equations from its lag history and never build its T x P values."""
+
+    @pytest.mark.parametrize(("name", "seed"), [("small-many", 0), ("paper-u", 3)])
+    def test_clearing_runners_never_build_a_markets_values(self, tmp_path, monkeypatch, name, seed):
+        built, build = [], market_module.build_lag_matrix
+
+        def recording(series_list, spec):
+            built.append(build(series_list, spec))
+            return built[-1]
+
+        monkeypatch.setattr(market_module, "build_lag_matrix", recording)
+        sc = bench_scenario(name, seed, tmp_path)
+        window = sc.market.lag_spec.window_length
+        sc = dataclasses.replace(sc, t_grid=sc.t_grid or (window // 4, window // 2, window))
+        outcomes = [run_clearing(sc)]
+        for rows in (run_u_sweep(sc), run_T_sweep(sc)[0], run_two_agent_grid(sc)[0]):
+            outcomes += [outcome for _, _, outcome in rows]
+        assert len(built) == 4  # one lag design per prepared market
+        designs = built + [outcome.market.design_all for outcome in outcomes]
+        assert len({id(design) for design in designs}) > 4  # sweep-t's windows are designs of their own
+        assert not any("values" in vars(design) for design in designs)
+        # A reader still gets the matrix, built once.
+        design = outcomes[0].market.design_all
+        assert design.values is design.values and design.values.shape == (window, design.n_cols)
 
 
 class TestDeterminism:

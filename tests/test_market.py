@@ -55,11 +55,11 @@ def duplicate_seller_market():
 
 
 def assert_buyer_design(X, market):
-    """``X`` is ``market``'s buyer design: the intercept and buyer columns that lead ``design_all``, as a view."""
+    """``X`` is ``market``'s buyer design: the intercept and buyer columns that lead ``design_all``, cut from its buyer's hours."""
     own = 1 + market.config.lag_spec.max_lag
     assert X.column_map == market.design_all.column_map[:own]
     assert np.array_equal(X.values, market.design_all.values[:, :own])
-    assert np.shares_memory(X.values, market.design_all.values)
+    assert np.shares_memory(X.history[1], market.design_all.history[1])
 
 
 def with_extra_payment(outcome, extra):

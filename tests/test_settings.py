@@ -8,6 +8,8 @@ rejected the same way, naming the argument.
 
 import json
 import tempfile
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,7 @@ from regmarket import (
     weighted_lasso_fit,
 )
 from regmarket.data_io import CsvSource, ScenarioConfig, TwoAgentGrid, ZonalDataset
+from regmarket.errors import integer
 
 SCENARIO = {
     "scenario_id": "settings",
@@ -294,6 +297,33 @@ def test_integral_numbers_are_read_as_int():
     spec = LagSpec(np.int64(3), 24.0)
     assert (spec.max_lag, spec.window_length) == (3, 24)
     assert type(spec.max_lag) is type(spec.window_length) is int
+
+
+NEAR_ONE = Fraction(10**17 + 1, 10**17)  # its float is 1.0
+
+
+@pytest.mark.parametrize(
+    ("value", "read"),
+    [
+        (Fraction(4, 2), 2),
+        (Fraction(-6, 3), -2),
+        (NEAR_ONE, None),
+        (Fraction(5, 2), None),
+        (Decimal(2), None),  # not a numbers.Real, as before
+        (Decimal("1.00000000000000001"), None),
+    ],
+    ids=["fraction-2", "fraction-minus-2", "fraction-near-1", "fraction-2.5", "decimal-2", "decimal-near-1"],
+)
+def test_integrality_is_exact_for_fractions_and_decimals(value, read):
+    if read is None:
+        with pytest.raises(InvalidInputError, match=r"^max_lag must be an integer, got ") as caught:
+            LagSpec(value, 10)
+        assert caught.value.field == "max_lag"
+        # A lag that is not 1 is another feature than lag 1, and is rejected as no lag at all.
+        with pytest.raises(InvalidInputError, match=r"^entries lag must be an integer, got "):
+            ReservationSchedule([(("P2", 1), 0.1), (("P2", value), 0.5)])
+    else:
+        assert integer(value, "max_lag") == read and type(integer(value, "max_lag")) is int
 
 
 # Every public entry point that takes an array or a count, with bad inputs.

@@ -9,12 +9,15 @@ from regmarket import (
     AgentSeries,
     InvalidInputError,
     LagSpec,
+    NormalEquations,
     SyntheticSpec,
     build_lag_matrix,
     ols_fit,
     synthetic_market_series,
 )
 from regmarket.timeseries import BURN_IN
+
+from oracles import long_double_products
 
 
 def series(agent_id, values, start_time=0):
@@ -137,6 +140,49 @@ class TestBuildLagMatrix:
         assert design.values.shape == expected.shape
         assert design.values.tobytes() == expected.tobytes()
         assert design.column_map == tuple(column_map)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_agents=st.integers(1, 5),
+        max_lag=st.integers(1, 6),
+        window=st.integers(1, 300),
+        spikes=st.integers(0, 3),
+    )
+    @example(seed=0, n_agents=1, max_lag=6, window=1, spikes=0)
+    @example(seed=1, n_agents=3, max_lag=6, window=5, spikes=1)
+    @example(seed=2, n_agents=2, max_lag=6, window=6, spikes=2)
+    @example(seed=3, n_agents=5, max_lag=1, window=1, spikes=0)
+    @example(seed=4, n_agents=4, max_lag=4, window=300, spikes=3)
+    def test_lazy_values_and_normal_equations_match_references(self, seed, n_agents, max_lag, window, spikes):
+        # Hours in units 1e-3 to 1e3, and some 1e8 times their neighbours, on every side of the window.
+        rng = np.random.default_rng(seed)
+        roster = []
+        for k in range(n_agents):
+            start = max_lag + int(rng.integers(0, 3))
+            values = rng.normal(size=start + window + int(rng.integers(0, 3))) * 10.0 ** rng.uniform(-3, 3)
+            values[rng.integers(0, values.size, size=spikes)] *= 1e8
+            roster.append(series(f"A{k}", values, start_time=start))
+        design = build_lag_matrix(roster, LagSpec(max_lag=max_lag, window_length=window))
+        y = rng.normal(size=window)
+        normal = NormalEquations(design, y)
+        assert "values" not in vars(design)  # the normal equations come from the hours
+
+        expected = np.ones((window, 1 + n_agents * max_lag))
+        for k, agent in enumerate(roster):
+            for position in range(max_lag):  # oldest lag first
+                hours = agent.start_time - max_lag + position + np.arange(window)
+                expected[:, 1 + k * max_lag + position] = agent.values[hours]
+        assert design.values.tobytes() == expected.tobytes()
+        assert design.values is design.values and not design.values.flags.writeable
+
+        gram, moment, square = long_double_products(expected, y)
+        # Each sum of T products is within T eps of the sum of its terms' magnitudes, which
+        # Cauchy-Schwarz bounds by the product of the two columns' norms.
+        bound = 4 * window * np.finfo(float).eps
+        assert np.all(np.abs(normal.gram - gram) <= bound * np.sqrt(np.outer(np.diag(gram), np.diag(gram))))
+        assert np.array_equal(normal.gram, normal.gram.T)
+        assert np.all(np.abs(normal.moment - moment) <= bound * np.sqrt(np.diag(gram) * square))
 
     @pytest.mark.parametrize("window, n_agents, max_lag", [(1, 1, 1), (5, 1, 3), (7, 3, 1), (8760, 10, 9)])
     def test_feature_block_reshape_is_a_view(self, window, n_agents, max_lag):

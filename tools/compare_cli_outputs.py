@@ -17,7 +17,11 @@ its integer hour index (:func:`write_integer_stamps`), and on a copy with
 ``OFFSET`` added to every value cell (:func:`write_offset_cells`), read
 without normalization, and the README file at a 120-hour window twice
 more: with one feature priced twice in ``reservations.entries``, and with
-prices whose lasso penalty overflows a float (:func:`rejected_prices`).
+prices whose lasso penalty overflows a float (:func:`rejected_prices`),
+and once more as ``collinear``: its series, which ``HEAD_TREE``'s
+``simulate`` writes over the longest ``t_grid`` window, read as a zonal CSV
+with a zone P6 that repeats P2 plus ``COLLINEAR_NOISE`` times Gaussian noise
+(:func:`write_collinear`), so every seller's design is near-singular.
 Every command
 then runs on every input, once per tree, in a fresh process with that
 tree's ``src/`` on the path and the same relative output directory, so the
@@ -39,9 +43,11 @@ scaled by the larger of its two magnitudes. Every other difference is
 structural and printed with both sha256 digests. The size is reported, never
 forgiven: a value-only difference counts like any other.
 
-No input makes a command exit 3 (non-convergence) or 4 (a viability
-violation), so this comparison never sees those exits or their messages;
-``tests/test_cli.py`` pins them instead.
+Only ``collinear`` makes a command exit 3 (non-convergence): the solver
+does not certify on its near-duplicate seller, so ``clear``,
+``compare-methods``, ``sweep-u``, ``sweep-t`` and ``grid-2`` exit 3 on it,
+and the comparison sees their messages. No input makes a command exit 4 (a
+viability violation); ``tests/test_cli.py`` pins both exits.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -65,6 +72,7 @@ COMMANDS = ("simulate", "clear", "compare-methods", "sweep-u", "sweep-t", "grid-
 SEEDS = (0, 3)  # paper-u and small-many
 CSV_SEED = 1
 OFFSET = 1e4  # csv-t-offset's location, thousands of times each zone's spread; it must not decide the clearing
+COLLINEAR_NOISE = 1e-6  # collinear's P6 is P2 plus this times standard normal noise
 
 # The generator's edge: one seller, a negative AR coefficient and no
 # cross-seller loading, so the buyer is a plain AR(1) of its own.
@@ -149,6 +157,27 @@ def rejected_prices(readme: dict) -> dict:
     }
 
 
+def write_collinear(head: Path, readme: dict, directory: Path) -> dict:
+    """Write the ``collinear`` CSV under ``directory`` and return its scenario: ``readme`` reading it, every other zone a seller.
+
+    ``head``'s ``simulate`` writes the README series over the longest ``t_grid`` window, and
+    zone P6, P2 plus ``COLLINEAR_NOISE`` times seeded standard normal noise, is added to each row.
+    """
+    config = directory / "collinear-simulate.json"
+    config.write_text(json.dumps({**readme, "market": {**readme["market"], "window": max(readme["sweeps"]["t_grid"])}}))
+    env = dict(os.environ, PYTHONPATH=str(head.resolve() / "src"))
+    out = directory / "collinear-series"
+    subprocess.run([sys.executable, "-m", "regmarket", "simulate", "--config", str(config), "--out", str(out)],
+                   env=env, capture_output=True, check=True)
+    header, *rows = (out / "series.csv").read_text(encoding="utf-8").splitlines()
+    p2, noise = header.split(",").index("P2"), random.Random(0)
+    lines = [f"{header},P6"] + [f"{row},{float(row.split(',')[p2]) + COLLINEAR_NOISE * noise.gauss(0.0, 1.0)!r}" for row in rows]
+    table = directory / "collinear.csv"
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    market = {key: value for key, value in readme["market"].items() if key != "support_agents"}
+    return {**readme, "scenario_id": "collinear", "data": {"type": "csv", "path": str(table)}, "market": market}
+
+
 def write_integer_stamps(source: Path, target: Path) -> None:
     """Copy the zonal CSV ``source`` to ``target`` with each ISO stamp as ``24 * ordinal + hour``."""
     header, *rows = source.read_text(encoding="utf-8").splitlines()
@@ -220,6 +249,9 @@ def write_inputs(head: Path, directory: Path) -> list:
         config = directory / f"{label}.json"
         inputs.write_json(config, scenario)
         runs.append((label, config, None))
+    config = directory / "collinear.json"
+    inputs.write_json(config, write_collinear(head, readme, directory))
+    runs.append(("collinear", config, None))
     config = directory / "edge.json"
     inputs.write_json(config, EDGE_SCENARIO)
     runs.append(("edge", config, None))
