@@ -198,14 +198,15 @@ class PreparedMarket:
     the window, so a sweep over reservations prepares them once and calls
     :meth:`clear` per point, and a sweep over training lengths prepares the
     longest window once and clears each shorter one on :meth:`window`.
-    One lag design is built per market (:func:`build_lag_matrix`), with the
-    buyer's block first. It holds the roster's hours, not the T x P matrix:
+    One :class:`~regmarket.regression.DesignMatrix` is built per market
+    (:func:`build_lag_matrix`), with the buyer's block first. Its
+    ``history`` holds the roster's hours, not the T x P matrix:
     ``normal`` is formed from those hours, every solve is given ``normal``
     and every loss is measured from the baseline, so no clearing builds
     ``design_all.values``; a caller that reads them, such as
     :func:`verify_buyer_viability`, builds them once. The baseline is fitted
     on the T x (1 + max_lag) block of the intercept and the buyer's lags,
-    built from the buyer's hours alone, so ``b_self`` is
+    ``design_all.prefix(agents=1)``, built from the buyer's hours alone, so ``b_self`` is
     ``baseline_start[:1 + max_lag]``. Construction resolves the config
     against the series (:meth:`MarketConfig.resolve`), so ``config`` always
     names its sellers, and rejects two series for one agent.

@@ -5,6 +5,9 @@ Conventions used throughout the package:
 * A design matrix holds T rows (hours) and P columns. Column 0 is always
   the all-ones intercept column; every other column is a lagged agent
   feature identified by a ``(agent_id, lag)`` entry in ``column_map``.
+  :class:`DesignMatrix` is the one design class: it holds the series its
+  columns are shifts of, ``max_lag`` columns per series, and a matrix given
+  directly is such a design at ``max_lag`` 1.
 * Coefficient and penalty vectors are plain float ndarrays aligned to the
   design columns. Penalties are nonnegative and the intercept entry is
   always zero, so the intercept is never shrunk.
@@ -17,7 +20,8 @@ Conventions used throughout the package:
 * Apart from :func:`ols_fit`'s solve, every sum over the T rows is formed by
   :class:`NormalEquations` (G = X'X, c = X'y and y'y of one design and target)
   through the design's :meth:`DesignMatrix.gram` and
-  :meth:`DesignMatrix.moment`, or by :func:`_row_sums`, which sums in an
+  :meth:`DesignMatrix.moment`, formed from those series, or by
+  :func:`_row_sums`, which sums in an
   order set by the data, not by the BLAS thread count. A prepared market
   forms the record once for all its clearings, and a solve given it never
   reads X. The solver's cyclic
@@ -39,8 +43,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConvergenceError, InvalidInputError, finite_array, integer, real
 
@@ -55,49 +61,73 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class DesignMatrix:
-    """Regressor matrix plus the provenance of each column.
+    """Regressor matrix plus the provenance of each column, held as the series its columns are shifts of.
+
+    ``history`` is read-only, one row per block of ``max_lag`` columns: row 0,
+    all ones, is the intercept's, and the column at block position ``d``
+    (0-based) of row ``k`` is ``history[k, d : d + T]``.
+    ``DesignMatrix(values, column_map)`` takes any T x P matrix as the
+    history ``values.T`` at ``max_lag`` 1, a view, and keeps ``values`` as
+    given. A lag design (:func:`regmarket.timeseries.build_lag_matrix`)
+    holds each agent's hours and builds the T x P ``values`` the first time
+    they are read, by one strided copy of the sliding windows in row order,
+    kept read-only.
 
     ``column_map`` has one entry per column: ``None`` marks column 0, which
     must be the all-ones intercept, and every other entry is a distinct
     ``(agent_id, lag)`` tuple: a hashable agent id and an integral lag of
     at least 1. ``column_index`` maps each pair to its column; it is built
     once, here. :meth:`gram` and :meth:`moment` are the products
-    :class:`NormalEquations` forms, from ``values`` here; a lag design
-    (:func:`regmarket.timeseries.build_lag_matrix`) forms them from its
-    series instead.
+    :class:`NormalEquations` forms, from ``history`` without the T x P
+    matrix. A design is read-only and equal only to itself, and its repr
+    shows its shape and columns, not its values.
     """
 
-    values: np.ndarray
-    column_map: tuple
+    def __init__(self, values, column_map):
+        values = finite_array(values, "values", (None, None), "values of the design matrix")
+        self._hold(values.T, 1, column_map)
+        vars(self)["values"] = values
 
-    def __post_init__(self):
-        values = finite_array(self.values, "values", (None, None), "values of the design matrix")
-        object.__setattr__(self, "values", values)
-        self._map_columns(self.column_map, intercept=np.all(values[:, 0] == 1.0))
+    @classmethod
+    def _lagged(cls, history: np.ndarray, max_lag: int, column_map) -> "DesignMatrix":
+        """The design over ``history``, whose rows are cut from series already checked finite, so not scanned again."""
+        design = cls.__new__(cls)
+        design._hold(history, max_lag, column_map)
+        return design
 
-    def _map_columns(self, column_map, intercept: bool) -> None:
-        """Check ``column_map`` against the columns and set it and ``column_index``; ``intercept`` says column 0 is all ones."""
+    def _hold(self, history, max_lag: int, column_map) -> None:
+        """Check ``column_map`` against the columns and the intercept, and set it, ``column_index`` and the history."""
+        history.flags.writeable = False
+        vars(self).update(history=history, max_lag=max_lag)
         column_map = tuple(column_map)
         if len(column_map) != self.n_cols:
             raise InvalidInputError(f"column_map has {len(column_map)} entries for {self.n_cols} columns", "column_map")
-        if column_map[0] is not None or not intercept:
+        if column_map[0] is not None or not np.all(history[0] == 1.0):
             raise InvalidInputError("column_map must start with None, over an all-ones intercept column", "column_map")
         column_map = (None, *map(_feature_entry, column_map[1:]))
-        column_index = {entry: j for j, entry in enumerate(column_map[1:], 1)}
-        if len(column_index) < len(column_map) - 1:
-            raise InvalidInputError("column_map must give each later column its own (agent, lag) pair", "column_map")
-        object.__setattr__(self, "column_map", column_map)
-        object.__setattr__(self, "column_index", column_index)
+        column_index = {}
+        for j, entry in enumerate(column_map[1:], 1):
+            if column_index.setdefault(entry, j) != j:
+                agent_id, lag = entry
+                message = f"column_map gives agent {agent_id!r} lag {lag} more than one column"
+                raise InvalidInputError(message, "column_map")
+        vars(self).update(column_map=column_map, column_index=column_index)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DesignMatrix is read-only; cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        shape = f"n_rows={self.n_rows}, n_cols={self.n_cols}, max_lag={self.max_lag}"
+        return f"DesignMatrix({shape}, column_map={self.column_map!r})"
 
     @property
     def n_rows(self) -> int:
-        return self.values.shape[0]
+        return self.history.shape[1] - self.max_lag + 1
 
     @property
     def n_cols(self) -> int:
-        return self.values.shape[1]
+        return 1 + (self.history.shape[0] - 1) * self.max_lag
 
     def column_of(self, agent_id, lag: int) -> int:
         """Index of the column holding ``agent_id``'s lag-``lag`` feature: a ``column_index`` lookup."""
@@ -113,13 +143,69 @@ class DesignMatrix:
         for j, (agent_id, lag) in enumerate(self.column_map[1:], 1):
             yield j, agent_id, lag
 
-    def gram(self) -> np.ndarray:
-        """``X'X``: numpy's product of the transposed values with the values."""
-        return self.values.T @ self.values
+    def _windows(self) -> np.ndarray:
+        """``windows[t, k, d] = history[k, t + d]``, row t's block of history row k, as a read-only view."""
+        H = self.history
+        return as_strided(H, (self.n_rows, H.shape[0], self.max_lag), (H.strides[1], *H.strides), writeable=False)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        values = np.empty((self.n_rows, self.n_cols))
+        values[:, 0] = 1.0
+        values[:, 1:].reshape(self.n_rows, -1, self.max_lag)[...] = self._windows()[:, 1:]
+        values.flags.writeable = False
+        return values
+
+    def prefix(self, rows: int | None = None, agents: int | None = None) -> "DesignMatrix":
+        """This design on its first ``rows`` rows and first ``agents`` blocks of ``max_lag`` columns, over a view of ``history``."""
+        D, rows = self.max_lag, self.n_rows if rows is None else rows
+        history = self.history[: None if agents is None else 1 + agents, : rows + D - 1]
+        return DesignMatrix._lagged(history, D, self.column_map[: 1 + (history.shape[0] - 1) * D])
 
     def moment(self, y: np.ndarray) -> np.ndarray:
-        """``X'y`` for a length-T ``y``, by :func:`_row_sums`."""
-        return _row_sums(self.values, y)
+        """``X'y`` by :func:`_row_sums` over the sliding windows; the intercept's is that of row 0's last block position."""
+        return _row_sums(self._windows(), y).ravel()[self.max_lag - 1 :]
+
+    def gram(self) -> np.ndarray:
+        """``X'X`` from ``history``, with no T x P matrix (the covariance method of linear prediction).
+
+        With ``k = d - e >= 0``, the entry of columns ``(a, d)`` and ``(b, e)``
+        is ``sum_s history[a, s + k] * history[b, s]`` over the hours ``s`` in
+        ``e .. e + T - 1``. Each such range holds the hours ``D - 1 .. T - 1``,
+        so one matrix product per shift ``k`` sums that common core for every
+        pair of rows, and ``np.einsum`` sums each entry's ``min(D - 1, T)``
+        hours outside it. An entry is its core plus its edge, both sums of its
+        own products, so nothing cancels and it is within T eps of the sum of
+        its terms' magnitudes. Row 0's block at position ``D - 1`` is the
+        intercept. ``X'X`` is exactly symmetric: at ``k = 0`` the core is a
+        product of one matrix with its own transpose, which numpy forms
+        symmetric, and the edge sums multiply the same pairs in the same order.
+        At ``max_lag`` 1 there are no edge hours and the core is ``values.T @ values``.
+        """
+        H, D, T = self.history, self.max_lag, self.n_rows
+        shifts, offsets, edges = _lag_pairs(D, T)
+        blocks = np.einsum("apk,bpk->pab", H[:, edges + shifts[:, None]], H[:, edges])
+        if T >= D:  # the core hours D - 1 .. T - 1
+            blocks += np.stack([H[:, D - 1 + k : T + k] @ H[:, D - 1 : T].T for k in range(D)])[shifts]
+        full = np.empty((H.shape[0] * D,) * 2)
+        rows = full.reshape(H.shape[0], D, H.shape[0], D)  # rows[a, d, b, e]: columns (a, d) and (b, e)
+        rows[:, offsets, :, shifts + offsets] = blocks.transpose(0, 2, 1)
+        rows[:, shifts + offsets, :, offsets] = blocks
+        return full[D - 1 :, D - 1 :].copy()
+
+
+@lru_cache(maxsize=64)
+def _lag_pairs(max_lag: int, window: int) -> tuple:
+    """For each pair of block positions ``d >= e``: its shift ``d - e``, ``e``, and the hours outside the core it sums.
+
+    The arrays are read-only, as every call with these arguments shares them.
+    """
+    shifts, offsets = np.array([(k, e) for k in range(max_lag) for e in range(max_lag - k)]).T
+    edges = [[*range(e, min(max_lag - 1, e + window)), *range(max(window, max_lag - 1), e + window)] for e in offsets]
+    edges = np.array(edges, dtype=np.intp)
+    for array in (shifts, offsets, edges):
+        array.flags.writeable = False
+    return shifts, offsets, edges
 
 
 def _feature_entry(entry) -> tuple:
@@ -147,8 +233,8 @@ def _row_sums(a, b):
 class NormalEquations:
     """The normal equations of ``target`` on ``design``, formed once: ``gram`` G = X'X and ``moment``
     c = X'y, both read-only, and ``target_square`` y'y. The design forms G and c
-    (:meth:`DesignMatrix.gram`, :meth:`DesignMatrix.moment`): a lag design from the series its
-    columns are shifts of, any other from its values. y'y comes from :func:`_row_sums`. The record
+    (:meth:`DesignMatrix.gram`, :meth:`DesignMatrix.moment`) from the series its columns are
+    shifts of, the same way for every design. y'y comes from :func:`_row_sums`. The record
     keeps the very ``design`` and ``target`` it was formed from (the target as
     :func:`~regmarket.errors.finite_array` reads it), so a solve handed a record checks by identity
     that it belongs to its data.
@@ -424,7 +510,7 @@ def weighted_lasso_fit(
     result does not depend on who formed it. A record whose design or target
     is not this very ``X`` or ``y`` is rejected naming ``normal``. The solve
     reads only ``X``'s shape, and its values only to measure the residual of
-    a failed solve, so a lag design's T x P values are not built for it.
+    a failed solve, so a design's T x P values are not built for it.
 
     The solve has one stopping test, its certificate, in column units: it
     returns as soon as the first-order optimality residual, computed from q

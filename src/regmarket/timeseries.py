@@ -15,13 +15,11 @@ setting and states the true coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import InvalidInputError, finite_array, integer, real, sequence
-from .regression import DesignMatrix, _row_sums
+from .regression import DesignMatrix
 
 __all__ = [
     "AgentSeries",
@@ -150,9 +148,9 @@ def build_lag_matrix(series_list, spec: LagSpec) -> DesignMatrix:
     ``D - d + 1``. ``column_map`` records the ``(agent_id, lag)`` of every
     feature column and ``None`` for the intercept.
 
-    The design is a :class:`LagDesign`, which keeps each agent's hours
-    ``start - D .. start + T - 2`` and builds the T x P ``values`` only when
-    they are read.
+    The :class:`~regmarket.regression.DesignMatrix` holds each agent's hours
+    ``start - D .. start + T - 2`` as a row of its ``history`` and builds the
+    T x P ``values`` only when they are read.
     """
     series_list = list(series_list)
     if not series_list:
@@ -170,99 +168,8 @@ def build_lag_matrix(series_list, spec: LagSpec) -> DesignMatrix:
         start = series.start_time  # row t's window holds hours start - D + t .. start + t - 1
         row[:D] = series.values[start - D : start]
         row[D:] = series.window(T)[:-1]
-    return LagDesign(history, [series.agent_id for series in series_list], D)
-
-
-class LagDesign(DesignMatrix):
-    """A lag design held as the hours its columns are shifts of.
-
-    Row 0 of ``history`` is all ones, the intercept's hours, and row ``k``
-    from 1 holds the ``k``-th agent's hours ``start - D .. start + T - 2``,
-    so its column at block position ``d`` (0-based) is
-    ``history[k, d : d + T]``. ``history`` is read-only and cut from series
-    already checked finite, so it is not scanned again. ``values``, the
-    T x P matrix, is built the first time it is read, by one strided copy of
-    the sliding windows in row order, and kept read-only; :meth:`gram` and
-    :meth:`moment` form the normal equations from ``history`` without it.
-    """
-
-    def __init__(self, history: np.ndarray, agents, max_lag: int):
-        history.flags.writeable = False
-        object.__setattr__(self, "history", history)
-        object.__setattr__(self, "max_lag", max_lag)
-        column_map = (None, *((agent, lag) for agent in agents for lag in range(max_lag, 0, -1)))
-        self._map_columns(column_map, intercept=True)
-
-    @property
-    def n_rows(self) -> int:
-        return self.history.shape[1] - self.max_lag + 1
-
-    @property
-    def n_cols(self) -> int:
-        return 1 + (self.history.shape[0] - 1) * self.max_lag
-
-    def _windows(self) -> np.ndarray:
-        """``windows[t, k, d] = history[k, t + d]``, row t's block of agent k, as a read-only view."""
-        H = self.history
-        return as_strided(H, (self.n_rows, H.shape[0], self.max_lag), (H.strides[1], *H.strides), writeable=False)
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        values = np.empty((self.n_rows, self.n_cols))
-        values[:, 0] = 1.0
-        values[:, 1:].reshape(self.n_rows, -1, self.max_lag)[...] = self._windows()[:, 1:]
-        values.flags.writeable = False
-        return values
-
-    def prefix(self, rows: int | None = None, agents: int | None = None) -> "LagDesign":
-        """This design on its first ``rows`` rows and its first ``agents`` agents, over a view of ``history``."""
-        D, rows = self.max_lag, self.n_rows if rows is None else rows
-        names = [agent for agent, _ in self.column_map[1::D]][:agents]
-        return LagDesign(self.history[: 1 + len(names), : rows + D - 1], names, D)
-
-    def moment(self, y: np.ndarray) -> np.ndarray:
-        """``X'y`` by :func:`_row_sums` over the sliding windows; the intercept's is that of row 0's last block position."""
-        return _row_sums(self._windows(), y).ravel()[self.max_lag - 1 :]
-
-    def gram(self) -> np.ndarray:
-        """``X'X`` from ``history``, with no T x P matrix (the covariance method of linear prediction).
-
-        With ``k = d - e >= 0``, the entry of columns ``(a, d)`` and ``(b, e)``
-        is ``sum_s history[a, s + k] * history[b, s]`` over the hours ``s`` in
-        ``e .. e + T - 1``. Each such range holds the hours ``D - 1 .. T - 1``,
-        so one matrix product per shift ``k`` sums that common core for every
-        pair of rows, and ``np.einsum`` sums each entry's ``min(D - 1, T)``
-        hours outside it. An entry is its core plus its edge, both sums of its
-        own products, so nothing cancels and it is within T eps of the sum of
-        its terms' magnitudes. Row 0's block at position ``D - 1`` is the
-        intercept. ``X'X`` is exactly symmetric: at ``k = 0`` the core is a
-        product of one matrix with its own transpose, which numpy forms
-        symmetric, and the edge sums multiply the same pairs in the same order.
-        """
-        H, D, T = self.history, self.max_lag, self.n_rows
-        shifts, offsets, edges = _lag_pairs(D, T)
-        blocks = np.einsum("apk,bpk->pab", H[:, edges + shifts[:, None]], H[:, edges])
-        if T >= D:  # the core hours D - 1 .. T - 1
-            blocks += np.stack([H[:, D - 1 + k : T + k] @ H[:, D - 1 : T].T for k in range(D)])[shifts]
-        full = np.empty((H.shape[0] * D,) * 2)
-        rows = full.reshape(H.shape[0], D, H.shape[0], D)  # rows[a, d, b, e]: columns (a, d) and (b, e)
-        rows[:, offsets, :, shifts + offsets] = blocks.transpose(0, 2, 1)
-        rows[:, shifts + offsets, :, offsets] = blocks
-        return full[D - 1 :, D - 1 :].copy()
-
-
-@lru_cache(maxsize=64)
-def _lag_pairs(max_lag: int, window: int) -> tuple:
-    """For each pair of block positions ``d >= e``: its shift ``d - e``, ``e``, and the hours outside the core it sums.
-
-    The arrays are read-only, as every call with these arguments shares them.
-    """
-    shifts, offsets = np.array([(k, e) for k in range(max_lag) for e in range(max_lag - k)]).T
-    edges = [[*range(e, min(max_lag - 1, e + window)), *range(max(window, max_lag - 1), e + window)] for e in offsets]
-    edges = np.array(edges, dtype=np.intp)
-    for array in (shifts, offsets, edges):
-        array.flags.writeable = False
-    return shifts, offsets, edges
+    column_map = (None, *((series.agent_id, lag) for series in series_list for lag in range(D, 0, -1)))
+    return DesignMatrix._lagged(history, D, column_map)
 
 
 def _ar_scan(noise: np.ndarray, phi) -> np.ndarray:

@@ -10,12 +10,15 @@ from regmarket import (
     InvalidInputError,
     LagSpec,
     SolverSettings,
+    SyntheticSpec,
     build_lag_matrix,
     kkt_violation,
     mse,
     ols_fit,
+    synthetic_market_series,
     weighted_lasso_fit,
 )
+from regmarket.regression import _row_sums
 
 from conftest import COLLINEAR, make_design, random_instance, with_collinear_columns
 from oracles import (
@@ -54,13 +57,50 @@ class TestDesignMatrix:
 
     def test_duplicate_feature_rejected(self):
         values = np.ones((3, 3))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^column_map gives agent 'A' lag 1 more than one column$"):
             DesignMatrix(values, (None, ("A", 1), ("A", 1)))
+        series = AgentSeries("A", np.arange(6.0), start_time=2)
+        with pytest.raises(InvalidInputError, match="^column_map gives agent 'A' lag 2 more than one column$"):
+            build_lag_matrix([series, series], LagSpec(max_lag=2, window_length=3))
 
     def test_non_finite_rejected(self):
         values = np.array([[1.0, np.nan], [1.0, 2.0]])
         with pytest.raises(InvalidInputError):
             DesignMatrix(values, (None, ("A", 1)))
+
+    @pytest.mark.parametrize("rows", [1, 3, 240])
+    @pytest.mark.parametrize("cols", [1, 2, 16])
+    @pytest.mark.parametrize("layout", ["C", "F", "column-slice", "row-strided"])
+    def test_given_matrix_runs_on_the_one_path(self, rng, rows, cols, layout):
+        # A matrix given directly is a max_lag-1 design over a view of it: its
+        # Gram core is the very product values.T @ values, and there are no edge hours.
+        wide = rng.normal(size=(2 * rows, 2 * cols))
+        wide[:, 0] = 1.0
+        values = {
+            "C": np.ascontiguousarray(wide[:rows, :cols]),
+            "F": np.asfortranarray(wide[:rows, :cols]),
+            "column-slice": wide[:rows, :cols],
+            "row-strided": wide[::2, :cols],
+        }[layout]
+        y = rng.normal(size=rows)
+        design = DesignMatrix(values, (None, *(("A", j) for j in range(1, cols))))
+        assert design.values is values and design.max_lag == 1
+        assert np.array_equal(design.gram(), values.T @ values)
+        assert np.array_equal(design.moment(y), _row_sums(values, y))
+        keep_rows, keep_cols = max(1, rows // 2), 1 + (cols - 1) // 2
+        part = design.prefix(rows=keep_rows, agents=keep_cols - 1)
+        assert np.array_equal(part.values, values[:keep_rows, :keep_cols])
+        assert part.column_map == design.column_map[:keep_cols]
+
+    def test_repr_equality_and_hash_read_no_values(self):
+        series = synthetic_market_series(SyntheticSpec(seed=1), 3, 20)
+        design, again = (build_lag_matrix(series, LagSpec(max_lag=3, window_length=20)) for _ in range(2))
+        text = repr(design)
+        assert "values" not in vars(design)
+        assert "n_rows=20, n_cols=16, max_lag=3" in text and "('P5', 1)" in text
+        assert design == design and design != again
+        assert len({design, again}) == 2
+        assert "values" not in vars(design)
 
     def test_column_lookup(self, rng):
         design = make_design(rng, 5, 3)
