@@ -40,7 +40,7 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_VIABILITY = 4
 
 
-def _cmd_simulate(scenario, args) -> int:
+def _cmd_simulate(scenario, out_dir, args) -> None:
     if isinstance(scenario.data, CsvSource):
         raise InvalidInputError("simulate needs a synthetic data source")
     series = materialize_series(scenario)
@@ -49,63 +49,57 @@ def _cmd_simulate(scenario, args) -> int:
         timestamps=range(series[0].values.shape[0]),
         values=np.column_stack([s.values for s in series]),
     )
-    out = Path(scenario.out_dir) / "series.csv"
+    out = out_dir / "series.csv"
     write_zonal_csv(dataset, out)
     print(f"wrote {len(series)} agent series of {series[0].values.shape[0]} hours to {out}")
-    return EXIT_OK
 
 
-def _cmd_clear(scenario, args) -> int:
+def _cmd_clear(scenario, out_dir, args) -> None:
     outcome = run_clearing(scenario)
-    out = Path(scenario.out_dir) / "clearing.csv"
+    out = out_dir / "clearing.csv"
     write_outcome_table([("clearing", "", outcome)], out)
     print(
         f"baseline mse {outcome.market.baseline_mse:.6g}, market mse {outcome.market_mse:.6g}, "
         f"payments {outcome.total_payments:.6g}, buyer net gain {outcome.buyer_net_gain:.6g}"
     )
     print(f"wrote {out}")
-    return EXIT_OK
 
 
-def _cmd_compare(scenario, args) -> int:
+def _cmd_compare(scenario, out_dir, args) -> None:
     rows = run_method_comparison(scenario)
-    out = Path(scenario.out_dir) / "method_comparison.csv"
+    out = out_dir / "method_comparison.csv"
     write_rows(out, ("agent", "lag", "true", "ols_self", "ols_all", "lasso"), rows)
     print(f"wrote coefficient comparison for {len(rows)} features to {out}")
-    return EXIT_OK
 
 
-def _cmd_sweep_u(scenario, args) -> int:
+def _cmd_sweep_u(scenario, out_dir, args) -> None:
     rows = run_u_sweep(scenario)
-    out = Path(scenario.out_dir) / "u_sweep.csv"
+    out = out_dir / "u_sweep.csv"
     write_outcome_table(rows, out)
     print(f"wrote {len(rows)} clearings to {out}")
-    return EXIT_OK
 
 
-def _cmd_sweep_t(scenario, args) -> int:
+def _cmd_sweep_t(scenario, out_dir, args) -> None:
     rows, per_step_rows = run_T_sweep(scenario)
-    out = Path(scenario.out_dir) / "t_sweep.csv"
+    out = out_dir / "t_sweep.csv"
     write_outcome_table(rows, out)
     per_step = out.with_name("t_sweep_per_step.csv")
     write_rows(per_step, ("T", "agent", "payment", "payment_per_step", "buyer_net_gain"), per_step_rows)
     print(f"wrote {len(rows)} clearings to {out} and per-step payments to {per_step}")
-    return EXIT_OK
 
 
-def _cmd_grid2(scenario, args) -> int:
+def _cmd_grid2(scenario, out_dir, args) -> None:
     rows, summary = run_two_agent_grid(scenario)
-    out = Path(scenario.out_dir) / "u_grid2.csv"
+    out = out_dir / "u_grid2.csv"
     write_outcome_table(rows, out)
     print(
         f"wrote {len(rows)} clearings to {out} "
         f"(cross-monotonicity: a in b {summary['a_payment_nonincreasing_in_b_frac']:.2f}, "
         f"b in a {summary['b_payment_nonincreasing_in_a_frac']:.2f})"
     )
-    return EXIT_OK
 
 
-def _cmd_ingest(scenario, args) -> int:
+def _cmd_ingest(scenario, out_dir, args) -> None:
     data = scenario.data
     if not isinstance(data, CsvSource):
         raise InvalidInputError("ingest needs a csv data source")
@@ -118,14 +112,13 @@ def _cmd_ingest(scenario, args) -> int:
     for warning in report.warnings:
         print(f"warning: {warning}")
     if args.write_clean:
-        out = Path(scenario.out_dir) / "ingested.csv"
+        out = out_dir / "ingested.csv"
         write_zonal_csv(dataset, out)
         print(f"wrote {out}")
-    return EXIT_OK
 
 
-# Command name -> (handler, help), for the parser and for dispatch. Handlers
-# look the runners up here when called, so patching ``cli.run_*`` works.
+# Command name -> (handler, help), for the parser and for dispatch; ``main`` owns the exit code.
+# Handlers look the runners up here when called, so patching ``cli.run_*`` works.
 _COMMANDS = {
     "simulate": (_cmd_simulate, "generate the synthetic series and write them as CSV"),
     "clear": (_cmd_clear, "run a single market clearing"),
@@ -166,7 +159,7 @@ def main(argv=None) -> int:
     try:
         scenario = load_scenario(args.config, seed=args.seed, out_dir=args.out)
         try:
-            return handler(scenario, args)
+            handler(scenario, Path(scenario.out_dir), args)
         except InvalidInputError as err:
             raise label_error(err, args.config) from None
     except (InvalidInputError, OSError) as err:
@@ -175,6 +168,7 @@ def main(argv=None) -> int:
     except (ConvergenceError, ViabilityError) as err:  # a sweep's error already names its point
         print(f"error: {Path(args.config)}: {err}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE if isinstance(err, ConvergenceError) else EXIT_VIABILITY
+    return EXIT_OK
 
 
 if __name__ == "__main__":

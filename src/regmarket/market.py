@@ -236,7 +236,6 @@ class PreparedMarket:
 
     def _fit(self, config, target, design_all) -> None:
         """Attach the window's data, read-only, and fit the buyer's own-features baseline."""
-        own = 1 + config.lag_spec.max_lag  # the intercept and the buyer's lags
         target.flags.writeable = False
         self.config = config
         self.target = target
@@ -255,7 +254,7 @@ class PreparedMarket:
         # every cold solve starts, and its residual correlation q0 = c - G b0,
         # from which each clearing's loss is measured.
         self.baseline_start = np.zeros(design_all.n_cols)
-        self.baseline_start[:own] = baseline
+        self.baseline_start[: baseline.size] = baseline
         self.baseline_start.flags.writeable = False
         self.baseline_correlation = self.normal.moment - self.normal.gram @ self.baseline_start
         self.baseline_correlation.flags.writeable = False

@@ -67,12 +67,12 @@ class DesignMatrix:
     ``history`` is read-only, one row per block of ``max_lag`` columns: row 0,
     all ones, is the intercept's, and the column at block position ``d``
     (0-based) of row ``k`` is ``history[k, d : d + T]``.
-    ``DesignMatrix(values, column_map)`` takes any T x P matrix as the
-    history ``values.T`` at ``max_lag`` 1, a view, and keeps ``values`` as
-    given. A lag design (:func:`regmarket.timeseries.build_lag_matrix`)
-    holds each agent's hours and builds the T x P ``values`` the first time
-    they are read, by one strided copy of the sliding windows in row order,
-    kept read-only.
+    ``DesignMatrix(values, column_map)`` holds a T x P matrix as the history
+    ``values.T`` at ``max_lag`` 1, a read-only view with no copy (writing into
+    the matrix afterwards changes the design, as for any NumPy view). A lag
+    design (:func:`regmarket.timeseries.build_lag_matrix`) holds each agent's
+    hours. Either builds its own read-only T x P ``values`` when first read,
+    by one strided copy of the sliding windows in row order.
 
     ``column_map`` has one entry per column: ``None`` marks column 0, which
     must be the all-ones intercept, and every other entry is a distinct
@@ -87,7 +87,6 @@ class DesignMatrix:
     def __init__(self, values, column_map):
         values = finite_array(values, "values", (None, None), "values of the design matrix")
         self._hold(values.T, 1, column_map)
-        vars(self)["values"] = values
 
     @classmethod
     def _lagged(cls, history: np.ndarray, max_lag: int, column_map) -> "DesignMatrix":
@@ -157,10 +156,15 @@ class DesignMatrix:
         return values
 
     def prefix(self, rows: int | None = None, agents: int | None = None) -> "DesignMatrix":
-        """This design on its first ``rows`` rows and first ``agents`` blocks of ``max_lag`` columns, over a view of ``history``."""
-        D, rows = self.max_lag, self.n_rows if rows is None else rows
-        history = self.history[: None if agents is None else 1 + agents, : rows + D - 1]
-        return DesignMatrix._lagged(history, D, self.column_map[: 1 + (history.shape[0] - 1) * D])
+        """The first ``rows`` rows (1 to ``n_rows``) and ``agents`` agents (0 to all) of this design, over a view of ``history``."""
+        D, held = self.max_lag, self.history.shape[0] - 1
+        rows = self.n_rows if rows is None else integer(rows, "rows", least=1)
+        agents = held if agents is None else integer(agents, "agents", least=0)
+        for field, value, most in (("rows", rows, self.n_rows), ("agents", agents, held)):
+            if value > most:
+                raise InvalidInputError(f"{field} must be at most {most}, got {value!r}", field)
+        history = self.history[: 1 + agents, : rows + D - 1]
+        return DesignMatrix._lagged(history, D, self.column_map[: 1 + agents * D])
 
     def moment(self, y: np.ndarray) -> np.ndarray:
         """``X'y`` by :func:`_row_sums` over the sliding windows; the intercept's is that of row 0's last block position."""
@@ -234,10 +238,11 @@ class NormalEquations:
     """The normal equations of ``target`` on ``design``, formed once: ``gram`` G = X'X and ``moment``
     c = X'y, both read-only, and ``target_square`` y'y. The design forms G and c
     (:meth:`DesignMatrix.gram`, :meth:`DesignMatrix.moment`) from the series its columns are
-    shifts of, the same way for every design. y'y comes from :func:`_row_sums`. The record
-    keeps the very ``design`` and ``target`` it was formed from (the target as
-    :func:`~regmarket.errors.finite_array` reads it), so a solve handed a record checks by identity
-    that it belongs to its data.
+    shifts of, the same way for every design. y'y comes from :func:`_row_sums`. The record keeps
+    the very ``design`` and ``target`` it was formed from (a float64 target is the caller's own
+    array), so a solve handed a record checks by identity that it belongs to its data. Writing
+    into the target afterwards leaves ``moment`` and ``target_square`` stale, and that check
+    still passes; a prepared market's target is read-only, so its record cannot go stale.
     """
 
     design: DesignMatrix

@@ -84,13 +84,40 @@ class TestDesignMatrix:
         }[layout]
         y = rng.normal(size=rows)
         design = DesignMatrix(values, (None, *(("A", j) for j in range(1, cols))))
-        assert design.values is values and design.max_lag == 1
+        assert design.values is not values and design.values.tobytes() == values.tobytes()
+        assert not design.values.flags.writeable and design.max_lag == 1
         assert np.array_equal(design.gram(), values.T @ values)
         assert np.array_equal(design.moment(y), _row_sums(values, y))
         keep_rows, keep_cols = max(1, rows // 2), 1 + (cols - 1) // 2
         part = design.prefix(rows=keep_rows, agents=keep_cols - 1)
         assert np.array_equal(part.values, values[:keep_rows, :keep_cols])
         assert part.column_map == design.column_map[:keep_cols]
+
+    @pytest.mark.parametrize("given", [False, True])
+    def test_design_cannot_be_written(self, given):
+        design = build_lag_matrix(synthetic_market_series(SyntheticSpec(seed=0), 3, 24), LagSpec(3, 24))
+        if given:
+            values = np.array(design.values)
+            design = DesignMatrix(values, design.column_map)
+        for name in ("history", "max_lag", "values"):
+            with pytest.raises(AttributeError, match=f"^DesignMatrix is read-only; cannot set '{name}'$"):
+                setattr(design, name, None)
+        for array in (design.history, design.values):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 1] = 9.0
+        if given:
+            assert design.values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize(
+        "cut, field",
+        [({"rows": 10**6}, "rows"), ({"rows": -1}, "rows"), ({"rows": 0}, "rows"),
+         ({"agents": 99}, "agents"), ({"rows": 2.5}, "rows")],
+    )
+    def test_prefix_rejects_a_cut_outside_the_design(self, cut, field):
+        design = build_lag_matrix(synthetic_market_series(SyntheticSpec(seed=0), 3, 240), LagSpec(3, 240))
+        with pytest.raises(InvalidInputError, match=f"^{field} must be ") as caught:
+            design.prefix(**cut)
+        assert caught.value.field == field
 
     def test_repr_equality_and_hash_read_no_values(self):
         series = synthetic_market_series(SyntheticSpec(seed=1), 3, 20)

@@ -5,6 +5,14 @@ and ``OMP_NUM_THREADS`` both 1, then both 2, on the benchmark's ``paper-u``
 seed-0 scenario and its ``csv-t`` seed-1 scenario and CSV, as
 ``bench/inputs.py`` writes them. Exit codes, both streams and every written
 file must be identical.
+
+This is the extent of the promise: these two scenarios (P = 91 at T = 8760,
+and the zonal CSV's windows) at 1 and 2 threads on an OpenBLAS build. Larger
+designs break it. With ``max_lag`` 12 or 24 (P = 193 or 385) at T = 8760,
+``sweep-u`` writes different bytes at 1 and 2 threads, since LAPACK work on
+a P x P matrix of that size changes its bits; at T = 30000 with ``max_lag``
+24, ``np.linalg.lstsq`` on the buyer's block does, and so ``clear`` differs
+too.
 """
 
 import importlib.util
