@@ -46,7 +46,7 @@ def _cmd_simulate(scenario, out_dir, args) -> None:
     series = materialize_series(scenario)
     dataset = ZonalDataset(
         zones=[s.agent_id for s in series],
-        timestamps=range(series[0].values.shape[0]),
+        timestamps=np.arange(series[0].values.shape[0], dtype=np.int64),
         values=np.column_stack([s.values for s in series]),
     )
     out = out_dir / "series.csv"

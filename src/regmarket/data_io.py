@@ -164,7 +164,8 @@ def ingest_csv(path, schema=None, normalization: str = "none") -> IngestReport:
     order. Hours and values go straight into flat typed buffers, so memory
     stays near one block plus the dataset, and the finiteness check runs
     once over the whole value block. With ``normalization="per-zone-max"``
-    each zone is divided by its maximum over the retained rows. A warning is
+    each zone is divided by its maximum over the retained rows, in place,
+    so that promise holds with normalization too. A warning is
     reported when over 10% of rows drop. The zones and the retained hours
     must make a :class:`ZonalDataset`, whose error is raised naming the
     file. One leading UTF-8 byte-order mark is skipped. A file that is not
@@ -229,7 +230,7 @@ def ingest_csv(path, schema=None, normalization: str = "none") -> IngestReport:
             raise InvalidInputError(
                 f"{path}: zone(s) {flat} have no positive values to normalize by"
             )
-        values = values / peaks
+        values /= peaks  # a view of the typed buffer, or the copy that kept the finite rows
 
     warnings = []
     total = hours.shape[0] + dropped

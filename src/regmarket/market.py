@@ -220,6 +220,9 @@ class PreparedMarket:
     preparing leaves the market as it was prepared. ``target``,
     ``design_all`` and the intercept of every fit on them are in these
     shifted units; no lag coefficient, loss or payment depends on them.
+    The sellers' shifted copies are released once the design's history holds
+    their hours, before the normal equations and the baseline are formed;
+    only the buyer's stays alive, as the base of ``target``.
     """
 
     def __init__(self, config: MarketConfig, all_series):
@@ -230,9 +233,7 @@ class PreparedMarket:
             by_id[series.agent_id] = series
         config = config.resolve(by_id)
         roster = [by_id[agent] for agent in (config.central_agent, *config.support_agents)]
-        roster = [dataclasses.replace(series, values=_off_location(series.values)) for series in roster]
-        target = roster[0].window(config.lag_spec.window_length)
-        self._fit(config, target, build_lag_matrix(roster, config.lag_spec))
+        self._fit(config, *_shifted_design(roster, config.lag_spec))
 
     def _fit(self, config, target, design_all) -> None:
         """Attach the window's data, read-only, and fit the buyer's own-features baseline."""
@@ -389,6 +390,15 @@ def _off_location(values: np.ndarray) -> np.ndarray:
     """
     step = values - values[0]
     return step - np.mean(step)
+
+
+def _shifted_design(roster, spec: LagSpec) -> tuple:
+    """The target and the lag design of ``roster``, buyer first, each series moved by :func:`_off_location`.
+
+    The shifted copies are local to this call, so only the buyer's, the target's base, outlives it.
+    """
+    roster = [dataclasses.replace(series, values=_off_location(series.values)) for series in roster]
+    return roster[0].window(spec.window_length), build_lag_matrix(roster, spec)
 
 
 def clear_market(config: MarketConfig, all_series, reservations: ReservationSchedule) -> MarketOutcome:

@@ -194,24 +194,27 @@ def synthetic_market_series(spec: SyntheticSpec, history: int, window: int) -> l
     Every returned series has ``history`` pre-window samples followed by
     ``window`` in-window samples. Per-agent seeds are spawned from
     ``spec.seed`` so the roster is reproducible as a whole: the first child
-    seeds P1's noise, child ``k + 1`` seller ``k``'s. All sellers are
-    scanned at once (:func:`_ar_scan`), each from 0 with ``BURN_IN`` samples
-    dropped; then the sellers' weighted previous hours are added to P1's
-    noise over the output hours after the first, as no seller data precedes
-    them, and P1 is scanned. Each series equals the sample-by-sample
-    recursion to rounding, and reruns of one spec are byte-identical.
+    seeds P1's noise, child ``k + 1`` seller ``k``'s. The noise is drawn
+    straight into one ``(n + 1) x (BURN_IN + history + window)`` array, row
+    0 for P1 and row ``k`` for seller ``k``, which is then scanned in place,
+    so no per-agent draw outlives its row and every returned series is a
+    view of that one array. All sellers are scanned at once
+    (:func:`_ar_scan`), each from 0 with ``BURN_IN`` samples dropped; then
+    the sellers' weighted previous hours are added to P1's noise over the
+    output hours after the first, as no seller data precedes them, and P1 is
+    scanned. Each series equals the sample-by-sample recursion to rounding,
+    and reruns of one spec are byte-identical.
     """
     history, window = integer(history, "history", least=0), integer(window, "window", least=1)
     length = history + window
     children = np.random.SeedSequence(spec.seed).spawn(spec.n_independent + 1)
-    buyer, *sellers = (
-        np.random.default_rng(child).normal(0.0, std, BURN_IN + length)
-        for child, std in zip(children, (spec.dependent_noise_std, *spec.noise_std))
-    )
-    sellers = _ar_scan(np.array(sellers), np.array(spec.ar_coefficients)[:, None])[:, BURN_IN:]
-    forced = buyer[BURN_IN + 1 :]  # P1's output hours after the first
+    noise = np.empty((spec.n_independent + 1, BURN_IN + length))  # row 0 is P1, row k seller k
+    for row, child, std in zip(noise, children, (spec.dependent_noise_std, *spec.noise_std)):
+        row[:] = np.random.default_rng(child).normal(0.0, std, BURN_IN + length)
+    sellers = _ar_scan(noise[1:], np.array(spec.ar_coefficients)[:, None])[:, BURN_IN:]
+    forced = noise[0, BURN_IN + 1 :]  # P1's output hours after the first
     for c, seller in zip(spec.cross_coefficients, sellers):
         forced += c * seller[:-1]
-    buyer = _ar_scan(buyer, spec.dependent_phi)[BURN_IN:]
+    buyer = _ar_scan(noise[0], spec.dependent_phi)[BURN_IN:]
     roster = zip(spec.agent_ids, (buyer, *sellers))
     return [AgentSeries(agent_id, values, start_time=history) for agent_id, values in roster]

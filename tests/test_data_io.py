@@ -239,22 +239,43 @@ class TestIngestCsv:
         assert report.dropped_rows == 2
         assert report.dataset.timestamps.tolist() == [5]
 
-    def test_peak_memory_stays_near_the_dataset(self, tmp_path):
-        # Streaming keeps no per-row Python objects: the peak is the value
-        # block plus buffer slack. Materialising the rows first costs ~16x.
+    @staticmethod
+    def wide_csv(tmp_path):
+        """A 20,000-hour, 15-zone CSV of positive values, and those values."""
         values = np.random.default_rng(0).uniform(0.0, 500.0, size=(20_000, 15))
         lines = ["timestamp," + ",".join(f"Z{k:02d}" for k in range(15))]
         lines += [f"{t}," + ",".join(map(repr, row.tolist())) for t, row in enumerate(values)]
         path = tmp_path / "wide.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path, values
+
+    @staticmethod
+    def traced_ingest(path, normalization="none"):
+        """The ingest report of ``path`` and the traced peak of the ingest."""
         tracemalloc.start()
         try:
-            report = ingest_csv(path)
+            report = ingest_csv(path, normalization=normalization)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return report, peak
+
+    def test_peak_memory_stays_near_the_dataset(self, tmp_path):
+        # Streaming keeps no per-row Python objects: the peak is the value
+        # block plus buffer slack. Materialising the rows first costs ~16x.
+        path, values = self.wide_csv(tmp_path)
+        report, peak = self.traced_ingest(path)
         assert np.array_equal(report.dataset.values, values)
         assert peak < 4 * report.dataset.values.nbytes
+
+    def test_normalizing_keeps_the_peak_of_a_plain_ingest(self, tmp_path):
+        # Each zone is divided by its peak in place, not into a second value block.
+        path, values = self.wide_csv(tmp_path)
+        ingest_csv(path, normalization="per-zone-max")  # leaves one-off allocations out of both peaks
+        plain, plain_peak = self.traced_ingest(path)
+        scaled, scaled_peak = self.traced_ingest(path, normalization="per-zone-max")
+        assert np.array_equal(scaled.dataset.values, values / values.max(axis=0))
+        assert scaled_peak - plain_peak < 0.25 * plain.dataset.values.nbytes
 
 
 class TestUtcOffsets:

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -490,6 +491,29 @@ class TestPreparedMarket:
             own = build_lag_matrix([central], spec)
             assert np.array_equal(design_self.values, own.values)
             assert design_self.column_map == own.column_map
+
+    def test_only_the_buyers_shifted_copy_outlives_the_design(self, monkeypatch):
+        # Once the design holds the roster's hours, the sellers' shifted copies
+        # are released before the baseline is fitted; the target keeps the buyer's.
+        import regmarket.market as market_module
+
+        received, alive_at_fit, fit = [], [], market_module.ols_fit
+
+        def spying(series_list, spec):
+            series_list = list(series_list)
+            received.extend(weakref.ref(series.values) for series in series_list)
+            return build_lag_matrix(series_list, spec)
+
+        def recording(X, y):
+            alive_at_fit.append([ref() is not None for ref in received])
+            return fit(X, y)
+
+        monkeypatch.setattr(market_module, "build_lag_matrix", spying)
+        monkeypatch.setattr(market_module, "ols_fit", recording)
+        config, roster = default_market(seed=0)
+        market = PreparedMarket(config, roster)
+        assert alive_at_fit == [[True, False, False, False, False]]
+        assert received[0]() is market.target.base
 
     @pytest.mark.parametrize("length", [0, -1, 241])
     def test_window_outside_the_prepared_one_rejected(self, length):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -384,6 +385,23 @@ class TestSyntheticMarketSeries:
                 assert left.values.tobytes() == right.values.tobytes()
             c = synthetic_market_series(SyntheticSpec(seed=9), history=history, window=window)
             assert not np.array_equal(a[0].values, c[0].values)
+
+    def test_peak_memory_stays_near_one_roster(self):
+        # The noise is drawn into one array and scanned in place, so the peak
+        # is that array plus the scan's temporary over the sellers' rows, not a
+        # list of draws beside their stacked copy.
+        n, history, window = 14, 6, 8760
+        spec = SyntheticSpec(
+            n_independent=n, ar_coefficients=(0.5,) * n, noise_std=(1.0,) * n, cross_coefficients=(0.05,) * n
+        )
+        synthetic_market_series(spec, history=history, window=1)  # leaves numpy's one-off allocations out
+        tracemalloc.start()
+        try:
+            synthetic_market_series(spec, history=history, window=window)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * (n + 1) * (BURN_IN + history + window) * 8
 
     def test_replacing_start_time_keeps_values(self):
         roster = synthetic_market_series(SyntheticSpec(seed=8), history=4, window=30)
