@@ -304,7 +304,9 @@ def _read_block(data, n_fields: int, columns, hours, cells) -> int:
     ``np.loadtxt``, which converts with ``PyOS_string_to_double`` as
     ``float()`` does; the screen's byte set leaves out what only ``float()``
     reads (``_``, whitespace, ``inf``, ``nan``). Other lines, and a run
-    ``loadtxt`` rejects, go through :func:`_read_rows`.
+    ``loadtxt`` rejects, go through :func:`_read_rows`. A parsed run's hours
+    and cells are appended from a byte view of their arrays, with no
+    ``bytes`` copy between.
     """
     starts, plain, stamp_hours = _screen_lines(data, n_fields)
     edges = np.flatnonzero(plain[1:] != plain[:-1]) + 1
@@ -320,8 +322,8 @@ def _read_block(data, n_fields: int, columns, hours, cells) -> int:
             except ValueError:
                 pass  # a cell such as "1e" or "--1": let the row parser drop its line
             else:
-                hours.frombytes(stamp_hours[first:stop].tobytes())
-                cells.frombytes(values.tobytes())
+                hours.frombytes(memoryview(stamp_hours[first:stop]).cast("B"))
+                cells.frombytes(memoryview(values).cast("B"))
                 continue
         text = io.TextIOWrapper(io.BytesIO(piece), encoding="utf-8", newline="")
         dropped += _read_rows(csv.reader(text), 0, columns, hours, cells)

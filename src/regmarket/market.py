@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidInputError, ViabilityError, finite_array, integer, real, sequence
 from .regression import NormalEquations, SolverSettings, mse, ols_fit, weighted_lasso_fit
-from .timeseries import LagSpec, build_lag_matrix
+from .timeseries import AgentSeries, LagSpec, build_lag_matrix
 
 __all__ = [
     "ReservationSchedule",
@@ -198,7 +198,7 @@ class PreparedMarket:
     the window, so a sweep over reservations prepares them once and calls
     :meth:`clear` per point, and a sweep over training lengths prepares the
     longest window once and clears each shorter one on :meth:`window`.
-    One :class:`~regmarket.regression.DesignMatrix` is built per market
+    One :class:`~regmarket.regression.DesignMatrix` is kept per market
     (:func:`build_lag_matrix`), with the buyer's block first. Its
     ``history`` holds the roster's hours, not the T x P matrix:
     ``normal`` is formed from those hours, every solve is given ``normal``
@@ -206,8 +206,8 @@ class PreparedMarket:
     ``design_all.values``; a caller that reads them, such as
     :func:`verify_buyer_viability`, builds them once. The baseline is fitted
     on the T x (1 + max_lag) block of the intercept and the buyer's lags,
-    ``design_all.prefix(agents=1)``, built from the buyer's hours alone, so ``b_self`` is
-    ``baseline_start[:1 + max_lag]``. Construction resolves the config
+    whose values are bitwise those of ``design_all.prefix(agents=1)``, so
+    ``b_self`` is ``baseline_start[:1 + max_lag]``. Construction resolves the config
     against the series (:meth:`MarketConfig.resolve`), so ``config`` always
     names its sellers, and rejects two series for one agent.
 
@@ -220,9 +220,13 @@ class PreparedMarket:
     preparing leaves the market as it was prepared. ``target``,
     ``design_all`` and the intercept of every fit on them are in these
     shifted units; no lag coefficient, loss or payment depends on them.
-    The sellers' shifted copies are released once the design's history holds
-    their hours, before the normal equations and the baseline are formed;
-    only the buyer's stays alive, as the base of ``target``.
+    Preparing holds little beyond the caller's roster and the history
+    (:func:`_shifted_design`): the baseline is fitted on the buyer's own lag
+    block, built and dropped before the roster's history exists, and the
+    history is filled in one pass over the roster that moves each seller
+    only as it is read, so at most one seller's shifted copy is alive at any
+    time and none is when the normal equations form. Only the buyer's copy
+    stays alive, as the base of ``target``.
     """
 
     def __init__(self, config: MarketConfig, all_series):
@@ -235,15 +239,13 @@ class PreparedMarket:
         roster = [by_id[agent] for agent in (config.central_agent, *config.support_agents)]
         self._fit(config, *_shifted_design(roster, config.lag_spec))
 
-    def _fit(self, config, target, design_all) -> None:
-        """Attach the window's data, read-only, and fit the buyer's own-features baseline."""
+    def _fit(self, config, target, design_all, baseline, baseline_mse) -> None:
+        """Attach the window's data, read-only, its normal equations and the buyer's baseline fit and MSE."""
         target.flags.writeable = False
         self.config = config
         self.target = target
         self.normal = NormalEquations(design_all, target)
-        buyer_design = design_all.prefix(agents=1)
-        baseline = ols_fit(buyer_design, target)
-        self.baseline_mse = mse(buyer_design, baseline, target)
+        self.baseline_mse = baseline_mse
         # The gap buyer viability allows: VIABILITY_TOLERANCE times the
         # baseline MSE, floored at the rounding level of the target's mean
         # square for a buyer whose own features fit exactly.
@@ -281,10 +283,12 @@ class PreparedMarket:
                 f"window of {length} hours outside 1..{spec.window_length}"
             )
         market = PreparedMarket.__new__(PreparedMarket)
+        target, design_all = self.target[:length], self.design_all.prefix(rows=length)
         market._fit(
             dataclasses.replace(self.config, lag_spec=LagSpec(spec.max_lag, length)),
-            self.target[:length],
-            self.design_all.prefix(rows=length),
+            target,
+            design_all,
+            *_baseline(design_all.prefix(agents=1), target),
         )
         return market
 
@@ -381,24 +385,57 @@ class PreparedMarket:
         return max(self.baseline_mse + moved / self.design_all.n_rows, 0.0)
 
 
-def _off_location(values: np.ndarray) -> np.ndarray:
-    """``values`` less its first sample v0, then less the mean of ``values - v0``.
+def _off_location(series: AgentSeries) -> AgentSeries:
+    """``series`` with its values less its first sample v0, then less the mean of ``values - v0``.
 
     The free intercept absorbs any constant added to a series, but a far-off location drowns the fit
     in the Gram form's rounding. Two passes make a constant series exact zeros, which subtracting
-    its plain mean often does not.
+    its plain mean often does not. Finite values whose steps or mean overflow are rejected naming
+    the agent, with no warning.
     """
-    step = values - values[0]
-    return step - np.mean(step)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            step = series.values - series.values[0]
+            step -= np.mean(step)
+    except FloatingPointError:
+        message = f"values of agent {series.agent_id!r} overflow when moved off their location"
+        raise InvalidInputError(message, "values") from None
+    return dataclasses.replace(series, values=step)
+
+
+def _baseline(buyer_design, target) -> tuple:
+    """The buyer's own-features OLS fit on ``buyer_design`` and its MSE from a fresh residual."""
+    baseline = ols_fit(buyer_design, target)
+    return baseline, mse(buyer_design, baseline, target)
+
+
+class _ShiftedRoster:
+    """``buyer``, already moved off its location, then each of ``sellers``, moved by :func:`_off_location` as read."""
+
+    def __init__(self, buyer, sellers):
+        self.buyer, self.sellers = buyer, sellers
+
+    def __len__(self) -> int:
+        return 1 + len(self.sellers)
+
+    def __iter__(self):
+        yield self.buyer
+        yield from map(_off_location, self.sellers)
 
 
 def _shifted_design(roster, spec: LagSpec) -> tuple:
-    """The target and the lag design of ``roster``, buyer first, each series moved by :func:`_off_location`.
+    """Target, lag design, baseline fit and its MSE of ``roster``, buyer first, each moved by :func:`_off_location`.
 
-    The shifted copies are local to this call, so only the buyer's, the target's base, outlives it.
+    The buyer is moved first, and its baseline fitted on its own lag block, ``build_lag_matrix([buyer],
+    spec)``, bitwise the design's ``prefix(agents=1)``; that block is dropped before the roster's history
+    exists. :func:`build_lag_matrix` then reads the roster once, moving each seller only as it reads it and
+    dropping it once its row is filled, so at most one seller's shifted copy is alive at any time, and only
+    the buyer's, the target's base, outlives this call.
     """
-    roster = [dataclasses.replace(series, values=_off_location(series.values)) for series in roster]
-    return roster[0].window(spec.window_length), build_lag_matrix(roster, spec)
+    buyer = _off_location(roster[0])
+    target = buyer.window(spec.window_length)
+    baseline = _baseline(build_lag_matrix([buyer], spec), target)
+    return (target, build_lag_matrix(_ShiftedRoster(buyer, roster[1:]), spec), *baseline)
 
 
 def clear_market(config: MarketConfig, all_series, reservations: ReservationSchedule) -> MarketOutcome:

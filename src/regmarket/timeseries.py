@@ -151,24 +151,32 @@ def build_lag_matrix(series_list, spec: LagSpec) -> DesignMatrix:
     The :class:`~regmarket.regression.DesignMatrix` holds each agent's hours
     ``start - D .. start + T - 2`` as a row of its ``history`` and builds the
     T x P ``values`` only when they are read.
+
+    ``series_list`` is sized, and read once, in order: the history is sized
+    from its ``len``, and each series is dropped once its row is filled,
+    before the next is read, so a sequence that makes each series as it is
+    read (a prepared market's shifted roster) keeps one alive at a time.
     """
-    series_list = list(series_list)
-    if not series_list:
+    if not len(series_list):
         raise InvalidInputError("need at least one agent series")
     T, D = spec.window_length, spec.max_lag
 
     history = np.empty((1 + len(series_list), T + D - 1))
     history[0] = 1.0
-    for row, series in zip(history[1:], series_list):
+    agent_ids = []
+    for series in series_list:
         if series.start_time < D:
             raise InvalidInputError(
                 f"agent {series.agent_id!r}: needs {D} hours of history before the "
                 f"window, has {series.start_time} (missing {D - series.start_time})"
             )
         start = series.start_time  # row t's window holds hours start - D + t .. start + t - 1
+        row = history[1 + len(agent_ids)]
         row[:D] = series.values[start - D : start]
         row[D:] = series.window(T)[:-1]
-    column_map = (None, *((series.agent_id, lag) for series in series_list for lag in range(D, 0, -1)))
+        agent_ids.append(series.agent_id)
+        del series  # before the next is read
+    column_map = (None, *((agent_id, lag) for agent_id in agent_ids for lag in range(D, 0, -1)))
     return DesignMatrix._lagged(history, D, column_map)
 
 

@@ -645,8 +645,11 @@ class TestNoDesignBuilt:
         outcomes = [run_clearing(sc)]
         for rows in (run_u_sweep(sc), run_T_sweep(sc)[0], run_two_agent_grid(sc)[0]):
             outcomes += [outcome for _, _, outcome in rows]
-        assert len(built) == 4  # one lag design per prepared market
-        designs = built + [outcome.market.design_all for outcome in outcomes]
+        # Per prepared market, the buyer's own lag block for its baseline, then the roster's one design.
+        assert len(built) == 8
+        max_lag = sc.market.lag_spec.max_lag
+        assert [block.n_cols for block in built[::2]] == [1 + max_lag] * 4
+        designs = built[1::2] + [outcome.market.design_all for outcome in outcomes]
         assert len({id(design) for design in designs}) > 4  # sweep-t's windows are designs of their own
         assert not any("values" in vars(design) for design in designs)
         # A reader still gets the matrix, built once.

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -56,11 +57,10 @@ def duplicate_seller_market():
 
 
 def assert_buyer_design(X, market):
-    """``X`` is ``market``'s buyer design: the intercept and buyer columns that lead ``design_all``, cut from its buyer's hours."""
-    own = 1 + market.config.lag_spec.max_lag
-    assert X.column_map == market.design_all.column_map[:own]
-    assert np.array_equal(X.values, market.design_all.values[:, :own])
-    assert np.shares_memory(X.history[1], market.design_all.history[1])
+    """``X`` is ``market``'s buyer design: to the bit, the intercept and buyer columns that lead ``design_all``."""
+    own = market.design_all.prefix(agents=1)
+    assert X.column_map == own.column_map
+    assert X.values.tobytes() == own.values.tobytes()
 
 
 def with_extra_payment(outcome, extra):
@@ -478,12 +478,13 @@ class TestPreparedMarket:
         monkeypatch.setattr(market_module, "ols_fit", recording)
         config, roster = default_market(seed=1)
         market = PreparedMarket(config, roster)
-        assert built == [LAG]
+        assert built == [LAG, LAG]  # the buyer's own lag block, then the roster's one design
         shorter = market.window(120)
         shorter.clear(shorter.prices(ReservationSchedule(default=0.1)))
-        assert built == [LAG]
+        assert built == [LAG, LAG]
 
-        # The baseline is fitted on the buyer's block of the one lag matrix, of the shifted series.
+        # The baseline is fitted on the buyer's lag block of the shifted series: a fresh market's
+        # built alone, a window's cut from its one lag matrix.
         central = next(series for series in shifted(roster) if series.agent_id == "P1")
         assert len(fitted) == 2
         for design_self, prepared, spec in zip(fitted, (market, shorter), (LAG, LagSpec(3, 120))):
@@ -491,29 +492,104 @@ class TestPreparedMarket:
             own = build_lag_matrix([central], spec)
             assert np.array_equal(design_self.values, own.values)
             assert design_self.column_map == own.column_map
+        assert np.shares_memory(fitted[1].history, market.design_all.history)
 
     def test_only_the_buyers_shifted_copy_outlives_the_design(self, monkeypatch):
-        # Once the design holds the roster's hours, the sellers' shifted copies
-        # are released before the baseline is fitted; the target keeps the buyer's.
+        # Each lag design reads its series once and keeps none of them: by the time
+        # the normal equations form, only the buyer's shifted copy, the target's base, is alive.
         import regmarket.market as market_module
 
-        received, alive_at_fit, fit = [], [], market_module.ols_fit
+        received, alive_at_normal, build, form = [], [], market_module.build_lag_matrix, market_module.NormalEquations
 
-        def spying(series_list, spec):
-            series_list = list(series_list)
-            received.extend(weakref.ref(series.values) for series in series_list)
-            return build_lag_matrix(series_list, spec)
+        class Passing:
+            """``series_list`` read once, each series' values weakly referenced in ``received[-1]`` as it is read."""
 
-        def recording(X, y):
-            alive_at_fit.append([ref() is not None for ref in received])
-            return fit(X, y)
+            def __init__(self, series_list):
+                self.series_list = series_list
+                received.append([])
 
-        monkeypatch.setattr(market_module, "build_lag_matrix", spying)
-        monkeypatch.setattr(market_module, "ols_fit", recording)
+            def __len__(self):
+                return len(self.series_list)
+
+            def __iter__(self):
+                for series in self.series_list:
+                    received[-1].append(weakref.ref(series.values))
+                    yield series
+
+        def forming(design, target):
+            alive_at_normal.append([[ref() is not None for ref in refs] for refs in received])
+            return form(design, target)
+
+        monkeypatch.setattr(market_module, "build_lag_matrix", lambda series, spec: build(Passing(series), spec))
+        monkeypatch.setattr(market_module, "NormalEquations", forming)
         config, roster = default_market(seed=0)
         market = PreparedMarket(config, roster)
-        assert alive_at_fit == [[True, False, False, False, False]]
-        assert received[0]() is market.target.base
+        assert alive_at_normal == [[[True], [True, False, False, False, False]]]
+        assert received[0][0]() is received[1][0]() is market.target.base
+
+    def test_baseline_fitted_first_and_one_seller_copy_alive_at_a_time(self, monkeypatch):
+        # The buyer is moved and its baseline fitted before the roster's design is
+        # read; the roster's read moves each seller only as it reads it.
+        import regmarket.market as market_module
+
+        events, copies = [], []
+        build, fit = market_module.build_lag_matrix, market_module.ols_fit
+        move, form = market_module._off_location, market_module.NormalEquations
+
+        def sellers_alive():
+            return sum(ref() is not None for ref in copies[1:])  # copies[0] is the buyer's, the target's base
+
+        def building(series_list, spec):
+            events.append(("build", len(series_list)))
+            return build(series_list, spec)
+
+        def fitting(X, y):
+            events.append("fit")
+            return fit(X, y)
+
+        def moving(series):
+            moved = move(series)
+            copies.append(weakref.ref(moved.values))
+            events.append(("moved", series.agent_id, sellers_alive()))
+            return moved
+
+        def forming(design, target):
+            events.append(("normal", sellers_alive()))
+            return form(design, target)
+
+        spies = {"build_lag_matrix": building, "ols_fit": fitting, "_off_location": moving, "NormalEquations": forming}
+        for name, spy in spies.items():
+            monkeypatch.setattr(market_module, name, spy)
+        config, roster = default_market(seed=0)
+        PreparedMarket(config, roster)
+        assert events == [
+            ("moved", "P1", 0),
+            ("build", 1),
+            "fit",
+            ("build", 5),
+            *(("moved", agent, 1) for agent in SUPPORTS),
+            ("normal", 0),
+        ]
+
+    def test_peak_memory_stays_near_one_roster(self):
+        # Above the roster the caller holds, preparing holds the design's history
+        # (one roster's hours) and the buyer's shifted copy, and for a while one
+        # seller's copy or the buyer's lag block: never every shifted copy beside
+        # the history, nor the buyer's block beside the history.
+        n, history, window = 14, 6, 8760
+        spec = SyntheticSpec(
+            n_independent=n, ar_coefficients=(0.5,) * n, noise_std=(1.0,) * n, cross_coefficients=(0.05,) * n
+        )
+        roster = synthetic_market_series(spec, history=history, window=window)
+        config = MarketConfig("P1", None, LagSpec(history, window))
+        PreparedMarket(config, roster)  # leaves numpy's one-off allocations out
+        tracemalloc.start()
+        try:
+            PreparedMarket(config, roster)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * sum(series.values.nbytes for series in roster)
 
     @pytest.mark.parametrize("length", [0, -1, 241])
     def test_window_outside_the_prepared_one_rejected(self, length):
@@ -743,6 +819,20 @@ class TestLocationInvariance:
         outcome = clear_market(config, roster, ReservationSchedule(default=0.0))
         columns = [outcome.market.design_all.column_of("P6", lag) for lag in range(1, LAG.max_lag + 1)]
         assert outcome.market_beta[columns].tolist() == [0.0] * LAG.max_lag
+
+    @pytest.mark.parametrize("agent", ["P1", "P2"], ids=["buyer", "seller"])
+    @pytest.mark.parametrize("head", [(-1.5e308, 1.5e308), (0.0, *[1e308] * 3)], ids=["step", "mean"])
+    def test_a_shift_that_overflows_is_rejected_naming_the_agent(self, agent, head):
+        # Finite values whose steps from the first sample, or their mean, overflow a float.
+        config, roster = default_market(seed=0)
+        roster = [
+            dataclasses.replace(s, values=np.concatenate([head, s.values[len(head) :]])) if s.agent_id == agent else s
+            for s in roster
+        ]
+        with pytest.raises(InvalidInputError) as caught:
+            PreparedMarket(config, roster)
+        assert str(caught.value) == f"values of agent {agent!r} overflow when moved off their location"
+        assert caught.value.field == "values"
 
 
 class TestMetamorphic:

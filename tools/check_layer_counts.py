@@ -25,30 +25,31 @@ RESULTS = Path(__file__).resolve().parents[1] / ".bench_work" / "results"
 
 # Per-cycle call counts: one lasso solve per clearing; one mse (the
 # baseline's) per prepared market or window and none per clearing, whose
-# loss is a change from that baseline; one lag matrix per prepared market;
-# and one baseline OLS fit per prepared market or window. csv-t's sweep-t
-# clears every window on row prefixes of one prepared market, and it and
-# ingest read the CSV once each. The clear command, and no other, clears
-# through market.clear_market, once.
+# loss is a change from that baseline; two lag matrices per prepared market
+# (the buyer's own block, which its baseline is fitted on, then the roster's
+# design) and none per window; and one baseline OLS fit per prepared market
+# or window. csv-t's sweep-t clears every window on row prefixes of one
+# prepared market, and it and ingest read the CSV once each. The clear
+# command, and no other, clears through market.clear_market, once.
 PINS = {
     "paper-u": {
         "regression.weighted_lasso_fit.calls": 19,
         "regression.mse.calls": 3,
-        "timeseries.build_lag_matrix.calls": 3,
+        "timeseries.build_lag_matrix.calls": 6,
         "regression.ols_fit.calls": 3,
         "market.clear_market.calls": 1,
     },
     "small-many": {
         "regression.weighted_lasso_fit.calls": 22,
         "regression.mse.calls": 7,
-        "timeseries.build_lag_matrix.calls": 4,
+        "timeseries.build_lag_matrix.calls": 8,
         "regression.ols_fit.calls": 7,
         "market.clear_market.calls": 1,
     },
     "csv-t": {
         "regression.weighted_lasso_fit.calls": 5,
         "regression.mse.calls": 5,
-        "timeseries.build_lag_matrix.calls": 1,
+        "timeseries.build_lag_matrix.calls": 2,
         "regression.ols_fit.calls": 5,
         "data_io.ingest_csv.calls": 2,
         "market.clear_market.calls": 0,
