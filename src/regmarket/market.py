@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, ViabilityError, finite_array, integer, real, sequence
-from .regression import NormalEquations, SolverSettings, mse, ols_fit, weighted_lasso_fit
+from .regression import NormalEquations, SolverSettings, mse, weighted_lasso_fit
+from .regression import ols_fit  # noqa: F401  (name patched by bench/tracer.py)
 from .timeseries import AgentSeries, LagSpec, build_lag_matrix
 
 __all__ = [
@@ -203,11 +204,13 @@ class PreparedMarket:
     ``history`` holds the roster's hours, not the T x P matrix:
     ``normal`` is formed from those hours, every solve is given ``normal``
     and every loss is measured from the baseline, so no clearing builds
-    ``design_all.values``; a caller that reads them, such as
-    :func:`verify_buyer_viability`, builds them once. The baseline is fitted
-    on the T x (1 + max_lag) block of the intercept and the buyer's lags,
-    whose values are bitwise those of ``design_all.prefix(agents=1)``, so
-    ``b_self`` is ``baseline_start[:1 + max_lag]``. Construction resolves the config
+    ``design_all.values``; a caller that reads them builds them once. The
+    baseline is the least-squares fit on the leading 1 + max_lag columns,
+    the intercept and the buyer's lags, solved on their k x k block of
+    ``normal`` (:meth:`~regmarket.regression.NormalEquations.least_squares`),
+    so ``b_self`` is ``baseline_start[:1 + max_lag]``; its MSE is that of a
+    fresh residual on ``design_all.prefix(agents=1)``, added up from the
+    history (:func:`~regmarket.regression.mse`). Construction resolves the config
     against the series (:meth:`MarketConfig.resolve`), so ``config`` always
     names its sellers, and rejects two series for one agent.
 
@@ -221,12 +224,11 @@ class PreparedMarket:
     ``design_all`` and the intercept of every fit on them are in these
     shifted units; no lag coefficient, loss or payment depends on them.
     Preparing holds little beyond the caller's roster and the history
-    (:func:`_shifted_design`): the baseline is fitted on the buyer's own lag
-    block, built and dropped before the roster's history exists, and the
-    history is filled in one pass over the roster that moves each seller
-    only as it is read, so at most one seller's shifted copy is alive at any
-    time and none is when the normal equations form. Only the buyer's copy
-    stays alive, as the base of ``target``.
+    (:func:`_shifted_design`): the history is filled in one pass over the
+    roster that moves each seller only as it is read, so at most one
+    seller's shifted copy is alive at any time and none is when the normal
+    equations form. Only the buyer's copy stays alive, as the base of
+    ``target``.
     """
 
     def __init__(self, config: MarketConfig, all_series):
@@ -239,13 +241,15 @@ class PreparedMarket:
         roster = [by_id[agent] for agent in (config.central_agent, *config.support_agents)]
         self._fit(config, *_shifted_design(roster, config.lag_spec))
 
-    def _fit(self, config, target, design_all, baseline, baseline_mse) -> None:
+    def _fit(self, config, target, design_all) -> None:
         """Attach the window's data, read-only, its normal equations and the buyer's baseline fit and MSE."""
         target.flags.writeable = False
         self.config = config
         self.target = target
         self.normal = NormalEquations(design_all, target)
-        self.baseline_mse = baseline_mse
+        own = design_all.prefix(agents=1)
+        baseline = self.normal.least_squares(own.n_cols)
+        self.baseline_mse = mse(own, baseline, target)
         # The gap buyer viability allows: VIABILITY_TOLERANCE times the
         # baseline MSE, floored at the rounding level of the target's mean
         # square for a buyer whose own features fit exactly.
@@ -283,13 +287,8 @@ class PreparedMarket:
                 f"window of {length} hours outside 1..{spec.window_length}"
             )
         market = PreparedMarket.__new__(PreparedMarket)
-        target, design_all = self.target[:length], self.design_all.prefix(rows=length)
-        market._fit(
-            dataclasses.replace(self.config, lag_spec=LagSpec(spec.max_lag, length)),
-            target,
-            design_all,
-            *_baseline(design_all.prefix(agents=1), target),
-        )
+        config = dataclasses.replace(self.config, lag_spec=LagSpec(spec.max_lag, length))
+        market._fit(config, self.target[:length], self.design_all.prefix(rows=length))
         return market
 
     def prices(self, reservations: ReservationSchedule) -> np.ndarray:
@@ -391,7 +390,7 @@ def _off_location(series: AgentSeries) -> AgentSeries:
     The free intercept absorbs any constant added to a series, but a far-off location drowns the fit
     in the Gram form's rounding. Two passes make a constant series exact zeros, which subtracting
     its plain mean often does not. Finite values whose steps or mean overflow are rejected naming
-    the agent, with no warning.
+    the agent, with no warning; so the moved values are finite, and are not scanned again.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -400,13 +399,7 @@ def _off_location(series: AgentSeries) -> AgentSeries:
     except FloatingPointError:
         message = f"values of agent {series.agent_id!r} overflow when moved off their location"
         raise InvalidInputError(message, "values") from None
-    return dataclasses.replace(series, values=step)
-
-
-def _baseline(buyer_design, target) -> tuple:
-    """The buyer's own-features OLS fit on ``buyer_design`` and its MSE from a fresh residual."""
-    baseline = ols_fit(buyer_design, target)
-    return baseline, mse(buyer_design, baseline, target)
+    return series._with_values(step)
 
 
 class _ShiftedRoster:
@@ -424,18 +417,14 @@ class _ShiftedRoster:
 
 
 def _shifted_design(roster, spec: LagSpec) -> tuple:
-    """Target, lag design, baseline fit and its MSE of ``roster``, buyer first, each moved by :func:`_off_location`.
+    """Target and lag design of ``roster``, buyer first, each series moved by :func:`_off_location`.
 
-    The buyer is moved first, and its baseline fitted on its own lag block, ``build_lag_matrix([buyer],
-    spec)``, bitwise the design's ``prefix(agents=1)``; that block is dropped before the roster's history
-    exists. :func:`build_lag_matrix` then reads the roster once, moving each seller only as it reads it and
-    dropping it once its row is filled, so at most one seller's shifted copy is alive at any time, and only
-    the buyer's, the target's base, outlives this call.
+    The buyer is moved first, as the target's base. :func:`build_lag_matrix` then reads the roster once,
+    moving each seller only as it reads it and dropping it once its row is filled, so at most one seller's
+    shifted copy is alive at any time, and only the buyer's outlives this call.
     """
     buyer = _off_location(roster[0])
-    target = buyer.window(spec.window_length)
-    baseline = _baseline(build_lag_matrix([buyer], spec), target)
-    return (target, build_lag_matrix(_ShiftedRoster(buyer, roster[1:]), spec), *baseline)
+    return buyer.window(spec.window_length), build_lag_matrix(_ShiftedRoster(buyer, roster[1:]), spec)
 
 
 def clear_market(config: MarketConfig, all_series, reservations: ReservationSchedule) -> MarketOutcome:

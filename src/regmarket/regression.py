@@ -17,13 +17,16 @@ Conventions used throughout the package:
 
   which has the same minimizer as (1/2)||y - X b||^2 + sum_j penalties[j]
   |b_j| (the two differ by the constant factor 2/T).
-* Apart from :func:`ols_fit`'s solve, every sum over the T rows is formed by
-  :class:`NormalEquations` (G = X'X, c = X'y and y'y of one design and target)
-  through the design's :meth:`DesignMatrix.gram` and
-  :meth:`DesignMatrix.moment`, formed from those series, or by
-  :func:`_row_sums`, which sums in an
-  order set by the data, not by the BLAS thread count. A prepared market
-  forms the record once for all its clearings, and a solve given it never
+* Every sum over the T rows that a clearing makes is formed by
+  :class:`NormalEquations` (G = X'X, c = X'y and y'y of one design and
+  target), through the design's :meth:`DesignMatrix.gram` and
+  :meth:`DesignMatrix.moment`, or by :func:`_row_sums`, which sums in an
+  order set by the data, not by the BLAS thread count; only
+  :func:`ols_fit` solves on the T rows, and no clearing calls it. A fresh
+  residual adds ``X b`` up column by column from the design's history
+  (:meth:`DesignMatrix.product`). A prepared market forms the record once,
+  for all its clearings and its baseline fit
+  (:meth:`NormalEquations.least_squares`), and a solve given it never
   reads X. The solver's cyclic
   coordinate descent updates the residual correlation q = c - G b in O(P) per
   coordinate, and certifies from q recomputed as c - G b in O(P^2). After
@@ -166,6 +169,19 @@ class DesignMatrix:
         history = self.history[: 1 + agents, : rows + D - 1]
         return DesignMatrix._lagged(history, D, self.column_map[: 1 + agents * D])
 
+    def product(self, beta: np.ndarray) -> np.ndarray:
+        """``X beta`` from ``history``, with no T x P matrix.
+
+        The intercept, then each column's shifted slice of ``history`` times its coefficient, added in column order.
+        """
+        D, T = self.max_lag, self.n_rows
+        fitted = np.full(T, beta[0])
+        for j, coefficient in enumerate(beta[1:].tolist()):
+            if coefficient:  # a lasso fit is sparse, and a zero adds nothing
+                row, d = divmod(j, D)
+                fitted += coefficient * self.history[1 + row, d : d + T]
+        return fitted
+
     def moment(self, y: np.ndarray) -> np.ndarray:
         """``X'y`` by :func:`_row_sums` over the sliding windows; the intercept's is that of row 0's last block position."""
         return _row_sums(self._windows(), y).ravel()[self.max_lag - 1 :]
@@ -254,6 +270,22 @@ class NormalEquations:
         gram.flags.writeable = moment.flags.writeable = False
         vars(self).update(target=target, gram=gram, moment=moment, target_square=float(_row_sums(target, target)))
 
+    def least_squares(self, k: int) -> np.ndarray:
+        """Least-squares coefficients of the target on the design's first ``k`` columns, from ``gram`` and ``moment``.
+
+        The k x k block G b = c is solved with each column scaled by the power of two nearest
+        1 / sqrt(G_jj), or by 1 where G_jj = 0: a power of two adds no rounding (van der Sluis,
+        *Numer. Math.* 1969; LAPACK's ``xGEEQUB``). ``np.linalg.lstsq`` takes the minimum-norm
+        solution of the scaled system, which is scaled back. Its rank cutoff, eps k times the
+        largest singular value, then falls alike in any units of the columns; on the unscaled
+        block a column in small enough units falls below it and is dropped.
+        """
+        squares = np.diag(self.gram)[:k]
+        exponents = np.round(np.log2(squares, out=np.zeros(k), where=squares > 0.0) / -2.0)
+        scale = np.ldexp(1.0, exponents.astype(int))
+        block = self.gram[:k, :k] * np.outer(scale, scale)
+        return np.linalg.lstsq(block, self.moment[:k] * scale, rcond=None)[0] * scale
+
 
 @dataclass(frozen=True)
 class SolverSettings:
@@ -316,10 +348,14 @@ def _householder_lstsq(A: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def mse(X: DesignMatrix, beta, y) -> float:
-    """Average squared residual (1/T) * sum_t (y_t - X_t . beta)^2."""
+    """Average squared residual (1/T) * sum_t (y_t - X_t . beta)^2, from a fresh residual.
+
+    ``X beta`` is added up from the design's history (:meth:`DesignMatrix.product`), so no T x P
+    values are built, and the squares are summed by :func:`_row_sums`.
+    """
     beta = finite_array(beta, "beta", (X.n_cols,))
     y = finite_array(y, "y", (X.n_rows,))
-    residual = y - X.values @ beta
+    residual = y - X.product(beta)
     return float(_row_sums(residual, residual)) / X.n_rows
 
 

@@ -50,6 +50,12 @@ class AgentSeries:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "start_time", start_time)
 
+    def _with_values(self, values: np.ndarray) -> "AgentSeries":
+        """This series with ``values``, finite float64 ones of its length, in its place; not scanned again."""
+        series = AgentSeries.__new__(AgentSeries)
+        vars(series).update(agent_id=self.agent_id, values=values, start_time=self.start_time)
+        return series
+
     def window(self, length: int) -> np.ndarray:
         """The first ``length`` in-window samples (the regression target)."""
         length = integer(length, "length", least=1)
@@ -187,7 +193,7 @@ def _ar_scan(noise: np.ndarray, phi) -> np.ndarray:
     their applications*, 1990): after the pass at ``lag`` each entry holds
     its last ``2 * lag`` noise terms weighted by powers of ``phi``, so
     ceil(log2 N) vector passes replace N scalar steps. ``phi`` broadcasts
-    against ``noise``: a column of coefficients scans one series per row.
+    against ``noise``.
     """
     lag = 1
     while lag < noise.shape[-1]:
@@ -206,12 +212,13 @@ def synthetic_market_series(spec: SyntheticSpec, history: int, window: int) -> l
     straight into one ``(n + 1) x (BURN_IN + history + window)`` array, row
     0 for P1 and row ``k`` for seller ``k``, which is then scanned in place,
     so no per-agent draw outlives its row and every returned series is a
-    view of that one array. All sellers are scanned at once
-    (:func:`_ar_scan`), each from 0 with ``BURN_IN`` samples dropped; then
-    the sellers' weighted previous hours are added to P1's noise over the
-    output hours after the first, as no seller data precedes them, and P1 is
-    scanned. Each series equals the sample-by-sample recursion to rounding,
-    and reruns of one spec are byte-identical.
+    view of that one array. The sellers' rows are scanned one at a time
+    (:func:`_ar_scan`), so each pass's temporary is one row long, each from
+    0 with ``BURN_IN`` samples dropped; then the sellers' weighted previous
+    hours are added to P1's noise over the output hours after the first, as
+    no seller data precedes them, and P1 is scanned. Each series equals the
+    sample-by-sample recursion to rounding, and reruns of one spec are
+    byte-identical.
     """
     history, window = integer(history, "history", least=0), integer(window, "window", least=1)
     length = history + window
@@ -219,7 +226,10 @@ def synthetic_market_series(spec: SyntheticSpec, history: int, window: int) -> l
     noise = np.empty((spec.n_independent + 1, BURN_IN + length))  # row 0 is P1, row k seller k
     for row, child, std in zip(noise, children, (spec.dependent_noise_std, *spec.noise_std)):
         row[:] = np.random.default_rng(child).normal(0.0, std, BURN_IN + length)
-    sellers = _ar_scan(noise[1:], np.array(spec.ar_coefficients)[:, None])[:, BURN_IN:]
+    # Each phi stays a 1-element array, so its powers take the array path and bits of a joint scan.
+    for row, phi in zip(noise[1:], np.array(spec.ar_coefficients)[:, None]):
+        _ar_scan(row, phi)
+    sellers = noise[1:, BURN_IN:]
     forced = noise[0, BURN_IN + 1 :]  # P1's output hours after the first
     for c, seller in zip(spec.cross_coefficients, sellers):
         forced += c * seller[:-1]

@@ -25,6 +25,18 @@ def normal_equation_ols(A, y):
     return np.linalg.solve(gram, moment)
 
 
+def scaled_block_lstsq(gram, moment):
+    """Minimum-norm solution of ``gram b = moment``, each column scaled by the power of two nearest 1/sqrt(gram_jj).
+
+    A zero diagonal entry keeps scale 1. Powers of two scale without rounding, so ``lstsq`` sees the
+    system in units where every nonzero column has a unit-order norm, whatever the data's units.
+    """
+    squares = np.diag(gram)
+    scale = np.array([2.0 ** -round(float(np.log2(g)) / 2) if g > 0 else 1.0 for g in squares])
+    solved = np.linalg.lstsq(gram * scale[:, None] * scale, moment * scale, rcond=None)[0]
+    return solved * scale
+
+
 def long_double_products(A, y):
     """``A'A``, ``A'y`` and ``y'y`` accumulated in long double, ``A'A`` a row at a time, so no BLAS product enters."""
     A_hi = np.asarray(A, dtype=np.longdouble)

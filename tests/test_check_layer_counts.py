@@ -49,12 +49,12 @@ def test_a_clear_that_stops_calling_through_clear_market_fails(tmp_path, capsys,
 
 def test_a_second_lag_matrix_in_the_training_sweep_fails(tmp_path, capsys):
     # sweep-t clears every window on row prefixes of its one prepared market,
-    # which builds two lag matrices: the buyer's own block, then the roster's
-    # design. Preparing each of its five windows afresh would build ten.
-    write_results(tmp_path, {"csv-t": {"timeseries.build_lag_matrix.calls": 10}})
+    # which builds one lag matrix, the roster's design. Preparing each of its
+    # five windows afresh would build five.
+    write_results(tmp_path, {"csv-t": {"timeseries.build_lag_matrix.calls": 5}})
     assert tool.main(["--results", str(tmp_path)]) == 1
     out = capsys.readouterr().out
-    assert "csv-t: timeseries.build_lag_matrix.calls is 10 per cycle, pinned at 2" in out
+    assert "csv-t: timeseries.build_lag_matrix.calls is 5 per cycle, pinned at 1" in out
     assert "layer counts: 1 problem(s) in 3 workloads" in out
 
 

@@ -33,7 +33,13 @@ from regmarket import market as market_module
 from regmarket.data_io import CsvSource, ScenarioConfig, TwoAgentGrid, load_scenario
 from regmarket.regression import SolverSettings
 
-from oracles import column_kkt_bound, column_kkt_residual, normal_equation_ols, penalized_objective
+from oracles import (
+    column_kkt_bound,
+    column_kkt_residual,
+    normal_equation_ols,
+    penalized_objective,
+    scaled_block_lstsq,
+)
 
 
 def scenario(central="P1", seed=0, window=240, max_lag=3, **kwargs):
@@ -484,14 +490,43 @@ class TestOmittedSupportAgents:
 
 
 def bench_scenario(name, seed, directory):
-    """The benchmark's ``paper-u`` or ``small-many`` scenario at ``seed``, loaded from a file."""
+    """The benchmark's ``paper-u``, ``small-many`` or ``csv-t`` scenario at ``seed``, loaded from a file.
+
+    For ``csv-t`` the benchmark's 3-year zonal CSV at ``seed`` is written beside it.
+    """
     spec = importlib.util.spec_from_file_location("bench_inputs", Path(__file__).parents[1] / "bench" / "inputs.py")
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
-    make = inputs.paper_u_scenario if name == "paper-u" else inputs.small_many_scenario
+    if name == "csv-t":
+        table = Path(directory) / f"zones-{seed}.csv"
+        inputs.write_zonal_csv(table, seed)
+        payload = inputs.csv_t_scenario(seed, table)
+    else:
+        payload = (inputs.paper_u_scenario if name == "paper-u" else inputs.small_many_scenario)(seed)
     path = Path(directory) / f"{name}.json"
-    path.write_text(json.dumps(make(seed)), encoding="utf-8")
+    path.write_text(json.dumps(payload), encoding="utf-8")
     return load_scenario(path)
+
+
+class TestBaselineOracles:
+    """Each market's baseline, solved on its normal equations, is least squares on the buyer's own block."""
+
+    @pytest.mark.parametrize(
+        ("name", "seed"), [("small-many", 0), ("small-many", 3), ("paper-u", 0), ("paper-u", 3), ("csv-t", 1)]
+    )
+    def test_baseline_matches_least_squares_on_the_built_buyer_block(self, tmp_path, name, seed):
+        sc = bench_scenario(name, seed, tmp_path)
+        window = sc.market.lag_spec.window_length
+        sc = dataclasses.replace(sc, t_grid=sc.t_grid or (window // 4, window // 2, window))
+        for _, _, outcome in run_T_sweep(sc)[0]:  # the longest window and row prefixes of it
+            market = outcome.market
+            A, y = market.design_all.prefix(agents=1).values, market.target
+            baseline = market.baseline_start[: A.shape[1]]
+            assert not market.baseline_start[A.shape[1] :].any()
+            for reference in (normal_equation_ols(A, y), np.linalg.lstsq(A, y, rcond=None)[0]):
+                assert np.abs(baseline - reference).max() <= 1e-12 * np.abs(reference).max()
+            residual = y - A @ reference
+            assert market.baseline_mse == pytest.approx(float(residual @ residual) / len(y), rel=1e-12)
 
 
 class TestWarmStartedSweeps:
@@ -536,21 +571,25 @@ class TestWarmStartedSweeps:
 
     def test_training_sweep_points_start_from_their_baselines(self, monkeypatch):
         # Each window is its own market: it starts at (b_self, 0), its own
-        # buyer-only least squares fit, with every seller coefficient at 0.
+        # buyer-only least squares fit, solved on its normal equations' buyer
+        # block, with every seller coefficient at 0.
         fits, fit = [], market_module.weighted_lasso_fit
 
         def recording(X, y, penalties, settings=None, start=None, *, normal=None):
-            fits.append((X.values, y, start))
+            fits.append((X.values, y, start, normal))
             return fit(X, y, penalties, settings, start, normal=normal)
 
         monkeypatch.setattr(market_module, "weighted_lasso_fit", recording)
         run_T_sweep(scenario("P1", seed=0, t_grid=(60, 120, 240)))
-        assert [len(y) for _, y, _ in fits] == [60, 120, 240]
+        assert [len(y) for _, y, _, _ in fits] == [60, 120, 240]
         own = 1 + 3  # the intercept and P1's three lags lead the design
-        for A, y, start in fits:
+        for A, y, start, normal in fits:
             assert not start.flags.writeable
             assert not start[own:].any()
-            assert start[:own].tobytes() == np.linalg.lstsq(A[:, :own], y, rcond=None)[0].tobytes()
+            solved = scaled_block_lstsq(normal.gram[:own, :own], normal.moment[:own])
+            assert start[:own].tobytes() == solved.tobytes()
+            reference = np.linalg.lstsq(A[:, :own], y, rcond=None)[0]
+            assert np.abs(start[:own] - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 class TestBuyingNothing:
@@ -645,11 +684,10 @@ class TestNoDesignBuilt:
         outcomes = [run_clearing(sc)]
         for rows in (run_u_sweep(sc), run_T_sweep(sc)[0], run_two_agent_grid(sc)[0]):
             outcomes += [outcome for _, _, outcome in rows]
-        # Per prepared market, the buyer's own lag block for its baseline, then the roster's one design.
-        assert len(built) == 8
-        max_lag = sc.market.lag_spec.max_lag
-        assert [block.n_cols for block in built[::2]] == [1 + max_lag] * 4
-        designs = built[1::2] + [outcome.market.design_all for outcome in outcomes]
+        # One design per prepared market (clear, sweep-u, sweep-t, grid-2), over the whole roster.
+        assert len(built) == 4
+        assert {design.n_cols for design in built} == {outcomes[0].market.design_all.n_cols}
+        designs = built + [outcome.market.design_all for outcome in outcomes]
         assert len({id(design) for design in designs}) > 4  # sweep-t's windows are designs of their own
         assert not any("values" in vars(design) for design in designs)
         # A reader still gets the matrix, built once.

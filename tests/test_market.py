@@ -464,35 +464,32 @@ class TestPreparedMarket:
     def test_one_lag_matrix_per_prepare(self, monkeypatch):
         import regmarket.market as market_module
 
-        built, fitted, fit = [], [], market_module.ols_fit
+        built, solved, solve = [], [], NormalEquations.least_squares
 
         def counted(series_list, spec):
             built.append(spec)
             return build_lag_matrix(series_list, spec)
 
-        def recording(X, y):
-            fitted.append(X)
-            return fit(X, y)
+        def recording(normal, k):
+            solved.append((normal, k))
+            return solve(normal, k)
+
+        def refused(X, y):
+            raise AssertionError("the baseline took a least-squares fit over the T rows")
 
         monkeypatch.setattr(market_module, "build_lag_matrix", counted)
-        monkeypatch.setattr(market_module, "ols_fit", recording)
+        monkeypatch.setattr(market_module, "ols_fit", refused)
+        monkeypatch.setattr(NormalEquations, "least_squares", recording)
         config, roster = default_market(seed=1)
         market = PreparedMarket(config, roster)
-        assert built == [LAG, LAG]  # the buyer's own lag block, then the roster's one design
+        assert built == [LAG]  # the roster's one design
         shorter = market.window(120)
         shorter.clear(shorter.prices(ReservationSchedule(default=0.1)))
-        assert built == [LAG, LAG]
+        assert built == [LAG]
 
-        # The baseline is fitted on the buyer's lag block of the shifted series: a fresh market's
-        # built alone, a window's cut from its one lag matrix.
-        central = next(series for series in shifted(roster) if series.agent_id == "P1")
-        assert len(fitted) == 2
-        for design_self, prepared, spec in zip(fitted, (market, shorter), (LAG, LagSpec(3, 120))):
-            assert_buyer_design(design_self, prepared)
-            own = build_lag_matrix([central], spec)
-            assert np.array_equal(design_self.values, own.values)
-            assert design_self.column_map == own.column_map
-        assert np.shares_memory(fitted[1].history, market.design_all.history)
+        # Each baseline is solved on its own market's normal equations, over the intercept and the buyer's lags.
+        assert solved == [(market.normal, 1 + LAG.max_lag), (shorter.normal, 1 + LAG.max_lag)]
+        assert np.shares_memory(shorter.design_all.history, market.design_all.history)
 
     def test_only_the_buyers_shifted_copy_outlives_the_design(self, monkeypatch):
         # Each lag design reads its series once and keeps none of them: by the time
@@ -524,17 +521,16 @@ class TestPreparedMarket:
         monkeypatch.setattr(market_module, "NormalEquations", forming)
         config, roster = default_market(seed=0)
         market = PreparedMarket(config, roster)
-        assert alive_at_normal == [[[True], [True, False, False, False, False]]]
-        assert received[0][0]() is received[1][0]() is market.target.base
+        assert alive_at_normal == [[[True, False, False, False, False]]]
+        assert received[0][0]() is market.target.base
 
-    def test_baseline_fitted_first_and_one_seller_copy_alive_at_a_time(self, monkeypatch):
-        # The buyer is moved and its baseline fitted before the roster's design is
-        # read; the roster's read moves each seller only as it reads it.
+    def test_one_seller_copy_alive_at_a_time_and_none_at_the_normal_equations(self, monkeypatch):
+        # The buyer is moved first; the roster's one read moves each seller only as
+        # it reads it.
         import regmarket.market as market_module
 
         events, copies = [], []
-        build, fit = market_module.build_lag_matrix, market_module.ols_fit
-        move, form = market_module._off_location, market_module.NormalEquations
+        build, move, form = market_module.build_lag_matrix, market_module._off_location, market_module.NormalEquations
 
         def sellers_alive():
             return sum(ref() is not None for ref in copies[1:])  # copies[0] is the buyer's, the target's base
@@ -542,10 +538,6 @@ class TestPreparedMarket:
         def building(series_list, spec):
             events.append(("build", len(series_list)))
             return build(series_list, spec)
-
-        def fitting(X, y):
-            events.append("fit")
-            return fit(X, y)
 
         def moving(series):
             moved = move(series)
@@ -557,25 +549,39 @@ class TestPreparedMarket:
             events.append(("normal", sellers_alive()))
             return form(design, target)
 
-        spies = {"build_lag_matrix": building, "ols_fit": fitting, "_off_location": moving, "NormalEquations": forming}
+        spies = {"build_lag_matrix": building, "_off_location": moving, "NormalEquations": forming}
         for name, spy in spies.items():
             monkeypatch.setattr(market_module, name, spy)
         config, roster = default_market(seed=0)
         PreparedMarket(config, roster)
         assert events == [
             ("moved", "P1", 0),
-            ("build", 1),
-            "fit",
             ("build", 5),
             *(("moved", agent, 1) for agent in SUPPORTS),
             ("normal", 0),
         ]
 
+    def test_no_shifted_copy_is_scanned_for_finiteness_again(self, monkeypatch):
+        # Moving a series off its location rejects an overflow, so its result is
+        # finite; the moved series is built without another scan of its values.
+        import regmarket.timeseries as timeseries_module
+
+        scanned, scan = [], timeseries_module.finite_array
+
+        def recording(value, field, *args, **kwargs):
+            scanned.append(field)
+            return scan(value, field, *args, **kwargs)
+
+        config, roster = default_market(seed=0)
+        monkeypatch.setattr(timeseries_module, "finite_array", recording)
+        market = PreparedMarket(config, roster)
+        market.window(120)
+        assert scanned == []
+
     def test_peak_memory_stays_near_one_roster(self):
         # Above the roster the caller holds, preparing holds the design's history
         # (one roster's hours) and the buyer's shifted copy, and for a while one
-        # seller's copy or the buyer's lag block: never every shifted copy beside
-        # the history, nor the buyer's block beside the history.
+        # seller's copy: never every shifted copy beside the history.
         n, history, window = 14, 6, 8760
         spec = SyntheticSpec(
             n_independent=n, ar_coefficients=(0.5,) * n, noise_std=(1.0,) * n, cross_coefficients=(0.05,) * n
@@ -622,6 +628,39 @@ class TestPreparedMarket:
         with pytest.raises(ViabilityError) as caught:
             clear_market(config, roster, ReservationSchedule(default=0.1))
         assert caught.value.market_side > caught.value.baseline_side
+
+
+class TestBaseline:
+    """The buyer's baseline is its own-features least-squares fit, solved on the market's normal equations."""
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e8])
+    def test_the_buyers_units_move_neither_its_lags_nor_its_scaled_mse(self, scale):
+        # Solved on the unscaled buyer block, lstsq's rank cutoff (eps k times the
+        # largest singular value) drops the lags in small units and blurs them in large ones.
+        config, roster = default_market(seed=0)
+        market = PreparedMarket(config, roster)
+        rescaled = [
+            AgentSeries(s.agent_id, s.values * scale, s.start_time) if s.agent_id == "P1" else s for s in roster
+        ]
+        moved = PreparedMarket(config, rescaled)
+        lags = slice(1, 1 + LAG.max_lag)
+        assert moved.baseline_start[lags] == pytest.approx(market.baseline_start[lags], rel=1e-12)
+        assert moved.baseline_mse / scale**2 == pytest.approx(market.baseline_mse, rel=1e-12)
+
+    def test_a_constant_buyer_has_zero_lags_and_the_least_squares_mse(self):
+        # Moved off its location, a constant buyer is exact zeros, so its lag
+        # columns' Gram diagonal is 0; those columns keep scale 1 and get 0.
+        config, roster = default_market(seed=0)
+        roster = [AgentSeries("P1", np.full(roster[0].values.size, 7.25), roster[0].start_time), *roster[1:]]
+        market = PreparedMarket(config, roster)
+        own = market.design_all.prefix(agents=1)
+        assert not np.diag(market.normal.gram)[1 : own.n_cols].any()
+        assert np.array_equal(market.baseline_start, np.zeros(market.design_all.n_cols))
+        expected = np.linalg.lstsq(own.values, market.target, rcond=None)[0]
+        residual = market.target - own.values @ expected
+        assert market.baseline_mse == float(residual @ residual) / LAG.window_length == 0.0
+        outcome = market.clear(market.prices(ReservationSchedule(default=0.1)))
+        assert outcome.buyer_net_gain == 0.0 and outcome.market_mse == 0.0
 
 
 class TestPricesArray:

@@ -766,6 +766,15 @@ class TestLosses:
         ) / 9.0
         assert abs(mse(design, beta, y) - direct) < 1e-12
 
+    def test_mse_of_a_lag_design_reads_its_history_not_its_values(self, rng):
+        # X b is added up from the history's shifted rows, so no T x P matrix is built.
+        design, y, _ = persistent_lag_market()
+        beta = rng.normal(size=design.n_cols) * (rng.random(design.n_cols) < 0.5)
+        value = mse(design, beta, y)
+        assert "values" not in vars(design)
+        residual = y - design.values @ beta
+        assert value == pytest.approx(float(residual @ residual) / design.n_rows, rel=1e-12)
+
     def test_dimension_mismatch_rejected(self, rng):
         design = make_design(rng, 10, 2)
         with pytest.raises(InvalidInputError):

@@ -8,11 +8,11 @@ file must be identical.
 
 This is the extent of the promise: these two scenarios (P = 91 at T = 8760,
 and the zonal CSV's windows) at 1 and 2 threads on an OpenBLAS build. Larger
-designs break it. With ``max_lag`` 12 or 24 (P = 193 or 385) at T = 8760,
+designs break it. With ``max_lag`` 12 or 24 (P = 181 or 361) at T = 8760,
 ``sweep-u`` writes different bytes at 1 and 2 threads, since LAPACK work on
 a P x P matrix of that size changes its bits; at T = 30000 with ``max_lag``
-24, ``np.linalg.lstsq`` on the buyer's block does, and so ``clear`` differs
-too.
+24, ``clear`` differs too, though the normal equations and the baseline
+keep their bits.
 """
 
 import importlib.util
