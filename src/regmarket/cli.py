@@ -1,8 +1,9 @@
 """Command-line harness around the experiment runners.
 
 Exit codes: 0 success, 2 bad input or configuration, 3 solver
-non-convergence, 4 internal buyer-viability violation; exits 3 and 4 name
-the scenario file and the point that failed.
+non-convergence, 4 internal buyer-viability violation. Every exit 2 from
+the scenario names its file, and exits 3 and 4 name the file and the point
+that failed.
 """
 
 from __future__ import annotations

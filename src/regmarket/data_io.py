@@ -627,11 +627,11 @@ _KEY_OF = {
 def label_error(err: InvalidInputError, path) -> InvalidInputError:
     """``err`` naming the scenario file and, in place of its field, the key that sets it.
 
-    An error whose field no scenario key sets is returned unchanged.
+    An error whose field no scenario key sets keeps its message and field, after the file's name.
     """
     key = _KEY_OF.get(err.field)
     if key is None:
-        return err
+        return InvalidInputError(f"{Path(path)}: {err}", err.field)
     return InvalidInputError(f"{Path(path)}: invalid value ({err.renamed(key)})")
 
 

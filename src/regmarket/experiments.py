@@ -29,7 +29,7 @@ from .data_io import ScenarioConfig, ingest_csv, to_agent_series
 from .errors import ConvergenceError, InvalidInputError, ViabilityError
 from .market import MarketOutcome, PreparedMarket, clear_market
 from .market import verify_buyer_viability  # noqa: F401  (name patched by bench/tracer.py)
-from .regression import _householder_lstsq
+from .regression import ols_fit
 from .timeseries import LagSpec, SyntheticSpec, synthetic_market_series
 
 __all__ = [
@@ -103,15 +103,15 @@ def run_method_comparison(scenario: ScenarioConfig) -> list:
 
     All three methods see the same design matrices and target. ``ols_all`` is
     the minimum-norm least-squares fit on the whole design, solved on ``X``
-    itself (:func:`regmarket.regression._householder_lstsq`), which builds the
-    market's T x P values: the normal equations square the condition number
-    and lose directions ``X`` keeps. For synthetic scenarios each
+    itself (:func:`regmarket.regression.ols_fit`), which builds the market's
+    T x P values: the normal equations square the condition number and lose
+    directions ``X`` keeps. For synthetic scenarios each
     coefficient row also carries the generative truth.
     """
     outcome = run_clearing(scenario)
     market, truth = outcome.market, scenario.data if isinstance(scenario.data, SyntheticSpec) else None
 
-    ols_all = _householder_lstsq(market.design_all.values, market.target)
+    ols_all = ols_fit(market.design_all, market.target)
     return [
         {
             "agent": agent,

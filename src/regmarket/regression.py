@@ -22,9 +22,12 @@ Conventions used throughout the package:
   target), through the design's :meth:`DesignMatrix.gram` and
   :meth:`DesignMatrix.moment`, or by :func:`_row_sums`, which sums in an
   order set by the data, not by the BLAS thread count; only
-  :func:`ols_fit` solves on the T rows, and no clearing calls it. A fresh
-  residual adds ``X b`` up column by column from the design's history
-  (:meth:`DesignMatrix.product`). A prepared market forms the record once,
+  :func:`ols_fit` solves on the T rows and builds a design's T x P
+  ``values``, and no clearing calls it. A fresh residual, for a loss
+  (:func:`mse`) or an optimality residual (:func:`kkt_violation`, a failed
+  solve's), adds ``X b`` up column by column from the design's history
+  (:meth:`DesignMatrix.product`), and its correlation ``X'r`` is
+  :meth:`DesignMatrix.moment`. A prepared market forms the record once,
   for all its clearings and its baseline fit
   (:meth:`NormalEquations.least_squares`), and a solve given it never
   reads X. The solver's cyclic
@@ -75,16 +78,18 @@ class DesignMatrix:
     the matrix afterwards changes the design, as for any NumPy view). A lag
     design (:func:`regmarket.timeseries.build_lag_matrix`) holds each agent's
     hours. Either builds its own read-only T x P ``values`` when first read,
-    by one strided copy of the sliding windows in row order.
+    by one strided copy of the sliding windows in row order; :func:`ols_fit`
+    is their one reader in the package.
 
     ``column_map`` has one entry per column: ``None`` marks column 0, which
     must be the all-ones intercept, and every other entry is a distinct
     ``(agent_id, lag)`` tuple: a hashable agent id and an integral lag of
     at least 1. ``column_index`` maps each pair to its column; it is built
     once, here. :meth:`gram` and :meth:`moment` are the products
-    :class:`NormalEquations` forms, from ``history`` without the T x P
-    matrix. A design is read-only and equal only to itself, and its repr
-    shows its shape and columns, not its values.
+    :class:`NormalEquations` forms, and :meth:`product` is ``X b``, each
+    from ``history`` without the T x P matrix. A design is read-only and
+    equal only to itself, and its repr shows its shape and columns, not its
+    values.
     """
 
     def __init__(self, values, column_map):
@@ -317,25 +322,16 @@ def _as_penalties(penalties, n_cols: int) -> np.ndarray:
 
 
 def ols_fit(X: DesignMatrix, y) -> np.ndarray:
-    """Least-squares coefficients for ``y`` on ``X``.
+    """Minimum-norm least-squares coefficients of ``y`` on ``X``, with no BLAS reduction over the T rows.
 
-    Rank-deficient systems get the minimum-norm solution, so the result is
-    deterministic even when T < P or columns are collinear.
+    Rank-deficient systems get the minimum-norm solution, so the result is deterministic even when
+    T < P or columns are collinear. A Householder QR of ``[X y]`` over the design's ``values``, each
+    reflection's sums by :func:`_row_sums`, gives ``R`` and ``z = Q'y``; ``np.linalg.lstsq(R, z)`` on
+    that small system is then ``lstsq(X, y)`` to rounding, as ``R`` has ``X``'s singular values.
+    ``lstsq(X, y)`` itself reduces over the T rows in BLAS threads, and its bits change with their number.
     """
     y = finite_array(y, "y", (X.n_rows,))
-    beta, *_ = np.linalg.lstsq(X.values, y, rcond=None)
-    return beta
-
-
-def _householder_lstsq(A: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares coefficients of ``y`` on the T x P ``A``, the same at any BLAS thread count.
-
-    A Householder QR of ``[A y]``, each reflection's sums by :func:`_row_sums`, gives ``R`` and
-    ``z = Q'y``; ``np.linalg.lstsq(R, z)`` on that small system is then ``lstsq(A, y)`` to rounding,
-    with the same rank cutoff, as ``R`` has ``A``'s singular values. ``lstsq(A, y)`` itself reduces
-    over the T rows in BLAS threads, and its bits change with their number.
-    """
-    R = np.column_stack([A, y])
+    R = np.column_stack([X.values, y])
     for j in range(min(R.shape)):
         column = R[j:, j]
         norm = float(np.sqrt(_row_sums(column, column)))
@@ -371,7 +367,8 @@ def _kkt_from_correlation(correlation, penalties, beta, unit):
 def kkt_violation(X: DesignMatrix, y, penalties, beta) -> float:
     """Largest first-order optimality violation of ``beta``, in gradient units.
 
-    Computed from a fresh residual: for a penalized column the residual
+    Computed from a fresh residual r = y - Xb (:meth:`DesignMatrix.product`), its
+    correlation X'r by :meth:`DesignMatrix.moment`: for a penalized column the residual
     correlation (2/T) X_j . r must sit inside [-t_j, t_j] when b_j = 0 and
     equal t_j * sign(b_j) otherwise (t_j = (2/T) penalties[j]); unpenalized
     columns need zero correlation. The solver certifies the same violations
@@ -382,7 +379,7 @@ def kkt_violation(X: DesignMatrix, y, penalties, beta) -> float:
     penalties = _as_penalties(penalties, X.n_cols)
     beta = finite_array(beta, "beta", (X.n_cols,))
     y = finite_array(y, "y", (X.n_rows,))
-    return _kkt_from_correlation(_row_sums(X.values, y - X.values @ beta), penalties, beta, 2.0 / X.n_rows)
+    return _kkt_from_correlation(X.moment(y - X.product(beta)), penalties, beta, 2.0 / X.n_rows)
 
 
 # A Cholesky pivot below this fraction of its column's squared norm, or an
@@ -550,8 +547,8 @@ def weighted_lasso_fit(
     it the solve forms its own, through the same design methods, so the
     result does not depend on who formed it. A record whose design or target
     is not this very ``X`` or ``y`` is rejected naming ``normal``. The solve
-    reads only ``X``'s shape, and its values only to measure the residual of
-    a failed solve, so a design's T x P values are not built for it.
+    reads only ``X``'s shape, and its history only to measure the residual of
+    a failed solve, so a design's T x P values are never built for it.
 
     The solve has one stopping test, its certificate, in column units: it
     returns as soon as the first-order optimality residual, computed from q
@@ -567,8 +564,9 @@ def weighted_lasso_fit(
     norm by s_x, so every column's side of the test scales by s_y alone.
 
     Raises :class:`ConvergenceError` when ``settings.max_iterations`` sweeps
-    are exhausted first, with the last iterate and its optimality residual,
-    measured from a fresh residual in the same column units, attached.
+    are exhausted first, with the last iterate and its optimality residual
+    attached, measured in the same column units from a fresh residual:
+    ``X.moment(y - X.product(b))``.
     """
     if settings is None:
         settings = SolverSettings()
@@ -618,8 +616,7 @@ def weighted_lasso_fit(
                 return beta
 
     # Measured for the iterate handed back from a fresh residual, which only this failure path computes.
-    A = X.values
-    kkt = _kkt_from_correlation(_row_sums(A, y - A @ beta), penalties, beta, unit)
+    kkt = _kkt_from_correlation(X.moment(y - X.product(beta)), penalties, beta, unit)
     raise ConvergenceError(
         f"coordinate descent did not converge in {settings.max_iterations} sweeps "
         f"(optimality residual {kkt:.3e}, bound {kkt_bound:.3e} from tolerance {settings.tolerance:.3e})",

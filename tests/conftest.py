@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import sys
 from pathlib import Path
@@ -17,6 +18,14 @@ _package_root = str(Path(regmarket.__file__).resolve().parents[1])
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, (_package_root, os.environ.get("PYTHONPATH")))
 )
+
+
+def load_module(name, *parts):
+    """The module at ``parts`` under the repository root, loaded as ``name``."""
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).parents[1].joinpath(*parts))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_design(rng, n_rows, n_features, agent="A"):

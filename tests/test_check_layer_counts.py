@@ -1,15 +1,12 @@
 """``tools/check_layer_counts.py`` fails a traced run whose per-cycle count is off its pin."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "check_layer_counts.py"
-spec = importlib.util.spec_from_file_location("check_layer_counts", TOOL)
-tool = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(tool)
+from conftest import load_module
+
+tool = load_module("check_layer_counts", "tools", "check_layer_counts.py")
 
 
 def write_results(directory, counts):

@@ -1,10 +1,8 @@
 import argparse
-import importlib.util
 import json
 import subprocess
 import sys
 from datetime import datetime, timedelta
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +10,8 @@ import pytest
 from regmarket import ScenarioConfig, SyntheticSpec, cli
 from regmarket.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_VIABILITY, main
 from regmarket.errors import ConvergenceError, ViabilityError
+
+from conftest import load_module
 
 
 def write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -468,7 +468,7 @@ class TestExitCodes:
         result = run_cli(command, "--config", str(config))
         assert result.returncode == EXIT_INPUT
         assert "RuntimeWarning" not in result.stderr
-        assert result.stderr.startswith("error: prices must be at most 2.996155224770526e+306, ")
+        assert result.stderr.startswith(f"error: {config}: prices must be at most 2.996155224770526e+306, ")
         assert result.stderr.endswith(" at T=120 is not finite\n")
 
     def test_infinite_tolerance_exits_2(self, tmp_path, capsys):
@@ -693,12 +693,12 @@ class TestExitCodes:
         market = {"central_agent": "DK1", "max_lag": 2, "window": 10}
         config = write_scenario(tmp_path, data={"type": "csv", "path": str(csv_path)}, market=market)
         assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
-        assert capsys.readouterr().err.startswith(f"error: {csv_path}: ")
+        assert capsys.readouterr().err.startswith(f"error: {config}: {csv_path}: ")
 
     def test_ingest_requires_a_csv_source(self, tmp_path, capsys):
         config = write_scenario(tmp_path)
         assert main(["ingest", "--config", str(config)]) == EXIT_INPUT
-        assert capsys.readouterr().err == "error: ingest needs a csv data source\n"
+        assert capsys.readouterr().err == f"error: {config}: ingest needs a csv data source\n"
 
     def test_simulate_requires_synthetic_source(self, tmp_path):
         csv_path = tmp_path / "wind.csv"
@@ -710,7 +710,29 @@ class TestExitCodes:
         )
         result = run_cli("simulate", "--config", str(config))
         assert result.returncode == EXIT_INPUT
-        assert result.stderr == "error: simulate needs a synthetic data source\n"
+        assert result.stderr == f"error: {config}: simulate needs a synthetic data source\n"
+
+    @pytest.mark.parametrize(
+        ("command", "overrides", "message"),
+        [
+            ("ingest", {}, "ingest needs a csv data source"),
+            ("simulate", {"data": {"type": "csv", "path": "wind.csv"}}, "simulate needs a synthetic data source"),
+            ("sweep-u", {"sweeps": {"t_grid": [60]}}, "u sweep needs a non-empty u_grid"),
+            ("sweep-t", {"sweeps": {"u_grid": [0.0]}}, "T sweep needs a non-empty t_grid"),
+            ("grid-2", {"sweeps": {"u_grid": [0.0]}}, "two-agent grid needs both agents and both grids"),
+            (
+                "clear",
+                {"reservations": {"uniform_u": 1e308}},
+                "prices must be at most 2.996155224770526e+306, above which the penalty (T/2) * u at T=120 is not finite",
+            ),
+        ],
+        ids=["ingest-source", "simulate-source", "u-grid", "t-grid", "grid2", "price-overflow"],
+    )
+    def test_an_error_no_key_sets_names_the_scenario_file(self, tmp_path, capsys, command, overrides, message):
+        # A runner's own check, which no scenario key's constructor makes, still names the file it read.
+        config = write_scenario(tmp_path, **overrides)
+        assert main([command, "--config", str(config)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
 
 
 class TestDesignPassesPerCycle:
@@ -719,9 +741,7 @@ class TestDesignPassesPerCycle:
     def test_small_many_cycle_makes_one_mse_per_market_and_none_per_clearing(self, tmp_path, monkeypatch):
         import regmarket.market as market_module
 
-        spec = importlib.util.spec_from_file_location("bench_inputs", Path(__file__).parents[1] / "bench" / "inputs.py")
-        inputs = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(inputs)
+        inputs = load_module("bench_inputs", "bench", "inputs.py")
         config = tmp_path / "small-many.json"
         config.write_text(json.dumps(inputs.small_many_scenario(0)), encoding="utf-8")
 
@@ -734,14 +754,6 @@ class TestDesignPassesPerCycle:
         # reads its buyer design, and each clearing measures its loss from it.
         assert len(calls) == 7
         assert all(X.n_cols == 1 + 3 for X in calls)  # the intercept and the buyer's three lags
-
-
-def load_module(name, *parts):
-    """The module at ``parts`` under the repository root, loaded as ``name``."""
-    spec = importlib.util.spec_from_file_location(name, Path(__file__).parents[1].joinpath(*parts))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 class TestLocationDoesNotDecideTheClearing:

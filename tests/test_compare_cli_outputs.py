@@ -1,6 +1,5 @@
 """``tools/compare_cli_outputs.py`` sizes a difference in values only, calls every other one structural, rewrites ISO stamps as the hours ingest reads, offsets value cells, writes inputs whose prices every command rejects, and a near-collinear CSV."""
 
-import importlib.util
 import json
 from pathlib import Path
 
@@ -12,10 +11,10 @@ from regmarket.data_io import load_scenario
 from regmarket.experiments import materialize_series
 from regmarket.cli import main
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_cli_outputs.py"
-spec = importlib.util.spec_from_file_location("compare_cli_outputs", TOOL)
-tool = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(tool)
+from conftest import load_module
+
+ROOT = Path(__file__).resolve().parents[1]
+tool = load_module("compare_cli_outputs", "tools", "compare_cli_outputs.py")
 
 TABLE = b"# columns: agent,coefficient\nagent,coefficient\nP2,0.5\nP3,-2.0\n"
 
@@ -87,21 +86,21 @@ OVERFLOW = "prices must be at most 2.996155224770526e+306, above which the penal
 @pytest.mark.parametrize(
     ("label", "message"),
     [
-        ("entries-twice", "invalid value (reservations.entries price agent 'P2' lag 1.0 more than once)\n"),
-        ("price-overflow", f"error: {OVERFLOW}\n"),
+        ("entries-twice", "invalid value (reservations.entries price agent 'P2' lag 1.0 more than once)"),
+        ("price-overflow", OVERFLOW),
     ],
 )
 def test_rejected_prices_inputs_exit_2_with_the_rule_they_break(tmp_path, capsys, label, message):
     config = tmp_path / f"{label}.json"
-    config.write_text(json.dumps(tool.rejected_prices(tool.readme_scenario(TOOL.parents[1]))[label]), encoding="utf-8")
+    config.write_text(json.dumps(tool.rejected_prices(tool.readme_scenario(ROOT))[label]), encoding="utf-8")
     assert main(["clear", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.endswith(message)
+    assert capsys.readouterr().err == f"error: {config}: {message}\n"
 
 
 def test_collinear_input_adds_a_near_copy_of_p2_as_a_seller(tmp_path):
-    readme = tool.readme_scenario(TOOL.parents[1])
+    readme = tool.readme_scenario(ROOT)
     config = tmp_path / "collinear.json"
-    config.write_text(json.dumps(tool.write_collinear(TOOL.parents[1], readme, tmp_path)), encoding="utf-8")
+    config.write_text(json.dumps(tool.write_collinear(ROOT, readme, tmp_path)), encoding="utf-8")
     dataset = ingest_csv(tmp_path / "collinear.csv").dataset
     assert dataset.zones == ("P1", "P2", "P3", "P4", "P5", "P6")
     assert dataset.n_hours == readme["market"]["max_lag"] + max(readme["sweeps"]["t_grid"])

@@ -962,6 +962,13 @@ class TestScenarioConfig:
         with pytest.raises(InvalidInputError, match="typo"):
             load_scenario(write_scenario(tmp_path, typo=1))
 
+    def test_an_error_no_key_sets_is_labelled_with_the_file_and_keeps_its_field(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        labelled = data_io.label_error(InvalidInputError("prices must be at most 1.0", "prices"), path)
+        assert str(labelled) == f"{path}: prices must be at most 1.0"
+        assert labelled.field == "prices"
+        assert str(data_io.label_error(InvalidInputError("no field here"), str(path))) == f"{path}: no field here"
+
     def test_unknown_market_key_rejected(self, tmp_path):
         with pytest.raises(InvalidInputError, match="window_hours"):
             load_scenario(write_scenario(tmp_path, overrides={"market.window_hours": 1}))

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib.util
 import json
 import tempfile
 from pathlib import Path
@@ -33,6 +32,7 @@ from regmarket import market as market_module
 from regmarket.data_io import CsvSource, ScenarioConfig, TwoAgentGrid, load_scenario
 from regmarket.regression import SolverSettings
 
+from conftest import load_module
 from oracles import (
     column_kkt_bound,
     column_kkt_residual,
@@ -494,9 +494,7 @@ def bench_scenario(name, seed, directory):
 
     For ``csv-t`` the benchmark's 3-year zonal CSV at ``seed`` is written beside it.
     """
-    spec = importlib.util.spec_from_file_location("bench_inputs", Path(__file__).parents[1] / "bench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+    inputs = load_module("bench_inputs", "bench", "inputs.py")
     if name == "csv-t":
         table = Path(directory) / f"zones-{seed}.csv"
         inputs.write_zonal_csv(table, seed)

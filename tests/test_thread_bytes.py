@@ -15,13 +15,14 @@ a P x P matrix of that size changes its bits; at T = 30000 with ``max_lag``
 keep their bits.
 """
 
-import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import load_module
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNS = [
@@ -36,9 +37,7 @@ RUNS = [
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """``{name: (config path, seed)}`` for the two benchmark scenarios."""
-    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = load_module("bench_inputs", "bench", "inputs.py")
     directory = tmp_path_factory.mktemp("inputs")
     table = directory / "zones-1.csv"
     bench.write_zonal_csv(table, 1)

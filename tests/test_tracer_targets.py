@@ -8,25 +8,16 @@ what it reads.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import pytest
 
 import regmarket
 import regmarket.cli  # noqa: F401  (the tracer patches names in every module)
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+from conftest import load_module
 
 
-def bench_module(name):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-tracer = bench_module("tracer")
+tracer = load_module("bench_tracer", "bench", "tracer.py")
 TARGETS = tracer.TARGETS
 
 
@@ -40,7 +31,7 @@ def test_traced_name_is_the_function_its_span_names(module, attribute, span):
 def test_fit_drain_reads_the_design_the_package_builds(tmp_path):
     # The traced runs measure each lasso call's KKT residual and design size
     # from the design the market passed to the solver, after the command returns.
-    inputs = bench_module("inputs")
+    inputs = load_module("bench_inputs", "bench", "inputs.py")
     config = tmp_path / "small-many.json"
     inputs.write_json(config, inputs.small_many_scenario(0))
     traced = tracer.Tracer(regmarket)
